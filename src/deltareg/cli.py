@@ -24,6 +24,7 @@ from . import core as core_mod
 from . import counterexample as cx_mod
 from . import hypergraphs as hg_mod
 from . import schedules as sched_mod
+from .balanced import SamplerExhausted
 from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
@@ -79,7 +80,7 @@ def cmd_build_core(args) -> int:
         return EXIT_USAGE
     try:
         seq = core_mod.build_core_sequence(profile, args.seed)
-    except Exception as e:  # sampler exhaustion or profile violation
+    except (SamplerExhausted, ValueError) as e:
         print(f"error: build failed: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     os.makedirs(args.out, exist_ok=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .graphs import (
     VertexClass,
     bipartite_from_binary,
     bipartite_to_binary,
-    edges_between,
     graph_hash,
     pack_indices,
     transpose_bits,
@@ -142,14 +142,17 @@ class GrowthProfile:
 
 
 def _iroot_floor(n: int, r: int) -> int:
+    """Largest z with z**r <= n, by integer Newton iteration from above."""
     if n < 1:
-        raise ValueError
-    z = max(1, int(round(n ** (1.0 / r))))
-    while z**r > n:
-        z -= 1
-    while (z + 1) ** r <= n:
-        z += 1
-    return z
+        raise ValueError("integer root of a number below 1")
+    if r == 2:
+        return math.isqrt(n)
+    z = 1 << -(-n.bit_length() // r)  # 2^ceil(bits/r), so z**r > n
+    while True:
+        y = ((r - 1) * z + n // z ** (r - 1)) // r
+        if y >= z:
+            return z
+        z = y
 
 
 def iroot_ceil(n: int, r: int) -> int:
@@ -223,13 +226,12 @@ class CoreSequence:
     # -- materialization -------------------------------------------------
 
     def quotient_t_bits(self, level: int, index: int) -> np.ndarray:
-        """Per-right-cluster 0/1 rows over left clusters, cached."""
+        """Per-right-cluster uint8 0/1 rows over left clusters, cached."""
         key = ("tqbits", level, index)
         if key not in self._materialized:
             q = self.members[level][index].quotient
             tq = q.transposed()
-            bits = np.unpackbits(tq.rows.view(np.uint8), axis=1, bitorder="little")[:, : q.left.size].astype(np.int64)
-            self._materialized[key] = bits
+            self._materialized[key] = np.unpackbits(tq.rows.view(np.uint8), axis=1, bitorder="little")[:, : q.left.size]
         return self._materialized[key]
 
     def member_graph(self, level: int, index: int) -> BipartiteGraph:
@@ -257,12 +259,10 @@ def _group_partition(n: int, parent: np.ndarray) -> VertexPartition:
 
 
 def _parent_map(child: VertexPartition, parent: VertexPartition) -> np.ndarray:
-    owners = parent.owner[np.concatenate(child.cells)]
-    starts = np.cumsum([0] + [len(c) for c in child.cells[:-1]])
-    out = np.minimum.reduceat(owners, starts)
-    if not np.array_equal(out, np.maximum.reduceat(owners, starts)):
+    pairs = np.unique(child.owner * len(parent) + parent.owner)
+    if pairs.size != len(child):
         raise ValueError("chain is not an exact successive refinement")
-    return out
+    return pairs % len(parent)
 
 
 def default_chains(profile: GrowthProfile):
@@ -337,13 +337,12 @@ def verify_structure(seq: CoreSequence) -> dict:
                 report["density"] = False
                 report["failures"].append(("density", j, m.index))
             D = _block_degree_matrix(g, lp, rp)
-            lsz = np.array([len(c) for c in lp.cells], dtype=np.int64)
-            rsz = np.array([len(c) for c in rp.cells], dtype=np.int64)
-            full = np.outer(lsz, rsz)
-            bad = np.argwhere((D != 0) & (D != full))
-            if bad.size:
+            lsz = np.bincount(lp.owner, minlength=len(lp)).astype(D.dtype)
+            rsz = np.bincount(rp.owner, minlength=len(rp)).astype(D.dtype)
+            mixed = (D != 0) & (D != np.outer(lsz, rsz))
+            if mixed.any():
                 report["blocks"] = False
-                for a, b in bad[:8]:
+                for a, b in np.argwhere(mixed)[:8]:
                     report["failures"].append(("block", j, m.index, int(a), int(b)))
         for idx in range(len(seq.members[j - 1])):
             gparent = seq.member_graph(j - 1, idx)
@@ -365,23 +364,15 @@ def verify_structure(seq: CoreSequence) -> dict:
 
 
 def _is_block_partition(p: VertexPartition) -> bool:
-    w = p.n // len(p.cells)
-    if p.n % len(p.cells):
-        return False
-    return all(int(c[0]) == i * w and int(c[-1]) == (i + 1) * w - 1 and c.size == w for i, c in enumerate(p.cells))
+    k = len(p)
+    return p.n % k == 0 and np.array_equal(p.owner, np.arange(p.n) // (p.n // k))
 
 
 def _block_degree_matrix(g: BipartiteGraph, lp: VertexPartition, rp: VertexPartition) -> np.ndarray:
-    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : g.right.size].astype(np.int64)
-    if _is_block_partition(lp) and _is_block_partition(rp):
-        wl = g.left.size // len(lp.cells)
-        wr = g.right.size // len(rp.cells)
-        return bits.reshape(len(lp.cells), wl, len(rp.cells), wr).sum(axis=(1, 3))
-    lgroup = np.zeros((len(lp.cells), g.right.size), dtype=np.int64)
-    np.add.at(lgroup, lp.owner, bits)
-    out = np.zeros((len(lp.cells), len(rp.cells)), dtype=np.int64)
-    np.add.at(out.T, rp.owner, lgroup.T)
-    return out
+    """Edge counts of every (left cell, right cell) block, summed from a
+    uint8 unpack of the rows."""
+    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : g.right.size]
+    return _group_sum(_group_sum(bits, lp, 0), rp, 1)
 
 
 def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member: int = 0) -> dict:
@@ -415,7 +406,7 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
         for v, b in bad[:4]:
             report["failures"].append(("item1-left", i, member, int(lp_prev.owner[v]), int(b)))
     bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
-    deg_into_L = _group_rows(bits, lp_prev)  # (l_parent, n_right)
+    deg_into_L = _group_sum(bits, lp_prev, 0)  # (l_parent, n_right)
     rsizes = np.array([len(c) for c in lp_prev.cells], dtype=np.int64)
     expectedR = par_bits[:, rp_prev.owner] * (rsizes[:, None] // 2)
     if not np.array_equal(deg_into_L, expectedR):
@@ -446,13 +437,17 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
     return report
 
 
-def _group_rows(bits: np.ndarray, p: VertexPartition) -> np.ndarray:
+def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
+    """Sums of a non-negative integer matrix over each cell of p along an
+    axis, in the smallest unsigned dtype that holds them."""
+    k = len(p)
+    sizes = np.bincount(p.owner, minlength=k)
+    dtype = np.min_scalar_type(int(sizes.max()) * int(x.max(initial=0)))
     if _is_block_partition(p):
-        w = p.n // len(p.cells)
-        return bits.reshape(len(p.cells), w, bits.shape[1]).sum(axis=1)
-    out = np.zeros((len(p.cells), bits.shape[1]), dtype=np.int64)
-    np.add.at(out, p.owner, bits)
-    return out
+        shape = x.shape[:axis] + (k, p.n // k) + x.shape[axis + 1 :]
+        return x.reshape(shape).sum(axis=axis + 1, dtype=dtype)
+    order = np.argsort(p.owner, kind="stable")
+    return np.add.reduceat(np.take(x, order, axis=axis), np.cumsum(sizes) - sizes, axis=axis, dtype=dtype)
 
 
 def verify_degree_property(seq: CoreSequence, ell: int, i: int, L: int, R: int, member: int = 0) -> dict:
@@ -552,7 +547,8 @@ def find_irregularity_witnesses(
     P = np.unique(np.asarray(P, dtype=np.int64))
     lp_i = seq.left_parts(i)
     lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition(seq.n_left, [range(seq.n_left)])
-    mass = np.bincount(lp_i.owner[P], minlength=len(lp_i.cells)).astype(np.int64)
+    # the level-i clusters P touches, and its mass in each
+    touched, tmass = np.unique(lp_i.owner[P], return_counts=True)
     tot = int(P.size)
     # precondition: P in_{1/4} previous level
     prev_mass = np.bincount(lp_prev.owner[P], minlength=len(lp_prev.cells)).astype(np.int64)
@@ -560,39 +556,42 @@ def find_irregularity_witnesses(
     outside_prev = tot - int(prev_mass[host])
     if not (outside_prev == 0 or 4 * outside_prev < tot):
         raise ValueError("subset is not 1/4-inside a previous-level cluster")
-    # precondition: P not gamma-inside any level-i cluster
-    outside_all = tot - mass
-    inside_some = np.any((outside_all == 0) | (outside_all * gamma.denominator < gamma.numerator * tot))
-    if inside_some:
+    # precondition: P not gamma-inside any level-i cluster, that is no cluster
+    # leaves 0 or fewer than gamma|P| of P outside (all of P for a cluster P
+    # misses); outside < gamma|P| is outside <= ceil(gamma|P|) - 1
+    below = min(tot, -(-gamma.numerator * tot // gamma.denominator) - 1)
+    outside = tot - tmass
+    if np.any((outside == 0) | (outside <= below)) or (touched.size < len(lp_i) and (tot == 0 or tot <= below)):
         raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
     anc = seq.ancestor_index(ell, member, i)
-    qi = seq.members[i][anc].quotient
     fam = neighbor_family(seq, i, host, member=seq.ancestor_index(ell, member, i - 1)).members
-    li = qi.left.size
-    host_mask = (seq.lparent[i - 1] == host)
-    maxmass = int(mass.max())
-    out_of_host_mass = tot - int(mass[host_mask].sum())
-    p = Fraction(1, 1 << ell)
+    maxmass = int(tmass.max())
+    in_host = seq.lparent[i - 1][touched] == host
+    out_of_host_mass = tot - int(tmass[in_host].sum())
+    nb_bits = seq.quotient_t_bits(i, anc)[np.ix_(fam, touched)]
+    in_nb = nb_bits @ tmass
+    in_nb_in_host = nb_bits @ (tmass * in_host)
+    # (a) non-neighbor mass >= (|P| - max cluster mass) / 8
+    # (b) in-host neighbor mass >= |P|/2 - out-of-host mass
+    qualifies = (8 * (tot - in_nb) >= tot - maxmass) & (2 * in_nb_in_host >= tot - 2 * out_of_host_mass)
+    # P1 of each family cluster: the vertices of P in non-neighbor clusters
+    in_p1 = nb_bits[:, np.searchsorted(touched, lp_i.owner[P])] == 0
+    # e(P, R) and e(P1, R) for every family cluster, from one unpack of P's rows
+    rp_i = seq.right_parts(i)
     g = seq.member_graph(ell, member)
-    tq_bits = seq.quotient_t_bits(i, anc)
-    nb_bits = tq_bits[fam]
-    in_nb = nb_bits @ mass
-    in_nb_in_host = nb_bits @ (mass * host_mask.astype(np.int64))
+    bits = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
+    row_deg = _group_sum(bits, rp_i, 1)[:, fam]
+    e_pr = row_deg.sum(axis=0, dtype=np.int64)
+    e_p1 = (row_deg * in_p1.T).sum(axis=0, dtype=np.int64)
     witnesses = []
-    for fi, R in enumerate(fam):
-        not_nb_mass = tot - int(in_nb[fi])
-        # (a) non-neighbor mass >= (|P| - max cluster mass) / 8
-        # (b) in-host neighbor mass >= |P|/2 - out-of-host mass
-        if 8 * not_nb_mass >= tot - maxmass and 2 * int(in_nb_in_host[fi]) >= tot - 2 * out_of_host_mass:
-            sel = nb_bits[fi][lp_i.owner[P]] == 0
-            p1 = P[sel]
-            rverts = seq.right_parts(i).cells[int(R)]
-            e_p1 = edges_between(g, p1, rverts) if p1.size else 0
-            e_pr = edges_between(g, P, rverts)
-            assert e_p1 == 0, "witness construction must be edge-free"
-            assert Fraction(e_pr, tot * len(rverts)) >= Fraction(1, 4) * (1 << i) * p
-            assert 8 * Fraction(int(p1.size)) >= gamma * tot
-            witnesses.append(Witness(right_cluster=int(R), r_vertices=np.asarray(rverts), p1_vertices=p1, d_pr_num=e_pr, level=i))
+    for fi in np.flatnonzero(qualifies):
+        rverts = rp_i.cells[int(fam[fi])]
+        p1 = P[in_p1[fi]]
+        assert e_p1[fi] == 0, "witness construction must be edge-free"
+        # d(P, R) >= 2^i p / 4, with p = 2^-ell
+        assert int(e_pr[fi]) * 4 << ell >= tot * rverts.size << i
+        assert 8 * p1.size * gamma.denominator >= gamma.numerator * tot
+        witnesses.append(Witness(right_cluster=int(fam[fi]), r_vertices=rverts, p1_vertices=p1, d_pr_num=int(e_pr[fi]), level=i))
     bound = Fraction(seq.profile.r_sizes[i - 1], 6) / (1 << i)
     if require_count and Fraction(len(witnesses)) < bound:
         raise AssertionError(f"witness count {len(witnesses)} below the {bound} cluster bound")
@@ -659,6 +658,15 @@ class IrregularityCertificate:
         return self.total > self.budget
 
     def to_text(self) -> str:
+        levels = sorted(self.r_level_cells)
+        sets = list(self.q_cells)
+        for lvl in levels:
+            sets.extend(self.r_level_cells[lvl])
+        for e in self.entries:
+            sets.append(e.p_vertices)
+            for ln in e.lines:
+                sets.extend((ln.r_vertices, ln.p1_vertices))
+        enc = iter(_ranges_encode_many(sets))
         out = ["irregularity-certificate v1"]
         out.append(f"graph-sha256 {self.graph_sha256}")
         out.append(f"n-left {self.n_left}")
@@ -671,124 +679,244 @@ class IrregularityCertificate:
         out.append(f"t {self.t}")
         out.append(f"budget {self.budget}")
         out.append(f"q-cells {len(self.q_cells)}")
-        for cell in self.q_cells:
-            out.append("q " + _ranges_encode(cell))
-        for lvl in sorted(self.r_level_cells):
+        out.extend("q " + next(enc) for _ in self.q_cells)
+        for lvl in levels:
             cells = self.r_level_cells[lvl]
             out.append(f"r-level {lvl} {len(cells)}")
-            for cell in cells:
-                out.append("r " + _ranges_encode(cell))
+            out.extend("r " + next(enc) for _ in cells)
         out.append(f"entries {len(self.entries)}")
         for k, e in enumerate(self.entries):
             out.append(f"entry {k} level {e.level}")
-            out.append("p " + _ranges_encode(e.p_vertices))
+            out.append("p " + next(enc))
             out.append(f"lines {len(e.lines)}")
             for ln in e.lines:
-                out.append(
-                    f"line R={_ranges_encode(ln.r_vertices)} P1={_ranges_encode(ln.p1_vertices)} corr={ln.correction} value={ln.value}"
-                )
+                out.append(f"line R={next(enc)} P1={next(enc)} corr={ln.correction} value={ln.value}")
         out.append(f"total {self.total}")
         return "\n".join(out) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "IrregularityCertificate":
-        lines = text.strip("\n").split("\n")
-        it = iter(lines)
-        if next(it) != "irregularity-certificate v1":
-            raise ValueError("bad header")
+        """Parse the text form.  Truncated or malformed text, and vertex ids
+        outside the sides, raise ValueError."""
+        rd = _LineReader(text)
+        rd.take("irregularity-certificate v1")
         kv = {}
         while "q-cells" not in kv:
-            k, v = next(it).split(" ", 1)
+            k, sep, v = rd.take("").partition(" ")
+            if not sep:
+                raise ValueError(f"certificate line {rd.pos}: expected a header field")
             kv[k] = v
-        nq = int(kv["q-cells"])
-        q_cells = []
-        for _ in range(nq):
-            ln = next(it)
-            assert ln.startswith("q ")
-            q_cells.append(_ranges_decode(ln[2:]))
+        missing = {"graph-sha256", "n-left", "n-right", "level", "delta", "gamma", "gamma-prime", "host-c", "t", "budget"} - set(kv)
+        if missing:
+            raise ValueError(f"certificate header misses {sorted(missing)}")
+        n_left, n_right = _count(kv["n-left"]), _count(kv["n-right"])
+        # range fields are decoded together at the end; until then every set
+        # is its index into fields: (text, side size, may be empty)
+        fields = []
+
+        def field(text, n, may_be_empty=False):
+            fields.append((text, n, may_be_empty))
+            return len(fields) - 1
+
+        q_cells = [field(rd.take("q "), n_right) for _ in range(_count(kv["q-cells"]))]
         r_level_cells = {}
-        pos = None
-        ln = next(it)
-        while ln.startswith("r-level"):
-            _, lvl, cnt = ln.split()
-            cells = []
-            for _ in range(int(cnt)):
-                l2 = next(it)
-                assert l2.startswith("r ")
-                cells.append(_ranges_decode(l2[2:]))
-            r_level_cells[int(lvl)] = cells
-            ln = next(it)
-        assert ln.startswith("entries ")
-        n_entries = int(ln.split()[1])
+        while rd.peek("r-level "):
+            parts = rd.take("r-level ").split()
+            if len(parts) != 2:
+                raise ValueError(f"certificate line {rd.pos}: expected 'r-level <level> <count>'")
+            r_level_cells[_count(parts[0])] = [field(rd.take("r "), n_right) for _ in range(_count(parts[1]))]
         entries = []
-        for _ in range(n_entries):
-            head = next(it).split()
-            level = int(head[3])
-            pline = next(it)
-            p_vertices = _ranges_decode(pline[2:])
-            nlines = int(next(it).split()[1])
+        for k in range(_count(rd.take("entries "))):
+            head = rd.take("entry ").split()
+            if len(head) != 3 or head[0] != str(k) or head[1] != "level":
+                raise ValueError(f"certificate line {rd.pos}: expected 'entry {k} level <level>'")
+            level = _count(head[2])
+            if level not in r_level_cells:
+                raise ValueError(f"certificate line {rd.pos}: no r-level cells for level {level}")
+            p_vertices = field(rd.take("p "), n_left)
             lns = []
-            for _ in range(nlines):
-                parts = next(it).split()
-                d = dict(p.split("=", 1) for p in parts[1:])
+            for _ in range(_count(rd.take("lines "))):
+                d = dict(part.split("=", 1) for part in rd.take("line ").split())
+                if d.keys() != {"R", "P1", "corr", "value"}:
+                    raise ValueError(f"certificate line {rd.pos}: expected 'line R= P1= corr= value='")
                 lns.append(
                     LedgerLine(
                         entry=len(entries),
                         right_cluster_level=level,
-                        r_vertices=_ranges_decode(d["R"]),
-                        p1_vertices=_ranges_decode(d["P1"]),
-                        correction=int(d["corr"]),
-                        value=Fraction(d["value"]),
+                        r_vertices=field(d["R"], n_right),
+                        p1_vertices=field(d["P1"], n_left, may_be_empty=True),
+                        correction=_count(d["corr"]),
+                        value=_fraction(d["value"]),
                     )
                 )
             entries.append(CertEntry(p_vertices=p_vertices, level=level, lines=lns))
-        total = Fraction(next(it).split()[1])
+        total = _fraction(rd.take("total "))
+        if rd.pos != len(rd.lines):
+            raise ValueError(f"certificate line {rd.pos + 1}: text after the total")
+        sets = _ranges_decode_many([f for f, _, _ in fields])
+        for (f, n, may_be_empty), ids in zip(fields, sets):
+            if ids.size == 0 and not may_be_empty:
+                raise ValueError(f"empty vertex set {f!r} in the certificate")
+            if ids.size and ids[-1] >= n:
+                raise ValueError(f"vertex id {ids[-1]} out of range 0..{n - 1} in the certificate")
+        for e in entries:
+            e.p_vertices = sets[e.p_vertices]
+            for ln in e.lines:
+                ln.r_vertices, ln.p1_vertices = sets[ln.r_vertices], sets[ln.p1_vertices]
         return IrregularityCertificate(
             graph_sha256=kv["graph-sha256"],
-            n_left=int(kv["n-left"]),
-            n_right=int(kv["n-right"]),
-            ell=int(kv["level"]),
-            delta=Fraction(kv["delta"]),
-            gamma=Fraction(kv["gamma"]),
-            gamma_prime=Fraction(kv["gamma-prime"]),
-            host_c=Fraction(kv["host-c"]),
-            t=int(kv["t"]),
-            q_cells=q_cells,
-            r_level_cells=r_level_cells,
+            n_left=n_left,
+            n_right=n_right,
+            ell=_count(kv["level"]),
+            delta=_fraction(kv["delta"]),
+            gamma=_fraction(kv["gamma"]),
+            gamma_prime=_fraction(kv["gamma-prime"]),
+            host_c=_fraction(kv["host-c"]),
+            t=_count(kv["t"]),
+            q_cells=[sets[j] for j in q_cells],
+            r_level_cells={lvl: [sets[j] for j in cells] for lvl, cells in r_level_cells.items()},
             entries=entries,
             total=total,
-            budget=Fraction(kv["budget"]),
+            budget=_fraction(kv["budget"]),
         )
 
 
+class _LineReader:
+    """Lines of a text form, taken one at a time by their expected prefix."""
+
+    def __init__(self, text: str):
+        self.lines = text.strip("\n").split("\n")
+        self.pos = 0
+
+    def peek(self, prefix: str) -> bool:
+        return self.pos < len(self.lines) and self.lines[self.pos].startswith(prefix)
+
+    def take(self, prefix: str) -> str:
+        if self.pos >= len(self.lines):
+            raise ValueError(f"certificate truncated: expected {prefix.strip()!r} after line {self.pos}")
+        if not self.peek(prefix):
+            raise ValueError(f"certificate line {self.pos + 1}: expected {prefix.strip()!r}")
+        self.pos += 1
+        return self.lines[self.pos - 1][len(prefix) :]
+
+
+def _count(s: str) -> int:
+    v = int(s)
+    if v < 0:
+        raise ValueError(f"negative count {s!r}")
+    return v
+
+
+def _fraction(s: str) -> Fraction:
+    """'a' or 'a/b', as str(Fraction) writes them."""
+    num, _, den = s.partition("/")
+    den = int(den or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), den)
+
+
 def _ranges_encode(arr) -> str:
-    arr = np.unique(np.asarray(arr, dtype=np.int64))
-    if arr.size == 0:
-        return "-"
-    runs = []
-    start = prev = int(arr[0])
-    for v in arr[1:]:
-        v = int(v)
-        if v == prev + 1:
-            prev = v
-            continue
-        runs.append((start, prev))
-        start = prev = v
-    runs.append((start, prev))
-    return ",".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
+    return _ranges_encode_many([arr])[0]
 
 
 def _ranges_decode(s: str) -> np.ndarray:
-    if s == "-":
-        return np.empty(0, dtype=np.int64)
-    out = []
-    for tok in s.split(","):
-        if "-" in tok[1:]:
-            a, b = tok.split("-", 1) if not tok.startswith("-") else (tok[0:1], tok[2:])
-            out.append(np.arange(int(a), int(b) + 1))
-        else:
-            out.append(np.array([int(tok)]))
-    return np.concatenate(out).astype(np.int64)
+    return _ranges_decode_many([s])[0]
+
+
+def _ranges_encode_many(arrays) -> list:
+    """Text of many id sets at once: maximal runs of consecutive ids as 'a'
+    or 'a-b', joined by ',', and '-' for an empty set."""
+    arrs = [np.asarray(a, dtype=np.int64).ravel() for a in arrays]
+    sizes = np.fromiter((a.size for a in arrs), dtype=np.int64, count=len(arrs))
+    flat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
+    if flat.size == 0:
+        return ["-"] * len(arrs)
+    if flat.min() < 0:
+        raise ValueError("negative vertex id")
+    aid = np.repeat(np.arange(len(arrs)), sizes)
+    if np.any((aid[1:] == aid[:-1]) & (flat[1:] <= flat[:-1])):
+        order = np.lexsort((flat, aid))
+        flat, aid = flat[order], aid[order]
+        keep = np.ones(flat.size, dtype=bool)
+        keep[1:] = (flat[1:] != flat[:-1]) | (aid[1:] != aid[:-1])
+        flat, aid = flat[keep], aid[keep]
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (aid[1:] != aid[:-1]) | (flat[1:] != flat[:-1] + 1)
+    first = np.flatnonzero(first)
+    last = np.append(first[1:], flat.size) - 1
+    ranged = flat[last] > flat[first]
+    # printed numbers: each run's first id, then its last id if it is a range;
+    # after each number '-' (range follows), ',' (run follows) or '\n' (set ends)
+    at = np.arange(first.size) + np.cumsum(ranged) - ranged
+    nums = np.empty(first.size + int(ranged.sum()), dtype=np.int64)
+    nums[at] = flat[first]
+    nums[at[ranged] + 1] = flat[last[ranged]]
+    seps = np.full(nums.size, 2, dtype=np.int64)
+    run_ends = np.append(at[1:], nums.size) - 1
+    seps[run_ends[:-1][aid[first[1:]] == aid[first[:-1]]]] = 1
+    seps[at[ranged]] = 0
+    # decimal digits of every number right-aligned in a byte matrix whose
+    # last column is the separator; dropping the leading padding leaves the text
+    wide = len(str(int(nums.max())))
+    mat = np.empty((nums.size, wide + 1), dtype=np.uint8)
+    mat[:, -1] = np.frombuffer(b"-,\n", dtype=np.uint8)[seps]
+    rest = nums
+    for k in range(wide - 1, -1, -1):
+        mat[:, k] = ord("0") + rest % 10
+        rest = rest // 10
+    pad = np.zeros(nums.size, dtype=np.int64)
+    for k in range(1, wide):
+        pad += nums < 10**k
+    text = ["-"] * len(arrs)
+    run_aid = aid[first]
+    listed = run_aid[np.flatnonzero(np.diff(run_aid, prepend=-1))]
+    for a, s in zip(listed.tolist(), mat[np.arange(wide + 1) >= pad[:, None]].tobytes().decode("ascii").split("\n")):
+        text[a] = s
+    return text
+
+
+def _ranges_decode_many(texts) -> list:
+    """Inverse of _ranges_encode_many, parsed in one pass over all the
+    texts.  Each set must list strictly increasing non-negative ids of at
+    most 18 digits; anything else raises ValueError."""
+    out = [np.empty(0, dtype=np.int64) for _ in texts]
+    full = [k for k, s in enumerate(texts) if s != "-"]
+    if not full:
+        return out
+    joined = ",".join(texts[k] for k in full)
+    if not joined.isascii():
+        raise ValueError("vertex set text is not ASCII")
+    b = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    seps = np.flatnonzero(~digit)
+    dash = b[seps] == ord("-")
+    bounds = np.concatenate(([-1], seps, [b.size]))
+    if (
+        not np.all(dash | (b[seps] == ord(",")))
+        or np.any(np.diff(bounds) < 2)  # empty id: leading, trailing or doubled separator
+        or np.any(np.diff(bounds) > 19)
+        or np.any(dash[1:] & dash[:-1])  # 'a-b-c'
+    ):
+        raise ValueError("malformed vertex set in the certificate")
+    ids = np.fromstring(joined.replace("-", ","), dtype=np.int64, sep=",")
+    # runs: an id not preceded by '-', up to the id after its '-' if any
+    starts = np.flatnonzero(np.concatenate(([True], ~dash)))
+    ranged = np.append(dash, False)[starts]
+    lo, hi = ids[starts], ids[starts + ranged]
+    runs = np.array([texts[k].count(",") + 1 for k in full])
+    first = np.cumsum(runs) - runs
+    increasing = lo[1:] > hi[:-1]
+    increasing[first[1:] - 1] = True  # a new set starts
+    if np.any(hi < lo) or not np.all(increasing):
+        raise ValueError("vertex set in the certificate is not strictly increasing")
+    length = hi - lo + 1
+    ends = np.cumsum(length)
+    flat = np.arange(ends[-1]) + np.repeat(lo - (ends - length), length)
+    set_ends = ends[first + runs - 1].tolist()
+    for k, a, e in zip(full, [0] + set_ends[:-1], set_ends):
+        out[k] = flat[a:e]
+    return out
 
 
 def refute_partition(
@@ -827,53 +955,55 @@ def refute_partition(
     rep_p = refines_beta(P, seq.left_parts(t), gamma)
     if rep_p.verdict:
         raise ValueError("left partition gamma-refines the level-t clusters; nothing to refute")
-    # classify cells by the deepest level they gamma-refine
-    lp_chain = [seq.left_parts(i) for i in range(1, t + 1)]
-    entries = []
-    used_levels = set()
-    for cell in P.cells:
-        lvl = 0
-        for i in range(1, t + 1):
-            m = np.bincount(lp_chain[i - 1].owner[cell], minlength=len(lp_chain[i - 1].cells))
-            outside = int(cell.size - m.max())
-            if outside == 0 or Fraction(outside) < gamma * int(cell.size):
-                lvl = i
-            else:
-                break
-        if lvl >= t:
-            continue  # inside level t: not in the deficient family
-        entries.append((cell, lvl + 1))
-        used_levels.add(lvl + 1)
+    # classify cells by the deepest level they gamma-refine: a cell stays in
+    # the chain while its largest overlap with a level-i cluster leaves 0 or
+    # fewer than gamma of it outside, that is at most ceil(gamma|cell|) - 1
+    sizes = np.bincount(P.owner, minlength=len(P))
+    below = np.array([min(s, -(-gamma.numerator * s // gamma.denominator) - 1) for s in sizes.tolist()])
+    depth = np.zeros(len(P), dtype=np.int64)
+    inside = np.ones(len(P), dtype=bool)
+    for i in range(1, t + 1):
+        lp = seq.left_parts(i)
+        pairs, counts = np.unique(P.owner * len(lp) + lp.owner, return_counts=True)
+        outside = sizes - np.maximum.reduceat(counts, np.searchsorted(pairs // len(lp), np.arange(len(P))))
+        inside &= (outside == 0) | (outside <= below)
+        depth += inside
+    # cells inside level t are not in the deficient family
+    entries = [(P.cells[k], int(depth[k]) + 1) for k in np.flatnonzero(depth < t)]
+    used_levels = {i for _, i in entries}
     # Rstar per used level
     rstar = {}
     for i in sorted(used_levels):
         rstar[i] = _rstar_mask(Q, seq.right_parts(i), c, seq.n_right)
-    p = Fraction(1, 1 << ell)
+    # line value gamma' (2^i p |P||R| / 4 - corr), p = 2^-ell, over a common denominator
+    gn, gd = gamma_prime.numerator, gamma_prime.denominator
+    den = gd * 4 << ell
     cert_entries = []
-    total = Fraction(0)
+    total_num = 0
     for cell, i in entries:
         wits = find_irregularity_witnesses(seq, ell, member, i, cell, gamma, require_count=False)
+        # e(P, v) for the right vertices outside Rstar_i
+        deg_out = np.unpackbits(g.rows[cell].view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right].sum(axis=0, dtype=np.int64)
+        deg_out[rstar[i]] = 0
         lines = []
-        comp_mask = ~rstar[i]
         for w in wits:
-            if Fraction(int(w.p1_vertices.size)) < delta * int(cell.size):
+            if w.p1_vertices.size * delta.denominator < delta.numerator * cell.size:
                 continue
-            r_out = np.asarray([v for v in w.r_vertices if comp_mask[int(v)]], dtype=np.int64)
-            corr = edges_between(g, cell, r_out) if r_out.size else 0
-            raw = gamma_prime * (Fraction(1, 4) * (1 << i) * p * int(cell.size) * len(w.r_vertices) - corr)
-            val = raw if raw > 0 else Fraction(0)
+            corr = int(deg_out[w.r_vertices].sum())
+            num = max(gn * ((cell.size * w.r_vertices.size << i) - (corr * 4 << ell)), 0)
             lines.append(
                 LedgerLine(
                     entry=len(cert_entries),
                     right_cluster_level=i,
-                    r_vertices=np.asarray(w.r_vertices),
+                    r_vertices=w.r_vertices,
                     p1_vertices=w.p1_vertices,
                     correction=corr,
-                    value=val,
+                    value=Fraction(num, den),
                 )
             )
-            total += val
+            total_num += num
         cert_entries.append(CertEntry(p_vertices=cell, level=i, lines=lines))
+    total = Fraction(total_num, den)
     budget = delta * g.edge_count()
     cert = IrregularityCertificate(
         graph_sha256=graph_hash(g),
@@ -928,51 +1058,79 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     if cert.gamma_prime != cert.gamma / 32:
         report["ok"] = False
         report["failures"].append(("gamma-prime", None))
-    p = Fraction(1, 1 << cert.ell)
     # rebuild Rstar masks per level from Q and the stored cluster cells
     q_part = VertexPartition(cert.n_right, cert.q_cells)
     rstar = {}
     for lvl, cells in cert.r_level_cells.items():
         rparts = VertexPartition(cert.n_right, cells)
         rstar[lvl] = _rstar_mask(q_part, rparts, cert.host_c, cert.n_right)
+    floor = max(cert.delta, cert.gamma / 8)
+    # line values gamma' (2^level p |P||R| / 4 - corr), p = 2^-ell, are
+    # compared and summed as numerators over one denominator
+    gn, gd = cert.gamma_prime.numerator, cert.gamma_prime.denominator
+    den = gd * 4 << cert.ell
+    total_num = 0
     # entry cells must be disjoint
     seen = np.zeros(cert.n_left, dtype=bool)
-    total = Fraction(0)
     for k, e in enumerate(cert.entries):
         if np.any(seen[e.p_vertices]):
             report["ok"] = False
             report["failures"].append(("entry-overlap", k))
         seen[e.p_vertices] = True
-        rseen = np.zeros(cert.n_right, dtype=bool)
-        for ln in e.lines:
+        if not e.lines:
+            continue
+        P = e.p_vertices
+        psize = int(P.size)
+        r_len = np.array([ln.r_vertices.size for ln in e.lines])
+        r_ids = np.concatenate([ln.r_vertices for ln in e.lines])
+        r_line = np.repeat(np.arange(len(e.lines)), r_len)
+        # a right vertex used twice, by one line or by an earlier one
+        by_id = np.lexsort((r_line, r_ids))
+        reused = np.zeros(len(e.lines), dtype=bool)
+        reused[r_line[by_id[1:]][r_ids[by_id[1:]] == r_ids[by_id[:-1]]]] = True
+        # rows of P against the columns of every line's R, one dense slice
+        dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, r_ids]
+        cum = np.zeros((psize, r_ids.size + 1), dtype=np.int64)
+        np.cumsum(dense, axis=1, dtype=np.int64, out=cum[:, 1:])
+        r_end = np.cumsum(r_len)
+        row_into_r = cum[:, r_end] - cum[:, r_end - r_len]  # (psize, lines): e(v, R) for v in P
+        e_pr = row_into_r.sum(axis=0)
+        outside = ~rstar[e.level][r_ids]
+        deg_out = np.concatenate(([0], np.cumsum(dense.sum(axis=0, dtype=np.int64) * outside)))
+        corr = deg_out[r_end] - deg_out[r_end - r_len]
+        # P1 a set inside P, and e(P1, R) from the rows of P1 in the slice
+        p1_len = np.array([ln.p1_vertices.size for ln in e.lines])
+        p1_ids = np.concatenate([ln.p1_vertices for ln in e.lines])
+        p1_line = np.repeat(np.arange(len(e.lines)), p1_len)
+        at = np.minimum(np.searchsorted(P, p1_ids), max(psize - 1, 0))
+        in_p = (P[at] == p1_ids) if psize else np.zeros(p1_ids.size, dtype=bool)
+        by_p1 = np.lexsort((p1_ids, p1_line))
+        twice = (p1_ids[by_p1[1:]] == p1_ids[by_p1[:-1]]) & (p1_line[by_p1[1:]] == p1_line[by_p1[:-1]])
+        bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], p1_line[by_p1[1:]][twice])), minlength=len(e.lines)) > 0
+        into_r = np.where(in_p, row_into_r[at, p1_line] if psize else 0, 0)
+        cum_p1 = np.concatenate(([0], np.cumsum(into_r)))
+        p1_end = np.cumsum(p1_len)
+        e_p1 = cum_p1[p1_end] - cum_p1[p1_end - p1_len]
+        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), p1_len.tolist(), bad_p1.tolist(), e_p1.tolist(), e_pr.tolist(), corr.tolist())
+        for ln, rsize, r_twice, p1_size, p1_bad, ep1, epr, c in per_line:
             report["lines_checked"] += 1
-            ok = True
-            if np.any(rseen[ln.r_vertices]):
-                ok = False
-            rseen[ln.r_vertices] = True
-            psize = int(e.p_vertices.size)
-            if Fraction(int(ln.p1_vertices.size)) < max(cert.delta, cert.gamma / 8) * psize:
-                ok = False
-            if not set(ln.p1_vertices.tolist()) <= set(e.p_vertices.tolist()):
-                ok = False
-            if edges_between(g, ln.p1_vertices, ln.r_vertices) != 0:
-                ok = False
-            e_pr = edges_between(g, e.p_vertices, ln.r_vertices)
-            if Fraction(e_pr, psize * len(ln.r_vertices)) < Fraction(1, 4) * (1 << e.level) * p:
-                ok = False
-            comp = ~rstar[e.level]
-            r_out = np.asarray([v for v in ln.r_vertices if comp[int(v)]], dtype=np.int64)
-            corr = edges_between(g, e.p_vertices, r_out) if r_out.size else 0
-            if corr != ln.correction:
-                ok = False
-            raw = cert.gamma_prime * (Fraction(1, 4) * (1 << e.level) * p * psize * len(ln.r_vertices) - corr)
-            val = raw if raw > 0 else Fraction(0)
-            if val != ln.value:
-                ok = False
+            num = max(gn * ((psize * rsize << e.level) - (c * 4 << cert.ell)), 0)
+            ok = (
+                rsize > 0
+                and not r_twice
+                and p1_size * floor.denominator >= floor.numerator * psize
+                and not p1_bad
+                and ep1 == 0
+                # d(P, R) >= 2^level p / 4
+                and epr * 4 << cert.ell >= psize * rsize << e.level
+                and c == ln.correction
+                and ln.value.numerator * den == num * ln.value.denominator
+            )
             if not ok:
                 report["ok"] = False
                 report["failures"].append(("line", k, int(ln.r_vertices[0]) if ln.r_vertices.size else -1))
-            total += val
+            total_num += num
+    total = Fraction(total_num, den)
     if total != cert.total:
         report["ok"] = False
         report["failures"].append(("total", None))

@@ -29,26 +29,46 @@ class VertexPartition:
     """
 
     def __init__(self, n: int, cells, name: str = ""):
-        self.n = n
-        norm = []
-        for cell in cells:
-            arr = np.unique(np.asarray(cell, dtype=np.int64))
-            if arr.size == 0:
-                raise ValueError("empty cell")
-            norm.append(arr)
-        norm.sort(key=lambda a: int(a[0]))
-        self.cells = norm
-        self.name = name
-        owner = np.full(n, -1, dtype=np.int64)
-        for i, cell in enumerate(norm):
-            if cell[0] < 0 or cell[-1] >= n:
-                raise ValueError("cell element out of range")
-            if np.any(owner[cell] != -1):
-                raise ValueError("cells are not disjoint")
-            owner[cell] = i
-        if np.any(owner == -1):
+        arrs = [np.asarray(c, dtype=np.int64).ravel() for c in cells]
+        sizes = np.fromiter((a.size for a in arrs), dtype=np.int64, count=len(arrs))
+        flat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
+        self._set_cells(n, flat, sizes, name)
+
+    def _set_cells(self, n: int, flat: np.ndarray, sizes: np.ndarray, name: str):
+        """Normalise and check cells given as one flat array of ids plus the
+        cell sizes.  The checks see every cell at once but report what a scan
+        in canonical order reports first: out of range or overlapping an
+        earlier cell, then a gap."""
+        k = sizes.size
+        if np.any(sizes == 0):
+            raise ValueError("empty cell")
+        cid = np.repeat(np.arange(k), sizes)
+        order = np.lexsort((flat, cid))
+        flat, cid = flat[order], cid[order]
+        keep = np.ones(flat.size, dtype=bool)
+        keep[1:] = (flat[1:] != flat[:-1]) | (cid[1:] != cid[:-1])
+        flat, cid = flat[keep], cid[keep]
+        sizes = np.bincount(cid, minlength=k)
+        ends = np.cumsum(sizes)
+        lo, hi = flat[ends - sizes], flat[ends - 1]
+        canon = np.argsort(lo, kind="stable")
+        rank = np.empty(k, dtype=np.int64)
+        rank[canon] = np.arange(k)
+        erank = rank[cid]
+        by_id = np.lexsort((erank, flat))
+        overlap = np.zeros(k, dtype=bool)
+        overlap[erank[by_id[1:]][flat[by_id[1:]] == flat[by_id[:-1]]]] = True
+        out_of_range = ((lo < 0) | (hi >= n))[canon]
+        failed = np.flatnonzero(out_of_range | overlap)
+        if failed.size:
+            raise ValueError("cell element out of range" if out_of_range[failed[0]] else "cells are not disjoint")
+        if flat.size != n:
             raise ValueError("cells do not cover the ground set")
-        self.owner = owner
+        self.n = n
+        self.name = name
+        self.cells = _split_cells(flat[np.argsort(erank, kind="stable")], sizes[canon])
+        self.owner = np.empty(n, dtype=np.int64)
+        self.owner[flat] = erank
         self.owner.setflags(write=False)
 
     @staticmethod
@@ -59,7 +79,7 @@ class VertexPartition:
         w = n // num_cells
         self = VertexPartition.__new__(VertexPartition)
         self.n = n
-        self.cells = [np.arange(i * w, (i + 1) * w) for i in range(num_cells)]
+        self.cells = list(np.arange(n, dtype=np.int64).reshape(num_cells, w))
         self.name = name
         self.owner = np.repeat(np.arange(num_cells, dtype=np.int64), w)
         self.owner.setflags(write=False)
@@ -67,7 +87,7 @@ class VertexPartition:
 
     @staticmethod
     def singletons(n: int, name: str = "") -> "VertexPartition":
-        return VertexPartition(n, [[i] for i in range(n)], name)
+        return VertexPartition.blocks(n, n, name)
 
     def __len__(self):
         return len(self.cells)
@@ -82,56 +102,43 @@ class VertexPartition:
     def cell_of(self, v: int) -> int:
         return int(self.owner[v])
 
-    def restrict(self, keep) -> "VertexPartition":
-        """Restriction to a subset that is a union of cells (order preserved,
-        indices unchanged -- returns cells as global index arrays)."""
-        keep = np.unique(np.asarray(keep, dtype=np.int64))
-        keep_set = set(keep.tolist())
-        out = []
-        for cell in self.cells:
-            inside = [v for v in cell.tolist() if v in keep_set]
-            if 0 < len(inside) < len(cell):
-                raise ValueError("keep set cuts a cell")
-            if inside:
-                out.append(inside)
-        return _SubsetPartition(self.n, out, name=self.name)
-
     def refines_exactly(self, other: "VertexPartition") -> bool:
-        return all(len(set(other.owner[c].tolist())) == 1 for c in self.cells)
+        return np.unique(self.owner * len(other.cells) + other.owner).size == len(self.cells)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VertexPartition)
-            and self.n == other.n
-            and len(self.cells) == len(other.cells)
-            and all(np.array_equal(a, b) for a, b in zip(self.cells, other.cells))
-        )
+        return isinstance(other, VertexPartition) and self.n == other.n and np.array_equal(self.owner, other.owner)
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(str(v) for v in c) for c in self.cells) + "\n"
+        return "\n".join(" ".join(map(str, c.tolist())) for c in self.cells) + "\n"
 
     @staticmethod
     def from_text(n: int, text: str) -> "VertexPartition":
-        cells = [list(map(int, ln.split())) for ln in text.strip("\n").split("\n") if ln.strip()]
-        return VertexPartition(n, cells)
+        """One cell per non-blank line, ids separated by whitespace."""
+        if not text.isascii():
+            raise ValueError("partition text is not ASCII")
+        flat = np.fromiter(map(int, text.split()), dtype=np.int64)
+        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        space = _ASCII_SPACE[b]
+        token_start = ~space
+        token_start[1:] &= space[:-1]
+        line = np.cumsum(b == ord("\n"))[token_start]
+        sizes = np.bincount(line)
+        self = VertexPartition.__new__(VertexPartition)
+        self._set_cells(n, flat, sizes[sizes > 0], "")
+        return self
 
 
-class _SubsetPartition(VertexPartition):
-    """Partition of a subset of a larger ground set (cells cover only the
-    subset).  Used for restrictions; validation of cover is skipped."""
+# the bytes str.split() treats as whitespace in ASCII text
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
-    def __init__(self, n, cells, name=""):
-        self.n = n
-        norm = [np.unique(np.asarray(c, dtype=np.int64)) for c in cells]
-        norm.sort(key=lambda a: int(a[0]))
-        self.cells = norm
-        self.name = name
-        owner = np.full(n, -1, dtype=np.int64)
-        for i, cell in enumerate(norm):
-            if np.any(owner[cell] != -1):
-                raise ValueError("cells are not disjoint")
-            owner[cell] = i
-        self.owner = owner
+
+def _split_cells(flat: np.ndarray, sizes: np.ndarray) -> list:
+    if sizes.size == 0:
+        return []
+    if np.all(sizes == sizes[0]):
+        return list(flat.reshape(sizes.size, -1))
+    return np.split(flat, np.cumsum(sizes)[:-1])
 
 
 @dataclass
@@ -147,11 +154,6 @@ class RefinementReport:
 
     def host(self, qi: int) -> int:
         return self.assignment[qi]
-
-
-def subset_inside_beta(S: np.ndarray, T_owner: np.ndarray, t_index: int, beta: Fraction) -> bool:
-    outside = int(np.count_nonzero(T_owner[S] != t_index))
-    return outside == 0 or outside < beta * len(S)
 
 
 def refines_beta(Q: VertexPartition, P: VertexPartition, beta) -> RefinementReport:

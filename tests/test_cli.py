@@ -165,3 +165,43 @@ def test_repository_profile_files(tmp_path):
     ])
     assert rc == 0
     assert time.time() - t0 < 60
+
+
+def test_malformed_certificate_exits_2(core_artifact, tmp_path, capsys):
+    import shutil
+
+    from deltareg import core as C
+
+    d, out = core_artifact
+    seq = C.load_core_sequence(str(out))
+    (d / "P.part").write_text(seq.left_parts(1).to_text())
+    (d / "Q.part").write_text(seq.right_parts(2).to_text())
+    good = tmp_path / "good"
+    shutil.copytree(out, good)
+    assert main([
+        "certify", "--artifact", str(good),
+        "--left-partition", str(d / "P.part"), "--right-partition", str(d / "Q.part"),
+        "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+        "--gamma", "1/4", "--out-cert", str(good / "certificate.txt"),
+    ]) == 0
+    text = (good / "certificate.txt").read_text()
+    lines = text.split("\n")
+    li = next(i for i, ln in enumerate(lines) if ln.startswith("line "))
+    for name, bad in {
+        "truncated": "\n".join(lines[:li]) + "\n",
+        "prefix": text.replace("\nq ", "\nx ", 1),
+        "right id": text.replace(lines[li].split()[1], "R=99999", 1),
+    }.items():
+        art = tmp_path / name
+        shutil.copytree(good, art)
+        (art / "certificate.txt").write_text(bad)
+        assert main(["verify", "--artifact", str(art), "--suite", "certificate"]) == 2, name
+    capsys.readouterr()
+
+
+def test_sampler_exhaustion_exits_1(tmp_path, capsys):
+    # beta 0 asks for agreement exactly one half on every pair: two draws miss
+    profile = tmp_path / "harsh.json"
+    profile.write_text(json.dumps({"s": 1, "r_sizes": [8], "l_sizes": [16], "alpha": "0", "beta": "0", "max_retries": 2}))
+    assert main(["build-core", "--profile", str(profile), "--seed", "0", "--out", str(tmp_path / "out")]) == 1
+    assert "retries exhausted" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from deltareg import core as C
 from deltareg.graphs import BipartiteGraph, VertexClass, edges_between, unpack_row
@@ -272,3 +273,230 @@ def test_ranges_codec():
     s = C._ranges_encode(arr)
     assert np.array_equal(C._ranges_decode(s), arr)
     assert C._ranges_decode("-").size == 0
+
+
+# -- exact integer root ------------------------------------------------------
+
+
+def test_iroot_floor_huge_and_far_from_float():
+    # 2**2000 overflows a float; 3**140 is far from its float root
+    for r in (2, 3, 6):
+        f = C._iroot_floor(2**2000, r)
+        assert f**r <= 2**2000 < (f + 1) ** r
+    assert C._iroot_floor(3**140, 2) == 3**70
+    assert C.iroot_ceil(3**140 + 1, 2) == 3**70 + 1
+    assert C._sqrt_ceil(Fraction(1, 2**2000)) == Fraction(1, 1 << 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**3000), st.integers(1, 12))
+def test_iroot_floor_brackets_the_root(n, r):
+    f = C._iroot_floor(n, r)
+    assert f**r <= n < (f + 1) ** r
+    c = C.iroot_ceil(n, r)
+    assert (c - 1) ** r < n <= c**r
+
+
+# -- range codec ---------------------------------------------------------------
+
+
+def _runs(draw_runs):
+    ids = set()
+    for start, length in draw_runs:
+        ids.update(range(start, start + length))
+    return np.array(sorted(ids), dtype=np.int64)
+
+
+_id_sets = st.one_of(
+    st.lists(st.integers(0, 10**12), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),  # scattered, unsorted, repeats
+    st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)), max_size=6).map(_runs),  # long runs
+    st.integers(0, 10**15).map(lambda v: np.array([v], dtype=np.int64)),  # singletons
+    st.just(np.empty(0, dtype=np.int64)),
+)
+
+
+def _reference_ranges_encode(arr):
+    """The per-id loop: maximal runs of consecutive ids, '-' when empty."""
+    runs = []
+    for v in np.unique(arr).tolist():
+        if runs and v == runs[-1][1] + 1:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v])
+    return ",".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs) or "-"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_id_sets, max_size=8))
+def test_ranges_codec_round_trip(sets):
+    texts = C._ranges_encode_many(sets)
+    assert texts == [_reference_ranges_encode(s) for s in sets]
+    assert texts == [C._ranges_encode(s) for s in sets]
+    for s, text, back in zip(sets, texts, C._ranges_decode_many(texts)):
+        assert np.array_equal(back, np.unique(s))
+        assert np.array_equal(C._ranges_decode(text), back)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789,- x", max_size=24))
+def test_ranges_decode_accepts_only_increasing_id_lists(text):
+    try:
+        ids = C._ranges_decode(text)
+    except ValueError:
+        return
+    assert ids.dtype == np.int64 and np.all(ids >= 0) and np.all(np.diff(ids) > 0)
+    assert text == "-" or C._ranges_decode(C._ranges_encode(ids)).tolist() == ids.tolist()
+
+
+# -- certificate re-check: one tamper per failure kind -------------------------
+
+
+def _small_cert(seq):
+    return C.refute_partition(seq, 2, 0, seq.left_parts(1), seq.right_parts(2), Fraction(1, 1 << 14), 2, gamma=Fraction(1, 4))
+
+
+def _reseal(cert, g, k, j):
+    """Recount line j of entry k with edges_between and fix the total, so
+    that a tamper of its sets breaks only the check it aims at."""
+    e, ln = cert.entries[k], cert.entries[k].lines[j]
+    q = VertexPartition(cert.n_right, cert.q_cells)
+    rstar = C._rstar_mask(q, VertexPartition(cert.n_right, cert.r_level_cells[e.level]), cert.host_c, cert.n_right)
+    corr = edges_between(g, e.p_vertices, ln.r_vertices[~rstar[ln.r_vertices]])
+    p = Fraction(1, 1 << cert.ell)
+    value = max(Fraction(0), cert.gamma_prime * (Fraction(1, 4) * (1 << e.level) * p * e.p_vertices.size * ln.r_vertices.size - corr))
+    cert.total += value - ln.value
+    ln.correction, ln.value = corr, value
+
+
+def _first_vertex(g, candidates, R, edges):
+    return next(int(v) for v in candidates if (edges_between(g, [v], R) > 0) == edges)
+
+
+def _tamper_entry_overlap(cert, g):
+    e = cert.entries[0]
+    cert.entries.append(C.CertEntry(p_vertices=e.p_vertices, level=e.level, lines=[]))
+    return ("entry-overlap", len(cert.entries) - 1)
+
+
+def _tamper_r_reused(cert, g):
+    lines = cert.entries[0].lines
+    lines.insert(1, C.LedgerLine(**vars(lines[0])))
+    cert.total += lines[0].value
+    return ("line", 0, int(lines[0].r_vertices[0]))
+
+
+def _tamper_p1_too_small(cert, g):
+    ln = cert.entries[0].lines[0]
+    ln.p1_vertices = ln.p1_vertices[:0]
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_p1_outside_p(cert, g):
+    ln = cert.entries[0].lines[0]
+    v = _first_vertex(g, cert.entries[1].p_vertices, ln.r_vertices, edges=False)
+    ln.p1_vertices = np.sort(np.append(ln.p1_vertices, v))
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_p1_has_edges(cert, g):
+    e, ln = cert.entries[0], cert.entries[0].lines[0]
+    u = _first_vertex(g, np.setdiff1d(e.p_vertices, ln.p1_vertices), ln.r_vertices, edges=True)
+    ln.p1_vertices = np.sort(np.append(ln.p1_vertices, u))
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_density_floor(cert, g):
+    # a cluster P sends no edges to: P itself is an edge-free P1 there
+    e, ln = cert.entries[0], cert.entries[0].lines[0]
+    used = {int(x.r_vertices[0]) for x in e.lines}
+    ln.r_vertices = next(
+        c for c in cert.r_level_cells[e.level] if int(c[0]) not in used and edges_between(g, e.p_vertices, c) == 0
+    )
+    ln.p1_vertices = e.p_vertices
+    _reseal(cert, g, 0, 0)
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_corr(cert, g):
+    ln = cert.entries[0].lines[0]
+    ln.correction += 1
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_value(cert, g):
+    ln = cert.entries[0].lines[0]
+    ln.value += 1  # the total stays the sum of the recounted values
+    return ("line", 0, int(ln.r_vertices[0]))
+
+
+def _tamper_total(cert, g):
+    cert.total += Fraction(1, 3)
+    return ("total", None)
+
+
+def _tamper_budget(cert, g):
+    cert.budget -= 1
+    return ("budget", None)
+
+
+def _tamper_parameters(cert, g):
+    # delta above (gamma/32)^2, with the budget that delta gives
+    cert.delta = Fraction(1, 64)
+    cert.budget = cert.delta * g.edge_count()
+    return ("parameters", None)
+
+
+def _tamper_gamma_prime(cert, g):
+    cert.gamma_prime = cert.gamma / 16
+    for k, e in enumerate(cert.entries):
+        for j in range(len(e.lines)):
+            _reseal(cert, g, k, j)
+    return ("gamma-prime", None)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _tamper_entry_overlap,
+        _tamper_r_reused,
+        _tamper_p1_too_small,
+        _tamper_p1_outside_p,
+        _tamper_p1_has_edges,
+        _tamper_density_floor,
+        _tamper_corr,
+        _tamper_value,
+        _tamper_total,
+        _tamper_budget,
+        _tamper_parameters,
+        _tamper_gamma_prime,
+    ],
+)
+def test_reverify_reports_each_tamper(small_seq, tamper):
+    g = small_seq.member_graph(2, 0)
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    assert C.reverify_certificate(cert, g)["ok"]
+    expected = tamper(cert, g)
+    rep = C.reverify_certificate(cert, g)
+    assert not rep["ok"]
+    assert rep["failures"] == [expected]
+
+
+def test_certificate_text_rejects_malformed_input(small_seq):
+    text = _small_cert(small_seq).to_text()
+    lines = text.split("\n")
+    li = next(i for i, ln in enumerate(lines) if ln.startswith("line "))
+    bad = {
+        "truncated": "\n".join(lines[:li]) + "\n",
+        "prefix": text.replace("\nq ", "\nx ", 1),
+        "right id": text.replace(lines[li].split()[1], "R=99999", 1),
+        "left id": text.replace(lines[li].split()[2], "P1=99999", 1),
+        "unsorted": text.replace(lines[li].split()[2], "P1=5,3", 1),
+        "repeated": text.replace(lines[li].split()[2], "P1=3,3", 1),
+        "empty R": text.replace(lines[li].split()[1], "R=-", 1),
+        "zero denominator": text.replace("\ntotal ", "\ntotal 1/0\nx ", 1),
+        "trailing": text + "total 0\n",
+        "missing field": text.replace("corr=", "cor=", 1),
+    }
+    for name, t in bad.items():
+        with pytest.raises(ValueError):
+            C.IrregularityCertificate.from_text(t)

@@ -243,3 +243,111 @@ def test_kpartition_text_round_trip(layered_3):
 def test_refines_beta_ground_mismatch():
     with pytest.raises(ValueError):
         P.refines_beta(P.VertexPartition.blocks(8, 2), P.VertexPartition.blocks(12, 2), 0)
+
+
+def _reference_partition(n, cells):
+    """The per-cell construction loop: normalise each cell, order cells by
+    their least id, then check range and overlap in that order, then cover."""
+    norm = []
+    for cell in cells:
+        arr = np.unique(np.asarray(cell, dtype=np.int64))
+        if arr.size == 0:
+            raise ValueError("empty cell")
+        norm.append(arr)
+    norm.sort(key=lambda a: int(a[0]))
+    owner = np.full(n, -1, dtype=np.int64)
+    for i, cell in enumerate(norm):
+        if cell[0] < 0 or cell[-1] >= n:
+            raise ValueError("cell element out of range")
+        if np.any(owner[cell] != -1):
+            raise ValueError("cells are not disjoint")
+        owner[cell] = i
+    if np.any(owner == -1):
+        raise ValueError("cells do not cover the ground set")
+    return [c.tolist() for c in norm], owner.tolist()
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+@st.composite
+def _cell_lists(draw):
+    """Partitions of 0..n-1 (shuffled, cells unsorted) with optional damage:
+    a repeated id, an empty cell, an overlap, a gap or an out-of-range id."""
+    n = draw(st.integers(0, 12))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=4))) if n > 1 else []
+    cells = [list(perm[a:b]) for a, b in zip([0] + cuts, cuts + [n])] if n else []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["repeat", "empty", "overlap", "gap", "range"]))
+        if kind == "empty":
+            cells.insert(draw(st.integers(0, len(cells))), [])
+        elif cells:
+            c = draw(st.integers(0, len(cells) - 1))
+            if kind == "repeat" and cells[c]:
+                cells[c].append(cells[c][0])
+            elif kind == "overlap":
+                cells[c].append(draw(st.integers(0, max(n - 1, 0))))
+            elif kind == "gap" and cells[c]:
+                cells[c].pop()
+            elif kind == "range":
+                cells[c].append(draw(st.sampled_from([-1, n, n + 3])))
+    return n, cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cell_lists())
+def test_vertex_partition_matches_reference_loop(case):
+    n, cells = case
+    want = _outcome(lambda: _reference_partition(n, cells))
+
+    def build():
+        vp = P.VertexPartition(n, cells)
+        assert vp.owner.dtype == np.int64 and not vp.owner.flags.writeable
+        return [c.tolist() for c in vp.cells], vp.owner.tolist()
+
+    assert _outcome(build) == want
+    # the text form has no empty cells: a blank line is skipped
+    filled = [c for c in cells if c]
+    text = "\n".join(" ".join(map(str, c)) for c in filled) + "\n"
+
+    def load():
+        vp = P.VertexPartition.from_text(n, text)
+        return [c.tolist() for c in vp.cells], vp.owner.tolist()
+
+    assert _outcome(load) == _outcome(lambda: _reference_partition(n, filled))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cell_lists())
+def test_vertex_partition_text_round_trip(case):
+    n, cells = case
+    try:
+        vp = P.VertexPartition(n, cells)
+    except ValueError:
+        return
+    back = P.VertexPartition.from_text(n, vp.to_text())
+    assert back == vp
+    assert [c.tolist() for c in back.cells] == [c.tolist() for c in vp.cells]
+    assert back.to_text() == vp.to_text()
+
+
+def test_vertex_partition_text_tolerates_blank_lines_and_spacing():
+    vp = P.VertexPartition.from_text(5, "\n3  1\n\n0\t2 \n4\n\n")
+    assert [c.tolist() for c in vp.cells] == [[0, 2], [1, 3], [4]]
+    with pytest.raises(ValueError):
+        P.VertexPartition.from_text(2, "0 x\n1\n")
+
+
+def test_refines_exactly_and_equality():
+    fine = P.VertexPartition(6, [[0, 1], [2], [3, 4, 5]])
+    coarse = P.VertexPartition.blocks(6, 2)
+    assert fine.refines_exactly(coarse)
+    assert not coarse.refines_exactly(fine)
+    assert not P.VertexPartition(6, [[0, 3], [1, 2], [4, 5]]).refines_exactly(coarse)
+    assert P.VertexPartition.singletons(4) == P.VertexPartition(4, [[3], [2], [1], [0]])
+    assert fine != coarse
