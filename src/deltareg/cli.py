@@ -230,30 +230,45 @@ def _suite_certificate(artifact: str, mode: str = "exact", cap: int = 1 << 24) -
     return {"ok": rep["ok"] and bool(rep.get("refutes")), "claims": claims}
 
 
+def _read_text(artifact: str, name: str) -> str:
+    """A file's text exactly as stored: no newline translation."""
+    with open(os.path.join(artifact, name), newline="") as f:
+        return f.read()
+
+
 def _suite_hypergraph(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
-    with open(os.path.join(artifact, "merged.kgraph")) as f:
-        merged = kgraph_from_text(f.read())
-    k, s = meta["k"], meta["s"]
+    k, s = int(meta["k"]), int(meta["s"])
+    windows = [f"window-{x}.kgraph" for x in range(2 * k)]
+    names = ["merged.kgraph", *windows]
+    texts = {name: _read_text(artifact, name) for name in names}
+    merged = kgraph_from_text(texts["merged.kgraph"])
+    window_graphs = [kgraph_from_text(texts[name]) for name in windows]
     expected = Fraction(2 * k, 1 << k) * Fraction(1, 1 << s)
     dens_ok = merged.density() == expected
-    windows = []
-    for x in range(2 * k):
-        with open(os.path.join(artifact, f"window-{x}.kgraph")) as f:
-            windows.append(kgraph_from_text(f.read()))
-    w_ok = all(h.density() == Fraction(1, 1 << s) for h in windows)
-    total_ok = merged.edge_count() == sum(h.edge_count() for h in windows)
-    # rebuild from the recorded seed and compare
+    w_ok = all(h.density() == Fraction(1, 1 << s) for h in window_graphs)
+    total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
+    # rebuild from the recorded seed; every graph and chain file must be the
+    # text its rebuild writes
     sched = sched_mod.DeskSchedule.from_json(meta["schedule"])
     inst = hg_mod.build_pasted_instance(k, s, sched, meta["seed"], blowup=meta["blowup"], core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
-    rebuild_ok = kgraph_to_text(inst.merged) == kgraph_to_text(merged)
+    rebuilt = {name: kgraph_to_text(h) for name, h in zip(names, [inst.merged, *inst.edge_graphs])}
+    for i, part in enumerate(inst.chain_per_class, start=1):
+        rebuilt[f"chain-{i}.part"] = part.to_text()
+        texts[f"chain-{i}.part"] = _read_text(artifact, f"chain-{i}.part")
+    differ = [name for name in rebuilt if rebuilt[name] != texts[name]]
     fam_rep = hg_mod.verify_family(inst.families[0])
     claims = [
         {"id": "merged-density", "ok": dens_ok, "detail": f"{merged.density()} = (2k/2^k)2^-s = {expected}"},
         {"id": "window-densities", "ok": w_ok, "detail": "each window graph has density 2^-s"},
         {"id": "edge-disjoint-union", "ok": total_ok, "detail": "window edge counts sum to the union"},
-        {"id": "replay-identical", "ok": rebuild_ok, "detail": "rebuild from the manifest seed is byte-identical"},
+        {
+            "id": "replay-identical",
+            "ok": not differ,
+            "detail": f"rebuild from the manifest seed differs in {', '.join(differ)}" if differ
+            else "rebuild from the manifest seed is byte-identical in every graph and chain file",
+        },
         {"id": "family-invariants", "ok": fam_rep["ok"], "detail": "dyadic densities, chain splits, lift round-trip"},
     ]
     return {"ok": all(c["ok"] for c in claims), "claims": claims}

@@ -396,8 +396,9 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
     # exactly half the block side where the parent block is present, 0 where
     # absent; checked on both sides.
     par_bits = np.unpackbits(parentq.rows.view(np.uint8), axis=1, bitorder="little")[:, : parentq.right.size].astype(np.int64)
+    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
     # (r_parent, n_left): degrees of every left vertex into each parent right cell
-    deg_into_R = np.array([_kernels.masked_degrees(g.rows, pack_indices(c, seq.n_right)) for c in rp_prev.cells])
+    deg_into_R = _group_sum(bits, rp_prev, 1).T
     lsizes = np.array([len(c) for c in rp_prev.cells], dtype=np.int64)
     expected = (par_bits.T * (lsizes[:, None] // 2))[:, lp_prev.owner]
     if not np.array_equal(deg_into_R, expected):
@@ -405,7 +406,6 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
         bad = np.argwhere((deg_into_R != expected).T)
         for v, b in bad[:4]:
             report["failures"].append(("item1-left", i, member, int(lp_prev.owner[v]), int(b)))
-    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
     deg_into_L = _group_sum(bits, lp_prev, 0)  # (l_parent, n_right)
     rsizes = np.array([len(c) for c in lp_prev.cells], dtype=np.int64)
     expectedR = par_bits[:, rp_prev.owner] * (rsizes[:, None] // 2)
@@ -437,6 +437,9 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
     return report
 
 
+_SLICE_SUM_WIDTH = 8
+
+
 def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
     """Sums of a non-negative integer matrix over each cell of p along an
     axis, in the smallest unsigned dtype that holds them."""
@@ -444,8 +447,16 @@ def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
     sizes = np.bincount(p.owner, minlength=k)
     dtype = np.min_scalar_type(int(sizes.max()) * int(x.max(initial=0)))
     if _is_block_partition(p):
-        shape = x.shape[:axis] + (k, p.n // k) + x.shape[axis + 1 :]
-        return x.reshape(shape).sum(axis=axis + 1, dtype=dtype)
+        w = p.n // k
+        blocks = x.reshape(x.shape[:axis] + (k, w) + x.shape[axis + 1 :])
+        if axis < x.ndim - 1 or w > _SLICE_SUM_WIDTH:
+            return blocks.sum(axis=axis + 1, dtype=dtype)
+        # numpy reduces a short contiguous last axis at ~20 ns a reduction;
+        # w strided passes over the matrix are cheaper while w is small
+        out = blocks[..., 0].astype(dtype)
+        for j in range(1, w):
+            out += blocks[..., j]
+        return out
     order = np.argsort(p.owner, kind="stable")
     return np.add.reduceat(np.take(x, order, axis=axis), np.cumsum(sizes) - sizes, axis=axis, dtype=dtype)
 

@@ -187,10 +187,15 @@ class BipartiteGraph:
 
     @staticmethod
     def from_edges(left, right, edges) -> "BipartiteGraph":
-        words = (right.size + 63) // 64
-        rows = np.zeros((left.size, words), dtype=np.uint64)
-        for u, v in edges:
-            rows[u, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
+        """Graph with the given (u, v) pairs as edges; a repeated pair is one edge."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        u, v = e[:, 0], e[:, 1]
+        if e.size and (u.min() < 0 or u.max() >= left.size or v.min() < 0 or v.max() >= right.size):
+            raise ValueError("edge vertex out of range")
+        rows = np.zeros((left.size, (right.size + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(rows, (u, v >> 6), np.uint64(1) << (v & 63).astype(np.uint64))
         return BipartiteGraph(left, right, rows)
 
     @staticmethod
@@ -218,10 +223,12 @@ class BipartiteGraph:
     def neighbors(self, u: int) -> np.ndarray:
         return unpack_row(self.rows[u], self.right.size)
 
-    def edges(self):
-        for u in range(self.left.size):
-            for v in self.neighbors(u):
-                yield (u, int(v))
+    def edges(self) -> np.ndarray:
+        """Edges as an (m, 2) int64 array of (u, v), sorted by u, then v."""
+        b = self.rows.view(np.uint8)
+        r, c = np.nonzero(b)
+        i, j = np.nonzero(np.unpackbits(b[r, c][:, None], axis=1, bitorder="little"))
+        return np.stack([r[i], c[i] * 8 + j], axis=1)
 
     def transposed(self) -> "BipartiteGraph":
         if self._transposed is None:
@@ -362,14 +369,12 @@ def aux_graph(h: KPartiteKGraph, axis: int) -> AuxGraphView:
     others = [c for j, c in enumerate(h.classes.classes) if j != i]
     product = ProductClass.of(others)
     right = h.classes.classes[i]
-    tuples = np.delete(h.edges_arr, i, axis=1)
-    lefts = product.encode_array(tuples) if len(tuples) else np.empty(0, dtype=np.int64)
-    rights = h.edges_arr[:, i] if len(h.edges_arr) else np.empty(0, dtype=np.int64)
-    words = (right.size + 63) // 64
-    rows = np.zeros((product.size, words), dtype=np.uint64)
-    if lefts.size:
-        np.bitwise_or.at(rows, (lefts, rights >> 6), np.uint64(1) << (rights & 63).astype(np.uint64))
-    g = BipartiteGraph(VertexClass(product.name, product.size), VertexClass(right.name, right.size), rows)
+    lefts = product.encode_array(np.delete(h.edges_arr, i, axis=1))
+    g = BipartiteGraph.from_edges(
+        VertexClass(product.name, product.size),
+        VertexClass(right.name, right.size),
+        np.stack([lefts, h.edges_arr[:, i]], axis=1),
+    )
     return AuxGraphView(source=h, axis=axis, product=product, graph=g)
 
 
@@ -380,20 +385,8 @@ def lift_graph_to_kgraph(g: BipartiteGraph, product: ProductClass, right_class=N
         raise ValueError("left class size does not match the product class")
     right_class = right_class or VertexClass(g.right.name, g.right.size)
     classes = VertexClassSet(list(product.factors) + [VertexClass(right_class.name, right_class.size)])
-    lefts = []
-    rights = []
-    for u in range(g.left.size):
-        nb = g.neighbors(u)
-        if nb.size:
-            lefts.append(np.full(nb.size, u, dtype=np.int64))
-            rights.append(nb)
-    if lefts:
-        lefts = np.concatenate(lefts)
-        rights = np.concatenate(rights)
-        tuples = product.decode_array(lefts)
-        edges = np.concatenate([tuples, rights[:, None]], axis=1)
-    else:
-        edges = np.empty((0, len(product.factors) + 1), dtype=np.int64)
+    e = g.edges()
+    edges = np.concatenate([product.decode_array(e[:, 0]), e[:, 1:]], axis=1)
     return KPartiteKGraph(classes, edges)
 
 
@@ -442,26 +435,33 @@ def bipartite_from_binary(data: bytes) -> BipartiteGraph:
 
 
 def bipartite_to_text(g: BipartiteGraph) -> str:
-    lines = [
+    head = [
         "bipartite v1",
         f"left {g.left.name} {g.left.size}",
         f"right {g.right.name} {g.right.size}",
         f"edges {g.edge_count()}",
     ]
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(head) + "\n" + _write_decimal_rows(g.edges())
 
 
 def bipartite_from_text(text: str) -> BipartiteGraph:
-    lines = text.strip("\n").split("\n")
-    if lines[0] != "bipartite v1":
+    """Strict inverse of ``bipartite_to_text``; raises ValueError on any
+    other text."""
+    data = text.encode("ascii")
+    line, pos = _text_line(data, 0)
+    if line != "bipartite v1":
         raise ValueError("bad header")
-    _, lname, nl = lines[1].split()
-    _, rname, nr = lines[2].split()
-    _, m = lines[3].split()
-    edges = [tuple(map(int, ln.split())) for ln in lines[4 : 4 + int(m)]]
-    return BipartiteGraph.from_edges(VertexClass(lname, int(nl)), VertexClass(rname, int(nr)), edges)
+    line, pos = _text_line(data, pos)
+    lname, nl = _header_fields(line, "left", 2)
+    line, pos = _text_line(data, pos)
+    rname, nr = _header_fields(line, "right", 2)
+    line, pos = _text_line(data, pos)
+    m = _header_count(_header_fields(line, "edges", 1)[0])
+    edges = _read_decimal_rows(data, pos, m, 2)
+    g = BipartiteGraph.from_edges(VertexClass(lname, _header_count(nl)), VertexClass(rname, _header_count(nr)), edges)
+    if g.edge_count() != m:
+        raise ValueError("duplicate edges")
+    return g
 
 
 _KMAGIC = b"DRKG"
@@ -493,28 +493,123 @@ def kgraph_from_binary(data: bytes) -> KPartiteKGraph:
 
 
 def kgraph_to_text(h: KPartiteKGraph) -> str:
-    lines = ["kgraph v1", f"k {h.k}"]
-    for c in h.classes.classes:
-        lines.append(f"class {c.name} {c.size}")
-    lines.append(f"edges {h.edge_count()}")
-    for row in h.edges_arr:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    head = ["kgraph v1", f"k {h.k}"]
+    head += [f"class {c.name} {c.size}" for c in h.classes.classes]
+    head.append(f"edges {h.edge_count()}")
+    return "\n".join(head) + "\n" + _write_decimal_rows(h.edges_arr)
 
 
 def kgraph_from_text(text: str) -> KPartiteKGraph:
-    lines = text.strip("\n").split("\n")
-    if lines[0] != "kgraph v1":
+    """Strict inverse of ``kgraph_to_text``; raises ValueError on any other
+    text."""
+    data = text.encode("ascii")
+    line, pos = _text_line(data, 0)
+    if line != "kgraph v1":
         raise ValueError("bad header")
-    k = int(lines[1].split()[1])
+    line, pos = _text_line(data, pos)
+    k = _header_count(_header_fields(line, "k", 1)[0])
+    if k < 2:
+        raise ValueError("uniformity must be at least 2")
     classes = []
-    for j in range(k):
-        _, name, size = lines[2 + j].split()
-        classes.append((name, int(size)))
-    m = int(lines[2 + k].split()[1])
-    rows = [list(map(int, ln.split())) for ln in lines[3 + k : 3 + k + m]]
-    edges = np.array(rows, dtype=np.int64).reshape(-1, k)
+    for _ in range(k):
+        line, pos = _text_line(data, pos)
+        name, size = _header_fields(line, "class", 2)
+        classes.append((name, _header_count(size)))
+    line, pos = _text_line(data, pos)
+    m = _header_count(_header_fields(line, "edges", 1)[0])
+    edges = _read_decimal_rows(data, pos, m, k)
     return KPartiteKGraph(VertexClassSet(classes), edges)
+
+
+# -- decimal text rows, shared by the text codecs ---------------------------
+#
+# Both directions work on fixed blocks of rows, so the digit buffers stay a
+# few MB however many edges a graph has.
+
+_CHUNK_ROWS = 1 << 16
+_MAX_DIGITS = 18  # 10^18 - 1 < 2^63: a field never wraps in int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
+
+
+def _write_decimal_rows(rows: np.ndarray) -> str:
+    """Non-negative integer rows as text: fields in decimal without leading
+    zeros, one space between fields, a newline after each row."""
+    parts = []
+    for r0 in range(0, len(rows), _CHUNK_ROWS):
+        v = rows[r0 : r0 + _CHUNK_ROWS]
+        ndig = np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
+        width = int(ndig.max())
+        buf = np.empty(v.shape + (width + 1,), dtype=np.uint8)
+        for j in range(width):
+            buf[..., width - 1 - j] = v // _POW10[j] % 10 + ord("0")
+        buf[..., width] = ord(" ")
+        buf[:, -1, width] = ord("\n")
+        parts.append(buf[np.arange(width + 1) >= width - ndig[..., None]].tobytes())
+    return b"".join(parts).decode("ascii")
+
+
+def _read_decimal_rows(data: bytes, pos: int, m: int, k: int) -> np.ndarray:
+    """Inverse of ``_write_decimal_rows`` on data[pos:], which must be
+    exactly m rows of k fields; raises ValueError on any other bytes."""
+    buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if len(newlines) < m:
+        raise ValueError(f"{len(newlines)} edge lines, header says {m}")
+    if len(buf) != (int(newlines[m - 1]) + 1 if m else 0):
+        raise ValueError(f"text after the {m} edge lines")
+    out = np.empty((m, k), dtype=np.int64)
+    start = 0
+    for r0 in range(0, m, _CHUNK_ROWS):
+        r1 = min(r0 + _CHUNK_ROWS, m)
+        stop = int(newlines[r1 - 1]) + 1
+        out[r0:r1] = _parse_rows(buf[start:stop], k).reshape(r1 - r0, k)
+        start = stop
+    return out
+
+
+def _parse_rows(chunk: np.ndarray, k: int) -> np.ndarray:
+    """Fields of whole lines of k decimal fields each, flat in text order."""
+    digit = (chunk >= ord("0")) & (chunk <= ord("9"))
+    ends = np.flatnonzero(~digit)
+    seps = chunk[ends]
+    if np.any((seps != ord(" ")) & (seps != ord("\n"))):
+        raise ValueError("non-digit byte in an edge line")
+    lines = np.count_nonzero(seps == ord("\n"))
+    if len(ends) != lines * k or np.any(seps.reshape(lines, k)[:, :-1] != ord(" ")):
+        raise ValueError(f"an edge line without exactly {k} fields")
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lens = ends - starts
+    if lens.min() == 0:
+        raise ValueError("empty field in an edge line")
+    width = int(lens.max())
+    if width > _MAX_DIGITS:
+        raise ValueError("field too long in an edge line")
+    val = np.zeros(len(ends), dtype=np.int64)
+    for j in range(width):
+        d = chunk[ends - 1 - j].astype(np.int64) - ord("0")
+        val += np.where(lens > j, d * _POW10[j], 0)
+    return val
+
+
+def _text_line(data: bytes, pos: int) -> tuple[str, int]:
+    """The header line starting at pos, and the position after it."""
+    end = data.find(b"\n", pos)
+    if end < 0:
+        raise ValueError("truncated header")
+    return data[pos:end].decode("ascii"), end + 1
+
+
+def _header_fields(line: str, key: str, n: int) -> list:
+    fields = line.split(" ")
+    if len(fields) != n + 1 or fields[0] != key or not all(fields):
+        raise ValueError(f"bad {key} line {line!r}")
+    return fields[1:]
+
+
+def _header_count(field: str) -> int:
+    if not field.isdigit():
+        raise ValueError(f"bad count {field!r}")
+    return int(field)
 
 
 def graph_hash(g: BipartiteGraph) -> str:

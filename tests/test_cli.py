@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -117,6 +118,52 @@ def test_hypergraph_flow(tmp_path, capsys):
     assert main(["verify", "--artifact", str(out), "--suite", "hypergraph"]) == 0
     assert main(["build-hypergraph", "--k", "1", "--s", "2", "--seed", "0", "--out", str(tmp_path / "zz")]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def hypergraph_artifact(tmp_path_factory):
+    out = tmp_path_factory.mktemp("hg") / "hg"
+    assert main(["build-hypergraph", "--k", "3", "--s", "2", "--seed", "3", "--blowup", "1", "--out", str(out)]) == 0
+    return out
+
+
+def _append_line(d):
+    with open(d / "merged.kgraph", "a") as f:
+        f.write("5 5 5\nfoo bar\n")
+
+
+def _swap_windows(d):
+    a, b = (d / "window-0.kgraph").read_text(), (d / "window-1.kgraph").read_text()
+    (d / "window-0.kgraph").write_text(b)
+    (d / "window-1.kgraph").write_text(a)
+
+
+def _ragged_line(d):
+    lines = (d / "merged.kgraph").read_text().split("\n")
+    lines[10] += " 7"
+    (d / "merged.kgraph").write_text("\n".join(lines))
+
+
+def _edit_edge_count(d):
+    text = (d / "merged.kgraph").read_text()
+    m = int(re.search(r"^edges (\d+)$", text, re.M).group(1))
+    (d / "merged.kgraph").write_text(text.replace(f"edges {m}\n", f"edges {m - 1}\n"))
+
+
+def _edit_chain(d):
+    text = (d / "chain-2.part").read_text()
+    (d / "chain-2.part").write_text(text.replace(" ", "\n", 1))
+
+
+@pytest.mark.parametrize("tamper", [_append_line, _swap_windows, _ragged_line, _edit_edge_count, _edit_chain])
+def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, tamper):
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 0
+    assert "suite PASS" in capsys.readouterr().out
+    tamper(d)
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) in (1, 2)
+    assert "suite PASS" not in capsys.readouterr().out
 
 
 def test_counterexample_flow(tmp_path, capsys):

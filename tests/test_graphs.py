@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from deltareg import graphs as G
 
@@ -193,3 +194,182 @@ def test_aux_graph_empty_source():
     h = G.KPartiteKGraph(cs, np.empty((0, 3), dtype=np.int64))
     for axis in (1, 2, 3):
         assert G.aux_graph(h, axis).edge_count() == 0
+
+
+# -- whole-array text codec and lift against per-line / per-row references ----
+
+# class sizes whose largest id has 1 to 7 digits
+_SIZES = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 10**4 + 1, 10**5, 10**6, 10**7 - 1])
+
+
+def _reference_kgraph_text(h):
+    """The per-line formatter the codec replaced."""
+    lines = ["kgraph v1", f"k {h.k}"]
+    for c in h.classes.classes:
+        lines.append(f"class {c.name} {c.size}")
+    lines.append(f"edges {h.edge_count()}")
+    for row in h.edges_arr:
+        lines.append(" ".join(str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_bipartite_text(g):
+    lines = ["bipartite v1", f"left {g.left.name} {g.left.size}", f"right {g.right.name} {g.right.size}", f"edges {g.edge_count()}"]
+    for u in range(g.left.size):
+        for v in G.unpack_row(g.rows[u], g.right.size):
+            lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_lift(g, product, right_class):
+    """The per-row lift the whole-array one replaced."""
+    classes = G.VertexClassSet(list(product.factors) + [G.VertexClass(right_class.name, right_class.size)])
+    rows = [tuple(product.decode(u)) + (int(v),) for u in range(g.left.size) for v in g.neighbors(u)]
+    return G.KPartiteKGraph(classes, np.array(rows, dtype=np.int64).reshape(-1, len(product.factors) + 1))
+
+
+@st.composite
+def kgraphs(draw, min_edges=0, max_edges=40):
+    k = draw(st.sampled_from([2, 3, 4]))
+    sizes = draw(st.lists(_SIZES, min_size=k, max_size=k))
+    tuples = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), min_size=min_edges, max_size=max_edges, unique=True))
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    return G.KPartiteKGraph(cs, np.array(tuples, dtype=np.int64).reshape(-1, k))
+
+
+@st.composite
+def bipartites(draw, min_edges=0, max_side=150):
+    nl, nr = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    edges = draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), min_size=min_edges, max_size=200))
+    return G.BipartiteGraph.from_edges(G.VertexClass("A", nl), G.VertexClass("B", nr), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kgraphs())
+def test_kgraph_text_matches_per_line_formatter(h):
+    text = G.kgraph_to_text(h)
+    assert text == _reference_kgraph_text(h)
+    back = G.kgraph_from_text(text)
+    assert back == h
+    assert [c.name for c in back.classes.classes] == [c.name for c in h.classes.classes]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_kgraph_text_empty_and_single_edge(k):
+    cs = G.VertexClassSet([(f"V{j}", 10**7 - 1) for j in range(k)])
+    for edges in ([], [[10**7 - 2] * k], [[0] * k]):
+        h = G.KPartiteKGraph(cs, np.array(edges, dtype=np.int64).reshape(-1, k))
+        assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
+        assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
+
+
+def test_kgraph_text_spans_several_row_chunks():
+    rng = np.random.default_rng(4)
+    cs = G.VertexClassSet([("V1", 100), ("V2", 1000), ("V3", 1001)])
+    edges = np.unique(np.stack([rng.integers(0, c.size, 150_000) for c in cs.classes], axis=1), axis=0)
+    h = G.KPartiteKGraph(cs, edges)
+    assert h.edge_count() > 2 * G._CHUNK_ROWS
+    assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
+    assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartites())
+def test_bipartite_text_matches_per_line_formatter(g):
+    text = G.bipartite_to_text(g)
+    assert text == _reference_bipartite_text(g)
+    assert G.bipartite_from_text(text) == g
+    assert [tuple(e) for e in g.edges().tolist()] == [(u, int(v)) for u in range(g.left.size) for v in g.neighbors(u)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 70), st.data())
+def test_lift_matches_per_row_reference(factor_sizes, nr, data):
+    product = G.ProductClass.of([G.VertexClass(f"F{j}", s) for j, s in enumerate(factor_sizes)])
+    bits = np.array(data.draw(st.lists(st.booleans(), min_size=product.size * nr, max_size=product.size * nr)))
+    g = G.BipartiteGraph.from_edges(G.VertexClass(product.name, product.size), G.VertexClass("R", nr), np.argwhere(bits.reshape(product.size, nr)))
+    right = G.VertexClass("Z", nr)
+    lifted = G.lift_graph_to_kgraph(g, product, right_class=right)
+    ref = _reference_lift(g, product, right_class=right)
+    assert lifted == ref
+    assert np.array_equal(lifted.edges_arr, ref.edges_arr)
+    assert [c.name for c in lifted.classes.classes] == [c.name for c in ref.classes.classes]
+    assert np.array_equal(G.aux_graph(lifted, lifted.k).graph.rows, g.rows)
+
+
+def _malformed(text: str, kind: str, at: int) -> str:
+    """text with one defect of the given kind; ``at`` picks the edge line."""
+    lines = text.split("\n")[:-1]
+    head = next(j for j, ln in enumerate(lines) if ln.startswith("edges ")) + 1
+    m = int(lines[head - 1].split()[1])
+    i = head + at % m
+    line = lines[i]
+    if kind == "header":
+        lines[0] = lines[0].replace("v1", "v2")
+    elif kind == "count-up":
+        lines[head - 1] = f"edges {m + 1}"
+    elif kind == "count-down":
+        lines[head - 1] = f"edges {m - 1}"
+    elif kind == "extra-field":
+        lines[i] = line + " 0"
+    elif kind == "missing-field":
+        lines[i] = line.rsplit(" ", 1)[0]
+    elif kind == "non-digit":
+        lines[i] = "x-+\t\ré"[at % 6] + line[1:]
+    elif kind == "moved-field":  # one line loses a field and another gains it
+        j = i + 1 if i + 1 < head + m else i - 1
+        if j < head:
+            lines[i] = line + " 0"
+        else:
+            lines[i], last = line.rsplit(" ", 1)
+            lines[j] += " " + last
+    elif kind == "double-space":
+        lines[i] = line.replace(" ", "  ", 1)
+    elif kind == "empty-field":  # k separators, the first field empty
+        lines[i] = line[line.index(" ") :]
+    elif kind == "leading-space":
+        lines[i] = " " + line
+    elif kind == "trailing-space":
+        lines[i] = line + " "
+    elif kind == "out-of-range":
+        lines[i] = line.rsplit(" ", 1)[0] + " 10000000"
+    elif kind == "duplicate":
+        lines[head - 1] = f"edges {m + 1}"
+        lines.insert(i, line)
+    elif kind == "trailing-line":
+        lines.append("5 5 5\nfoo bar")
+    elif kind == "trailing-text":
+        return text + "1"
+    elif kind == "no-final-newline":
+        return text[:-1]
+    return "\n".join(lines) + "\n"
+
+
+_DEFECTS = ["header", "count-up", "count-down", "extra-field", "missing-field", "moved-field", "non-digit", "double-space", "empty-field", "leading-space",
+            "trailing-space", "out-of-range", "duplicate", "trailing-line", "trailing-text", "no-final-newline"]
+
+
+def test_readers_reject_text_after_an_empty_edge_list():
+    cs = G.VertexClassSet([("V1", 3), ("V2", 3)])
+    empty = G.kgraph_to_text(G.KPartiteKGraph(cs, np.empty((0, 2), dtype=np.int64)))
+    assert empty.endswith("edges 0\n")
+    for bad in (empty + "0 0\n", empty + "\n", empty[:-1], empty.replace("k 2", "k 1")):
+        with pytest.raises(ValueError):
+            G.kgraph_from_text(bad)
+    bip = G.bipartite_to_text(G.BipartiteGraph.empty(G.VertexClass("A", 2), G.VertexClass("B", 2)))
+    with pytest.raises(ValueError):
+        G.bipartite_from_text(bip + "0 0\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(kgraphs(min_edges=1, max_edges=12), st.sampled_from(_DEFECTS), st.integers(0, 1000))
+def test_kgraph_reader_rejects_malformed_text(h, kind, at):
+    with pytest.raises(ValueError):
+        G.kgraph_from_text(_malformed(G.kgraph_to_text(h), kind, at))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartites(min_edges=1, max_side=12), st.sampled_from(_DEFECTS), st.integers(0, 1000))
+def test_bipartite_reader_rejects_malformed_text(g, kind, at):
+    with pytest.raises(ValueError):
+        G.bipartite_from_text(_malformed(G.bipartite_to_text(g), kind, at))
