@@ -1,28 +1,23 @@
-"""Hot counting kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot counting kernels in vectorized numpy (``np.bitwise_count``, NumPy >= 2.0).
 
 All adjacency is bit-packed into uint64 words, 64 right-vertices per word,
-LSB first.  Every kernel exists in two implementations:
-
-  * ``*_nb`` -- explicit loops compiled with ``numba.njit``
-  * ``*_np`` -- vectorized numpy (``np.bitwise_count``, NumPy >= 2.0)
-
-The numpy pair kernels work through the pairs in chunks of at most
+LSB first.  The pair kernels work through the pairs in chunks of at most
 ``_CHUNK_WORDS`` words per operand, so their temporaries stay a few MB
-whatever the number of pairs.
-
-The active implementation is chosen at import time: setting the environment
-variable ``DELTAREG_NO_NUMBA=1`` (or numba failing to import) selects the
-numpy path.  ``IMPLS`` exposes both variants so the benchmark and the
-equivalence tests can compare them directly.
+whatever the number of pairs.  ``subset_min_edges`` is the one exact
+subset-extremum search; it scans left subsets in chunks of at most
+``_SUBSET_CHUNK`` column sums.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import combinations, islice
 
 import numpy as np
 
+HAVE_NUMBA = False  # numpy is the only backend; run reports print this flag
+
 _CHUNK_WORDS = 1 << 18
+_SUBSET_CHUNK = 1 << 14
 
 
 def pair_chunks(n_pairs: int, words: int):
@@ -43,7 +38,7 @@ def _row_sums(counts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def popcount_rows_np(rows: np.ndarray) -> np.ndarray:
+def popcount_rows(rows: np.ndarray) -> np.ndarray:
     return _row_sums(np.bitwise_count(rows))
 
 
@@ -55,15 +50,15 @@ def _op_popcount_pairs(op, rows, pairs):
     return out
 
 
-def and_popcount_pairs_np(rows, pairs):
+def and_popcount_pairs(rows, pairs):
     return _op_popcount_pairs(np.bitwise_and, rows, pairs)
 
 
-def xor_popcount_pairs_np(rows, pairs):
+def xor_popcount_pairs(rows, pairs):
     return _op_popcount_pairs(np.bitwise_xor, rows, pairs)
 
 
-def and_popcount_pairs_segmented_np(rows, pairs, seg_starts, seg_ends):
+def and_popcount_pairs_segmented(rows, pairs, seg_starts, seg_ends):
     """Popcount of row_i & row_j restricted to word segments.
 
     Returns an array of shape (len(pairs), len(seg_starts)); segment s covers
@@ -91,12 +86,12 @@ def and_popcount_pairs_segmented_np(rows, pairs, seg_starts, seg_ends):
     return out
 
 
-def masked_degrees_np(rows, mask):
+def masked_degrees(rows, mask):
     """Per-row popcount of rows & mask (mask is one packed row)."""
     return _row_sums(np.bitwise_count(rows & mask[None, :]))
 
 
-def triangle_count_np(rows_ab, rows_ac, rows_bc, nb):
+def triangle_count(rows_ab, rows_ac, rows_bc, nb):
     """Number of triangles (a, b, c) across a tripartite bit-packed triple.
 
     rows_ab: per-a bits over B; rows_ac: per-a bits over C;
@@ -110,7 +105,7 @@ def triangle_count_np(rows_ab, rows_ac, rows_bc, nb):
     return total
 
 
-def triangle_list_np(rows_ab, rows_ac, rows_bc, nb, nc):
+def triangle_list(rows_ab, rows_ac, rows_bc, nb, nc):
     """All triangles as an (m, 3) int array, lexicographically sorted."""
     tris = []
     for a in range(rows_ab.shape[0]):
@@ -123,228 +118,44 @@ def triangle_list_np(rows_ab, rows_ac, rows_bc, nb, nc):
     return np.array(tris, dtype=np.int64).reshape(-1, 3)
 
 
-def min_block_sum_np(degs: np.ndarray, t: int) -> int:
-    """Sum of the t smallest entries of degs."""
-    if t >= len(degs):
-        return int(degs.sum())
-    part = np.partition(degs, t - 1)[:t]
-    return int(part.sum())
+def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
+    """Exact extremes of e(S, T) over a-subsets S of the left side and
+    b-subsets T of the right side.
 
-
-def _unpack_degrees(rows, n_right):
-    """(nl, n_right) 0/1 matrix from packed rows."""
-    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-    return bits[:, :n_right].astype(np.int64)
-
-
-HAVE_NUMBA = False
-if not os.environ.get("DELTAREG_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _popcnt64(x):
-        x = x - ((x >> 1) & 0x5555555555555555)
-        x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-        x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F
-        return (x * 0x0101010101010101) >> 56
-
-    @njit(cache=True)
-    def popcount_rows_nb(rows):
-        n, w = rows.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            s = 0
-            for j in range(w):
-                s += _popcnt64(rows[i, j])
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def and_popcount_pairs_nb(rows, pairs):
-        m = pairs.shape[0]
-        w = rows.shape[1]
-        out = np.empty(m, dtype=np.int64)
-        for p in range(m):
-            i, j = pairs[p, 0], pairs[p, 1]
-            s = 0
-            for t in range(w):
-                s += _popcnt64(rows[i, t] & rows[j, t])
-            out[p] = s
-        return out
-
-    @njit(cache=True)
-    def xor_popcount_pairs_nb(rows, pairs):
-        m = pairs.shape[0]
-        w = rows.shape[1]
-        out = np.empty(m, dtype=np.int64)
-        for p in range(m):
-            i, j = pairs[p, 0], pairs[p, 1]
-            s = 0
-            for t in range(w):
-                s += _popcnt64(rows[i, t] ^ rows[j, t])
-            out[p] = s
-        return out
-
-    @njit(cache=True)
-    def and_popcount_pairs_segmented_nb(rows, pairs, seg_starts, seg_ends):
-        m = pairs.shape[0]
-        ns = seg_starts.shape[0]
-        out = np.empty((m, ns), dtype=np.int64)
-        for p in range(m):
-            i, j = pairs[p, 0], pairs[p, 1]
-            for s in range(ns):
-                acc = 0
-                for t in range(seg_starts[s], seg_ends[s]):
-                    acc += _popcnt64(rows[i, t] & rows[j, t])
-                out[p, s] = acc
-        return out
-
-    @njit(cache=True)
-    def masked_degrees_nb(rows, mask):
-        n, w = rows.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            s = 0
-            for j in range(w):
-                s += _popcnt64(rows[i, j] & mask[j])
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def triangle_count_nb(rows_ab, rows_ac, rows_bc, nb_):
-        na = rows_ab.shape[0]
-        w = rows_ac.shape[1]
-        total = 0
-        for a in range(na):
-            for b in range(nb_):
-                if (rows_ab[a, b >> 6] >> np.uint64(b & 63)) & np.uint64(1):
-                    s = 0
-                    for t in range(w):
-                        s += _popcnt64(rows_ac[a, t] & rows_bc[b, t])
-                    total += s
-        return total
-
-    @njit(cache=True)
-    def triangle_list_nb(rows_ab, rows_ac, rows_bc, nb_, nc_):
-        na = rows_ab.shape[0]
-        cap = 1024
-        out = np.empty((cap, 3), dtype=np.int64)
-        cnt = 0
-        for a in range(na):
-            for b in range(nb_):
-                if (rows_ab[a, b >> 6] >> np.uint64(b & 63)) & np.uint64(1):
-                    for c in range(nc_):
-                        bit_ac = (rows_ac[a, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-                        bit_bc = (rows_bc[b, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-                        if bit_ac and bit_bc:
-                            if cnt == cap:
-                                cap *= 2
-                                grown = np.empty((cap, 3), dtype=np.int64)
-                                grown[:cnt] = out[:cnt]
-                                out = grown
-                            out[cnt, 0] = a
-                            out[cnt, 1] = b
-                            out[cnt, 2] = c
-                            cnt += 1
-        return out[:cnt].copy()
-
-    @njit(cache=True)
-    def subset_min_edges_nb(rows, n_right, size_left, size_right, e_total, half_num, half_den):
-        nl = rows.shape[0]
-        nr = n_right
-        deg = np.zeros((nl, nr), dtype=np.int64)
-        for i in range(nl):
-            for v in range(nr):
-                deg[i, v] = (rows[i, v >> 6] >> np.uint64(v & 63)) & np.uint64(1)
-        idx = np.empty(size_left, dtype=np.int64)
-        for i in range(size_left):
-            idx[i] = i
-        degs = np.zeros(nr, dtype=np.int64)
-        for i in range(size_left):
-            degs += deg[idx[i]]
-        while True:
-            sorted_degs = np.sort(degs)
-            e_st = 0
-            for t in range(size_right):
-                e_st += sorted_degs[t]
-            if e_st * half_den * nl * nr < e_total * half_num * size_left * size_right:
-                return True, idx.copy(), e_st
-            # advance to next lexicographic combination, updating degs
-            j = size_left - 1
-            while j >= 0 and idx[j] == nl - size_left + j:
-                j -= 1
-            if j < 0:
-                return False, idx[:0].copy(), -1
-            degs -= deg[idx[j]]
-            for t in range(j + 1, size_left):
-                degs -= deg[idx[t]]
-            idx[j] += 1
-            degs += deg[idx[j]]
-            for t in range(j + 1, size_left):
-                idx[t] = idx[t - 1] + 1
-                degs += deg[idx[t]]
-
-
-def subset_min_edges_py(rows, n_right, size_left, size_right, e_total, half_num, half_den):
-    """Pure-python/numpy equivalent of subset_min_edges_nb."""
-    from itertools import combinations
-
-    nl = rows.shape[0]
-    deg = _unpack_degrees(rows, n_right)
-    for comb in combinations(range(nl), size_left):
-        degs = deg[list(comb)].sum(axis=0)
-        e_st = min_block_sum_np(degs, size_right)
-        if e_st * half_den * nl * n_right < e_total * half_num * size_left * size_right:
-            return True, np.array(comb, dtype=np.int64), e_st
-    return False, np.empty(0, dtype=np.int64), -1
-
-
-if HAVE_NUMBA:
-    popcount_rows = popcount_rows_nb
-    and_popcount_pairs = and_popcount_pairs_nb
-    xor_popcount_pairs = xor_popcount_pairs_nb
-    and_popcount_pairs_segmented = and_popcount_pairs_segmented_nb
-    masked_degrees = masked_degrees_nb
-    triangle_count = triangle_count_nb
-    triangle_list = triangle_list_nb
-    subset_min_edges = subset_min_edges_nb
-else:
-    popcount_rows = popcount_rows_np
-    and_popcount_pairs = and_popcount_pairs_np
-    xor_popcount_pairs = xor_popcount_pairs_np
-    and_popcount_pairs_segmented = and_popcount_pairs_segmented_np
-    masked_degrees = masked_degrees_np
-    triangle_count = triangle_count_np
-    triangle_list = triangle_list_np
-    subset_min_edges = subset_min_edges_py
-
-IMPLS = {
-    "numpy": {
-        "popcount_rows": popcount_rows_np,
-        "and_popcount_pairs": and_popcount_pairs_np,
-        "xor_popcount_pairs": xor_popcount_pairs_np,
-        "and_popcount_pairs_segmented": and_popcount_pairs_segmented_np,
-        "masked_degrees": masked_degrees_np,
-        "triangle_count": triangle_count_np,
-        "triangle_list": triangle_list_np,
-        "subset_min_edges": subset_min_edges_py,
-    }
-}
-if HAVE_NUMBA:
-    IMPLS["numba"] = {
-        "popcount_rows": popcount_rows_nb,
-        "and_popcount_pairs": and_popcount_pairs_nb,
-        "xor_popcount_pairs": xor_popcount_pairs_nb,
-        "and_popcount_pairs_segmented": and_popcount_pairs_segmented_nb,
-        "masked_degrees": masked_degrees_nb,
-        "triangle_count": triangle_count_nb,
-        "triangle_list": triangle_list_nb,
-        "subset_min_edges": subset_min_edges_nb,
-    }
+    The a-subsets S are scanned in ``itertools.combinations`` order.  For
+    each, e_min(S) is the sum of its b smallest column sums (the fewest edges
+    any b-subset T receives from S) and e_max(S) the sum of its b largest.
+    Returns ``(S, e_min(S), e_max(S))`` for the first S with e_min(S) < lo or
+    e_max(S) > hi, else ``(None, min e_min, max e_max)`` over all S (both
+    None when there is no a-subset).  ``lo`` and ``hi`` are exact integers,
+    None leaves that side unchecked.  Column sums are at most a, so int64
+    holds every e(S, T) <= a * b.  Chunks start at 64 subsets, so an early
+    exit stays cheap, and double up to _SUBSET_CHUNK column sums.
+    """
+    deg = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n_right].astype(np.int64)
+    subsets = combinations(range(rows.shape[0]), a)
+    most = max(1, _SUBSET_CHUNK // max(n_right, 1))
+    e_min = e_max = None
+    size = min(64, most)
+    while True:
+        idx = np.fromiter(islice(subsets, size), dtype=np.dtype((np.int64, a)))
+        if not len(idx):
+            return None, e_min, e_max
+        sums = deg[idx[:, 0]]
+        for j in range(1, a):
+            sums += deg[idx[:, j]]
+        part = np.partition(sums, [b - 1, n_right - b], axis=1)
+        lows = part[:, :b].sum(axis=1)
+        highs = part[:, n_right - b :].sum(axis=1)
+        bad = np.zeros(len(idx), dtype=bool)
+        if lo is not None:
+            bad |= lows < lo
+        if hi is not None:
+            bad |= highs > hi
+        if bad.any():
+            k = int(np.argmax(bad))
+            return idx[k], int(lows[k]), int(highs[k])
+        low, high = int(lows.min()), int(highs.max())
+        e_min = low if e_min is None else min(e_min, low)
+        e_max = high if e_max is None else max(e_max, high)
+        size = min(2 * size, most)

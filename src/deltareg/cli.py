@@ -437,7 +437,6 @@ def make_parser() -> argparse.ArgumentParser:
     x.add_argument("--params", required=True)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--strict", action="store_true")
-    x.add_argument("--relaxed", action="store_true")
     x.add_argument("--out", required=True)
     x.set_defaults(func=cmd_counterexample)
     return ap

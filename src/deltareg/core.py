@@ -764,7 +764,7 @@ class IrregularityCertificate:
         total = _fraction(rd.take("total "))
         if rd.pos != len(rd.lines):
             raise ValueError(f"certificate line {rd.pos + 1}: text after the total")
-        sets = _ranges_decode_many([f for f, _, _ in fields])
+        sets = _ranges_decode_many([f for f, _, _ in fields], max_ids=max(n_left, n_right))
         for (f, n, may_be_empty), ids in zip(fields, sets):
             if ids.size == 0 and not may_be_empty:
                 raise ValueError(f"empty vertex set {f!r} in the certificate")
@@ -887,10 +887,11 @@ def _ranges_encode_many(arrays) -> list:
     return text
 
 
-def _ranges_decode_many(texts) -> list:
+def _ranges_decode_many(texts, max_ids: int = 1 << 24) -> list:
     """Inverse of _ranges_encode_many, parsed in one pass over all the
     texts.  Each set must list strictly increasing non-negative ids of at
-    most 18 digits; anything else raises ValueError."""
+    most 18 digits and expand to at most max_ids ids; anything else raises
+    ValueError before the ids are expanded."""
     out = [np.empty(0, dtype=np.int64) for _ in texts]
     full = [k for k, s in enumerate(texts) if s != "-"]
     if not full:
@@ -921,7 +922,9 @@ def _ranges_decode_many(texts) -> list:
     increasing[first[1:] - 1] = True  # a new set starts
     if np.any(hi < lo) or not np.all(increasing):
         raise ValueError("vertex set in the certificate is not strictly increasing")
-    length = hi - lo + 1
+    length = hi - lo + 1  # increasing ids below 10^18: no sum overflows int64
+    if np.any(np.add.reduceat(length, first) > max_ids):
+        raise ValueError(f"vertex set in the certificate has more than {max_ids} ids")
     ends = np.cumsum(length)
     flat = np.arange(ends[-1]) + np.repeat(lo - (ends - length), length)
     set_ends = ends[first + runs - 1].tolist()
@@ -1069,12 +1072,23 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     if cert.gamma_prime != cert.gamma / 32:
         report["ok"] = False
         report["failures"].append(("gamma-prime", None))
-    # rebuild Rstar masks per level from Q and the stored cluster cells
-    q_part = VertexPartition(cert.n_right, cert.q_cells)
+    # rebuild Rstar masks per level from Q and the stored cluster cells, with
+    # no code shared with refute_partition: a Q-cell whose largest overlap
+    # with a cluster R (the first such R on ties) leaves fewer than c|Q|
+    # vertices outside contributes Q & R
+    q_owner = VertexPartition(cert.n_right, cert.q_cells).owner
+    q_size = np.bincount(q_owner).astype(object)  # exact products with any loaded c
+    cn, cd = cert.host_c.numerator, cert.host_c.denominator
     rstar = {}
     for lvl, cells in cert.r_level_cells.items():
-        rparts = VertexPartition(cert.n_right, cells)
-        rstar[lvl] = _rstar_mask(q_part, rparts, cert.host_c, cert.n_right)
+        r_owner = VertexPartition(cert.n_right, cells).owner
+        pair, count = np.unique(q_owner * len(cells) + r_owner, return_counts=True)
+        q_of = pair // len(cells)
+        first = np.lexsort((pair, -count, q_of))
+        first = first[np.r_[True, q_of[first[1:]] != q_of[first[:-1]]]]  # one per Q-cell, in Q order
+        outside = q_size - count[first]
+        keep = ((outside == 0) | (outside * cd < cn * q_size)).astype(bool)
+        rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % len(cells))[q_owner])
     floor = max(cert.delta, cert.gamma / 8)
     # line values gamma' (2^level p |P||R| / 4 - corr), p = 2^-ell, are
     # compared and summed as numerators over one denominator

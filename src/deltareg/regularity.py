@@ -107,11 +107,12 @@ def is_delta_regular_pair(
     if mode == "exact":
         if math.comb(nl, a) > cap or math.comb(nr, b) > cap:
             raise CapExceeded(f"C({nl},{a}) or C({nr},{b}) exceeds cap {cap}")
-        found, s_idx, e_st = _kernels.subset_min_edges(g.rows, nr, a, b, e_total, 1, 2)
-        if not found:
+        # e(S, T) |A||B| < e(A, B) |S||T| / 2, with e(S, T) an integer
+        lo = math.ceil(Fraction(e_total * a * b, 2 * nl * nr))
+        S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo)
+        if S is None:
             return PairVerdict(status="regular")
-        witness = _finish_witness(g, np.asarray(s_idx, dtype=np.int64), b, e_total)
-        return PairVerdict(status="irregular", witness=witness)
+        return PairVerdict(status="irregular", witness=_finish_witness(g, S, b, e_total))
     if mode == "sampled":
         w = _descent_witness(g, a, b, e_total, seed=seed, restarts=restarts)
         if w is not None:
@@ -508,16 +509,11 @@ def is_eps_regular_graph(
         # minimum-degree vertex never decreases the density, removing a
         # maximum-degree vertex never increases it, so violations survive
         # shrinking each side to its minimal qualifying size.
-        deg = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, :nr].astype(np.int64)
-        for S in combinations(range(nl), a):
-            degs = deg[list(S)].sum(axis=0)
-            sorted_degs = np.sort(degs)
-            e_min = int(sorted_degs[:b].sum())
-            e_max = int(sorted_degs[-b:].sum())
-            size = a * b
-            # |e/size - p| <= eps p  <=>  (1-eps) p size <= e <= (1+eps) p size
-            if Fraction(e_min, size) < (1 - eps) * p or Fraction(e_max, size) > (1 + eps) * p:
-                return {"status": "irregular", "eps": eps, "witness_left": list(S)}
+        # |e/ab - p| <= eps p  <=>  (1-eps) p ab <= e <= (1+eps) p ab, e an integer
+        lo, hi = math.ceil((1 - eps) * p * a * b), math.floor((1 + eps) * p * a * b)
+        S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo, hi=hi)
+        if S is not None:
+            return {"status": "irregular", "eps": eps, "witness_left": S.tolist()}
         return {"status": "regular", "eps": eps}
     # sampled
     rng = np.random.default_rng(seed)

@@ -481,6 +481,45 @@ def test_reverify_reports_each_tamper(small_seq, tamper):
     assert rep["failures"] == [expected]
 
 
+def test_reverify_does_not_repeat_a_faulty_rstar_mask(small_seq, monkeypatch):
+    """The re-check rebuilds R* on its own, so an R* mask that drops one
+    qualifying Q-cell in the refuter gives corrections it rejects."""
+    real = C._rstar_mask
+
+    def drops_one_cell(Q, rparts, c, n_right):
+        mask = real(Q, rparts, c, n_right)
+        mask[next(cell for cell in Q.cells if mask[cell].any())] = False
+        return mask
+
+    monkeypatch.setattr(C, "_rstar_mask", drops_one_cell)
+    g = small_seq.member_graph(2, 0)
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    rep = C.reverify_certificate(cert, g)
+    assert not rep["ok"]
+    assert any(kind == "line" for kind, *_ in rep["failures"])
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(1, 3)])
+def test_reverify_rstar_agrees_with_the_refuter_on_partly_outside_cells(small_seq, c):
+    """Q-cells that stick out of their host cluster by one vertex in three,
+    inside at c = 1/2 and not at c = 1/3: the re-check's own R* must give
+    the corrections _rstar_mask gives."""
+    g = small_seq.member_graph(2, 0)
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    q = cert.q_cells
+    cells = []
+    for a, b in zip(q[0::2], q[1::2]):  # A plus one vertex of B, then the rest of B
+        cells += [np.sort(np.append(a, b[0])), b[1:]]
+    cert.q_cells, cert.host_c = [cell for cell in cells if cell.size], c
+    before = [ln.correction for e in cert.entries for ln in e.lines]
+    for k, e in enumerate(cert.entries):
+        for j in range(len(e.lines)):
+            _reseal(cert, g, k, j)
+    assert [ln.correction for e in cert.entries for ln in e.lines] != before
+    rep = C.reverify_certificate(cert, g)
+    assert [f for f in rep["failures"] if f[0] in ("line", "total")] == []
+
+
 def test_certificate_text_rejects_malformed_input(small_seq):
     text = _small_cert(small_seq).to_text()
     lines = text.split("\n")

@@ -159,3 +159,20 @@ def test_audit_serialization(built):
     text = audit.to_text()
     assert text.startswith("counterexample-audit v1")
     assert "deletions" in text and "density" in text
+
+
+def test_strengthened_check_min_density_is_the_exact_minimum():
+    # the exact check reports min e(S, T) / (ab) over all a-subsets S and
+    # b-subsets T at the minimal sizes; recount it over every pair (S, T)
+    from itertools import combinations
+
+    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 4), k=8, m=1, seed=3, relaxed=True)
+    base, _ = X.build_triangle_free(params)
+    a = b = 4
+    for pair in (base.ab, base.ac, base.bc):
+        rep = X._strengthened_pair_check(pair, params.delta)
+        assert rep["status"] == "checked"
+        worst = min(
+            edges_between(pair, list(S), list(T)) for S in combinations(range(8), a) for T in combinations(range(8), b)
+        )
+        assert rep["min_density"] == Fraction(worst, a * b)
