@@ -15,13 +15,14 @@ retried on failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
-from .graphs import BipartiteGraph, VertexClass, pack_indices, unpack_row
+from .graphs import BipartiteGraph, VertexClass
 from .partitions import VertexPartition
 
 
@@ -124,7 +125,7 @@ def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i
             selves = np.repeat(np.arange(spec.ny), 2).reshape(-1, 2)
             degs = _kernels.and_popcount_pairs_segmented(yrows, selves, starts, ends)
         else:
-            degs = np.stack([_kernels.masked_degrees(yrows, pack_indices(cell, spec.nx)) for cell in spec.x_cells.cells], axis=1)
+            degs = np.stack([_kernels.masked_degrees(yrows, _kernels.pack_indices(cell, spec.nx)) for cell in spec.x_cells.cells], axis=1)
         bad = degs * 2 != spec.m
         if bad.any():
             ci = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -140,7 +141,7 @@ def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i
             bn, bd = spec.beta.numerator, spec.beta.denominator
             pairs = _all_pairs(spec.nx)
             for fi, F in enumerate(spec.family):
-                fm = pack_indices(F, spec.ny)
+                fm = _kernels.pack_indices(F, spec.ny)
                 sub = xrows & fm[None, :]
                 ham = _kernels.xor_popcount_pairs(sub, pairs)
                 agree = len(F) - ham
@@ -185,7 +186,7 @@ def _codegree_violation(yrows: np.ndarray, spec: BalanceSpec):
     keys = np.concatenate(member_keys) if member_keys else np.empty(0, dtype=np.int64)
     if len(member_keys) > 1:
         keys = np.unique(keys)
-    cell_rows = None if aligned else [yrows & pack_indices(cell, spec.nx)[None, :] for cell in spec.x_cells.cells]
+    cell_rows = None if aligned else [yrows & _kernels.pack_indices(cell, spec.nx)[None, :] for cell in spec.x_cells.cells]
     bad = np.zeros((len(keys), 1 if aligned else len(cell_rows)), dtype=bool)
     for sl in _kernels.pair_chunks(len(keys), yrows.shape[1]):
         pairs = np.stack([keys[sl] // spec.ny, keys[sl] % spec.ny], axis=1)
@@ -229,6 +230,7 @@ def _cell_segments(cells: VertexPartition):
 
 def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
     phi = np.full(spec.ny, -1, dtype=np.int64)
+    comps = _kernels.complement_rows(yrows, spec.nx)
     for cell in spec.y_cells.cells:
         lookup = {}
         for y in cell:
@@ -236,11 +238,7 @@ def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
         for y in cell:
             if phi[int(y)] != -1:
                 continue
-            comp = (~yrows[int(y)]).copy()
-            extra = spec.nx % 64
-            if extra:
-                comp[-1] &= np.uint64((1 << extra) - 1)
-            mates = lookup.get(comp.tobytes(), [])
+            mates = lookup.get(comps[int(y)].tobytes(), [])
             mate = next((m for m in mates if phi[m] == -1 and m != int(y)), None)
             if mate is None:
                 return None
@@ -273,9 +271,7 @@ def sample_balanced(
     rng = np.random.default_rng(np.random.PCG64(seed))
     failures = {"ii": 0, "iii": 0}
     telemetry = {"draws": 0, "failures": failures}
-    words = (spec.nx + 63) // 64
     x_cells = np.stack(spec.x_cells.cells)  # X-cells share one size
-    tail = np.uint64((1 << (spec.nx % 64)) - 1) if spec.nx % 64 else ~np.uint64(0)
     phi = np.full(spec.ny, -1, dtype=np.int64)
     halves = []
     for cell in spec.y_cells.cells:
@@ -286,17 +282,16 @@ def sample_balanced(
         halves.append((firsts, seconds))
     for attempt in range(max_retries):
         telemetry["draws"] += 1
-        yrows = np.zeros((spec.ny, words), dtype=np.uint64)
+        yrows = _kernels.zero_rows(spec.ny, spec.nx)
         for firsts, seconds in halves:
             # one shuffle per (y, X-cell), in that order: the stream of a
             # per-cell rng.permutation loop
             picks = rng.permuted(np.broadcast_to(x_cells, (len(firsts),) + x_cells.shape), axis=-1)
             picks = picks[:, :, : x_cells.shape[1] // 2].reshape(len(firsts), -1)
-            bits = np.zeros((len(firsts), words * 64), dtype=bool)
+            bits = np.zeros((len(firsts), spec.nx), dtype=bool)
             np.put_along_axis(bits, picks, True, axis=1)
-            yrows[firsts] = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
-            yrows[seconds] = ~yrows[firsts]
-            yrows[seconds, -1] &= tail
+            yrows[firsts] = _kernels.pack_rows(bits)
+            yrows[seconds] = _kernels.complement_rows(yrows[firsts], spec.nx)
         graph = _from_y_major(yrows, spec)
         forced = verify_balanced(graph, spec, conditions=("i", "iv"))
         assert forced.ok, "construction-forced conditions must hold on every draw"
@@ -327,6 +322,15 @@ def is_beta_balanced(graph: BipartiteGraph, beta) -> bool:
     return all(Fraction(n_y - int(h)) <= limit for h in ham)
 
 
+def _integer_mass(lam: list) -> tuple:
+    """Weights as int64 numerators over their least common denominator: the
+    comparisons stay exact while the dot products run in numpy."""
+    den = math.lcm(*(x.denominator for x in lam))
+    if den > 1 << 40:
+        raise ValueError("weight denominators too large for exact vectorized sums")
+    return np.array([x.numerator * (den // x.denominator) for x in lam], dtype=np.int64), den
+
+
 def check_one_six(gamma: BipartiteGraph, lam, require_balanced: bool = True) -> dict:
     """Count right-side vertices whose neighborhood splits the weight mass:
     min(inside, outside) >= (1 - max-weight)/8.  For a 1/16-balanced graph
@@ -334,8 +338,6 @@ def check_one_six(gamma: BipartiteGraph, lam, require_balanced: bool = True) -> 
 
     lam: nonnegative weights over the left side with total mass one.
     """
-    import math as _math
-
     lam = [Fraction(x) for x in lam]
     if len(lam) != gamma.left.size:
         raise ValueError("weight vector length must match the left side")
@@ -343,16 +345,11 @@ def check_one_six(gamma: BipartiteGraph, lam, require_balanced: bool = True) -> 
         raise ValueError("weights must be nonnegative with total mass 1")
     if require_balanced and not is_beta_balanced(gamma, Fraction(1, 16)):
         raise ValueError("graph is not 1/16-balanced")
-    den = 1
-    for x in lam:
-        den = den * x.denominator // _math.gcd(den, x.denominator)
-    if den > 1 << 40:
-        raise ValueError("weight denominators too large for exact vectorized sums")
-    mass = np.array([x.numerator * (den // x.denominator) for x in lam], dtype=np.int64)
+    mass, den = _integer_mass(lam)
     linf = max(lam)
     threshold = (1 - linf) / 8
     yrows = gamma.transposed().rows
-    nb_bits = np.unpackbits(yrows.view(np.uint8), axis=1, bitorder="little")[:, : gamma.left.size].astype(np.int64)
+    nb_bits = _kernels.unpack_rows(yrows, gamma.left.size).astype(np.int64)
     inside_num = nb_bits @ mass  # inside mass, numerator over den
     tn, td = threshold.numerator, threshold.denominator
     qualifying = [
@@ -392,19 +389,10 @@ def check_one_twelve(
         inside_cell.
     The reported bound is (1/6) * 2^-level * right_total.
     """
-    import math as _math
-
     lam = [Fraction(x) for x in lam]
     if any(x < 0 for x in lam) or sum(lam) != 1:
         raise ValueError("weights must be nonnegative with total mass 1")
-    # integer mass vector over a common denominator keeps the comparisons
-    # exact while letting dot products run in numpy
-    den = 1
-    for x in lam:
-        den = den * x.denominator // _math.gcd(den, x.denominator)
-    if den > 1 << 40:
-        raise ValueError("weight denominators too large for exact vectorized sums")
-    mass = np.array([x.numerator * (den // x.denominator) for x in lam], dtype=np.int64)
+    mass, den = _integer_mass(lam)
     linf = max(lam)
     thr1 = (1 - linf) / 8
     inside_mask = np.zeros(nx, dtype=np.int64)
@@ -412,7 +400,7 @@ def check_one_twelve(
     mass_outside_cell = Fraction(int((mass * (1 - inside_mask)).sum()), den)
     thr2 = Fraction(1, 2) - mass_outside_cell
     fam = np.asarray(family_member, dtype=np.int64)
-    nb_bits = np.unpackbits(neighbor_rows[fam].view(np.uint8), axis=1, bitorder="little")[:, :nx].astype(np.int64)
+    nb_bits = _kernels.unpack_rows(neighbor_rows[fam], nx).astype(np.int64)
     in_nb = nb_bits @ mass
     in_nb_in_cell = nb_bits @ (mass * inside_mask)
     qualifying = []

@@ -105,7 +105,12 @@ def cmd_build_hypergraph(args) -> int:
         print(f"error: bad schedule: {e}", file=sys.stderr)
         return EXIT_USAGE
     core_kwargs = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
-    inst = hg_mod.build_pasted_instance(args.k, args.s, sched, args.seed, blowup=args.blowup, core_kwargs=core_kwargs)
+    try:
+        inst = hg_mod.build_pasted_instance(args.k, args.s, sched, args.seed, blowup=args.blowup, core_kwargs=core_kwargs)
+    except (KeyError, IndexError, ValueError) as e:
+        # a table without an entry the recursion needs, or sizes the chain rejects
+        print(f"error: bad schedule for k={args.k}, s={args.s}: {e!r}", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "merged.kgraph"), "w") as f:
         f.write(kgraph_to_text(inst.merged))

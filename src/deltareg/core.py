@@ -30,8 +30,6 @@ from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
     graph_hash,
-    pack_indices,
-    transpose_bits,
 )
 from .partitions import VertexPartition, refines_beta
 
@@ -160,6 +158,17 @@ def iroot_ceil(n: int, r: int) -> int:
     return f if f**r == n else f + 1
 
 
+def dyadic_root_ceil(q: Fraction, r: int, scale_bits: int) -> Fraction:
+    """Smallest dyadic rational z / 2^scale_bits whose r-th power is at least q."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("root of a negative number")
+    if q == 0:
+        return Fraction(0)
+    target = -(-q.numerator * (1 << (r * scale_bits)) // q.denominator)  # ceil
+    return Fraction(iroot_ceil(target, r), 1 << scale_bits)
+
+
 @dataclass
 class CoreMember:
     level: int
@@ -231,7 +240,7 @@ class CoreSequence:
         if key not in self._materialized:
             q = self.members[level][index].quotient
             tq = q.transposed()
-            self._materialized[key] = np.unpackbits(tq.rows.view(np.uint8), axis=1, bitorder="little")[:, : q.left.size]
+            self._materialized[key] = _kernels.unpack_rows(tq.rows, q.left.size)
         return self._materialized[key]
 
     def member_graph(self, level: int, index: int) -> BipartiteGraph:
@@ -244,7 +253,7 @@ class CoreSequence:
                 lp = self.left_parts(level)
                 rp = self.right_parts(level)
                 # columns expand as rows of the transpose: (l_j, n_right)
-                cluster_rows = transpose_bits(m.quotient.transposed().rows[rp.owner], len(lp.cells))
+                cluster_rows = _kernels.transpose_bits(m.quotient.transposed().rows[rp.owner], len(lp.cells))
                 rows = cluster_rows[lp.owner]
                 g = BipartiteGraph(VertexClass("L", self.n_left), VertexClass("R", self.n_right), rows)
             self._materialized[key] = g
@@ -280,7 +289,7 @@ def neighbor_family(seq: CoreSequence, i: int, left_cluster: int, member: int = 
     if i < 1 or i - 1 >= len(seq.members):
         raise ValueError("level out of range")
     parentq = seq.members[i - 1][member].quotient
-    adjacent = np.unpackbits(parentq.rows[left_cluster].view(np.uint8), bitorder="little")
+    adjacent = _kernels.unpack_rows(parentq.rows[left_cluster], parentq.right.size)
     members = np.flatnonzero(adjacent[seq.rparent[i - 1]]).astype(np.int64)
     return NeighborFamily(level=i, left_cluster=left_cluster, members=members)
 
@@ -314,7 +323,7 @@ def build_core_sequence(profile: GrowthProfile, seed: int, left_chain=None, righ
 
 
 def _expand_quotient(q: BipartiteGraph, lparent, rparent, l_new, r_new) -> BipartiteGraph:
-    rows = transpose_bits(q.transposed().rows[rparent], q.left.size)[lparent]
+    rows = _kernels.transpose_bits(q.transposed().rows[rparent], q.left.size)[lparent]
     return BipartiteGraph(VertexClass("L", l_new), VertexClass("R", r_new), rows)
 
 
@@ -371,7 +380,7 @@ def _is_block_partition(p: VertexPartition) -> bool:
 def _block_degree_matrix(g: BipartiteGraph, lp: VertexPartition, rp: VertexPartition) -> np.ndarray:
     """Edge counts of every (left cell, right cell) block, summed from a
     uint8 unpack of the rows."""
-    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : g.right.size]
+    bits = _kernels.unpack_rows(g.rows, g.right.size)
     return _group_sum(_group_sum(bits, lp, 0), rp, 1)
 
 
@@ -395,8 +404,8 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
     # item 1, vectorized: per-vertex degrees into every parent block must be
     # exactly half the block side where the parent block is present, 0 where
     # absent; checked on both sides.
-    par_bits = np.unpackbits(parentq.rows.view(np.uint8), axis=1, bitorder="little")[:, : parentq.right.size].astype(np.int64)
-    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
+    par_bits = _kernels.unpack_rows(parentq.rows, parentq.right.size).astype(np.int64)
+    bits = _kernels.unpack_rows(g.rows, seq.n_right)
     # (r_parent, n_left): degrees of every left vertex into each parent right cell
     deg_into_R = _group_sum(bits, rp_prev, 1).T
     lsizes = np.array([len(c) for c in rp_prev.cells], dtype=np.int64)
@@ -428,7 +437,7 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
             continue
         cell = cell_of[L]
         lo, hi = int(cell[0]) >> 6, (int(cell[-1]) >> 6) + 1
-        sub = tq.rows[fam, lo:hi] & pack_indices(cell - 64 * lo, 64 * (hi - lo))
+        sub = tq.rows[fam, lo:hi] & _kernels.pack_indices(cell - 64 * lo, 64 * (hi - lo))
         counts = _kernels.and_popcount_pairs(sub, np.stack(np.triu_indices(len(fam), k=1), axis=1))
         if np.any(4 * counts * ad > len(cell) * (ad + an)):
             report["item2"] = False
@@ -471,20 +480,11 @@ def verify_degree_property(seq: CoreSequence, ell: int, i: int, L: int, R: int, 
     g = seq.member_graph(ell, member)
     Lverts = seq.left_parts(i).cells[L]
     Rverts = seq.right_parts(i).cells[R]
-    mask = pack_indices(Rverts, seq.n_right)
+    mask = _kernels.pack_indices(Rverts, seq.n_right)
     degs = _kernels.masked_degrees(g.rows[Lverts], mask)
     expected_num = len(Rverts)  # degree = |R| * 2^(i-ell): exact integer check
     ok = bool(np.all(degs.astype(object) * (1 << (ell - i)) == expected_num))
     return {"ok": ok, "degrees": degs, "expected_times_2tothe(ell-i)": expected_num}
-
-
-def rational_sixth_root_ceil(q: Fraction, scale_bits: int = 20) -> Fraction:
-    """Smallest dyadic rational z/2^scale_bits with z^6 >= q."""
-    if q <= 0:
-        return Fraction(0)
-    target = -(-q.numerator * (1 << (6 * scale_bits)) // q.denominator)  # ceil
-    z = iroot_ceil(target, 6)
-    return Fraction(z, 1 << scale_bits)
 
 
 def verify_quasirandomness(seq: CoreSequence, ell: int, member: int = 0, subsample_cap: int = 20) -> dict:
@@ -513,24 +513,18 @@ def verify_quasirandomness(seq: CoreSequence, ell: int, member: int = 0, subsamp
         if excess > worst:
             worst = excess
     alpha_hat = worst / (p * p * nl * nr)
-    eps = 2 * rational_sixth_root_ceil(alpha_hat)
+    eps = 2 * dyadic_root_ceil(alpha_hat, 6, 20)
     out = {"alpha_hat": alpha_hat, "eps": eps, "eps_vacuous": eps >= 1}
     if not out["eps_vacuous"]:
-        from .regularity import CapExceeded, is_eps_regular_graph
+        from .regularity import CapExceeded, _induced_pair, is_eps_regular_graph
 
-        sub = _induced_subgraph(g, np.arange(min(subsample_cap, nl)), np.arange(min(subsample_cap, nr)))
+        sub = _induced_pair(g, np.arange(min(subsample_cap, nl)), np.arange(min(subsample_cap, nr)))
         try:
             out["subsample_exact"] = is_eps_regular_graph(sub, eps, mode="exact")
         except CapExceeded:
             out["subsample_exact"] = {"status": "cap-exceeded"}
         out["sampled_scan"] = is_eps_regular_graph(g, eps, mode="sampled", seed=derive_seed(seq.seed, "qr", ell, member))
     return out
-
-
-def _induced_subgraph(g: BipartiteGraph, S, T) -> BipartiteGraph:
-    from .regularity import _induced_pair
-
-    return _induced_pair(g, S, T)
 
 
 @dataclass
@@ -590,7 +584,7 @@ def find_irregularity_witnesses(
     # e(P, R) and e(P1, R) for every family cluster, from one unpack of P's rows
     rp_i = seq.right_parts(i)
     g = seq.member_graph(ell, member)
-    bits = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right]
+    bits = _kernels.unpack_rows(g.rows[P], seq.n_right)
     row_deg = _group_sum(bits, rp_i, 1)[:, fam]
     e_pr = row_deg.sum(axis=0, dtype=np.int64)
     e_p1 = (row_deg * in_p1.T).sum(axis=0, dtype=np.int64)
@@ -645,6 +639,9 @@ class CertEntry:
     p_vertices: np.ndarray
     level: int
     lines: list
+
+
+HOST_C = Fraction(1, 512)  # the c with which the refuter's Q must c-refine the level-t right clusters
 
 
 @dataclass
@@ -953,13 +950,13 @@ def refute_partition(
     every cross pair delta-regular.
     """
     delta = Fraction(delta)
-    c = Fraction(1, 512)
+    c = HOST_C
     if gamma is None:
-        gamma = max(32 * _sqrt_ceil(delta), Fraction(32, _iroot_floor(seq.profile.r_sizes[0], 6)))
+        gamma = max(32 * dyadic_root_ceil(delta, 2, 40), Fraction(32, _iroot_floor(seq.profile.r_sizes[0], 6)))
     gamma = Fraction(gamma)
     if gamma > Fraction(1, 4):
         raise ValueError("gamma must be at most 1/4 for the witness pipeline")
-    if 32 * _sqrt_ceil(delta) > gamma:
+    if 32 * dyadic_root_ceil(delta, 2, 40) > gamma:
         raise ValueError("delta too large for gamma: need gamma >= 32*sqrt(delta)")
     gamma_prime = gamma / 32
     g = seq.member_graph(ell, member)
@@ -997,7 +994,7 @@ def refute_partition(
     for cell, i in entries:
         wits = find_irregularity_witnesses(seq, ell, member, i, cell, gamma, require_count=False)
         # e(P, v) for the right vertices outside Rstar_i
-        deg_out = np.unpackbits(g.rows[cell].view(np.uint8), axis=1, bitorder="little")[:, : seq.n_right].sum(axis=0, dtype=np.int64)
+        deg_out = _kernels.unpack_rows(g.rows[cell], seq.n_right).sum(axis=0, dtype=np.int64)
         deg_out[rstar[i]] = 0
         lines = []
         for w in wits:
@@ -1038,14 +1035,6 @@ def refute_partition(
     return cert
 
 
-def _sqrt_ceil(q: Fraction) -> Fraction:
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << 40
-    target = -(-q.numerator * scale * scale // q.denominator)
-    return Fraction(iroot_ceil(target, 2), scale)
-
-
 def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction, n_right: int) -> np.ndarray:
     """Boolean mask over right vertices: inside the union of Q&R for Q-cells
     c-inside a cluster R."""
@@ -1066,12 +1055,15 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     report = {"ok": True, "failures": [], "lines_checked": 0}
     if graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
-    if cert.gamma > Fraction(1, 4) or 32 * _sqrt_ceil(cert.delta) > cert.gamma:
+    if cert.gamma > Fraction(1, 4) or 32 * dyadic_root_ceil(cert.delta, 2, 40) > cert.gamma:
         report["ok"] = False
         report["failures"].append(("parameters", None))
     if cert.gamma_prime != cert.gamma / 32:
         report["ok"] = False
         report["failures"].append(("gamma-prime", None))
+    if cert.host_c != HOST_C:  # a larger c puts more of Q in R* and lowers the corrections
+        report["ok"] = False
+        report["failures"].append(("host-c", None))
     # rebuild Rstar masks per level from Q and the stored cluster cells, with
     # no code shared with refute_partition: a Q-cell whose largest overlap
     # with a cluster R (the first such R on ties) leaves fewer than c|Q|
@@ -1113,7 +1105,8 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         by_id = np.lexsort((r_line, r_ids))
         reused = np.zeros(len(e.lines), dtype=bool)
         reused[r_line[by_id[1:]][r_ids[by_id[1:]] == r_ids[by_id[:-1]]]] = True
-        # rows of P against the columns of every line's R, one dense slice
+        # rows of P against the columns of every line's R, one dense slice,
+        # decoded here, not through _kernels: the re-check shares no code with the refuter
         dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, r_ids]
         cum = np.zeros((psize, r_ids.size + 1), dtype=np.int64)
         np.cumsum(dense, axis=1, dtype=np.int64, out=cum[:, 1:])

@@ -178,29 +178,19 @@ def build_triangle_free(params: CounterexampleParams) -> tuple[TripartiteGraph, 
             break
     if base is None:
         raise RuntimeError("resample budget exhausted")
-    deleted = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-    rows = {(0, 1): base.ab.rows.copy(), (0, 2): base.ac.rows.copy(), (1, 2): base.bc.rows.copy()}
-
-    def has(pair, u, v):
-        return bool((rows[pair][u, v >> 6] >> np.uint64(v & 63)) & np.uint64(1))
-
-    def drop(pair, u, v):
-        rows[pair][u, v >> 6] &= ~(np.uint64(1) << np.uint64(v & 63))
-        deleted[pair] += 1
-
+    graphs = {(0, 1): base.ab, (0, 2): base.ac, (1, 2): base.bc}
+    deleted = {p: 0 for p in graphs}
+    adj = {p: _kernels.unpack_rows(g.rows, g.right.size).astype(bool) for p, g in graphs.items()}
     for a, b, c in base.triangles():
         a, b, c = int(a), int(b), int(c)
-        if not (has((0, 1), a, b) and has((0, 2), a, c) and has((1, 2), b, c)):
+        ends = {(0, 1): (a, b), (0, 2): (a, c), (1, 2): (b, c)}
+        if not all(adj[p][e] for p, e in ends.items()):
             continue  # destroyed by an earlier deletion
         pair = min(deleted, key=lambda p: (deleted[p], p))
-        u, v = {(0, 1): (a, b), (0, 2): (a, c), (1, 2): (b, c)}[pair]
-        drop(pair, u, v)
-    cleaned = TripartiteGraph(
-        n=base.n,
-        ab=BipartiteGraph(base.ab.left, base.ab.right, rows[(0, 1)]),
-        ac=BipartiteGraph(base.ac.left, base.ac.right, rows[(0, 2)]),
-        bc=BipartiteGraph(base.bc.left, base.bc.right, rows[(1, 2)]),
-    )
+        adj[pair][ends[pair]] = False
+        deleted[pair] += 1
+    ab, ac, bc = (BipartiteGraph(g.left, g.right, _kernels.pack_rows(adj[p])) for p, g in graphs.items())
+    cleaned = TripartiteGraph(n=base.n, ab=ab, ac=ac, bc=bc)
     assert cleaned.triangle_count() == 0, "deletion pass must leave no triangles"
     audit.deletions = {f"{a}{b}": deleted[(a, b)] for (a, b) in deleted}
     for name, pair in (("ab", cleaned.ab), ("ac", cleaned.ac), ("bc", cleaned.bc)):
@@ -284,7 +274,7 @@ def _blowup_bilinear_check(g: TripartiteGraph, base: TripartiteGraph, m: int, de
     t = _occupancy(T, k, m)
     sd = convex_decompose(s)
     td = convex_decompose(t)
-    A = np.unpackbits(pair_base.rows.view(np.uint8), axis=1, bitorder="little")[:, :k].astype(np.int64)
+    A = _kernels.unpack_rows(pair_base.rows, k).astype(np.int64)
     total = Fraction(0)
     for w1, y1 in sd:
         for w2, y2 in td:

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import _iroot_floor, dyadic_root_ceil
 from .graphs import KPartiteKGraph, VertexClassSet
 from .partitions import KPartition, Polyad, clique_set
-from .regularity import is_delta_regular_pair, CapExceeded
+from .regularity import CapExceeded, _induced_pair, is_delta_regular_pair
 
 
 def counting_tolerance(k: int, gamma: Fraction, x: Fraction) -> Fraction:
@@ -669,8 +670,6 @@ def reduction_check(
     concl_pairs = []
     for li, lcell in enumerate(left.cells):
         for ri, rcell in enumerate(right.cells):
-            from .regularity import _induced_pair
-
             sub = _induced_pair(view.graph, lcell, rcell)
             v = is_delta_regular_pair(sub, threshold, mode="exact", cap=cap)
             concl_pairs.append((li, ri, v.status))
@@ -694,15 +693,8 @@ def _sampled_polyads(poly, samples, seed):
 def _two_sqrt(delta: Fraction) -> Fraction:
     """2*sqrt(delta), exact when delta is a rational square, else a dyadic
     upper bound."""
-    import math
-
-    num, den = delta.numerator, delta.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return 2 * Fraction(rn, rd)
-    scale = 1 << 30
-    target = -(-num * scale * scale // den)
-    r = math.isqrt(target)
-    if r * r < target:
-        r += 1
-    return 2 * Fraction(r, scale)
+    if delta > 0:
+        rn, rd = _iroot_floor(delta.numerator, 2), _iroot_floor(delta.denominator, 2)
+        if rn * rn == delta.numerator and rd * rd == delta.denominator:
+            return 2 * Fraction(rn, rd)
+    return 2 * dyadic_root_ceil(delta, 2, 30)

@@ -1,9 +1,10 @@
 """Bipartite graphs and k-partite k-graphs with exact counting primitives.
 
-Bipartite adjacency is bit-packed (one uint64 row per left vertex, LSB
-first).  k-graph edges are kept as a sorted array of mixed-radix encoded
-tuples.  All densities are exact ``fractions.Fraction`` values; no verdict in
-this package ever goes through floating point.
+Bipartite adjacency is one packed row per left vertex, in the format that
+``deltareg._kernels`` defines and owns.  k-graph edges are kept as a sorted
+array of mixed-radix encoded tuples.  All densities are exact
+``fractions.Fraction`` values; no verdict in this package ever goes through
+floating point.
 """
 
 from __future__ import annotations
@@ -16,45 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-
-
-def pack_indices(indices, n: int) -> np.ndarray:
-    """Bit-pack a set of indices < n into a row of uint64 words."""
-    words = (n + 63) // 64
-    row = np.zeros(words, dtype=np.uint64)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size:
-        np.bitwise_or.at(row, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
-    return row
-
-
-_TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-
-
-def transpose_bits(rows: np.ndarray, n_cols: int) -> np.ndarray:
-    """Transpose of a packed (n_rows x n_cols) bit matrix, as packed rows.
-
-    Bytes of eight consecutive rows form one uint64 holding an 8x8 bit
-    block, which three delta swaps transpose in place (Warren, Hacker's
-    Delight, 7-3); the blocks' bytes are then the output rows' bytes.
-    """
-    n_rows = rows.shape[0]
-    b = np.ascontiguousarray(rows).view(np.uint8)
-    if n_rows % 8:
-        b = np.concatenate([b, np.zeros((-n_rows % 8, b.shape[1]), dtype=np.uint8)])
-    x = np.ascontiguousarray(b.reshape(-1, 8, b.shape[1]).transpose(0, 2, 1)).view(np.uint64)[..., 0]
-    for shift, mask in _TRANSPOSE8:
-        t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
-        x = x ^ t ^ (t << np.uint64(shift))
-    out = x.view(np.uint8).reshape(*x.shape, 8).transpose(1, 2, 0).reshape(-1, x.shape[0])
-    buf = np.zeros((n_cols, (n_rows + 63) // 64 * 8), dtype=np.uint8)
-    buf[:, : out.shape[1]] = out[:n_cols]
-    return buf.view(np.uint64)
-
-
-def unpack_row(row: np.ndarray, n: int) -> np.ndarray:
-    bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-    return np.flatnonzero(bits[:n]).astype(np.int64)
+from ._kernels import pack_indices, transpose_bits, unpack_row
 
 
 @dataclass(frozen=True)
@@ -68,9 +31,6 @@ class VertexClass:
     def __post_init__(self):
         if self.size <= 0:
             raise ValueError(f"vertex class {self.name!r} must be non-empty")
-
-    def global_range(self):
-        return range(self.offset, self.offset + self.size)
 
 
 @dataclass(frozen=True)
@@ -170,14 +130,12 @@ class BipartiteGraph:
     """Immutable bipartite graph on (left, right), bit-packed by left rows."""
 
     def __init__(self, left: VertexClass, right: VertexClass, rows: np.ndarray):
-        words = (right.size + 63) // 64
+        words = _kernels.row_words(right.size)
         rows = np.ascontiguousarray(rows, dtype=np.uint64)
         if rows.shape != (left.size, words):
             raise ValueError(f"row array shape {rows.shape} != {(left.size, words)}")
-        if right.size % 64:
-            tail = np.uint64((1 << (right.size % 64)) - 1)
-            if np.any(rows[:, -1] & ~tail):
-                raise ValueError("stray bits beyond the right class")
+        if _kernels.stray_bits(rows, right.size):
+            raise ValueError("stray bits beyond the right class")
         self.left = left
         self.right = right
         self.rows = rows
@@ -194,28 +152,24 @@ class BipartiteGraph:
         u, v = e[:, 0], e[:, 1]
         if e.size and (u.min() < 0 or u.max() >= left.size or v.min() < 0 or v.max() >= right.size):
             raise ValueError("edge vertex out of range")
-        rows = np.zeros((left.size, (right.size + 63) // 64), dtype=np.uint64)
-        np.bitwise_or.at(rows, (u, v >> 6), np.uint64(1) << (v & 63).astype(np.uint64))
+        rows = _kernels.zero_rows(left.size, right.size)
+        _kernels.set_bits(rows, u, v)
         return BipartiteGraph(left, right, rows)
 
     @staticmethod
     def complete(left, right) -> "BipartiteGraph":
-        words = (right.size + 63) // 64
-        rows = np.full((left.size, words), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        if right.size % 64:
-            rows[:, -1] = np.uint64((1 << (right.size % 64)) - 1)
+        rows = _kernels.complement_rows(_kernels.zero_rows(left.size, right.size), right.size)
         return BipartiteGraph(left, right, rows)
 
     @staticmethod
     def empty(left, right) -> "BipartiteGraph":
-        words = (right.size + 63) // 64
-        return BipartiteGraph(left, right, np.zeros((left.size, words), dtype=np.uint64))
+        return BipartiteGraph(left, right, _kernels.zero_rows(left.size, right.size))
 
     def edge_count(self) -> int:
         return self._ecount
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u, v >> 6] >> np.uint64(v & 63)) & np.uint64(1))
+        return _kernels.bit_at(self.rows, u, v)
 
     def degrees(self) -> np.ndarray:
         return _kernels.popcount_rows(self.rows)
@@ -225,10 +179,7 @@ class BipartiteGraph:
 
     def edges(self) -> np.ndarray:
         """Edges as an (m, 2) int64 array of (u, v), sorted by u, then v."""
-        b = self.rows.view(np.uint8)
-        r, c = np.nonzero(b)
-        i, j = np.nonzero(np.unpackbits(b[r, c][:, None], axis=1, bitorder="little"))
-        return np.stack([r[i], c[i] * 8 + j], axis=1)
+        return np.stack(_kernels.nonzero_bits(self.rows), axis=1)
 
     def transposed(self) -> "BipartiteGraph":
         if self._transposed is None:
@@ -397,13 +348,8 @@ def blowup(g: BipartiteGraph, m: int) -> BipartiteGraph:
     if m == 1:
         return g
     nl, nr = g.left.size * m, g.right.size * m
-    bits = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, : g.right.size]
-    big = np.repeat(np.repeat(bits, m, axis=0), m, axis=1)
-    words = (nr + 63) // 64
-    packed = np.packbits(big, axis=1, bitorder="little")
-    buf = np.zeros((nl, words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    rows = buf.view(np.uint64)
+    bits = _kernels.unpack_rows(g.rows, g.right.size)
+    rows = _kernels.pack_rows(np.repeat(np.repeat(bits, m, axis=0), m, axis=1))
     return BipartiteGraph(
         VertexClass(g.left.name, nl), VertexClass(g.right.name, nr), rows
     )
@@ -429,8 +375,7 @@ def bipartite_from_binary(data: bytes) -> BipartiteGraph:
     off += 4
     lname, rname, _ = data[off : off + nlen].decode().split("\n")
     off += nlen
-    words = (nr + 63) // 64
-    rows = np.frombuffer(data[off:], dtype=np.uint64).reshape(nl, words).copy()
+    rows = np.frombuffer(data[off:], dtype=np.uint64).reshape(nl, _kernels.row_words(nr)).copy()
     return BipartiteGraph(VertexClass(lname, nl), VertexClass(rname, nr), rows)
 
 

@@ -65,9 +65,6 @@ class InductiveFamily:
         last = self.classes.classes[-1]
         return lift_graph_to_kgraph(g, prod, right_class=VertexClass(last.name, last.size))
 
-    def h_level(self, j: int) -> list:
-        return [self.h_member(j, idx) for idx in range(1 << j)]
-
     def member_count(self, j: int) -> int:
         return 1 << j
 

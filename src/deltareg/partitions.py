@@ -384,9 +384,6 @@ class KPartition:
     def under(self, r: int, ci: int):
         return self.under_map[r][ci]
 
-    def cell_index_of_tuple(self, r: int, tup) -> int:
-        return self._cell_lookup[r][tuple(sorted(int(x) for x in tup))]
-
 
 def check_refinement_size(Q: VertexPartition, P: VertexPartition) -> bool:
     """With Q approximately refining P at 1/2 and P equitable, |Q| >= |P|/4."""

@@ -122,10 +122,8 @@ def is_delta_regular_pair(
 
 
 def _finish_witness(g, S, b, e_total):
-    from .graphs import pack_indices
-
     t = g.transposed()
-    mask = pack_indices(S, g.left.size)
+    mask = _kernels.pack_indices(S, g.left.size)
     degs = _kernels.masked_degrees(t.rows, mask)
     order = np.argsort(degs, kind="stable")[:b]
     T = np.sort(order.astype(np.int64))
@@ -148,12 +146,10 @@ def _descent_witness(g, a, b, e_total, seed=0, restarts=8):
         else:
             S = rng.choice(nl, size=a, replace=False).astype(np.int64)
         for _ in range(64):
-            from .graphs import pack_indices
-
-            mask = pack_indices(S, nl)
+            mask = _kernels.pack_indices(S, nl)
             rdeg = _kernels.masked_degrees(t.rows, mask)
             T = np.argsort(rdeg, kind="stable")[:b].astype(np.int64)
-            tmask = pack_indices(T, nr)
+            tmask = _kernels.pack_indices(T, nr)
             sdeg = _kernels.masked_degrees(g.rows, tmask)
             # try the single best swap on the left side
             in_S = np.zeros(nl, dtype=bool)
@@ -189,6 +185,7 @@ def naive_all_sizes_oracle(g: BipartiteGraph, delta) -> PairVerdict:
     if e_total == 0:
         return PairVerdict(status="regular", vacuous_zero_density=True)
     a0, b0 = _min_sizes(nl, nr, delta)
+    # decoded here, not through _kernels: the oracle shares no code with the checker it checks
     deg = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, :nr].astype(np.int64)
     for a in range(a0, nl + 1):
         for S in combinations(range(nl), a):
@@ -317,13 +314,8 @@ def partition_edit_interval(
 def _induced_pair(g: BipartiteGraph, S_cell, T_cell) -> BipartiteGraph:
     S = np.asarray(S_cell, dtype=np.int64)
     T = np.asarray(T_cell, dtype=np.int64)
-    bits = np.unpackbits(g.rows[S].view(np.uint8), axis=1, bitorder="little")[:, : g.right.size]
-    sub_bits = bits[:, T]
-    packed = np.packbits(sub_bits, axis=1, bitorder="little")
-    words = (len(T) + 63) // 64
-    buf = np.zeros((len(S), words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    return BipartiteGraph(VertexClass("S", len(S)), VertexClass("T", len(T)), buf.view(np.uint64))
+    rows = _kernels.pack_rows(_kernels.unpack_rows(g.rows[S], g.right.size)[:, T])
+    return BipartiteGraph(VertexClass("S", len(S)), VertexClass("T", len(T)), rows)
 
 
 def _repair_pair(sub: BipartiteGraph, delta, cap):
@@ -412,15 +404,6 @@ def e_layer_cells(P: KPartition, classes_idx: list[int]) -> list[int]:
     for ci, cell in enumerate(P.layers[r]):
         cls = sorted(P.classes.class_of(int(v)) for v in cell[0])
         if cls == sorted(classes_idx):
-            out.append(ci)
-    return out
-
-
-def v_layer_cells(P: KPartition, class_idx: int) -> list[int]:
-    c = P.classes.classes[class_idx]
-    out = []
-    for ci, cell in enumerate(P.vertex.cells):
-        if c.offset <= int(cell[0]) < c.offset + c.size:
             out.append(ci)
     return out
 

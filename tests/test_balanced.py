@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from deltareg import _kernels
 from deltareg import balanced as B
 from deltareg.graphs import BipartiteGraph, VertexClass
 from deltareg.partitions import VertexPartition
@@ -172,7 +173,7 @@ def test_check_one_six_two_point_lambda_matches_direct_recount():
     yrows = g.transposed().rows
     direct = []
     for y in range(64):
-        nb = set(B.unpack_row(yrows[y], 64).tolist())
+        nb = set(_kernels.unpack_row(yrows[y], 64).tolist())
         inside = sum(lam[i] for i in nb)
         if min(inside, 1 - inside) >= Fraction(1, 16):
             direct.append(y)

@@ -120,6 +120,18 @@ def test_hypergraph_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_build_hypergraph_schedule_errors_exit_2(tmp_path, capsys):
+    # the standing k=3 table has no A_4 entry
+    assert main(["build-hypergraph", "--k", "4", "--s", "2", "--seed", "0", "--out", str(tmp_path / "k4")]) == 2
+    assert "error: bad schedule" in capsys.readouterr().err
+    # at s=3 the chain's level-2 left count 8 is not 2^(4/e) for any integer e
+    sched = tmp_path / "s3.json"
+    sched.write_text(json.dumps({"t_values": [2, 4, 8, 16], "a_maps": {"3": [1, 2, 3]}, "a_star_maps": {"3": [1, 2, 3]}}))
+    argv = ["build-hypergraph", "--k", "3", "--s", "3", "--schedule", str(sched), "--seed", "0", "--out", str(tmp_path / "s3")]
+    assert main(argv) == 2
+    assert "error: bad schedule" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def hypergraph_artifact(tmp_path_factory):
     out = tmp_path_factory.mktemp("hg") / "hg"

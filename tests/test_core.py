@@ -285,7 +285,26 @@ def test_iroot_floor_huge_and_far_from_float():
         assert f**r <= 2**2000 < (f + 1) ** r
     assert C._iroot_floor(3**140, 2) == 3**70
     assert C.iroot_ceil(3**140 + 1, 2) == 3**70 + 1
-    assert C._sqrt_ceil(Fraction(1, 2**2000)) == Fraction(1, 1 << 40)
+    assert C.dyadic_root_ceil(Fraction(1, 2**2000), 2, 40) == Fraction(1, 1 << 40)
+
+
+def test_dyadic_root_ceil_pinned_values():
+    assert C.dyadic_root_ceil(Fraction(0), 2, 40) == 0
+    assert C.dyadic_root_ceil(Fraction(1, 2), 2, 40) == Fraction(388736063997, 1 << 39)
+    assert C.dyadic_root_ceil(Fraction(1, 2), 6, 20) == Fraction(29193, 1 << 15)
+    assert C.dyadic_root_ceil(Fraction(1, 64), 6, 20) == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        C.dyadic_root_ceil(Fraction(-1, 4), 2, 40)
+
+
+def test_two_sqrt_pinned_values():
+    from deltareg.epsreg import _two_sqrt
+
+    assert _two_sqrt(Fraction(1, 9)) == Fraction(2, 3)  # rational squares are exact
+    assert _two_sqrt(Fraction(1, 4)) == 1
+    assert _two_sqrt(Fraction(1, 2)) == Fraction(759250125, 1 << 29)  # 2 * ceil(2^30 / sqrt 2) / 2^30
+    assert _two_sqrt(Fraction(1, 2**2000)) == Fraction(1, 1 << 999)
+    assert _two_sqrt(Fraction(0)) == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,6 +537,27 @@ def test_reverify_rstar_agrees_with_the_refuter_on_partly_outside_cells(small_se
     assert [ln.correction for e in cert.entries for ln in e.lines] != before
     rep = C.reverify_certificate(cert, g)
     assert [f for f in rep["failures"] if f[0] in ("line", "total")] == []
+
+
+def test_reverify_rejects_a_certificate_under_another_host_c(small_seq, tmp_path):
+    """A larger c puts more of Q inside R* and lowers the corrections; a
+    certificate re-sealed under c = 1/2 agrees with itself line by line, yet
+    is rejected by the re-check and by ``verify --suite certificate``."""
+    from deltareg.cli import main
+    from deltareg.graphs import bipartite_to_binary
+
+    g = small_seq.member_graph(2, 0)
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    cert.host_c = Fraction(1, 2)
+    for k, e in enumerate(cert.entries):
+        for j in range(len(e.lines)):
+            _reseal(cert, g, k, j)
+    rep = C.reverify_certificate(cert, g)
+    assert not rep["ok"] and not rep["refutes"]
+    assert rep["failures"] == [("host-c", None)]
+    (tmp_path / "certificate.txt").write_text(cert.to_text())
+    (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(g))
+    assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 1
 
 
 def test_certificate_text_rejects_malformed_input(small_seq):

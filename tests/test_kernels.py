@@ -77,6 +77,37 @@ def test_masked_degrees_agree(rows):
     assert K.masked_degrees(rows, mask).tolist() == [_ones(r & mask) for r in rows]
 
 
+# -- the packed-row format ---------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 200])
+def test_packed_row_format_matches_per_bit_reference(n):
+    rng = np.random.default_rng(n)
+    bits = rng.random((7, n)) < 0.5
+    rows = K.pack_rows(bits)
+    assert rows.dtype == np.uint64 and rows.shape == (7, K.row_words(n))
+    assert np.array_equal(rows, _pack(bits))
+    assert np.array_equal(K.unpack_rows(rows, n), bits)
+    comp = K.complement_rows(rows, n)
+    assert np.array_equal(comp, _pack(~bits))
+    assert not K.stray_bits(rows, n) and not K.stray_bits(comp, n)
+    set_rows = K.zero_rows(7, n)
+    K.set_bits(set_rows, *np.nonzero(bits))
+    assert np.array_equal(set_rows, rows)
+    for u in range(7):
+        assert K.unpack_row(rows[u], n).tolist() == np.flatnonzero(bits[u]).tolist()
+        assert np.array_equal(K.pack_indices(np.flatnonzero(bits[u]), n), rows[u])
+    assert [K.bit_at(rows, u, v) for u in range(7) for v in range(n)] == bits.ravel().tolist()
+    assert [x.tolist() for x in K.nonzero_bits(rows)] == [x.tolist() for x in np.nonzero(bits)]
+    # columns picked by an index array come out in F order; they pack the same
+    wide = np.repeat(bits, 2, axis=1)
+    assert np.array_equal(K.pack_rows(wide[:, 2 * np.arange(n)]), rows)
+    if n % 64:
+        stray = rows.copy()
+        stray[3, -1] |= np.uint64(1) << np.uint64(63)
+        assert K.stray_bits(stray, n)
+
+
 def test_triangle_kernels_agree():
     rng = np.random.default_rng(42)
     n = 30
