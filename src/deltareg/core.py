@@ -761,7 +761,31 @@ class IrregularityCertificate:
         total = _fraction(rd.take("total "))
         if rd.pos != len(rd.lines):
             raise ValueError(f"certificate line {rd.pos + 1}: text after the total")
-        sets = _ranges_decode_many([f for f, _, _ in fields], max_ids=max(n_left, n_right))
+
+        def sizes_fit(count):
+            # each bound follows from a check of reverify_certificate (Q and
+            # every r-level partition the right side, entries are disjoint,
+            # no entry reuses a right vertex, P1 lies inside P), so an honest
+            # certificate meets it; made before any set is expanded, so that
+            # a forged set costs no memory
+            count = count.tolist()
+
+            def ids(sets):
+                return sum(count[j] for j in sets)
+
+            if ids(q_cells) > n_right:
+                raise ValueError("the q cells of the certificate have more than n-right ids")
+            if any(ids(cells) > n_right for cells in r_level_cells.values()):
+                raise ValueError("one level's r cells in the certificate have more than n-right ids")
+            if ids(e.p_vertices for e in entries) > n_left:
+                raise ValueError("the p sets of the certificate have more than n-left ids")
+            for k, e in enumerate(entries):
+                if ids(ln.r_vertices for ln in e.lines) > n_right:
+                    raise ValueError(f"the R sets of certificate entry {k} have more than n-right ids")
+                if any(count[ln.p1_vertices] > count[e.p_vertices] for ln in e.lines):
+                    raise ValueError(f"a P1 set of certificate entry {k} has more ids than its p set")
+
+        sets = _ranges_decode_many([f for f, _, _ in fields], max_ids=max(n_left, n_right), check=sizes_fit)
         for (f, n, may_be_empty), ids in zip(fields, sets):
             if ids.size == 0 and not may_be_empty:
                 raise ValueError(f"empty vertex set {f!r} in the certificate")
@@ -884,11 +908,13 @@ def _ranges_encode_many(arrays) -> list:
     return text
 
 
-def _ranges_decode_many(texts, max_ids: int = 1 << 24) -> list:
+def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
     """Inverse of _ranges_encode_many, parsed in one pass over all the
     texts.  Each set must list strictly increasing non-negative ids of at
     most 18 digits and expand to at most max_ids ids; anything else raises
-    ValueError before the ids are expanded."""
+    ValueError before the ids are expanded.  ``check``, if given, gets the
+    id count of every text (0 for '-') as an int64 array, also before any
+    set is expanded, and may raise ValueError."""
     out = [np.empty(0, dtype=np.int64) for _ in texts]
     full = [k for k, s in enumerate(texts) if s != "-"]
     if not full:
@@ -920,8 +946,13 @@ def _ranges_decode_many(texts, max_ids: int = 1 << 24) -> list:
     if np.any(hi < lo) or not np.all(increasing):
         raise ValueError("vertex set in the certificate is not strictly increasing")
     length = hi - lo + 1  # increasing ids below 10^18: no sum overflows int64
-    if np.any(np.add.reduceat(length, first) > max_ids):
+    per_set = np.add.reduceat(length, first)
+    if np.any(per_set > max_ids):
         raise ValueError(f"vertex set in the certificate has more than {max_ids} ids")
+    if check is not None:
+        counts = np.zeros(len(texts), dtype=np.int64)
+        counts[full] = per_set
+        check(counts)
     ends = np.cumsum(length)
     flat = np.arange(ends[-1]) + np.repeat(lo - (ends - length), length)
     set_ends = ends[first + runs - 1].tolist()

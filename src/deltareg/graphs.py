@@ -251,11 +251,17 @@ class KPartiteKGraph:
             if edges.size and (edges[:, j].min() < 0 or edges[:, j].max() >= c.size):
                 raise ValueError(f"edge vertex out of range in class {c.name}")
         enc = self._encode(edges)
-        order = np.argsort(enc, kind="stable")
-        enc = enc[order]
-        if enc.size and np.any(enc[1:] == enc[:-1]):
-            raise ValueError("duplicate edges")
-        self.edges_arr = edges[order]
+        if np.all(enc[1:] > enc[:-1]):
+            # canonical input (a lift, a parsed text): already sorted and
+            # free of duplicates; the copy keeps the caller's array apart
+            edges = edges.copy()
+        else:
+            order = np.argsort(enc, kind="stable")
+            enc = enc[order]
+            if np.any(enc[1:] == enc[:-1]):
+                raise ValueError("duplicate edges")
+            edges = edges[order]
+        self.edges_arr = edges
         self.encoded = enc
         self.encoded.setflags(write=False)
         self.edges_arr.setflags(write=False)
@@ -336,8 +342,8 @@ def lift_graph_to_kgraph(g: BipartiteGraph, product: ProductClass, right_class=N
         raise ValueError("left class size does not match the product class")
     right_class = right_class or VertexClass(g.right.name, g.right.size)
     classes = VertexClassSet(list(product.factors) + [VertexClass(right_class.name, right_class.size)])
-    e = g.edges()
-    edges = np.concatenate([product.decode_array(e[:, 0]), e[:, 1:]], axis=1)
+    u, v = _kernels.nonzero_bits(g.rows)
+    edges = np.concatenate([product.decode_array(u), v[:, None]], axis=1)
     return KPartiteKGraph(classes, edges)
 
 

@@ -11,6 +11,12 @@ k-partite k-graph along the last axis.
 Pasting: 2k vertex classes around a tight cycle, one inductive family per
 length-k window, one chain member per family, all unioned into a single
 k-partite k-graph on the doubled classes.
+
+Lifts: a member's edge codes are read straight off its bipartite bits
+(``InductiveFamily.member_codes``), so picking a window's member and
+reading a level as a partition of the product lift nothing; each kept
+member is lifted once, and ``KPartiteKGraph`` does not re-sort the lift's
+canonical output.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _kernels
 from .core import CoreSequence, GrowthProfile, build_core_sequence, derive_seed
 from .graphs import (
     KPartiteKGraph,
@@ -55,18 +62,21 @@ class InductiveFamily:
     def h_member(self, j: int, idx: int) -> KPartiteKGraph:
         """Member idx of the level-j partition, lifted to a k-graph."""
         g = self.core_seq.member_graph(j, idx)
-        if self.k == 2:
-            return lift_graph_to_kgraph(
-                g,
-                ProductClass.of([VertexClass(self.classes[0].name, self.classes[0].size)]),
-                right_class=VertexClass(self.classes[1].name, self.classes[1].size),
-            )
         prod = ProductClass.of([VertexClass(c.name, c.size) for c in self.classes.classes[:-1]])
         last = self.classes.classes[-1]
         return lift_graph_to_kgraph(g, prod, right_class=VertexClass(last.name, last.size))
 
     def member_count(self, j: int) -> int:
         return 1 << j
+
+    def member_codes(self, j: int, idx: int) -> np.ndarray:
+        """The encoded edges of ``h_member(j, idx)``, read off the bipartite
+        member without a lift: edge (u, v) of the axis-k view is the k-tuple
+        whose first k-1 entries encode to u, so its code is u * |V_k| + v,
+        and the row-major bit order is the sorted order."""
+        g = self.core_seq.member_graph(j, idx)
+        u, v = _kernels.nonzero_bits(g.rows)
+        return u * g.right.size + v
 
 
 def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched: DeskSchedule, seed: int, core_kwargs=None) -> InductiveFamily:
@@ -109,11 +119,8 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
 
 def _edge_partition_as_vertex_partition(sub: InductiveFamily, level: int, prod: ProductClass) -> VertexPartition:
     """The level members of the sub-family, read as a partition of the
-    product index space."""
-    cells = []
-    for idx in range(sub.member_count(level)):
-        h = sub.h_member(level, idx)
-        cells.append(prod.encode_array(h.edges_arr))
+    product index space: a member's cell is its set of edge codes."""
+    cells = [sub.member_codes(level, idx) for idx in range(sub.member_count(level))]
     return VertexPartition(prod.size, cells)
 
 
@@ -215,7 +222,7 @@ class PastedInstance:
         return [tuple((x + j) % two_k for j in range(self.k)) for x in range(two_k)]
 
 
-def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup: int = 4, core_kwargs=None, selector: str = "lex") -> PastedInstance:
+def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup: int = 4, core_kwargs=None) -> PastedInstance:
     """One inductive family per tight-cycle window over 2k classes; one
     depth-s member from each, unioned on the doubled classes."""
     if k < 2:
@@ -232,7 +239,7 @@ def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup
         fam_chain = [[chain[i] for _ in range(k)] for i in range(m)]
         fam = build_inductive_family(k, s, classes, fam_chain, sched, derive_seed(seed, "edge", x), core_kwargs)
         families.append(fam)
-        edge_graphs.append(_select_member(fam, s, selector))
+        edge_graphs.append(_select_member(fam, s))
     merged_classes = VertexClassSet([(f"W{j}", 2 * n) for j in range(k)])
     rows = []
     for x, h in enumerate(edge_graphs):
@@ -257,20 +264,20 @@ def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup
     )
 
 
-def _select_member(fam: InductiveFamily, j: int, selector: str) -> KPartiteKGraph:
-    if selector == "first":
-        return fam.h_member(j, 0)
-    if selector == "lex":
-        best, best_h = None, None
-        for idx in range(fam.member_count(j)):
-            h = fam.h_member(j, idx)
-            key = h.encoded.tobytes()
-            if best is None or key < best:
-                best, best_h = key, h
-        return best_h
-    if selector.startswith("index:"):
-        return fam.h_member(j, int(selector.split(":", 1)[1]))
-    raise ValueError(f"unknown selector {selector!r}")
+def _select_member(fam: InductiveFamily, j: int) -> KPartiteKGraph:
+    """The level-j member whose edge codes, as little-endian int64 bytes,
+    compare smallest bytewise (the first such member on ties), lifted; only
+    the winner is lifted.
+
+    Bytewise order on little-endian codes is not numeric order.  It is kept
+    because it picks the members of every artifact built so far, and fixing
+    the byte order makes the pick the same on every host."""
+    best, best_idx = None, 0
+    for idx in range(fam.member_count(j)):
+        key = fam.member_codes(j, idx).astype("<i8", copy=False).tobytes()
+        if best is None or key < best:
+            best, best_idx = key, idx
+    return fam.h_member(j, best_idx)
 
 
 def pasted_density_check(inst: PastedInstance) -> dict:

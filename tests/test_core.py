@@ -579,3 +579,47 @@ def test_certificate_text_rejects_malformed_input(small_seq):
     for name, t in bad.items():
         with pytest.raises(ValueError):
             C.IrregularityCertificate.from_text(t)
+
+
+def _rewrite(text, prefix, new, every=True):
+    """text with the lines starting with prefix replaced by new(line), all of
+    them or the first only."""
+    lines = text.split("\n")
+    hits = [i for i, ln in enumerate(lines) if ln.startswith(prefix)]
+    for i in hits if every else hits[:1]:
+        lines[i] = new(lines[i])
+    return "\n".join(lines)
+
+
+def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, tmp_path):
+    """Each bound follows from a re-check (P1 inside P, disjoint entries, no
+    reused R vertex, Q and each r-level a partition), so the honest
+    certificate loads, and a forged one is refused with ValueError, before
+    any set is expanded, and ``verify --suite certificate`` exits 2."""
+    from deltareg.cli import main
+    from deltareg.graphs import bipartite_to_binary
+
+    cert = _small_cert(small_seq)
+    nl, nr = cert.n_left, cert.n_right
+    assert len(cert.entries) > 1 and len(cert.entries[0].lines) > 1 and len(cert.q_cells) > 1
+    text = cert.to_text()
+    C.IrregularityCertificate.from_text(text)
+
+    def field(name, value):
+        return lambda ln: " ".join(f"{name}={value}" if part.startswith(f"{name}=") else part for part in ln.split())
+
+    entry0_end = text.index("\nentry 1 ")
+    forged = {
+        "a P1 set": _rewrite(text, "line ", field("P1", f"0-{nl - 1}")),
+        "the p sets": _rewrite(text, "p ", lambda ln: f"p 0-{nl - 1}"),
+        "the R sets of certificate entry 0": _rewrite(text[:entry0_end], "line ", field("R", f"0-{nr - 1}")) + text[entry0_end:],
+        "the q cells": _rewrite(text, "q ", lambda ln: f"q 0-{nr - 1}", every=False),
+        "one level's r cells": _rewrite(text, "r ", lambda ln: f"r 0-{nr - 1}", every=False),
+    }
+    g = small_seq.member_graph(2, 0)
+    (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(g))
+    for what, t in forged.items():
+        with pytest.raises(ValueError, match=what):
+            C.IrregularityCertificate.from_text(t)
+    (tmp_path / "certificate.txt").write_text(forged["a P1 set"])
+    assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 2

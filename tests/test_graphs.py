@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -296,6 +297,62 @@ def test_lift_matches_per_row_reference(factor_sizes, nr, data):
     assert [c.name for c in lifted.classes.classes] == [c.name for c in ref.classes.classes]
     assert np.array_equal(G.aux_graph(lifted, lifted.k).graph.rows, g.rows)
 
+
+
+@st.composite
+def edge_lists(draw):
+    """Class sizes whose product fits the int64 codes, and a list of
+    distinct in-range tuples, in sorted order, shuffled, or with one tuple
+    repeated."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    sizes = draw(st.lists(_SIZES, min_size=k, max_size=k).filter(lambda s: math.prod(s) < 1 << 63))
+    tuples = sorted(set(draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), max_size=40))))
+    order = draw(st.sampled_from(["sorted", "shuffled", "duplicated"]))
+    if order != "sorted":
+        tuples = draw(st.permutations(tuples))
+    if order == "duplicated" and tuples:
+        tuples.insert(draw(st.integers(0, len(tuples))), draw(st.sampled_from(tuples)))
+    return sizes, tuples, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_kgraph_constructor_matches_sort_then_unique(case):
+    sizes, tuples, order = case
+    k = len(sizes)
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    edges = np.array(tuples, dtype=np.int64).reshape(-1, k)
+    if order == "duplicated" and tuples:
+        with pytest.raises(ValueError, match="duplicate"):
+            G.KPartiteKGraph(cs, edges)
+        return
+    h = G.KPartiteKGraph(cs, edges)
+    ref = sorted(set(tuples))
+    codes = []
+    for t in ref:
+        c = 0
+        for v, s in zip(t, sizes):
+            c = c * s + v
+        codes.append(c)
+    assert h.edges_arr.tolist() == [list(t) for t in ref]
+    assert h.encoded.tolist() == codes
+    assert h.edges_arr.dtype == h.encoded.dtype == np.int64
+    for j, bad in ((k - 1, sizes[-1]), (0, -1)):
+        out = np.concatenate([edges, np.zeros((1, k), dtype=np.int64)])
+        out[-1, j] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            G.KPartiteKGraph(cs, out)
+
+
+@pytest.mark.parametrize("edges", [[[0, 1, 2], [0, 2, 0], [1, 0, 0]], [[1, 0, 0], [0, 1, 2], [0, 2, 0]]], ids=["sorted", "unsorted"])
+def test_kgraph_keeps_no_view_of_the_callers_edges(edges):
+    cs = G.VertexClassSet([("V1", 2), ("V2", 3), ("V3", 3)])
+    arr = np.array(edges, dtype=np.int64)
+    h = G.KPartiteKGraph(cs, arr)
+    before = h.edges_arr.tolist(), h.encoded.tolist()
+    arr[:] = 0
+    assert (h.edges_arr.tolist(), h.encoded.tolist()) == before
+    assert not h.edges_arr.flags.writeable and not h.encoded.flags.writeable
 
 def _malformed(text: str, kind: str, at: int) -> str:
     """text with one defect of the given kind; ``at`` picks the edge line."""

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from deltareg import hypergraphs as H
 from deltareg import schedules as S
-from deltareg.graphs import VertexClassSet, aux_graph
+from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, kgraph_to_text
 from deltareg.partitions import KPartition, VertexPartition
 
 CORE_KW = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
@@ -203,3 +205,83 @@ def test_beta_star_initial_refinement(pasted):
     bad = [VertexPartition(pasted.n_per_class, [range(pasted.n_per_class)])] * 6
     with pytest.raises(ValueError):
         H.beta_star_analysis(pasted, bad)
+
+
+# -- lift-free member codes against the lifting code they replaced -------------
+
+
+def _lex_pick_by_lifting(fam, j):
+    """The lex selector as it was: lift every member, keep the one whose
+    encoded edges compare smallest as little-endian int64 bytes."""
+    best, best_h = None, None
+    for idx in range(fam.member_count(j)):
+        h = fam.h_member(j, idx)
+        key = h.encoded.astype("<i8").tobytes()
+        if best is None or key < best:
+            best, best_h = key, h
+    return best_h
+
+
+def _partition_by_lifting(fam, level, prod):
+    """The member partition as it was: each lifted member's edges, encoded
+    in the product of the family's classes, form one cell."""
+    return VertexPartition(prod.size, [prod.encode_array(fam.h_member(level, idx).edges_arr) for idx in range(fam.member_count(level))])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+@pytest.mark.parametrize("k", [2, 3])
+def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
+    sched = S.desk_schedule_k3()
+    n = 32
+    classes = VertexClassSet([(f"V{j}", n) for j in range(k)])
+    levels = H.nested_class_chain(n, [sched.t(i) for i in (1, 2, 3)])
+    fam = H.build_inductive_family(k, 2, classes, [[levels[i]] * k for i in range(3)], sched, seed=seed, core_kwargs=CORE_KW)
+    prod = ProductClass.of(classes.classes)
+    for j in (1, 2):
+        for idx in range(fam.member_count(j)):
+            assert np.array_equal(fam.member_codes(j, idx), fam.h_member(j, idx).encoded)
+        assert H._select_member(fam, j) == _lex_pick_by_lifting(fam, j)
+        cells = H._edge_partition_as_vertex_partition(fam, j, prod).cells
+        ref = _partition_by_lifting(fam, j, prod).cells
+        assert len(cells) == len(ref) == fam.member_count(j)
+        assert all(np.array_equal(c, r) for c, r in zip(cells, ref))
+
+
+class _StubFamily:
+    """A family whose level members hold the given codes, in a given byte
+    order; h_member returns the member's index."""
+
+    def __init__(self, codes, dtype):
+        self.codes, self.dtype = codes, dtype
+
+    def member_count(self, j):
+        return len(self.codes)
+
+    def member_codes(self, j, idx):
+        return np.array(self.codes[idx], dtype=self.dtype)
+
+    def h_member(self, j, idx):
+        return idx
+
+
+@pytest.mark.parametrize("dtype", ["<i8", ">i8"])
+def test_lex_pick_is_bytewise_on_little_endian_codes(dtype):
+    """As little-endian bytes, 256 is 00 01 00 .. and 1 is 01 00 ..: the
+    member starting with 256 wins, though 1 < 256, whatever order the codes
+    are stored in."""
+    assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2) == 1
+
+
+def _sha(graphs):
+    return hashlib.sha256("".join(kgraph_to_text(h) for h in graphs).encode()).hexdigest()
+
+
+def test_pasted_graphs_golden_sha256(pasted):
+    """The pick, the lift and the merge, pinned: any change to which member
+    a window keeps or how a k-graph is encoded changes these."""
+    assert _sha([pasted.merged]) == "0fd4882d5df325389e79b509f7a8905aacdbbcc06343e1d8b93488817a34e9e4"
+    assert _sha(pasted.edge_graphs) == "4079c40e6881f8df8573912a54c0bb27862fb5570471436479f5b20a62b5b520"
+    sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
+    inst2 = H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
+    assert _sha([inst2.merged]) == "97f1c7d8726aeb3e69fabbdd70858059f7ffd8e2ebdf59e26b8f98d18665349c"
+    assert _sha(inst2.edge_graphs) == "e13e2096101c93fcd6abcfc48ffa939ca441ea3ca4f49f2abae8d3df702c85c7"
