@@ -221,10 +221,8 @@ def _suite_core_properties(artifact: str, mode: str = "exact", cap: int = 1 << 2
 
 
 def _suite_certificate(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
-    cert_path = os.path.join(artifact, "certificate.txt")
     graph_path = os.path.join(artifact, "refuted-graph.bin")
-    with open(cert_path) as f:
-        cert = core_mod.IrregularityCertificate.from_text(f.read())
+    cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
     with open(graph_path, "rb") as f:
         g = bipartite_from_binary(f.read())
     rep = core_mod.reverify_certificate(cert, g)
@@ -343,7 +341,7 @@ def cmd_certify(args) -> int:
     with open(os.path.join(os.path.dirname(os.path.abspath(args.out_cert)), "refuted-graph.bin"), "wb") as f:
         f.write(bipartite_to_binary(g))
     # fresh re-verification from serialized state before reporting success
-    with open(args.out_cert) as f:
+    with open(args.out_cert, newline="") as f:
         reread = core_mod.IrregularityCertificate.from_text(f.read())
     rep = core_mod.reverify_certificate(reread, g)
     if not rep["ok"]:

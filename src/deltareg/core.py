@@ -25,8 +25,10 @@ import numpy as np
 from . import _kernels
 from .balanced import BalanceSpec, check_one_twelve, sample_balanced
 from .graphs import (
+    _MAX_DIGITS,
     BipartiteGraph,
     VertexClass,
+    _write_tokens,
     bipartite_from_binary,
     bipartite_to_binary,
     graph_hash,
@@ -233,15 +235,6 @@ class CoreSequence:
         return self._materialized[key]
 
     # -- materialization -------------------------------------------------
-
-    def quotient_t_bits(self, level: int, index: int) -> np.ndarray:
-        """Per-right-cluster uint8 0/1 rows over left clusters, cached."""
-        key = ("tqbits", level, index)
-        if key not in self._materialized:
-            q = self.members[level][index].quotient
-            tq = q.transposed()
-            self._materialized[key] = _kernels.unpack_rows(tq.rows, q.left.size)
-        return self._materialized[key]
 
     def member_graph(self, level: int, index: int) -> BipartiteGraph:
         key = (level, index)
@@ -464,7 +457,7 @@ def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
         # w strided passes over the matrix are cheaper while w is small
         out = blocks[..., 0].astype(dtype)
         for j in range(1, w):
-            out += blocks[..., j]
+            np.add(out, blocks[..., j], out=out, casting="unsafe")  # the sums fit dtype
         return out
     order = np.argsort(p.owner, kind="stable")
     return np.add.reduceat(np.take(x, order, axis=axis), np.cumsum(sizes) - sizes, axis=axis, dtype=dtype)
@@ -546,61 +539,141 @@ def find_irregularity_witnesses(
     left clusters spans no edges into it, yet the whole subset has density
     at least 2^(i - ell - 2) into it.  With require_count the number of
     qualifying clusters is asserted to reach one sixth of 2^-i of the
-    level-i right cluster count.
+    level-i right cluster count.  One call of the level engine
+    ``_level_witnesses``.
     """
-    gamma = Fraction(gamma)
     P = np.unique(np.asarray(P, dtype=np.int64))
-    lp_i = seq.left_parts(i)
-    lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition(seq.n_left, [range(seq.n_left)])
-    # the level-i clusters P touches, and its mass in each
-    touched, tmass = np.unique(lp_i.owner[P], return_counts=True)
-    tot = int(P.size)
-    # precondition: P in_{1/4} previous level
-    prev_mass = np.bincount(lp_prev.owner[P], minlength=len(lp_prev.cells)).astype(np.int64)
-    host = int(np.argmax(prev_mass))
-    outside_prev = tot - int(prev_mass[host])
-    if not (outside_prev == 0 or 4 * outside_prev < tot):
-        raise ValueError("subset is not 1/4-inside a previous-level cluster")
-    # precondition: P not gamma-inside any level-i cluster, that is no cluster
-    # leaves 0 or fewer than gamma|P| of P outside (all of P for a cluster P
-    # misses); outside < gamma|P| is outside <= ceil(gamma|P|) - 1
-    below = min(tot, -(-gamma.numerator * tot // gamma.denominator) - 1)
-    outside = tot - tmass
-    if np.any((outside == 0) | (outside <= below)) or (touched.size < len(lp_i) and (tot == 0 or tot <= below)):
-        raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
-    anc = seq.ancestor_index(ell, member, i)
-    fam = neighbor_family(seq, i, host, member=seq.ancestor_index(ell, member, i - 1)).members
-    maxmass = int(tmass.max())
-    in_host = seq.lparent[i - 1][touched] == host
-    out_of_host_mass = tot - int(tmass[in_host].sum())
-    nb_bits = seq.quotient_t_bits(i, anc)[np.ix_(fam, touched)]
-    in_nb = nb_bits @ tmass
-    in_nb_in_host = nb_bits @ (tmass * in_host)
-    # (a) non-neighbor mass >= (|P| - max cluster mass) / 8
-    # (b) in-host neighbor mass >= |P|/2 - out-of-host mass
-    qualifies = (8 * (tot - in_nb) >= tot - maxmass) & (2 * in_nb_in_host >= tot - 2 * out_of_host_mass)
-    # P1 of each family cluster: the vertices of P in non-neighbor clusters
-    in_p1 = nb_bits[:, np.searchsorted(touched, lp_i.owner[P])] == 0
-    # e(P, R) and e(P1, R) for every family cluster, from one unpack of P's rows
-    rp_i = seq.right_parts(i)
-    g = seq.member_graph(ell, member)
-    bits = _kernels.unpack_rows(g.rows[P], seq.n_right)
-    row_deg = _group_sum(bits, rp_i, 1)[:, fam]
-    e_pr = row_deg.sum(axis=0, dtype=np.int64)
-    e_p1 = (row_deg * in_p1.T).sum(axis=0, dtype=np.int64)
-    witnesses = []
-    for fi in np.flatnonzero(qualifies):
-        rverts = rp_i.cells[int(fam[fi])]
-        p1 = P[in_p1[fi]]
-        assert e_p1[fi] == 0, "witness construction must be edge-free"
-        # d(P, R) >= 2^i p / 4, with p = 2^-ell
-        assert int(e_pr[fi]) * 4 << ell >= tot * rverts.size << i
-        assert 8 * p1.size * gamma.denominator >= gamma.numerator * tot
-        witnesses.append(Witness(right_cluster=int(fam[fi]), r_vertices=rverts, p1_vertices=p1, d_pr_num=int(e_pr[fi]), level=i))
+    found = _level_witnesses(seq, ell, member, i, [P], Fraction(gamma))
+    rcells = seq.right_parts(i).cells
+    witnesses = [
+        Witness(right_cluster=r, r_vertices=rcells[r], p1_vertices=p1, d_pr_num=e, level=i)
+        for r, p1, e in zip(found["cluster"].tolist(), found["p1"], found["e_pr"].tolist())
+    ]
     bound = Fraction(seq.profile.r_sizes[i - 1], 6) / (1 << i)
     if require_count and Fraction(len(witnesses)) < bound:
         raise AssertionError(f"witness count {len(witnesses)} below the {bound} cluster bound")
     return witnesses
+
+
+_WITNESS_CHUNK = 1 << 23  # unpacked bytes of one (ids x right side) matrix the level engine holds at once
+
+
+def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: list, gamma: Fraction, outside=None) -> dict:
+    """The witness search of ``find_irregularity_witnesses`` for many left
+    subsets at level i, in one pass over all of them.
+
+    ``cells`` are sorted, duplicate-free id arrays.  A cell must be 1/4-inside
+    a level-(i-1) cluster, its host, and not gamma-inside any level-i
+    cluster; otherwise ValueError.  A right cluster R of the host's family
+    qualifies for a cell P when (a) the mass of P in level-i clusters not
+    adjacent to R is at least (|P| - its largest level-i mass) / 8 and (b)
+    the mass of P in host clusters adjacent to R is at least |P|/2 minus the
+    mass of P outside the host.  P1 is then the part of P in clusters not
+    adjacent to R.
+
+    Returns per-witness arrays, cell by cell and clusters ascending: ``cell``
+    (index into ``cells``), ``cluster``, ``e_pr`` = e(P, R), ``p1`` (a list
+    of id arrays) and, when ``outside`` (a mask of right vertices) is given,
+    ``corr`` = the edges from P into R outside it.  Cells are taken in
+    groups of one size, and in chunks of ``_WITNESS_CHUNK`` unpacked bytes.
+    """
+    C = len(cells)
+    lp_i, rp_i = seq.left_parts(i), seq.right_parts(i)
+    n_i, r_i, nr = len(lp_i), len(rp_i), seq.n_right
+    prev = seq.left_parts(i - 1).owner if i >= 2 else np.zeros(seq.n_left, dtype=np.int64)
+    n_prev = len(seq.left_parts(i - 1)) if i >= 2 else 1
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=C)
+    if C == 0:
+        return {"cell": sizes, "cluster": sizes, "e_pr": sizes, "corr": sizes, "p1": []}
+    if np.any(sizes == 0):
+        raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
+    ids = np.concatenate(cells).astype(np.int64, copy=False)
+    cid = np.repeat(np.arange(C), sizes)
+    first_of = np.cumsum(sizes) - sizes
+    # host: the level-(i-1) cluster holding most of the cell (the first on ties)
+    pair, mass = np.unique(cid * n_prev + prev[ids], return_counts=True)
+    pc = pair // n_prev
+    best = np.flatnonzero(mass == np.maximum.reduceat(mass, np.searchsorted(pc, np.arange(C)))[pc])
+    best = best[np.r_[True, pc[best[1:]] != pc[best[:-1]]]]
+    host = pair[best] % n_prev
+    away = sizes - mass[best]  # the mass outside the host
+    if np.any((away != 0) & (4 * away >= sizes)):
+        raise ValueError("subset is not 1/4-inside a previous-level cluster")
+    # not gamma-inside a level-i cluster: every cluster leaves more than
+    # ceil(gamma|P|) - 1 of P outside (all of P for a cluster P misses)
+    pair, tmass = np.unique(cid * n_i + lp_i.owner[ids], return_counts=True)
+    pc = pair // n_i
+    usz, inv = np.unique(sizes, return_inverse=True)
+    below = np.array([min(s, -(-gamma.numerator * s // gamma.denominator) - 1) for s in usz.tolist()], dtype=np.int64)[inv]
+    outside_i = sizes[pc] - tmass
+    inside = np.bincount(pc, (outside_i == 0) | (outside_i <= below[pc]), minlength=C) > 0
+    inside |= (np.bincount(pc, minlength=C) < n_i) & (sizes <= below)
+    if inside.any():
+        raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
+    maxmass = np.maximum.reduceat(tmass, np.searchsorted(pc, np.arange(C)))
+    # the host's family: level-i right clusters inside level-(i-1) clusters
+    # adjacent to the host in the parent member
+    parent_q = seq.members[i - 1][seq.ancestor_index(ell, member, i - 1)].quotient
+    fam = _kernels.unpack_rows(parent_q.rows[host], parent_q.right.size)[:, seq.rparent[i - 1]].astype(bool)
+    q_i = seq.members[i][seq.ancestor_index(ell, member, i)].quotient
+    g = seq.member_graph(ell, member)
+    r_size = np.bincount(rp_i.owner, minlength=r_i)
+    # d(P, R) >= 2^i p / 4 (p = 2^-ell) is compared in int64: e(P, R) <= |P||R|
+    shift = ell + 2 - i
+    if (seq.n_left * seq.n_right) << abs(shift) >= 1 << 63:
+        raise ValueError("chain too large for the int64 density test of the witnesses")
+    found = {"cell": [], "cluster": [], "e_pr": [], "corr": [], "p1": []}
+    for s in usz.tolist():
+        group = np.flatnonzero(sizes == s)
+        per = max(1, _WITNESS_CHUNK // (s * max(nr, r_i)))
+        for a in range(0, group.size, per):
+            cs = group[a : a + per]
+            k = cs.size
+            rows = ids[(first_of[cs][:, None] + np.arange(s)).ravel()]
+            # nb[c, v, R]: the level-i cluster of v is adjacent to R
+            nb = _kernels.unpack_rows(q_i.rows[lp_i.owner[rows]], r_i).reshape(k, s, r_i)
+            in_nb = nb.sum(axis=1, dtype=np.min_scalar_type(s)).astype(np.int64)
+            in_nb_host = in_nb.copy()
+            off_host = prev[rows].reshape(k, s) != host[cs][:, None]
+            if off_host.any():
+                c, v = np.nonzero(off_host)
+                np.subtract.at(in_nb_host, c, nb[c, v])
+            qualifies = (
+                fam[cs]
+                & (8 * (s - in_nb) >= s - maxmass[cs][:, None])
+                & (2 * in_nb_host >= s - 2 * away[cs][:, None])
+            )
+            bits = _kernels.unpack_rows(g.rows[rows], nr)
+            deg = _group_sum(bits, rp_i, 1).reshape(k, s, r_i)  # e(v, R)
+            e_pr = deg.sum(axis=1, dtype=np.min_scalar_type(s * int(r_size.max()))).astype(np.int64)
+            wc, wr = np.nonzero(qualifies)
+            # e(P1, R) = 0: no edge from a vertex whose cluster is not adjacent to R
+            assert not np.any(np.maximum.reduce(deg * (1 - nb), axis=1)[wc, wr]), "witness construction must be edge-free"
+            lhs, rhs = e_pr[wc, wr] << max(shift, 0), (s * r_size[wr]) << max(-shift, 0)
+            assert np.all(lhs >= rhs)  # d(P, R) >= 2^i p / 4, with p = 2^-ell
+            p1_count = s - in_nb[wc, wr]
+            assert 8 * int(p1_count.min(initial=s)) * gamma.denominator >= gamma.numerator * s
+            # P1 of every witness, in witness order, from blocks of witnesses
+            nbt, ids2 = nb.transpose(0, 2, 1), rows.reshape(k, s)
+            step = max(1, (_WITNESS_CHUNK >> 3) // s)
+            p1 = [
+                np.compress((nbt[wc[b : b + step], wr[b : b + step]] == 0).ravel(), ids2[wc[b : b + step]].ravel())
+                for b in range(0, wc.size, step)
+            ]
+            found["p1"] += _slices(np.concatenate(p1), p1_count) if p1 else []
+            found["cell"].append(cs[wc])
+            found["cluster"].append(wr)
+            found["e_pr"].append(e_pr[wc, wr])
+            if outside is not None:
+                col = bits.reshape(k, s, nr).sum(axis=1, dtype=np.min_scalar_type(s)).astype(np.int64) * outside
+                found["corr"].append(_group_sum(col, rp_i, 1)[wc, wr])
+    # size groups interleave: witnesses back in cell order
+    keys = [key for key in ("cell", "cluster", "e_pr", "corr") if found[key]]
+    out = {key: np.concatenate(found[key]) for key in keys}
+    order = np.argsort(out["cell"] * r_i + out["cluster"], kind="stable")
+    out = {key: out[key][order] for key in keys}
+    out["p1"] = [found["p1"][j] for j in order.tolist()]
+    return out
 
 
 def one_twelve_context(seq: CoreSequence, ell: int, member: int, i: int, host: int, lam) -> dict:
@@ -667,100 +740,212 @@ class IrregularityCertificate:
 
     def to_text(self) -> str:
         levels = sorted(self.r_level_cells)
-        sets = list(self.q_cells)
+        head = "\n".join(
+            [
+                "irregularity-certificate v1",
+                f"graph-sha256 {self.graph_sha256}",
+                f"n-left {self.n_left}",
+                f"n-right {self.n_right}",
+                f"level {self.ell}",
+                f"delta {self.delta}",
+                f"gamma {self.gamma}",
+                f"gamma-prime {self.gamma_prime}",
+                f"host-c {self.host_c}",
+                f"t {self.t}",
+                f"budget {self.budget}",
+                f"q-cells {len(self.q_cells)}",
+            ]
+        )
+        # every field after the header, numbered in text order: the q cells,
+        # each r-level block, the entry count, then per entry 'entry k level
+        # L', 'p', 'lines n' and per line R, P1, corr, the value's numerator
+        # and, unless it is 1, its denominator
+        sets, set_at = list(self.q_cells), [np.arange(len(self.q_cells))]
+        scalars, scalar_at = [], []
+        prefix = [_LIT_Q] * len(self.q_cells)
         for lvl in levels:
-            sets.extend(self.r_level_cells[lvl])
-        for e in self.entries:
-            sets.append(e.p_vertices)
-            for ln in e.lines:
-                sets.extend((ln.r_vertices, ln.p1_vertices))
-        enc = iter(_ranges_encode_many(sets))
-        out = ["irregularity-certificate v1"]
-        out.append(f"graph-sha256 {self.graph_sha256}")
-        out.append(f"n-left {self.n_left}")
-        out.append(f"n-right {self.n_right}")
-        out.append(f"level {self.ell}")
-        out.append(f"delta {self.delta}")
-        out.append(f"gamma {self.gamma}")
-        out.append(f"gamma-prime {self.gamma_prime}")
-        out.append(f"host-c {self.host_c}")
-        out.append(f"t {self.t}")
-        out.append(f"budget {self.budget}")
-        out.append(f"q-cells {len(self.q_cells)}")
-        out.extend("q " + next(enc) for _ in self.q_cells)
-        for lvl in levels:
-            cells = self.r_level_cells[lvl]
-            out.append(f"r-level {lvl} {len(cells)}")
-            out.extend("r " + next(enc) for _ in cells)
-        out.append(f"entries {len(self.entries)}")
-        for k, e in enumerate(self.entries):
-            out.append(f"entry {k} level {e.level}")
-            out.append("p " + next(enc))
-            out.append(f"lines {len(e.lines)}")
-            for ln in e.lines:
-                out.append(f"line R={next(enc)} P1={next(enc)} corr={ln.correction} value={ln.value}")
-        out.append(f"total {self.total}")
-        return "\n".join(out) + "\n"
+            cells, f = self.r_level_cells[lvl], len(prefix)
+            scalars += [lvl, len(cells)]
+            scalar_at += [f, f + 1]
+            sets += cells
+            set_at.append(np.arange(f + 2, f + 2 + len(cells)))
+            prefix += [_LIT_RLEVEL, _LIT_SPACE] + [_LIT_R] * len(cells)
+        scalars.append(len(self.entries))
+        scalar_at.append(len(prefix))
+        prefix.append(_LIT_ENTRIES)
+        lines = [ln for e in self.entries for ln in e.lines]
+        n_lines = np.fromiter(map(len, (e.lines for e in self.entries)), dtype=np.int64, count=len(self.entries))
+        # lines share value objects: each distinct one is read once
+        values = [ln.value for ln in lines]
+        _, first, which = np.unique(np.fromiter(map(id, values), dtype=np.int64, count=len(values)), return_index=True, return_inverse=True)
+        num = np.array([values[j].numerator for j in first.tolist()], dtype=object)[which.ravel()].tolist()
+        den = np.array([values[j].denominator for j in first.tolist()], dtype=object)[which.ravel()].tolist()
+        frac = np.array([d != 1 for d in den], dtype=bool)
+        per_line = 4 + frac
+        cum = np.concatenate(([0], np.cumsum(per_line)))
+        last = np.cumsum(n_lines)
+        per_entry = 4 + cum[last] - cum[last - n_lines]
+        es = len(prefix) + np.cumsum(per_entry) - per_entry  # field of each 'entry'
+        line_entry = np.repeat(np.arange(n_lines.size), n_lines)
+        ls = es[line_entry] + 4 + cum[:-1] - cum[(last - n_lines)[line_entry]]  # field of each R
+        prefix = np.concatenate((prefix, np.empty(int(per_entry.sum()), dtype=np.int64))).astype(np.int64, copy=False)
+        for at, lit in ((es, _LIT_ENTRY), (es + 1, _LIT_LEVEL), (es + 2, _LIT_P), (es + 3, _LIT_LINES), (ls, _LIT_LINE),
+                        (ls + 1, _LIT_P1), (ls + 2, _LIT_CORR), (ls + 3, _LIT_VALUE), (ls[frac] + 4, _LIT_SLASH)):
+            prefix[at] = lit
+        sets += [e.p_vertices for e in self.entries]
+        sets += [ln.r_vertices for ln in lines]
+        sets += [ln.p1_vertices for ln in lines]
+        scalars += list(range(n_lines.size)) + [e.level for e in self.entries] + n_lines.tolist()
+        scalars += [ln.correction for ln in lines] + num + [d for d, f in zip(den, frac.tolist()) if f]
+        body = _render(
+            prefix,
+            sets,
+            np.concatenate(set_at + [es + 2, ls, ls + 1]),
+            scalars,
+            np.concatenate((scalar_at, es, es + 1, es + 3, ls + 2, ls + 3, ls[frac] + 4)).astype(np.int64),
+            _CERT_LITERALS,
+            f"\ntotal {self.total}\n".encode("ascii"),
+        )
+        return head + body.decode("ascii")
 
     @staticmethod
     def from_text(text: str) -> "IrregularityCertificate":
-        """Parse the text form.  Truncated or malformed text, and vertex ids
-        outside the sides, raise ValueError."""
-        rd = _LineReader(text)
-        rd.take("irregularity-certificate v1")
-        kv = {}
-        while "q-cells" not in kv:
-            k, sep, v = rd.take("").partition(" ")
-            if not sep:
-                raise ValueError(f"certificate line {rd.pos}: expected a header field")
-            kv[k] = v
-        missing = {"graph-sha256", "n-left", "n-right", "level", "delta", "gamma", "gamma-prime", "host-c", "t", "budget"} - set(kv)
+        """Parse the text form exactly as ``to_text`` writes it: the header
+        fields in their order, every ledger line as 'line R= P1= corr=
+        value=', each field once, and counts and fractions in ASCII digits.
+        Truncated or malformed text, and vertex ids outside the sides, raise
+        ValueError."""
+        if not text.isascii():
+            raise ValueError("certificate text is not ASCII")
+        data = text.encode("ascii")
+        if not data.endswith(b"\n"):
+            raise ValueError("certificate truncated: no newline at its end")
+        b = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(b == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        nlines = ends.size
+
+        def line(j):
+            if j >= nlines:
+                raise ValueError(f"certificate truncated after line {nlines}")
+            return data[starts[j] : ends[j]].decode("ascii")
+
+        def expect(rows, lit):
+            if rows.size and rows[-1] >= nlines:
+                raise ValueError(f"certificate truncated after line {nlines}")
+            bad = np.flatnonzero(~_has(b, starts[rows], lit))
+            if bad.size:
+                raise ValueError(f"certificate line {rows[bad[0]] + 1}: expected {lit.decode().strip()!r}")
+
+        if line(0) != "irregularity-certificate v1":
+            raise ValueError("certificate line 1: expected 'irregularity-certificate v1'")
+        head = {}
+        for j, key in enumerate(_CERT_HEAD, start=1):
+            k, _, v = line(j).partition(" ")
+            if k != key or not v or " " in v:
+                raise ValueError(f"certificate line {j + 1}: expected '{key} <value>'")
+            head[key] = v
+        n_left, n_right = _count(head["n-left"]), _count(head["n-right"])
+        body = int(ends[11])
+        runs = _digit_runs(b[body:], body)  # one at least: the entry count is in digits
+
+        def run_at(pos):
+            at = np.minimum(np.searchsorted(runs[0], pos), runs[0].size - 1)
+            if np.any(runs[0][at] != pos):
+                raise ValueError("certificate: expected a number of ASCII digits")
+            return at
+
+        def numbers(s, e):
+            """The numbers written exactly in the spans [s, e), as Python ints."""
+            at = run_at(s)
+            if np.any(runs[1][at] != e):
+                raise ValueError("certificate: expected a number of ASCII digits")
+            out = runs[2][at].tolist()
+            for x in np.flatnonzero(runs[2][at] < 0).tolist():  # more than 18 digits
+                out[x] = int(data[s[x] : e[x]])
+            return out
+
+        n_q = _count(head["q-cells"])
+        if 12 + n_q > nlines:
+            raise ValueError(f"certificate truncated after line {nlines}")
+        q_rows = np.arange(12, 12 + n_q)
+        expect(q_rows, b"q ")
+        j, r_levels, r_rows = 12 + n_q, [], []
+        while j < nlines and data.startswith(b"r-level ", starts[j]):
+            parts = line(j).split(" ")
+            if len(parts) != 3:
+                raise ValueError(f"certificate line {j + 1}: expected 'r-level <level> <count>'")
+            lvl, cnt = _count(parts[1]), _count(parts[2])
+            if r_levels and lvl <= r_levels[-1]:
+                raise ValueError(f"certificate line {j + 1}: r-level blocks must list each level once, in increasing order")
+            if j + 1 + cnt > nlines:
+                raise ValueError(f"certificate truncated after line {nlines}")
+            r_levels.append(lvl)
+            r_rows.append(np.arange(j + 1, j + 1 + cnt))
+            expect(r_rows[-1], b"r ")
+            j += 1 + cnt
+        k, _, v = line(j).partition(" ")
+        if k != "entries":
+            raise ValueError(f"certificate line {j + 1}: expected 'entries <count>'")
+        n_entries = _count(v)
+        k, _, v = line(nlines - 1).partition(" ")
+        if nlines - 1 <= j or k != "total":
+            raise ValueError(f"certificate line {nlines}: expected 'total <fraction>'")
+        total = _fraction(v)
+        # the ledger: per entry 'entry', 'p' and 'lines n', then n 'line' records
+        rows = np.arange(j + 1, nlines - 1)
+        at = np.flatnonzero(_has(b, starts[rows], b"entry "))
+        nxt = np.append(at[1:], rows.size)
+        if at.size != n_entries or (at.size and at[0] != 0) or (not at.size and rows.size) or np.any(nxt - at < 3):
+            raise ValueError(f"certificate ledger does not hold the {n_entries} entries it announces")
+        ent, p_rows, n_rows = rows[at], rows[at + 1], rows[at + 2]
+        expect(p_rows, b"p ")
+        expect(n_rows, b"lines ")
+        n_lines = np.array(numbers(starts[n_rows] + 6, ends[n_rows]), dtype=object)
+        if np.any(n_lines != nxt - at - 3):
+            raise ValueError("a 'lines' count of the certificate does not match its line records")
+        n_lines = (nxt - at - 3).astype(np.int64)
+        record = np.ones(rows.size, dtype=bool)
+        record[at], record[at + 1], record[at + 2] = False, False, False
+        line_rows = rows[record]
+        expect(line_rows, b"line R=")
+        # 'entry k level L'
+        k_end = runs[1][run_at(starts[ent] + 6)]
+        if not np.all(_has(b, k_end, b" level ")):
+            raise ValueError("certificate: expected 'entry <k> level <level>'")
+        if numbers(starts[ent] + 6, k_end) != list(range(n_entries)):
+            raise ValueError("certificate entries are not numbered 0, 1, ...")
+        levels = numbers(k_end + 7, ends[ent])
+        missing = set(levels) - set(r_levels)
         if missing:
-            raise ValueError(f"certificate header misses {sorted(missing)}")
-        n_left, n_right = _count(kv["n-left"]), _count(kv["n-right"])
-        # range fields are decoded together at the end; until then every set
-        # is its index into fields: (text, side size, may be empty)
-        fields = []
-
-        def field(text, n, may_be_empty=False):
-            fields.append((text, n, may_be_empty))
-            return len(fields) - 1
-
-        q_cells = [field(rd.take("q "), n_right) for _ in range(_count(kv["q-cells"]))]
-        r_level_cells = {}
-        while rd.peek("r-level "):
-            parts = rd.take("r-level ").split()
-            if len(parts) != 2:
-                raise ValueError(f"certificate line {rd.pos}: expected 'r-level <level> <count>'")
-            r_level_cells[_count(parts[0])] = [field(rd.take("r "), n_right) for _ in range(_count(parts[1]))]
-        entries = []
-        for k in range(_count(rd.take("entries "))):
-            head = rd.take("entry ").split()
-            if len(head) != 3 or head[0] != str(k) or head[1] != "level":
-                raise ValueError(f"certificate line {rd.pos}: expected 'entry {k} level <level>'")
-            level = _count(head[2])
-            if level not in r_level_cells:
-                raise ValueError(f"certificate line {rd.pos}: no r-level cells for level {level}")
-            p_vertices = field(rd.take("p "), n_left)
-            lns = []
-            for _ in range(_count(rd.take("lines "))):
-                d = dict(part.split("=", 1) for part in rd.take("line ").split())
-                if d.keys() != {"R", "P1", "corr", "value"}:
-                    raise ValueError(f"certificate line {rd.pos}: expected 'line R= P1= corr= value='")
-                lns.append(
-                    LedgerLine(
-                        entry=len(entries),
-                        right_cluster_level=level,
-                        r_vertices=field(d["R"], n_right),
-                        p1_vertices=field(d["P1"], n_left, may_be_empty=True),
-                        correction=_count(d["corr"]),
-                        value=_fraction(d["value"]),
-                    )
-                )
-            entries.append(CertEntry(p_vertices=p_vertices, level=level, lines=lns))
-        total = _fraction(rd.take("total "))
-        if rd.pos != len(rd.lines):
-            raise ValueError(f"certificate line {rd.pos + 1}: text after the total")
+            raise ValueError(f"certificate: no r-level cells for level {min(missing)}")
+        # 'line R=<set> P1=<set> corr=<count> value=<fraction>': four spaces
+        ls, le = starts[line_rows], ends[line_rows]
+        sp = np.flatnonzero(b[ls[0] : le[-1]] == ord(" ")) + ls[0] if ls.size else np.empty(0, dtype=np.int64)
+        first_sp = np.searchsorted(sp, ls)
+        if np.any(np.searchsorted(sp, le) - first_sp != 4):
+            raise ValueError("certificate: a ledger line is not 'line R= P1= corr= value='")
+        s1, s2, s3 = (sp[first_sp + k] for k in (1, 2, 3))
+        if not (np.all(_has(b, s1, b" P1=")) and np.all(_has(b, s2, b" corr=")) and np.all(_has(b, s3, b" value="))):
+            raise ValueError("certificate: a ledger line is not 'line R= P1= corr= value='")
+        corr = numbers(s2 + 6, s3)
+        v_end = runs[1][run_at(s3 + 7)]
+        frac = v_end != le
+        if not np.all(_has(b, v_end[frac], b"/")):
+            raise ValueError("certificate: a line value is not '<count>' or '<count>/<count>'")
+        num = numbers(s3 + 7, v_end)
+        den = np.ones(ls.size, dtype=object)
+        den[frac] = numbers(v_end[frac] + 1, le[frac])
+        if np.any(den == 0):
+            raise ValueError("zero denominator in a certificate line value")
+        # vertex sets: q cells, r cells, p, R, P1
+        r_rows_all = np.concatenate(r_rows) if r_rows else np.empty(0, dtype=np.int64)
+        n_r, n_e, n_l = r_rows_all.size, n_entries, ls.size
+        set_rows = np.concatenate((q_rows, r_rows_all, p_rows))
+        span_s = np.concatenate((starts[set_rows] + 2, ls + 7, s1 + 4))
+        span_e = np.concatenate((ends[set_rows], s1, s2))
+        line_entry = np.repeat(np.arange(n_e), n_lines)
+        r_blocks = np.cumsum([0] + [r.size for r in r_rows])
 
         def sizes_fit(count):
             # each bound follows from a check of reverify_certificate (Q and
@@ -768,84 +953,277 @@ class IrregularityCertificate:
             # no entry reuses a right vertex, P1 lies inside P), so an honest
             # certificate meets it; made before any set is expanded, so that
             # a forged set costs no memory
-            count = count.tolist()
-
-            def ids(sets):
-                return sum(count[j] for j in sets)
-
-            if ids(q_cells) > n_right:
+            q, r = count[:n_q], count[n_q : n_q + n_r]
+            p, R, P1 = count[n_q + n_r : n_q + n_r + n_e], count[n_q + n_r + n_e : -n_l or None], count[count.size - n_l :]
+            if q.sum() > n_right:
                 raise ValueError("the q cells of the certificate have more than n-right ids")
-            if any(ids(cells) > n_right for cells in r_level_cells.values()):
+            if any(r[a:z].sum() > n_right for a, z in zip(r_blocks[:-1], r_blocks[1:])):
                 raise ValueError("one level's r cells in the certificate have more than n-right ids")
-            if ids(e.p_vertices for e in entries) > n_left:
+            if p.sum() > n_left:
                 raise ValueError("the p sets of the certificate have more than n-left ids")
-            for k, e in enumerate(entries):
-                if ids(ln.r_vertices for ln in e.lines) > n_right:
+            cum = np.concatenate(([0], np.cumsum(R)))
+            r_bad = cum[np.cumsum(n_lines)] - cum[np.cumsum(n_lines) - n_lines] > n_right
+            p1_bad = np.zeros(n_e, dtype=bool)
+            p1_bad[line_entry[P1 > p[line_entry]]] = True
+            if (r_bad | p1_bad).any():
+                k = int(np.flatnonzero(r_bad | p1_bad)[0])
+                if r_bad[k]:
                     raise ValueError(f"the R sets of certificate entry {k} have more than n-right ids")
-                if any(count[ln.p1_vertices] > count[e.p_vertices] for ln in e.lines):
-                    raise ValueError(f"a P1 set of certificate entry {k} has more ids than its p set")
+                raise ValueError(f"a P1 set of certificate entry {k} has more ids than its p set")
 
-        sets = _ranges_decode_many([f for f, _, _ in fields], max_ids=max(n_left, n_right), check=sizes_fit)
-        for (f, n, may_be_empty), ids in zip(fields, sets):
-            if ids.size == 0 and not may_be_empty:
-                raise ValueError(f"empty vertex set {f!r} in the certificate")
-            if ids.size and ids[-1] >= n:
-                raise ValueError(f"vertex id {ids[-1]} out of range 0..{n - 1} in the certificate")
-        for e in entries:
-            e.p_vertices = sets[e.p_vertices]
-            for ln in e.lines:
-                ln.r_vertices, ln.p1_vertices = sets[ln.r_vertices], sets[ln.p1_vertices]
+        flat, count = _decode_spans(b, runs, span_s, span_e, max(n_left, n_right), check=sizes_fit)
+        side = np.repeat([n_right, n_left, n_right, n_left], [n_q + n_r, n_e, n_l, n_l])
+        if np.any(count[: count.size - n_l] == 0):
+            raise ValueError("empty vertex set in the certificate")
+        top = flat[np.cumsum(count)[count > 0] - 1]
+        if np.any(top >= side[count > 0]):
+            k = int(np.flatnonzero(top >= side[count > 0])[0])
+            raise ValueError(f"vertex id {top[k]} out of range 0..{side[count > 0][k] - 1} in the certificate")
+        sets = _slices(flat, count)
+        q_cells, sets = sets[:n_q], sets[n_q:]
+        r_level_cells = {lvl: sets[a:z] for lvl, a, z in zip(r_levels, r_blocks[:-1], r_blocks[1:])}
+        p_sets, R, P1 = sets[n_r : n_r + n_e], sets[n_r + n_e : n_r + n_e + n_l], sets[n_r + n_e + n_l :]
+        # one Fraction per distinct value
+        den = den.tolist()
+        pairs = {nd: Fraction(*nd) for nd in set(zip(num, den))}
+        values = [pairs[nd] for nd in zip(num, den)]
+        lines = list(map(LedgerLine, line_entry.tolist(), [levels[e] for e in line_entry.tolist()], R, P1, corr, values))
+        bounds = np.cumsum(n_lines).tolist()
+        entries = [
+            CertEntry(p_vertices=p, level=lvl, lines=lines[a:z]) for p, lvl, a, z in zip(p_sets, levels, [0] + bounds[:-1], bounds)
+        ]
         return IrregularityCertificate(
-            graph_sha256=kv["graph-sha256"],
+            graph_sha256=head["graph-sha256"],
             n_left=n_left,
             n_right=n_right,
-            ell=_count(kv["level"]),
-            delta=_fraction(kv["delta"]),
-            gamma=_fraction(kv["gamma"]),
-            gamma_prime=_fraction(kv["gamma-prime"]),
-            host_c=_fraction(kv["host-c"]),
-            t=_count(kv["t"]),
-            q_cells=[sets[j] for j in q_cells],
-            r_level_cells={lvl: [sets[j] for j in cells] for lvl, cells in r_level_cells.items()},
+            ell=_count(head["level"]),
+            delta=_fraction(head["delta"]),
+            gamma=_fraction(head["gamma"]),
+            gamma_prime=_fraction(head["gamma-prime"]),
+            host_c=_fraction(head["host-c"]),
+            t=_count(head["t"]),
+            q_cells=q_cells,
+            r_level_cells=r_level_cells,
             entries=entries,
             total=total,
-            budget=_fraction(kv["budget"]),
+            budget=_fraction(head["budget"]),
         )
 
 
-class _LineReader:
-    """Lines of a text form, taken one at a time by their expected prefix."""
+# -- certificate text, in whole arrays ----------------------------------------
+#
+# Reading finds every run of ASCII digits after the header once; each field is
+# a byte span checked against the runs it covers.  Writing renders one stream
+# of tokens (a number, or '-' for an empty set, and the literal after it)
+# with the decimal writer of ``graphs``.
 
-    def __init__(self, text: str):
-        self.lines = text.strip("\n").split("\n")
-        self.pos = 0
-
-    def peek(self, prefix: str) -> bool:
-        return self.pos < len(self.lines) and self.lines[self.pos].startswith(prefix)
-
-    def take(self, prefix: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ValueError(f"certificate truncated: expected {prefix.strip()!r} after line {self.pos}")
-        if not self.peek(prefix):
-            raise ValueError(f"certificate line {self.pos + 1}: expected {prefix.strip()!r}")
-        self.pos += 1
-        return self.lines[self.pos - 1][len(prefix) :]
+_CERT_HEAD = ("graph-sha256", "n-left", "n-right", "level", "delta", "gamma", "gamma-prime", "host-c", "t", "budget", "q-cells")
+# the literal before each field after the header
+_CERT_LITERALS = [
+    b"\nq ", b"\nr-level ", b" ", b"\nr ", b"\nentries ", b"\nentry ", b" level ", b"\np ", b"\nlines ",
+    b"\nline R=", b" P1=", b" corr=", b" value=", b"/",
+]
+(_LIT_Q, _LIT_RLEVEL, _LIT_SPACE, _LIT_R, _LIT_ENTRIES, _LIT_ENTRY, _LIT_LEVEL, _LIT_P, _LIT_LINES,
+ _LIT_LINE, _LIT_P1, _LIT_CORR, _LIT_VALUE, _LIT_SLASH) = range(len(_CERT_LITERALS))
+_ID_LIMIT = 10**18  # ids and written numbers have at most 18 digits: below 2^63
+_SWAR_SHIFT = np.array([64 - 8 * w if w <= 8 else 0 for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
 
 
 def _count(s: str) -> int:
-    v = int(s)
-    if v < 0:
-        raise ValueError(f"negative count {s!r}")
-    return v
+    """A count in ASCII digits."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"bad count {s!r} in the certificate")
+    return int(s)
 
 
 def _fraction(s: str) -> Fraction:
-    """'a' or 'a/b', as str(Fraction) writes them."""
-    num, _, den = s.partition("/")
-    den = int(den or 1)
-    if den == 0:
+    """'a' or 'a/b' in ASCII digits, as str(Fraction) writes them."""
+    num, slash, den = s.partition("/")
+    d = _count(den) if slash else 1
+    if d == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(int(num), den)
+    return Fraction(_count(num), d)
+
+
+def _has(b: np.ndarray, at: np.ndarray, lit: bytes) -> np.ndarray:
+    """Whether the bytes of b starting at each position are lit."""
+    pos = np.minimum(np.asarray(at)[:, None] + np.arange(len(lit)), b.size - 1)
+    return np.all(b[pos] == np.frombuffer(lit, dtype=np.uint8), axis=1) & (np.asarray(at) + len(lit) <= b.size)
+
+
+def _digit_runs(b: np.ndarray, offset: int = 0) -> tuple:
+    """Start, end (exclusive, plus offset) and value of every maximal run of
+    ASCII digits in b, which begins and ends with a non-digit byte.  A run
+    of more than 18 digits gets the value -1."""
+    digit = (b - ord("0")) < 10  # bytes below '0' wrap around
+    edge = np.flatnonzero(digit[1:] != digit[:-1])
+    edge += 1 + offset
+    starts, ends = edge[0::2], edge[1::2]
+    width = ends - starts
+    vals = np.full(starts.size, -1, dtype=np.int64)
+    # up to 8 digits: the little-endian word at the run's start, its digits
+    # moved to the top bytes, combined in pairs, fours and eights (SWAR)
+    short = slice(None) if width.max(initial=0) <= 8 else np.flatnonzero(width <= 8)
+    words = np.ndarray((b.size,), dtype="<u8", buffer=np.concatenate((b, np.zeros(8, dtype=np.uint8))), strides=(1,))
+    d = words[starts[short] - offset] << _SWAR_SHIFT[width[short]]
+    d &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)):
+        d = (d * np.uint64(10 ** (shift // 8)) + (d >> np.uint64(shift))) & np.uint64(mask)
+    vals[short] = d
+    for w in range(9, min(int(width.max(initial=0)), _MAX_DIGITS) + 1):
+        sel = np.flatnonzero(width == w)
+        d = np.lib.stride_tricks.sliding_window_view(b, w)[starts[sel] - offset] - ord("0")
+        v = d[:, 0].astype(np.int64)
+        for j in range(1, w):
+            v = v * 10 + d[:, j]
+        vals[sel] = v
+    return starts, ends, vals
+
+
+def _slices(flat: np.ndarray, count: np.ndarray) -> list:
+    """flat cut into consecutive pieces of the given lengths (views)."""
+    bounds = np.concatenate(([0], np.cumsum(count))).tolist()
+    return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+
+
+def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_ids: int, check=None) -> tuple:
+    """The vertex sets written in the byte spans [s, e) of b: '-' for the
+    empty set, else maximal runs of ids 'a' or 'a-b' joined by ','.  ``runs``
+    are the digit runs of b.  Each set must list strictly increasing ids of
+    at most 18 digits, at most max_ids of them; anything else raises
+    ValueError before any set is expanded.  ``check``, if given, gets the id
+    count of every set, also before any set is expanded, and may raise
+    ValueError.  Returns the ids of all sets, concatenated, and the count of
+    each."""
+    rs, re_, rv = runs
+    nr = rs.size
+    empty = (e - s == 1) & (b[np.minimum(s, b.size - 1)] == ord("-"))
+    full = ~empty
+    ra, rb = np.searchsorted(rs, s[full]), np.searchsorted(rs, e[full])
+    # a set is its digit runs with one ',' or '-' between each two; after
+    # ',' the next id is larger, after '-' (a range) not smaller, and no
+    # run of digits has '-' on both sides ('a-b-c')
+    sep = b[np.minimum(re_, b.size - 1)]
+    dash = sep == ord("-")
+    bad = np.ones(nr, dtype=bool)
+    bad[:-1] = (rs[1:] != re_[:-1] + 1) | ~(dash[:-1] | (sep[:-1] == ord(","))) | (rv[1:] - rv[:-1] < ~dash[:-1])
+    bad[1:] |= dash[:-1] & dash[1:]
+    bad |= rv < 0  # more than 18 digits
+    cum = np.concatenate(([0], np.cumsum(bad, dtype=np.int32)))
+    if ra.size and (
+        nr == 0
+        or np.any(rb <= ra)
+        or np.any(rs[np.minimum(ra, nr - 1)] != s[full])
+        or np.any(re_[np.maximum(rb - 1, 0)] != e[full])
+        or np.any(cum[np.maximum(rb - 1, ra)] != cum[ra])
+        or np.any(rv[np.maximum(rb - 1, 0)] < 0)
+    ):
+        raise ValueError("malformed vertex set in the certificate")
+    # the runs of all sets, in set order; a run after a '-' closes a range
+    n_runs = rb - ra
+    first = np.cumsum(n_runs) - n_runs
+    idx = np.arange(int(n_runs.sum())) + np.repeat(ra - first, n_runs)
+    v = rv[idx]
+    step = np.diff(v, prepend=0)  # from the id before
+    closes = dash[idx - 1]
+    closes[first] = False
+    ids = np.where(closes, step, 1)  # ids a run adds
+    per_set = np.add.reduceat(ids, first) if ids.size else ids
+    if np.any(per_set > max_ids):
+        raise ValueError(f"vertex set in the certificate has more than {max_ids} ids")
+    count = np.zeros(s.size, dtype=np.int64)
+    count[full] = per_set
+    if check is not None:
+        check(count)
+    # one cumulative sum of the steps between ids: a run that opens a range
+    # steps from the last id, the ids a range adds step by one
+    flat = np.repeat(np.where(closes, 1, step), ids)
+    np.cumsum(flat, out=flat)
+    return flat, count
+
+
+def _render(prefix: np.ndarray, sets: list, set_at: np.ndarray, scalars: list, scalar_at: np.ndarray, literals: list, tail: bytes) -> bytes:
+    """Text of a stream of fields: field f is ``literals[prefix[f]]`` and then
+    its content; ``tail`` ends the text.  Field ``set_at[j]`` holds the id
+    set ``sets[j]``, written as maximal runs 'a' or 'a-b' joined by ',', or
+    '-' when empty; field ``scalar_at[j]`` holds the non-negative integer
+    ``scalars[j]``, of any size."""
+    n_fields = len(prefix)
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    flat = np.concatenate(sets).astype(np.int64, copy=False) if sets else np.empty(0, dtype=np.int64)
+    if flat.size and flat.min() < 0:
+        raise ValueError("negative vertex id")
+    if flat.size and flat.max() >= _ID_LIMIT:
+        raise ValueError("vertex id of more than 18 digits")
+    sid = np.repeat(np.arange(len(sets)), sizes)
+    if np.any((sid[1:] == sid[:-1]) & (flat[1:] <= flat[:-1])):
+        order = np.lexsort((flat, sid))
+        flat, sid = flat[order], sid[order]
+        keep = np.ones(flat.size, dtype=bool)
+        keep[1:] = (flat[1:] != flat[:-1]) | (sid[1:] != sid[:-1])
+        flat, sid = flat[keep], sid[keep]
+        sizes = np.bincount(sid, minlength=len(sets))
+    # maximal runs of consecutive ids; a run is 'a' or 'a-b'
+    first = np.ones(flat.size, dtype=bool)
+    first[1:] = (sid[1:] != sid[:-1]) | (flat[1:] != flat[:-1] + 1)
+    first = np.flatnonzero(first)
+    last = np.append(first[1:], flat.size)[: first.size] - 1
+    lo, hi, run_set = flat[first], flat[last], sid[first]
+    ranged = hi > lo
+    # tokens per field: a set's numbers, or '-' alone; a scalar's 18-digit limbs
+    if scalars and min(scalars) < 0:
+        raise ValueError("negative count in the certificate")
+    limbs = {}
+    if scalars and max(scalars) >= _ID_LIMIT:
+        for j, v in enumerate(scalars):
+            if v >= _ID_LIMIT:
+                limbs[j] = []
+                while v:
+                    v, r = divmod(v, _ID_LIMIT)
+                    limbs[j].insert(0, r)
+    tok = 1 + ranged
+    within = np.cumsum(tok) - tok
+    new_set = np.flatnonzero(np.diff(run_set, prepend=-1))  # each set's first run
+    ntok = np.zeros(n_fields, dtype=np.int64)
+    ntok[set_at] = 1
+    if new_set.size:
+        ntok[set_at[run_set[new_set]]] = np.add.reduceat(tok, new_set)
+    ntok[scalar_at] = 1
+    for j, parts in limbs.items():
+        ntok[scalar_at[j]] = len(parts)
+    start = np.cumsum(ntok) - ntok
+    vals = np.empty(int(ntok.sum()), dtype=np.int64)
+    seps = np.full(vals.size, ord(","), dtype=np.uint8)
+    at = start[set_at[run_set]] + within - np.repeat(within[new_set], np.diff(np.append(new_set, run_set.size)))  # + rank in its set
+    vals[at] = lo
+    two = np.flatnonzero(ranged)
+    vals[at[two] + 1] = hi[two]
+    seps[at[two]] = ord("-")
+    vals[start[set_at[sizes == 0]]] = -1
+    vals[start[scalar_at]] = [0 if j in limbs else v for j, v in enumerate(scalars)] if limbs else scalars
+    pad = None
+    if limbs:
+        pad = np.zeros(vals.size, dtype=bool)
+        for j, parts in limbs.items():
+            a = start[scalar_at[j]]
+            vals[a : a + len(parts)] = parts
+            pad[a + 1 : a + len(parts)] = True
+            seps[a : a + len(parts) - 1] = 0  # the limbs of one number are joined by nothing
+    if not n_fields:
+        return tail
+    # a field's last number is followed by the next field's literal; a byte
+    # 0 stands for a literal of another length than one, spliced in after
+    literals = [*literals, tail]
+    code = np.append(np.asarray(prefix[1:], dtype=np.int64), len(literals) - 1)
+    ends = start + ntok - 1
+    seps[ends] = np.array([t[0] if len(t) == 1 else 0 for t in literals], dtype=np.uint8)[code]
+    zero = np.flatnonzero(seps == 0)
+    end_at = np.minimum(np.searchsorted(ends, zero), ends.size - 1)
+    spliced = np.array(literals + [b""], dtype=object)[np.where(ends[end_at] == zero, code[end_at], len(literals))].tolist()
+    pieces = _write_tokens(vals, seps, pad).split(b"\0")
+    text = [literals[prefix[0]]] + [b""] * (2 * len(pieces) - 1)
+    text[1::2], text[2::2] = pieces, spliced
+    return b"".join(text)
 
 
 def _ranges_encode(arr) -> str:
@@ -859,53 +1237,11 @@ def _ranges_decode(s: str) -> np.ndarray:
 def _ranges_encode_many(arrays) -> list:
     """Text of many id sets at once: maximal runs of consecutive ids as 'a'
     or 'a-b', joined by ',', and '-' for an empty set."""
-    arrs = [np.asarray(a, dtype=np.int64).ravel() for a in arrays]
-    sizes = np.fromiter((a.size for a in arrs), dtype=np.int64, count=len(arrs))
-    flat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-    if flat.size == 0:
-        return ["-"] * len(arrs)
-    if flat.min() < 0:
-        raise ValueError("negative vertex id")
-    aid = np.repeat(np.arange(len(arrs)), sizes)
-    if np.any((aid[1:] == aid[:-1]) & (flat[1:] <= flat[:-1])):
-        order = np.lexsort((flat, aid))
-        flat, aid = flat[order], aid[order]
-        keep = np.ones(flat.size, dtype=bool)
-        keep[1:] = (flat[1:] != flat[:-1]) | (aid[1:] != aid[:-1])
-        flat, aid = flat[keep], aid[keep]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = (aid[1:] != aid[:-1]) | (flat[1:] != flat[:-1] + 1)
-    first = np.flatnonzero(first)
-    last = np.append(first[1:], flat.size) - 1
-    ranged = flat[last] > flat[first]
-    # printed numbers: each run's first id, then its last id if it is a range;
-    # after each number '-' (range follows), ',' (run follows) or '\n' (set ends)
-    at = np.arange(first.size) + np.cumsum(ranged) - ranged
-    nums = np.empty(first.size + int(ranged.sum()), dtype=np.int64)
-    nums[at] = flat[first]
-    nums[at[ranged] + 1] = flat[last[ranged]]
-    seps = np.full(nums.size, 2, dtype=np.int64)
-    run_ends = np.append(at[1:], nums.size) - 1
-    seps[run_ends[:-1][aid[first[1:]] == aid[first[:-1]]]] = 1
-    seps[at[ranged]] = 0
-    # decimal digits of every number right-aligned in a byte matrix whose
-    # last column is the separator; dropping the leading padding leaves the text
-    wide = len(str(int(nums.max())))
-    mat = np.empty((nums.size, wide + 1), dtype=np.uint8)
-    mat[:, -1] = np.frombuffer(b"-,\n", dtype=np.uint8)[seps]
-    rest = nums
-    for k in range(wide - 1, -1, -1):
-        mat[:, k] = ord("0") + rest % 10
-        rest = rest // 10
-    pad = np.zeros(nums.size, dtype=np.int64)
-    for k in range(1, wide):
-        pad += nums < 10**k
-    text = ["-"] * len(arrs)
-    run_aid = aid[first]
-    listed = run_aid[np.flatnonzero(np.diff(run_aid, prepend=-1))]
-    for a, s in zip(listed.tolist(), mat[np.arange(wide + 1) >= pad[:, None]].tobytes().decode("ascii").split("\n")):
-        text[a] = s
-    return text
+    if not len(arrays):
+        return []
+    prefix = np.ones(len(arrays), dtype=np.int64)
+    prefix[0] = 0
+    return _render(prefix, list(arrays), np.arange(len(arrays)), [], np.empty(0, dtype=np.int64), [b"", b"\n"], b"").decode("ascii").split("\n")
 
 
 def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
@@ -915,50 +1251,14 @@ def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
     ValueError before the ids are expanded.  ``check``, if given, gets the
     id count of every text (0 for '-') as an int64 array, also before any
     set is expanded, and may raise ValueError."""
-    out = [np.empty(0, dtype=np.int64) for _ in texts]
-    full = [k for k, s in enumerate(texts) if s != "-"]
-    if not full:
-        return out
-    joined = ",".join(texts[k] for k in full)
-    if not joined.isascii():
+    if not texts:
+        return []
+    if not all(t.isascii() and "\n" not in t for t in texts):
         raise ValueError("vertex set text is not ASCII")
-    b = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    seps = np.flatnonzero(~digit)
-    dash = b[seps] == ord("-")
-    bounds = np.concatenate(([-1], seps, [b.size]))
-    if (
-        not np.all(dash | (b[seps] == ord(",")))
-        or np.any(np.diff(bounds) < 2)  # empty id: leading, trailing or doubled separator
-        or np.any(np.diff(bounds) > 19)
-        or np.any(dash[1:] & dash[:-1])  # 'a-b-c'
-    ):
-        raise ValueError("malformed vertex set in the certificate")
-    ids = np.fromstring(joined.replace("-", ","), dtype=np.int64, sep=",")
-    # runs: an id not preceded by '-', up to the id after its '-' if any
-    starts = np.flatnonzero(np.concatenate(([True], ~dash)))
-    ranged = np.append(dash, False)[starts]
-    lo, hi = ids[starts], ids[starts + ranged]
-    runs = np.array([texts[k].count(",") + 1 for k in full])
-    first = np.cumsum(runs) - runs
-    increasing = lo[1:] > hi[:-1]
-    increasing[first[1:] - 1] = True  # a new set starts
-    if np.any(hi < lo) or not np.all(increasing):
-        raise ValueError("vertex set in the certificate is not strictly increasing")
-    length = hi - lo + 1  # increasing ids below 10^18: no sum overflows int64
-    per_set = np.add.reduceat(length, first)
-    if np.any(per_set > max_ids):
-        raise ValueError(f"vertex set in the certificate has more than {max_ids} ids")
-    if check is not None:
-        counts = np.zeros(len(texts), dtype=np.int64)
-        counts[full] = per_set
-        check(counts)
-    ends = np.cumsum(length)
-    flat = np.arange(ends[-1]) + np.repeat(lo - (ends - length), length)
-    set_ends = ends[first + runs - 1].tolist()
-    for k, a, e in zip(full, [0] + set_ends[:-1], set_ends):
-        out[k] = flat[a:e]
-    return out
+    b = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
+    nl = np.flatnonzero(b == ord("\n"))
+    flat, count = _decode_spans(b, _digit_runs(b), nl[:-1] + 1, nl[1:], max_ids, check)
+    return _slices(flat, count)
 
 
 def refute_partition(
@@ -1010,41 +1310,53 @@ def refute_partition(
         outside = sizes - np.maximum.reduceat(counts, np.searchsorted(pairs // len(lp), np.arange(len(P))))
         inside &= (outside == 0) | (outside <= below)
         depth += inside
-    # cells inside level t are not in the deficient family
-    entries = [(P.cells[k], int(depth[k]) + 1) for k in np.flatnonzero(depth < t)]
-    used_levels = {i for _, i in entries}
-    # Rstar per used level
-    rstar = {}
-    for i in sorted(used_levels):
-        rstar[i] = _rstar_mask(Q, seq.right_parts(i), c, seq.n_right)
+    # cells inside level t are not in the deficient family; each level's
+    # cells are searched in one pass
+    deficient = np.flatnonzero(depth < t)
+    level = depth[deficient] + 1
+    used_levels = sorted(set(level.tolist()))
     # line value gamma' (2^i p |P||R| / 4 - corr), p = 2^-ell, over a common denominator
     gn, gd = gamma_prime.numerator, gamma_prime.denominator
     den = gd * 4 << ell
-    cert_entries = []
+    lines, line_entry = [], []
     total_num = 0
-    for cell, i in entries:
-        wits = find_irregularity_witnesses(seq, ell, member, i, cell, gamma, require_count=False)
-        # e(P, v) for the right vertices outside Rstar_i
-        deg_out = _kernels.unpack_rows(g.rows[cell], seq.n_right).sum(axis=0, dtype=np.int64)
-        deg_out[rstar[i]] = 0
-        lines = []
-        for w in wits:
-            if w.p1_vertices.size * delta.denominator < delta.numerator * cell.size:
-                continue
-            corr = int(deg_out[w.r_vertices].sum())
-            num = max(gn * ((cell.size * w.r_vertices.size << i) - (corr * 4 << ell)), 0)
-            lines.append(
-                LedgerLine(
-                    entry=len(cert_entries),
-                    right_cluster_level=i,
-                    r_vertices=w.r_vertices,
-                    p1_vertices=w.p1_vertices,
-                    correction=corr,
-                    value=Fraction(num, den),
-                )
-            )
-            total_num += num
-        cert_entries.append(CertEntry(p_vertices=cell, level=i, lines=lines))
+    for i in used_levels:
+        at = np.flatnonzero(level == i)
+        cells = [P.cells[k] for k in deficient[at].tolist()]
+        found = _level_witnesses(seq, ell, member, i, cells, gamma, outside=~_rstar_mask(Q, seq.right_parts(i), c, seq.n_right))
+        # a line needs |P1| >= delta |P|
+        psize = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))[found["cell"]]
+        p1_size = np.fromiter(map(len, found["p1"]), dtype=np.int64, count=len(found["p1"]))
+        usz, inv = np.unique(psize, return_inverse=True)
+        need = np.array([min(-(-delta.numerator * s // delta.denominator), s + 1) for s in usz.tolist()], dtype=np.int64)
+        keep = np.flatnonzero(p1_size >= need[inv])
+        rcells = seq.right_parts(i).cells
+        rsize = np.bincount(seq.right_parts(i).owner, minlength=len(rcells))[found["cluster"][keep]]
+        # exact values, one per distinct (|P|, |R|, corr)
+        key, inv = np.unique(np.stack([psize[keep], rsize, found["corr"][keep]]), axis=1, return_inverse=True)
+        nums = [max(gn * ((a * b << i) - (cr * 4 << ell)), 0) for a, b, cr in key.T.tolist()]
+        values = [Fraction(num, den) for num in nums]
+        total_num += sum(nums[j] * int(n) for j, n in enumerate(np.bincount(inv.ravel(), minlength=len(nums))))
+        entry = at[found["cell"][keep]]
+        line_entry.append(entry)
+        lines += map(
+            LedgerLine,
+            entry.tolist(),
+            [i] * keep.size,
+            [rcells[r] for r in found["cluster"][keep].tolist()],
+            [found["p1"][j] for j in keep.tolist()],
+            found["corr"][keep].tolist(),
+            [values[j] for j in inv.ravel().tolist()],
+        )
+    # lines in entry order; each level's lines already are
+    line_entry = np.concatenate(line_entry) if line_entry else np.empty(0, dtype=np.int64)
+    order = np.argsort(line_entry, kind="stable")
+    lines = [lines[j] for j in order.tolist()]
+    ends = np.cumsum(np.bincount(line_entry, minlength=deficient.size)).tolist()
+    cert_entries = [
+        CertEntry(p_vertices=P.cells[k], level=int(lv), lines=lines[a:b])
+        for k, lv, a, b in zip(deficient.tolist(), level.tolist(), [0] + ends[:-1], ends)
+    ]
     total = Fraction(total_num, den)
     budget = delta * g.edge_count()
     cert = IrregularityCertificate(
@@ -1080,20 +1392,47 @@ def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction, n_righ
     return mask
 
 
+_RECHECK_CHUNK = 1 << 23  # P rows x n-right unpacked bytes, and (P1 id, R id) pairs, the re-check holds at once
+
+
 def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> dict:
     """Re-check every ledger line from the serialized certificate plus the
-    graph alone.  Returns per-line results and the final verdict."""
-    report = {"ok": True, "failures": [], "lines_checked": 0}
+    graph alone.  Returns per-line results and the final verdict.
+
+    The lines of all entries are checked together, in chunks of entries
+    whose rows of P unpack to at most ``_RECHECK_CHUNK`` bytes (one entry at
+    least).  The recounts are int64; the line values, which involve loaded
+    numbers of any size, are int64 only while every product fits in 62
+    bits, and exact Python integers otherwise."""
     if graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
+    n_left, n_right = g.left.size, g.right.size
+    entries = cert.entries
+    lines = [ln for e in entries for ln in e.lines]
+    n_e, n_l = len(entries), len(lines)
+
+    def flat(arrays):
+        return np.concatenate(arrays).astype(np.int64, copy=False) if arrays else np.empty(0, dtype=np.int64)
+
+    def lengths(arrays):
+        return np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+
+    p_sets, r_sets, p1_sets = [e.p_vertices for e in entries], [ln.r_vertices for ln in lines], [ln.p1_vertices for ln in lines]
+    p_ids, r_ids, p1_ids = flat(p_sets), flat(r_sets), flat(p1_sets)
+    psize, r_len, p1_len = lengths(p_sets), lengths(r_sets), lengths(p1_sets)
+    n_lines = lengths([e.lines for e in entries])
+    if (
+        (cert.n_left, cert.n_right) != (n_left, n_right)
+        or any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids, n in ((p_ids, n_left), (p1_ids, n_left), (r_ids, n_right)))
+    ):
+        # the sides the certificate names, or its vertex ids, do not fit the graph
+        return {"ok": False, "failures": [("sides", None)], "lines_checked": 0}
+    report = {"ok": True, "failures": [], "lines_checked": n_l}
     if cert.gamma > Fraction(1, 4) or 32 * dyadic_root_ceil(cert.delta, 2, 40) > cert.gamma:
-        report["ok"] = False
         report["failures"].append(("parameters", None))
     if cert.gamma_prime != cert.gamma / 32:
-        report["ok"] = False
         report["failures"].append(("gamma-prime", None))
     if cert.host_c != HOST_C:  # a larger c puts more of Q in R* and lowers the corrections
-        report["ok"] = False
         report["failures"].append(("host-c", None))
     # rebuild Rstar masks per level from Q and the stored cluster cells, with
     # no code shared with refute_partition: a Q-cell whose largest overlap
@@ -1112,80 +1451,139 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         outside = q_size - count[first]
         keep = ((outside == 0) | (outside * cd < cn * q_size)).astype(bool)
         rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % len(cells))[q_owner])
+    p_entry = np.repeat(np.arange(n_e), psize)
+    line_entry = np.repeat(np.arange(n_e), n_lines)
+    r_line = np.repeat(np.arange(n_l), r_len)
+    p1_line = np.repeat(np.arange(n_l), p1_len)
+    p_start, r_start = np.cumsum(psize) - psize, np.cumsum(r_len) - r_len
+    # entry cells must be disjoint: an entry overlaps when an id of its P is
+    # in an earlier entry
+    overlap = np.zeros(n_e, dtype=bool)
+    times = np.bincount(p_ids, minlength=n_left)
+    shared = np.flatnonzero(times[p_ids] > 1)
+    if shared.size:
+        by_id = shared[np.argsort(p_ids[shared], kind="stable")]
+        first = np.flatnonzero(np.r_[True, p_ids[by_id[1:]] != p_ids[by_id[:-1]]])
+        first_entry = np.repeat(p_entry[by_id[first]], np.diff(np.append(first, by_id.size)))
+        overlap[p_entry[by_id][p_entry[by_id] > first_entry]] = True
+
+    def repeated(key, owner):
+        # the owner of every key equal to an earlier one; keys in text order
+        # strictly increase unless some repeat, and only then are sorted
+        if np.all(key[1:] > key[:-1]):
+            return owner[:0]
+        by_key = np.argsort(key, kind="stable")
+        return owner[by_key[1:]][key[by_key[1:]] == key[by_key[:-1]]]
+
+    # a right vertex used twice in an entry, by one line or by an earlier one
+    if (n_e + 1) * n_right >= 1 << 63 or (n_l + 1) * n_left >= 1 << 63:
+        raise ValueError("certificate too large for the int64 keys of the re-check")
+    reused = np.zeros(n_l, dtype=bool)
+    reused[repeated(line_entry[r_line] * n_right + r_ids, r_line)] = True
+    # P1 inside its entry's P, through a slot table of the P ids (an id in
+    # two entries is looked up exactly), and no P1 id twice in a line
+    cum_lines, cum_p1 = np.concatenate(([0], np.cumsum(n_lines))), np.concatenate(([0], np.cumsum(p1_len)))
+    p1_entry = np.repeat(np.arange(n_e), cum_p1[cum_lines[1:]] - cum_p1[cum_lines[:-1]])
+    slot = np.zeros(n_left, dtype=np.int64)
+    slot[p_ids] = np.arange(p_ids.size)
+    at = slot[p1_ids]
+    in_p = (p_ids[at] == p1_ids) & (p_entry[at] == p1_entry) if p_ids.size else np.zeros(p1_ids.size, dtype=bool)
+    twice_ids = np.flatnonzero(times[p1_ids] > 1)
+    if twice_ids.size:
+        owned = p_entry[shared] * n_left + p_ids[shared]
+        by_owner = np.argsort(owned, kind="stable")
+        wanted = p1_entry[twice_ids] * n_left + p1_ids[twice_ids]
+        j = np.minimum(np.searchsorted(owned[by_owner], wanted), owned.size - 1)
+        in_p[twice_ids] = owned[by_owner][j] == wanted
+        at[twice_ids] = shared[by_owner][j]
+    twice = repeated(p1_line * n_left + p1_ids, p1_line)
+    bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], twice)), minlength=n_l) > 0
+    # e(P, R), the correction e(P, R \ R*) and e(P1, R) from the rows of P,
+    # decoded here, not through _kernels: the re-check shares no code with
+    # the refuter
+    level_of = {lvl: k for k, lvl in enumerate(sorted({e.level for e in entries if e.lines}))}
+    entry_level = np.array([level_of.get(e.level, -1) for e in entries], dtype=np.int64)
+    outside = np.stack([~rstar[lvl] for lvl in level_of]) if level_of else np.zeros((0, n_right), dtype=bool)
+    e_pr, corr, e_p1 = (np.zeros(n_l, dtype=np.int64) for _ in range(3))
+    p_end, sub = p_start + psize, _RECHECK_CHUNK >> 5
+    a = 0
+    while a < n_e:
+        z = max(a + 1, int(np.searchsorted(p_end, p_start[a] + _RECHECK_CHUNK // n_right, side="right")))
+        row0 = int(p_start[a])
+        bits = np.unpackbits(g.rows[p_ids[row0 : p_end[z - 1]]].view(np.uint8), axis=1, count=n_right, bitorder="little")
+        # column sums of each entry's rows, entries of one size at a time
+        colsum = np.zeros((z - a, n_right), dtype=np.int64)
+        for s in np.unique(psize[a:z]).tolist():
+            ent = np.flatnonzero(psize[a:z] == s)
+            rows = bits if ent.size == z - a else bits[(p_start[a + ent, None] - row0 + np.arange(s)).ravel()]
+            colsum[ent] = rows.reshape(ent.size, s, n_right).sum(axis=1, dtype=np.min_scalar_type(s))
+        l0, l1 = int(cum_lines[a]), int(cum_lines[z])
+        rr = np.arange(r_start[l0], r_start[l1 - 1] + r_len[l1 - 1]) if l1 > l0 else np.empty(0, dtype=np.int64)
+        if rr.size:
+            ent = line_entry[r_line[rr]]
+            into = colsum[ent - a, r_ids[rr]]
+            cum = np.concatenate(([0], np.cumsum(into)))
+            cum_out = np.concatenate(([0], np.cumsum(into * outside[entry_level[ent], r_ids[rr]])))
+            first = r_start[l0:l1] - rr[0]
+            e_pr[l0:l1] = cum[first + r_len[l0:l1]] - cum[first]
+            corr[l0:l1] = cum_out[first + r_len[l0:l1]] - cum_out[first]
+        # e(P1, R): the bit of every (P1 id, R id) pair of the chunk's lines,
+        # one place of R at a time; ids outside P count nothing
+        flat_bits = bits.ravel()
+        for x in range(int(cum_p1[l0]), int(cum_p1[l1]), sub):
+            y = min(x + sub, int(cum_p1[l1]))
+            line_of = p1_line[x:y]
+            rl, r0 = r_len[line_of], r_start[line_of]
+            rows = (np.where(in_p[x:y], at[x:y], row0) - row0) * n_right
+            hits = np.zeros(y - x, dtype=np.int64)
+            for k in range(int(rl.max(initial=0))):
+                hits += flat_bits[rows + r_ids[np.minimum(r0 + k, r_ids.size - 1)]] * (rl > k)
+            hits *= in_p[x:y]
+            cut = np.flatnonzero(np.r_[True, line_of[1:] != line_of[:-1]])
+            e_p1[line_of[cut]] += np.add.reduceat(hits, cut)
+        a = z
+    # the line checks, in exact integers
+    psize_l = psize[line_entry]
     floor = max(cert.delta, cert.gamma / 8)
+    usz, inv = np.unique(psize_l, return_inverse=True)
+    need = np.array([min(-(-floor.numerator * s // floor.denominator), s + 1) for s in usz.tolist()], dtype=np.int64)
+    ok = (r_len > 0) & ~reused & (p1_len >= need[inv.ravel()]) & ~bad_p1 & (e_p1 == 0)
     # line values gamma' (2^level p |P||R| / 4 - corr), p = 2^-ell, are
     # compared and summed as numerators over one denominator
     gn, gd = cert.gamma_prime.numerator, cert.gamma_prime.denominator
     den = gd * 4 << cert.ell
-    total_num = 0
-    # entry cells must be disjoint
-    seen = np.zeros(cert.n_left, dtype=bool)
-    for k, e in enumerate(cert.entries):
-        if np.any(seen[e.p_vertices]):
-            report["ok"] = False
-            report["failures"].append(("entry-overlap", k))
-        seen[e.p_vertices] = True
-        if not e.lines:
-            continue
-        P = e.p_vertices
-        psize = int(P.size)
-        r_len = np.array([ln.r_vertices.size for ln in e.lines])
-        r_ids = np.concatenate([ln.r_vertices for ln in e.lines])
-        r_line = np.repeat(np.arange(len(e.lines)), r_len)
-        # a right vertex used twice, by one line or by an earlier one
-        by_id = np.lexsort((r_line, r_ids))
-        reused = np.zeros(len(e.lines), dtype=bool)
-        reused[r_line[by_id[1:]][r_ids[by_id[1:]] == r_ids[by_id[:-1]]]] = True
-        # rows of P against the columns of every line's R, one dense slice,
-        # decoded here, not through _kernels: the re-check shares no code with the refuter
-        dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, r_ids]
-        cum = np.zeros((psize, r_ids.size + 1), dtype=np.int64)
-        np.cumsum(dense, axis=1, dtype=np.int64, out=cum[:, 1:])
-        r_end = np.cumsum(r_len)
-        row_into_r = cum[:, r_end] - cum[:, r_end - r_len]  # (psize, lines): e(v, R) for v in P
-        e_pr = row_into_r.sum(axis=0)
-        outside = ~rstar[e.level][r_ids]
-        deg_out = np.concatenate(([0], np.cumsum(dense.sum(axis=0, dtype=np.int64) * outside)))
-        corr = deg_out[r_end] - deg_out[r_end - r_len]
-        # P1 a set inside P, and e(P1, R) from the rows of P1 in the slice
-        p1_len = np.array([ln.p1_vertices.size for ln in e.lines])
-        p1_ids = np.concatenate([ln.p1_vertices for ln in e.lines])
-        p1_line = np.repeat(np.arange(len(e.lines)), p1_len)
-        at = np.minimum(np.searchsorted(P, p1_ids), max(psize - 1, 0))
-        in_p = (P[at] == p1_ids) if psize else np.zeros(p1_ids.size, dtype=bool)
-        by_p1 = np.lexsort((p1_ids, p1_line))
-        twice = (p1_ids[by_p1[1:]] == p1_ids[by_p1[:-1]]) & (p1_line[by_p1[1:]] == p1_line[by_p1[:-1]])
-        bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], p1_line[by_p1[1:]][twice])), minlength=len(e.lines)) > 0
-        into_r = np.where(in_p, row_into_r[at, p1_line] if psize else 0, 0)
-        cum_p1 = np.concatenate(([0], np.cumsum(into_r)))
-        p1_end = np.cumsum(p1_len)
-        e_p1 = cum_p1[p1_end] - cum_p1[p1_end - p1_len]
-        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), p1_len.tolist(), bad_p1.tolist(), e_p1.tolist(), e_pr.tolist(), corr.tolist())
-        for ln, rsize, r_twice, p1_size, p1_bad, ep1, epr, c in per_line:
-            report["lines_checked"] += 1
-            num = max(gn * ((psize * rsize << e.level) - (c * 4 << cert.ell)), 0)
-            ok = (
-                rsize > 0
-                and not r_twice
-                and p1_size * floor.denominator >= floor.numerator * psize
-                and not p1_bad
-                and ep1 == 0
-                # d(P, R) >= 2^level p / 4
-                and epr * 4 << cert.ell >= psize * rsize << e.level
-                and c == ln.correction
-                and ln.value.numerator * den == num * ln.value.denominator
-            )
-            if not ok:
-                report["ok"] = False
-                report["failures"].append(("line", k, int(ln.r_vertices[0]) if ln.r_vertices.size else -1))
-            total_num += num
-    total = Fraction(total_num, den)
-    if total != cert.total:
-        report["ok"] = False
+    corr_in = [ln.correction for ln in lines]
+    # lines share value objects: each distinct one is read once
+    values = [ln.value for ln in lines]
+    _, first, which = np.unique(np.fromiter(map(id, values), dtype=np.int64, count=n_l), return_index=True, return_inverse=True)
+    v_num = [values[j].numerator for j in first.tolist()]
+    v_den = [values[j].denominator for j in first.tolist()]
+    shift = max(list(level_of) + [cert.ell + 2])
+    bits_needed = (n_left * n_right).bit_length() + shift + gn.bit_length() + max(v_den + [1]).bit_length() + n_l.bit_length()
+    loaded = max([abs(x) for x in v_num] + [abs(min(corr_in, default=0)), max(corr_in, default=0)]).bit_length() + den.bit_length()
+    dt = np.int64 if max(bits_needed, loaded) <= 62 else object
+    pow_level = np.array([1 << lvl for lvl in level_of] or [1], dtype=dt)[np.maximum(entry_level[line_entry], 0)]
+    area = (psize_l * r_len).astype(dt) * pow_level  # |P||R| 2^level
+    recount = corr.astype(dt) * (4 << cert.ell)
+    num = gn * (area - recount)
+    num = np.where(num > 0, num, 0)
+    ok &= e_pr.astype(dt) * (4 << cert.ell) >= area  # d(P, R) >= 2^level p / 4
+    ok &= corr == np.array(corr_in, dtype=dt)
+    ok &= np.array(v_num, dtype=dt)[which.ravel()] * den == num * np.array(v_den, dtype=dt)[which.ravel()]
+    total_num = int(num.sum()) if n_l else 0
+    # failures in entry order: an overlap, then the entry's failing lines
+    fails = [(k, 0, ("entry-overlap", k)) for k in np.flatnonzero(overlap).tolist()]
+    fails += [
+        (k, 1, ("line", k, int(r_ids[r_start[j]]) if r_len[j] else -1))
+        for j, k in zip(np.flatnonzero(~ok).tolist(), line_entry[~ok].tolist())
+    ]
+    report["failures"] += [f for _, _, f in sorted(fails, key=lambda x: x[:2])]
+    if Fraction(total_num, den) != cert.total:
         report["failures"].append(("total", None))
-    if cert.budget != cert.delta * g.edge_count():
-        report["ok"] = False
+    edges = int(np.bitwise_count(g.rows).sum(dtype=np.int64))
+    if cert.budget != cert.delta * edges:
         report["failures"].append(("budget", None))
+    report["ok"] = not report["failures"]
     report["refutes"] = cert.total > cert.budget and report["ok"]
     return report
 

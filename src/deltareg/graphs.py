@@ -10,6 +10,7 @@ floating point.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,6 +78,7 @@ class ProductClass(VertexClass):
         return np.stack(list(reversed(cols)), axis=1)
 
     def encode_array(self, tuples: np.ndarray) -> np.ndarray:
+        _check_code_range([f.size for f in self.factors])
         tuples = np.asarray(tuples, dtype=np.int64)
         idx = np.zeros(len(tuples), dtype=np.int64)
         for j, f in enumerate(self.factors):
@@ -118,6 +120,13 @@ class VertexClassSet:
             if c.offset <= global_idx < c.offset + c.size:
                 return i
         raise IndexError(global_idx)
+
+
+def _check_code_range(sizes) -> None:
+    """Mixed-radix codes are int64: the product of the sizes must stay below
+    2^63, or codes would wrap, sort wrongly and collide."""
+    if math.prod(sizes) >= 1 << 63:
+        raise ValueError(f"class sizes {'x'.join(map(str, sizes))} have 2^63 or more tuples; int64 codes would wrap")
 
 
 def _reoffset(c: VertexClass, offset: int) -> VertexClass:
@@ -267,6 +276,7 @@ class KPartiteKGraph:
         self.edges_arr.setflags(write=False)
 
     def _encode(self, edges: np.ndarray) -> np.ndarray:
+        _check_code_range(self.classes.sizes())
         enc = np.zeros(len(edges), dtype=np.int64)
         for j, c in enumerate(self.classes.classes):
             enc = enc * c.size + edges[:, j]
@@ -485,18 +495,45 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
 def _write_decimal_rows(rows: np.ndarray) -> str:
     """Non-negative integer rows as text: fields in decimal without leading
     zeros, one space between fields, a newline after each row."""
+    seps = np.full(rows.shape[1], ord(" "), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    return _write_tokens(rows, seps).decode("ascii")
+
+
+def _write_tokens(vals: np.ndarray, seps: np.ndarray, pad: np.ndarray | None = None) -> bytes:
+    """The one decimal writer.  Each number of ``vals`` in decimal without
+    leading zeros (zero-filled to 18 digits where ``pad`` is set, '-' for
+    -1), followed by its byte of ``seps``.  Every number is below 10^18.
+    ``vals`` is one stream of numbers, or rows whose ``seps`` are given per
+    column.  Blocks of ``_CHUNK_ROWS`` rows keep the buffers a few MB."""
     parts = []
-    for r0 in range(0, len(rows), _CHUNK_ROWS):
-        v = rows[r0 : r0 + _CHUNK_ROWS]
-        ndig = np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
-        width = int(ndig.max())
-        buf = np.empty(v.shape + (width + 1,), dtype=np.uint8)
-        for j in range(width):
-            buf[..., width - 1 - j] = v // _POW10[j] % 10 + ord("0")
-        buf[..., width] = ord(" ")
-        buf[:, -1, width] = ord("\n")
-        parts.append(buf[np.arange(width + 1) >= width - ndig[..., None]].tobytes())
-    return b"".join(parts).decode("ascii")
+    for r0 in range(0, len(vals), _CHUNK_ROWS):
+        v = vals[r0 : r0 + _CHUNK_ROWS]
+        rows = v.shape
+        v = v.ravel()
+        p = pad[r0 : r0 + _CHUNK_ROWS] if pad is not None else None
+        neg = v < 0
+        rest = np.where(neg, 0, v) if neg.any() else v
+        width = _MAX_DIGITS if p is not None and p.any() else len(str(int(rest.max(initial=0))))
+        if width < 10:
+            rest = rest.astype(np.uint32)  # divides three times faster than int64
+        # one column per number, so that every digit place is one contiguous
+        # row; digits from the last, and a number has one digit more for
+        # each division that leaves a non-zero quotient
+        buf = np.empty((width + 1, v.size), dtype=np.uint8)
+        ndig = np.ones(v.size, dtype=np.int8)
+        for j in range(width - 1, -1, -1):
+            rest, buf[j] = np.divmod(rest, 10)
+            if j:
+                ndig += rest > 0
+        buf[:width] += ord("0")
+        buf[width - 1, neg] = ord("-")
+        if p is not None:
+            ndig[p] = _MAX_DIGITS
+        buf[width].reshape(rows)[...] = seps if vals.ndim == 2 else seps[r0 : r0 + _CHUNK_ROWS]
+        keep = np.arange(width + 1)[:, None] >= width - ndig
+        parts.append(buf.T[keep.T].tobytes())
+    return b"".join(parts)
 
 
 def _read_decimal_rows(data: bytes, pos: int, m: int, k: int) -> np.ndarray:

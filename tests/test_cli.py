@@ -178,6 +178,17 @@ def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, t
     assert "suite PASS" not in capsys.readouterr().out
 
 
+def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_path, capsys):
+    """Class sizes whose product reaches 2^63 would wrap the int64 edge
+    codes; the reader refuses such a header, so the suite exits 2."""
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    text = (d / "merged.kgraph").read_text()
+    (d / "merged.kgraph").write_text(re.sub(r"^class (\S+) \d+$", r"class \1 3000000", text, flags=re.M))
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
+    assert "2^63" in capsys.readouterr().err
+
+
 def test_counterexample_flow(tmp_path, capsys):
     params = tmp_path / "cx.json"
     params.write_text(json.dumps(CX_PARAMS))

@@ -473,23 +473,23 @@ def _tamper_gamma_prime(cert, g):
     return ("gamma-prime", None)
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        _tamper_entry_overlap,
-        _tamper_r_reused,
-        _tamper_p1_too_small,
-        _tamper_p1_outside_p,
-        _tamper_p1_has_edges,
-        _tamper_density_floor,
-        _tamper_corr,
-        _tamper_value,
-        _tamper_total,
-        _tamper_budget,
-        _tamper_parameters,
-        _tamper_gamma_prime,
-    ],
-)
+TAMPERS = [
+    _tamper_entry_overlap,
+    _tamper_r_reused,
+    _tamper_p1_too_small,
+    _tamper_p1_outside_p,
+    _tamper_p1_has_edges,
+    _tamper_density_floor,
+    _tamper_corr,
+    _tamper_value,
+    _tamper_total,
+    _tamper_budget,
+    _tamper_parameters,
+    _tamper_gamma_prime,
+]
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
 def test_reverify_reports_each_tamper(small_seq, tamper):
     g = small_seq.member_graph(2, 0)
     cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
@@ -623,3 +623,251 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
             C.IrregularityCertificate.from_text(t)
     (tmp_path / "certificate.txt").write_text(forged["a P1 set"])
     assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 2
+
+
+# -- whole-array certificate path against the per-entry reference --------------
+
+
+def _reference_reverify(cert, g):
+    """The per-entry re-check the whole-array one replaced, kept verbatim as
+    the reference for its reports."""
+    report = {"ok": True, "failures": [], "lines_checked": 0}
+    if C.graph_hash(g) != cert.graph_sha256:
+        return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
+    if cert.gamma > Fraction(1, 4) or 32 * C.dyadic_root_ceil(cert.delta, 2, 40) > cert.gamma:
+        report["ok"] = False
+        report["failures"].append(("parameters", None))
+    if cert.gamma_prime != cert.gamma / 32:
+        report["ok"] = False
+        report["failures"].append(("gamma-prime", None))
+    if cert.host_c != C.HOST_C:
+        report["ok"] = False
+        report["failures"].append(("host-c", None))
+    q_owner = VertexPartition(cert.n_right, cert.q_cells).owner
+    q_size = np.bincount(q_owner).astype(object)
+    cn, cd = cert.host_c.numerator, cert.host_c.denominator
+    rstar = {}
+    for lvl, cells in cert.r_level_cells.items():
+        r_owner = VertexPartition(cert.n_right, cells).owner
+        pair, count = np.unique(q_owner * len(cells) + r_owner, return_counts=True)
+        q_of = pair // len(cells)
+        first = np.lexsort((pair, -count, q_of))
+        first = first[np.r_[True, q_of[first[1:]] != q_of[first[:-1]]]]
+        outside = q_size - count[first]
+        keep = ((outside == 0) | (outside * cd < cn * q_size)).astype(bool)
+        rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % len(cells))[q_owner])
+    floor = max(cert.delta, cert.gamma / 8)
+    gn, gd = cert.gamma_prime.numerator, cert.gamma_prime.denominator
+    den = gd * 4 << cert.ell
+    total_num = 0
+    seen = np.zeros(cert.n_left, dtype=bool)
+    for k, e in enumerate(cert.entries):
+        if np.any(seen[e.p_vertices]):
+            report["ok"] = False
+            report["failures"].append(("entry-overlap", k))
+        seen[e.p_vertices] = True
+        if not e.lines:
+            continue
+        P = e.p_vertices
+        psize = int(P.size)
+        r_len = np.array([ln.r_vertices.size for ln in e.lines])
+        r_ids = np.concatenate([ln.r_vertices for ln in e.lines])
+        r_line = np.repeat(np.arange(len(e.lines)), r_len)
+        by_id = np.lexsort((r_line, r_ids))
+        reused = np.zeros(len(e.lines), dtype=bool)
+        reused[r_line[by_id[1:]][r_ids[by_id[1:]] == r_ids[by_id[:-1]]]] = True
+        dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, r_ids]
+        cum = np.zeros((psize, r_ids.size + 1), dtype=np.int64)
+        np.cumsum(dense, axis=1, dtype=np.int64, out=cum[:, 1:])
+        r_end = np.cumsum(r_len)
+        row_into_r = cum[:, r_end] - cum[:, r_end - r_len]
+        e_pr = row_into_r.sum(axis=0)
+        outside = ~rstar[e.level][r_ids]
+        deg_out = np.concatenate(([0], np.cumsum(dense.sum(axis=0, dtype=np.int64) * outside)))
+        corr = deg_out[r_end] - deg_out[r_end - r_len]
+        p1_len = np.array([ln.p1_vertices.size for ln in e.lines])
+        p1_ids = np.concatenate([ln.p1_vertices for ln in e.lines])
+        p1_line = np.repeat(np.arange(len(e.lines)), p1_len)
+        at = np.minimum(np.searchsorted(P, p1_ids), max(psize - 1, 0))
+        in_p = (P[at] == p1_ids) if psize else np.zeros(p1_ids.size, dtype=bool)
+        by_p1 = np.lexsort((p1_ids, p1_line))
+        twice = (p1_ids[by_p1[1:]] == p1_ids[by_p1[:-1]]) & (p1_line[by_p1[1:]] == p1_line[by_p1[:-1]])
+        bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], p1_line[by_p1[1:]][twice])), minlength=len(e.lines)) > 0
+        into_r = np.where(in_p, row_into_r[at, p1_line] if psize else 0, 0)
+        cum_p1 = np.concatenate(([0], np.cumsum(into_r)))
+        p1_end = np.cumsum(p1_len)
+        e_p1 = cum_p1[p1_end] - cum_p1[p1_end - p1_len]
+        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), p1_len.tolist(), bad_p1.tolist(), e_p1.tolist(), e_pr.tolist(), corr.tolist())
+        for ln, rsize, r_twice, p1_size, p1_bad, ep1, epr, c in per_line:
+            report["lines_checked"] += 1
+            num = max(gn * ((psize * rsize << e.level) - (c * 4 << cert.ell)), 0)
+            ok = (
+                rsize > 0
+                and not r_twice
+                and p1_size * floor.denominator >= floor.numerator * psize
+                and not p1_bad
+                and ep1 == 0
+                and epr * 4 << cert.ell >= psize * rsize << e.level
+                and c == ln.correction
+                and ln.value.numerator * den == num * ln.value.denominator
+            )
+            if not ok:
+                report["ok"] = False
+                report["failures"].append(("line", k, int(ln.r_vertices[0]) if ln.r_vertices.size else -1))
+            total_num += num
+    if Fraction(total_num, den) != cert.total:
+        report["ok"] = False
+        report["failures"].append(("total", None))
+    if cert.budget != cert.delta * g.edge_count():
+        report["ok"] = False
+        report["failures"].append(("budget", None))
+    report["refutes"] = cert.total > cert.budget and report["ok"]
+    return report
+
+
+def _uneven_partition(seq):
+    """Cells of one, two and three level-2 clusters inside each level-1
+    cluster, and one cell across two level-1 clusters: entries of two levels
+    and of several sizes."""
+    lp1, lp2 = seq.left_parts(1), seq.left_parts(2)
+    cells = []
+    for L in range(len(lp1)):
+        kids = [int(k) for k in np.flatnonzero(seq.lparent[1] == L)]
+        j, w = 0, 1
+        while j < len(kids):
+            cells.append(np.concatenate([lp2.cells[k] for k in kids[j : j + w]]))
+            j, w = j + w, w % 3 + 1
+    a, b = cells.pop(0), cells.pop()
+    return VertexPartition(seq.n_left, cells + [np.concatenate([a, b])])
+
+
+# (level, member, left partition, t) and the SHA-256 of certificate.txt as
+# the per-cell refuter and range codec wrote it
+PINNED_CERTIFICATES = [
+    (2, 0, "L1", 2, "ed759019b7bbd835f75f536eac8d278816b01864bbbac8f94262c8300767635c"),
+    (2, 3, "uneven", 2, "27f7dd7330c0b792eaee6f88bb0c0c5a73ed31d08b4e89006259cab00c964c28"),
+    (2, 2, "all", 2, "84f3d833f6ecaa01c7dae2d24a02ce78964e0e4773dc8f77b03e4ce52ce1f1ec"),
+    (1, 1, "all", 1, "5940b9cad465e2ee329f2fe6f08fb64cf478acb986594b1f392e47c4ff4be5e1"),
+]
+
+
+def _pinned_cert(seq, ell, member, pname, t):
+    P = {"L1": seq.left_parts(1), "uneven": _uneven_partition(seq), "all": VertexPartition(seq.n_left, [np.arange(seq.n_left)])}[pname]
+    return C.refute_partition(seq, ell, member, P, seq.right_parts(2), Fraction(1, 1 << 14), t, gamma=Fraction(1, 4))
+
+
+@pytest.mark.parametrize("ell,member,pname,t,sha", PINNED_CERTIFICATES)
+def test_certificate_text_is_byte_identical_to_the_per_cell_refuter(small_seq, ell, member, pname, t, sha):
+    import hashlib
+
+    cert = _pinned_cert(small_seq, ell, member, pname, t)
+    text = cert.to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    assert C.IrregularityCertificate.from_text(text).to_text() == text
+    g = small_seq.member_graph(ell, member)
+    rep = C.reverify_certificate(C.IrregularityCertificate.from_text(text), g)
+    assert rep == _reference_reverify(C.IrregularityCertificate.from_text(text), g)
+    assert rep["ok"] and rep["lines_checked"] == sum(len(e.lines) for e in cert.entries)
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+@pytest.mark.parametrize("pname", ["L1", "uneven"])
+def test_recheck_reports_match_the_per_entry_reference(small_seq, pname, tamper):
+    ell, member, t = 2, 3, 2
+    g = small_seq.member_graph(ell, member)
+    text = _pinned_cert(small_seq, ell, member, pname, t).to_text()
+    mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
+    assert tamper(mine, g) == tamper(ref, g)
+    assert C.reverify_certificate(mine, g) == _reference_reverify(ref, g)
+
+
+def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
+    """The engine, the writer and the re-check work in chunks; two cells or
+    entries, some 20 witnesses and some 150 P1 ids at a time give the same
+    text and reports."""
+    import hashlib
+
+    from deltareg import graphs as G
+
+    monkeypatch.setattr(C, "_WITNESS_CHUNK", 5000)
+    monkeypatch.setattr(C, "_RECHECK_CHUNK", 5000)
+    monkeypatch.setattr(G, "_CHUNK_ROWS", 300)
+    for ell, member, pname, t, sha in PINNED_CERTIFICATES:
+        text = _pinned_cert(small_seq, ell, member, pname, t).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+        g = small_seq.member_graph(ell, member)
+        several = pname != "all"  # the tampers need two entries
+        for tamper in (lambda c, g: None,) + (_tamper_p1_outside_p, _tamper_entry_overlap, _tamper_r_reused) * several:
+            mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
+            tamper(mine, g), tamper(ref, g)
+            assert C.reverify_certificate(mine, g) == _reference_reverify(ref, g)
+
+
+def test_single_cell_witnesses_come_from_the_level_engine(small_seq):
+    """find_irregularity_witnesses is the level engine on one cell: the same
+    clusters, P1 sets and e(P, R) as the engine gives for that cell among
+    others."""
+    seq = small_seq
+    P = _uneven_partition(seq)
+    cells = [c for c in P.cells if len(np.unique(seq.lparent[1][seq.left_parts(2).owner[c]])) == 1 and c.size > 2]
+    found = C._level_witnesses(seq, 2, 1, 2, cells, Fraction(1, 4))
+    assert len(cells) > 8 and found["cell"].size > 0
+    for k, cell in enumerate(cells):
+        wits = C.find_irregularity_witnesses(seq, 2, 1, 2, cell, Fraction(1, 4), require_count=False)
+        mine = np.flatnonzero(found["cell"] == k)
+        assert [w.right_cluster for w in wits] == found["cluster"][mine].tolist()
+        assert [w.d_pr_num for w in wits] == found["e_pr"][mine].tolist()
+        assert all(np.array_equal(w.p1_vertices, found["p1"][j]) for w, j in zip(wits, mine.tolist()))
+
+
+def test_recheck_fails_a_certificate_whose_sides_do_not_fit_the_graph(small_seq, tmp_path):
+    """A header claiming more left vertices than the graph has, with a p set
+    inside that claim, loads; the re-check reports ('sides', None) instead
+    of indexing past the graph, and the suite exits 1."""
+    from deltareg.cli import main
+    from deltareg.graphs import bipartite_to_binary
+
+    g = small_seq.member_graph(2, 0)
+    nl = g.left.size
+    text = _small_cert(small_seq).to_text()
+    text = text.replace(f"\nn-left {nl}\n", f"\nn-left {4 * nl}\n")
+    text = _rewrite(text, "p ", lambda ln: f"p 0-{2 * nl - 1}", every=False)
+    cert = C.IrregularityCertificate.from_text(text)
+    assert cert.entries[0].p_vertices.size == 2 * nl
+    rep = C.reverify_certificate(cert, g)
+    assert rep == {"ok": False, "failures": [("sides", None)], "lines_checked": 0}
+    (tmp_path / "certificate.txt").write_text(text)
+    (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(g))
+    assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 1
+
+
+def test_certificate_grammar_is_strict(small_seq, tmp_path):
+    """Only the text to_text writes loads: fields in their order and each
+    once, counts and fractions in ASCII digits.  Each variant raises
+    ValueError, and ``verify --suite certificate`` exits 2 on it."""
+    from deltareg.cli import main
+    from deltareg.graphs import bipartite_to_binary
+
+    text = _small_cert(small_seq).to_text()
+    C.IrregularityCertificate.from_text(text)
+    line = next(ln for ln in text.split("\n") if ln.startswith("line "))
+    r_field = line.split()[1]
+    variants = {
+        "repeated field": text.replace(line, line.replace(r_field, f"{r_field} R=32", 1), 1),
+        "underscore in a count": text.replace(line, line.replace(" corr=0 ", " corr=0_0 ", 1), 1),
+        "signed fraction": text.replace(line, line.replace(" value=", " value=+", 1), 1),
+        "full-width digit": text.replace("\nt 2\n", "\nt ３\n", 1),
+        "header out of order": text.replace("\ndelta 1/16384\ngamma 1/4\n", "\ngamma 1/4\ndelta 1/16384\n", 1),
+        "header field twice": text.replace("\nt 2\n", "\nt 2\nt 2\n", 1),
+        "fields swapped": text.replace(line, line.replace(" corr=0 value=", " value=", 1).replace(" P1=", " corr=0 P1=", 1), 1),
+        "CRLF line ends": text.replace("\n", "\r\n"),
+    }
+    assert " corr=0 " in line and "\nt 2\n" in text
+    (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(small_seq.member_graph(2, 0)))
+    for name, bad in variants.items():
+        assert bad != text, name
+        with pytest.raises(ValueError):
+            C.IrregularityCertificate.from_text(bad)
+        with open(tmp_path / "certificate.txt", "w", encoding="utf-8", newline="") as f:
+            f.write(bad)
+        assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 2, name

@@ -231,11 +231,23 @@ def _reference_lift(g, product, right_class):
 
 @st.composite
 def kgraphs(draw, min_edges=0, max_edges=40):
+    """Classes and edges of a k-graph; the product of the class sizes may
+    reach 2^63, where the constructor must refuse them."""
     k = draw(st.sampled_from([2, 3, 4]))
     sizes = draw(st.lists(_SIZES, min_size=k, max_size=k))
     tuples = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), min_size=min_edges, max_size=max_edges, unique=True))
     cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
-    return G.KPartiteKGraph(cs, np.array(tuples, dtype=np.int64).reshape(-1, k))
+    return cs, np.array(tuples, dtype=np.int64).reshape(-1, k)
+
+
+def _kgraph_or_refused(cs, edges):
+    """The k-graph, or None once sizes whose product reaches 2^63 (int64
+    codes would wrap) are checked to be refused with ValueError."""
+    if math.prod(cs.sizes()) >= 1 << 63:
+        with pytest.raises(ValueError, match="2\\^63"):
+            G.KPartiteKGraph(cs, edges)
+        return None
+    return G.KPartiteKGraph(cs, edges)
 
 
 @st.composite
@@ -247,7 +259,10 @@ def bipartites(draw, min_edges=0, max_side=150):
 
 @settings(max_examples=300, deadline=None)
 @given(kgraphs())
-def test_kgraph_text_matches_per_line_formatter(h):
+def test_kgraph_text_matches_per_line_formatter(case):
+    h = _kgraph_or_refused(*case)
+    if h is None:
+        return
     text = G.kgraph_to_text(h)
     assert text == _reference_kgraph_text(h)
     back = G.kgraph_from_text(text)
@@ -259,9 +274,30 @@ def test_kgraph_text_matches_per_line_formatter(h):
 def test_kgraph_text_empty_and_single_edge(k):
     cs = G.VertexClassSet([(f"V{j}", 10**7 - 1) for j in range(k)])
     for edges in ([], [[10**7 - 2] * k], [[0] * k]):
-        h = G.KPartiteKGraph(cs, np.array(edges, dtype=np.int64).reshape(-1, k))
+        h = _kgraph_or_refused(cs, np.array(edges, dtype=np.int64).reshape(-1, k))
+        if h is None:  # k >= 3: (10^7 - 1)^k tuples do not fit int64 codes
+            assert k >= 3
+            header = "\n".join(["kgraph v1", f"k {k}"] + [f"class V{j} {10**7 - 1}" for j in range(k)])
+            with pytest.raises(ValueError, match="2\\^63"):
+                G.kgraph_from_text(header + f"\nedges {len(edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
+            continue
         assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
         assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
+
+
+@pytest.mark.parametrize("sizes", [(2**31, 2**32), (4, 2**61), (10**7, 10**7, 10**5)])
+def test_codes_refuse_products_of_2_to_the_63(sizes):
+    """Mixed-radix codes are int64: at 2^63 tuples and more they would wrap,
+    so both encoders refuse; just below, the largest tuple encodes exactly."""
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    with pytest.raises(ValueError, match="2\\^63"):
+        G.KPartiteKGraph(cs, np.zeros((0, len(sizes)), dtype=np.int64))
+    product = G.ProductClass.of([G.VertexClass(f"F{j}", s) for j, s in enumerate(sizes)])
+    with pytest.raises(ValueError, match="2\\^63"):
+        product.encode_array(np.zeros((1, len(sizes)), dtype=np.int64))
+    below = G.VertexClassSet([("A", 2**31 - 1), ("B", 2**32)])
+    top = np.array([[2**31 - 2, 2**32 - 1]], dtype=np.int64)
+    assert G.KPartiteKGraph(below, top).encoded.tolist() == [(2**31 - 2) * 2**32 + 2**32 - 1]
 
 
 def test_kgraph_text_spans_several_row_chunks():
@@ -420,7 +456,10 @@ def test_readers_reject_text_after_an_empty_edge_list():
 
 @settings(max_examples=300, deadline=None)
 @given(kgraphs(min_edges=1, max_edges=12), st.sampled_from(_DEFECTS), st.integers(0, 1000))
-def test_kgraph_reader_rejects_malformed_text(h, kind, at):
+def test_kgraph_reader_rejects_malformed_text(case, kind, at):
+    h = _kgraph_or_refused(*case)
+    if h is None:
+        return
     with pytest.raises(ValueError):
         G.kgraph_from_text(_malformed(G.kgraph_to_text(h), kind, at))
 

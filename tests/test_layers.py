@@ -4,7 +4,9 @@
 unpacks bits with numpy or counts the words of a row itself.  The two
 independent oracles are the exception, since an oracle must share no code
 with the path it checks.  ``math.isqrt`` is called by the one exact
-integer-root helper only.
+integer-root helper only.  The certificate re-check reaches none of the
+package's functions that the refuter or its witness engine reach, except an
+allow-list.
 """
 
 import ast
@@ -20,9 +22,10 @@ class _Scan(ast.NodeVisitor):
     qualified name of the function around it ("" at module level)."""
 
     def __init__(self):
-        self.scope, self.calls, self.word_counts = [], [], []
+        self.scope, self.calls, self.word_counts, self.defs, self.numpy_calls = [], [], [], [], set()
 
     def _enter(self, node):
+        self.defs.append((node.name, ".".join(self.scope + [node.name])))
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
@@ -33,6 +36,8 @@ class _Scan(ast.NodeVisitor):
         f = node.func
         name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
         self.calls.append((".".join(self.scope), name, node.lineno))
+        if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "np":
+            self.numpy_calls.add(self.calls[-1])
         self.generic_visit(node)
 
     def visit_BinOp(self, node):
@@ -87,3 +92,38 @@ def test_only_the_root_helper_calls_isqrt():
         if name == "isqrt" and (mod, where) != ROOT_HELPER
     ]
     assert offenders == [], "use core._iroot_floor or core.dyadic_root_ceil"
+
+
+# the certificate re-check and the path that writes certificates
+RECHECK = ("core", "reverify_certificate")
+REFUTER = [("core", "refute_partition"), ("core", "_level_witnesses")]
+RECHECK_MAY_SHARE = {"graph_hash", "dyadic_root_ceil", "VertexPartition"}
+
+
+def _reach(roots) -> set:
+    """Names of the package's functions, methods and classes that the roots
+    call, directly or through one another (matched by name, so a method
+    stands for every method of that name).  The allowed shared names are
+    not followed."""
+    defined = {}
+    for mod, scan in SCANS.items():
+        for name, qualified in scan.defs:
+            defined.setdefault(name, []).append((mod, qualified))
+    seen, todo = set(), list(roots)
+    while todo:
+        mod, fn = todo.pop()
+        for call in set(SCANS[mod].calls) - SCANS[mod].numpy_calls:
+            where, name, _ = call
+            if (where == fn or where.startswith(fn + ".")) and name in defined and name not in seen:
+                seen.add(name)
+                if name not in RECHECK_MAY_SHARE:
+                    todo += defined[name]
+    return seen
+
+
+def test_the_recheck_shares_no_code_with_the_refuter():
+    recheck, refuter = _reach([RECHECK]), _reach(REFUTER)
+    assert {"graph_hash", "VertexPartition"} <= recheck and "_level_witnesses" in _reach([("core", "refute_partition")])
+    assert "unpack_rows" in refuter and "edge_count" in refuter  # the scan sees through the refuter
+    shared = (recheck & refuter) - RECHECK_MAY_SHARE
+    assert shared == set(), f"reverify_certificate reaches {sorted(shared)}, which the refuter reaches too"
