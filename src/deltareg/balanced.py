@@ -78,27 +78,6 @@ class BalancedGraph:
     def y_rows(self) -> np.ndarray:
         return self.graph.transposed().rows
 
-    def to_text(self) -> str:
-        """Graph plus explicit pairing table; verification needs nothing
-        else beyond the cell spec."""
-        from .graphs import bipartite_to_text
-
-        phi = " ".join(str(int(v)) for v in self.involution)
-        return bipartite_to_text(self.graph) + "phi " + phi + "\n"
-
-
-def balanced_from_text(text: str, spec: BalanceSpec) -> BalancedGraph:
-    from .graphs import bipartite_from_text
-
-    body, phi_line = text.rstrip("\n").rsplit("\n", 1)
-    if not phi_line.startswith("phi "):
-        raise ValueError("missing pairing table")
-    phi = np.array([int(x) for x in phi_line.split()[1:]], dtype=np.int64)
-    graph = bipartite_from_text(body + "\n")
-    if len(phi) != spec.ny or np.any(phi[phi] != np.arange(spec.ny)):
-        raise ValueError("pairing table is not an involution")
-    return BalancedGraph(graph=graph, spec=spec, involution=phi)
-
 
 @dataclass
 class VerifyReport:

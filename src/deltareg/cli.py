@@ -233,9 +233,9 @@ def _suite_certificate(artifact: str, mode: str = "exact", cap: int = 1 << 24) -
     return {"ok": rep["ok"] and bool(rep.get("refutes")), "claims": claims}
 
 
-def _read_text(artifact: str, name: str) -> str:
+def _read_text(*path: str) -> str:
     """A file's text exactly as stored: no newline translation."""
-    with open(os.path.join(artifact, name), newline="") as f:
+    with open(os.path.join(*path), newline="") as f:
         return f.read()
 
 
@@ -321,8 +321,8 @@ def cmd_certify(args) -> int:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        P = VertexPartition.from_text(seq.n_left, open(args.left_partition).read())
-        Q = VertexPartition.from_text(seq.n_right, open(args.right_partition).read())
+        P = VertexPartition.from_text(seq.n_left, _read_text(args.left_partition))
+        Q = VertexPartition.from_text(seq.n_right, _read_text(args.right_partition))
     except (OSError, ValueError) as e:
         print(f"error: bad partition file: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -341,8 +341,7 @@ def cmd_certify(args) -> int:
     with open(os.path.join(os.path.dirname(os.path.abspath(args.out_cert)), "refuted-graph.bin"), "wb") as f:
         f.write(bipartite_to_binary(g))
     # fresh re-verification from serialized state before reporting success
-    with open(args.out_cert, newline="") as f:
-        reread = core_mod.IrregularityCertificate.from_text(f.read())
+    reread = core_mod.IrregularityCertificate.from_text(_read_text(args.out_cert))
     rep = core_mod.reverify_certificate(reread, g)
     if not rep["ok"]:
         print("error: certificate failed re-verification", file=sys.stderr)

@@ -28,6 +28,8 @@ from .graphs import (
     _MAX_DIGITS,
     BipartiteGraph,
     VertexClass,
+    _digit_runs,
+    _header_count,
     _write_tokens,
     bipartite_from_binary,
     bipartite_to_binary,
@@ -740,73 +742,36 @@ class IrregularityCertificate:
 
     def to_text(self) -> str:
         levels = sorted(self.r_level_cells)
-        head = "\n".join(
-            [
-                "irregularity-certificate v1",
-                f"graph-sha256 {self.graph_sha256}",
-                f"n-left {self.n_left}",
-                f"n-right {self.n_right}",
-                f"level {self.ell}",
-                f"delta {self.delta}",
-                f"gamma {self.gamma}",
-                f"gamma-prime {self.gamma_prime}",
-                f"host-c {self.host_c}",
-                f"t {self.t}",
-                f"budget {self.budget}",
-                f"q-cells {len(self.q_cells)}",
-            ]
-        )
-        # every field after the header, numbered in text order: the q cells,
-        # each r-level block, the entry count, then per entry 'entry k level
-        # L', 'p', 'lines n' and per line R, P1, corr, the value's numerator
-        # and, unless it is 1, its denominator
-        sets, set_at = list(self.q_cells), [np.arange(len(self.q_cells))]
-        scalars, scalar_at = [], []
-        prefix = [_LIT_Q] * len(self.q_cells)
+        # every vertex set in one pass, taken in text order below
+        sets = [*self.q_cells, *(c for lvl in levels for c in self.r_level_cells[lvl])]
+        for e in self.entries:
+            sets.append(e.p_vertices)
+            sets += [s for ln in e.lines for s in (ln.r_vertices, ln.p1_vertices)]
+        texts = iter(_ranges_encode_many(sets))
+        out = [
+            "irregularity-certificate v1",
+            f"graph-sha256 {self.graph_sha256}",
+            f"n-left {self.n_left}",
+            f"n-right {self.n_right}",
+            f"level {self.ell}",
+            f"delta {self.delta}",
+            f"gamma {self.gamma}",
+            f"gamma-prime {self.gamma_prime}",
+            f"host-c {self.host_c}",
+            f"t {self.t}",
+            f"budget {self.budget}",
+            f"q-cells {len(self.q_cells)}",
+        ]
+        out += [f"q {next(texts)}" for _ in self.q_cells]
         for lvl in levels:
-            cells, f = self.r_level_cells[lvl], len(prefix)
-            scalars += [lvl, len(cells)]
-            scalar_at += [f, f + 1]
-            sets += cells
-            set_at.append(np.arange(f + 2, f + 2 + len(cells)))
-            prefix += [_LIT_RLEVEL, _LIT_SPACE] + [_LIT_R] * len(cells)
-        scalars.append(len(self.entries))
-        scalar_at.append(len(prefix))
-        prefix.append(_LIT_ENTRIES)
-        lines = [ln for e in self.entries for ln in e.lines]
-        n_lines = np.fromiter(map(len, (e.lines for e in self.entries)), dtype=np.int64, count=len(self.entries))
-        # lines share value objects: each distinct one is read once
-        values = [ln.value for ln in lines]
-        _, first, which = np.unique(np.fromiter(map(id, values), dtype=np.int64, count=len(values)), return_index=True, return_inverse=True)
-        num = np.array([values[j].numerator for j in first.tolist()], dtype=object)[which.ravel()].tolist()
-        den = np.array([values[j].denominator for j in first.tolist()], dtype=object)[which.ravel()].tolist()
-        frac = np.array([d != 1 for d in den], dtype=bool)
-        per_line = 4 + frac
-        cum = np.concatenate(([0], np.cumsum(per_line)))
-        last = np.cumsum(n_lines)
-        per_entry = 4 + cum[last] - cum[last - n_lines]
-        es = len(prefix) + np.cumsum(per_entry) - per_entry  # field of each 'entry'
-        line_entry = np.repeat(np.arange(n_lines.size), n_lines)
-        ls = es[line_entry] + 4 + cum[:-1] - cum[(last - n_lines)[line_entry]]  # field of each R
-        prefix = np.concatenate((prefix, np.empty(int(per_entry.sum()), dtype=np.int64))).astype(np.int64, copy=False)
-        for at, lit in ((es, _LIT_ENTRY), (es + 1, _LIT_LEVEL), (es + 2, _LIT_P), (es + 3, _LIT_LINES), (ls, _LIT_LINE),
-                        (ls + 1, _LIT_P1), (ls + 2, _LIT_CORR), (ls + 3, _LIT_VALUE), (ls[frac] + 4, _LIT_SLASH)):
-            prefix[at] = lit
-        sets += [e.p_vertices for e in self.entries]
-        sets += [ln.r_vertices for ln in lines]
-        sets += [ln.p1_vertices for ln in lines]
-        scalars += list(range(n_lines.size)) + [e.level for e in self.entries] + n_lines.tolist()
-        scalars += [ln.correction for ln in lines] + num + [d for d, f in zip(den, frac.tolist()) if f]
-        body = _render(
-            prefix,
-            sets,
-            np.concatenate(set_at + [es + 2, ls, ls + 1]),
-            scalars,
-            np.concatenate((scalar_at, es, es + 1, es + 3, ls + 2, ls + 3, ls[frac] + 4)).astype(np.int64),
-            _CERT_LITERALS,
-            f"\ntotal {self.total}\n".encode("ascii"),
-        )
-        return head + body.decode("ascii")
+            out.append(f"r-level {lvl} {len(self.r_level_cells[lvl])}")
+            out += [f"r {next(texts)}" for _ in self.r_level_cells[lvl]]
+        out.append(f"entries {len(self.entries)}")
+        for k, e in enumerate(self.entries):
+            out += [f"entry {k} level {e.level}", f"p {next(texts)}", f"lines {len(e.lines)}"]
+            out += [f"line R={next(texts)} P1={next(texts)} corr={ln.correction} value={ln.value}" for ln in e.lines]
+        out.append(f"total {self.total}\n")
+        return "\n".join(out)
 
     @staticmethod
     def from_text(text: str) -> "IrregularityCertificate":
@@ -845,7 +810,7 @@ class IrregularityCertificate:
             if k != key or not v or " " in v:
                 raise ValueError(f"certificate line {j + 1}: expected '{key} <value>'")
             head[key] = v
-        n_left, n_right = _count(head["n-left"]), _count(head["n-right"])
+        n_left, n_right = _header_count(head["n-left"]), _header_count(head["n-right"])
         body = int(ends[11])
         runs = _digit_runs(b[body:], body)  # one at least: the entry count is in digits
 
@@ -865,7 +830,7 @@ class IrregularityCertificate:
                 out[x] = int(data[s[x] : e[x]])
             return out
 
-        n_q = _count(head["q-cells"])
+        n_q = _header_count(head["q-cells"])
         if 12 + n_q > nlines:
             raise ValueError(f"certificate truncated after line {nlines}")
         q_rows = np.arange(12, 12 + n_q)
@@ -875,7 +840,7 @@ class IrregularityCertificate:
             parts = line(j).split(" ")
             if len(parts) != 3:
                 raise ValueError(f"certificate line {j + 1}: expected 'r-level <level> <count>'")
-            lvl, cnt = _count(parts[1]), _count(parts[2])
+            lvl, cnt = _header_count(parts[1]), _header_count(parts[2])
             if r_levels and lvl <= r_levels[-1]:
                 raise ValueError(f"certificate line {j + 1}: r-level blocks must list each level once, in increasing order")
             if j + 1 + cnt > nlines:
@@ -887,7 +852,7 @@ class IrregularityCertificate:
         k, _, v = line(j).partition(" ")
         if k != "entries":
             raise ValueError(f"certificate line {j + 1}: expected 'entries <count>'")
-        n_entries = _count(v)
+        n_entries = _header_count(v)
         k, _, v = line(nlines - 1).partition(" ")
         if nlines - 1 <= j or k != "total":
             raise ValueError(f"certificate line {nlines}: expected 'total <fraction>'")
@@ -996,12 +961,12 @@ class IrregularityCertificate:
             graph_sha256=head["graph-sha256"],
             n_left=n_left,
             n_right=n_right,
-            ell=_count(head["level"]),
+            ell=_header_count(head["level"]),
             delta=_fraction(head["delta"]),
             gamma=_fraction(head["gamma"]),
             gamma_prime=_fraction(head["gamma-prime"]),
             host_c=_fraction(head["host-c"]),
-            t=_count(head["t"]),
+            t=_header_count(head["t"]),
             q_cells=q_cells,
             r_level_cells=r_level_cells,
             entries=entries,
@@ -1013,71 +978,27 @@ class IrregularityCertificate:
 # -- certificate text, in whole arrays ----------------------------------------
 #
 # Reading finds every run of ASCII digits after the header once; each field is
-# a byte span checked against the runs it covers.  Writing renders one stream
-# of tokens (a number, or '-' for an empty set, and the literal after it)
-# with the decimal writer of ``graphs``.
+# a byte span checked against the runs it covers.  Writing renders every
+# vertex set in one pass with the decimal writer of ``graphs``, and the rest
+# of each line with f-strings.
 
 _CERT_HEAD = ("graph-sha256", "n-left", "n-right", "level", "delta", "gamma", "gamma-prime", "host-c", "t", "budget", "q-cells")
-# the literal before each field after the header
-_CERT_LITERALS = [
-    b"\nq ", b"\nr-level ", b" ", b"\nr ", b"\nentries ", b"\nentry ", b" level ", b"\np ", b"\nlines ",
-    b"\nline R=", b" P1=", b" corr=", b" value=", b"/",
-]
-(_LIT_Q, _LIT_RLEVEL, _LIT_SPACE, _LIT_R, _LIT_ENTRIES, _LIT_ENTRY, _LIT_LEVEL, _LIT_P, _LIT_LINES,
- _LIT_LINE, _LIT_P1, _LIT_CORR, _LIT_VALUE, _LIT_SLASH) = range(len(_CERT_LITERALS))
-_ID_LIMIT = 10**18  # ids and written numbers have at most 18 digits: below 2^63
-_SWAR_SHIFT = np.array([64 - 8 * w if w <= 8 else 0 for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
-
-
-def _count(s: str) -> int:
-    """A count in ASCII digits."""
-    if not (s.isascii() and s.isdigit()):
-        raise ValueError(f"bad count {s!r} in the certificate")
-    return int(s)
+_ID_LIMIT = 10**_MAX_DIGITS  # ids have at most 18 digits: below 2^63
 
 
 def _fraction(s: str) -> Fraction:
     """'a' or 'a/b' in ASCII digits, as str(Fraction) writes them."""
     num, slash, den = s.partition("/")
-    d = _count(den) if slash else 1
+    d = _header_count(den) if slash else 1
     if d == 0:
         raise ValueError(f"zero denominator in {s!r}")
-    return Fraction(_count(num), d)
+    return Fraction(_header_count(num), d)
 
 
 def _has(b: np.ndarray, at: np.ndarray, lit: bytes) -> np.ndarray:
     """Whether the bytes of b starting at each position are lit."""
     pos = np.minimum(np.asarray(at)[:, None] + np.arange(len(lit)), b.size - 1)
     return np.all(b[pos] == np.frombuffer(lit, dtype=np.uint8), axis=1) & (np.asarray(at) + len(lit) <= b.size)
-
-
-def _digit_runs(b: np.ndarray, offset: int = 0) -> tuple:
-    """Start, end (exclusive, plus offset) and value of every maximal run of
-    ASCII digits in b, which begins and ends with a non-digit byte.  A run
-    of more than 18 digits gets the value -1."""
-    digit = (b - ord("0")) < 10  # bytes below '0' wrap around
-    edge = np.flatnonzero(digit[1:] != digit[:-1])
-    edge += 1 + offset
-    starts, ends = edge[0::2], edge[1::2]
-    width = ends - starts
-    vals = np.full(starts.size, -1, dtype=np.int64)
-    # up to 8 digits: the little-endian word at the run's start, its digits
-    # moved to the top bytes, combined in pairs, fours and eights (SWAR)
-    short = slice(None) if width.max(initial=0) <= 8 else np.flatnonzero(width <= 8)
-    words = np.ndarray((b.size,), dtype="<u8", buffer=np.concatenate((b, np.zeros(8, dtype=np.uint8))), strides=(1,))
-    d = words[starts[short] - offset] << _SWAR_SHIFT[width[short]]
-    d &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)):
-        d = (d * np.uint64(10 ** (shift // 8)) + (d >> np.uint64(shift))) & np.uint64(mask)
-    vals[short] = d
-    for w in range(9, min(int(width.max(initial=0)), _MAX_DIGITS) + 1):
-        sel = np.flatnonzero(width == w)
-        d = np.lib.stride_tricks.sliding_window_view(b, w)[starts[sel] - offset] - ord("0")
-        v = d[:, 0].astype(np.int64)
-        for j in range(1, w):
-            v = v * 10 + d[:, j]
-        vals[sel] = v
-    return starts, ends, vals
 
 
 def _slices(flat: np.ndarray, count: np.ndarray) -> list:
@@ -1142,122 +1063,58 @@ def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_
     return flat, count
 
 
-def _render(prefix: np.ndarray, sets: list, set_at: np.ndarray, scalars: list, scalar_at: np.ndarray, literals: list, tail: bytes) -> bytes:
-    """Text of a stream of fields: field f is ``literals[prefix[f]]`` and then
-    its content; ``tail`` ends the text.  Field ``set_at[j]`` holds the id
-    set ``sets[j]``, written as maximal runs 'a' or 'a-b' joined by ',', or
-    '-' when empty; field ``scalar_at[j]`` holds the non-negative integer
-    ``scalars[j]``, of any size."""
-    n_fields = len(prefix)
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    flat = np.concatenate(sets).astype(np.int64, copy=False) if sets else np.empty(0, dtype=np.int64)
+def _ranges_encode_many(arrays) -> list:
+    """Text of many id sets at once: each set sorted and without repeats, as
+    maximal runs of consecutive ids 'a' or 'a-b' joined by ',', and '-' for
+    an empty set."""
+    sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    flat = np.concatenate(arrays).astype(np.int64, copy=False) if len(arrays) else np.empty(0, dtype=np.int64)
     if flat.size and flat.min() < 0:
         raise ValueError("negative vertex id")
     if flat.size and flat.max() >= _ID_LIMIT:
         raise ValueError("vertex id of more than 18 digits")
-    sid = np.repeat(np.arange(len(sets)), sizes)
+    sid = np.repeat(np.arange(sizes.size), sizes)
     if np.any((sid[1:] == sid[:-1]) & (flat[1:] <= flat[:-1])):
         order = np.lexsort((flat, sid))
         flat, sid = flat[order], sid[order]
         keep = np.ones(flat.size, dtype=bool)
         keep[1:] = (flat[1:] != flat[:-1]) | (sid[1:] != sid[:-1])
         flat, sid = flat[keep], sid[keep]
-        sizes = np.bincount(sid, minlength=len(sets))
-    # maximal runs of consecutive ids; a run is 'a' or 'a-b'
+    # maximal runs of consecutive ids, plus a run (-1, -1) for each empty
+    # set, which the writer renders as '-'
     first = np.ones(flat.size, dtype=bool)
     first[1:] = (sid[1:] != sid[:-1]) | (flat[1:] != flat[:-1] + 1)
     first = np.flatnonzero(first)
     last = np.append(first[1:], flat.size)[: first.size] - 1
-    lo, hi, run_set = flat[first], flat[last], sid[first]
+    empty = np.flatnonzero(sizes == 0)
+    at_empty = np.searchsorted(sid[first], empty)
+    lo, hi = np.insert(flat[first], at_empty, -1), np.insert(flat[last], at_empty, -1)
+    runs = np.bincount(sid[first], minlength=sizes.size) + (sizes == 0)
+    # one number per run, two for a range 'a-b'; ',' after each run but a
+    # set's last, which ends its line
     ranged = hi > lo
-    # tokens per field: a set's numbers, or '-' alone; a scalar's 18-digit limbs
-    if scalars and min(scalars) < 0:
-        raise ValueError("negative count in the certificate")
-    limbs = {}
-    if scalars and max(scalars) >= _ID_LIMIT:
-        for j, v in enumerate(scalars):
-            if v >= _ID_LIMIT:
-                limbs[j] = []
-                while v:
-                    v, r = divmod(v, _ID_LIMIT)
-                    limbs[j].insert(0, r)
-    tok = 1 + ranged
-    within = np.cumsum(tok) - tok
-    new_set = np.flatnonzero(np.diff(run_set, prepend=-1))  # each set's first run
-    ntok = np.zeros(n_fields, dtype=np.int64)
-    ntok[set_at] = 1
-    if new_set.size:
-        ntok[set_at[run_set[new_set]]] = np.add.reduceat(tok, new_set)
-    ntok[scalar_at] = 1
-    for j, parts in limbs.items():
-        ntok[scalar_at[j]] = len(parts)
-    start = np.cumsum(ntok) - ntok
-    vals = np.empty(int(ntok.sum()), dtype=np.int64)
+    at = np.cumsum(1 + ranged) - 1  # each run's last number
+    vals = np.empty(at.size + np.count_nonzero(ranged), dtype=np.int64)
+    vals[at] = hi
+    vals[at[ranged] - 1] = lo[ranged]
     seps = np.full(vals.size, ord(","), dtype=np.uint8)
-    at = start[set_at[run_set]] + within - np.repeat(within[new_set], np.diff(np.append(new_set, run_set.size)))  # + rank in its set
-    vals[at] = lo
-    two = np.flatnonzero(ranged)
-    vals[at[two] + 1] = hi[two]
-    seps[at[two]] = ord("-")
-    vals[start[set_at[sizes == 0]]] = -1
-    vals[start[scalar_at]] = [0 if j in limbs else v for j, v in enumerate(scalars)] if limbs else scalars
-    pad = None
-    if limbs:
-        pad = np.zeros(vals.size, dtype=bool)
-        for j, parts in limbs.items():
-            a = start[scalar_at[j]]
-            vals[a : a + len(parts)] = parts
-            pad[a + 1 : a + len(parts)] = True
-            seps[a : a + len(parts) - 1] = 0  # the limbs of one number are joined by nothing
-    if not n_fields:
-        return tail
-    # a field's last number is followed by the next field's literal; a byte
-    # 0 stands for a literal of another length than one, spliced in after
-    literals = [*literals, tail]
-    code = np.append(np.asarray(prefix[1:], dtype=np.int64), len(literals) - 1)
-    ends = start + ntok - 1
-    seps[ends] = np.array([t[0] if len(t) == 1 else 0 for t in literals], dtype=np.uint8)[code]
-    zero = np.flatnonzero(seps == 0)
-    end_at = np.minimum(np.searchsorted(ends, zero), ends.size - 1)
-    spliced = np.array(literals + [b""], dtype=object)[np.where(ends[end_at] == zero, code[end_at], len(literals))].tolist()
-    pieces = _write_tokens(vals, seps, pad).split(b"\0")
-    text = [literals[prefix[0]]] + [b""] * (2 * len(pieces) - 1)
-    text[1::2], text[2::2] = pieces, spliced
-    return b"".join(text)
+    seps[at[ranged] - 1] = ord("-")
+    seps[at[np.cumsum(runs) - 1]] = ord("\n")
+    return _write_tokens(vals, seps).decode("ascii").split("\n")[:-1]
 
 
-def _ranges_encode(arr) -> str:
-    return _ranges_encode_many([arr])[0]
-
-
-def _ranges_decode(s: str) -> np.ndarray:
-    return _ranges_decode_many([s])[0]
-
-
-def _ranges_encode_many(arrays) -> list:
-    """Text of many id sets at once: maximal runs of consecutive ids as 'a'
-    or 'a-b', joined by ',', and '-' for an empty set."""
-    if not len(arrays):
-        return []
-    prefix = np.ones(len(arrays), dtype=np.int64)
-    prefix[0] = 0
-    return _render(prefix, list(arrays), np.arange(len(arrays)), [], np.empty(0, dtype=np.int64), [b"", b"\n"], b"").decode("ascii").split("\n")
-
-
-def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
+def _ranges_decode_many(texts) -> list:
     """Inverse of _ranges_encode_many, parsed in one pass over all the
     texts.  Each set must list strictly increasing non-negative ids of at
-    most 18 digits and expand to at most max_ids ids; anything else raises
-    ValueError before the ids are expanded.  ``check``, if given, gets the
-    id count of every text (0 for '-') as an int64 array, also before any
-    set is expanded, and may raise ValueError."""
+    most 18 digits, at most 2^24 of them; anything else raises ValueError
+    before the ids are expanded."""
     if not texts:
         return []
     if not all(t.isascii() and "\n" not in t for t in texts):
         raise ValueError("vertex set text is not ASCII")
     b = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
     nl = np.flatnonzero(b == ord("\n"))
-    flat, count = _decode_spans(b, _digit_runs(b), nl[:-1] + 1, nl[1:], max_ids, check)
+    flat, count = _decode_spans(b, _digit_runs(b), nl[:-1] + 1, nl[1:], 1 << 24)
     return _slices(flat, count)
 
 
@@ -1631,11 +1488,11 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
     nl, nr = manifest["n_left"], manifest["n_right"]
     left_chain = []
     for i in range(1, profile.s + 1):
-        with open(os.path.join(out_dir, f"left-{i}.part")) as f:
+        with open(os.path.join(out_dir, f"left-{i}.part"), newline="") as f:
             left_chain.append(VertexPartition.from_text(nl, f.read()))
     right_chain = []
     for i in range(1, profile.s + 1):
-        with open(os.path.join(out_dir, f"right-{i}.part")) as f:
+        with open(os.path.join(out_dir, f"right-{i}.part"), newline="") as f:
             right_chain.append(VertexPartition.from_text(nr, f.read()))
     seq = CoreSequence(profile, left_chain, right_chain, manifest["seed"])
     for j in range(1, profile.s + 1):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import KPartiteKGraph, VertexClass, VertexClassSet
+from .graphs import KPartiteKGraph, VertexClass, VertexClassSet, _digit_runs, _write_tokens
 
 
 class VertexPartition:
@@ -109,22 +109,36 @@ class VertexPartition:
         return isinstance(other, VertexPartition) and self.n == other.n and np.array_equal(self.owner, other.owner)
 
     def to_text(self) -> str:
-        return "\n".join(" ".join(map(str, c.tolist())) for c in self.cells) + "\n"
+        """One line per cell, its ids in decimal joined by single spaces."""
+        if not self.cells:
+            return "\n"
+        # every cell lists its ids in increasing order, so the ids sorted
+        # stably by owner are the cells, in order
+        seps = np.full(self.n, ord(" "), dtype=np.uint8)
+        seps[np.cumsum(np.bincount(self.owner)) - 1] = ord("\n")
+        return _write_tokens(np.argsort(self.owner, kind="stable"), seps).decode("ascii")
 
     @staticmethod
     def from_text(n: int, text: str) -> "VertexPartition":
-        """One cell per non-blank line, ids separated by whitespace."""
+        """One cell per non-blank line; ids in decimal, each with an optional
+        '-' (read as negative, so out of range), separated by the bytes
+        ``str.split()`` treats as whitespace.  Any other text raises
+        ValueError."""
         if not text.isascii():
             raise ValueError("partition text is not ASCII")
-        flat = np.fromiter(map(int, text.split()), dtype=np.int64)
-        b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        space = _ASCII_SPACE[b]
-        token_start = ~space
-        token_start[1:] &= space[:-1]
-        line = np.cumsum(b == ord("\n"))[token_start]
-        sizes = np.bincount(line)
+        b = np.frombuffer(f" {text} ".encode("ascii"), dtype=np.uint8)
+        starts, ends, vals = _digit_runs(b)
+        sign = b[starts - 1] == ord("-")
+        # every byte is whitespace, a digit or the sign of the run after it,
+        # and whitespace follows each run: so every token is [-]digits
+        digits = int(ends.sum() - starts.sum())
+        if np.count_nonzero(_ASCII_SPACE[b]) + digits + np.count_nonzero(sign) != b.size or not _ASCII_SPACE[b[ends]].all():
+            raise ValueError("partition text: a token is not a decimal id")
+        if np.any(vals < 0):
+            raise ValueError("partition text: an id of more than 18 digits")
+        sizes = np.bincount(np.searchsorted(np.flatnonzero(b == ord("\n")), starts))
         self = VertexPartition.__new__(VertexPartition)
-        self._set_cells(n, flat, sizes[sizes > 0], "")
+        self._set_cells(n, np.where(sign, -vals, vals), sizes[sizes > 0], "")
         return self
 
 
@@ -526,74 +540,6 @@ def restrict_kpartition(P: KPartition, keep_classes) -> KPartition:
         if cells:
             new_layers[r] = cells
     return KPartition(new_classes, VertexPartition(new_classes.total, new_vcells), new_layers)
-
-
-def kpartition_to_text(P: KPartition) -> str:
-    """Layer-by-layer text form: class header, vertex cells, then each
-    higher layer's cells as sorted tuples with the under-map as explicit
-    index profiles."""
-    lines = ["kpartition v1", f"classes {len(P.classes)}"]
-    for c in P.classes.classes:
-        lines.append(f"class {c.name} {c.size}")
-    lines.append(f"vertex-cells {len(P.vertex.cells)}")
-    for cell in P.vertex.cells:
-        lines.append("v " + " ".join(str(int(x)) for x in cell))
-    for r in sorted(P.layers):
-        cells = P.layers[r]
-        lines.append(f"layer {r} {len(cells)}")
-        for ci, cell in enumerate(cells):
-            prof = P.under(r, ci)
-            lines.append("under " + " ".join(str(int(x)) for x in prof))
-            lines.append(f"tuples {cell.shape[0]}")
-            for row in cell:
-                lines.append("t " + " ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def kpartition_from_text(text: str) -> KPartition:
-    lines = text.strip("\n").split("\n")
-    it = iter(lines)
-    if next(it) != "kpartition v1":
-        raise ValueError("bad header")
-    k = int(next(it).split()[1])
-    classes = []
-    for _ in range(k):
-        _, name, size = next(it).split()
-        classes.append((name, int(size)))
-    cs = VertexClassSet(classes)
-    nv = int(next(it).split()[1])
-    vcells = []
-    for _ in range(nv):
-        ln = next(it)
-        assert ln.startswith("v ")
-        vcells.append([int(x) for x in ln[2:].split()])
-    layers = {}
-    unders = {}
-    for ln in it:
-        if ln.startswith("layer "):
-            _, r, cnt = ln.split()
-            r, cnt = int(r), int(cnt)
-            cells = []
-            profs = []
-            for _ in range(cnt):
-                prof_line = next(it)
-                assert prof_line.startswith("under ")
-                profs.append(tuple(int(x) for x in prof_line.split()[1:]))
-                m = int(next(it).split()[1])
-                rows = []
-                for _ in range(m):
-                    t = next(it)
-                    assert t.startswith("t ")
-                    rows.append([int(x) for x in t[2:].split()])
-                cells.append(np.array(rows, dtype=np.int64).reshape(-1, r))
-            layers[r] = cells
-            unders[r] = profs
-    P = KPartition(cs, VertexPartition(cs.total, vcells), layers)
-    # the under-map is recomputed by validation; the stored profiles must agree
-    for r, profs in unders.items():
-        if [tuple(p) for p in P.under_map[r]] != [tuple(p) for p in profs]:
-            raise ValueError("stored under-map disagrees with the layer data")
-    return P
 
 
 def complete_kpartition(classes: VertexClassSet, cells_per_class: int, depth: int) -> KPartition:

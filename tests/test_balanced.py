@@ -209,24 +209,26 @@ def test_check_one_twelve_thresholds():
 
 
 def test_balanced_graph_serialization_self_contained():
+    # verification needs nothing but the graph, as saved (gamma-*.bin), and
+    # the cell spec
+    from deltareg.graphs import bipartite_from_binary, bipartite_to_binary
+
     spec = small_spec()
     bg, _ = B.sample_balanced(spec, seed=6)
-    text = bg.to_text()
-    back = B.balanced_from_text(text, spec)
-    assert np.array_equal(back.graph.rows, bg.graph.rows)
-    assert np.array_equal(back.involution, bg.involution)
-    # verification runs on the serialized form alone
-    assert B.verify_balanced(back.graph, spec).ok
+    back = bipartite_from_binary(bipartite_to_binary(bg.graph))
+    assert back == bg.graph
+    assert B.verify_balanced(back, spec).ok
     # restriction to (X, any Y-cell) is biregular with right-degree |X|/2
+    y_rows = back.transposed().rows
     for cell in spec.y_cells.cells:
-        yr = back.y_rows()[cell]
+        yr = y_rows[cell]
         from deltareg import _kernels as K
 
         degs = K.popcount_rows(yr)
         assert np.all(degs * 2 == spec.nx)
         xdeg = np.zeros(spec.nx, dtype=np.int64)
         for y in cell:
-            xdeg += np.unpackbits(back.y_rows()[int(y)].view(np.uint8), bitorder="little")[: spec.nx]
+            xdeg += np.unpackbits(y_rows[int(y)].view(np.uint8), bitorder="little")[: spec.nx]
         assert np.all(xdeg * 2 == len(cell))
 
 

@@ -269,6 +269,72 @@ def test_malformed_certificate_exits_2(core_artifact, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def certified_artifact(core_artifact, tmp_path_factory):
+    """A copy of the core artifact with a level-2 certificate."""
+    from deltareg import core as C
+
+    _, out = core_artifact
+    d = tmp_path_factory.mktemp("certified")
+    art = d / "core"
+    shutil.copytree(out, art)
+    seq = C.load_core_sequence(str(art))
+    (d / "P.part").write_text(seq.left_parts(1).to_text())
+    (d / "Q.part").write_text(seq.right_parts(2).to_text())
+    assert main([
+        "certify", "--artifact", str(art),
+        "--left-partition", str(d / "P.part"), "--right-partition", str(d / "Q.part"),
+        "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+        "--gamma", "1/4", "--out-cert", str(art / "certificate.txt"),
+    ]) == 0
+    return art
+
+
+@pytest.mark.parametrize("size", [0, 10])
+def test_short_refuted_graph_exits_2(certified_artifact, tmp_path, capsys, size):
+    """A graph container shorter than its header is refused with a
+    ValueError (exit 2), not a struct.error traceback."""
+    art = tmp_path / "art"
+    shutil.copytree(certified_artifact, art)
+    capsys.readouterr()
+    blob = (art / "refuted-graph.bin").read_bytes()
+    (art / "refuted-graph.bin").write_bytes(blob[:size])
+    assert main(["verify", "--artifact", str(art), "--suite", "certificate"]) == 2
+    assert "truncated binary container" in capsys.readouterr().err
+
+
+def test_short_quotient_exits_2(core_artifact, tmp_path, capsys):
+    _, out = core_artifact
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    blob = (art / "quotient-2-1.bin").read_bytes()
+    (art / "quotient-2-1.bin").write_bytes(blob[:10])
+    assert main(["verify", "--artifact", str(art), "--suite", "core-structural"]) == 2
+    assert "truncated binary container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["+0", "0x", "0" * 19])
+def test_certify_refuses_a_malformed_partition_file(certified_artifact, tmp_path, capsys, bad):
+    """A partition id with a '+', a trailing byte or more than 18 digits
+    (even one that names a valid vertex) is a malformed file: exit 2."""
+    from deltareg import core as C
+
+    seq = C.load_core_sequence(str(certified_artifact))
+    text = seq.left_parts(1).to_text()
+    assert text.startswith("0 ")
+    (tmp_path / "P.part").write_text(bad + text[1:])
+    (tmp_path / "Q.part").write_text(seq.right_parts(2).to_text())
+    capsys.readouterr()
+    assert main([
+        "certify", "--artifact", str(certified_artifact),
+        "--left-partition", str(tmp_path / "P.part"), "--right-partition", str(tmp_path / "Q.part"),
+        "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+        "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+    ]) == 2
+    assert "bad partition file" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_sampler_exhaustion_exits_1(tmp_path, capsys):
     # beta 0 asks for agreement exactly one half on every pair: two draws miss
     profile = tmp_path / "harsh.json"

@@ -270,9 +270,10 @@ def test_build_determinism():
 
 def test_ranges_codec():
     arr = np.array([0, 1, 2, 5, 7, 8, 9, 64], dtype=np.int64)
-    s = C._ranges_encode(arr)
-    assert np.array_equal(C._ranges_decode(s), arr)
-    assert C._ranges_decode("-").size == 0
+    texts = C._ranges_encode_many([arr, arr[:0]])
+    assert texts == ["0-2,5,7-9,64", "-"]
+    back, empty = C._ranges_decode_many(texts)
+    assert np.array_equal(back, arr) and empty.size == 0
 
 
 # -- exact integer root ------------------------------------------------------
@@ -350,21 +351,21 @@ def _reference_ranges_encode(arr):
 def test_ranges_codec_round_trip(sets):
     texts = C._ranges_encode_many(sets)
     assert texts == [_reference_ranges_encode(s) for s in sets]
-    assert texts == [C._ranges_encode(s) for s in sets]
+    assert texts == [C._ranges_encode_many([s])[0] for s in sets]
     for s, text, back in zip(sets, texts, C._ranges_decode_many(texts)):
         assert np.array_equal(back, np.unique(s))
-        assert np.array_equal(C._ranges_decode(text), back)
+        assert np.array_equal(C._ranges_decode_many([text])[0], back)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789,- x", max_size=24))
 def test_ranges_decode_accepts_only_increasing_id_lists(text):
     try:
-        ids = C._ranges_decode(text)
+        (ids,) = C._ranges_decode_many([text])
     except ValueError:
         return
     assert ids.dtype == np.int64 and np.all(ids >= 0) and np.all(np.diff(ids) > 0)
-    assert text == "-" or C._ranges_decode(C._ranges_encode(ids)).tolist() == ids.tolist()
+    assert text == "-" or C._ranges_decode_many(C._ranges_encode_many([ids]))[0].tolist() == ids.tolist()
 
 
 # -- certificate re-check: one tamper per failure kind -------------------------

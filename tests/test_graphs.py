@@ -155,6 +155,18 @@ def test_serialization_round_trips(seed):
     assert G.graph_hash(g) == G.graph_hash(G.bipartite_from_binary(G.bipartite_to_binary(g)))
 
 
+def test_binary_readers_refuse_every_proper_prefix():
+    """A truncated container raises ValueError wherever it is cut, also
+    inside the fixed header, where struct alone would raise struct.error."""
+    g = random_bipartite(5, 70, 0.4, 3)
+    h = G.KPartiteKGraph(G.VertexClassSet([("V1", 3), ("V2", 2), ("V3", 4)]), [[0, 0, 0], [2, 1, 3], [1, 1, 2]])
+    for reader, blob in ((G.bipartite_from_binary, G.bipartite_to_binary(g)), (G.kgraph_from_binary, G.kgraph_to_binary(h))):
+        assert reader(blob) in (g, h)
+        for size in range(len(blob)):
+            with pytest.raises(ValueError):
+                reader(blob[:size])
+
+
 def test_kgraph_text_round_trip():
     cs = G.VertexClassSet([("V1", 3), ("V2", 2), ("V3", 4)])
     h = G.KPartiteKGraph(cs, [[0, 0, 0], [2, 1, 3], [1, 1, 2]])

@@ -4,8 +4,10 @@
 unpacks bits with numpy or counts the words of a row itself.  The two
 independent oracles are the exception, since an oracle must share no code
 with the path it checks.  ``math.isqrt`` is called by the one exact
-integer-root helper only.  The certificate re-check reaches none of the
-package's functions that the refuter or its witness engine reach, except an
+integer-root helper only.  ``deltareg.graphs`` owns the decimal text
+format: no other module does digit-byte arithmetic or defines a decimal
+reader or writer.  The certificate re-check reaches none of the package's
+functions that the refuter or its witness engine reach, except an
 allow-list.
 """
 
@@ -23,6 +25,7 @@ class _Scan(ast.NodeVisitor):
 
     def __init__(self):
         self.scope, self.calls, self.word_counts, self.defs, self.numpy_calls = [], [], [], [], set()
+        self.digit_bytes = []
 
     def _enter(self, node):
         self.defs.append((node.name, ".".join(self.scope + [node.name])))
@@ -38,6 +41,8 @@ class _Scan(ast.NodeVisitor):
         self.calls.append((".".join(self.scope), name, node.lineno))
         if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "np":
             self.numpy_calls.add(self.calls[-1])
+        if name == "ord" and any(isinstance(a, ast.Constant) and a.value in tuple("0123456789") for a in node.args):
+            self.digit_bytes.append((".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
     def visit_BinOp(self, node):
@@ -92,6 +97,14 @@ def test_only_the_root_helper_calls_isqrt():
         if name == "isqrt" and (mod, where) != ROOT_HELPER
     ]
     assert offenders == [], "use core._iroot_floor or core.dyadic_root_ceil"
+
+
+def test_only_graphs_knows_the_decimal_format():
+    offenders = [f"{mod}.py:{line} in {where or '<module>'}" for mod, scan in SCANS.items() if mod != "graphs" for where, line in scan.digit_bytes]
+    assert offenders == [], "read and write decimal text through deltareg.graphs (_digit_runs, _parse_rows, _write_tokens)"
+    assert SCANS["graphs"].digit_bytes, "the scan sees digit-byte arithmetic"
+    owners = {mod for mod, scan in SCANS.items() for name, _ in scan.defs if name in ("_digit_runs", "_write_tokens")}
+    assert owners == {"graphs"}
 
 
 # the certificate re-check and the path that writes certificates

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -223,23 +225,6 @@ def test_partition_text_round_trip():
     assert P.VertexPartition.from_text(10, vp.to_text()) == vp
 
 
-def test_kpartition_text_round_trip(layered_3):
-    kp = layered_3
-    text = P.kpartition_to_text(kp)
-    back = P.kpartition_from_text(text)
-    assert len(back.vertex.cells) == len(kp.vertex.cells)
-    assert all(np.array_equal(a, b) for a, b in zip(back.vertex.cells, kp.vertex.cells))
-    for r in kp.layers:
-        assert len(back.layers[r]) == len(kp.layers[r])
-        for a, b in zip(back.layers[r], kp.layers[r]):
-            assert np.array_equal(a, b)
-        assert back.under_map[r] == kp.under_map[r]
-    # tampering the under-map is rejected
-    bad = text.replace("under 0 ", "under 1 ", 1)
-    with pytest.raises(ValueError):
-        P.kpartition_from_text(bad)
-
-
 def test_refines_beta_ground_mismatch():
     with pytest.raises(ValueError):
         P.refines_beta(P.VertexPartition.blocks(8, 2), P.VertexPartition.blocks(12, 2), 0)
@@ -341,6 +326,80 @@ def test_vertex_partition_text_tolerates_blank_lines_and_spacing():
     assert [c.tolist() for c in vp.cells] == [[0, 2], [1, 3], [4]]
     with pytest.raises(ValueError):
         P.VertexPartition.from_text(2, "0 x\n1\n")
+
+
+def _reference_to_text(vp):
+    return "\n".join(" ".join(map(str, c.tolist())) for c in vp.cells) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cell_lists())
+def test_vertex_partition_to_text_matches_per_cell_join(case):
+    n, cells = case
+    try:
+        vp = P.VertexPartition(n, cells)
+    except ValueError:
+        return
+    assert vp.to_text() == _reference_to_text(vp)
+
+
+def test_vertex_partition_to_text_edge_shapes():
+    for vp in (P.VertexPartition(0, []), P.VertexPartition.singletons(1), P.VertexPartition.blocks(12, 3),
+               P.VertexPartition(10**5 + 2, [[0, 10**5 + 1], range(1, 10**5 + 1)])):
+        assert vp.to_text() == _reference_to_text(vp)
+    assert P.VertexPartition(0, []).to_text() == "\n"
+    assert P.VertexPartition.from_text(0, "\n") == P.VertexPartition(0, [])
+
+
+# the ASCII bytes str.split() splits at, found by asking str.split itself
+_SPLIT_WHITESPACE = [chr(c) for c in range(128) if ("a" + chr(c) + "b").split() == ["a", "b"]]
+
+
+def test_vertex_partition_from_text_splits_as_str_split():
+    assert len(_SPLIT_WHITESPACE) == 10
+    for ws in _SPLIT_WHITESPACE:
+        # ids apart by ws, cells apart by newlines, blank lines of ws between
+        text = f"{ws}3{ws}{ws}1{ws}\n{ws}\n\n0{ws}2\n{ws}4\n{ws}"
+        want = [[1, 3], [0, 2], [4]] if ws != "\n" else [[3], [1], [0], [2], [4]]
+        vp = P.VertexPartition.from_text(5, text)
+        assert [c.tolist() for c in vp.cells] == sorted(want), repr(ws)
+
+
+@pytest.mark.parametrize("bad", ["+5", "5x", "x5", "0_5", "--5", "5-", "-", "5,", "0" * 18 + "5", "٥"])
+def test_vertex_partition_from_text_refuses_malformed_ids(bad):
+    # each stands where the id 5 would complete the partition
+    P.VertexPartition.from_text(6, "0 1 2\n3 4 5\n")
+    with pytest.raises(ValueError):
+        P.VertexPartition.from_text(6, f"0 1 2\n3 4 {bad}\n")
+
+
+def test_vertex_partition_from_text_reads_a_signed_id_as_out_of_range():
+    with pytest.raises(ValueError, match="cell element out of range"):
+        P.VertexPartition.from_text(3, "0 1\n-2\n")
+    assert P.VertexPartition.from_text(3, "-0 1\n000000000000000002\n") == P.VertexPartition(3, [[0, 1], [2]])
+    with pytest.raises(ValueError, match="not a decimal id"):
+        P.VertexPartition.from_text(6, "1 2\n3 4 5-0\n")  # one token, not 5 and -0
+
+
+def _reference_from_text(n, text):
+    """str.split per line, each token matched against [-]digits."""
+    cells = [line.split() for line in text.split("\n")]
+    tokens = [t for c in cells for t in c]
+    if not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens):
+        raise ValueError("partition text: a token is not a decimal id")
+    if any(len(t.lstrip("-")) > 18 for t in tokens):
+        raise ValueError("partition text: an id of more than 18 digits")
+    return _reference_partition(n, [[int(t) for t in c] for c in cells if c])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6), st.text(alphabet="0123456789 -+x\n\t\r\x0b\x1f", max_size=30))
+def test_vertex_partition_from_text_matches_a_split_reference(n, text):
+    def load():
+        vp = P.VertexPartition.from_text(n, text)
+        return [c.tolist() for c in vp.cells], vp.owner.tolist()
+
+    assert _outcome(load) == _outcome(lambda: _reference_from_text(n, text))
 
 
 def test_refines_exactly_and_equality():
