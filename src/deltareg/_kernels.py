@@ -155,7 +155,8 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
 def _op_popcount_pairs(op, rows, pairs):
     out = np.empty(len(pairs), dtype=np.int64)
     for sl in pair_chunks(len(pairs), rows.shape[1]):
-        both = op(rows[pairs[sl, 0]], rows[pairs[sl, 1]])
+        # np.take gathers whole rows several times faster than fancy indexing
+        both = op(np.take(rows, pairs[sl, 0], axis=0), np.take(rows, pairs[sl, 1], axis=0))
         out[sl] = _row_sums(np.bitwise_count(both))
     return out
 

@@ -156,6 +156,9 @@ def cmd_verify(args) -> int:
     except CapExceeded as e:
         print(f"error: cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP
+    except core_mod.ArtifactMismatch as e:
+        # a file that is not the one its manifest hashed is a failed check
+        report = {"ok": False, "claims": [{"id": "member-hashes", "ok": False, "detail": str(e)}]}
     except (OSError, ValueError, KeyError) as e:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -317,6 +320,9 @@ def _suite_counterexample(artifact: str, mode: str = "exact", cap: int = 1 << 24
 def cmd_certify(args) -> int:
     try:
         seq = core_mod.load_core_sequence(args.artifact)
+    except core_mod.ArtifactMismatch as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     except (OSError, ValueError, KeyError) as e:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -263,10 +263,16 @@ def _group_partition(n: int, parent: np.ndarray) -> VertexPartition:
 
 
 def _parent_map(child: VertexPartition, parent: VertexPartition) -> np.ndarray:
-    pairs = np.unique(child.owner * len(parent) + parent.owner)
-    if pairs.size != len(child):
+    """The parent cell of every child cell: the parent of one vertex of the
+    cell, which every other vertex of the cell must share."""
+    if child.n != parent.n:
         raise ValueError("chain is not an exact successive refinement")
-    return pairs % len(parent)
+    some = np.empty(len(child), dtype=np.int64)
+    some[child.owner] = np.arange(child.n)
+    up = parent.owner[some]
+    if not np.array_equal(up[child.owner], parent.owner):
+        raise ValueError("chain is not an exact successive refinement")
+    return up
 
 
 def default_chains(profile: GrowthProfile):
@@ -278,14 +284,24 @@ def default_chains(profile: GrowthProfile):
     return left, right
 
 
-def neighbor_family(seq: CoreSequence, i: int, left_cluster: int, member: int = 0) -> NeighborFamily:
-    """Level-i right clusters inside level-(i-1) clusters adjacent to the
-    given level-(i-1) left cluster in the member's quotient."""
+def _family_table(seq: CoreSequence, i: int, member: int = 0, left=slice(None)) -> tuple:
+    """Every level-i neighbor family of the level-(i-1) member, from one
+    unpack of its quotient: ``(L, cluster)`` int64 arrays from one
+    ``nonzero`` (L ascending, clusters ascending within each L) and the
+    family size of every L.  ``left`` picks quotient rows (default all);
+    L then counts picked rows."""
     if i < 1 or i - 1 >= len(seq.members):
         raise ValueError("level out of range")
     parentq = seq.members[i - 1][member].quotient
-    adjacent = _kernels.unpack_rows(parentq.rows[left_cluster], parentq.right.size)
-    members = np.flatnonzero(adjacent[seq.rparent[i - 1]]).astype(np.int64)
+    rows = parentq.rows[left]
+    L, cluster = np.nonzero(_kernels.unpack_rows(rows, parentq.right.size)[:, seq.rparent[i - 1]])
+    return L, cluster, np.bincount(L, minlength=len(rows))
+
+
+def neighbor_family(seq: CoreSequence, i: int, left_cluster: int, member: int = 0) -> NeighborFamily:
+    """Level-i right clusters inside level-(i-1) clusters adjacent to the
+    given level-(i-1) left cluster in the member's quotient."""
+    members = _family_table(seq, i, member, [left_cluster])[1]
     return NeighborFamily(level=i, left_cluster=left_cluster, members=members)
 
 
@@ -334,16 +350,23 @@ def verify_structure(seq: CoreSequence) -> dict:
     report = {"density": True, "chain": True, "blocks": True, "families": True, "failures": []}
     for j in range(1, prof.s + 1):
         lp, rp = seq.left_parts(j), seq.right_parts(j)
+        lsz, rsz = np.bincount(lp.owner, minlength=len(lp)), np.bincount(rp.owner, minlength=len(rp))
+        # block sizes in a dtype that holds them, whatever the observed sums;
+        # a block of one vertex pair is complete or empty, so only larger
+        # blocks are recounted
+        largest = int(lsz.max(initial=0)) * int(rsz.max(initial=0))
+        dtype = np.min_scalar_type(largest)
+        full = lsz.astype(dtype)[:, None] * rsz.astype(dtype)
         area = nl * nr
         for m in seq.members[j]:
             g = seq.member_graph(j, m.index)
             if g.edge_count() * (1 << j) != area:
                 report["density"] = False
                 report["failures"].append(("density", j, m.index))
+            if largest < 2:
+                continue
             D = _block_degree_matrix(g, lp, rp)
-            lsz = np.bincount(lp.owner, minlength=len(lp)).astype(D.dtype)
-            rsz = np.bincount(rp.owner, minlength=len(rp)).astype(D.dtype)
-            mixed = (D != 0) & (D != np.outer(lsz, rsz))
+            mixed = (D != 0) & (D != full)
             if mixed.any():
                 report["blocks"] = False
                 for a, b in np.argwhere(mixed)[:8]:
@@ -358,11 +381,9 @@ def verify_structure(seq: CoreSequence) -> dict:
     for i in range(1, prof.s + 1):
         expected = prof.r_sizes[i - 1] >> (i - 1)
         for idx in range(len(seq.members[i - 1])):
-            for L in range(prof.l_sizes[i - 2] if i >= 2 else 1):
-                fam = neighbor_family(seq, i, L, member=idx)
-                if fam.cardinality() != expected:
-                    report["families"] = False
-                    report["failures"].append(("family", i, idx, L))
+            for L in np.flatnonzero(_family_table(seq, i, idx)[2] != expected).tolist():
+                report["families"] = False
+                report["failures"].append(("family", i, idx, L))
     report["ok"] = all(report[k] for k in ("density", "chain", "blocks", "families"))
     return report
 
@@ -379,6 +400,9 @@ def _block_degree_matrix(g: BipartiteGraph, lp: VertexPartition, rp: VertexParti
     return _group_sum(_group_sum(bits, lp, 0), rp, 1)
 
 
+_FAMILY_CHUNK = 1 << 19  # words of family rows plus pair indices the codegree check holds at once
+
+
 def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member: int = 0) -> dict:
     """Two per-level properties of a level-i member:
 
@@ -386,59 +410,116 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
        biregular of density one half (and the member is biregular overall);
     2. codegrees of distinct neighbor-family clusters inside each parent
        left cell stay at or below (1 + alpha_i)/4 of the cell.
+
+    Item 2 covers every parent left cell, or only ``left_cluster``.
     """
-    prof = seq.profile
-    parent_idx = member // 2
-    parentq = seq.members[i - 1][parent_idx].quotient
-    q = seq.members[i][member].quotient
+    parentq = seq.members[i - 1][member // 2].quotient
     g = seq.member_graph(i, member)
-    lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition(seq.n_left, [range(seq.n_left)])
-    rp_prev = seq.right_parts(i - 1) if i >= 2 else VertexPartition(seq.n_right, [range(seq.n_right)])
+    lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition.blocks(seq.n_left, 1)
+    rp_prev = seq.right_parts(i - 1) if i >= 2 else VertexPartition.blocks(seq.n_right, 1)
     report = {"item1": True, "item2": True, "failures": []}
-    lclusters = list(range(parentq.left.size)) if left_cluster is None else [left_cluster]
-    # item 1, vectorized: per-vertex degrees into every parent block must be
-    # exactly half the block side where the parent block is present, 0 where
-    # absent; checked on both sides.
+    # item 1: the degree of every vertex into every parent cell of the other
+    # side is half that cell where the parent block is present, 0 where it
+    # is absent; the expectations are made per parent block and gathered by
+    # owner
     par_bits = _kernels.unpack_rows(parentq.rows, parentq.right.size).astype(np.int64)
     bits = _kernels.unpack_rows(g.rows, seq.n_right)
-    # (r_parent, n_left): degrees of every left vertex into each parent right cell
-    deg_into_R = _group_sum(bits, rp_prev, 1).T
-    lsizes = np.array([len(c) for c in rp_prev.cells], dtype=np.int64)
-    expected = (par_bits.T * (lsizes[:, None] // 2))[:, lp_prev.owner]
-    if not np.array_equal(deg_into_R, expected):
+    deg_into_R, expected = _with_expected(
+        _group_sum(bits, rp_prev, 1), par_bits * (np.bincount(rp_prev.owner, minlength=len(rp_prev)) // 2)
+    )  # (n_left, r_parent) and (l_parent, r_parent)
+    off = deg_into_R != np.take(expected, lp_prev.owner, axis=0)
+    if off.any():
         report["item1"] = False
-        bad = np.argwhere((deg_into_R != expected).T)
-        for v, b in bad[:4]:
+        for v, b in np.argwhere(off)[:4]:
             report["failures"].append(("item1-left", i, member, int(lp_prev.owner[v]), int(b)))
-    deg_into_L = _group_sum(bits, lp_prev, 0)  # (l_parent, n_right)
-    rsizes = np.array([len(c) for c in lp_prev.cells], dtype=np.int64)
-    expectedR = par_bits[:, rp_prev.owner] * (rsizes[:, None] // 2)
-    if not np.array_equal(deg_into_L, expectedR):
+    deg_into_L, expected = _with_expected(
+        _group_sum(bits, lp_prev, 0), par_bits * (np.bincount(lp_prev.owner, minlength=len(lp_prev)) // 2)[:, None]
+    )  # (l_parent, n_right) and (l_parent, r_parent)
+    if not np.array_equal(deg_into_L, np.take(expected, rp_prev.owner, axis=1)):
         report["item1"] = False
         report["failures"].append(("item1-right", i, member))
     degs = g.degrees()
     if np.any(degs * (1 << i) != seq.n_right):
         report["item1"] = False
         report["failures"].append(("item1-global-left", i, member))
-    # item 2 on the quotient: codegrees inside each parent left cell, counted
-    # on the words that cell spans
-    alpha = prof.alpha_at(i)
-    an, ad = alpha.numerator, alpha.denominator
-    tq = q.transposed()  # per right-cluster bits over left clusters
-    cell_of = {int(seq.lparent[i - 1][cell[0]]): cell for cell in seq.x_cells(i).cells}
-    for L in lclusters:
-        fam = neighbor_family(seq, i, L, member=parent_idx).members
-        if len(fam) < 2:
-            continue
-        cell = cell_of[L]
-        lo, hi = int(cell[0]) >> 6, (int(cell[-1]) >> 6) + 1
-        sub = tq.rows[fam, lo:hi] & _kernels.pack_indices(cell - 64 * lo, 64 * (hi - lo))
-        counts = _kernels.and_popcount_pairs(sub, np.stack(np.triu_indices(len(fam), k=1), axis=1))
-        if np.any(4 * counts * ad > len(cell) * (ad + an)):
-            report["item2"] = False
-            report["failures"].append(("item2", i, member, L))
+    for L in _codegree_failures(seq, i, member, left_cluster):
+        report["item2"] = False
+        report["failures"].append(("item2", i, member, L))
     report["ok"] = report["item1"] and report["item2"]
     return report
+
+
+def _with_expected(sums: np.ndarray, expected: np.ndarray) -> tuple:
+    """Group sums and their (non-negative) expected values in one dtype: the
+    sums' own unless an expected value does not fit it."""
+    dtype = np.promote_types(sums.dtype, np.min_scalar_type(int(expected.max(initial=0))))
+    return sums.astype(dtype, copy=False), expected.astype(dtype)
+
+
+def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None) -> list:
+    """Parent left cells L (ascending) in which two level-i clusters of L's
+    neighbor family have codegree above (1 + alpha_i)/4 of L's cell of
+    level-i left clusters, in the member's quotient.
+
+    Cells are taken in chunks of at most ``_FAMILY_CHUNK`` words.  In a
+    chunk every cell's word window of the transposed quotient is masked to
+    the cell (one ``set_bits``), the family rows of all cells are gathered
+    into one matrix, and one ``and_popcount_pairs`` call counts every pair
+    of each family.
+    """
+    alpha = seq.profile.alpha_at(i)
+    an, ad = alpha.numerator, alpha.denominator
+    tq = seq.members[i][member].quotient.transposed()  # per right cluster, bits over left clusters
+    lparent = seq.lparent[i - 1]
+    _, fam, fsize = _family_table(seq, i, member // 2)
+    fstart = np.cumsum(fsize) - fsize
+    # the cell of L: its level-i left clusters, ascending
+    cells = np.argsort(lparent, kind="stable")
+    csize = np.bincount(lparent, minlength=fsize.size)
+    cstart = np.cumsum(csize) - csize
+    lo = cells[cstart] >> 6
+    width = (cells[cstart + csize - 1] >> 6) + 1 - lo
+    Ls = np.arange(fsize.size) if left_cluster is None else np.array([left_cluster], dtype=np.int64)
+    Ls = Ls[fsize[Ls] >= 2]
+    if Ls.size == 0:
+        return []
+    W = int(width[Ls].max())
+    # 4 codeg ad > |cell| (ad + an) exactly when codeg exceeds this floor; a
+    # codegree is at most |cell|, so the bound is clipped to [-1, |cell|]
+    usz, inv = np.unique(csize, return_inverse=True)
+    bound = np.array([max(-1, min(c, c * (ad + an) // (4 * ad))) for c in usz.tolist()], dtype=np.int64)[inv]
+    cost = fsize[Ls] * (W + fsize[Ls] - 1)  # family row words plus pair indices, per cell
+    chunk = (np.cumsum(cost) - cost) // _FAMILY_CHUNK
+    failing = []
+    for part in np.split(Ls, np.flatnonzero(np.diff(chunk)) + 1):
+        k, s = part.size, fsize[part]
+        # mask every cell's word window to the cell
+        words = np.minimum(lo[part][:, None] + np.arange(W), tq.rows.shape[1] - 1)
+        owner = np.repeat(np.arange(k), csize[part])
+        ids = cells[_ranges(cstart[part], csize[part])]
+        masks = np.zeros((k, W), dtype=np.uint64)
+        _kernels.set_bits(masks, owner, ids - 64 * lo[part][owner])
+        # the family rows of all cells, cell by cell
+        row_cell = np.repeat(np.arange(k), s)
+        sub = tq.rows[fam[_ranges(fstart[part], s)][:, None], words[row_cell]] & masks[row_cell]
+        # every pair of each family: one triangle per family size, offset per cell
+        first = np.cumsum(s) - s
+        pairs, pair_cell = [], []
+        for t in np.unique(s).tolist():
+            tri = np.stack(np.triu_indices(t, k=1), axis=1)
+            at = np.flatnonzero(s == t)
+            pairs.append((first[at][:, None, None] + tri).reshape(-1, 2))
+            pair_cell.append(np.repeat(at, len(tri)))
+        pair_cell = np.concatenate(pair_cell)
+        over = _kernels.and_popcount_pairs(sub, np.concatenate(pairs)) > bound[part][pair_cell]
+        failing += part[np.unique(pair_cell[over])].tolist()
+    return failing
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated aranges [start, start + length), one per pair."""
+    total = int(lengths.sum())
+    return np.arange(total) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 _SLICE_SUM_WIDTH = 8
@@ -1481,7 +1562,16 @@ def save_core_sequence(seq: CoreSequence, out_dir: str) -> dict:
     return manifest
 
 
+class ArtifactMismatch(ValueError):
+    """A file of a core artifact differs from the hash its manifest records."""
+
+
 def load_core_sequence(out_dir: str) -> CoreSequence:
+    """The chain saved in out_dir.  Every quotient file must have the
+    SHA-256 that ``manifest.json`` records for it (``member_hashes``),
+    else ArtifactMismatch naming the file; a file that does not parse
+    raises ValueError first, and so does a quotient whose shape is not the
+    profile's cluster counts at its level."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
     profile = GrowthProfile.from_json(manifest["profile"])
@@ -1498,8 +1588,14 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
     for j in range(1, profile.s + 1):
         members = []
         for idx in range(1 << j):
-            with open(os.path.join(out_dir, f"quotient-{j}-{idx}.bin"), "rb") as f:
-                q = bipartite_from_binary(f.read())
+            name = f"quotient-{j}-{idx}.bin"
+            with open(os.path.join(out_dir, name), "rb") as f:
+                blob = f.read()
+            q = bipartite_from_binary(blob)
+            if hashlib.sha256(blob).hexdigest() != manifest["member_hashes"][f"{j}/{idx}"]:
+                raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
+            if (q.left.size, q.right.size) != (profile.l_sizes[j - 1], profile.r_sizes[j - 1]):
+                raise ValueError(f"{name} is a {q.left.size} x {q.right.size} quotient, not {profile.l_sizes[j - 1]} x {profile.r_sizes[j - 1]}")
             members.append(CoreMember(level=j, index=idx, quotient=q, parent=idx // 2))
         seq.members.append(members)
     return seq

@@ -38,37 +38,42 @@ class VertexPartition:
         """Normalise and check cells given as one flat array of ids plus the
         cell sizes.  The checks see every cell at once but report what a scan
         in canonical order reports first: out of range or overlapping an
-        earlier cell, then a gap."""
+        earlier cell, then a gap.  Cells already in canonical form skip the
+        sorts."""
         k = sizes.size
         if np.any(sizes == 0):
             raise ValueError("empty cell")
         cid = np.repeat(np.arange(k), sizes)
-        order = np.lexsort((flat, cid))
-        flat, cid = flat[order], cid[order]
-        keep = np.ones(flat.size, dtype=bool)
-        keep[1:] = (flat[1:] != flat[:-1]) | (cid[1:] != cid[:-1])
-        flat, cid = flat[keep], cid[keep]
-        sizes = np.bincount(cid, minlength=k)
-        ends = np.cumsum(sizes)
-        lo, hi = flat[ends - sizes], flat[ends - 1]
-        canon = np.argsort(lo, kind="stable")
-        rank = np.empty(k, dtype=np.int64)
-        rank[canon] = np.arange(k)
-        erank = rank[cid]
-        by_id = np.lexsort((erank, flat))
-        overlap = np.zeros(k, dtype=bool)
-        overlap[erank[by_id[1:]][flat[by_id[1:]] == flat[by_id[:-1]]]] = True
-        out_of_range = ((lo < 0) | (hi >= n))[canon]
-        failed = np.flatnonzero(out_of_range | overlap)
-        if failed.size:
-            raise ValueError("cell element out of range" if out_of_range[failed[0]] else "cells are not disjoint")
-        if flat.size != n:
-            raise ValueError("cells do not cover the ground set")
+        owner = _canonical_owner(n, flat, sizes, cid)
+        if owner is None:
+            order = np.lexsort((flat, cid))
+            flat, cid = flat[order], cid[order]
+            keep = np.ones(flat.size, dtype=bool)
+            keep[1:] = (flat[1:] != flat[:-1]) | (cid[1:] != cid[:-1])
+            flat, cid = flat[keep], cid[keep]
+            sizes = np.bincount(cid, minlength=k)
+            ends = np.cumsum(sizes)
+            lo, hi = flat[ends - sizes], flat[ends - 1]
+            canon = np.argsort(lo, kind="stable")
+            rank = np.empty(k, dtype=np.int64)
+            rank[canon] = np.arange(k)
+            erank = rank[cid]
+            by_id = np.lexsort((erank, flat))
+            overlap = np.zeros(k, dtype=bool)
+            overlap[erank[by_id[1:]][flat[by_id[1:]] == flat[by_id[:-1]]]] = True
+            out_of_range = ((lo < 0) | (hi >= n))[canon]
+            failed = np.flatnonzero(out_of_range | overlap)
+            if failed.size:
+                raise ValueError("cell element out of range" if out_of_range[failed[0]] else "cells are not disjoint")
+            if flat.size != n:
+                raise ValueError("cells do not cover the ground set")
+            owner = np.empty(n, dtype=np.int64)
+            owner[flat] = erank
+            flat, sizes = flat[np.argsort(erank, kind="stable")], sizes[canon]
         self.n = n
         self.name = name
-        self.cells = _split_cells(flat[np.argsort(erank, kind="stable")], sizes[canon])
-        self.owner = np.empty(n, dtype=np.int64)
-        self.owner[flat] = erank
+        self.cells = _split_cells(flat, sizes)
+        self.owner = owner
         self.owner.setflags(write=False)
 
     @staticmethod
@@ -140,6 +145,22 @@ class VertexPartition:
         self = VertexPartition.__new__(VertexPartition)
         self._set_cells(n, np.where(sign, -vals, vals), sizes[sizes > 0], "")
         return self
+
+
+def _canonical_owner(n: int, flat: np.ndarray, sizes: np.ndarray, cid: np.ndarray):
+    """The owner array of cells that already are a partition of {0..n-1} in
+    canonical form (ids in [0, n) increasing within each cell, cells in
+    order of their first ids, each id once), else None."""
+    if flat.size != n or n == 0 or flat.min() < 0 or flat.max() >= n:
+        return None
+    first = np.cumsum(sizes) - sizes
+    step = np.diff(flat) > 0
+    step[first[1:] - 1] = np.diff(flat[first]) > 0  # each cell starts above the previous cell's start
+    if not step.all():
+        return None
+    owner = np.full(n, -1, dtype=np.int64)
+    owner[flat] = cid
+    return None if np.any(owner < 0) else owner  # n ids in range miss one only if one repeats
 
 
 # the bytes str.split() treats as whitespace in ASCII text

@@ -341,3 +341,53 @@ def test_sampler_exhaustion_exits_1(tmp_path, capsys):
     profile.write_text(json.dumps({"s": 1, "r_sizes": [8], "l_sizes": [16], "alpha": "0", "beta": "0", "max_retries": 2}))
     assert main(["build-core", "--profile", str(profile), "--seed", "0", "--out", str(tmp_path / "out")]) == 1
     assert "retries exhausted" in capsys.readouterr().err
+
+
+def test_swapped_quotients_fail_the_core_suites_and_certify(certified_artifact, tmp_path, capsys):
+    """Two sibling quotients swapped on disk are well-formed files, but not
+    the ones the manifest hashed: both core suites and certify exit 1 and
+    name the file."""
+    art = tmp_path / "art"
+    shutil.copytree(certified_artifact, art)
+    a, b = art / "quotient-2-0.bin", art / "quotient-2-1.bin"
+    blob_a, blob_b = a.read_bytes(), b.read_bytes()
+    a.write_bytes(blob_b)
+    b.write_bytes(blob_a)
+    capsys.readouterr()
+    for suite in ("core-structural", "core-properties"):
+        assert main(["verify", "--artifact", str(art), "--suite", suite]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] member-hashes: quotient-2-0.bin does not match its hash in manifest.json" in out
+        assert "suite FAIL" in out
+    parts = certified_artifact.parent
+    rc = main([
+        "certify", "--artifact", str(art),
+        "--left-partition", str(parts / "P.part"), "--right-partition", str(parts / "Q.part"),
+        "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+        "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+    ])
+    assert rc == 1
+    assert "quotient-2-0.bin does not match its hash" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
+def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
+    """A level-1 quotient with one left cluster too few, its hash recorded
+    in the manifest: a malformed artifact (exit 2), not a traceback."""
+    import hashlib
+
+    from deltareg.graphs import BipartiteGraph, VertexClass, bipartite_from_binary, bipartite_to_binary
+
+    _, out = core_artifact
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    q = bipartite_from_binary((art / "quotient-1-0.bin").read_bytes())
+    blob = bipartite_to_binary(BipartiteGraph(VertexClass("L", q.left.size - 1), q.right, q.rows[:-1].copy()))
+    (art / "quotient-1-0.bin").write_bytes(blob)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["member_hashes"]["1/0"] = hashlib.sha256(blob).hexdigest()
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    for suite in ("core-structural", "core-properties"):
+        assert main(["verify", "--artifact", str(art), "--suite", suite]) == 2
+        assert "quotient-1-0.bin is a 15 x 8 quotient, not 16 x 8" in capsys.readouterr().err

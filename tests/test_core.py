@@ -33,6 +33,50 @@ def test_profile_validation():
         C.GrowthProfile(s=1, r_sizes=[big << 11], l_sizes=[1 << big], strict_mode=True)
 
 
+def test_parent_map_matches_pair_count_and_refuses_non_refinements():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        parent = VertexPartition(n, np.array_split(rng.permutation(n), int(rng.integers(1, n + 1))))
+        # split every parent cell at random: a refinement
+        kids = [part for cell in parent.cells for part in np.array_split(rng.permutation(cell), int(rng.integers(1, cell.size + 1)))]
+        child = VertexPartition(n, kids)
+        pairs = np.unique(child.owner * len(parent) + parent.owner)
+        assert np.array_equal(C._parent_map(child, parent), pairs % len(parent))
+        if len(parent) > 1:
+            # one vertex moved into another parent cell's child
+            v = int(parent.cells[0][0])
+            w = int(parent.cells[1][0])
+            moved = [np.setdiff1d(c, [v]) for c in child.cells]
+            moved[child.owner[w]] = np.append(moved[child.owner[w]], v)
+            with pytest.raises(ValueError, match="exact successive refinement"):
+                C._parent_map(VertexPartition(n, [c for c in moved if c.size]), parent)
+    with pytest.raises(ValueError, match="exact successive refinement"):
+        C._parent_map(VertexPartition.blocks(8, 2), VertexPartition.blocks(4, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 24, 40, 64, 128]), st.sampled_from([1, 2, 3, 200]), st.booleans(), st.booleans(), st.data())
+def test_group_sum_matches_a_per_cell_sum(k, w, top, blocks, axis, data):
+    """Block and scattered partitions, sums that fit a byte and sums that do
+    not, along either axis: every path of _group_sum against a plain sum."""
+    n, axis = k * w, int(axis)
+    if blocks:
+        p = VertexPartition.blocks(n, k)
+    else:
+        cut = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        p = VertexPartition(n, np.split(perm, cut))
+    other = data.draw(st.integers(1, 5))
+    shape = (n, other) if axis == 0 else (other, n)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).integers(0, top + 1, size=shape).astype(np.uint8)
+    got = C._group_sum(x, p, axis)
+    want = np.stack([x.astype(np.int64).take(c, axis=axis).sum(axis=axis) for c in p.cells], axis=axis)
+    assert np.array_equal(got, want)
+    assert got.dtype == np.min_scalar_type(max(map(len, p.cells)) * int(x.max()))
+
+
 def test_level0_quotient_is_single_edge(small_seq):
     q0 = small_seq.members[0][0].quotient
     assert (q0.left.size, q0.right.size, q0.edge_count()) == (1, 1, 1)
@@ -872,3 +916,263 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
         with open(tmp_path / "certificate.txt", "w", encoding="utf-8", newline="") as f:
             f.write(bad)
         assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 2, name
+
+
+# -- whole-array core suites against the per-cluster reference -----------------
+
+
+def _reference_family(seq, i, L, member):
+    parentq = seq.members[i - 1][member].quotient
+    adjacent = C._kernels.unpack_rows(parentq.rows[L], parentq.right.size)
+    return np.flatnonzero(adjacent[seq.rparent[i - 1]]).astype(np.int64)
+
+
+def _reference_core_properties(seq, i, left_cluster=None, member=0):
+    """The per-cluster check the whole-array one replaced, kept as the
+    reference for its reports (its neighbor-family scan inlined)."""
+    prof = seq.profile
+    parent_idx = member // 2
+    parentq = seq.members[i - 1][parent_idx].quotient
+    q = seq.members[i][member].quotient
+    g = seq.member_graph(i, member)
+    lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition(seq.n_left, [range(seq.n_left)])
+    rp_prev = seq.right_parts(i - 1) if i >= 2 else VertexPartition(seq.n_right, [range(seq.n_right)])
+    report = {"item1": True, "item2": True, "failures": []}
+    lclusters = list(range(parentq.left.size)) if left_cluster is None else [left_cluster]
+    par_bits = C._kernels.unpack_rows(parentq.rows, parentq.right.size).astype(np.int64)
+    bits = C._kernels.unpack_rows(g.rows, seq.n_right)
+    deg_into_R = C._group_sum(bits, rp_prev, 1).T
+    lsizes = np.array([len(c) for c in rp_prev.cells], dtype=np.int64)
+    expected = (par_bits.T * (lsizes[:, None] // 2))[:, lp_prev.owner]
+    if not np.array_equal(deg_into_R, expected):
+        report["item1"] = False
+        bad = np.argwhere((deg_into_R != expected).T)
+        for v, b in bad[:4]:
+            report["failures"].append(("item1-left", i, member, int(lp_prev.owner[v]), int(b)))
+    deg_into_L = C._group_sum(bits, lp_prev, 0)
+    rsizes = np.array([len(c) for c in lp_prev.cells], dtype=np.int64)
+    expectedR = par_bits[:, rp_prev.owner] * (rsizes[:, None] // 2)
+    if not np.array_equal(deg_into_L, expectedR):
+        report["item1"] = False
+        report["failures"].append(("item1-right", i, member))
+    degs = g.degrees()
+    if np.any(degs * (1 << i) != seq.n_right):
+        report["item1"] = False
+        report["failures"].append(("item1-global-left", i, member))
+    alpha = prof.alpha_at(i)
+    an, ad = alpha.numerator, alpha.denominator
+    tq = q.transposed()
+    cell_of = {int(seq.lparent[i - 1][cell[0]]): cell for cell in seq.x_cells(i).cells}
+    for L in lclusters:
+        fam = _reference_family(seq, i, L, parent_idx)
+        if len(fam) < 2:
+            continue
+        cell = cell_of[L]
+        lo, hi = int(cell[0]) >> 6, (int(cell[-1]) >> 6) + 1
+        sub = tq.rows[fam, lo:hi] & C._kernels.pack_indices(cell - 64 * lo, 64 * (hi - lo))
+        counts = C._kernels.and_popcount_pairs(sub, np.stack(np.triu_indices(len(fam), k=1), axis=1))
+        if np.any(4 * counts * ad > len(cell) * (ad + an)):
+            report["item2"] = False
+            report["failures"].append(("item2", i, member, L))
+    report["ok"] = report["item1"] and report["item2"]
+    return report
+
+
+def _reference_structure(seq):
+    """The per-member, per-family recount the whole-array one replaced, with
+    block sizes in int64 (the old cast to the sums' dtype could wrap)."""
+    prof = seq.profile
+    nl, nr = seq.n_left, seq.n_right
+    report = {"density": True, "chain": True, "blocks": True, "families": True, "failures": []}
+    for j in range(1, prof.s + 1):
+        lp, rp = seq.left_parts(j), seq.right_parts(j)
+        for m in seq.members[j]:
+            g = seq.member_graph(j, m.index)
+            if g.edge_count() * (1 << j) != nl * nr:
+                report["density"] = False
+                report["failures"].append(("density", j, m.index))
+            D = C._block_degree_matrix(g, lp, rp)
+            mixed = (D != 0) & (D != np.outer(np.bincount(lp.owner), np.bincount(rp.owner)))
+            if mixed.any():
+                report["blocks"] = False
+                for a, b in np.argwhere(mixed)[:8]:
+                    report["failures"].append(("block", j, m.index, int(a), int(b)))
+        for idx in range(len(seq.members[j - 1])):
+            gparent = seq.member_graph(j - 1, idx)
+            c1, c2 = seq.member_graph(j, 2 * idx), seq.member_graph(j, 2 * idx + 1)
+            if np.any(c1.rows & c2.rows) or not np.array_equal(c1.rows | c2.rows, gparent.rows):
+                report["chain"] = False
+                report["failures"].append(("chain", j, idx))
+    for i in range(1, prof.s + 1):
+        expected = prof.r_sizes[i - 1] >> (i - 1)
+        for idx in range(len(seq.members[i - 1])):
+            for L in range(prof.l_sizes[i - 2] if i >= 2 else 1):
+                if len(_reference_family(seq, i, L, idx)) != expected:
+                    report["families"] = False
+                    report["failures"].append(("family", i, idx, L))
+    report["ok"] = all(report[k] for k in ("density", "chain", "blocks", "families"))
+    return report
+
+
+@pytest.fixture(scope="module")
+def desk_seq():
+    import json
+    import pathlib
+
+    profile = json.loads((pathlib.Path(__file__).parents[1] / "profiles" / "core-desk.json").read_text())
+    return C.build_core_sequence(C.GrowthProfile.from_json(profile), seed=1)
+
+
+def _with_quotient(seq, level, member, rows):
+    """A copy of the chain whose (level, member) quotient has these rows;
+    the copy materializes its member graphs afresh."""
+    import copy
+
+    out = copy.copy(seq)
+    out.members = [list(level_members) for level_members in seq.members]
+    q = seq.members[level][member].quotient
+    out.members[level][member] = C.CoreMember(level, member, BipartiteGraph(q.left, q.right, rows), member // 2)
+    out._materialized = {}
+    return out
+
+
+def _flip(seq, level, member, row, col):
+    rows = seq.members[level][member].quotient.rows.copy()
+    rows[row, col >> 6] ^= np.uint64(1) << np.uint64(col & 63)
+    return _with_quotient(seq, level, member, rows)
+
+
+def _equal_family_pair(seq, level, member, L):
+    """Inside the cell of parent left cluster L, make the second cluster of
+    L's neighbor family adjacent to exactly what the first is: their
+    codegree becomes the first one's degree into the cell."""
+    q = seq.members[level][member].quotient
+    r1, r2 = C.neighbor_family(seq, level, L, member=member // 2).members[:2]
+    cell = np.flatnonzero(seq.lparent[level - 1] == L)
+    bits = C._kernels.unpack_rows(q.rows, q.right.size)
+    bits[cell, r2] = bits[cell, r1]
+    return _with_quotient(seq, level, member, C._kernels.pack_rows(bits))
+
+
+def _assert_core_reports_match(seq, members=None, left_clusters=()):
+    """Equal reports for every (level, member) given (default all), over all
+    parent left cells and for each of ``left_clusters`` the level has."""
+    members = members or [(i, m) for i in range(1, seq.profile.s + 1) for m in range(1 << i)]
+    for i, m in members:
+        assert C.verify_core_properties(seq, i, member=m) == _reference_core_properties(seq, i, member=m), (i, m)
+        for L in left_clusters:
+            if L < len(seq.members[i - 1][m // 2].quotient.rows):
+                got = C.verify_core_properties(seq, i, left_cluster=L, member=m)
+                assert got == _reference_core_properties(seq, i, left_cluster=L, member=m), (i, m, L)
+
+
+def test_core_reports_match_the_per_cluster_reference_on_small_seq(small_seq):
+    _assert_core_reports_match(small_seq, left_clusters=(0, 5, 15))
+    assert C.verify_structure(small_seq) == _reference_structure(small_seq)
+
+
+def test_core_reports_match_the_per_cluster_reference_on_families_of_two():
+    """Level-2 families of two clusters: one pair per parent cell, and a
+    planted codegree violation in one cell."""
+    prof = C.GrowthProfile(s=2, r_sizes=[2, 4], l_sizes=[4, 16], blowup_left=4, blowup_right=2, alpha=Fraction(3, 4), beta=Fraction(1, 2))
+    seq = C.build_core_sequence(prof, seed=5)
+    assert set(C._family_table(seq, 2, 1)[2].tolist()) == {2}
+    _assert_core_reports_match(seq, left_clusters=(0, 3))
+    planted = _equal_family_pair(seq, 2, 1, 2)
+    assert ("item2", 2, 1, 2) in C.verify_core_properties(planted, 2, member=1)["failures"]
+    _assert_core_reports_match(planted, [(2, 1)], left_clusters=(1, 2))
+
+
+def test_item1_expectations_beyond_the_sums_dtype():
+    """An empty member under parent cells of 512 right vertices: its degree
+    sums are all 0 (uint8), the expected 256 must not wrap to 0."""
+    prof = C.GrowthProfile(s=1, r_sizes=[8], l_sizes=[16], blowup_right=64, alpha=Fraction(3, 4), beta=Fraction(1, 2))
+    seq = C.build_core_sequence(prof, seed=0)
+    g = seq.member_graph(1, 0)
+    seq._materialized[(1, 0)] = BipartiteGraph(g.left, g.right, np.zeros_like(g.rows))
+    rep = C.verify_core_properties(seq, 1, member=0)
+    assert rep == _reference_core_properties(seq, 1, member=0)
+    assert rep["failures"][0] == ("item1-left", 1, 0, 0, 0) and ("item1-right", 1, 0) in rep["failures"]
+
+
+def test_core_reports_match_the_per_cluster_reference_on_desk_seed_1(desk_seq):
+    _assert_core_reports_match(desk_seq, left_clusters=(0, 255))
+    rep = C.verify_structure(desk_seq)
+    assert rep["ok"] and rep == _reference_structure(desk_seq)
+
+
+@pytest.mark.parametrize(
+    "level,member,row,col",
+    [(2, 1, 5, 3), (2, 2, 200, 30), (3, 5, 1000, 77), (3, 0, 65535, 127)],
+)
+def test_flipped_quotient_bit_reports_match_the_reference(desk_seq, level, member, row, col):
+    """A flipped level-2 bit also changes the size of one level-3 family
+    (a parent quotient with unequal family sizes)."""
+    seq = _flip(desk_seq, level, member, row, col)
+    rep = C.verify_structure(seq)
+    assert not rep["ok"] and rep == _reference_structure(seq)
+    if level == 2:
+        assert ("family", 3, member, row) in rep["failures"]
+    children = [(level + 1, 2 * member), (level + 1, 2 * member + 1)] if level < seq.profile.s else []
+    _assert_core_reports_match(seq, [(level, member)] + children, left_clusters=(0, row, row >> (8 if level == 3 else 4)))
+    assert not C.verify_core_properties(seq, level, member=member)["ok"]
+
+
+@pytest.mark.parametrize("level,member,L", [(2, 3, 7), (3, 6, 100), (3, 1, 0)])
+def test_planted_codegree_violation_is_reported_as_the_reference_does(desk_seq, level, member, L):
+    seq = _equal_family_pair(desk_seq, level, member, L)
+    rep = C.verify_core_properties(seq, level, member=member)
+    assert ("item2", level, member, L) in rep["failures"]
+    assert rep == _reference_core_properties(seq, level, member=member)
+    for cluster in (L, L + 1):
+        assert C.verify_core_properties(seq, level, left_cluster=cluster, member=member) == _reference_core_properties(
+            seq, level, left_cluster=cluster, member=member
+        )
+
+
+def test_codegree_check_counts_pairs_once_per_chunk(desk_seq, monkeypatch):
+    """One ``and_popcount_pairs`` call per chunk of parent cells: one for a
+    desk member, and one per cell when each chunk holds a single cell; the
+    reports do not change with the chunk size."""
+    calls = []
+    kernel = C._kernels.and_popcount_pairs
+
+    def counted(rows, pairs):
+        calls.append(len(pairs))
+        return kernel(rows, pairs)
+
+    monkeypatch.setattr(C._kernels, "and_popcount_pairs", counted)
+    seq = _equal_family_pair(desk_seq, 3, 2, 9)
+    full = C.verify_core_properties(seq, 3, member=2)
+    assert len(calls) == 1 and calls[0] == 256 * (32 * 31 // 2)
+    calls.clear()
+    monkeypatch.setattr(C, "_FAMILY_CHUNK", 1)
+    assert C.verify_core_properties(seq, 3, member=2) == full
+    assert len(calls) == 256 and set(calls) == {32 * 31 // 2}
+
+
+def test_core_suites_do_not_call_neighbor_family(small_seq, tmp_path, monkeypatch):
+    from deltareg.cli import main
+
+    C.save_core_sequence(small_seq, str(tmp_path))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("neighbor_family called")
+
+    monkeypatch.setattr(C, "neighbor_family", refused)
+    for suite in ("core-structural", "core-properties"):
+        assert main(["verify", "--artifact", str(tmp_path), "--suite", suite]) == 0
+
+
+def test_block_check_holds_block_sizes_past_the_sums_dtype():
+    """A 300 x 1 block holding 44 edges is mixed: every block sum fits
+    uint8, but the block size 300 does not, and must not wrap to 44."""
+    prof = C.GrowthProfile(s=1, r_sizes=[8], l_sizes=[16], blowup_left=300, alpha=Fraction(3, 4), beta=Fraction(1, 2))
+    seq = C.build_core_sequence(prof, seed=0)
+    g = seq.member_graph(1, 0)
+    bits = np.zeros((g.left.size, g.right.size), dtype=np.uint8)
+    bits[:44, 0] = 1
+    seq._materialized[(1, 0)] = BipartiteGraph(g.left, g.right, C._kernels.pack_rows(bits))
+    rep = C.verify_structure(seq)
+    assert not rep["blocks"]
+    assert ("block", 1, 0, 0, 0) in rep["failures"]

@@ -335,7 +335,10 @@ def test_bipartite_text_matches_per_line_formatter(g):
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 70), st.data())
 def test_lift_matches_per_row_reference(factor_sizes, nr, data):
     product = G.ProductClass.of([G.VertexClass(f"F{j}", s) for j, s in enumerate(factor_sizes)])
-    bits = np.array(data.draw(st.lists(st.booleans(), min_size=product.size * nr, max_size=product.size * nr)))
+    # drawn as bytes: a list of up to 125 * 70 booleans exceeds what hypothesis draws in one list
+    n_bits = product.size * nr
+    raw = data.draw(st.binary(min_size=(n_bits + 7) // 8, max_size=(n_bits + 7) // 8))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits].astype(bool)
     g = G.BipartiteGraph.from_edges(G.VertexClass(product.name, product.size), G.VertexClass("R", nr), np.argwhere(bits.reshape(product.size, nr)))
     right = G.VertexClass("Z", nr)
     lifted = G.lift_graph_to_kgraph(g, product, right_class=right)

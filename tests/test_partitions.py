@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltareg import partitions as P
 from deltareg.graphs import VertexClassSet
@@ -305,6 +305,25 @@ def test_vertex_partition_matches_reference_loop(case):
         return [c.tolist() for c in vp.cells], vp.owner.tolist()
 
     assert _outcome(load) == _outcome(lambda: _reference_partition(n, filled))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cell_lists())
+@example((4, [[0, 2], [1, 2]]))  # n ids, in order, one repeated and one missing
+@example((3, [[0, 1], [1, 2]]))
+def test_vertex_partition_in_canonical_order_matches_reference_loop(case):
+    """Cells sorted within and ordered by their least id, as to_text writes
+    them (so whole partitions take the path that skips the sorts), give the
+    reference's cells, owner and error, damaged or not."""
+    n, cells = case
+    cells = sorted((sorted(c) for c in cells), key=lambda c: c[:1])
+    want = _outcome(lambda: _reference_partition(n, cells))
+
+    def build():
+        vp = P.VertexPartition(n, cells)
+        return [c.tolist() for c in vp.cells], vp.owner.tolist()
+
+    assert _outcome(build) == want
 
 
 @settings(max_examples=100, deadline=None)
