@@ -185,7 +185,7 @@ def and_popcount_pairs_segmented(rows, pairs, seg_starts, seg_ends):
     tiled = w > 0 and np.array_equal(seg_starts, seg_starts[0] + w * np.arange(ns)) and np.all(widths == w)
     out = np.empty((len(pairs), ns), dtype=np.int64)
     for sl in pair_chunks(len(pairs), rows.shape[1]):
-        pc = np.bitwise_count(rows[pairs[sl, 0]] & rows[pairs[sl, 1]])
+        pc = np.bitwise_count(np.take(rows, pairs[sl, 0], axis=0) & np.take(rows, pairs[sl, 1], axis=0))
         if tiled:
             blocks = pc[:, seg_starts[0] : seg_starts[0] + ns * w].reshape(len(pc), ns, w)
             out[sl] = blocks[:, :, 0]

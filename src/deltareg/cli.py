@@ -4,7 +4,7 @@ manifests.
 All randomness flows from one master seed through a documented split
 (command, module, level), so replaying a manifest reproduces byte-identical
 artifacts.  Exit codes: 0 pass, 1 verification failure, 2 usage or
-configuration error, 3 resource cap exceeded.
+configuration error, 3 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -404,7 +404,7 @@ def cmd_counterexample(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="deltareg", description=__doc__)
-    ap.add_argument("--cap", type=int, default=int(os.environ.get("DELTAREG_CAP", 1 << 24)), help="exact-enumeration cap")
+    ap.add_argument("--cap", type=int, default=1 << 24, help="exact-enumeration cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-core", help="build a chain at a desk profile")
@@ -451,9 +451,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
-    return args.func(args)
+    args = make_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except MemoryError as e:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

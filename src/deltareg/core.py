@@ -35,7 +35,7 @@ from .graphs import (
     bipartite_to_binary,
     graph_hash,
 )
-from .partitions import VertexPartition, refines_beta
+from .partitions import VertexPartition, ceil_share, cell_hosts, refines_beta
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -662,9 +662,8 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     """
     C = len(cells)
     lp_i, rp_i = seq.left_parts(i), seq.right_parts(i)
-    n_i, r_i, nr = len(lp_i), len(rp_i), seq.n_right
+    r_i, nr = len(rp_i), seq.n_right
     prev = seq.left_parts(i - 1).owner if i >= 2 else np.zeros(seq.n_left, dtype=np.int64)
-    n_prev = len(seq.left_parts(i - 1)) if i >= 2 else 1
     sizes = np.fromiter(map(len, cells), dtype=np.int64, count=C)
     if C == 0:
         return {"cell": sizes, "cluster": sizes, "e_pr": sizes, "corr": sizes, "p1": []}
@@ -673,27 +672,14 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     ids = np.concatenate(cells).astype(np.int64, copy=False)
     cid = np.repeat(np.arange(C), sizes)
     first_of = np.cumsum(sizes) - sizes
-    # host: the level-(i-1) cluster holding most of the cell (the first on ties)
-    pair, mass = np.unique(cid * n_prev + prev[ids], return_counts=True)
-    pc = pair // n_prev
-    best = np.flatnonzero(mass == np.maximum.reduceat(mass, np.searchsorted(pc, np.arange(C)))[pc])
-    best = best[np.r_[True, pc[best[1:]] != pc[best[:-1]]]]
-    host = pair[best] % n_prev
-    away = sizes - mass[best]  # the mass outside the host
-    if np.any((away != 0) & (4 * away >= sizes)):
+    # host: the level-(i-1) cluster holding most of the cell
+    host, mass, near = cell_hosts(cid, prev[ids], Fraction(1, 4))
+    if not near.all():
         raise ValueError("subset is not 1/4-inside a previous-level cluster")
-    # not gamma-inside a level-i cluster: every cluster leaves more than
-    # ceil(gamma|P|) - 1 of P outside (all of P for a cluster P misses)
-    pair, tmass = np.unique(cid * n_i + lp_i.owner[ids], return_counts=True)
-    pc = pair // n_i
-    usz, inv = np.unique(sizes, return_inverse=True)
-    below = np.array([min(s, -(-gamma.numerator * s // gamma.denominator) - 1) for s in usz.tolist()], dtype=np.int64)[inv]
-    outside_i = sizes[pc] - tmass
-    inside = np.bincount(pc, (outside_i == 0) | (outside_i <= below[pc]), minlength=C) > 0
-    inside |= (np.bincount(pc, minlength=C) < n_i) & (sizes <= below)
+    away = sizes - mass  # the mass outside the host
+    _, maxmass, inside = cell_hosts(cid, lp_i.owner[ids], gamma)
     if inside.any():
         raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
-    maxmass = np.maximum.reduceat(tmass, np.searchsorted(pc, np.arange(C)))
     # the host's family: level-i right clusters inside level-(i-1) clusters
     # adjacent to the host in the parent member
     parent_q = seq.members[i - 1][seq.ancestor_index(ell, member, i - 1)].quotient
@@ -706,7 +692,7 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     if (seq.n_left * seq.n_right) << abs(shift) >= 1 << 63:
         raise ValueError("chain too large for the int64 density test of the witnesses")
     found = {"cell": [], "cluster": [], "e_pr": [], "corr": [], "p1": []}
-    for s in usz.tolist():
+    for s in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == s)
         per = max(1, _WITNESS_CHUNK // (s * max(nr, r_i)))
         for a in range(0, group.size, per):
@@ -1236,17 +1222,11 @@ def refute_partition(
     if rep_p.verdict:
         raise ValueError("left partition gamma-refines the level-t clusters; nothing to refute")
     # classify cells by the deepest level they gamma-refine: a cell stays in
-    # the chain while its largest overlap with a level-i cluster leaves 0 or
-    # fewer than gamma of it outside, that is at most ceil(gamma|cell|) - 1
-    sizes = np.bincount(P.owner, minlength=len(P))
-    below = np.array([min(s, -(-gamma.numerator * s // gamma.denominator) - 1) for s in sizes.tolist()])
+    # the chain while it is gamma-inside a level-i cluster
     depth = np.zeros(len(P), dtype=np.int64)
     inside = np.ones(len(P), dtype=bool)
     for i in range(1, t + 1):
-        lp = seq.left_parts(i)
-        pairs, counts = np.unique(P.owner * len(lp) + lp.owner, return_counts=True)
-        outside = sizes - np.maximum.reduceat(counts, np.searchsorted(pairs // len(lp), np.arange(len(P))))
-        inside &= (outside == 0) | (outside <= below)
+        inside &= cell_hosts(P.owner, seq.left_parts(i).owner, gamma)[2]
         depth += inside
     # cells inside level t are not in the deficient family; each level's
     # cells are searched in one pass
@@ -1261,13 +1241,11 @@ def refute_partition(
     for i in used_levels:
         at = np.flatnonzero(level == i)
         cells = [P.cells[k] for k in deficient[at].tolist()]
-        found = _level_witnesses(seq, ell, member, i, cells, gamma, outside=~_rstar_mask(Q, seq.right_parts(i), c, seq.n_right))
+        found = _level_witnesses(seq, ell, member, i, cells, gamma, outside=~_rstar_mask(Q, seq.right_parts(i), c))
         # a line needs |P1| >= delta |P|
         psize = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))[found["cell"]]
         p1_size = np.fromiter(map(len, found["p1"]), dtype=np.int64, count=len(found["p1"]))
-        usz, inv = np.unique(psize, return_inverse=True)
-        need = np.array([min(-(-delta.numerator * s // delta.denominator), s + 1) for s in usz.tolist()], dtype=np.int64)
-        keep = np.flatnonzero(p1_size >= need[inv])
+        keep = np.flatnonzero(p1_size >= ceil_share(psize, delta))
         rcells = seq.right_parts(i).cells
         rsize = np.bincount(seq.right_parts(i).owner, minlength=len(rcells))[found["cluster"][keep]]
         # exact values, one per distinct (|P|, |R|, corr)
@@ -1316,18 +1294,11 @@ def refute_partition(
     return cert
 
 
-def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction, n_right: int) -> np.ndarray:
+def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction) -> np.ndarray:
     """Boolean mask over right vertices: inside the union of Q&R for Q-cells
     c-inside a cluster R."""
-    mask = np.zeros(n_right, dtype=bool)
-    for cell in Q.cells:
-        m = np.bincount(rparts.owner[cell], minlength=len(rparts.cells))
-        host = int(np.argmax(m))
-        outside = int(cell.size - m[host])
-        if outside == 0 or Fraction(outside) < c * int(cell.size):
-            inter = cell[rparts.owner[cell] == host]
-            mask[inter] = True
-    return mask
+    host = np.asarray(refines_beta(Q, rparts, c).assignment, dtype=np.int64)
+    return host[Q.owner] == rparts.owner
 
 
 _RECHECK_CHUNK = 1 << 23  # P rows x n-right unpacked bytes, and (P1 id, R id) pairs, the re-check holds at once

@@ -158,7 +158,7 @@ def build_triangle_free(params: CounterexampleParams) -> tuple[TripartiteGraph, 
     if not params.relaxed:
         params.validate_strict()
     audit = BuildAudit()
-    gate = float(params.delta) ** 3 * params.k**2 * float(params.q)
+    gate = Fraction(params.delta) ** 3 * params.k**2 * Fraction(params.q)
     base = None
     for attempt in range(params.max_resamples):
         g = _sample_tripartite(params.k, params.q, rng)

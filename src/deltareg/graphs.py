@@ -433,34 +433,6 @@ def bipartite_from_text(text: str) -> BipartiteGraph:
     return g
 
 
-_KMAGIC = b"DRKG"
-
-
-def kgraph_to_binary(h: KPartiteKGraph) -> bytes:
-    head = struct.pack("<4sHB", _KMAGIC, 1, h.k)
-    names = "\n".join(c.name for c in h.classes.classes).encode() + b"\n"
-    sizes = struct.pack(f"<{h.k}I", *[c.size for c in h.classes.classes])
-    body = h.edges_arr.astype("<i8").tobytes()
-    return head + struct.pack("<I", len(names)) + names + sizes + struct.pack("<Q", h.edge_count()) + body
-
-
-def kgraph_from_binary(data: bytes) -> KPartiteKGraph:
-    magic, ver, k = _unpack("<4sHB", data, 0)
-    if magic != _KMAGIC or ver != 1:
-        raise ValueError("not a v1 k-graph container")
-    off = struct.calcsize("<4sHB")
-    (nlen,) = _unpack("<I", data, off)
-    off += 4
-    names = data[off : off + nlen].decode().strip("\n").split("\n")
-    off += nlen
-    sizes = _unpack(f"<{k}I", data, off)
-    off += 4 * k
-    (m,) = _unpack("<Q", data, off)
-    off += 8
-    edges = np.frombuffer(data[off:], dtype="<i8").reshape(m, k).astype(np.int64)
-    return KPartiteKGraph(VertexClassSet(list(zip(names, sizes))), edges)
-
-
 def kgraph_to_text(h: KPartiteKGraph) -> str:
     head = ["kgraph v1", f"k {h.k}"]
     head += [f"class {c.name} {c.size}" for c in h.classes.classes]

@@ -191,6 +191,42 @@ class RefinementReport:
         return self.assignment[qi]
 
 
+def ceil_share(sizes: np.ndarray, beta) -> np.ndarray:
+    """ceil(beta * s) for every size s, clipped to s + 1, in Python integers
+    once per distinct size (no float, no int64 product)."""
+    beta = Fraction(beta)
+    usz, inv = np.unique(sizes, return_inverse=True)
+    share = [min(-(-beta.numerator * s // beta.denominator), s + 1) for s in usz.tolist()]
+    return np.array(share, dtype=np.int64)[inv]
+
+
+def cell_hosts(cid: np.ndarray, label: np.ndarray, beta) -> tuple:
+    """Hosts of cells given element by element: element j lies in cell
+    ``cid[j]`` and sits in cluster ``label[j]``.  Cells are numbered 0..C-1,
+    none is empty, and they may be a whole partition or any disjoint cells;
+    labels are non-negative.  Returns, per cell: its host, the label holding
+    most of the cell (the smallest label on ties); the overlap with the host;
+    and whether the cell is beta-inside its host (|S \\ host| is 0 or below
+    beta|S|).  The host leaves the least of a cell outside, so a cell is
+    beta-inside some label exactly when it is beta-inside its host."""
+    cid, label = np.asarray(cid, dtype=np.int64), np.asarray(label, dtype=np.int64)
+    if cid.size == 0:
+        return cid, cid, np.zeros(0, dtype=bool)
+    num, width = int(cid.max()) + 1, int(label.max()) + 1
+    if num * width >= 1 << 63:
+        raise ValueError("too many cells and labels for int64 pair keys")
+    pair, mass = np.unique(cid * width + label, return_counts=True)
+    cell = pair // width
+    start = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    if start.size != num:
+        raise ValueError("empty cell")
+    # pairs run by cell, labels ascending: the first largest mass of each cell
+    best = np.flatnonzero(mass == np.maximum.reduceat(mass, start)[cell])
+    best = best[np.r_[True, cell[best[1:]] != cell[best[:-1]]]]
+    sizes, overlap = np.bincount(cid), mass[best]
+    return pair[best] % width, overlap, sizes - overlap < np.maximum(ceil_share(sizes, beta), 1)
+
+
 def refines_beta(Q: VertexPartition, P: VertexPartition, beta) -> RefinementReport:
     """Approximate refinement test.
 
@@ -202,19 +238,9 @@ def refines_beta(Q: VertexPartition, P: VertexPartition, beta) -> RefinementRepo
         raise ValueError("partitions live on different ground sets")
     if beta > Fraction(1, 2):
         raise ValueError("approximate refinement requires beta <= 1/2")
-    covered = sum(c.size for c in Q.cells)
-    assignment = []
-    mass = 0
-    for cell in Q.cells:
-        hosts, counts = np.unique(P.owner[cell], return_counts=True)
-        best = int(hosts[np.argmax(counts)])
-        outside = int(cell.size - counts.max())
-        if outside == 0 or outside < beta * int(cell.size):
-            assignment.append(best)
-        else:
-            assignment.append(-1)
-            mass += int(cell.size)
-    return RefinementReport(beta=beta, assignment=assignment, mass_unassigned=mass, ground=covered)
+    host, _, inside = cell_hosts(Q.owner, P.owner, beta)
+    mass = int(np.bincount(Q.owner, minlength=len(Q))[~inside].sum())
+    return RefinementReport(beta=beta, assignment=np.where(inside, host, -1).tolist(), mass_unassigned=mass, ground=Q.n)
 
 
 def cross_k(P: VertexPartition, r: int, cap: int = 2_000_000) -> np.ndarray:
@@ -438,25 +464,17 @@ def refinement_union(Q: VertexPartition, P: VertexPartition, delta) -> tuple[int
     3*delta*|P-cell| whenever Q delta-refines P; ties break on the lowest
     cell index.
     """
-    delta = Fraction(delta)
     rep = refines_beta(Q, P, delta)
     if not rep.verdict:
         raise ValueError("Q does not delta-refine P")
-    unions = {pi: [] for pi in range(len(P.cells))}
-    for qi, cell in enumerate(Q.cells):
-        hosts, counts = np.unique(P.owner[cell], return_counts=True)
-        best = int(hosts[np.argmax(counts)])
-        outside = int(cell.size - counts.max())
-        if outside == 0 or outside < delta * int(cell.size):
-            unions[best].append(cell)
-    best_pi, best_diff, best_union = -1, None, None
-    for pi in range(len(P.cells)):
-        u = np.unique(np.concatenate(unions[pi])) if unions[pi] else np.empty(0, dtype=np.int64)
-        pset = P.cells[pi]
-        diff = int(np.setdiff1d(u, pset).size + np.setdiff1d(pset, u).size)
-        if best_diff is None or diff < best_diff:
-            best_pi, best_diff, best_union = pi, diff, u
-    return best_pi, best_union, best_diff
+    # per vertex, the host of its Q-cell (-1 for none); the union for a
+    # P-cell is where that host is the cell, and |U ^ p| = |U| + |p| - 2|U & p|
+    host = np.asarray(rep.assignment, dtype=np.int64)[Q.owner]
+    k = len(P.cells)
+    diff = np.bincount(host[host >= 0], minlength=k) + np.bincount(P.owner, minlength=k)
+    diff -= 2 * np.bincount(host[host == P.owner], minlength=k)
+    best = int(np.argmin(diff))
+    return best, np.flatnonzero(host == best), int(diff[best])
 
 
 def decompose_polyads(P: KPartition, F_cell_idx: int, V_cell_idx: int):

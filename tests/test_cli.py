@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from deltareg.cli import main
@@ -187,6 +188,30 @@ def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_p
     (d / "merged.kgraph").write_text(re.sub(r"^class (\S+) \d+$", r"class \1 3000000", text, flags=re.M))
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
     assert "2^63" in capsys.readouterr().err
+
+
+def _numpy_memory_error():
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    return _ArrayMemoryError((1 << 40,), np.dtype(np.uint8))
+
+
+@pytest.mark.parametrize("error", [MemoryError, _numpy_memory_error], ids=["MemoryError", "numpy"])
+def test_out_of_memory_exits_3(hypergraph_artifact, tmp_path, capsys, monkeypatch, error):
+    """An allocation failure in a build or a suite is a resource limit (exit
+    3 with one error line), not a traceback.  The failure is simulated."""
+    from deltareg import hypergraphs
+
+    def fails(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(hypergraphs, "build_pasted_instance", fails)
+    out = tmp_path / "hg"
+    assert main(["build-hypergraph", "--k", "3", "--s", "2", "--seed", "3", "--blowup", "1", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert main(["verify", "--artifact", str(hypergraph_artifact), "--suite", "hypergraph"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: out of memory") for line in err)
 
 
 def test_counterexample_flow(tmp_path, capsys):

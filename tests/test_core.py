@@ -424,7 +424,7 @@ def _reseal(cert, g, k, j):
     that a tamper of its sets breaks only the check it aims at."""
     e, ln = cert.entries[k], cert.entries[k].lines[j]
     q = VertexPartition(cert.n_right, cert.q_cells)
-    rstar = C._rstar_mask(q, VertexPartition(cert.n_right, cert.r_level_cells[e.level]), cert.host_c, cert.n_right)
+    rstar = C._rstar_mask(q, VertexPartition(cert.n_right, cert.r_level_cells[e.level]), cert.host_c)
     corr = edges_between(g, e.p_vertices, ln.r_vertices[~rstar[ln.r_vertices]])
     p = Fraction(1, 1 << cert.ell)
     value = max(Fraction(0), cert.gamma_prime * (Fraction(1, 4) * (1 << e.level) * p * e.p_vertices.size * ln.r_vertices.size - corr))
@@ -550,8 +550,8 @@ def test_reverify_does_not_repeat_a_faulty_rstar_mask(small_seq, monkeypatch):
     qualifying Q-cell in the refuter gives corrections it rejects."""
     real = C._rstar_mask
 
-    def drops_one_cell(Q, rparts, c, n_right):
-        mask = real(Q, rparts, c, n_right)
+    def drops_one_cell(Q, rparts, c):
+        mask = real(Q, rparts, c)
         mask[next(cell for cell in Q.cells if mask[cell].any())] = False
         return mask
 

@@ -145,6 +145,23 @@ def test_degenerate_all_edges_removed():
     assert sum(audit.deletions.values()) <= audit.triangle_history[-1]
 
 
+def test_triangle_gate_is_exact(monkeypatch):
+    """delta = q = 1/3, k = 9: the gate delta^3 k^2 q is exactly 1, which a
+    float product puts at 0.9999999999999997; a base with one triangle
+    meets it."""
+    from deltareg.graphs import BipartiteGraph, VertexClass
+
+    def one_triangle(n, q, rng):
+        pair = lambda a, b: BipartiteGraph.from_edges(VertexClass(a, n), VertexClass(b, n), np.zeros((1, 2), dtype=np.int64))
+        return X.TripartiteGraph(n=n, ab=pair("A", "B"), ac=pair("A", "C"), bc=pair("B", "C"))
+
+    monkeypatch.setattr(X, "_sample_tripartite", one_triangle)
+    params = X.CounterexampleParams(delta=Fraction(1, 3), q=Fraction(1, 3), k=9, m=1, seed=0, relaxed=True)
+    g, audit = X.build_triangle_free(params)
+    assert audit.triangle_history == [1] and g.triangle_count() == 0
+    assert "triangle-gate-ok True" in audit.to_text()
+
+
 def test_occupancy_and_subset_helper():
     rng = np.random.default_rng(0)
     S = X._random_subset_with_occupancy(6, 3, 9, rng)

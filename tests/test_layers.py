@@ -138,5 +138,7 @@ def test_the_recheck_shares_no_code_with_the_refuter():
     recheck, refuter = _reach([RECHECK]), _reach(REFUTER)
     assert {"graph_hash", "VertexPartition"} <= recheck and "_level_witnesses" in _reach([("core", "refute_partition")])
     assert "unpack_rows" in refuter and "edge_count" in refuter  # the scan sees through the refuter
+    # the refuter's host and beta-inside decisions, R* included, go through one primitive
+    assert {"cell_hosts", "ceil_share", "refines_beta", "_rstar_mask"} <= refuter
     shared = (recheck & refuter) - RECHECK_MAY_SHARE
     assert shared == set(), f"reverify_certificate reaches {sorted(shared)}, which the refuter reaches too"

@@ -52,6 +52,86 @@ def test_refines_beta_reflexive_property(cells_a, w, rnd):
     assert P.refines_beta(P.VertexPartition.singletons(n), parts, 0).verdict
 
 
+def _reference_hosts(cells, owner, beta):
+    """The per-cell loop ``refines_beta`` ran before ``cell_hosts``: per cell
+    its host (smallest label of largest mass), that mass, and whether the
+    outside is 0 or below beta|S|, compared in Fractions."""
+    out = []
+    for cell in cells:
+        hosts, counts = np.unique(owner[cell], return_counts=True)
+        outside = int(cell.size - counts.max())
+        out.append((int(hosts[np.argmax(counts)]), int(counts.max()), outside == 0 or outside < Fraction(beta) * int(cell.size)))
+    return out
+
+
+def _hosts(cells, owner, beta):
+    ids = np.concatenate(cells)
+    cid = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
+    host, overlap, inside = P.cell_hosts(cid, owner[ids], beta)
+    assert host.dtype == overlap.dtype == np.int64 and inside.dtype == bool
+    return list(zip(host.tolist(), overlap.tolist(), inside.tolist()))
+
+
+_betas = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 512)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 8), _betas, st.randoms(use_true_random=False))
+def test_cell_hosts_matches_the_per_cell_loop(n, labels, ncells, beta, rnd):
+    """Disjoint cells that need not cover the ground set, then a partition,
+    against the reference loop; and refines_beta's report on it."""
+    owner = np.array([rnd.randrange(labels) for _ in range(n)], dtype=np.int64)
+    where = [rnd.randrange(-1, ncells) for _ in range(n)]  # -1: in no cell
+    cells = [np.flatnonzero(np.array(where) == c) for c in range(ncells)]
+    cells = [c for c in cells if c.size] or [np.arange(n)]
+    assert _hosts(cells, owner, beta) == _reference_hosts(cells, owner, beta)
+    q = P.VertexPartition(n, [np.flatnonzero(np.array(where) == c) for c in range(-1, ncells) if c in where])
+    assert _hosts(q.cells, owner, beta) == _reference_hosts(q.cells, owner, beta)
+    if beta <= Fraction(1, 2):
+        p = P.VertexPartition(n, [np.flatnonzero(owner == a) for a in np.unique(owner)])
+        ref = _reference_hosts(q.cells, p.owner, beta)
+        rep = P.refines_beta(q, p, beta)
+        assert rep.assignment == [h if inside else -1 for h, _, inside in ref]
+        assert rep.mass_unassigned == sum(c.size for c, (_, _, inside) in zip(q.cells, ref) if not inside)
+        assert (rep.beta, rep.ground) == (beta, n)
+        if rep.verdict:  # refinement_union: the P-cell whose union of hosted Q-cells differs least
+            unions = [{v for c, (h, _, inside) in zip(q.cells, ref) if inside and h == pi for v in c.tolist()} for pi in range(len(p))]
+            diffs = [len(u ^ set(p.cells[pi].tolist())) for pi, u in enumerate(unions)]
+            pi, union, diff = P.refinement_union(q, p, beta)
+            assert (pi, union.tolist(), diff) == (diffs.index(min(diffs)), sorted(unions[pi]), min(diffs))
+
+
+def test_cell_hosts_ties_thresholds_and_large_beta():
+    owner = np.array([0, 0, 1, 1, 2, 2, 2, 0, 1, 2, 1, 1], dtype=np.int64)
+    # ties go to the smallest label: {0, 1, 2, 3} is half 0, half 1
+    cells = [np.arange(4), np.arange(4, 8), np.arange(8, 12)]
+    assert [h for h, _, _ in _hosts(cells, owner, 0)] == [0, 2, 1]
+    # {4..7} leaves 1 of 4 outside its host: inside only above beta = 1/4
+    for beta, inside in ((Fraction(1, 4), False), (Fraction(1, 4) + Fraction(1, 10**30), True), (0, False)):
+        assert _hosts(cells, owner, beta)[1] == (2, 3, inside) == _reference_hosts(cells, owner, beta)[1]
+    # beta = 0 keeps exact containment only; a cell inside its host is inside at every beta
+    assert [inside for _, _, inside in _hosts([np.arange(2), np.arange(4, 7)], owner, 0)] == [True, True]
+    # ceil(beta |S|) far past int64 is clipped to |S| + 1: every cell is inside
+    for beta in (Fraction(10**40, 3), Fraction(2**63 + 1)):
+        assert [inside for _, _, inside in _hosts(cells, owner, beta)] == [True] * 3
+    assert P.ceil_share(np.array([1, 4, 4, 9]), Fraction(10**40, 3)).tolist() == [2, 5, 5, 10]
+    assert P.ceil_share(np.array([3, 4, 8]), Fraction(1, 4)).tolist() == [1, 1, 2]
+
+
+def test_cell_hosts_refuses_empty_cells_and_wrapping_keys():
+    assert [a.size for a in P.cell_hosts(np.empty(0, np.int64), np.empty(0, np.int64), 0)] == [0, 0, 0]
+    with pytest.raises(ValueError, match="empty cell"):
+        P.cell_hosts(np.array([0, 2]), np.array([0, 0]), 0)
+    with pytest.raises(ValueError, match="int64"):
+        P.cell_hosts(np.array([0, 1 << 32]), np.array([0, (1 << 31) - 1]), 0)
+    # one key below 2^63 is taken
+    host, overlap, _ = P.cell_hosts(np.array([0, 0]), np.array([(1 << 62) - 1, (1 << 62) - 1]), 0)
+    assert host.tolist() == [(1 << 62) - 1] and overlap.tolist() == [2]
+
+
 def test_cross_k_counts():
     assert P.cross_k(P.VertexPartition.singletons(5), 2).shape == (10, 2)
     vp = P.VertexPartition.blocks(6, 3)
