@@ -40,6 +40,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# what a bad input file or argument raises: a missing file or key, a
+# malformed value, or a fraction with a zero denominator
+BAD_INPUT = (OSError, ValueError, KeyError, ZeroDivisionError)
+
 
 def _hash_file(path: str) -> str:
     h = hashlib.sha256()
@@ -75,7 +79,7 @@ def cmd_build_core(args) -> int:
     try:
         with open(args.profile) as f:
             profile = core_mod.GrowthProfile.from_json(json.load(f))
-    except (OSError, ValueError, KeyError) as e:
+    except BAD_INPUT as e:
         print(f"error: bad profile: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -101,7 +105,7 @@ def cmd_build_hypergraph(args) -> int:
                 sched = sched_mod.DeskSchedule.from_json(json.load(f))
         else:
             sched = sched_mod.desk_schedule_k3(args.s)
-    except (OSError, ValueError, KeyError) as e:
+    except BAD_INPUT as e:
         print(f"error: bad schedule: {e}", file=sys.stderr)
         return EXIT_USAGE
     core_kwargs = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
@@ -159,7 +163,7 @@ def cmd_verify(args) -> int:
     except core_mod.ArtifactMismatch as e:
         # a file that is not the one its manifest hashed is a failed check
         report = {"ok": False, "claims": [{"id": "member-hashes", "ok": False, "detail": str(e)}]}
-    except (OSError, ValueError, KeyError) as e:
+    except BAD_INPUT as e:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE
     _print_report(report, args)
@@ -323,7 +327,7 @@ def cmd_certify(args) -> int:
     except core_mod.ArtifactMismatch as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except (OSError, ValueError, KeyError) as e:
+    except BAD_INPUT as e:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -332,12 +336,12 @@ def cmd_certify(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: bad partition file: {e}", file=sys.stderr)
         return EXIT_USAGE
-    gamma = Fraction(args.gamma) if args.gamma else None
     try:
+        gamma = Fraction(args.gamma) if args.gamma else None
         cert = core_mod.refute_partition(
             seq, args.level, args.member, P, Q, Fraction(args.delta), args.t, gamma=gamma
         )
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: preconditions: {e}", file=sys.stderr)
         return EXIT_USAGE
     g = seq.member_graph(args.level, args.member)
@@ -377,7 +381,7 @@ def cmd_counterexample(args) -> int:
         )
         if not params.relaxed:
             params.validate_strict()
-    except (OSError, ValueError, KeyError) as e:
+    except BAD_INPUT as e:
         print(f"error: bad params: {e}", file=sys.stderr)
         return EXIT_USAGE
     g, audit = cx_mod.build_triangle_free(params)

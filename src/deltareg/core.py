@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .graphs import (
     bipartite_to_binary,
     graph_hash,
 )
-from .partitions import VertexPartition, ceil_share, cell_hosts, refines_beta
+from .partitions import VertexPartition, _split_flat, ceil_share, cell_hosts, refines_beta
 
 
 def derive_seed(master: int, *labels) -> int:
@@ -729,7 +730,7 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
                 np.compress((nbt[wc[b : b + step], wr[b : b + step]] == 0).ravel(), ids2[wc[b : b + step]].ravel())
                 for b in range(0, wc.size, step)
             ]
-            found["p1"] += _slices(np.concatenate(p1), p1_count) if p1 else []
+            found["p1"] += _split_flat(np.concatenate(p1), p1_count) if p1 else []
             found["cell"].append(cs[wc])
             found["cluster"].append(wr)
             found["e_pr"].append(e_pr[wc, wr])
@@ -845,139 +846,75 @@ class IrregularityCertificate:
         """Parse the text form exactly as ``to_text`` writes it: the header
         fields in their order, every ledger line as 'line R= P1= corr=
         value=', each field once, and counts and fractions in ASCII digits.
+        One pass reads the lines; one call then decodes every vertex set.
         Truncated or malformed text, and vertex ids outside the sides, raise
         ValueError."""
         if not text.isascii():
             raise ValueError("certificate text is not ASCII")
-        data = text.encode("ascii")
-        if not data.endswith(b"\n"):
+        if not text.endswith("\n"):
             raise ValueError("certificate truncated: no newline at its end")
-        b = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero(b == ord("\n"))
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        nlines = ends.size
+        lines = text.split("\n")
+        lines.pop()  # the empty text after the last newline
+        at = 0
 
-        def line(j):
-            if j >= nlines:
-                raise ValueError(f"certificate truncated after line {nlines}")
-            return data[starts[j] : ends[j]].decode("ascii")
+        def fields(key, n=1):
+            """The n fields of the next line, which must be 'key f1 .. fn'."""
+            nonlocal at
+            if at == len(lines):
+                raise ValueError(f"certificate truncated after line {at}")
+            words = lines[at].split(" ")
+            at += 1
+            if len(words) != n + 1 or words[0] != key or not all(words):
+                raise ValueError(f"certificate line {at}: expected {key!r} and {n} field(s)")
+            return words[1:]
 
-        def expect(rows, lit):
-            if rows.size and rows[-1] >= nlines:
-                raise ValueError(f"certificate truncated after line {nlines}")
-            bad = np.flatnonzero(~_has(b, starts[rows], lit))
-            if bad.size:
-                raise ValueError(f"certificate line {rows[bad[0]] + 1}: expected {lit.decode().strip()!r}")
-
-        if line(0) != "irregularity-certificate v1":
+        if fields("irregularity-certificate") != ["v1"]:
             raise ValueError("certificate line 1: expected 'irregularity-certificate v1'")
-        head = {}
-        for j, key in enumerate(_CERT_HEAD, start=1):
-            k, _, v = line(j).partition(" ")
-            if k != key or not v or " " in v:
-                raise ValueError(f"certificate line {j + 1}: expected '{key} <value>'")
-            head[key] = v
+        head = {key: fields(key)[0] for key in _CERT_HEAD}
         n_left, n_right = _header_count(head["n-left"]), _header_count(head["n-right"])
-        body = int(ends[11])
-        runs = _digit_runs(b[body:], body)  # one at least: the entry count is in digits
-
-        def run_at(pos):
-            at = np.minimum(np.searchsorted(runs[0], pos), runs[0].size - 1)
-            if np.any(runs[0][at] != pos):
-                raise ValueError("certificate: expected a number of ASCII digits")
-            return at
-
-        def numbers(s, e):
-            """The numbers written exactly in the spans [s, e), as Python ints."""
-            at = run_at(s)
-            if np.any(runs[1][at] != e):
-                raise ValueError("certificate: expected a number of ASCII digits")
-            out = runs[2][at].tolist()
-            for x in np.flatnonzero(runs[2][at] < 0).tolist():  # more than 18 digits
-                out[x] = int(data[s[x] : e[x]])
-            return out
-
-        n_q = _header_count(head["q-cells"])
-        if 12 + n_q > nlines:
-            raise ValueError(f"certificate truncated after line {nlines}")
-        q_rows = np.arange(12, 12 + n_q)
-        expect(q_rows, b"q ")
-        j, r_levels, r_rows = 12 + n_q, [], []
-        while j < nlines and data.startswith(b"r-level ", starts[j]):
-            parts = line(j).split(" ")
-            if len(parts) != 3:
-                raise ValueError(f"certificate line {j + 1}: expected 'r-level <level> <count>'")
-            lvl, cnt = _header_count(parts[1]), _header_count(parts[2])
+        q_sets = [fields("q")[0] for _ in range(_header_count(head["q-cells"]))]
+        r_levels, r_sets, r_blocks = [], [], [0]
+        while at < len(lines) and lines[at].startswith("r-level "):
+            lvl, count = map(_header_count, fields("r-level", 2))
             if r_levels and lvl <= r_levels[-1]:
-                raise ValueError(f"certificate line {j + 1}: r-level blocks must list each level once, in increasing order")
-            if j + 1 + cnt > nlines:
-                raise ValueError(f"certificate truncated after line {nlines}")
+                raise ValueError(f"certificate line {at}: r-level blocks must list each level once, in increasing order")
             r_levels.append(lvl)
-            r_rows.append(np.arange(j + 1, j + 1 + cnt))
-            expect(r_rows[-1], b"r ")
-            j += 1 + cnt
-        k, _, v = line(j).partition(" ")
-        if k != "entries":
-            raise ValueError(f"certificate line {j + 1}: expected 'entries <count>'")
-        n_entries = _header_count(v)
-        k, _, v = line(nlines - 1).partition(" ")
-        if nlines - 1 <= j or k != "total":
-            raise ValueError(f"certificate line {nlines}: expected 'total <fraction>'")
-        total = _fraction(v)
-        # the ledger: per entry 'entry', 'p' and 'lines n', then n 'line' records
-        rows = np.arange(j + 1, nlines - 1)
-        at = np.flatnonzero(_has(b, starts[rows], b"entry "))
-        nxt = np.append(at[1:], rows.size)
-        if at.size != n_entries or (at.size and at[0] != 0) or (not at.size and rows.size) or np.any(nxt - at < 3):
-            raise ValueError(f"certificate ledger does not hold the {n_entries} entries it announces")
-        ent, p_rows, n_rows = rows[at], rows[at + 1], rows[at + 2]
-        expect(p_rows, b"p ")
-        expect(n_rows, b"lines ")
-        n_lines = np.array(numbers(starts[n_rows] + 6, ends[n_rows]), dtype=object)
-        if np.any(n_lines != nxt - at - 3):
-            raise ValueError("a 'lines' count of the certificate does not match its line records")
-        n_lines = (nxt - at - 3).astype(np.int64)
-        record = np.ones(rows.size, dtype=bool)
-        record[at], record[at + 1], record[at + 2] = False, False, False
-        line_rows = rows[record]
-        expect(line_rows, b"line R=")
-        # 'entry k level L'
-        k_end = runs[1][run_at(starts[ent] + 6)]
-        if not np.all(_has(b, k_end, b" level ")):
-            raise ValueError("certificate: expected 'entry <k> level <level>'")
-        if numbers(starts[ent] + 6, k_end) != list(range(n_entries)):
-            raise ValueError("certificate entries are not numbered 0, 1, ...")
-        levels = numbers(k_end + 7, ends[ent])
+            r_sets += [fields("r")[0] for _ in range(count)]
+            r_blocks.append(len(r_sets))
+        # per entry 'entry k level L', 'p <set>' and 'lines n', then n records
+        # 'line R=<set> P1=<set> corr=<count> value=<fraction>'
+        p_sets, levels, n_lines, R_sets, P1_sets, corr, value = [], [], [], [], [], [], []
+        for k in range(_header_count(fields("entries")[0])):
+            number, word, lvl = fields("entry", 3)
+            if word != "level" or _header_count(number) != k:
+                raise ValueError(f"certificate line {at}: expected 'entry {k} level <level>'")
+            levels.append(_header_count(lvl))
+            p_sets.append(fields("p")[0])
+            n_lines.append(_header_count(fields("lines")[0]))
+            if at + n_lines[-1] > len(lines):
+                raise ValueError(f"certificate truncated after line {len(lines)}")
+            for ln in lines[at : at + n_lines[-1]]:
+                words = ln.split(" ")
+                if len(words) != 5 or words[0] != "line" or not (words[1].startswith("R=") and words[2].startswith("P1=")):
+                    raise ValueError("certificate: a ledger line is not 'line R=<set> P1=<set> corr=<count> value=<fraction>'")
+                _, r, p1, c, v = words
+                R_sets.append(r.removeprefix("R="))
+                P1_sets.append(p1.removeprefix("P1="))
+                corr.append(c)
+                value.append(v)
+            at += n_lines[-1]
+        total = _fraction(fields("total")[0])
+        if at < len(lines):
+            raise ValueError(f"certificate line {at + 1}: text after the total")
+        corr, value = _ledger_field(corr, "corr=", _header_count), _ledger_field(value, "value=", _fraction)
+        del lines  # only the set texts are kept through the decode
         missing = set(levels) - set(r_levels)
         if missing:
             raise ValueError(f"certificate: no r-level cells for level {min(missing)}")
-        # 'line R=<set> P1=<set> corr=<count> value=<fraction>': four spaces
-        ls, le = starts[line_rows], ends[line_rows]
-        sp = np.flatnonzero(b[ls[0] : le[-1]] == ord(" ")) + ls[0] if ls.size else np.empty(0, dtype=np.int64)
-        first_sp = np.searchsorted(sp, ls)
-        if np.any(np.searchsorted(sp, le) - first_sp != 4):
-            raise ValueError("certificate: a ledger line is not 'line R= P1= corr= value='")
-        s1, s2, s3 = (sp[first_sp + k] for k in (1, 2, 3))
-        if not (np.all(_has(b, s1, b" P1=")) and np.all(_has(b, s2, b" corr=")) and np.all(_has(b, s3, b" value="))):
-            raise ValueError("certificate: a ledger line is not 'line R= P1= corr= value='")
-        corr = numbers(s2 + 6, s3)
-        v_end = runs[1][run_at(s3 + 7)]
-        frac = v_end != le
-        if not np.all(_has(b, v_end[frac], b"/")):
-            raise ValueError("certificate: a line value is not '<count>' or '<count>/<count>'")
-        num = numbers(s3 + 7, v_end)
-        den = np.ones(ls.size, dtype=object)
-        den[frac] = numbers(v_end[frac] + 1, le[frac])
-        if np.any(den == 0):
-            raise ValueError("zero denominator in a certificate line value")
-        # vertex sets: q cells, r cells, p, R, P1
-        r_rows_all = np.concatenate(r_rows) if r_rows else np.empty(0, dtype=np.int64)
-        n_r, n_e, n_l = r_rows_all.size, n_entries, ls.size
-        set_rows = np.concatenate((q_rows, r_rows_all, p_rows))
-        span_s = np.concatenate((starts[set_rows] + 2, ls + 7, s1 + 4))
-        span_e = np.concatenate((ends[set_rows], s1, s2))
-        line_entry = np.repeat(np.arange(n_e), n_lines)
-        r_blocks = np.cumsum([0] + [r.size for r in r_rows])
+        n_lines = np.array(n_lines, dtype=np.int64)
+        line_entry = np.repeat(np.arange(len(p_sets)), n_lines)
+        ends = np.cumsum(n_lines)
+        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets), len(R_sets), len(P1_sets)]).tolist()
 
         def sizes_fit(count):
             # each bound follows from a check of reverify_certificate (Q and
@@ -985,45 +922,36 @@ class IrregularityCertificate:
             # no entry reuses a right vertex, P1 lies inside P), so an honest
             # certificate meets it; made before any set is expanded, so that
             # a forged set costs no memory
-            q, r = count[:n_q], count[n_q : n_q + n_r]
-            p, R, P1 = count[n_q + n_r : n_q + n_r + n_e], count[n_q + n_r + n_e : -n_l or None], count[count.size - n_l :]
+            q, r, p, R, P1 = (count[a:z] for a, z in zip(bounds, bounds[1:]))
             if q.sum() > n_right:
                 raise ValueError("the q cells of the certificate have more than n-right ids")
-            if any(r[a:z].sum() > n_right for a, z in zip(r_blocks[:-1], r_blocks[1:])):
+            if any(r[a:z].sum() > n_right for a, z in zip(r_blocks, r_blocks[1:])):
                 raise ValueError("one level's r cells in the certificate have more than n-right ids")
             if p.sum() > n_left:
                 raise ValueError("the p sets of the certificate have more than n-left ids")
             cum = np.concatenate(([0], np.cumsum(R)))
-            r_bad = cum[np.cumsum(n_lines)] - cum[np.cumsum(n_lines) - n_lines] > n_right
-            p1_bad = np.zeros(n_e, dtype=bool)
+            r_bad = cum[ends] - cum[ends - n_lines] > n_right
+            p1_bad = np.zeros(len(p), dtype=bool)
             p1_bad[line_entry[P1 > p[line_entry]]] = True
             if (r_bad | p1_bad).any():
                 k = int(np.flatnonzero(r_bad | p1_bad)[0])
                 if r_bad[k]:
                     raise ValueError(f"the R sets of certificate entry {k} have more than n-right ids")
                 raise ValueError(f"a P1 set of certificate entry {k} has more ids than its p set")
+            if np.any(count[: bounds[4]] == 0):
+                raise ValueError("empty vertex set in the certificate")
 
-        flat, count = _decode_spans(b, runs, span_s, span_e, max(n_left, n_right), check=sizes_fit)
-        side = np.repeat([n_right, n_left, n_right, n_left], [n_q + n_r, n_e, n_l, n_l])
-        if np.any(count[: count.size - n_l] == 0):
-            raise ValueError("empty vertex set in the certificate")
-        top = flat[np.cumsum(count)[count > 0] - 1]
-        if np.any(top >= side[count > 0]):
-            k = int(np.flatnonzero(top >= side[count > 0])[0])
-            raise ValueError(f"vertex id {top[k]} out of range 0..{side[count > 0][k] - 1} in the certificate")
-        sets = _slices(flat, count)
-        q_cells, sets = sets[:n_q], sets[n_q:]
-        r_level_cells = {lvl: sets[a:z] for lvl, a, z in zip(r_levels, r_blocks[:-1], r_blocks[1:])}
-        p_sets, R, P1 = sets[n_r : n_r + n_e], sets[n_r + n_e : n_r + n_e + n_l], sets[n_r + n_e + n_l :]
-        # one Fraction per distinct value
-        den = den.tolist()
-        pairs = {nd: Fraction(*nd) for nd in set(zip(num, den))}
-        values = [pairs[nd] for nd in zip(num, den)]
-        lines = list(map(LedgerLine, line_entry.tolist(), [levels[e] for e in line_entry.tolist()], R, P1, corr, values))
-        bounds = np.cumsum(n_lines).tolist()
-        entries = [
-            CertEntry(p_vertices=p, level=lvl, lines=lines[a:z]) for p, lvl, a, z in zip(p_sets, levels, [0] + bounds[:-1], bounds)
-        ]
+        sets = _ranges_decode_many(q_sets + r_sets + p_sets + R_sets + P1_sets, max(n_left, n_right), check=sizes_fit)
+        # ids increase within a set, so the last of each non-empty set is its largest
+        nonempty = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)) > 0
+        side = np.repeat([n_right, n_right, n_left, n_right, n_left], np.diff(bounds))[nonempty]
+        top = np.fromiter(map(operator.itemgetter(-1), filter(len, sets)), dtype=np.int64, count=side.size)
+        bad = np.flatnonzero(top >= side)
+        if bad.size:
+            raise ValueError(f"vertex id {top[bad[0]]} out of range 0..{side[bad[0]] - 1} in the certificate")
+        q_cells, r_cells, p_sets, R, P1 = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
+        ledger = list(map(LedgerLine, line_entry.tolist(), np.repeat(levels, n_lines).tolist(), R, P1, corr, value))
+        starts = (ends - n_lines).tolist()
         return IrregularityCertificate(
             graph_sha256=head["graph-sha256"],
             n_left=n_left,
@@ -1035,8 +963,8 @@ class IrregularityCertificate:
             host_c=_fraction(head["host-c"]),
             t=_header_count(head["t"]),
             q_cells=q_cells,
-            r_level_cells=r_level_cells,
-            entries=entries,
+            r_level_cells={lvl: r_cells[a:z] for lvl, a, z in zip(r_levels, r_blocks, r_blocks[1:])},
+            entries=[CertEntry(p_vertices=p, level=lvl, lines=ledger[a:z]) for p, lvl, a, z in zip(p_sets, levels, starts, ends.tolist())],
             total=total,
             budget=_fraction(head["budget"]),
         )
@@ -1044,8 +972,8 @@ class IrregularityCertificate:
 
 # -- certificate text, in whole arrays ----------------------------------------
 #
-# Reading finds every run of ASCII digits after the header once; each field is
-# a byte span checked against the runs it covers.  Writing renders every
+# Reading takes the lines in the order to_text writes them and decodes every
+# vertex set in one call of _ranges_decode_many.  Writing renders every
 # vertex set in one pass with the decimal writer of ``graphs``, and the rest
 # of each line with f-strings.
 
@@ -1062,16 +990,14 @@ def _fraction(s: str) -> Fraction:
     return Fraction(_header_count(num), d)
 
 
-def _has(b: np.ndarray, at: np.ndarray, lit: bytes) -> np.ndarray:
-    """Whether the bytes of b starting at each position are lit."""
-    pos = np.minimum(np.asarray(at)[:, None] + np.arange(len(lit)), b.size - 1)
-    return np.all(b[pos] == np.frombuffer(lit, dtype=np.uint8), axis=1) & (np.asarray(at) + len(lit) <= b.size)
-
-
-def _slices(flat: np.ndarray, count: np.ndarray) -> list:
-    """flat cut into consecutive pieces of the given lengths (views)."""
-    bounds = np.concatenate(([0], np.cumsum(count))).tolist()
-    return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+def _ledger_field(words: list, key: str, parse) -> list:
+    """The values of ledger words 'key<text>', parsed once per distinct word."""
+    values = {}
+    for w in set(words):
+        if not w.startswith(key):
+            raise ValueError(f"certificate: a ledger field is not '{key}<value>'")
+        values[w] = parse(w.removeprefix(key))
+    return list(map(values.__getitem__, words))
 
 
 def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_ids: int, check=None) -> tuple:
@@ -1170,19 +1096,20 @@ def _ranges_encode_many(arrays) -> list:
     return _write_tokens(vals, seps).decode("ascii").split("\n")[:-1]
 
 
-def _ranges_decode_many(texts) -> list:
+def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
     """Inverse of _ranges_encode_many, parsed in one pass over all the
     texts.  Each set must list strictly increasing non-negative ids of at
-    most 18 digits, at most 2^24 of them; anything else raises ValueError
-    before the ids are expanded."""
+    most 18 digits, at most max_ids of them; anything else, and a ValueError
+    of ``check`` on the id count of every set, is raised before the ids are
+    expanded."""
     if not texts:
         return []
-    if not all(t.isascii() and "\n" not in t for t in texts):
-        raise ValueError("vertex set text is not ASCII")
-    b = np.frombuffer(("\n" + "\n".join(texts) + "\n").encode("ascii"), dtype=np.uint8)
-    nl = np.flatnonzero(b == ord("\n"))
-    flat, count = _decode_spans(b, _digit_runs(b), nl[:-1] + 1, nl[1:], 1 << 24)
-    return _slices(flat, count)
+    # the texts between newlines; a newline inside a text makes it malformed
+    b = np.frombuffer("\n".join(["", *texts, ""]).encode("ascii"), dtype=np.uint8)
+    size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    end = np.cumsum(size + 1)
+    flat, count = _decode_spans(b, _digit_runs(b), end - size, end, max_ids, check)
+    return _split_flat(flat, count)
 
 
 def refute_partition(
@@ -1222,12 +1149,11 @@ def refute_partition(
     if rep_p.verdict:
         raise ValueError("left partition gamma-refines the level-t clusters; nothing to refute")
     # classify cells by the deepest level they gamma-refine: a cell stays in
-    # the chain while it is gamma-inside a level-i cluster
-    depth = np.zeros(len(P), dtype=np.int64)
-    inside = np.ones(len(P), dtype=bool)
-    for i in range(1, t + 1):
-        inside &= cell_hosts(P.owner, seq.left_parts(i).owner, gamma)[2]
-        depth += inside
+    # the chain while it is gamma-inside a level-i cluster; rep_p holds the
+    # level-t step
+    inside = [cell_hosts(P.owner, seq.left_parts(i).owner, gamma)[2] for i in range(1, t)]
+    inside.append(np.asarray(rep_p.assignment) >= 0)
+    depth = np.logical_and.accumulate(inside).sum(axis=0)
     # cells inside level t are not in the deficient family; each level's
     # cells are searched in one pass
     deficient = np.flatnonzero(depth < t)

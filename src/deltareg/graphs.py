@@ -517,14 +517,13 @@ def _write_tokens(vals: np.ndarray, seps: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def _digit_runs(b: np.ndarray, offset: int = 0) -> tuple:
-    """The one free-form decimal reader.  Start, end (exclusive, plus
-    offset) and value of every maximal run of ASCII digits in b, which
-    begins and ends with a non-digit byte.  A run of more than 18 digits
-    gets the value -1."""
+def _digit_runs(b: np.ndarray) -> tuple:
+    """The one free-form decimal reader.  Start, end (exclusive) and value
+    of every maximal run of ASCII digits in b, which begins and ends with a
+    non-digit byte.  A run of more than 18 digits gets the value -1."""
     digit = (b - ord("0")) < 10  # bytes below '0' wrap around
     edge = np.flatnonzero(digit[1:] != digit[:-1])
-    edge += 1 + offset
+    edge += 1
     starts, ends = edge[0::2], edge[1::2]
     width = ends - starts
     vals = np.full(starts.size, -1, dtype=np.int64)
@@ -532,14 +531,14 @@ def _digit_runs(b: np.ndarray, offset: int = 0) -> tuple:
     # moved to the top bytes, combined in pairs, fours and eights (SWAR)
     short = slice(None) if width.max(initial=0) <= 8 else np.flatnonzero(width <= 8)
     words = np.ndarray((b.size,), dtype="<u8", buffer=np.concatenate((b, np.zeros(8, dtype=np.uint8))), strides=(1,))
-    d = words[starts[short] - offset] << _SWAR_SHIFT[width[short]]
+    d = words[starts[short]] << _SWAR_SHIFT[width[short]]
     d &= np.uint64(0x0F0F0F0F0F0F0F0F)
     for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)):
         d = (d * np.uint64(10 ** (shift // 8)) + (d >> np.uint64(shift))) & np.uint64(mask)
     vals[short] = d
     for w in range(9, min(int(width.max(initial=0)), _MAX_DIGITS) + 1):
         sel = np.flatnonzero(width == w)
-        d = np.lib.stride_tricks.sliding_window_view(b, w)[starts[sel] - offset] - ord("0")
+        d = np.lib.stride_tricks.sliding_window_view(b, w)[starts[sel]] - ord("0")
         v = d[:, 0].astype(np.int64)
         for j in range(1, w):
             v = v * 10 + d[:, j]

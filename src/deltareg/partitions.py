@@ -72,7 +72,7 @@ class VertexPartition:
             flat, sizes = flat[np.argsort(erank, kind="stable")], sizes[canon]
         self.n = n
         self.name = name
-        self.cells = _split_cells(flat, sizes)
+        self.cells = _split_flat(flat, sizes)
         self.owner = owner
         self.owner.setflags(write=False)
 
@@ -168,12 +168,13 @@ _ASCII_SPACE = np.zeros(256, dtype=bool)
 _ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
-def _split_cells(flat: np.ndarray, sizes: np.ndarray) -> list:
-    if sizes.size == 0:
-        return []
-    if np.all(sizes == sizes[0]):
+def _split_flat(flat: np.ndarray, sizes: np.ndarray) -> list:
+    """flat cut into consecutive pieces of the given sizes, as views; pieces
+    may be empty."""
+    if sizes.size and sizes[0] and np.all(sizes == sizes[0]):
         return list(flat.reshape(sizes.size, -1))
-    return np.split(flat, np.cumsum(sizes)[:-1])
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 
 
 @dataclass

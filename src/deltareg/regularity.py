@@ -177,22 +177,25 @@ def naive_all_sizes_oracle(g: BipartiteGraph, delta) -> PairVerdict:
     """Brute-force oracle: scan all subset pairs of every qualifying size.
 
     Used as the independent reference for the exact checker; tractable only
-    for small sides.
+    for small sides.  It shares no code with that checker: the qualifying
+    sizes come from the definition, and e(A, B) from the oracle's own bits.
     """
     delta = Fraction(delta)
-    e_total = g.edge_count()
     nl, nr = g.left.size, g.right.size
-    if e_total == 0:
-        return PairVerdict(status="regular", vacuous_zero_density=True)
-    a0, b0 = _min_sizes(nl, nr, delta)
     # decoded here, not through _kernels: the oracle shares no code with the checker it checks
     deg = np.unpackbits(g.rows.view(np.uint8), axis=1, bitorder="little")[:, :nr].astype(np.int64)
-    for a in range(a0, nl + 1):
+    e_total = int(deg.sum())
+    if e_total == 0:
+        return PairVerdict(status="regular", vacuous_zero_density=True)
+    # a subset of a side qualifies when it has at least one vertex and at least delta of the side
+    left_sizes = [a for a in range(1, nl + 1) if a >= delta * nl]
+    right_sizes = [b for b in range(1, nr + 1) if b >= delta * nr]
+    for a in left_sizes:
         for S in combinations(range(nl), a):
             degs = deg[list(S)].sum(axis=0)
             sorted_degs = np.sort(degs)
             prefix = np.cumsum(sorted_degs)
-            for b in range(b0, nr + 1):
+            for b in right_sizes:
                 e_st = int(prefix[b - 1])
                 if e_st * 2 * nl * nr < e_total * a * b:
                     T = np.argsort(degs, kind="stable")[:b]

@@ -416,3 +416,45 @@ def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
     for suite in ("core-structural", "core-properties"):
         assert main(["verify", "--artifact", str(art), "--suite", suite]) == 2
         assert "quotient-1-0.bin is a 15 x 8 quotient, not 16 x 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "certify --delta 1/0",
+        "certify --gamma 1/0",
+        "certify --gamma abc",
+        "counterexample params delta 1/0",
+        "build-core profile alpha 1/0",
+        "verify counterexample params.json delta 1/0",
+    ],
+)
+def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, tmp_path, capsys, case):
+    """A zero denominator or a malformed fraction, in an option, a profile
+    or a params file, is a usage error: exit 2 with an error line, never a
+    traceback."""
+    command = case.split()[0]
+    if command == "certify":
+        _, flag, value = case.split()
+        fractions = {"--delta": "1/16384", "--gamma": "1/4", flag: value}
+        argv = [
+            "certify", "--artifact", str(certified_artifact),
+            "--left-partition", str(certified_artifact.parent / "P.part"),
+            "--right-partition", str(certified_artifact.parent / "Q.part"),
+            "--delta", fractions["--delta"], "--t", "2", "--level", "2", "--member", "0",
+            "--gamma", fractions["--gamma"], "--out-cert", str(tmp_path / "certificate.txt"),
+        ]
+    elif command == "build-core":
+        (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, "alpha": "1/0"}))
+        argv = ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
+    elif command == "counterexample":
+        (tmp_path / "cx.json").write_text(json.dumps({**CX_PARAMS, "delta": "1/0"}))
+        argv = ["counterexample", "--params", str(tmp_path / "cx.json"), "--seed", "5", "--out", str(tmp_path / "cx")]
+    else:
+        art = tmp_path / "cx"
+        art.mkdir()
+        (art / "params.json").write_text(json.dumps({**CX_PARAMS, "delta": "1/0", "seed": 5, "relaxed": True}))
+        argv = ["verify", "--artifact", str(art), "--suite", "counterexample"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)

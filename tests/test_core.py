@@ -620,7 +620,10 @@ def test_certificate_text_rejects_malformed_input(small_seq):
         "zero denominator": text.replace("\ntotal ", "\ntotal 1/0\nx ", 1),
         "trailing": text + "total 0\n",
         "missing field": text.replace("corr=", "cor=", 1),
+        "cut inside a ledger line": text[: text.index(" P1=", text.index("\nline "))],
     }
+    # cut at every line boundary
+    bad.update({f"cut after line {j}": "".join(f"{ln}\n" for ln in lines[:j]) for j in range(len(lines) - 1)})
     for name, t in bad.items():
         with pytest.raises(ValueError):
             C.IrregularityCertificate.from_text(t)
@@ -906,6 +909,8 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
         "header field twice": text.replace("\nt 2\n", "\nt 2\nt 2\n", 1),
         "fields swapped": text.replace(line, line.replace(" corr=0 value=", " value=", 1).replace(" P1=", " corr=0 P1=", 1), 1),
         "CRLF line ends": text.replace("\n", "\r\n"),
+        "cut after the entry count": text[: text.index("\n", text.index("\nentries ") + 1) + 1],
+        "cut inside a ledger line": text[: text.index(" P1=", text.index("\nline "))],
     }
     assert " corr=0 " in line and "\nt 2\n" in text
     (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(small_seq.member_graph(2, 0)))

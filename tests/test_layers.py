@@ -8,7 +8,8 @@ integer-root helper only.  ``deltareg.graphs`` owns the decimal text
 format: no other module does digit-byte arithmetic or defines a decimal
 reader or writer.  The certificate re-check reaches none of the package's
 functions that the refuter or its witness engine reach, except an
-allow-list.
+allow-list, and the brute-force pair oracle none that the exact pair
+checker reaches, except the two result types.
 """
 
 import ast
@@ -113,7 +114,7 @@ REFUTER = [("core", "refute_partition"), ("core", "_level_witnesses")]
 RECHECK_MAY_SHARE = {"graph_hash", "dyadic_root_ceil", "VertexPartition"}
 
 
-def _reach(roots) -> set:
+def _reach(roots, shared=RECHECK_MAY_SHARE) -> set:
     """Names of the package's functions, methods and classes that the roots
     call, directly or through one another (matched by name, so a method
     stands for every method of that name).  The allowed shared names are
@@ -129,7 +130,7 @@ def _reach(roots) -> set:
             where, name, _ = call
             if (where == fn or where.startswith(fn + ".")) and name in defined and name not in seen:
                 seen.add(name)
-                if name not in RECHECK_MAY_SHARE:
+                if name not in shared:
                     todo += defined[name]
     return seen
 
@@ -142,3 +143,16 @@ def test_the_recheck_shares_no_code_with_the_refuter():
     assert {"cell_hosts", "ceil_share", "refines_beta", "_rstar_mask"} <= refuter
     shared = (recheck & refuter) - RECHECK_MAY_SHARE
     assert shared == set(), f"reverify_certificate reaches {sorted(shared)}, which the refuter reaches too"
+
+
+# the brute-force oracle and the exact pair checker it is the reference for
+ORACLE = ("regularity", "naive_all_sizes_oracle")
+CHECKER = ("regularity", "is_delta_regular_pair")
+ORACLE_MAY_SHARE = {"PairVerdict", "DeltaWitness"}
+
+
+def test_the_oracle_shares_no_code_with_the_exact_checker():
+    oracle, checker = _reach([ORACLE], ORACLE_MAY_SHARE), _reach([CHECKER], ORACLE_MAY_SHARE)
+    assert {"subset_min_edges", "DeltaWitness"} <= checker and "PairVerdict" in oracle  # the scan sees through both
+    shared = (oracle & checker) - ORACLE_MAY_SHARE
+    assert shared == set(), f"naive_all_sizes_oracle reaches {sorted(shared)}, which is_delta_regular_pair reaches too"
