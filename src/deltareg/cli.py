@@ -4,7 +4,7 @@ manifests.
 All randomness flows from one master seed through a documented split
 (command, module, level), so replaying a manifest reproduces byte-identical
 artifacts.  Exit codes: 0 pass, 1 verification failure, 2 usage or
-configuration error, 3 resource cap exceeded or out of memory.
+configuration error, 3 out of memory.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ from .graphs import (
     kgraph_to_text,
 )
 from .partitions import VertexPartition
-from .regularity import CapExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-EXIT_CAP = 3
+EXIT_OUT_OF_MEMORY = 3
 
 # what a bad input file or argument raises: a missing file or key, a
 # malformed value, or a fraction with a zero denominator
@@ -156,10 +155,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(suites)}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = suites[args.suite](args.artifact, mode=args.mode, cap=args.cap)
-    except CapExceeded as e:
-        print(f"error: cap exceeded: {e}", file=sys.stderr)
-        return EXIT_CAP
+        report = suites[args.suite](args.artifact, mode=args.mode)
     except core_mod.ArtifactMismatch as e:
         # a file that is not the one its manifest hashed is a failed check
         report = {"ok": False, "claims": [{"id": "member-hashes", "ok": False, "detail": str(e)}]}
@@ -194,7 +190,7 @@ def _jsonable(x):
     return x
 
 
-def _suite_core_structural(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
+def _suite_core_structural(artifact: str, mode: str = "exact") -> dict:
     seq = core_mod.load_core_sequence(artifact)
     rep = core_mod.verify_structure(seq)
     claims = [
@@ -208,7 +204,7 @@ def _suite_core_structural(artifact: str, mode: str = "exact", cap: int = 1 << 2
     return {"ok": rep["ok"], "claims": claims}
 
 
-def _suite_core_properties(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
+def _suite_core_properties(artifact: str, mode: str = "exact") -> dict:
     seq = core_mod.load_core_sequence(artifact)
     ok1 = ok2 = True
     fails = []
@@ -227,7 +223,7 @@ def _suite_core_properties(artifact: str, mode: str = "exact", cap: int = 1 << 2
     return {"ok": ok1 and ok2, "claims": claims}
 
 
-def _suite_certificate(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
+def _suite_certificate(artifact: str, mode: str = "exact") -> dict:
     graph_path = os.path.join(artifact, "refuted-graph.bin")
     cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
     with open(graph_path, "rb") as f:
@@ -246,7 +242,7 @@ def _read_text(*path: str) -> str:
         return f.read()
 
 
-def _suite_hypergraph(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
+def _suite_hypergraph(artifact: str, mode: str = "exact") -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
     k, s = int(meta["k"]), int(meta["s"])
@@ -284,7 +280,7 @@ def _suite_hypergraph(artifact: str, mode: str = "exact", cap: int = 1 << 24) ->
     return {"ok": all(c["ok"] for c in claims), "claims": claims}
 
 
-def _suite_counterexample(artifact: str, mode: str = "exact", cap: int = 1 << 24) -> dict:
+def _suite_counterexample(artifact: str, mode: str = "exact") -> dict:
     with open(os.path.join(artifact, "params.json")) as f:
         meta = json.load(f)
     params = cx_mod.CounterexampleParams(
@@ -408,7 +404,6 @@ def cmd_counterexample(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="deltareg", description=__doc__)
-    ap.add_argument("--cap", type=int, default=1 << 24, help="exact-enumeration cap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-core", help="build a chain at a desk profile")
@@ -460,7 +455,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

@@ -629,9 +629,12 @@ def find_irregularity_witnesses(
     P = np.unique(np.asarray(P, dtype=np.int64))
     found = _level_witnesses(seq, ell, member, i, [P], Fraction(gamma))
     rcells = seq.right_parts(i).cells
+    # P1: the vertices of P whose level-i cluster is not adjacent to R
+    q_i = seq.members[i][seq.ancestor_index(ell, member, i)].quotient
+    adjacent = _kernels.unpack_rows(q_i.rows[seq.left_parts(i).owner[P]], len(rcells))
     witnesses = [
-        Witness(right_cluster=r, r_vertices=rcells[r], p1_vertices=p1, d_pr_num=e, level=i)
-        for r, p1, e in zip(found["cluster"].tolist(), found["p1"], found["e_pr"].tolist())
+        Witness(right_cluster=r, r_vertices=rcells[r], p1_vertices=P[adjacent[:, r] == 0], d_pr_num=e, level=i)
+        for r, e in zip(found["cluster"].tolist(), found["e_pr"].tolist())
     ]
     bound = Fraction(seq.profile.r_sizes[i - 1], 6) / (1 << i)
     if require_count and Fraction(len(witnesses)) < bound:
@@ -656,9 +659,9 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     adjacent to R.
 
     Returns per-witness arrays, cell by cell and clusters ascending: ``cell``
-    (index into ``cells``), ``cluster``, ``e_pr`` = e(P, R), ``p1`` (a list
-    of id arrays) and, when ``outside`` (a mask of right vertices) is given,
-    ``corr`` = the edges from P into R outside it.  Cells are taken in
+    (index into ``cells``), ``cluster``, ``e_pr`` = e(P, R), ``p1_size`` =
+    |P1| and, when ``outside`` (a mask of right vertices) is given, ``corr``
+    = the edges from P into R outside it.  Cells are taken in
     groups of one size, and in chunks of ``_WITNESS_CHUNK`` unpacked bytes.
     """
     C = len(cells)
@@ -667,7 +670,7 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     prev = seq.left_parts(i - 1).owner if i >= 2 else np.zeros(seq.n_left, dtype=np.int64)
     sizes = np.fromiter(map(len, cells), dtype=np.int64, count=C)
     if C == 0:
-        return {"cell": sizes, "cluster": sizes, "e_pr": sizes, "corr": sizes, "p1": []}
+        return {"cell": sizes, "cluster": sizes, "e_pr": sizes, "corr": sizes, "p1_size": sizes}
     if np.any(sizes == 0):
         raise ValueError("subset is gamma-inside a level-i cluster; no witnesses")
     ids = np.concatenate(cells).astype(np.int64, copy=False)
@@ -692,7 +695,7 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     shift = ell + 2 - i
     if (seq.n_left * seq.n_right) << abs(shift) >= 1 << 63:
         raise ValueError("chain too large for the int64 density test of the witnesses")
-    found = {"cell": [], "cluster": [], "e_pr": [], "corr": [], "p1": []}
+    found = {"cell": [], "cluster": [], "e_pr": [], "corr": [], "p1_size": []}
     for s in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == s)
         per = max(1, _WITNESS_CHUNK // (s * max(nr, r_i)))
@@ -721,16 +724,9 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
             assert not np.any(np.maximum.reduce(deg * (1 - nb), axis=1)[wc, wr]), "witness construction must be edge-free"
             lhs, rhs = e_pr[wc, wr] << max(shift, 0), (s * r_size[wr]) << max(-shift, 0)
             assert np.all(lhs >= rhs)  # d(P, R) >= 2^i p / 4, with p = 2^-ell
-            p1_count = s - in_nb[wc, wr]
-            assert 8 * int(p1_count.min(initial=s)) * gamma.denominator >= gamma.numerator * s
-            # P1 of every witness, in witness order, from blocks of witnesses
-            nbt, ids2 = nb.transpose(0, 2, 1), rows.reshape(k, s)
-            step = max(1, (_WITNESS_CHUNK >> 3) // s)
-            p1 = [
-                np.compress((nbt[wc[b : b + step], wr[b : b + step]] == 0).ravel(), ids2[wc[b : b + step]].ravel())
-                for b in range(0, wc.size, step)
-            ]
-            found["p1"] += _split_flat(np.concatenate(p1), p1_count) if p1 else []
+            p1_size = s - in_nb[wc, wr]
+            assert 8 * int(p1_size.min(initial=s)) * gamma.denominator >= gamma.numerator * s
+            found["p1_size"].append(p1_size)
             found["cell"].append(cs[wc])
             found["cluster"].append(wr)
             found["e_pr"].append(e_pr[wc, wr])
@@ -738,12 +734,10 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
                 col = bits.reshape(k, s, nr).sum(axis=1, dtype=np.min_scalar_type(s)).astype(np.int64) * outside
                 found["corr"].append(_group_sum(col, rp_i, 1)[wc, wr])
     # size groups interleave: witnesses back in cell order
-    keys = [key for key in ("cell", "cluster", "e_pr", "corr") if found[key]]
+    keys = [key for key in ("cell", "cluster", "e_pr", "corr", "p1_size") if found[key]]
     out = {key: np.concatenate(found[key]) for key in keys}
     order = np.argsort(out["cell"] * r_i + out["cluster"], kind="stable")
-    out = {key: out[key][order] for key in keys}
-    out["p1"] = [found["p1"][j] for j in order.tolist()]
-    return out
+    return {key: out[key][order] for key in keys}
 
 
 def one_twelve_context(seq: CoreSequence, ell: int, member: int, i: int, host: int, lam) -> dict:
@@ -772,7 +766,6 @@ class LedgerLine:
     entry: int
     right_cluster_level: int
     r_vertices: np.ndarray
-    p1_vertices: np.ndarray
     correction: int  # e_G(P, R \ Rstar_i)
     value: Fraction
 
@@ -814,10 +807,10 @@ class IrregularityCertificate:
         sets = [*self.q_cells, *(c for lvl in levels for c in self.r_level_cells[lvl])]
         for e in self.entries:
             sets.append(e.p_vertices)
-            sets += [s for ln in e.lines for s in (ln.r_vertices, ln.p1_vertices)]
+            sets += [ln.r_vertices for ln in e.lines]
         texts = iter(_ranges_encode_many(sets))
         out = [
-            "irregularity-certificate v1",
+            "irregularity-certificate v2",
             f"graph-sha256 {self.graph_sha256}",
             f"n-left {self.n_left}",
             f"n-right {self.n_right}",
@@ -837,15 +830,15 @@ class IrregularityCertificate:
         out.append(f"entries {len(self.entries)}")
         for k, e in enumerate(self.entries):
             out += [f"entry {k} level {e.level}", f"p {next(texts)}", f"lines {len(e.lines)}"]
-            out += [f"line R={next(texts)} P1={next(texts)} corr={ln.correction} value={ln.value}" for ln in e.lines]
+            out += [f"line R={next(texts)} corr={ln.correction} value={ln.value}" for ln in e.lines]
         out.append(f"total {self.total}\n")
         return "\n".join(out)
 
     @staticmethod
     def from_text(text: str) -> "IrregularityCertificate":
         """Parse the text form exactly as ``to_text`` writes it: the header
-        fields in their order, every ledger line as 'line R= P1= corr=
-        value=', each field once, and counts and fractions in ASCII digits.
+        fields in their order, every ledger line as 'line R= corr= value=',
+        each field once, and numbers in ASCII digits without leading zeros.
         One pass reads the lines; one call then decodes every vertex set.
         Truncated or malformed text, and vertex ids outside the sides, raise
         ValueError."""
@@ -868,8 +861,8 @@ class IrregularityCertificate:
                 raise ValueError(f"certificate line {at}: expected {key!r} and {n} field(s)")
             return words[1:]
 
-        if fields("irregularity-certificate") != ["v1"]:
-            raise ValueError("certificate line 1: expected 'irregularity-certificate v1'")
+        if fields("irregularity-certificate") != ["v2"]:
+            raise ValueError("certificate line 1: expected 'irregularity-certificate v2'")
         head = {key: fields(key)[0] for key in _CERT_HEAD}
         n_left, n_right = _header_count(head["n-left"]), _header_count(head["n-right"])
         q_sets = [fields("q")[0] for _ in range(_header_count(head["q-cells"]))]
@@ -882,8 +875,8 @@ class IrregularityCertificate:
             r_sets += [fields("r")[0] for _ in range(count)]
             r_blocks.append(len(r_sets))
         # per entry 'entry k level L', 'p <set>' and 'lines n', then n records
-        # 'line R=<set> P1=<set> corr=<count> value=<fraction>'
-        p_sets, levels, n_lines, R_sets, P1_sets, corr, value = [], [], [], [], [], [], []
+        # 'line R=<set> corr=<count> value=<fraction>'
+        p_sets, levels, n_lines, R_sets, corr, value = [], [], [], [], [], []
         for k in range(_header_count(fields("entries")[0])):
             number, word, lvl = fields("entry", 3)
             if word != "level" or _header_count(number) != k:
@@ -895,11 +888,10 @@ class IrregularityCertificate:
                 raise ValueError(f"certificate truncated after line {len(lines)}")
             for ln in lines[at : at + n_lines[-1]]:
                 words = ln.split(" ")
-                if len(words) != 5 or words[0] != "line" or not (words[1].startswith("R=") and words[2].startswith("P1=")):
-                    raise ValueError("certificate: a ledger line is not 'line R=<set> P1=<set> corr=<count> value=<fraction>'")
-                _, r, p1, c, v = words
+                if len(words) != 4 or words[0] != "line" or not words[1].startswith("R="):
+                    raise ValueError("certificate: a ledger line is not 'line R=<set> corr=<count> value=<fraction>'")
+                _, r, c, v = words
                 R_sets.append(r.removeprefix("R="))
-                P1_sets.append(p1.removeprefix("P1="))
                 corr.append(c)
                 value.append(v)
             at += n_lines[-1]
@@ -914,15 +906,15 @@ class IrregularityCertificate:
         n_lines = np.array(n_lines, dtype=np.int64)
         line_entry = np.repeat(np.arange(len(p_sets)), n_lines)
         ends = np.cumsum(n_lines)
-        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets), len(R_sets), len(P1_sets)]).tolist()
+        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets), len(R_sets)]).tolist()
 
         def sizes_fit(count):
             # each bound follows from a check of reverify_certificate (Q and
             # every r-level partition the right side, entries are disjoint,
-            # no entry reuses a right vertex, P1 lies inside P), so an honest
-            # certificate meets it; made before any set is expanded, so that
-            # a forged set costs no memory
-            q, r, p, R, P1 = (count[a:z] for a, z in zip(bounds, bounds[1:]))
+            # no entry reuses a right vertex), so an honest certificate meets
+            # it; made before any set is expanded, so that a forged set costs
+            # no memory
+            q, r, p, R = (count[a:z] for a, z in zip(bounds, bounds[1:]))
             if q.sum() > n_right:
                 raise ValueError("the q cells of the certificate have more than n-right ids")
             if any(r[a:z].sum() > n_right for a, z in zip(r_blocks, r_blocks[1:])):
@@ -930,27 +922,21 @@ class IrregularityCertificate:
             if p.sum() > n_left:
                 raise ValueError("the p sets of the certificate have more than n-left ids")
             cum = np.concatenate(([0], np.cumsum(R)))
-            r_bad = cum[ends] - cum[ends - n_lines] > n_right
-            p1_bad = np.zeros(len(p), dtype=bool)
-            p1_bad[line_entry[P1 > p[line_entry]]] = True
-            if (r_bad | p1_bad).any():
-                k = int(np.flatnonzero(r_bad | p1_bad)[0])
-                if r_bad[k]:
-                    raise ValueError(f"the R sets of certificate entry {k} have more than n-right ids")
-                raise ValueError(f"a P1 set of certificate entry {k} has more ids than its p set")
-            if np.any(count[: bounds[4]] == 0):
+            r_bad = np.flatnonzero(cum[ends] - cum[ends - n_lines] > n_right)
+            if r_bad.size:
+                raise ValueError(f"the R sets of certificate entry {r_bad[0]} have more than n-right ids")
+            if np.any(count == 0):
                 raise ValueError("empty vertex set in the certificate")
 
-        sets = _ranges_decode_many(q_sets + r_sets + p_sets + R_sets + P1_sets, max(n_left, n_right), check=sizes_fit)
-        # ids increase within a set, so the last of each non-empty set is its largest
-        nonempty = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets)) > 0
-        side = np.repeat([n_right, n_right, n_left, n_right, n_left], np.diff(bounds))[nonempty]
-        top = np.fromiter(map(operator.itemgetter(-1), filter(len, sets)), dtype=np.int64, count=side.size)
+        sets = _ranges_decode_many(q_sets + r_sets + p_sets + R_sets, max(n_left, n_right), check=sizes_fit)
+        # ids increase within a set, so the last of each set is its largest
+        side = np.repeat([n_right, n_right, n_left, n_right], np.diff(bounds))
+        top = np.fromiter(map(operator.itemgetter(-1), sets), dtype=np.int64, count=side.size)
         bad = np.flatnonzero(top >= side)
         if bad.size:
             raise ValueError(f"vertex id {top[bad[0]]} out of range 0..{side[bad[0]] - 1} in the certificate")
-        q_cells, r_cells, p_sets, R, P1 = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
-        ledger = list(map(LedgerLine, line_entry.tolist(), np.repeat(levels, n_lines).tolist(), R, P1, corr, value))
+        q_cells, r_cells, p_sets, R = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
+        ledger = list(map(LedgerLine, line_entry.tolist(), np.repeat(levels, n_lines).tolist(), R, corr, value))
         starts = (ends - n_lines).tolist()
         return IrregularityCertificate(
             graph_sha256=head["graph-sha256"],
@@ -1004,10 +990,10 @@ def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_
     """The vertex sets written in the byte spans [s, e) of b: '-' for the
     empty set, else maximal runs of ids 'a' or 'a-b' joined by ','.  ``runs``
     are the digit runs of b.  Each set must list strictly increasing ids of
-    at most 18 digits, at most max_ids of them; anything else raises
-    ValueError before any set is expanded.  ``check``, if given, gets the id
-    count of every set, also before any set is expanded, and may raise
-    ValueError.  Returns the ids of all sets, concatenated, and the count of
+    at most 18 digits and without leading zeros, at most max_ids of them;
+    anything else raises ValueError before any set is expanded.  ``check``,
+    if given, gets the id count of every set, also before any set is
+    expanded, and may raise ValueError.  Returns the ids of all sets, concatenated, and the count of
     each."""
     rs, re_, rv = runs
     nr = rs.size
@@ -1022,7 +1008,7 @@ def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_
     bad = np.ones(nr, dtype=bool)
     bad[:-1] = (rs[1:] != re_[:-1] + 1) | ~(dash[:-1] | (sep[:-1] == ord(","))) | (rv[1:] - rv[:-1] < ~dash[:-1])
     bad[1:] |= dash[:-1] & dash[1:]
-    bad |= rv < 0  # more than 18 digits
+    bad |= rv < 0  # more than 18 digits, or a leading zero
     cum = np.concatenate(([0], np.cumsum(bad, dtype=np.int32)))
     if ra.size and (
         nr == 0
@@ -1099,16 +1085,16 @@ def _ranges_encode_many(arrays) -> list:
 def _ranges_decode_many(texts, max_ids: int = 1 << 24, check=None) -> list:
     """Inverse of _ranges_encode_many, parsed in one pass over all the
     texts.  Each set must list strictly increasing non-negative ids of at
-    most 18 digits, at most max_ids of them; anything else, and a ValueError
-    of ``check`` on the id count of every set, is raised before the ids are
-    expanded."""
+    most 18 digits and without leading zeros, at most max_ids of them;
+    anything else, and a ValueError of ``check`` on the id count of every
+    set, is raised before the ids are expanded."""
     if not texts:
         return []
     # the texts between newlines; a newline inside a text makes it malformed
     b = np.frombuffer("\n".join(["", *texts, ""]).encode("ascii"), dtype=np.uint8)
     size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     end = np.cumsum(size + 1)
-    flat, count = _decode_spans(b, _digit_runs(b), end - size, end, max_ids, check)
+    flat, count = _decode_spans(b, _digit_runs(b, canonical=True), end - size, end, max_ids, check)
     return _split_flat(flat, count)
 
 
@@ -1170,8 +1156,7 @@ def refute_partition(
         found = _level_witnesses(seq, ell, member, i, cells, gamma, outside=~_rstar_mask(Q, seq.right_parts(i), c))
         # a line needs |P1| >= delta |P|
         psize = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))[found["cell"]]
-        p1_size = np.fromiter(map(len, found["p1"]), dtype=np.int64, count=len(found["p1"]))
-        keep = np.flatnonzero(p1_size >= ceil_share(psize, delta))
+        keep = np.flatnonzero(found["p1_size"] >= ceil_share(psize, delta))
         rcells = seq.right_parts(i).cells
         rsize = np.bincount(seq.right_parts(i).owner, minlength=len(rcells))[found["cluster"][keep]]
         # exact values, one per distinct (|P|, |R|, corr)
@@ -1186,7 +1171,6 @@ def refute_partition(
             entry.tolist(),
             [i] * keep.size,
             [rcells[r] for r in found["cluster"][keep].tolist()],
-            [found["p1"][j] for j in keep.tolist()],
             found["corr"][keep].tolist(),
             [values[j] for j in inv.ravel().tolist()],
         )
@@ -1227,18 +1211,24 @@ def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction) -> np.
     return host[Q.owner] == rparts.owner
 
 
-_RECHECK_CHUNK = 1 << 23  # P rows x n-right unpacked bytes, and (P1 id, R id) pairs, the re-check holds at once
+_RECHECK_CHUNK = 1 << 23  # P rows x n-right unpacked bytes the re-check holds at once
 
 
 def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> dict:
     """Re-check every ledger line from the serialized certificate plus the
     graph alone.  Returns per-line results and the final verdict.
 
-    The lines of all entries are checked together, in chunks of entries
-    whose rows of P unpack to at most ``_RECHECK_CHUNK`` bytes (one entry at
-    least).  The recounts are int64; the line values, which involve loaded
-    numbers of any size, are int64 only while every product fits in 62
-    bits, and exact Python integers otherwise."""
+    A line needs an edge-free part P1 of P with |P1| >= max(delta,
+    gamma/8)|P|; the largest one is every vertex of P with no edge into R, so
+    the line passes this check when that many vertices of P have none.  The
+    lines of all entries are checked together, in chunks of entries whose
+    rows of P unpack to at most ``_RECHECK_CHUNK`` bytes (one entry at
+    least); the (P id, R id) pairs of a chunk's lines, one place of R at a
+    time, hold no more bytes than those rows when no entry's R sets have
+    more than n-right ids, which the loader checks.  The recounts are
+    int64; the line values, which involve loaded numbers of any size, are
+    int64 only while every product fits in 62 bits, and exact Python
+    integers otherwise."""
     if graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
     n_left, n_right = g.left.size, g.right.size
@@ -1252,13 +1242,13 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     def lengths(arrays):
         return np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
 
-    p_sets, r_sets, p1_sets = [e.p_vertices for e in entries], [ln.r_vertices for ln in lines], [ln.p1_vertices for ln in lines]
-    p_ids, r_ids, p1_ids = flat(p_sets), flat(r_sets), flat(p1_sets)
-    psize, r_len, p1_len = lengths(p_sets), lengths(r_sets), lengths(p1_sets)
+    p_sets, r_sets = [e.p_vertices for e in entries], [ln.r_vertices for ln in lines]
+    p_ids, r_ids = flat(p_sets), flat(r_sets)
+    psize, r_len = lengths(p_sets), lengths(r_sets)
     n_lines = lengths([e.lines for e in entries])
     if (
         (cert.n_left, cert.n_right) != (n_left, n_right)
-        or any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids, n in ((p_ids, n_left), (p1_ids, n_left), (r_ids, n_right)))
+        or any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids, n in ((p_ids, n_left), (r_ids, n_right)))
     ):
         # the sides the certificate names, or its vertex ids, do not fit the graph
         return {"ok": False, "failures": [("sides", None)], "lines_checked": 0}
@@ -1289,7 +1279,6 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     p_entry = np.repeat(np.arange(n_e), psize)
     line_entry = np.repeat(np.arange(n_e), n_lines)
     r_line = np.repeat(np.arange(n_l), r_len)
-    p1_line = np.repeat(np.arange(n_l), p1_len)
     p_start, r_start = np.cumsum(psize) - psize, np.cumsum(r_len) - r_len
     # entry cells must be disjoint: an entry overlaps when an id of its P is
     # in an earlier entry
@@ -1302,56 +1291,47 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         first_entry = np.repeat(p_entry[by_id[first]], np.diff(np.append(first, by_id.size)))
         overlap[p_entry[by_id][p_entry[by_id] > first_entry]] = True
 
-    def repeated(key, owner):
-        # the owner of every key equal to an earlier one; keys in text order
-        # strictly increase unless some repeat, and only then are sorted
-        if np.all(key[1:] > key[:-1]):
-            return owner[:0]
-        by_key = np.argsort(key, kind="stable")
-        return owner[by_key[1:]][key[by_key[1:]] == key[by_key[:-1]]]
-
-    # a right vertex used twice in an entry, by one line or by an earlier one
-    if (n_e + 1) * n_right >= 1 << 63 or (n_l + 1) * n_left >= 1 << 63:
+    # a right vertex used twice in an entry, by one line or by an earlier
+    # one; the keys in text order strictly increase unless some repeat
+    if (n_e + 1) * n_right >= 1 << 63:
         raise ValueError("certificate too large for the int64 keys of the re-check")
+    key = line_entry[r_line] * n_right + r_ids
     reused = np.zeros(n_l, dtype=bool)
-    reused[repeated(line_entry[r_line] * n_right + r_ids, r_line)] = True
-    # P1 inside its entry's P, through a slot table of the P ids (an id in
-    # two entries is looked up exactly), and no P1 id twice in a line
-    cum_lines, cum_p1 = np.concatenate(([0], np.cumsum(n_lines))), np.concatenate(([0], np.cumsum(p1_len)))
-    p1_entry = np.repeat(np.arange(n_e), cum_p1[cum_lines[1:]] - cum_p1[cum_lines[:-1]])
-    slot = np.zeros(n_left, dtype=np.int64)
-    slot[p_ids] = np.arange(p_ids.size)
-    at = slot[p1_ids]
-    in_p = (p_ids[at] == p1_ids) & (p_entry[at] == p1_entry) if p_ids.size else np.zeros(p1_ids.size, dtype=bool)
-    twice_ids = np.flatnonzero(times[p1_ids] > 1)
-    if twice_ids.size:
-        owned = p_entry[shared] * n_left + p_ids[shared]
-        by_owner = np.argsort(owned, kind="stable")
-        wanted = p1_entry[twice_ids] * n_left + p1_ids[twice_ids]
-        j = np.minimum(np.searchsorted(owned[by_owner], wanted), owned.size - 1)
-        in_p[twice_ids] = owned[by_owner][j] == wanted
-        at[twice_ids] = shared[by_owner][j]
-    twice = repeated(p1_line * n_left + p1_ids, p1_line)
-    bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], twice)), minlength=n_l) > 0
-    # e(P, R), the correction e(P, R \ R*) and e(P1, R) from the rows of P,
-    # decoded here, not through _kernels: the re-check shares no code with
-    # the refuter
+    if np.any(key[1:] <= key[:-1]):
+        by_key = np.argsort(key, kind="stable")
+        reused[r_line[by_key[1:]][key[by_key[1:]] == key[by_key[:-1]]]] = True
+    # e(P, R), the correction e(P, R \ R*) and the vertices of P with no
+    # edge into R from the rows of P, decoded here, not through _kernels: the
+    # re-check shares no code with the refuter
     level_of = {lvl: k for k, lvl in enumerate(sorted({e.level for e in entries if e.lines}))}
     entry_level = np.array([level_of.get(e.level, -1) for e in entries], dtype=np.int64)
     outside = np.stack([~rstar[lvl] for lvl in level_of]) if level_of else np.zeros((0, n_right), dtype=bool)
-    e_pr, corr, e_p1 = (np.zeros(n_l, dtype=np.int64) for _ in range(3))
-    p_end, sub = p_start + psize, _RECHECK_CHUNK >> 5
+    e_pr, corr, free = (np.zeros(n_l, dtype=np.int64) for _ in range(3))
+    cum_lines = np.concatenate(([0], np.cumsum(n_lines)))
+    p_end = p_start + psize
     a = 0
     while a < n_e:
         z = max(a + 1, int(np.searchsorted(p_end, p_start[a] + _RECHECK_CHUNK // n_right, side="right")))
         row0 = int(p_start[a])
         bits = np.unpackbits(g.rows[p_ids[row0 : p_end[z - 1]]].view(np.uint8), axis=1, count=n_right, bitorder="little")
-        # column sums of each entry's rows, entries of one size at a time
+        # column sums of each entry's rows, and the vertices of P with no
+        # edge into R, entries of one size at a time
         colsum = np.zeros((z - a, n_right), dtype=np.int64)
         for s in np.unique(psize[a:z]).tolist():
             ent = np.flatnonzero(psize[a:z] == s)
             rows = bits if ent.size == z - a else bits[(p_start[a + ent, None] - row0 + np.arange(s)).ravel()]
-            colsum[ent] = rows.reshape(ent.size, s, n_right).sum(axis=1, dtype=np.min_scalar_type(s))
+            rows = rows.reshape(ent.size, s, n_right)
+            colsum[ent] = rows.sum(axis=1, dtype=np.min_scalar_type(s))
+            # the bit of every (P id, R id) pair of the group's lines, one
+            # place of R at a time
+            per = n_lines[a + ent]
+            at = np.repeat(np.arange(ent.size), per)
+            ls = np.repeat(cum_lines[a + ent] - np.cumsum(per) + per, per) + np.arange(at.size)
+            rl, r0 = r_len[ls], r_start[ls]
+            hit = np.zeros((ls.size, s), dtype=np.uint8)
+            for k in range(int(rl.max(initial=0))):
+                hit |= rows[at, :, r_ids[np.minimum(r0 + k, r_ids.size - 1)]] & (rl > k)[:, None]
+            free[ls] = s - np.count_nonzero(hit, axis=1)
         l0, l1 = int(cum_lines[a]), int(cum_lines[z])
         rr = np.arange(r_start[l0], r_start[l1 - 1] + r_len[l1 - 1]) if l1 > l0 else np.empty(0, dtype=np.int64)
         if rr.size:
@@ -1362,27 +1342,13 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
             first = r_start[l0:l1] - rr[0]
             e_pr[l0:l1] = cum[first + r_len[l0:l1]] - cum[first]
             corr[l0:l1] = cum_out[first + r_len[l0:l1]] - cum_out[first]
-        # e(P1, R): the bit of every (P1 id, R id) pair of the chunk's lines,
-        # one place of R at a time; ids outside P count nothing
-        flat_bits = bits.ravel()
-        for x in range(int(cum_p1[l0]), int(cum_p1[l1]), sub):
-            y = min(x + sub, int(cum_p1[l1]))
-            line_of = p1_line[x:y]
-            rl, r0 = r_len[line_of], r_start[line_of]
-            rows = (np.where(in_p[x:y], at[x:y], row0) - row0) * n_right
-            hits = np.zeros(y - x, dtype=np.int64)
-            for k in range(int(rl.max(initial=0))):
-                hits += flat_bits[rows + r_ids[np.minimum(r0 + k, r_ids.size - 1)]] * (rl > k)
-            hits *= in_p[x:y]
-            cut = np.flatnonzero(np.r_[True, line_of[1:] != line_of[:-1]])
-            e_p1[line_of[cut]] += np.add.reduceat(hits, cut)
         a = z
     # the line checks, in exact integers
     psize_l = psize[line_entry]
     floor = max(cert.delta, cert.gamma / 8)
     usz, inv = np.unique(psize_l, return_inverse=True)
     need = np.array([min(-(-floor.numerator * s // floor.denominator), s + 1) for s in usz.tolist()], dtype=np.int64)
-    ok = (r_len > 0) & ~reused & (p1_len >= need[inv.ravel()]) & ~bad_p1 & (e_p1 == 0)
+    ok = (r_len > 0) & ~reused & (free >= need[inv.ravel()])
     # line values gamma' (2^level p |P||R| / 4 - corr), p = 2^-ell, are
     # compared and summed as numerators over one denominator
     gn, gd = cert.gamma_prime.numerator, cert.gamma_prime.denominator

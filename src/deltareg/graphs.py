@@ -517,10 +517,12 @@ def _write_tokens(vals: np.ndarray, seps: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def _digit_runs(b: np.ndarray) -> tuple:
+def _digit_runs(b: np.ndarray, canonical: bool = False) -> tuple:
     """The one free-form decimal reader.  Start, end (exclusive) and value
     of every maximal run of ASCII digits in b, which begins and ends with a
-    non-digit byte.  A run of more than 18 digits gets the value -1."""
+    non-digit byte.  A run of more than 18 digits gets the value -1, and so,
+    when ``canonical``, does a run of more than one digit that starts with
+    0."""
     digit = (b - ord("0")) < 10  # bytes below '0' wrap around
     edge = np.flatnonzero(digit[1:] != digit[:-1])
     edge += 1
@@ -543,6 +545,8 @@ def _digit_runs(b: np.ndarray) -> tuple:
         for j in range(1, w):
             v = v * 10 + d[:, j]
         vals[sel] = v
+    if canonical:
+        vals[(width > 1) & (b[starts] == ord("0"))] = -1
     return starts, ends, vals
 
 
@@ -584,6 +588,8 @@ def _parse_rows(chunk: np.ndarray, k: int) -> np.ndarray:
     lens = ends - starts
     if lens.min() == 0:
         raise ValueError("empty field in an edge line")
+    if np.any((lens > 1) & (chunk[starts] == ord("0"))):
+        raise ValueError("leading zero in an edge line")
     width = int(lens.max())
     if width > _MAX_DIGITS:
         raise ValueError("field too long in an edge line")
@@ -610,8 +616,8 @@ def _header_fields(line: str, key: str, n: int) -> list:
 
 
 def _header_count(field: str) -> int:
-    """A count in ASCII digits."""
-    if not (field.isascii() and field.isdigit()):
+    """A count in ASCII digits, without leading zeros."""
+    if not (field.isascii() and field.isdigit()) or (len(field) > 1 and field[0] == "0"):
         raise ValueError(f"bad count {field!r}")
     return int(field)
 

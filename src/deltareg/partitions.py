@@ -246,21 +246,25 @@ def refines_beta(Q: VertexPartition, P: VertexPartition, beta) -> RefinementRepo
 
 def cross_k(P: VertexPartition, r: int, cap: int = 2_000_000) -> np.ndarray:
     """All r-subsets of the ground set meeting r distinct cells, as a sorted
-    (m, r) array of vertex indices."""
+    (m, r) array of vertex indices: the product of the cells of each r-set
+    of cells.  More than ``cap`` of them raise ValueError before any is
+    built."""
     if r < 2:
         raise ValueError("arity must be at least 2")
     if r > len(P.cells):
         raise ValueError("arity exceeds the number of cells")
-    out = []
-    count = 0
-    for combo in itertools.combinations(range(P.n), r):
-        cells = P.owner[list(combo)]
-        if len(set(cells.tolist())) == r:
-            out.append(combo)
-            count += 1
-            if count > cap:
-                raise ValueError("cross family exceeds cap")
-    return np.array(out, dtype=np.int64).reshape(-1, r)
+    # count[j]: the j-subsets meeting j distinct cells among the cells so far
+    count = [1] + [0] * r
+    for cell in P.cells:
+        for j in range(r, 0, -1):
+            count[j] += count[j - 1] * len(cell)
+    if count[r] > cap:
+        raise ValueError("cross family exceeds cap")
+    out = np.concatenate(
+        [np.stack(np.meshgrid(*cells, indexing="ij"), axis=-1).reshape(-1, r) for cells in itertools.combinations(P.cells, r)]
+    )
+    out.sort(axis=1)
+    return out[np.lexsort(out.T[::-1])]
 
 
 class Polyad:

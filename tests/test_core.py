@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deltareg import core as C
 from deltareg.graphs import BipartiteGraph, VertexClass, edges_between, unpack_row
@@ -403,12 +405,16 @@ def test_ranges_codec_round_trip(sets):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="0123456789,- x", max_size=24))
+@example("007")
+@example("01-03")
+@example("1,05")
 def test_ranges_decode_accepts_only_increasing_id_lists(text):
     try:
         (ids,) = C._ranges_decode_many([text])
     except ValueError:
         return
     assert ids.dtype == np.int64 and np.all(ids >= 0) and np.all(np.diff(ids) > 0)
+    assert re.search(r"(^|[,-])0[0-9]", text) is None  # no id with a leading zero
     assert text == "-" or C._ranges_decode_many(C._ranges_encode_many([ids]))[0].tolist() == ids.tolist()
 
 
@@ -432,82 +438,75 @@ def _reseal(cert, g, k, j):
     ln.correction, ln.value = corr, value
 
 
-def _first_vertex(g, candidates, R, edges):
-    return next(int(v) for v in candidates if (edges_between(g, [v], R) > 0) == edges)
+# each tamper edits a certificate for one failure kind and returns that
+# failure and the graph to re-check against
 
 
 def _tamper_entry_overlap(cert, g):
     e = cert.entries[0]
     cert.entries.append(C.CertEntry(p_vertices=e.p_vertices, level=e.level, lines=[]))
-    return ("entry-overlap", len(cert.entries) - 1)
+    return ("entry-overlap", len(cert.entries) - 1), g
 
 
 def _tamper_r_reused(cert, g):
     lines = cert.entries[0].lines
     lines.insert(1, C.LedgerLine(**vars(lines[0])))
     cert.total += lines[0].value
-    return ("line", 0, int(lines[0].r_vertices[0]))
+    return ("line", 0, int(lines[0].r_vertices[0])), g
 
 
 def _tamper_p1_too_small(cert, g):
-    ln = cert.entries[0].lines[0]
-    ln.p1_vertices = ln.p1_vertices[:0]
-    return ("line", 0, int(ln.r_vertices[0]))
-
-
-def _tamper_p1_outside_p(cert, g):
-    ln = cert.entries[0].lines[0]
-    v = _first_vertex(g, cert.entries[1].p_vertices, ln.r_vertices, edges=False)
-    ln.p1_vertices = np.sort(np.append(ln.p1_vertices, v))
-    return ("line", 0, int(ln.r_vertices[0]))
-
-
-def _tamper_p1_has_edges(cert, g):
+    # all but need - 1 vertices of P get an edge into R, in a graph the
+    # certificate is resealed to: the edge-free part of P is one too small
     e, ln = cert.entries[0], cert.entries[0].lines[0]
-    u = _first_vertex(g, np.setdiff1d(e.p_vertices, ln.p1_vertices), ln.r_vertices, edges=True)
-    ln.p1_vertices = np.sort(np.append(ln.p1_vertices, u))
-    return ("line", 0, int(ln.r_vertices[0]))
+    floor = max(cert.delta, cert.gamma / 8)
+    need = -(-floor.numerator * e.p_vertices.size // floor.denominator)
+    free = [int(v) for v in e.p_vertices if edges_between(g, [v], ln.r_vertices) == 0]
+    added = [(v, int(ln.r_vertices[0])) for v in free[need - 1 :]]
+    g = BipartiteGraph.from_edges(g.left, g.right, np.concatenate([g.edges(), np.array(added).reshape(-1, 2)]))
+    cert.graph_sha256, cert.budget = C.graph_hash(g), cert.delta * g.edge_count()
+    _reseal(cert, g, 0, 0)
+    return ("line", 0, int(ln.r_vertices[0])), g
 
 
 def _tamper_density_floor(cert, g):
-    # a cluster P sends no edges to: P itself is an edge-free P1 there
+    # a cluster P sends no edges to: every vertex of P is edge-free there
     e, ln = cert.entries[0], cert.entries[0].lines[0]
     used = {int(x.r_vertices[0]) for x in e.lines}
     ln.r_vertices = next(
         c for c in cert.r_level_cells[e.level] if int(c[0]) not in used and edges_between(g, e.p_vertices, c) == 0
     )
-    ln.p1_vertices = e.p_vertices
     _reseal(cert, g, 0, 0)
-    return ("line", 0, int(ln.r_vertices[0]))
+    return ("line", 0, int(ln.r_vertices[0])), g
 
 
 def _tamper_corr(cert, g):
     ln = cert.entries[0].lines[0]
     ln.correction += 1
-    return ("line", 0, int(ln.r_vertices[0]))
+    return ("line", 0, int(ln.r_vertices[0])), g
 
 
 def _tamper_value(cert, g):
     ln = cert.entries[0].lines[0]
     ln.value += 1  # the total stays the sum of the recounted values
-    return ("line", 0, int(ln.r_vertices[0]))
+    return ("line", 0, int(ln.r_vertices[0])), g
 
 
 def _tamper_total(cert, g):
     cert.total += Fraction(1, 3)
-    return ("total", None)
+    return ("total", None), g
 
 
 def _tamper_budget(cert, g):
     cert.budget -= 1
-    return ("budget", None)
+    return ("budget", None), g
 
 
 def _tamper_parameters(cert, g):
     # delta above (gamma/32)^2, with the budget that delta gives
     cert.delta = Fraction(1, 64)
     cert.budget = cert.delta * g.edge_count()
-    return ("parameters", None)
+    return ("parameters", None), g
 
 
 def _tamper_gamma_prime(cert, g):
@@ -515,15 +514,13 @@ def _tamper_gamma_prime(cert, g):
     for k, e in enumerate(cert.entries):
         for j in range(len(e.lines)):
             _reseal(cert, g, k, j)
-    return ("gamma-prime", None)
+    return ("gamma-prime", None), g
 
 
 TAMPERS = [
     _tamper_entry_overlap,
     _tamper_r_reused,
     _tamper_p1_too_small,
-    _tamper_p1_outside_p,
-    _tamper_p1_has_edges,
     _tamper_density_floor,
     _tamper_corr,
     _tamper_value,
@@ -539,7 +536,7 @@ def test_reverify_reports_each_tamper(small_seq, tamper):
     g = small_seq.member_graph(2, 0)
     cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
     assert C.reverify_certificate(cert, g)["ok"]
-    expected = tamper(cert, g)
+    expected, g = tamper(cert, g)
     rep = C.reverify_certificate(cert, g)
     assert not rep["ok"]
     assert rep["failures"] == [expected]
@@ -609,19 +606,28 @@ def test_certificate_text_rejects_malformed_input(small_seq):
     text = _small_cert(small_seq).to_text()
     lines = text.split("\n")
     li = next(i for i, ln in enumerate(lines) if ln.startswith("line "))
+    pi = next(i for i, ln in enumerate(lines) if ln.startswith("p "))
+    r_field = lines[li].split()[1]
     bad = {
         "truncated": "\n".join(lines[:li]) + "\n",
         "prefix": text.replace("\nq ", "\nx ", 1),
-        "right id": text.replace(lines[li].split()[1], "R=99999", 1),
-        "left id": text.replace(lines[li].split()[2], "P1=99999", 1),
-        "unsorted": text.replace(lines[li].split()[2], "P1=5,3", 1),
-        "repeated": text.replace(lines[li].split()[2], "P1=3,3", 1),
-        "empty R": text.replace(lines[li].split()[1], "R=-", 1),
+        "right id": text.replace(r_field, "R=99999", 1),
+        "left id": text.replace(lines[pi], "p 99999", 1),
+        "unsorted": text.replace(lines[pi], "p 5,3", 1),
+        "repeated": text.replace(lines[pi], "p 3,3", 1),
+        "empty R": text.replace(r_field, "R=-", 1),
         "zero denominator": text.replace("\ntotal ", "\ntotal 1/0\nx ", 1),
         "trailing": text + "total 0\n",
         "missing field": text.replace("corr=", "cor=", 1),
-        "cut inside a ledger line": text[: text.index(" P1=", text.index("\nline "))],
+        "cut inside a ledger line": text[: text.index(" corr=", text.index("\nline "))],
+        "leading zero in an id": text.replace(r_field, r_field.replace("R=", "R=0", 1), 1),
+        "leading zero in a range": text.replace(lines[pi], "p 01-03", 1),
+        "leading zero in a header count": text.replace("\nt 2\n", "\nt 02\n", 1),
+        "leading zero in a line count": text.replace("\nlines ", "\nlines 00", 1),
+        "leading zero in a correction": text.replace(" corr=", " corr=0", 1),
+        "leading zero in a value": text.replace(" value=", " value=0", 1),
     }
+    assert "\nt 2\n" in text
     # cut at every line boundary
     bad.update({f"cut after line {j}": "".join(f"{ln}\n" for ln in lines[:j]) for j in range(len(lines) - 1)})
     for name, t in bad.items():
@@ -640,8 +646,8 @@ def _rewrite(text, prefix, new, every=True):
 
 
 def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, tmp_path):
-    """Each bound follows from a re-check (P1 inside P, disjoint entries, no
-    reused R vertex, Q and each r-level a partition), so the honest
+    """Each bound follows from a re-check (disjoint entries, no reused R
+    vertex, Q and each r-level a partition), so the honest
     certificate loads, and a forged one is refused with ValueError, before
     any set is expanded, and ``verify --suite certificate`` exits 2."""
     from deltareg.cli import main
@@ -658,7 +664,6 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
 
     entry0_end = text.index("\nentry 1 ")
     forged = {
-        "a P1 set": _rewrite(text, "line ", field("P1", f"0-{nl - 1}")),
         "the p sets": _rewrite(text, "p ", lambda ln: f"p 0-{nl - 1}"),
         "the R sets of certificate entry 0": _rewrite(text[:entry0_end], "line ", field("R", f"0-{nr - 1}")) + text[entry0_end:],
         "the q cells": _rewrite(text, "q ", lambda ln: f"q 0-{nr - 1}", every=False),
@@ -669,7 +674,7 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
     for what, t in forged.items():
         with pytest.raises(ValueError, match=what):
             C.IrregularityCertificate.from_text(t)
-    (tmp_path / "certificate.txt").write_text(forged["a P1 set"])
+    (tmp_path / "certificate.txt").write_text(forged["the p sets"])
     assert main(["verify", "--artifact", str(tmp_path), "--suite", "certificate"]) == 2
 
 
@@ -677,8 +682,8 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
 
 
 def _reference_reverify(cert, g):
-    """The per-entry re-check the whole-array one replaced, kept verbatim as
-    the reference for its reports."""
+    """The per-entry re-check the whole-array one replaced, kept as the
+    reference for its reports; it counts the edge-free part of P itself."""
     report = {"ok": True, "failures": [], "lines_checked": 0}
     if C.graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
@@ -733,28 +738,16 @@ def _reference_reverify(cert, g):
         outside = ~rstar[e.level][r_ids]
         deg_out = np.concatenate(([0], np.cumsum(dense.sum(axis=0, dtype=np.int64) * outside)))
         corr = deg_out[r_end] - deg_out[r_end - r_len]
-        p1_len = np.array([ln.p1_vertices.size for ln in e.lines])
-        p1_ids = np.concatenate([ln.p1_vertices for ln in e.lines])
-        p1_line = np.repeat(np.arange(len(e.lines)), p1_len)
-        at = np.minimum(np.searchsorted(P, p1_ids), max(psize - 1, 0))
-        in_p = (P[at] == p1_ids) if psize else np.zeros(p1_ids.size, dtype=bool)
-        by_p1 = np.lexsort((p1_ids, p1_line))
-        twice = (p1_ids[by_p1[1:]] == p1_ids[by_p1[:-1]]) & (p1_line[by_p1[1:]] == p1_line[by_p1[:-1]])
-        bad_p1 = np.bincount(np.concatenate((p1_line[~in_p], p1_line[by_p1[1:]][twice])), minlength=len(e.lines)) > 0
-        into_r = np.where(in_p, row_into_r[at, p1_line] if psize else 0, 0)
-        cum_p1 = np.concatenate(([0], np.cumsum(into_r)))
-        p1_end = np.cumsum(p1_len)
-        e_p1 = cum_p1[p1_end] - cum_p1[p1_end - p1_len]
-        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), p1_len.tolist(), bad_p1.tolist(), e_p1.tolist(), e_pr.tolist(), corr.tolist())
-        for ln, rsize, r_twice, p1_size, p1_bad, ep1, epr, c in per_line:
+        # P1: the vertices of P with no edge into R, counted in plain Python
+        free = [sum(1 for d in col if d == 0) for col in row_into_r.T.tolist()]
+        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), free, e_pr.tolist(), corr.tolist())
+        for ln, rsize, r_twice, p1_size, epr, c in per_line:
             report["lines_checked"] += 1
             num = max(gn * ((psize * rsize << e.level) - (c * 4 << cert.ell)), 0)
             ok = (
                 rsize > 0
                 and not r_twice
                 and p1_size * floor.denominator >= floor.numerator * psize
-                and not p1_bad
-                and ep1 == 0
                 and epr * 4 << cert.ell >= psize * rsize << e.level
                 and c == ln.correction
                 and ln.value.numerator * den == num * ln.value.denominator
@@ -789,13 +782,14 @@ def _uneven_partition(seq):
     return VertexPartition(seq.n_left, cells + [np.concatenate([a, b])])
 
 
-# (level, member, left partition, t) and the SHA-256 of certificate.txt as
-# the per-cell refuter and range codec wrote it
+# (level, member, left partition, t) and the SHA-256 of certificate.txt: the
+# v1 text of the per-cell refuter and range codec with every ' P1=<set>'
+# removed and 'v1' changed to 'v2'
 PINNED_CERTIFICATES = [
-    (2, 0, "L1", 2, "ed759019b7bbd835f75f536eac8d278816b01864bbbac8f94262c8300767635c"),
-    (2, 3, "uneven", 2, "27f7dd7330c0b792eaee6f88bb0c0c5a73ed31d08b4e89006259cab00c964c28"),
-    (2, 2, "all", 2, "84f3d833f6ecaa01c7dae2d24a02ce78964e0e4773dc8f77b03e4ce52ce1f1ec"),
-    (1, 1, "all", 1, "5940b9cad465e2ee329f2fe6f08fb64cf478acb986594b1f392e47c4ff4be5e1"),
+    (2, 0, "L1", 2, "860f01e2b948915e26355082f5a5f2583df2c2c16dae34a0b9f72db788ab22c6"),
+    (2, 3, "uneven", 2, "cc4c9b62aa6181d577ccf1a81cf6e6455a7edfbdb67a55046fbab6a67707dcd3"),
+    (2, 2, "all", 2, "a307f6b4a3ce08ece2b65e85c6902a327b6b93738e92f0d15a672bb4c79003ad"),
+    (1, 1, "all", 1, "a427d604170cca3de3e8fa139108bed234a6ac4df04a7f1747ebaf937f139543"),
 ]
 
 
@@ -825,14 +819,14 @@ def test_recheck_reports_match_the_per_entry_reference(small_seq, pname, tamper)
     g = small_seq.member_graph(ell, member)
     text = _pinned_cert(small_seq, ell, member, pname, t).to_text()
     mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
-    assert tamper(mine, g) == tamper(ref, g)
-    assert C.reverify_certificate(mine, g) == _reference_reverify(ref, g)
+    (expected, g_mine), (expected_ref, g_ref) = tamper(mine, g), tamper(ref, g)
+    assert expected == expected_ref
+    assert C.reverify_certificate(mine, g_mine) == _reference_reverify(ref, g_ref)
 
 
 def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
     """The engine, the writer and the re-check work in chunks; two cells or
-    entries, some 20 witnesses and some 150 P1 ids at a time give the same
-    text and reports."""
+    entries at a time give the same text and reports."""
     import hashlib
 
     from deltareg import graphs as G
@@ -845,15 +839,15 @@ def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == sha
         g = small_seq.member_graph(ell, member)
         several = pname != "all"  # the tampers need two entries
-        for tamper in (lambda c, g: None,) + (_tamper_p1_outside_p, _tamper_entry_overlap, _tamper_r_reused) * several:
+        for tamper in (lambda c, g: (None, g),) + (_tamper_p1_too_small, _tamper_entry_overlap, _tamper_r_reused) * several:
             mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
-            tamper(mine, g), tamper(ref, g)
-            assert C.reverify_certificate(mine, g) == _reference_reverify(ref, g)
+            (_, g_mine), (_, g_ref) = tamper(mine, g), tamper(ref, g)
+            assert C.reverify_certificate(mine, g_mine) == _reference_reverify(ref, g_ref)
 
 
 def test_single_cell_witnesses_come_from_the_level_engine(small_seq):
     """find_irregularity_witnesses is the level engine on one cell: the same
-    clusters, P1 sets and e(P, R) as the engine gives for that cell among
+    clusters, P1 sizes and e(P, R) as the engine gives for that cell among
     others."""
     seq = small_seq
     P = _uneven_partition(seq)
@@ -865,7 +859,7 @@ def test_single_cell_witnesses_come_from_the_level_engine(small_seq):
         mine = np.flatnonzero(found["cell"] == k)
         assert [w.right_cluster for w in wits] == found["cluster"][mine].tolist()
         assert [w.d_pr_num for w in wits] == found["e_pr"][mine].tolist()
-        assert all(np.array_equal(w.p1_vertices, found["p1"][j]) for w, j in zip(wits, mine.tolist()))
+        assert [len(w.p1_vertices) for w in wits] == found["p1_size"][mine].tolist()
 
 
 def test_recheck_fails_a_certificate_whose_sides_do_not_fit_the_graph(small_seq, tmp_path):
@@ -907,10 +901,12 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
         "full-width digit": text.replace("\nt 2\n", "\nt ３\n", 1),
         "header out of order": text.replace("\ndelta 1/16384\ngamma 1/4\n", "\ngamma 1/4\ndelta 1/16384\n", 1),
         "header field twice": text.replace("\nt 2\n", "\nt 2\nt 2\n", 1),
-        "fields swapped": text.replace(line, line.replace(" corr=0 value=", " value=", 1).replace(" P1=", " corr=0 P1=", 1), 1),
+        "fields swapped": text.replace(line, line.replace(" corr=0 value=", " value=", 1) + " corr=0", 1),
         "CRLF line ends": text.replace("\n", "\r\n"),
         "cut after the entry count": text[: text.index("\n", text.index("\nentries ") + 1) + 1],
-        "cut inside a ledger line": text[: text.index(" P1=", text.index("\nline "))],
+        "cut inside a ledger line": text[: text.index(" corr=", text.index("\nline "))],
+        "v1 certificate": _rewrite(text, "line ", lambda ln: ln.replace(" corr=", " P1=0 corr=", 1)).replace(" v2\n", " v1\n", 1),
+        "P1 field": text.replace(line, line.replace(" corr=", " P1=0 corr=", 1), 1),
     }
     assert " corr=0 " in line and "\nt 2\n" in text
     (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(small_seq.member_graph(2, 0)))

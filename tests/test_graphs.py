@@ -426,6 +426,13 @@ def _malformed(text: str, kind: str, at: int) -> str:
         lines[i] = line[line.index(" ") :]
     elif kind == "leading-space":
         lines[i] = " " + line
+    elif kind == "leading-zero":  # '01 002' is not '1 2'
+        lines[i] = "0" + line
+    elif kind == "leading-zero-count":
+        lines[head - 1] = f"edges 0{m}"
+    elif kind == "leading-zero-size":  # 'left A 03', 'class V3 03'
+        name, size = lines[head - 2].rsplit(" ", 1)
+        lines[head - 2] = f"{name} 0{size}"
     elif kind == "trailing-space":
         lines[i] = line + " "
     elif kind == "out-of-range":
@@ -443,7 +450,8 @@ def _malformed(text: str, kind: str, at: int) -> str:
 
 
 _DEFECTS = ["header", "count-up", "count-down", "extra-field", "missing-field", "moved-field", "non-digit", "double-space", "empty-field", "leading-space",
-            "trailing-space", "out-of-range", "duplicate", "trailing-line", "trailing-text", "no-final-newline"]
+            "leading-zero", "leading-zero-count", "leading-zero-size", "trailing-space", "out-of-range", "duplicate", "trailing-line",
+            "trailing-text", "no-final-newline"]
 
 
 def test_readers_reject_text_after_an_empty_edge_list():

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -132,12 +133,38 @@ def test_cell_hosts_refuses_empty_cells_and_wrapping_keys():
     assert host.tolist() == [(1 << 62) - 1] and overlap.tolist() == [2]
 
 
+def _reference_cross_k(vp, r):
+    """The filter cross_k replaced: every r-subset of the ground set, kept
+    when its ids lie in r distinct cells."""
+    out = [c for c in itertools.combinations(range(vp.n), r) if len(set(vp.owner[list(c)].tolist())) == r]
+    return np.array(out, dtype=np.int64).reshape(-1, r)
+
+
 def test_cross_k_counts():
     assert P.cross_k(P.VertexPartition.singletons(5), 2).shape == (10, 2)
     vp = P.VertexPartition.blocks(6, 3)
     assert P.cross_k(vp, 2).shape == (12, 2)
     with pytest.raises(ValueError):
         P.cross_k(P.VertexPartition(4, [range(4)]), 2)
+    with pytest.raises(ValueError):
+        P.cross_k(vp, 1)
+    assert P.cross_k(vp, 2, cap=12).shape == (12, 2)
+    with pytest.raises(ValueError, match="cap"):
+        P.cross_k(vp, 2, cap=11)
+    # random partitions, cells of uneven sizes in any order
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n + 1))
+        owner = rng.permutation(np.arange(n) % k)
+        vp = P.VertexPartition(n, [np.flatnonzero(owner == c) for c in range(k)])
+        for r in range(2, 5):
+            if r > k:
+                with pytest.raises(ValueError, match="arity"):
+                    P.cross_k(vp, r)
+            else:
+                got = P.cross_k(vp, r)
+                assert got.dtype == np.int64 and np.array_equal(got, _reference_cross_k(vp, r))
 
 
 def test_clique_set_pair_and_triangles():
@@ -423,6 +450,7 @@ def test_vertex_partition_text_round_trip(case):
 def test_vertex_partition_text_tolerates_blank_lines_and_spacing():
     vp = P.VertexPartition.from_text(5, "\n3  1\n\n0\t2 \n4\n\n")
     assert [c.tolist() for c in vp.cells] == [[0, 2], [1, 3], [4]]
+    assert P.VertexPartition.from_text(5, "\n03  1\n\n00\t002 \n4\n\n") == vp  # leading zeros allowed here
     with pytest.raises(ValueError):
         P.VertexPartition.from_text(2, "0 x\n1\n")
 
