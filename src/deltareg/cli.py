@@ -286,8 +286,8 @@ def _suite_counterexample(artifact: str, mode: str = "exact") -> dict:
     params = cx_mod.CounterexampleParams(
         delta=Fraction(meta["delta"]),
         q=Fraction(meta["q"]),
-        k=meta["k"],
-        m=meta["m"],
+        k=int(meta["k"]),
+        m=int(meta["m"]),
         seed=meta["seed"],
         relaxed=meta["relaxed"],
     )

@@ -765,7 +765,7 @@ def one_twelve_context(seq: CoreSequence, ell: int, member: int, i: int, host: i
 class LedgerLine:
     entry: int
     right_cluster_level: int
-    r_vertices: np.ndarray
+    cluster: int  # R: this index among the entry level's r-level cells
     correction: int  # e_G(P, R \ Rstar_i)
     value: Fraction
 
@@ -804,13 +804,10 @@ class IrregularityCertificate:
     def to_text(self) -> str:
         levels = sorted(self.r_level_cells)
         # every vertex set in one pass, taken in text order below
-        sets = [*self.q_cells, *(c for lvl in levels for c in self.r_level_cells[lvl])]
-        for e in self.entries:
-            sets.append(e.p_vertices)
-            sets += [ln.r_vertices for ln in e.lines]
+        sets = [*self.q_cells, *(c for lvl in levels for c in self.r_level_cells[lvl]), *(e.p_vertices for e in self.entries)]
         texts = iter(_ranges_encode_many(sets))
         out = [
-            "irregularity-certificate v2",
+            "irregularity-certificate v3",
             f"graph-sha256 {self.graph_sha256}",
             f"n-left {self.n_left}",
             f"n-right {self.n_right}",
@@ -830,7 +827,7 @@ class IrregularityCertificate:
         out.append(f"entries {len(self.entries)}")
         for k, e in enumerate(self.entries):
             out += [f"entry {k} level {e.level}", f"p {next(texts)}", f"lines {len(e.lines)}"]
-            out += [f"line R={next(texts)} corr={ln.correction} value={ln.value}" for ln in e.lines]
+            out += [f"line R={ln.cluster} corr={ln.correction} value={ln.value}" for ln in e.lines]
         out.append(f"total {self.total}\n")
         return "\n".join(out)
 
@@ -840,8 +837,8 @@ class IrregularityCertificate:
         fields in their order, every ledger line as 'line R= corr= value=',
         each field once, and numbers in ASCII digits without leading zeros.
         One pass reads the lines; one call then decodes every vertex set.
-        Truncated or malformed text, and vertex ids outside the sides, raise
-        ValueError."""
+        Truncated or malformed text, vertex ids outside the sides, and an R
+        index at or above its level's r-level cell count raise ValueError."""
         if not text.isascii():
             raise ValueError("certificate text is not ASCII")
         if not text.endswith("\n"):
@@ -861,8 +858,8 @@ class IrregularityCertificate:
                 raise ValueError(f"certificate line {at}: expected {key!r} and {n} field(s)")
             return words[1:]
 
-        if fields("irregularity-certificate") != ["v2"]:
-            raise ValueError("certificate line 1: expected 'irregularity-certificate v2'")
+        if fields("irregularity-certificate") != ["v3"]:
+            raise ValueError("certificate line 1: expected 'irregularity-certificate v3'")
         head = {key: fields(key)[0] for key in _CERT_HEAD}
         n_left, n_right = _header_count(head["n-left"]), _header_count(head["n-right"])
         q_sets = [fields("q")[0] for _ in range(_header_count(head["q-cells"]))]
@@ -875,8 +872,8 @@ class IrregularityCertificate:
             r_sets += [fields("r")[0] for _ in range(count)]
             r_blocks.append(len(r_sets))
         # per entry 'entry k level L', 'p <set>' and 'lines n', then n records
-        # 'line R=<set> corr=<count> value=<fraction>'
-        p_sets, levels, n_lines, R_sets, corr, value = [], [], [], [], [], []
+        # 'line R=<cluster> corr=<count> value=<fraction>'
+        p_sets, levels, n_lines, clusters, corr, value = [], [], [], [], [], []
         for k in range(_header_count(fields("entries")[0])):
             number, word, lvl = fields("entry", 3)
             if word != "level" or _header_count(number) != k:
@@ -888,56 +885,51 @@ class IrregularityCertificate:
                 raise ValueError(f"certificate truncated after line {len(lines)}")
             for ln in lines[at : at + n_lines[-1]]:
                 words = ln.split(" ")
-                if len(words) != 4 or words[0] != "line" or not words[1].startswith("R="):
-                    raise ValueError("certificate: a ledger line is not 'line R=<set> corr=<count> value=<fraction>'")
-                _, r, c, v = words
-                R_sets.append(r.removeprefix("R="))
-                corr.append(c)
-                value.append(v)
+                if len(words) != 4 or words[0] != "line":
+                    raise ValueError("certificate: a ledger line is not 'line R=<cluster> corr=<count> value=<fraction>'")
+                clusters.append(words[1])
+                corr.append(words[2])
+                value.append(words[3])
             at += n_lines[-1]
         total = _fraction(fields("total")[0])
         if at < len(lines):
             raise ValueError(f"certificate line {at + 1}: text after the total")
-        corr, value = _ledger_field(corr, "corr=", _header_count), _ledger_field(value, "value=", _fraction)
         del lines  # only the set texts are kept through the decode
-        missing = set(levels) - set(r_levels)
+        clusters = _ledger_field(clusters, "R=", _header_count)
+        corr, value = _ledger_field(corr, "corr=", _header_count), _ledger_field(value, "value=", _fraction)
+        cells_at = dict(zip(r_levels, np.diff(r_blocks).tolist()))
+        missing = set(levels) - set(cells_at)
         if missing:
             raise ValueError(f"certificate: no r-level cells for level {min(missing)}")
-        n_lines = np.array(n_lines, dtype=np.int64)
-        line_entry = np.repeat(np.arange(len(p_sets)), n_lines)
-        ends = np.cumsum(n_lines)
-        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets), len(R_sets)]).tolist()
+        line_level = np.repeat(levels, n_lines).tolist()
+        if any(map(operator.ge, clusters, map(cells_at.__getitem__, line_level))):
+            raise ValueError("certificate: a ledger line's R= index is not below its level's r-level cell count")
+        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets)]).tolist()
 
         def sizes_fit(count):
             # each bound follows from a check of reverify_certificate (Q and
-            # every r-level partition the right side, entries are disjoint,
-            # no entry reuses a right vertex), so an honest certificate meets
-            # it; made before any set is expanded, so that a forged set costs
-            # no memory
-            q, r, p, R = (count[a:z] for a, z in zip(bounds, bounds[1:]))
+            # every r-level partition the right side, entries are disjoint),
+            # so an honest certificate meets it; made before any set is
+            # expanded, so that a forged set costs no memory
+            q, r, p = (count[a:z] for a, z in zip(bounds, bounds[1:]))
             if q.sum() > n_right:
                 raise ValueError("the q cells of the certificate have more than n-right ids")
             if any(r[a:z].sum() > n_right for a, z in zip(r_blocks, r_blocks[1:])):
                 raise ValueError("one level's r cells in the certificate have more than n-right ids")
             if p.sum() > n_left:
                 raise ValueError("the p sets of the certificate have more than n-left ids")
-            cum = np.concatenate(([0], np.cumsum(R)))
-            r_bad = np.flatnonzero(cum[ends] - cum[ends - n_lines] > n_right)
-            if r_bad.size:
-                raise ValueError(f"the R sets of certificate entry {r_bad[0]} have more than n-right ids")
-            if np.any(count == 0):
-                raise ValueError("empty vertex set in the certificate")
 
-        sets = _ranges_decode_many(q_sets + r_sets + p_sets + R_sets, max(n_left, n_right), check=sizes_fit)
+        sets = _ranges_decode_many(q_sets + r_sets + p_sets, max(n_left, n_right), check=sizes_fit)
         # ids increase within a set, so the last of each set is its largest
-        side = np.repeat([n_right, n_right, n_left, n_right], np.diff(bounds))
+        side = np.repeat([n_right, n_right, n_left], np.diff(bounds))
         top = np.fromiter(map(operator.itemgetter(-1), sets), dtype=np.int64, count=side.size)
         bad = np.flatnonzero(top >= side)
         if bad.size:
             raise ValueError(f"vertex id {top[bad[0]]} out of range 0..{side[bad[0]] - 1} in the certificate")
-        q_cells, r_cells, p_sets, R = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
-        ledger = list(map(LedgerLine, line_entry.tolist(), np.repeat(levels, n_lines).tolist(), R, corr, value))
-        starts = (ends - n_lines).tolist()
+        q_cells, r_cells, p_sets = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
+        line_entry = np.repeat(np.arange(len(p_sets)), n_lines).tolist()
+        ledger = list(map(LedgerLine, line_entry, line_level, clusters, corr, value))
+        ends = np.cumsum(n_lines, dtype=np.int64).tolist()
         return IrregularityCertificate(
             graph_sha256=head["graph-sha256"],
             n_left=n_left,
@@ -950,7 +942,7 @@ class IrregularityCertificate:
             t=_header_count(head["t"]),
             q_cells=q_cells,
             r_level_cells={lvl: r_cells[a:z] for lvl, a, z in zip(r_levels, r_blocks, r_blocks[1:])},
-            entries=[CertEntry(p_vertices=p, level=lvl, lines=ledger[a:z]) for p, lvl, a, z in zip(p_sets, levels, starts, ends.tolist())],
+            entries=[CertEntry(p_vertices=p, level=lvl, lines=ledger[a - n:a]) for p, lvl, n, a in zip(p_sets, levels, n_lines, ends)],
             total=total,
             budget=_fraction(head["budget"]),
         )
@@ -987,34 +979,32 @@ def _ledger_field(words: list, key: str, parse) -> list:
 
 
 def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_ids: int, check=None) -> tuple:
-    """The vertex sets written in the byte spans [s, e) of b: '-' for the
-    empty set, else maximal runs of ids 'a' or 'a-b' joined by ','.  ``runs``
-    are the digit runs of b.  Each set must list strictly increasing ids of
-    at most 18 digits and without leading zeros, at most max_ids of them;
-    anything else raises ValueError before any set is expanded.  ``check``,
-    if given, gets the id count of every set, also before any set is
-    expanded, and may raise ValueError.  Returns the ids of all sets, concatenated, and the count of
-    each."""
+    """The vertex sets written in the byte spans [s, e) of b, each as
+    _ranges_encode_many writes it: maximal runs of ids 'a' or 'a-b' joined
+    by ','.  ``runs`` are the digit runs of b.  Each set must list strictly
+    increasing ids of at most 18 digits and without leading zeros, in
+    maximal runs, at most max_ids of them; anything else raises ValueError
+    before any set is expanded.  ``check``, if given, gets the id count of
+    every set, also before any set is expanded, and may raise ValueError.
+    Returns the ids of all sets, concatenated, and the count of each."""
     rs, re_, rv = runs
     nr = rs.size
-    empty = (e - s == 1) & (b[np.minimum(s, b.size - 1)] == ord("-"))
-    full = ~empty
-    ra, rb = np.searchsorted(rs, s[full]), np.searchsorted(rs, e[full])
+    ra, rb = np.searchsorted(rs, s), np.searchsorted(rs, e)
     # a set is its digit runs with one ',' or '-' between each two; after
-    # ',' the next id is larger, after '-' (a range) not smaller, and no
-    # run of digits has '-' on both sides ('a-b-c')
+    # '-' (a range) the next id is larger, after ',' larger by two at least
+    # (runs are maximal), and no run of digits has '-' on both sides ('a-b-c')
     sep = b[np.minimum(re_, b.size - 1)]
     dash = sep == ord("-")
     bad = np.ones(nr, dtype=bool)
-    bad[:-1] = (rs[1:] != re_[:-1] + 1) | ~(dash[:-1] | (sep[:-1] == ord(","))) | (rv[1:] - rv[:-1] < ~dash[:-1])
+    bad[:-1] = (rs[1:] != re_[:-1] + 1) | ~(dash[:-1] | (sep[:-1] == ord(","))) | (rv[1:] - rv[:-1] < 2 - dash[:-1])
     bad[1:] |= dash[:-1] & dash[1:]
     bad |= rv < 0  # more than 18 digits, or a leading zero
     cum = np.concatenate(([0], np.cumsum(bad, dtype=np.int32)))
     if ra.size and (
         nr == 0
         or np.any(rb <= ra)
-        or np.any(rs[np.minimum(ra, nr - 1)] != s[full])
-        or np.any(re_[np.maximum(rb - 1, 0)] != e[full])
+        or np.any(rs[np.minimum(ra, nr - 1)] != s)
+        or np.any(re_[np.maximum(rb - 1, 0)] != e)
         or np.any(cum[np.maximum(rb - 1, ra)] != cum[ra])
         or np.any(rv[np.maximum(rb - 1, 0)] < 0)
     ):
@@ -1028,11 +1018,9 @@ def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_
     closes = dash[idx - 1]
     closes[first] = False
     ids = np.where(closes, step, 1)  # ids a run adds
-    per_set = np.add.reduceat(ids, first) if ids.size else ids
-    if np.any(per_set > max_ids):
+    count = np.add.reduceat(ids, first) if ids.size else ids
+    if np.any(count > max_ids):
         raise ValueError(f"vertex set in the certificate has more than {max_ids} ids")
-    count = np.zeros(s.size, dtype=np.int64)
-    count[full] = per_set
     if check is not None:
         check(count)
     # one cumulative sum of the steps between ids: a run that opens a range
@@ -1043,10 +1031,11 @@ def _decode_spans(b: np.ndarray, runs: tuple, s: np.ndarray, e: np.ndarray, max_
 
 
 def _ranges_encode_many(arrays) -> list:
-    """Text of many id sets at once: each set sorted and without repeats, as
-    maximal runs of consecutive ids 'a' or 'a-b' joined by ',', and '-' for
-    an empty set."""
+    """Text of many non-empty id sets at once: each set sorted and without
+    repeats, as maximal runs of consecutive ids 'a' or 'a-b' joined by ','."""
     sizes = np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+    if np.any(sizes == 0):
+        raise ValueError("empty vertex set")
     flat = np.concatenate(arrays).astype(np.int64, copy=False) if len(arrays) else np.empty(0, dtype=np.int64)
     if flat.size and flat.min() < 0:
         raise ValueError("negative vertex id")
@@ -1059,16 +1048,13 @@ def _ranges_encode_many(arrays) -> list:
         keep = np.ones(flat.size, dtype=bool)
         keep[1:] = (flat[1:] != flat[:-1]) | (sid[1:] != sid[:-1])
         flat, sid = flat[keep], sid[keep]
-    # maximal runs of consecutive ids, plus a run (-1, -1) for each empty
-    # set, which the writer renders as '-'
+    # maximal runs of consecutive ids
     first = np.ones(flat.size, dtype=bool)
     first[1:] = (sid[1:] != sid[:-1]) | (flat[1:] != flat[:-1] + 1)
     first = np.flatnonzero(first)
     last = np.append(first[1:], flat.size)[: first.size] - 1
-    empty = np.flatnonzero(sizes == 0)
-    at_empty = np.searchsorted(sid[first], empty)
-    lo, hi = np.insert(flat[first], at_empty, -1), np.insert(flat[last], at_empty, -1)
-    runs = np.bincount(sid[first], minlength=sizes.size) + (sizes == 0)
+    lo, hi = flat[first], flat[last]
+    runs = np.bincount(sid[first], minlength=sizes.size)
     # one number per run, two for a range 'a-b'; ',' after each run but a
     # set's last, which ends its line
     ranged = hi > lo
@@ -1111,12 +1097,18 @@ def refute_partition(
     """Build the irregularity certificate for a partition pair against a
     chain member.
 
-    Preconditions: the right partition c-refines the level-t right clusters
-    (c = 2^-9) and the left partition does NOT gamma-refine the level-t left
-    clusters.  Emits per-cell ledger lines whose total, when above
+    Preconditions, each a ValueError when it fails: 1 <= t <= ell <= s, 0
+    <= member < 2^ell, the right partition c-refines the level-t right
+    clusters (c = 2^-9) and the left partition does NOT gamma-refine the
+    level-t left clusters.  Emits per-cell ledger lines, each naming its R by
+    index among the level's right clusters, whose total, when above
     delta * e(G), certifies that no edit of at most that many edges makes
     every cross pair delta-regular.
     """
+    if not 1 <= t <= ell <= seq.profile.s:
+        raise ValueError(f"need 1 <= t <= level <= {seq.profile.s}, got t {t} and level {ell}")
+    if not 0 <= member < 1 << ell:
+        raise ValueError(f"member {member} is not one of the {1 << ell} members of level {ell}")
     delta = Fraction(delta)
     c = HOST_C
     if gamma is None:
@@ -1157,8 +1149,7 @@ def refute_partition(
         # a line needs |P1| >= delta |P|
         psize = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))[found["cell"]]
         keep = np.flatnonzero(found["p1_size"] >= ceil_share(psize, delta))
-        rcells = seq.right_parts(i).cells
-        rsize = np.bincount(seq.right_parts(i).owner, minlength=len(rcells))[found["cluster"][keep]]
+        rsize = np.bincount(seq.right_parts(i).owner)[found["cluster"][keep]]
         # exact values, one per distinct (|P|, |R|, corr)
         key, inv = np.unique(np.stack([psize[keep], rsize, found["corr"][keep]]), axis=1, return_inverse=True)
         nums = [max(gn * ((a * b << i) - (cr * 4 << ell)), 0) for a, b, cr in key.T.tolist()]
@@ -1170,7 +1161,7 @@ def refute_partition(
             LedgerLine,
             entry.tolist(),
             [i] * keep.size,
-            [rcells[r] for r in found["cluster"][keep].tolist()],
+            found["cluster"][keep].tolist(),
             found["corr"][keep].tolist(),
             [values[j] for j in inv.ravel().tolist()],
         )
@@ -1218,39 +1209,31 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     """Re-check every ledger line from the serialized certificate plus the
     graph alone.  Returns per-line results and the final verdict.
 
+    A line names its R by index among the r-level cells of its entry's
+    level; an index outside those cells, or not above the index of the
+    entry's line before, fails the line, so no entry uses a cluster twice.
     A line needs an edge-free part P1 of P with |P1| >= max(delta,
-    gamma/8)|P|; the largest one is every vertex of P with no edge into R, so
-    the line passes this check when that many vertices of P have none.  The
-    lines of all entries are checked together, in chunks of entries whose
+    gamma/8)|P|; the largest one is every vertex of P with no edge into R,
+    so the line passes this check when that many vertices of P have none.
+    The lines of one level are checked together, in chunks of entries whose
     rows of P unpack to at most ``_RECHECK_CHUNK`` bytes (one entry at
-    least); the (P id, R id) pairs of a chunk's lines, one place of R at a
-    time, hold no more bytes than those rows when no entry's R sets have
-    more than n-right ids, which the loader checks.  The recounts are
-    int64; the line values, which involve loaded numbers of any size, are
-    int64 only while every product fits in 62 bits, and exact Python
-    integers otherwise."""
+    least): each chunk's rows are summed per cluster, which gives the
+    vertices of P with no edge into R, and per entry, which gives e(P, R)
+    and the correction.  The recounts are int64; the line values, which
+    involve loaded numbers of any size, are int64 only while every product
+    fits in 62 bits, and exact Python integers otherwise."""
     if graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
     n_left, n_right = g.left.size, g.right.size
     entries = cert.entries
     lines = [ln for e in entries for ln in e.lines]
     n_e, n_l = len(entries), len(lines)
-
-    def flat(arrays):
-        return np.concatenate(arrays).astype(np.int64, copy=False) if arrays else np.empty(0, dtype=np.int64)
-
-    def lengths(arrays):
-        return np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
-
-    p_sets, r_sets = [e.p_vertices for e in entries], [ln.r_vertices for ln in lines]
-    p_ids, r_ids = flat(p_sets), flat(r_sets)
-    psize, r_len = lengths(p_sets), lengths(r_sets)
-    n_lines = lengths([e.lines for e in entries])
-    if (
-        (cert.n_left, cert.n_right) != (n_left, n_right)
-        or any(ids.size and (ids.min() < 0 or ids.max() >= n) for ids, n in ((p_ids, n_left), (r_ids, n_right)))
-    ):
-        # the sides the certificate names, or its vertex ids, do not fit the graph
+    p_sets = [e.p_vertices for e in entries]
+    p_ids = np.concatenate(p_sets).astype(np.int64, copy=False) if p_sets else np.empty(0, dtype=np.int64)
+    psize = np.fromiter(map(len, p_sets), dtype=np.int64, count=n_e)
+    n_lines = np.fromiter((len(e.lines) for e in entries), dtype=np.int64, count=n_e)
+    if (cert.n_left, cert.n_right) != (n_left, n_right) or (p_ids.size and (p_ids.min() < 0 or p_ids.max() >= n_left)):
+        # the sides the certificate names, or its P ids, do not fit the graph
         return {"ok": False, "failures": [("sides", None)], "lines_checked": 0}
     report = {"ok": True, "failures": [], "lines_checked": n_l}
     if cert.gamma > Fraction(1, 4) or 32 * dyadic_root_ceil(cert.delta, 2, 40) > cert.gamma:
@@ -1259,29 +1242,45 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         report["failures"].append(("gamma-prime", None))
     if cert.host_c != HOST_C:  # a larger c puts more of Q in R* and lowers the corrections
         report["failures"].append(("host-c", None))
-    # rebuild Rstar masks per level from Q and the stored cluster cells, with
-    # no code shared with refute_partition: a Q-cell whose largest overlap
-    # with a cluster R (the first such R on ties) leaves fewer than c|Q|
-    # vertices outside contributes Q & R
+    # each level's cluster of every right vertex, by index in text order, and
+    # the R* mask rebuilt from Q with no code shared with refute_partition: a
+    # Q-cell whose largest overlap with a cluster R (the first such R on
+    # ties) leaves fewer than c|Q| vertices outside contributes Q & R
     q_owner = VertexPartition(cert.n_right, cert.q_cells).owner
     q_size = np.bincount(q_owner).astype(object)  # exact products with any loaded c
     cn, cd = cert.host_c.numerator, cert.host_c.denominator
-    rstar = {}
+    levels = {}
     for lvl, cells in cert.r_level_cells.items():
-        r_owner = VertexPartition(cert.n_right, cells).owner
-        pair, count = np.unique(q_owner * len(cells) + r_owner, return_counts=True)
-        q_of = pair // len(cells)
+        owner = VertexPartition(cert.n_right, cells).owner
+        r_owner = np.argsort(owner[[c[0] for c in cells]])[owner]
+        k = len(cells)
+        pair, count = np.unique(q_owner * k + r_owner, return_counts=True)
+        q_of = pair // k
         first = np.lexsort((pair, -count, q_of))
         first = first[np.r_[True, q_of[first[1:]] != q_of[first[:-1]]]]  # one per Q-cell, in Q order
         outside = q_size - count[first]
         keep = ((outside == 0) | (outside * cd < cn * q_size)).astype(bool)
-        rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % len(cells))[q_owner])
-    p_entry = np.repeat(np.arange(n_e), psize)
-    line_entry = np.repeat(np.arange(n_e), n_lines)
-    r_line = np.repeat(np.arange(n_l), r_len)
-    p_start, r_start = np.cumsum(psize) - psize, np.cumsum(r_len) - r_len
+        levels[lvl] = r_owner, ~(keep[q_owner] & (r_owner == (pair[first] % k)[q_owner]))
+
+    def by_cluster(x, r_owner, dtype):
+        """The sums of the columns of x over each cluster of r_owner."""
+        size = np.bincount(r_owner)
+        w = int(size[0])
+        if np.any(size != w):
+            return np.add.reduceat(x[:, np.argsort(r_owner, kind="stable")], np.cumsum(size) - size, axis=1, dtype=dtype)
+        # clusters of w columns each: w strided adds over the columns in
+        # cluster order, which they already are when clusters are runs
+        if not np.array_equal(r_owner, np.arange(n_right) // w):
+            x = x[:, np.argsort(r_owner, kind="stable")]
+        parts = x.reshape(len(x), size.size, w)
+        out = parts[:, :, 0].astype(dtype, copy=w > 1)  # w = 1: the columns are the sums
+        for j in range(1, w):
+            out += parts[:, :, j]
+        return out
+
     # entry cells must be disjoint: an entry overlaps when an id of its P is
     # in an earlier entry
+    p_entry = np.repeat(np.arange(n_e), psize)
     overlap = np.zeros(n_e, dtype=bool)
     times = np.bincount(p_ids, minlength=n_left)
     shared = np.flatnonzero(times[p_ids] > 1)
@@ -1290,65 +1289,58 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         first = np.flatnonzero(np.r_[True, p_ids[by_id[1:]] != p_ids[by_id[:-1]]])
         first_entry = np.repeat(p_entry[by_id[first]], np.diff(np.append(first, by_id.size)))
         overlap[p_entry[by_id][p_entry[by_id] > first_entry]] = True
-
-    # a right vertex used twice in an entry, by one line or by an earlier
-    # one; the keys in text order strictly increase unless some repeat
-    if (n_e + 1) * n_right >= 1 << 63:
-        raise ValueError("certificate too large for the int64 keys of the re-check")
-    key = line_entry[r_line] * n_right + r_ids
-    reused = np.zeros(n_l, dtype=bool)
-    if np.any(key[1:] <= key[:-1]):
-        by_key = np.argsort(key, kind="stable")
-        reused[r_line[by_key[1:]][key[by_key[1:]] == key[by_key[:-1]]]] = True
+    # each line's R, clamped to -1..n-right so that it fits int64 and keeps
+    # its order; it must be one of its level's cells, above the entry's
+    # line before
+    line_entry = np.repeat(np.arange(n_e), n_lines)
+    given = [ln.cluster for ln in lines]
+    cluster = np.clip(np.array(given, dtype=object), -1, n_right).astype(np.int64)
+    cells_of = np.array([len(cert.r_level_cells.get(e.level, ())) for e in entries], dtype=np.int64)
+    valid = (cluster >= 0) & (cluster < cells_of[line_entry])
+    ok = valid.copy()
+    ok[1:] &= (line_entry[1:] != line_entry[:-1]) | (cluster[1:] > cluster[:-1])
     # e(P, R), the correction e(P, R \ R*) and the vertices of P with no
     # edge into R from the rows of P, decoded here, not through _kernels: the
     # re-check shares no code with the refuter
-    level_of = {lvl: k for k, lvl in enumerate(sorted({e.level for e in entries if e.lines}))}
-    entry_level = np.array([level_of.get(e.level, -1) for e in entries], dtype=np.int64)
-    outside = np.stack([~rstar[lvl] for lvl in level_of]) if level_of else np.zeros((0, n_right), dtype=bool)
-    e_pr, corr, free = (np.zeros(n_l, dtype=np.int64) for _ in range(3))
-    cum_lines = np.concatenate(([0], np.cumsum(n_lines)))
-    p_end = p_start + psize
-    a = 0
-    while a < n_e:
-        z = max(a + 1, int(np.searchsorted(p_end, p_start[a] + _RECHECK_CHUNK // n_right, side="right")))
-        row0 = int(p_start[a])
-        bits = np.unpackbits(g.rows[p_ids[row0 : p_end[z - 1]]].view(np.uint8), axis=1, count=n_right, bitorder="little")
-        # column sums of each entry's rows, and the vertices of P with no
-        # edge into R, entries of one size at a time
-        colsum = np.zeros((z - a, n_right), dtype=np.int64)
-        for s in np.unique(psize[a:z]).tolist():
-            ent = np.flatnonzero(psize[a:z] == s)
-            rows = bits if ent.size == z - a else bits[(p_start[a + ent, None] - row0 + np.arange(s)).ravel()]
-            rows = rows.reshape(ent.size, s, n_right)
-            colsum[ent] = rows.sum(axis=1, dtype=np.min_scalar_type(s))
-            # the bit of every (P id, R id) pair of the group's lines, one
-            # place of R at a time
-            per = n_lines[a + ent]
-            at = np.repeat(np.arange(ent.size), per)
-            ls = np.repeat(cum_lines[a + ent] - np.cumsum(per) + per, per) + np.arange(at.size)
-            rl, r0 = r_len[ls], r_start[ls]
-            hit = np.zeros((ls.size, s), dtype=np.uint8)
-            for k in range(int(rl.max(initial=0))):
-                hit |= rows[at, :, r_ids[np.minimum(r0 + k, r_ids.size - 1)]] & (rl > k)[:, None]
-            free[ls] = s - np.count_nonzero(hit, axis=1)
-        l0, l1 = int(cum_lines[a]), int(cum_lines[z])
-        rr = np.arange(r_start[l0], r_start[l1 - 1] + r_len[l1 - 1]) if l1 > l0 else np.empty(0, dtype=np.int64)
-        if rr.size:
-            ent = line_entry[r_line[rr]]
-            into = colsum[ent - a, r_ids[rr]]
-            cum = np.concatenate(([0], np.cumsum(into)))
-            cum_out = np.concatenate(([0], np.cumsum(into * outside[entry_level[ent], r_ids[rr]])))
-            first = r_start[l0:l1] - rr[0]
-            e_pr[l0:l1] = cum[first + r_len[l0:l1]] - cum[first]
-            corr[l0:l1] = cum_out[first + r_len[l0:l1]] - cum_out[first]
-        a = z
+    e_pr, corr, free, r_size = (np.zeros(n_l, dtype=np.int64) for _ in range(4))
+    counted = np.zeros(n_e, dtype=bool)
+    counted[line_entry[valid]] = True
+    counted &= psize > 0
+    for lvl, (r_owner, outside) in levels.items():
+        mine = counted & np.fromiter((e.level == lvl for e in entries), dtype=bool, count=n_e)
+        ents = np.flatnonzero(mine)
+        ids = p_ids[np.repeat(mine, psize)]  # their rows of P, entry after entry
+        ends = np.cumsum(psize[ents])
+        ls = np.flatnonzero(valid & mine[line_entry])  # their lines, in entry order
+        slot = (np.cumsum(mine) - 1)[line_entry[ls]]  # each line's entry, as an index into ents
+        sizes = np.bincount(r_owner)
+        k = sizes.size
+        a = 0
+        while a < ents.size:
+            r0 = int(ends[a] - psize[ents[a]])
+            z = max(a + 1, int(np.searchsorted(ends, r0 + _RECHECK_CHUNK // n_right, side="right")))
+            bits = np.unpackbits(g.rows[ids[r0 : ends[z - 1]]].view(np.uint8), axis=1, count=n_right, bitorder="little")
+            zero = by_cluster(bits, r_owner, np.min_scalar_type(n_right)) == 0  # the rows with no edge into R
+            size = psize[ents[a:z]]
+            first = ends[a:z] - size - r0
+            colsum, none = np.zeros((z - a, n_right), dtype=np.int64), np.zeros((z - a, k), dtype=np.int64)
+            for s in np.unique(size).tolist():  # the entries of one size at a time
+                ent = np.flatnonzero(size == s)
+                take = slice(None) if ent.size == z - a else (first[ent, None] + np.arange(s)).ravel()
+                colsum[ent] = bits[take].reshape(ent.size, s, n_right).sum(axis=1, dtype=np.min_scalar_type(s))
+                none[ent] = zero[take].reshape(ent.size, s, k).sum(axis=1, dtype=np.min_scalar_type(s))
+            l0, l1 = np.searchsorted(slot, [a, z])
+            at, c, these = slot[l0:l1] - a, cluster[ls[l0:l1]], ls[l0:l1]
+            e_pr[these] = by_cluster(colsum, r_owner, np.int64)[at, c]
+            corr[these] = by_cluster(colsum * outside, r_owner, np.int64)[at, c]
+            free[these], r_size[these] = none[at, c], sizes[c]
+            a = z
     # the line checks, in exact integers
     psize_l = psize[line_entry]
     floor = max(cert.delta, cert.gamma / 8)
     usz, inv = np.unique(psize_l, return_inverse=True)
     need = np.array([min(-(-floor.numerator * s // floor.denominator), s + 1) for s in usz.tolist()], dtype=np.int64)
-    ok = (r_len > 0) & ~reused & (free >= need[inv.ravel()])
+    ok &= free >= need[inv.ravel()]
     # line values gamma' (2^level p |P||R| / 4 - corr), p = 2^-ell, are
     # compared and summed as numerators over one denominator
     gn, gd = cert.gamma_prime.numerator, cert.gamma_prime.denominator
@@ -1359,12 +1351,11 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     _, first, which = np.unique(np.fromiter(map(id, values), dtype=np.int64, count=n_l), return_index=True, return_inverse=True)
     v_num = [values[j].numerator for j in first.tolist()]
     v_den = [values[j].denominator for j in first.tolist()]
-    shift = max(list(level_of) + [cert.ell + 2])
+    shift = max([e.level for e in entries] + [cert.ell + 2])
     bits_needed = (n_left * n_right).bit_length() + shift + gn.bit_length() + max(v_den + [1]).bit_length() + n_l.bit_length()
     loaded = max([abs(x) for x in v_num] + [abs(min(corr_in, default=0)), max(corr_in, default=0)]).bit_length() + den.bit_length()
     dt = np.int64 if max(bits_needed, loaded) <= 62 else object
-    pow_level = np.array([1 << lvl for lvl in level_of] or [1], dtype=dt)[np.maximum(entry_level[line_entry], 0)]
-    area = (psize_l * r_len).astype(dt) * pow_level  # |P||R| 2^level
+    area = (psize_l * r_size).astype(dt) * np.array([1 << e.level for e in entries], dtype=dt)[line_entry]  # |P||R| 2^level
     recount = corr.astype(dt) * (4 << cert.ell)
     num = gn * (area - recount)
     num = np.where(num > 0, num, 0)
@@ -1374,10 +1365,7 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     total_num = int(num.sum()) if n_l else 0
     # failures in entry order: an overlap, then the entry's failing lines
     fails = [(k, 0, ("entry-overlap", k)) for k in np.flatnonzero(overlap).tolist()]
-    fails += [
-        (k, 1, ("line", k, int(r_ids[r_start[j]]) if r_len[j] else -1))
-        for j, k in zip(np.flatnonzero(~ok).tolist(), line_entry[~ok].tolist())
-    ]
+    fails += [(k, 1, ("line", k, given[j])) for j, k in zip(np.flatnonzero(~ok).tolist(), line_entry[~ok].tolist())]
     report["failures"] += [f for _, _, f in sorted(fails, key=lambda x: x[:2])]
     if Fraction(total_num, den) != cert.total:
         report["failures"].append(("total", None))

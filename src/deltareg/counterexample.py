@@ -69,6 +69,12 @@ class CounterexampleParams:
     relaxed: bool = True
     max_resamples: int = 50
 
+    def __post_init__(self):
+        if self.k < 1 or self.m < 1:
+            raise ValueError(f"class size k {self.k} and blowup m {self.m} must be at least 1")
+        if not (0 < self.q <= 1 and 0 < self.delta <= 1):
+            raise ValueError(f"q {self.q} and delta {self.delta} must lie in (0, 1]")
+
     @property
     def p(self) -> Fraction:
         return self.q / 3

@@ -418,6 +418,45 @@ def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
         assert "quotient-1-0.bin is a 15 x 8 quotient, not 16 x 8" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def cx_artifact(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cx")
+    (d / "cx.json").write_text(json.dumps(CX_PARAMS))
+    assert main(["counterexample", "--params", str(d / "cx.json"), "--seed", "5", "--out", str(d / "cx")]) == 0
+    return d / "cx"
+
+
+def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case):
+    """The command line of one exit-2 case: 'certify <flag> <value>' with the
+    other certify options as in the certified artifact, or '<command> <file>
+    <key> <value>' with one key of the build-core profile, the counterexample
+    params or the params.json of a copy of the counterexample artifact
+    changed."""
+    command, *rest = case.split()
+    if command == "certify":
+        flag, value = rest
+        options = {"--delta": "1/16384", "--t": "2", "--level": "2", "--member": "0", "--gamma": "1/4", flag: value}
+        return [
+            "certify", "--artifact", str(certified_artifact),
+            "--left-partition", str(certified_artifact.parent / "P.part"),
+            "--right-partition", str(certified_artifact.parent / "Q.part"),
+            *(word for option in options.items() for word in option), "--out-cert", str(tmp_path / "certificate.txt"),
+        ]
+    key, value = rest[-2:]
+    value = int(value) if key in ("k", "m") else value
+    if command == "build-core":
+        (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, key: value}))
+        return ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
+    if command == "counterexample":
+        (tmp_path / "cx.json").write_text(json.dumps({**CX_PARAMS, key: value}))
+        return ["counterexample", "--params", str(tmp_path / "cx.json"), "--seed", "5", "--out", str(tmp_path / "cx")]
+    art = tmp_path / "cx"
+    shutil.copytree(cx_artifact, art)
+    params = json.loads((art / "params.json").read_text())
+    (art / "params.json").write_text(json.dumps({**params, key: value}))
+    return ["verify", "--artifact", str(art), "--suite", "counterexample"]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -429,32 +468,40 @@ def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
         "verify counterexample params.json delta 1/0",
     ],
 )
-def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, tmp_path, capsys, case):
+def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tmp_path, capsys, case):
     """A zero denominator or a malformed fraction, in an option, a profile
     or a params file, is a usage error: exit 2 with an error line, never a
     traceback."""
-    command = case.split()[0]
-    if command == "certify":
-        _, flag, value = case.split()
-        fractions = {"--delta": "1/16384", "--gamma": "1/4", flag: value}
-        argv = [
-            "certify", "--artifact", str(certified_artifact),
-            "--left-partition", str(certified_artifact.parent / "P.part"),
-            "--right-partition", str(certified_artifact.parent / "Q.part"),
-            "--delta", fractions["--delta"], "--t", "2", "--level", "2", "--member", "0",
-            "--gamma", fractions["--gamma"], "--out-cert", str(tmp_path / "certificate.txt"),
-        ]
-    elif command == "build-core":
-        (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, "alpha": "1/0"}))
-        argv = ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
-    elif command == "counterexample":
-        (tmp_path / "cx.json").write_text(json.dumps({**CX_PARAMS, "delta": "1/0"}))
-        argv = ["counterexample", "--params", str(tmp_path / "cx.json"), "--seed", "5", "--out", str(tmp_path / "cx")]
-    else:
-        art = tmp_path / "cx"
-        art.mkdir()
-        (art / "params.json").write_text(json.dumps({**CX_PARAMS, "delta": "1/0", "seed": 5, "relaxed": True}))
-        argv = ["verify", "--artifact", str(art), "--suite", "counterexample"]
+    argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case)
     capsys.readouterr()
     assert main(argv) == 2
     assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "certify --member 4",
+        "certify --member 99",
+        "certify --member -1",
+        "certify --t 3",
+        "certify --t 0",
+        "certify --level 3",
+        "certify --level 0",
+        *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
+          for key, value in (("k", 0), ("m", 0), ("m", -1), ("q", 2), ("q", 0), ("delta", 0), ("delta", "3/2"))),
+    ],
+)
+def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artifact, tmp_path, capsys, case):
+    """A level, member or t outside the chain (1 <= t <= level <= s, 0 <=
+    member < 2^level; the artifact has s = 2), and a counterexample k or m
+    below 1 or q or delta outside (0, 1], are usage errors: exit 2 with an
+    error line, never a traceback or a run on a wrapped index."""
+    argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+    if case.startswith("certify"):
+        assert not (tmp_path / "certificate.txt").exists()
+    elif case.startswith("counterexample"):
+        assert not (tmp_path / "cx").exists()

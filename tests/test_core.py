@@ -316,10 +316,15 @@ def test_build_determinism():
 
 def test_ranges_codec():
     arr = np.array([0, 1, 2, 5, 7, 8, 9, 64], dtype=np.int64)
-    texts = C._ranges_encode_many([arr, arr[:0]])
-    assert texts == ["0-2,5,7-9,64", "-"]
-    back, empty = C._ranges_decode_many(texts)
-    assert np.array_equal(back, arr) and empty.size == 0
+    texts = C._ranges_encode_many([arr, arr[3:4]])
+    assert texts == ["0-2,5,7-9,64", "5"]
+    back, single = C._ranges_decode_many(texts)
+    assert np.array_equal(back, arr) and single.tolist() == [5]
+    # no certificate set is empty: the codec has no text for one
+    with pytest.raises(ValueError):
+        C._ranges_encode_many([arr, arr[:0]])
+    with pytest.raises(ValueError):
+        C._ranges_decode_many(["-"])
 
 
 # -- exact integer root ------------------------------------------------------
@@ -374,22 +379,21 @@ def _runs(draw_runs):
 
 
 _id_sets = st.one_of(
-    st.lists(st.integers(0, 10**12), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),  # scattered, unsorted, repeats
-    st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)), max_size=6).map(_runs),  # long runs
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=30).map(lambda v: np.array(v, dtype=np.int64)),  # scattered, unsorted, repeats
+    st.lists(st.tuples(st.integers(0, 5000), st.integers(1, 300)), min_size=1, max_size=6).map(_runs),  # long runs
     st.integers(0, 10**15).map(lambda v: np.array([v], dtype=np.int64)),  # singletons
-    st.just(np.empty(0, dtype=np.int64)),
 )
 
 
 def _reference_ranges_encode(arr):
-    """The per-id loop: maximal runs of consecutive ids, '-' when empty."""
+    """The per-id loop: maximal runs of consecutive ids."""
     runs = []
     for v in np.unique(arr).tolist():
         if runs and v == runs[-1][1] + 1:
             runs[-1][1] = v
         else:
             runs.append([v, v])
-    return ",".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs) or "-"
+    return ",".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,14 +412,21 @@ def test_ranges_codec_round_trip(sets):
 @example("007")
 @example("01-03")
 @example("1,05")
+@example("3-3")
+@example("3,4")
+@example("1-2,3")
+@example("-")
 def test_ranges_decode_accepts_only_increasing_id_lists(text):
+    """The decoder is the strict inverse of the encoder: the only text it
+    accepts is the text the encoder writes for the ids it returns, in
+    maximal runs ('3-3', '3,4' and '1-2,3' are refused)."""
     try:
         (ids,) = C._ranges_decode_many([text])
     except ValueError:
         return
     assert ids.dtype == np.int64 and np.all(ids >= 0) and np.all(np.diff(ids) > 0)
     assert re.search(r"(^|[,-])0[0-9]", text) is None  # no id with a leading zero
-    assert text == "-" or C._ranges_decode_many(C._ranges_encode_many([ids]))[0].tolist() == ids.tolist()
+    assert C._ranges_encode_many([ids]) == [text]
 
 
 # -- certificate re-check: one tamper per failure kind -------------------------
@@ -425,15 +436,21 @@ def _small_cert(seq):
     return C.refute_partition(seq, 2, 0, seq.left_parts(1), seq.right_parts(2), Fraction(1, 1 << 14), 2, gamma=Fraction(1, 4))
 
 
+def _r_cell(cert, k, j):
+    """The vertices of R of line j of entry k."""
+    e = cert.entries[k]
+    return cert.r_level_cells[e.level][e.lines[j].cluster]
+
+
 def _reseal(cert, g, k, j):
     """Recount line j of entry k with edges_between and fix the total, so
     that a tamper of its sets breaks only the check it aims at."""
-    e, ln = cert.entries[k], cert.entries[k].lines[j]
+    e, ln, R = cert.entries[k], cert.entries[k].lines[j], _r_cell(cert, k, j)
     q = VertexPartition(cert.n_right, cert.q_cells)
     rstar = C._rstar_mask(q, VertexPartition(cert.n_right, cert.r_level_cells[e.level]), cert.host_c)
-    corr = edges_between(g, e.p_vertices, ln.r_vertices[~rstar[ln.r_vertices]])
+    corr = edges_between(g, e.p_vertices, R[~rstar[R]])
     p = Fraction(1, 1 << cert.ell)
-    value = max(Fraction(0), cert.gamma_prime * (Fraction(1, 4) * (1 << e.level) * p * e.p_vertices.size * ln.r_vertices.size - corr))
+    value = max(Fraction(0), cert.gamma_prime * (Fraction(1, 4) * (1 << e.level) * p * e.p_vertices.size * R.size - corr))
     cert.total += value - ln.value
     ln.correction, ln.value = corr, value
 
@@ -452,44 +469,54 @@ def _tamper_r_reused(cert, g):
     lines = cert.entries[0].lines
     lines.insert(1, C.LedgerLine(**vars(lines[0])))
     cert.total += lines[0].value
-    return ("line", 0, int(lines[0].r_vertices[0])), g
+    return ("line", 0, lines[0].cluster), g
 
 
 def _tamper_p1_too_small(cert, g):
     # all but need - 1 vertices of P get an edge into R, in a graph the
     # certificate is resealed to: the edge-free part of P is one too small
-    e, ln = cert.entries[0], cert.entries[0].lines[0]
+    e, ln, R = cert.entries[0], cert.entries[0].lines[0], _r_cell(cert, 0, 0)
     floor = max(cert.delta, cert.gamma / 8)
     need = -(-floor.numerator * e.p_vertices.size // floor.denominator)
-    free = [int(v) for v in e.p_vertices if edges_between(g, [v], ln.r_vertices) == 0]
-    added = [(v, int(ln.r_vertices[0])) for v in free[need - 1 :]]
+    free = [int(v) for v in e.p_vertices if edges_between(g, [v], R) == 0]
+    added = [(v, int(R[0])) for v in free[need - 1 :]]
     g = BipartiteGraph.from_edges(g.left, g.right, np.concatenate([g.edges(), np.array(added).reshape(-1, 2)]))
     cert.graph_sha256, cert.budget = C.graph_hash(g), cert.delta * g.edge_count()
     _reseal(cert, g, 0, 0)
-    return ("line", 0, int(ln.r_vertices[0])), g
+    return ("line", 0, ln.cluster), g
 
 
 def _tamper_density_floor(cert, g):
-    # a cluster P sends no edges to: every vertex of P is edge-free there
+    # a cluster P sends no edges to: every vertex of P is edge-free there;
+    # the entry's lines are then put back in cluster order
     e, ln = cert.entries[0], cert.entries[0].lines[0]
-    used = {int(x.r_vertices[0]) for x in e.lines}
-    ln.r_vertices = next(
-        c for c in cert.r_level_cells[e.level] if int(c[0]) not in used and edges_between(g, e.p_vertices, c) == 0
-    )
+    used = {x.cluster for x in e.lines}
+    cells = cert.r_level_cells[e.level]
+    ln.cluster = next(c for c in range(len(cells)) if c not in used and edges_between(g, e.p_vertices, cells[c]) == 0)
     _reseal(cert, g, 0, 0)
-    return ("line", 0, int(ln.r_vertices[0])), g
+    e.lines.sort(key=lambda x: x.cluster)
+    return ("line", 0, ln.cluster), g
 
 
 def _tamper_corr(cert, g):
     ln = cert.entries[0].lines[0]
     ln.correction += 1
-    return ("line", 0, int(ln.r_vertices[0])), g
+    return ("line", 0, ln.cluster), g
 
 
 def _tamper_value(cert, g):
     ln = cert.entries[0].lines[0]
     ln.value += 1  # the total stays the sum of the recounted values
-    return ("line", 0, int(ln.r_vertices[0])), g
+    return ("line", 0, ln.cluster), g
+
+
+def _tamper_cluster_out_of_range(cert, g):
+    # the last line of entry 0 names a cluster past its level's cells; the
+    # total drops the line's value, which the re-check counts as 0
+    ln = cert.entries[0].lines[-1]
+    ln.cluster = len(cert.r_level_cells[cert.entries[0].level])
+    cert.total -= ln.value
+    return ("line", 0, ln.cluster), g
 
 
 def _tamper_total(cert, g):
@@ -524,6 +551,7 @@ TAMPERS = [
     _tamper_density_floor,
     _tamper_corr,
     _tamper_value,
+    _tamper_cluster_out_of_range,
     _tamper_total,
     _tamper_budget,
     _tamper_parameters,
@@ -646,26 +674,20 @@ def _rewrite(text, prefix, new, every=True):
 
 
 def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, tmp_path):
-    """Each bound follows from a re-check (disjoint entries, no reused R
-    vertex, Q and each r-level a partition), so the honest
-    certificate loads, and a forged one is refused with ValueError, before
-    any set is expanded, and ``verify --suite certificate`` exits 2."""
+    """Each bound follows from a re-check (disjoint entries, Q and each
+    r-level a partition), so the honest certificate loads, and a forged one
+    is refused with ValueError, before any set is expanded, and ``verify
+    --suite certificate`` exits 2."""
     from deltareg.cli import main
     from deltareg.graphs import bipartite_to_binary
 
     cert = _small_cert(small_seq)
     nl, nr = cert.n_left, cert.n_right
-    assert len(cert.entries) > 1 and len(cert.entries[0].lines) > 1 and len(cert.q_cells) > 1
+    assert len(cert.entries) > 1 and len(cert.q_cells) > 1
     text = cert.to_text()
     C.IrregularityCertificate.from_text(text)
-
-    def field(name, value):
-        return lambda ln: " ".join(f"{name}={value}" if part.startswith(f"{name}=") else part for part in ln.split())
-
-    entry0_end = text.index("\nentry 1 ")
     forged = {
         "the p sets": _rewrite(text, "p ", lambda ln: f"p 0-{nl - 1}"),
-        "the R sets of certificate entry 0": _rewrite(text[:entry0_end], "line ", field("R", f"0-{nr - 1}")) + text[entry0_end:],
         "the q cells": _rewrite(text, "q ", lambda ln: f"q 0-{nr - 1}", every=False),
         "one level's r cells": _rewrite(text, "r ", lambda ln: f"r 0-{nr - 1}", every=False),
     }
@@ -682,8 +704,9 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
 
 
 def _reference_reverify(cert, g):
-    """The per-entry re-check the whole-array one replaced, kept as the
-    reference for its reports; it counts the edge-free part of P itself."""
+    """The per-line re-check, kept as the reference for the reports of the
+    whole-array one: it takes each line's R as a vertex set and counts the
+    edge-free part of P itself."""
     report = {"ok": True, "failures": [], "lines_checked": 0}
     if C.graph_hash(g) != cert.graph_sha256:
         return {"ok": False, "failures": [("graph-hash", None)], "lines_checked": 0}
@@ -719,42 +742,34 @@ def _reference_reverify(cert, g):
             report["ok"] = False
             report["failures"].append(("entry-overlap", k))
         seen[e.p_vertices] = True
-        if not e.lines:
-            continue
         P = e.p_vertices
         psize = int(P.size)
-        r_len = np.array([ln.r_vertices.size for ln in e.lines])
-        r_ids = np.concatenate([ln.r_vertices for ln in e.lines])
-        r_line = np.repeat(np.arange(len(e.lines)), r_len)
-        by_id = np.lexsort((r_line, r_ids))
-        reused = np.zeros(len(e.lines), dtype=bool)
-        reused[r_line[by_id[1:]][r_ids[by_id[1:]] == r_ids[by_id[:-1]]]] = True
-        dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, bitorder="little")[:, r_ids]
-        cum = np.zeros((psize, r_ids.size + 1), dtype=np.int64)
-        np.cumsum(dense, axis=1, dtype=np.int64, out=cum[:, 1:])
-        r_end = np.cumsum(r_len)
-        row_into_r = cum[:, r_end] - cum[:, r_end - r_len]
-        e_pr = row_into_r.sum(axis=0)
-        outside = ~rstar[e.level][r_ids]
-        deg_out = np.concatenate(([0], np.cumsum(dense.sum(axis=0, dtype=np.int64) * outside)))
-        corr = deg_out[r_end] - deg_out[r_end - r_len]
-        # P1: the vertices of P with no edge into R, counted in plain Python
-        free = [sum(1 for d in col if d == 0) for col in row_into_r.T.tolist()]
-        per_line = zip(e.lines, r_len.tolist(), reused.tolist(), free, e_pr.tolist(), corr.tolist())
-        for ln, rsize, r_twice, p1_size, epr, c in per_line:
+        cells = cert.r_level_cells.get(e.level, [])
+        dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, count=cert.n_right, bitorder="little").astype(np.int64)
+        for j, ln in enumerate(e.lines):
             report["lines_checked"] += 1
-            num = max(gn * ((psize * rsize << e.level) - (c * 4 << cert.ell)), 0)
+            c = ln.cluster
+            known = 0 <= c < len(cells)
+            rising = j == 0 or c > e.lines[j - 1].cluster
+            R = cells[c] if known else np.empty(0, dtype=np.int64)
+            row_into_r = dense[:, R].sum(axis=1)
+            epr = int(row_into_r.sum())
+            corr = int(dense[:, R[~rstar[e.level][R]]].sum()) if known else 0
+            # P1: the vertices of P with no edge into R, counted in plain Python
+            p1_size = sum(1 for d in row_into_r.tolist() if d == 0)
+            rsize = int(R.size)
+            num = max(gn * ((psize * rsize << e.level) - (corr * 4 << cert.ell)), 0)
             ok = (
-                rsize > 0
-                and not r_twice
+                known
+                and rising
                 and p1_size * floor.denominator >= floor.numerator * psize
                 and epr * 4 << cert.ell >= psize * rsize << e.level
-                and c == ln.correction
+                and corr == ln.correction
                 and ln.value.numerator * den == num * ln.value.denominator
             )
             if not ok:
                 report["ok"] = False
-                report["failures"].append(("line", k, int(ln.r_vertices[0]) if ln.r_vertices.size else -1))
+                report["failures"].append(("line", k, c))
             total_num += num
     if Fraction(total_num, den) != cert.total:
         report["ok"] = False
@@ -783,13 +798,14 @@ def _uneven_partition(seq):
 
 
 # (level, member, left partition, t) and the SHA-256 of certificate.txt: the
-# v1 text of the per-cell refuter and range codec with every ' P1=<set>'
-# removed and 'v1' changed to 'v2'
+# v2 text, which spelled each R out as a vertex set, with every 'R=<set>'
+# replaced by the index of that set among its level's r cells and 'v2'
+# changed to 'v3'
 PINNED_CERTIFICATES = [
-    (2, 0, "L1", 2, "860f01e2b948915e26355082f5a5f2583df2c2c16dae34a0b9f72db788ab22c6"),
-    (2, 3, "uneven", 2, "cc4c9b62aa6181d577ccf1a81cf6e6455a7edfbdb67a55046fbab6a67707dcd3"),
-    (2, 2, "all", 2, "a307f6b4a3ce08ece2b65e85c6902a327b6b93738e92f0d15a672bb4c79003ad"),
-    (1, 1, "all", 1, "a427d604170cca3de3e8fa139108bed234a6ac4df04a7f1747ebaf937f139543"),
+    (2, 0, "L1", 2, "cb30c28d954fa1287a7c7f68ebc6d5314b5317cd73d7ee924b01fa6aadef04a5"),
+    (2, 3, "uneven", 2, "27990ec0e2cccac8003675329797098eabcce0ad6fe04646e3ee1e2cea360f8d"),
+    (2, 2, "all", 2, "9e54a14bba933621a5337695d33d2fb23514a611a46af7d4739d8a1fcd0ec514"),
+    (1, 1, "all", 1, "ea7c254471b6a1c5bc00a412faaec84b75cf82053d96a092f54a427f8856bfc9"),
 ]
 
 
@@ -845,6 +861,55 @@ def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
             assert C.reverify_certificate(mine, g_mine) == _reference_reverify(ref, g_ref)
 
 
+@pytest.mark.parametrize("index", [-1, 10**30])
+def test_recheck_fails_a_line_whose_cluster_is_not_a_cell(small_seq, index):
+    """An in-memory line whose R index is negative, or past int64, is a
+    failing line, never an IndexError or OverflowError."""
+    g = small_seq.member_graph(2, 0)
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    cert.entries[0].lines[-1].cluster = index
+    rep = C.reverify_certificate(cert, g)
+    assert not rep["ok"] and ("line", 0, index) in rep["failures"]
+    assert rep == _reference_reverify(cert, g)
+
+
+def test_recheck_reads_cluster_indices_in_text_order_on_scattered_clusters(small_seq):
+    """The right side relabelled by a permutation: the clusters are no longer
+    runs of consecutive ids, and their text order is not the order of their
+    least ids.  The certificate, carried over, still re-checks, through its
+    text and against the per-line reference."""
+    ell, member, t = 2, 3, 2
+    g = small_seq.member_graph(ell, member)
+    cert = _pinned_cert(small_seq, ell, member, "uneven", t)
+    perm = np.random.default_rng(5).permutation(g.right.size)
+    edges = g.edges()
+    g = BipartiteGraph.from_edges(g.left, g.right, np.stack([edges[:, 0], perm[edges[:, 1]]], axis=1))
+    cert.graph_sha256 = C.graph_hash(g)
+    cert.q_cells = [np.sort(perm[c]) for c in cert.q_cells]
+    cert.r_level_cells = {lvl: [np.sort(perm[c]) for c in cells] for lvl, cells in cert.r_level_cells.items()}
+    assert len(cert.r_level_cells) == 2
+    for cells in cert.r_level_cells.values():
+        least = [int(c[0]) for c in cells]
+        assert least != sorted(least)
+    cert = C.IrregularityCertificate.from_text(cert.to_text())
+    rep = C.reverify_certificate(cert, g)
+    assert rep["ok"] and rep["refutes"]
+    assert rep == _reference_reverify(cert, g)
+    _tamper_r_reused(cert, g)
+    assert C.reverify_certificate(cert, g) == _reference_reverify(cert, g)
+    # clusters of unequal sizes: the first two cells of each level merged,
+    # the lines on them resealed; lines past the last cell now fail
+    for lvl, cells in cert.r_level_cells.items():
+        cert.r_level_cells[lvl] = [np.sort(np.concatenate(cells[:2])), *cells[2:]]
+    for k, e in enumerate(cert.entries):
+        for j, ln in enumerate(e.lines):
+            if ln.cluster == 0:
+                _reseal(cert, g, k, j)
+    rep = C.reverify_certificate(cert, g)
+    assert rep == _reference_reverify(cert, g)
+    assert rep["lines_checked"] > len([f for f in rep["failures"] if f[0] == "line"]) > 0
+
+
 def test_single_cell_witnesses_come_from_the_level_engine(small_seq):
     """find_irregularity_witnesses is the level engine on one cell: the same
     clusters, P1 sizes and e(P, R) as the engine gives for that cell among
@@ -890,10 +955,15 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
     from deltareg.cli import main
     from deltareg.graphs import bipartite_to_binary
 
-    text = _small_cert(small_seq).to_text()
+    cert = _small_cert(small_seq)
+    text = cert.to_text()
     C.IrregularityCertificate.from_text(text)
     line = next(ln for ln in text.split("\n") if ln.startswith("line "))
     r_field = line.split()[1]
+    # the v2 text of the same certificate: each R spelled out as a vertex set
+    assert list(cert.r_level_cells) == [2]
+    r_sets = C._ranges_encode_many(cert.r_level_cells[2])
+    v2 = re.sub(r" R=([0-9]+) ", lambda m: f" R={r_sets[int(m.group(1))]} ", text).replace(" v3\n", " v2\n", 1)
     variants = {
         "repeated field": text.replace(line, line.replace(r_field, f"{r_field} R=32", 1), 1),
         "underscore in a count": text.replace(line, line.replace(" corr=0 ", " corr=0_0 ", 1), 1),
@@ -905,10 +975,12 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
         "CRLF line ends": text.replace("\n", "\r\n"),
         "cut after the entry count": text[: text.index("\n", text.index("\nentries ") + 1) + 1],
         "cut inside a ledger line": text[: text.index(" corr=", text.index("\nline "))],
-        "v1 certificate": _rewrite(text, "line ", lambda ln: ln.replace(" corr=", " P1=0 corr=", 1)).replace(" v2\n", " v1\n", 1),
+        "v1 certificate": _rewrite(v2, "line ", lambda ln: ln.replace(" corr=", " P1=0 corr=", 1)).replace(" v2\n", " v1\n", 1),
+        "v2 certificate": v2,
         "P1 field": text.replace(line, line.replace(" corr=", " P1=0 corr=", 1), 1),
+        "R= past the level's cells": text.replace(line, line.replace(r_field, f"R={len(r_sets)}", 1), 1),
     }
-    assert " corr=0 " in line and "\nt 2\n" in text
+    assert " corr=0 " in line and "\nt 2\n" in text and "-" in r_sets[0]
     (tmp_path / "refuted-graph.bin").write_bytes(bipartite_to_binary(small_seq.member_graph(2, 0)))
     for name, bad in variants.items():
         assert bad != text, name
