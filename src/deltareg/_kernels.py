@@ -10,13 +10,14 @@ addresses bits through the functions below.
 The pair kernels work through the pairs in chunks of at most
 ``_CHUNK_WORDS`` words per operand, so their temporaries stay a few MB
 whatever the number of pairs.  ``subset_min_edges`` is the one exact
-subset-extremum search; it scans left subsets in chunks of at most
-``_SUBSET_CHUNK`` column sums.
+subset-extremum search; it scans left subsets in lexicographic
+(combinations) order, unranking each block of subsets with numpy
+(``lex_subsets``), in chunks of at most ``_SUBSET_CHUNK`` column sums.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+import math
 
 import numpy as np
 
@@ -202,58 +203,126 @@ def masked_degrees(rows, mask):
     return _row_sums(np.bitwise_count(rows & mask[None, :]))
 
 
-def triangle_count(rows_ab, rows_ac, rows_bc, nb):
-    """Number of triangles (a, b, c) across a tripartite bit-packed triple.
+def _common_neighbours(rows_ab, rows_ac, rows_bc):
+    """Per chunk of the a-b edges, in row-major order: their a and b ids and
+    the AND of each edge's a-C row and b-C row (its common C-neighbours).
+    rows_ab: per-a bits over B; rows_ac: per-a bits over C; rows_bc: per-b
+    bits over C."""
+    ea, eb = nonzero_bits(rows_ab)
+    for sl in pair_chunks(len(ea), rows_ac.shape[1]):
+        yield ea[sl], eb[sl], np.take(rows_ac, ea[sl], axis=0) & np.take(rows_bc, eb[sl], axis=0)
 
-    rows_ab: per-a bits over B; rows_ac: per-a bits over C;
-    rows_bc: per-b bits over C.
+
+def triangle_count(rows_ab, rows_ac, rows_bc):
+    """Number of triangles (a, b, c) across a tripartite bit-packed triple."""
+    chunks = _common_neighbours(rows_ab, rows_ac, rows_bc)
+    return sum(int(np.bitwise_count(common).sum(dtype=np.int64)) for _, _, common in chunks)
+
+
+def triangle_list(rows_ab, rows_ac, rows_bc):
+    """All triangles as an (m, 3) int64 array, lexicographically sorted,
+    since the edges and each edge's common neighbours come in order."""
+    tris = [np.empty((0, 3), dtype=np.int64)]
+    for ea, eb, common in _common_neighbours(rows_ab, rows_ac, rows_bc):
+        k, c = nonzero_bits(common)
+        tris.append(np.stack([ea[k], eb[k], c], axis=1))
+    return np.concatenate(tris)
+
+
+def edges_of_pairs(rows, n_right, S, T):
+    """e(S_i, T_i) for each row i of the index arrays S (left vertices) and
+    T (right vertices), as int64; one mask row per T_i, popcounted against
+    the rows of S_i a chunk of pairs at a time."""
+    S = np.asarray(S, dtype=np.int64)
+    T = np.asarray(T, dtype=np.int64)
+    masks = zero_rows(len(T), n_right)
+    set_bits(masks, np.repeat(np.arange(len(T)), T.shape[1]), T.ravel())
+    out = np.empty(len(S), dtype=np.int64)
+    for sl in pair_chunks(len(S), S.shape[1] * rows.shape[1]):
+        counts = np.bitwise_count(np.take(rows, S[sl], axis=0) & masks[sl, None, :])
+        out[sl] = counts.reshape(len(counts), -1).sum(axis=1, dtype=np.int64)
+    return out
+
+
+# -- the exact subset engine --------------------------------------------------
+
+
+def lex_table(n: int, a: int) -> np.ndarray:
+    """(a, n - a + 1) int64 table whose row j holds C(x, a - j) for
+    a - 1 - j <= x <= n - 1 - j, the values position j of an a-subset of
+    range(n) can take in ``lex_subsets``; computed in Python integers.  Each
+    entry is at most C(n - 1, a), so int64 holds the table whenever it holds
+    C(n, a).
     """
-    total = 0
-    for a in range(rows_ab.shape[0]):
-        for b in unpack_row(rows_ab[a], nb):
-            total += int(np.bitwise_count(rows_ac[a] & rows_bc[b]).sum(dtype=np.int64))
-    return total
+    table = np.empty((a, n - a + 1), dtype=np.int64)
+    for j in range(a):
+        k, c, row = a - j, 1, [0]
+        for x in range(k, n - j):  # c = C(x, k)
+            row.append(c)
+            c = c * (x + 1) // (x + 1 - k)
+        table[j] = row
+    return table
 
 
-def triangle_list(rows_ab, rows_ac, rows_bc, nb, nc):
-    """All triangles as an (m, 3) int array, lexicographically sorted."""
-    tris = []
-    for a in range(rows_ab.shape[0]):
-        for b in unpack_row(rows_ab[a], nb):
-            for c in unpack_row(rows_ac[a] & rows_bc[b], nc):
-                tris.append((a, int(b), int(c)))
-    return np.array(tris, dtype=np.int64).reshape(-1, 3)
+def lex_subsets(table: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The a-subsets of range(n) of lexicographic ranks start .. start +
+    count - 1 (``combinations`` order), as a (count, a) int64 array;
+    ``table`` is ``lex_table(n, a)`` and C(n, a) must be below 2^63.
+
+    In the combinatorial number system the subset c_0 < ... < c_{a-1} of
+    rank r has C(n, a) - 1 - r = sum_j C(n - 1 - c_j, a - j), and each
+    n - 1 - c_j is the largest x with C(x, a - j) at most what is left of
+    that sum: one ``searchsorted`` per position for the whole block.
+    """
+    a, width = table.shape
+    n = a + width - 1
+    top = math.comb(n, a) - 1 - start
+    rest = np.arange(top, top - count, -1, dtype=np.int64)
+    out = np.empty((a, count), dtype=np.int64)  # transposed, so each position's column is contiguous
+    for j in range(a):
+        i = np.searchsorted(table[j], rest, side="right") - 1  # x = a - 1 - j + i
+        rest -= np.take(table[j], i)
+        np.subtract(n - a + j, i, out=out[j])
+    return out.T
 
 
 def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
     """Exact extremes of e(S, T) over a-subsets S of the left side and
     b-subsets T of the right side.
 
-    The a-subsets S are scanned in ``itertools.combinations`` order.  For
-    each, e_min(S) is the sum of its b smallest column sums (the fewest edges
-    any b-subset T receives from S) and e_max(S) the sum of its b largest.
-    Returns ``(S, e_min(S), e_max(S))`` for the first S with e_min(S) < lo or
-    e_max(S) > hi, else ``(None, min e_min, max e_max)`` over all S (both
-    None when there is no a-subset).  ``lo`` and ``hi`` are exact integers,
-    None leaves that side unchecked.  Column sums are at most a, so int64
-    holds every e(S, T) <= a * b.  Chunks start at 64 subsets, so an early
-    exit stays cheap, and double up to _SUBSET_CHUNK column sums.
+    The a-subsets S are scanned in lexicographic (combinations) order,
+    unranked a block at a time by ``lex_subsets``; C(n_left, a) must be
+    below 2^63 (else ``ValueError``, before any scan), since ranks are
+    int64.  For each S, e_min(S) is the sum of its b smallest column sums
+    (the fewest edges any b-subset T receives from S) and e_max(S) the sum
+    of its b largest.  Returns ``(S, e_min(S), e_max(S))`` for the first S
+    with e_min(S) < lo or e_max(S) > hi, else ``(None, min e_min, max
+    e_max)`` over all S (both None when there is no a-subset).  ``lo`` and
+    ``hi`` are exact integers, None leaves that side unchecked.  Column sums
+    are at most a, so they are kept in the smallest unsigned dtype that
+    holds a, and their low and high b are added in int64, which holds every
+    e(S, T) <= a * b.  Chunks start at 64 subsets, so an early exit stays
+    cheap, and double up to _SUBSET_CHUNK column sums.
     """
-    deg = unpack_rows(rows, n_right).astype(np.int64)
-    subsets = combinations(range(rows.shape[0]), a)
+    n = rows.shape[0]
+    total = math.comb(n, a)
+    if total >= 1 << 63:
+        raise ValueError(f"C({n}, {a}) is not below 2^63")
+    if not total:
+        return None, None, None
+    deg = unpack_rows(rows, n_right).astype(np.min_scalar_type(a), copy=False)
+    table = lex_table(n, a)
     most = max(1, _SUBSET_CHUNK // max(n_right, 1))
     e_min = e_max = None
-    size = min(64, most)
-    while True:
-        idx = np.fromiter(islice(subsets, size), dtype=np.dtype((np.int64, a)))
-        if not len(idx):
-            return None, e_min, e_max
-        sums = deg[idx[:, 0]]
+    start, size = 0, min(64, most)
+    while start < total:
+        idx = lex_subsets(table, start, min(size, total - start))
+        sums = np.take(deg, idx[:, 0], axis=0)
         for j in range(1, a):
-            sums += deg[idx[:, j]]
+            sums += np.take(deg, idx[:, j], axis=0)
         part = np.partition(sums, [b - 1, n_right - b], axis=1)
-        lows = part[:, :b].sum(axis=1)
-        highs = part[:, n_right - b :].sum(axis=1)
+        lows = part[:, :b].sum(axis=1, dtype=np.int64)
+        highs = part[:, n_right - b :].sum(axis=1, dtype=np.int64)
         bad = np.zeros(len(idx), dtype=bool)
         if lo is not None:
             bad |= lows < lo
@@ -261,8 +330,10 @@ def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
             bad |= highs > hi
         if bad.any():
             k = int(np.argmax(bad))
-            return idx[k], int(lows[k]), int(highs[k])
+            return idx[k].copy(), int(lows[k]), int(highs[k])
         low, high = int(lows.min()), int(highs.max())
         e_min = low if e_min is None else min(e_min, low)
         e_max = high if e_max is None else max(e_max, high)
+        start += len(idx)
         size = min(2 * size, most)
+    return None, e_min, e_max

@@ -105,10 +105,10 @@ class TripartiteGraph:
         return {(0, 1): self.ab, (0, 2): self.ac, (1, 2): self.bc}[(a, b)]
 
     def triangle_count(self) -> int:
-        return int(_kernels.triangle_count(self.ab.rows, self.ac.rows, self.bc.rows, self.ab.right.size))
+        return int(_kernels.triangle_count(self.ab.rows, self.ac.rows, self.bc.rows))
 
     def triangles(self) -> np.ndarray:
-        return _kernels.triangle_list(self.ab.rows, self.ac.rows, self.bc.rows, self.ab.right.size, self.ac.right.size)
+        return _kernels.triangle_list(self.ab.rows, self.ac.rows, self.bc.rows)
 
 
 @dataclass
@@ -254,15 +254,11 @@ def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction, mode: str = 
         _, e_min, _ = _kernels.subset_min_edges(pair.rows, n_r, a, b)
         worst = Fraction(e_min, a * b)
         return {"status": "checked", "min_density": worst, "bound": (1 - delta) * d, "ok": worst >= (1 - delta) * d}
-    # sampled fallback
+    # sampled fallback: 400 draws of (S, T), counted in one call
     rng = np.random.default_rng(1)
-    worst = None
-    for _ in range(400):
-        S = rng.choice(n_l, size=a, replace=False)
-        T = rng.choice(n_r, size=b, replace=False)
-        r = Fraction(edges_between(pair, S, T), a * b)
-        if worst is None or r < worst:
-            worst = r
+    draws = [(rng.choice(n_l, size=a, replace=False), rng.choice(n_r, size=b, replace=False)) for _ in range(400)]
+    S, T = (np.stack(side) for side in zip(*draws))
+    worst = Fraction(int(_kernels.edges_of_pairs(pair.rows, n_r, S, T).min()), a * b)
     return {"status": "sampled", "min_density": worst, "bound": (1 - delta) * d, "ok": worst >= (1 - delta) * d}
 
 

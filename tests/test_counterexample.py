@@ -193,3 +193,34 @@ def test_strengthened_check_min_density_is_the_exact_minimum():
             edges_between(pair, list(S), list(T)) for S in combinations(range(8), a) for T in combinations(range(8), b)
         )
         assert rep["min_density"] == Fraction(worst, a * b)
+
+
+def _sampled_reference(pair, delta):
+    """The sampled floor counted pair by pair: 400 draws of seed 1, S then T."""
+    import math
+
+    n_l, n_r = pair.left.size, pair.right.size
+    d = Fraction(pair.edge_count(), n_l * n_r)
+    a, b = max(1, math.ceil(delta * n_l)), max(1, math.ceil(delta * n_r))
+    rng = np.random.default_rng(1)
+    worst = None
+    for _ in range(400):
+        S = rng.choice(n_l, size=a, replace=False)
+        T = rng.choice(n_r, size=b, replace=False)
+        r = Fraction(edges_between(pair, S, T), a * b)
+        if worst is None or r < worst:
+            worst = r
+    return {"status": "sampled", "min_density": worst, "bound": (1 - delta) * d, "ok": worst >= (1 - delta) * d}
+
+
+def test_sampled_floor_counts_each_draw_as_edges_between_does():
+    from deltareg.graphs import BipartiteGraph, VertexClass
+
+    params = X.CounterexampleParams(**DESK, seed=2)
+    base, _ = X.build_triangle_free(params)
+    rng = np.random.default_rng(8)
+    skewed = BipartiteGraph.from_edges(VertexClass("L", 70), VertexClass("R", 9), np.argwhere(rng.random((70, 9)) < 0.3))
+    for pair, delta in ((base.ab, params.delta), (base.bc, Fraction(1, 3)), (skewed, Fraction(1, 7))):
+        rep = X._strengthened_pair_check(pair, delta, mode="sampled")
+        assert rep == _sampled_reference(pair, delta)
+        assert type(rep["min_density"]) is Fraction

@@ -1,6 +1,7 @@
 """The kernels against brute-force Python references kept here."""
 
-from itertools import combinations
+import math
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_packed_row_format_matches_per_bit_reference(n):
         assert K.stray_bits(stray, n)
 
 
-def test_triangle_kernels_agree():
+def test_triangle_kernels_agree(monkeypatch):
     rng = np.random.default_rng(42)
     n = 30
     words = (n + 63) // 64
@@ -129,8 +130,33 @@ def test_triangle_kernels_agree():
         for c in range(n)
         if _bit(ab[a], b) and _bit(ac[a], c) and _bit(bc[b], c)
     ]
-    assert K.triangle_count(ab, ac, bc, n) == len(ref) > 0
-    assert K.triangle_list(ab, ac, bc, n, n).tolist() == [list(t) for t in ref]
+    assert K.triangle_count(ab, ac, bc) == len(ref) > 0
+    assert K.triangle_list(ab, ac, bc).tolist() == [list(t) for t in ref]
+    # multi-word rows, empty and complete graphs; 3 words per chunk puts a
+    # few edges in each chunk
+    for chunk in (K._CHUNK_WORDS, 3):
+        monkeypatch.setattr(K, "_CHUNK_WORDS", chunk)
+        for na, nb, nc in ((1, 1, 1), (5, 70, 66), (9, 3, 130)):
+            for p in (0.0, 1.0, 0.2, 0.6):
+                ab, ac, bc = (rng.random(shape) < p for shape in ((na, nb), (na, nc), (nb, nc)))
+                ref = [t for t in product(range(na), range(nb), range(nc)) if ab[t[:2]] and ac[t[0], t[2]] and bc[t[1:]]]
+                packed = K.pack_rows(ab), K.pack_rows(ac), K.pack_rows(bc)
+                assert K.triangle_count(*packed) == len(ref), (chunk, na, nb, nc, p)
+                tris = K.triangle_list(*packed)
+                assert tris.dtype == np.int64 and tris.tolist() == [list(t) for t in ref], (chunk, na, nb, nc, p)
+                assert tris.shape == (len(ref), 3)
+
+
+@pytest.mark.parametrize("chunk", [K._CHUNK_WORDS, 5])
+def test_edges_of_pairs_counts_each_pair(chunk, monkeypatch):
+    monkeypatch.setattr(K, "_CHUNK_WORDS", chunk)
+    rng = np.random.default_rng(4)
+    bits = rng.random((40, 130)) < 0.4
+    S = np.stack([rng.choice(40, size=7, replace=False) for _ in range(25)])
+    T = np.stack([rng.choice(130, size=9, replace=False) for _ in range(25)])
+    got = K.edges_of_pairs(K.pack_rows(bits), 130, S, T)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(bits[np.ix_(s, t)].sum()) for s, t in zip(S, T)]
 
 
 # -- the exact subset engine -------------------------------------------------
@@ -195,3 +221,64 @@ def test_subset_engine_edge_shapes(chunk, monkeypatch):
     last[5:, 0] = False
     assert _engine(last, 3, 1, lo=1) == ([5, 6, 7], 0, 3)
     assert _engine(last, 3, 1) == (None, 0, 3)
+
+
+def test_lex_subsets_unrank_combinations_order():
+    for n, a in [(1, 1), (5, 1), (5, 5), (7, 3), (9, 4), (12, 6), (13, 12), (20, 3)]:
+        table = K.lex_table(n, a)
+        total = math.comb(n, a)
+        assert K.lex_subsets(table, 0, total).tolist() == [list(c) for c in combinations(range(n), a)], (n, a)
+        for start in {total // 3, total // 2, max(total - 2, 0)}:  # blocks that start mid-sequence
+            count = min(5, total - start)
+            want = [list(c) for c in islice(combinations(range(n), a), start, start + count)]
+            assert K.lex_subsets(table, start, count).tolist() == want, (n, a, start)
+    # C(x, 50) for x < 100 passes 2^63; the table keeps to the values each
+    # position can take, all at most C(99, 99) here
+    assert math.comb(99, 50) >= 1 << 63
+    table = K.lex_table(100, 99)
+    assert table.shape == (99, 2) and int(table.max()) <= math.comb(99, 99)
+    assert K.lex_subsets(table, 0, 100).tolist() == [list(c) for c in combinations(range(100), 99)]
+    assert K.lex_subsets(table, 50, 3).tolist() == [list(c) for c in islice(combinations(range(100), 99), 50, 53)]
+    # the largest middle binomial below 2^63: its last subset and the one
+    # after rank C(66, 33) // 2, whose tail is fixed by the sum identity
+    table = K.lex_table(66, 33)
+    assert int(table.max()) <= math.comb(65, 33) < math.comb(66, 33) < 1 << 63
+    assert K.lex_subsets(table, math.comb(66, 33) - 1, 1).tolist() == [list(range(33, 66))]
+    S = K.lex_subsets(table, math.comb(66, 33) // 2, 1)[0].tolist()
+    assert S == sorted(set(S)) and _lex_rank(S, 66) == math.comb(66, 33) // 2
+
+
+def _lex_rank(S, n):
+    """Lexicographic rank of the sorted subset S of range(n): the subsets
+    before it branch off at some position j to a smaller element."""
+    a, rank, prev = len(S), 0, -1
+    for j, c in enumerate(S):
+        rank += sum(math.comb(n - 1 - x, a - 1 - j) for x in range(prev + 1, c))
+        prev = c
+    return rank
+
+
+def test_subset_engine_refuses_counts_past_int64_before_scanning(monkeypatch):
+    def boom(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(K, "lex_table", boom)
+    monkeypatch.setattr(K, "unpack_rows", boom)
+    with pytest.raises(ValueError, match="2\\^63"):
+        K.subset_min_edges(K.zero_rows(200, 8), 8, 100, 4)
+    with pytest.raises(ValueError):
+        K.subset_min_edges(K.zero_rows(67, 8), 8, 33, 4)  # C(67, 33) is just past 2^63
+    monkeypatch.undo()
+    # C(66, 33) is below 2^63: the first subset already violates lo
+    S, e_min, e_max = K.subset_min_edges(K.zero_rows(66, 8), 8, 33, 4, lo=1)
+    assert S.tolist() == list(range(33)) and (e_min, e_max) == (0, 0)
+
+
+def test_subset_engine_column_sums_past_255():
+    rng = np.random.default_rng(5)
+    bits = rng.random((300, 70)) < 0.95
+    assert bits.sum(axis=0).max() > 255  # uint8 column sums would wrap
+    for b in (1, 30, 70):
+        full = _scan(bits, 300, b)
+        assert _engine(bits, 300, b) == full
+        assert _engine(bits, 300, b, lo=full[1] + 1) == (list(range(300)), full[1], full[2])
