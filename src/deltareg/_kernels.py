@@ -104,6 +104,19 @@ def nonzero_bits(rows: np.ndarray) -> tuple:
     return r[i], c[i] * 8 + j
 
 
+def first_bit(rows: np.ndarray):
+    """(row, column) of the first set bit in row-major order, the first pair
+    of ``nonzero_bits``, or None when no bit is set: one scan for the first
+    non-zero word, then its lowest set bit."""
+    flat = np.ascontiguousarray(rows).reshape(-1)
+    w = int(np.argmax(flat != 0)) if flat.size else 0
+    word = int(flat[w]) if flat.size else 0
+    if word == 0:
+        return None
+    r, q = divmod(w, rows.shape[-1])
+    return r, 64 * q + (word & -word).bit_length() - 1
+
+
 _TRANSPOSE8 = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 

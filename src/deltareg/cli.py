@@ -245,25 +245,26 @@ def _read_text(*path: str) -> str:
 def _suite_hypergraph(artifact: str, mode: str = "exact") -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
-    k, s = int(meta["k"]), int(meta["s"])
+    k, s, seed, blowup = (_json_int(meta, key) for key in ("k", "s", "seed", "blowup"))
     windows = [f"window-{x}.kgraph" for x in range(2 * k)]
     names = ["merged.kgraph", *windows]
-    texts = {name: _read_text(artifact, name) for name in names}
-    merged = kgraph_from_text(texts["merged.kgraph"])
-    window_graphs = [kgraph_from_text(texts[name]) for name in windows]
+    graphs = {name: kgraph_from_text(_read_text(artifact, name)) for name in names}
+    merged = graphs["merged.kgraph"]
+    window_graphs = [graphs[name] for name in windows]
     expected = Fraction(2 * k, 1 << k) * Fraction(1, 1 << s)
     dens_ok = merged.density() == expected
     w_ok = all(h.density() == Fraction(1, 1 << s) for h in window_graphs)
     total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
     # rebuild from the recorded seed; every graph and chain file must be the
-    # text its rebuild writes
+    # text its rebuild writes.  The k-graph reader is the strict inverse of
+    # kgraph_to_text, so a file parses to its rebuild, class names included,
+    # exactly when it is the rebuild's text: the rebuilt graphs need no text.
     sched = sched_mod.DeskSchedule.from_json(meta["schedule"])
-    inst = hg_mod.build_pasted_instance(k, s, sched, meta["seed"], blowup=meta["blowup"], core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
-    rebuilt = {name: kgraph_to_text(h) for name, h in zip(names, [inst.merged, *inst.edge_graphs])}
+    inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup, core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
+    differ = [name for name, h in zip(names, [inst.merged, *inst.edge_graphs]) if not _same_kgraph(graphs[name], h)]
     for i, part in enumerate(inst.chain_per_class, start=1):
-        rebuilt[f"chain-{i}.part"] = part.to_text()
-        texts[f"chain-{i}.part"] = _read_text(artifact, f"chain-{i}.part")
-    differ = [name for name in rebuilt if rebuilt[name] != texts[name]]
+        if part.to_text() != _read_text(artifact, f"chain-{i}.part"):
+            differ.append(f"chain-{i}.part")
     fam_rep = hg_mod.verify_family(inst.families[0])
     claims = [
         {"id": "merged-density", "ok": dens_ok, "detail": f"{merged.density()} = (2k/2^k)2^-s = {expected}"},
@@ -278,6 +279,20 @@ def _suite_hypergraph(artifact: str, mode: str = "exact") -> dict:
         {"id": "family-invariants", "ok": fam_rep["ok"], "detail": "dyadic densities, chain splits, lift round-trip"},
     ]
     return {"ok": all(c["ok"] for c in claims), "claims": claims}
+
+
+def _json_int(meta: dict, key: str) -> int:
+    """meta[key], which must be a JSON integer (true and false are not)."""
+    value = meta[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _same_kgraph(a, b) -> bool:
+    """Same class names, class sizes and edges: ``KPartiteKGraph.__eq__``
+    does not compare names."""
+    return [(c.name, c.size) for c in a.classes.classes] == [(c.name, c.size) for c in b.classes.classes] and np.array_equal(a.encoded, b.encoded)
 
 
 def _suite_counterexample(artifact: str, mode: str = "exact") -> dict:

@@ -250,7 +250,10 @@ def pair_density(g: BipartiteGraph, S, T) -> Fraction:
 class KPartiteKGraph:
     """k-partite k-uniform hypergraph; one vertex per class per edge."""
 
-    def __init__(self, classes: VertexClassSet, edges: np.ndarray):
+    def __init__(self, classes: VertexClassSet, edges: np.ndarray, canonical: bool = False):
+        """Edges in any order, sorted here; with ``canonical``, edges must
+        already be in strictly increasing code order, and any other order
+        is refused instead."""
         self.k = len(classes)
         if self.k < 2:
             raise ValueError("uniformity must be at least 2")
@@ -264,6 +267,8 @@ class KPartiteKGraph:
             # canonical input (a lift, a parsed text): already sorted and
             # free of duplicates; the copy keeps the caller's array apart
             edges = edges.copy()
+        elif canonical:
+            raise ValueError("edges not in strictly increasing order")
         else:
             order = np.argsort(enc, kind="stable")
             enc = enc[order]
@@ -428,8 +433,10 @@ def bipartite_from_text(text: str) -> BipartiteGraph:
     m = _header_count(_header_fields(line, "edges", 1)[0])
     edges = _read_decimal_rows(data, pos, m, 2)
     g = BipartiteGraph.from_edges(VertexClass(lname, _header_count(nl)), VertexClass(rname, _header_count(nr)), edges)
-    if g.edge_count() != m:
-        raise ValueError("duplicate edges")
+    # in range, so the codes fit int64; increasing also refuses repeats
+    codes = edges[:, 0] * g.right.size + edges[:, 1]
+    if np.any(codes[1:] <= codes[:-1]):
+        raise ValueError("edge lines not in strictly increasing order")
     return g
 
 
@@ -459,7 +466,7 @@ def kgraph_from_text(text: str) -> KPartiteKGraph:
     line, pos = _text_line(data, pos)
     m = _header_count(_header_fields(line, "edges", 1)[0])
     edges = _read_decimal_rows(data, pos, m, k)
-    return KPartiteKGraph(VertexClassSet(classes), edges)
+    return KPartiteKGraph(VertexClassSet(classes), edges, canonical=True)
 
 
 # -- decimal text: the one reader and writer of the package -----------------

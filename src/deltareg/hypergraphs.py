@@ -13,10 +13,12 @@ length-k window, one chain member per family, all unioned into a single
 k-partite k-graph on the doubled classes.
 
 Lifts: a member's edge codes are read straight off its bipartite bits
-(``InductiveFamily.member_codes``), so picking a window's member and
-reading a level as a partition of the product lift nothing; each kept
-member is lifted once, and ``KPartiteKGraph`` does not re-sort the lift's
-canonical output.
+(``InductiveFamily.member_codes``), so reading a level as a partition of
+the product lifts nothing.  Picking a window's member reads one least
+code per member (``InductiveFamily.least_code``, from the member's first
+set bit) and neither lifts nor unpacks the members it does not keep; the
+kept member is lifted once, and ``KPartiteKGraph`` does not re-sort the
+lift's canonical output.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ class InductiveFamily:
         g = self.core_seq.member_graph(j, idx)
         u, v = _kernels.nonzero_bits(g.rows)
         return u * g.right.size + v
+
+    def least_code(self, j: int, idx: int):
+        """The first entry of ``member_codes(j, idx)``, or None for an empty
+        member, from the member's first set bit alone."""
+        g = self.core_seq.member_graph(j, idx)
+        first = _kernels.first_bit(g.rows)
+        return None if first is None else first[0] * g.right.size + first[1]
 
 
 def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched: DeskSchedule, seed: int, core_kwargs=None) -> InductiveFamily:
@@ -269,15 +278,25 @@ def _select_member(fam: InductiveFamily, j: int) -> KPartiteKGraph:
     compare smallest bytewise (the first such member on ties), lifted; only
     the winner is lifted.
 
+    A member's first 8 key bytes are its least code, so members are ranked
+    by ``least_code`` alone, and full keys are read only for members that
+    tie on it.  The members of a chain level are disjoint and non-empty, so
+    they never tie.
+
     Bytewise order on little-endian codes is not numeric order.  It is kept
     because it picks the members of every artifact built so far, and fixing
     the byte order makes the pick the same on every host."""
-    best, best_idx = None, 0
-    for idx in range(fam.member_count(j)):
-        key = fam.member_codes(j, idx).astype("<i8", copy=False).tobytes()
-        if best is None or key < best:
-            best, best_idx = key, idx
-    return fam.h_member(j, best_idx)
+
+    def head(idx):
+        code = fam.least_code(j, idx)
+        return b"" if code is None else int(code).to_bytes(8, "little", signed=True)
+
+    heads = [head(idx) for idx in range(fam.member_count(j))]
+    low = min(heads)
+    tied = [idx for idx, key in enumerate(heads) if key == low]
+    if len(tied) > 1:
+        tied = [min(tied, key=lambda idx: fam.member_codes(j, idx).astype("<i8", copy=False).tobytes())]
+    return fam.h_member(j, tied[0])
 
 
 def pasted_density_check(inst: PastedInstance) -> dict:

@@ -168,15 +168,40 @@ def _edit_chain(d):
     (d / "chain-2.part").write_text(text.replace(" ", "\n", 1))
 
 
-@pytest.mark.parametrize("tamper", [_append_line, _swap_windows, _ragged_line, _edit_edge_count, _edit_chain])
+def _swap_edge_lines(d):
+    """Two edge lines trade places: the same graph, but not the text any
+    writer makes, so the strict reader refuses it."""
+    lines = (d / "window-2.kgraph").read_text().split("\n")
+    first = next(j for j, ln in enumerate(lines) if ln.startswith("edges ")) + 1
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    (d / "window-2.kgraph").write_text("\n".join(lines))
+    return 2, "increasing"
+
+
+def _rename_class(d):
+    """A class renamed in a window header: the same graph by
+    ``KPartiteKGraph.__eq__``, which ignores names, so the replay compares
+    names as well."""
+    text = (d / "window-4.kgraph").read_text()
+    (d / "window-4.kgraph").write_text(re.sub(r"^class V\d+ ", "class Z ", text, count=1, flags=re.M))
+    return 1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-4.kgraph"
+
+
+@pytest.mark.parametrize("tamper", [_append_line, _swap_windows, _ragged_line, _edit_edge_count, _edit_chain, _swap_edge_lines, _rename_class])
 def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, tamper):
+    """Every tamper fails; where a tamper names its exit code and a line of
+    the report, those are checked too."""
     d = tmp_path / "hg"
     shutil.copytree(hypergraph_artifact, d)
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 0
     assert "suite PASS" in capsys.readouterr().out
-    tamper(d)
-    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) in (1, 2)
-    assert "suite PASS" not in capsys.readouterr().out
+    expect = tamper(d)
+    rc = main(["verify", "--artifact", str(d), "--suite", "hypergraph"])
+    out, err = capsys.readouterr()
+    assert rc in (1, 2) and "suite PASS" not in out
+    if expect is not None:
+        code, says = expect
+        assert rc == code and says in (out if code == 1 else err)
 
 
 def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_path, capsys):
@@ -426,13 +451,21 @@ def cx_artifact(tmp_path_factory):
     return d / "cx"
 
 
-def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case):
+def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact=None):
     """The command line of one exit-2 case: 'certify <flag> <value>' with the
     other certify options as in the certified artifact, or '<command> <file>
     <key> <value>' with one key of the build-core profile, the counterexample
     params or the params.json of a copy of the counterexample artifact
-    changed."""
+    changed, or of the instance.json of a copy of the hypergraph artifact
+    set to a JSON value."""
     command, *rest = case.split()
+    if rest[0] == "hypergraph":
+        key, value = rest[-2:]
+        art = tmp_path / "hg"
+        shutil.copytree(hypergraph_artifact, art)
+        meta = json.loads((art / "instance.json").read_text())
+        (art / "instance.json").write_text(json.dumps({**meta, key: json.loads(value)}))
+        return ["verify", "--artifact", str(art), "--suite", "hypergraph"]
     if command == "certify":
         flag, value = rest
         options = {"--delta": "1/16384", "--t": "2", "--level": "2", "--member": "0", "--gamma": "1/4", flag: value}
@@ -490,14 +523,17 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
         "certify --level 0",
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("k", 0), ("m", 0), ("m", -1), ("q", 2), ("q", 0), ("delta", 0), ("delta", "3/2"))),
+        *(f"verify hypergraph instance.json {key} {value}"
+          for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
     ],
 )
-def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artifact, tmp_path, capsys, case):
+def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artifact, hypergraph_artifact, tmp_path, capsys, case):
     """A level, member or t outside the chain (1 <= t <= level <= s, 0 <=
-    member < 2^level; the artifact has s = 2), and a counterexample k or m
-    below 1 or q or delta outside (0, 1], are usage errors: exit 2 with an
+    member < 2^level; the artifact has s = 2), a counterexample k or m
+    below 1 or q or delta outside (0, 1], and a hypergraph k, s, seed or
+    blowup that is not a JSON integer, are usage errors: exit 2 with an
     error line, never a traceback or a run on a wrapped index."""
-    argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case)
+    argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact)
     capsys.readouterr()
     assert main(argv) == 2
     assert re.search(r"^error: ", capsys.readouterr().err, re.M)

@@ -440,6 +440,14 @@ def _malformed(text: str, kind: str, at: int) -> str:
     elif kind == "duplicate":
         lines[head - 1] = f"edges {m + 1}"
         lines.insert(i, line)
+    elif kind in ("swapped", "reversed"):  # edge lines out of order; one edge line trades places with the header
+        if m == 1:
+            lines[i - 1], lines[i] = lines[i], lines[i - 1]
+        elif kind == "reversed":
+            lines[head : head + m] = lines[head : head + m][::-1]
+        else:
+            j = i + 1 if i + 1 < head + m else i - 1
+            lines[i], lines[j] = lines[j], lines[i]
     elif kind == "trailing-line":
         lines.append("5 5 5\nfoo bar")
     elif kind == "trailing-text":
@@ -450,7 +458,7 @@ def _malformed(text: str, kind: str, at: int) -> str:
 
 
 _DEFECTS = ["header", "count-up", "count-down", "extra-field", "missing-field", "moved-field", "non-digit", "double-space", "empty-field", "leading-space",
-            "leading-zero", "leading-zero-count", "leading-zero-size", "trailing-space", "out-of-range", "duplicate", "trailing-line",
+            "leading-zero", "leading-zero-count", "leading-zero-size", "trailing-space", "out-of-range", "duplicate", "swapped", "reversed", "trailing-line",
             "trailing-text", "no-final-newline"]
 
 
@@ -464,6 +472,18 @@ def test_readers_reject_text_after_an_empty_edge_list():
     bip = G.bipartite_to_text(G.BipartiteGraph.empty(G.VertexClass("A", 2), G.VertexClass("B", 2)))
     with pytest.raises(ValueError):
         G.bipartite_from_text(bip + "0 0\n")
+
+
+def test_readers_refuse_edge_lines_out_of_order():
+    """The readers are strict inverses: the same edges in another line
+    order are another text, which no writer produces, so it is refused."""
+    h = G.KPartiteKGraph(G.VertexClassSet([("V1", 3), ("V2", 3), ("V3", 3)]), np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]]))
+    g = G.BipartiteGraph.from_edges(G.VertexClass("A", 3), G.VertexClass("B", 3), [(0, 2), (1, 0)])
+    for text, read, graph in ((G.kgraph_to_text(h), G.kgraph_from_text, h), (G.bipartite_to_text(g), G.bipartite_from_text, g)):
+        assert read(text) == graph
+        cut = text.index("\n", text.index("\nedges ") + 1) + 1
+        with pytest.raises(ValueError, match="increasing"):
+            read(text[:cut] + "".join(reversed(text[cut:].splitlines(keepends=True))))
 
 
 @settings(max_examples=300, deadline=None)

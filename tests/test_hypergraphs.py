@@ -228,15 +228,19 @@ def _partition_by_lifting(fam, level, prod):
     return VertexPartition(prod.size, [prod.encode_array(fam.h_member(level, idx).edges_arr) for idx in range(fam.member_count(level))])
 
 
-@pytest.mark.parametrize("seed", [0, 3, 8])
-@pytest.mark.parametrize("k", [2, 3])
-def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
+def _family(k, seed):
     sched = S.desk_schedule_k3()
     n = 32
     classes = VertexClassSet([(f"V{j}", n) for j in range(k)])
     levels = H.nested_class_chain(n, [sched.t(i) for i in (1, 2, 3)])
-    fam = H.build_inductive_family(k, 2, classes, [[levels[i]] * k for i in range(3)], sched, seed=seed, core_kwargs=CORE_KW)
-    prod = ProductClass.of(classes.classes)
+    return H.build_inductive_family(k, 2, classes, [[levels[i]] * k for i in range(3)], sched, seed=seed, core_kwargs=CORE_KW)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+@pytest.mark.parametrize("k", [2, 3])
+def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
+    fam = _family(k, seed)
+    prod = ProductClass.of(fam.classes.classes)
     for j in (1, 2):
         for idx in range(fam.member_count(j)):
             assert np.array_equal(fam.member_codes(j, idx), fam.h_member(j, idx).encoded)
@@ -245,6 +249,26 @@ def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
         ref = _partition_by_lifting(fam, j, prod).cells
         assert len(cells) == len(ref) == fam.member_count(j)
         assert all(np.array_equal(c, r) for c, r in zip(cells, ref))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_pick_reads_one_least_code_per_member(seed, monkeypatch):
+    """A chain level's members are disjoint and non-empty, so their least
+    codes differ: the pick returns the full-key winner without reading any
+    member's full codes."""
+    fam = _family(3, seed)
+    winners = {j: _lex_pick_by_lifting(fam, j) for j in (1, 2)}
+    for j in (1, 2):
+        for idx in range(fam.member_count(j)):
+            assert fam.least_code(j, idx) == fam.member_codes(j, idx)[0]
+
+    def unpacks(*args):
+        raise AssertionError("member_codes called")
+
+    monkeypatch.setattr(H.InductiveFamily, "member_codes", unpacks)
+    for j, winner in winners.items():
+        pick = H._select_member(fam, j)
+        assert pick == winner and [c.name for c in pick.classes.classes] == [c.name for c in winner.classes.classes]
 
 
 class _StubFamily:
@@ -260,6 +284,9 @@ class _StubFamily:
     def member_codes(self, j, idx):
         return np.array(self.codes[idx], dtype=self.dtype)
 
+    def least_code(self, j, idx):
+        return min(self.codes[idx], default=None)
+
     def h_member(self, j, idx):
         return idx
 
@@ -267,9 +294,13 @@ class _StubFamily:
 @pytest.mark.parametrize("dtype", ["<i8", ">i8"])
 def test_lex_pick_is_bytewise_on_little_endian_codes(dtype):
     """As little-endian bytes, 256 is 00 01 00 .. and 1 is 01 00 ..: the
-    member starting with 256 wins, though 1 < 256, whatever order the codes
-    are stored in."""
+    members starting with 256 win, though 1 < 256, whatever order the codes
+    are stored in.  They tie on their least code, so their full codes
+    decide: 300 is 2C 01 and 301 is 2D 01.  An empty member's key is empty,
+    and so least of all."""
+    assert H._select_member(_StubFamily([[1, 2], [256, 301], [257], [256, 300]], dtype), 2) == 3
     assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2) == 1
+    assert H._select_member(_StubFamily([[256], [], [1], []], dtype), 2) == 1
 
 
 def _sha(graphs):

@@ -109,6 +109,25 @@ def test_packed_row_format_matches_per_bit_reference(n):
         assert K.stray_bits(stray, n)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+def test_first_bit_is_the_first_pair_of_nonzero_bits(n):
+    """Each single set bit of a 5 x n matrix, every prefix-cleared matrix
+    of a random one, and the empty matrix."""
+    assert K.first_bit(K.zero_rows(5, n)) is None
+    for u in range(5):
+        for v in range(n):
+            rows = K.zero_rows(5, n)
+            K.set_bits(rows, [u], [v])
+            assert K.first_bit(rows) == (u, v)
+    bits = np.random.default_rng(n).random((5, n)) < 0.3
+    for cut in range(5 * n + 1):
+        cleared = bits.copy().reshape(-1)
+        cleared[:cut] = False
+        rows = K.pack_rows(cleared.reshape(5, n))
+        r, c = K.nonzero_bits(rows)
+        assert K.first_bit(rows) == ((int(r[0]), int(c[0])) if r.size else None)
+
+
 def test_triangle_kernels_agree(monkeypatch):
     rng = np.random.default_rng(42)
     n = 30
