@@ -70,8 +70,7 @@ def _sub_polyads_exact(p: Polyad, per_part_cap: int = 16, product_cap: int = 1 <
     for combo in itertools.product(*part_subsets):
         parts = []
         for part, chosen in zip(p.parts, combo):
-            edges = part.edges_arr[list(chosen)] if chosen else np.empty((0, p.r - 1), dtype=np.int64)
-            parts.append(KPartiteKGraph(part.classes, edges))
+            parts.append(KPartiteKGraph.from_codes(part.classes, part.encoded[list(chosen)]))
         yield Polyad(p.r, p.classes, parts)
 
 
@@ -85,8 +84,7 @@ def _random_sub_polyad(p: Polyad, rng) -> Polyad:
     parts = []
     for part in p.parts:
         keep = np.flatnonzero(rng.integers(0, 2, size=part.edge_count()))
-        edges = part.edges_arr[keep] if keep.size else np.empty((0, p.r - 1), dtype=np.int64)
-        parts.append(KPartiteKGraph(part.classes, edges))
+        parts.append(KPartiteKGraph.from_codes(part.classes, part.encoded[keep]))
     return Polyad(p.r, p.classes, parts)
 
 
@@ -203,9 +201,9 @@ def induced_subgraph_on_cells(h: KPartiteKGraph, vcells) -> KPartiteKGraph:
         mp[np.asarray(cell, dtype=np.int64)] = np.arange(len(cell))
         maps.append(mp)
     keep = np.ones(h.edge_count(), dtype=bool)
-    out = np.empty_like(h.edges_arr)
+    out = h.edges()
     for j in range(h.k):
-        out[:, j] = maps[j][h.edges_arr[:, j]]
+        out[:, j] = maps[j][out[:, j]]
         keep &= out[:, j] >= 0
     cls = VertexClassSet([(f"C{j}", len(vcells[j])) for j in range(h.k)])
     return KPartiteKGraph(cls, out[keep])
@@ -344,7 +342,7 @@ class RankedComplex:
                 continue
             for span, g in self.layers[r].items():
                 span_t = sorted(span)
-                for row in g.edges_arr:
+                for row in g.edges():
                     for drop in range(r):
                         sub_span = frozenset(span_t[:drop] + span_t[drop + 1 :])
                         sub = self.layers[r - 1][sub_span]
@@ -390,7 +388,7 @@ def random_complex(classes: VertexClassSet, densities: dict, seed: int) -> Ranke
                 cand_rows = []
                 base = layers[r - 1][frozenset(span_t[:-1])]
                 last_cls = classes.classes[span_t[-1]]
-                for row in base.edges_arr:
+                for row in base.edges():
                     for v in range(last_cls.size):
                         full = list(row) + [v]
                         ok = True
@@ -436,7 +434,7 @@ def complex_extension_counts(cx: RankedComplex, span) -> dict:
     k = cx.k
     missing = next(j for j in range(k) if j not in span)
     out = {}
-    for row in g.edges_arr:
+    for row in g.edges():
         cnt = 0
         for v in range(cx.classes.classes[missing].size):
             tup = [0] * k
@@ -469,7 +467,7 @@ def _closed_candidates(cx: RankedComplex, r: int, span) -> int:
     count = 0
     base = cx.layers[r - 1][frozenset(span_t[:-1])]
     last = cx.classes.classes[span_t[-1]]
-    for row in base.edges_arr:
+    for row in base.edges():
         for v in range(last.size):
             full = list(row) + [v]
             ok = True
@@ -541,7 +539,7 @@ def induced_complex(cx: RankedComplex, last_subset) -> RankedComplex:
                 layers[r][span] = g
                 continue
             pos = span_t.index(k - 1)
-            edges = g.edges_arr.copy()
+            edges = g.edges()
             mapped = remap[edges[:, pos]]
             sel = mapped >= 0
             edges = edges[sel]

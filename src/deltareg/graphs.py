@@ -1,8 +1,8 @@
 """Bipartite graphs and k-partite k-graphs with exact counting primitives.
 
 Bipartite adjacency is one packed row per left vertex, in the format that
-``deltareg._kernels`` defines and owns.  k-graph edges are kept as a sorted
-array of mixed-radix encoded tuples.  All densities are exact
+``deltareg._kernels`` defines and owns.  A k-graph's edges are kept once, as
+the sorted mixed-radix codes of their tuples.  All densities are exact
 ``fractions.Fraction`` values; no verdict in this package ever goes through
 floating point.
 """
@@ -70,19 +70,24 @@ class ProductClass(VertexClass):
         return tuple(reversed(out))
 
     def decode_array(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        cols = []
-        for f in reversed(self.factors):
-            cols.append(idx % f.size)
-            idx = idx // f.size
-        return np.stack(list(reversed(cols)), axis=1)
+        """(m, k) tuples of the codes idx, as a fresh array."""
+        rest = np.asarray(idx, dtype=np.int64)
+        out = np.empty((rest.size, len(self.factors)), dtype=np.int64)
+        for j in range(len(self.factors) - 1, 0, -1):
+            rest, out[:, j] = np.divmod(rest, self.factors[j].size)
+        out[:, 0] = rest
+        return out
 
     def encode_array(self, tuples: np.ndarray) -> np.ndarray:
+        """Codes of (m, k) tuples; a vertex outside its factor is refused."""
         _check_code_range([f.size for f in self.factors])
         tuples = np.asarray(tuples, dtype=np.int64)
         idx = np.zeros(len(tuples), dtype=np.int64)
         for j, f in enumerate(self.factors):
-            idx = idx * f.size + tuples[:, j]
+            col = tuples[:, j]
+            if col.size and (col.min() < 0 or col.max() >= f.size):
+                raise ValueError(f"edge vertex out of range in class {f.name}")
+            idx = idx * f.size + col
         return idx
 
 
@@ -248,66 +253,64 @@ def pair_density(g: BipartiteGraph, S, T) -> Fraction:
 
 
 class KPartiteKGraph:
-    """k-partite k-uniform hypergraph; one vertex per class per edge."""
+    """k-partite k-uniform hypergraph; one vertex per class per edge.
 
-    def __init__(self, classes: VertexClassSet, edges: np.ndarray, canonical: bool = False):
-        """Edges in any order, sorted here; with ``canonical``, edges must
-        already be in strictly increasing code order, and any other order
-        is refused instead."""
+    The edges are kept once, as ``encoded``: the read-only, strictly
+    increasing int64 codes of their tuples in ``product``, the product of
+    the classes.  ``edges()`` decodes the tuples on demand."""
+
+    def __init__(self, classes: VertexClassSet, edges):
+        """Edges as k-tuples in any order; a vertex outside its class and a
+        repeated edge are refused with ValueError."""
+        codes = np.sort(ProductClass.of(classes.classes).encode_array(np.asarray(edges, dtype=np.int64).reshape(-1, len(classes))))
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("duplicate edges")
+        self._store(classes, codes)
+
+    @classmethod
+    def from_codes(cls, classes: VertexClassSet, codes) -> "KPartiteKGraph":
+        """The k-graph whose edges have the given codes, which must be
+        strictly increasing and in [0, product of the class sizes); the
+        codes are copied."""
+        h = cls.__new__(cls)
+        h._store(classes, np.array(codes, dtype=np.int64).reshape(-1))
+        return h
+
+    def _store(self, classes: VertexClassSet, codes: np.ndarray):
+        """The one storing path; ``codes`` is a fresh array, owned here."""
         self.k = len(classes)
         if self.k < 2:
             raise ValueError("uniformity must be at least 2")
+        _check_code_range(classes.sizes())
         self.classes = classes
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, self.k)
-        for j, c in enumerate(classes.classes):
-            if edges.size and (edges[:, j].min() < 0 or edges[:, j].max() >= c.size):
-                raise ValueError(f"edge vertex out of range in class {c.name}")
-        enc = self._encode(edges)
-        if np.all(enc[1:] > enc[:-1]):
-            # canonical input (a lift, a parsed text): already sorted and
-            # free of duplicates; the copy keeps the caller's array apart
-            edges = edges.copy()
-        elif canonical:
+        self.product = ProductClass.of(classes.classes)
+        if np.any(codes[1:] <= codes[:-1]):
             raise ValueError("edges not in strictly increasing order")
-        else:
-            order = np.argsort(enc, kind="stable")
-            enc = enc[order]
-            if np.any(enc[1:] == enc[:-1]):
-                raise ValueError("duplicate edges")
-            edges = edges[order]
-        self.edges_arr = edges
-        self.encoded = enc
+        if codes.size and (codes[0] < 0 or codes[-1] >= self.product.size):
+            raise ValueError("edge code out of range")
+        self.encoded = codes
         self.encoded.setflags(write=False)
-        self.edges_arr.setflags(write=False)
 
-    def _encode(self, edges: np.ndarray) -> np.ndarray:
-        _check_code_range(self.classes.sizes())
-        enc = np.zeros(len(edges), dtype=np.int64)
-        for j, c in enumerate(self.classes.classes):
-            enc = enc * c.size + edges[:, j]
-        return enc
+    def edges(self) -> np.ndarray:
+        """Edges as a fresh (m, k) int64 array of tuples, in code order."""
+        return self.product.decode_array(self.encoded)
 
     def edge_count(self) -> int:
         return len(self.encoded)
 
     def density(self) -> Fraction:
-        prod = 1
-        for c in self.classes.classes:
-            prod *= c.size
-        return Fraction(self.edge_count(), prod)
+        return Fraction(self.edge_count(), self.product.size)
 
     def contains(self, tup) -> bool:
-        enc = 0
-        for j, c in enumerate(self.classes.classes):
-            enc = enc * c.size + int(tup[j])
-        pos = np.searchsorted(self.encoded, enc)
-        return pos < len(self.encoded) and self.encoded[pos] == enc
+        code = self.product.encode(tup)
+        pos = np.searchsorted(self.encoded, code)
+        return pos < len(self.encoded) and self.encoded[pos] == code
 
     def __eq__(self, other):
+        """Same class names, class sizes and edges."""
         return (
             isinstance(other, KPartiteKGraph)
-            and self.k == other.k
-            and self.classes.sizes() == other.classes.sizes()
+            and [(c.name, c.size) for c in self.classes.classes] == [(c.name, c.size) for c in other.classes.classes]
             and np.array_equal(self.encoded, other.encoded)
         )
 
@@ -341,25 +344,33 @@ def aux_graph(h: KPartiteKGraph, axis: int) -> AuxGraphView:
     others = [c for j, c in enumerate(h.classes.classes) if j != i]
     product = ProductClass.of(others)
     right = h.classes.classes[i]
-    lefts = product.encode_array(np.delete(h.edges_arr, i, axis=1))
-    g = BipartiteGraph.from_edges(
-        VertexClass(product.name, product.size),
-        VertexClass(right.name, right.size),
-        np.stack([lefts, h.edges_arr[:, i]], axis=1),
-    )
+    # a code is (hi * |V_i| + x) * low + lo, with low the product of the
+    # sizes after the axis; the tuple of the other classes encodes to
+    # hi * low + lo
+    low = math.prod(h.classes.sizes()[axis:])
+    hi, rest = np.divmod(h.encoded, right.size * low)
+    x, lo = np.divmod(rest, low)
+    hi *= low
+    hi += lo
+    rows = _kernels.zero_rows(product.size, right.size)
+    _kernels.set_bits(rows, hi, x)
+    g = BipartiteGraph(VertexClass(product.name, product.size), VertexClass(right.name, right.size), rows)
     return AuxGraphView(source=h, axis=axis, product=product, graph=g)
 
 
 def lift_graph_to_kgraph(g: BipartiteGraph, product: ProductClass, right_class=None) -> KPartiteKGraph:
     """Inverse of the axis-k view: a bipartite graph on (product, V_k) lifts
-    to the k-graph whose axis-k view is edge-identical to g."""
-    if product.size != g.left.size:
-        raise ValueError("left class size does not match the product class")
-    right_class = right_class or VertexClass(g.right.name, g.right.size)
+    to the k-graph whose axis-k view is edge-identical to g.  Bit (u, v) is
+    the edge whose first k-1 entries encode to u, so its code is
+    u * |V_k| + v, and the row-major bit order is the code order."""
+    right_class = right_class or g.right
+    if product.size != g.left.size or right_class.size != g.right.size:
+        raise ValueError("class sizes do not match the graph")
     classes = VertexClassSet(list(product.factors) + [VertexClass(right_class.name, right_class.size)])
     u, v = _kernels.nonzero_bits(g.rows)
-    edges = np.concatenate([product.decode_array(u), v[:, None]], axis=1)
-    return KPartiteKGraph(classes, edges)
+    u *= g.right.size
+    u += v
+    return KPartiteKGraph.from_codes(classes, u)
 
 
 def blowup(g: BipartiteGraph, m: int) -> BipartiteGraph:
@@ -433,18 +444,19 @@ def bipartite_from_text(text: str) -> BipartiteGraph:
     m = _header_count(_header_fields(line, "edges", 1)[0])
     edges = _read_decimal_rows(data, pos, m, 2)
     g = BipartiteGraph.from_edges(VertexClass(lname, _header_count(nl)), VertexClass(rname, _header_count(nr)), edges)
-    # in range, so the codes fit int64; increasing also refuses repeats
-    codes = edges[:, 0] * g.right.size + edges[:, 1]
-    if np.any(codes[1:] <= codes[:-1]):
+    # edges() lists each edge once, in increasing order: this also refuses repeats
+    if not np.array_equal(g.edges(), edges):
         raise ValueError("edge lines not in strictly increasing order")
     return g
 
 
 def kgraph_to_text(h: KPartiteKGraph) -> str:
+    """The text of h; the tuples are decoded one block of codes at a time."""
     head = ["kgraph v1", f"k {h.k}"]
     head += [f"class {c.name} {c.size}" for c in h.classes.classes]
     head.append(f"edges {h.edge_count()}")
-    return "\n".join(head) + "\n" + _write_decimal_rows(h.edges_arr)
+    blocks = (h.product.decode_array(h.encoded[r0 : r0 + _CHUNK_ROWS]) for r0 in range(0, h.edge_count(), _CHUNK_ROWS))
+    return "\n".join(head) + "\n" + "".join(map(_write_decimal_rows, blocks))
 
 
 def kgraph_from_text(text: str) -> KPartiteKGraph:
@@ -465,8 +477,9 @@ def kgraph_from_text(text: str) -> KPartiteKGraph:
         classes.append((name, _header_count(size)))
     line, pos = _text_line(data, pos)
     m = _header_count(_header_fields(line, "edges", 1)[0])
-    edges = _read_decimal_rows(data, pos, m, k)
-    return KPartiteKGraph(VertexClassSet(classes), edges, canonical=True)
+    classes = VertexClassSet(classes)
+    codes = ProductClass.of(classes.classes).encode_array(_read_decimal_rows(data, pos, m, k))
+    return KPartiteKGraph.from_codes(classes, codes)
 
 
 # -- decimal text: the one reader and writer of the package -----------------

@@ -12,13 +12,14 @@ Pasting: 2k vertex classes around a tight cycle, one inductive family per
 length-k window, one chain member per family, all unioned into a single
 k-partite k-graph on the doubled classes.
 
-Lifts: a member's edge codes are read straight off its bipartite bits
-(``InductiveFamily.member_codes``), so reading a level as a partition of
-the product lifts nothing.  Picking a window's member reads one least
-code per member (``InductiveFamily.least_code``, from the member's first
-set bit) and neither lifts nor unpacks the members it does not keep; the
-kept member is lifted once, and ``KPartiteKGraph`` does not re-sort the
-lift's canonical output.
+Lifts: a k-graph is its sorted edge codes, and bit (u, v) of a bipartite
+member is the edge of code u * |V_k| + v, so a lift is one scan of the
+member's bits and no tuple is formed.  Reading a level as a partition of
+the product takes each lifted member's codes as a cell.  Picking a
+window's member reads one least code per member
+(``InductiveFamily.least_code``, from the member's first set bit) and
+lifts only the member it keeps.  The pasted merge decodes each window's
+codes, moves every column to its doubled class, and encodes once.
 """
 
 from __future__ import annotations
@@ -71,17 +72,8 @@ class InductiveFamily:
     def member_count(self, j: int) -> int:
         return 1 << j
 
-    def member_codes(self, j: int, idx: int) -> np.ndarray:
-        """The encoded edges of ``h_member(j, idx)``, read off the bipartite
-        member without a lift: edge (u, v) of the axis-k view is the k-tuple
-        whose first k-1 entries encode to u, so its code is u * |V_k| + v,
-        and the row-major bit order is the sorted order."""
-        g = self.core_seq.member_graph(j, idx)
-        u, v = _kernels.nonzero_bits(g.rows)
-        return u * g.right.size + v
-
     def least_code(self, j: int, idx: int):
-        """The first entry of ``member_codes(j, idx)``, or None for an empty
+        """The least edge code of ``h_member(j, idx)``, or None for an empty
         member, from the member's first set bit alone."""
         g = self.core_seq.member_graph(j, idx)
         first = _kernels.first_bit(g.rows)
@@ -129,7 +121,7 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
 def _edge_partition_as_vertex_partition(sub: InductiveFamily, level: int, prod: ProductClass) -> VertexPartition:
     """The level members of the sub-family, read as a partition of the
     product index space: a member's cell is its set of edge codes."""
-    cells = [sub.member_codes(level, idx) for idx in range(sub.member_count(level))]
+    cells = [sub.h_member(level, idx).encoded for idx in range(sub.member_count(level))]
     return VertexPartition(prod.size, cells)
 
 
@@ -250,17 +242,15 @@ def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup
         families.append(fam)
         edge_graphs.append(_select_member(fam, s))
     merged_classes = VertexClassSet([(f"W{j}", 2 * n) for j in range(k)])
-    rows = []
+    product = ProductClass.of(merged_classes.classes)
+    codes = []
     for x, h in enumerate(edge_graphs):
-        local = h.edges_arr.copy()
-        mapped = np.empty_like(local)
-        for j in range(k):
-            cls = (x + j) % two_k
-            target = cls % k
-            offset = 0 if cls < k else n
-            mapped[:, target] = local[:, j] + offset
-        rows.append(mapped)
-    merged = KPartiteKGraph(merged_classes, np.concatenate(rows, axis=0))
+        # column j is cycle class (x + j) mod 2k: doubled class (x + j) mod k,
+        # shifted by n for the second k cycle classes
+        tuples = h.edges()
+        tuples += [n if (x + j) % two_k >= k else 0 for j in range(k)]
+        codes.append(product.encode_array(np.roll(tuples, x % k, axis=1)))
+    merged = KPartiteKGraph.from_codes(merged_classes, np.sort(np.concatenate(codes)))
     return PastedInstance(
         k=k,
         s=s,
@@ -295,7 +285,7 @@ def _select_member(fam: InductiveFamily, j: int) -> KPartiteKGraph:
     low = min(heads)
     tied = [idx for idx, key in enumerate(heads) if key == low]
     if len(tied) > 1:
-        tied = [min(tied, key=lambda idx: fam.member_codes(j, idx).astype("<i8", copy=False).tobytes())]
+        tied = [min(tied, key=lambda idx: fam.h_member(j, idx).encoded.astype("<i8", copy=False).tobytes())]
     return fam.h_member(j, tied[0])
 
 

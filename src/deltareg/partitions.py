@@ -316,7 +316,7 @@ def clique_set(P: Polyad) -> KPartiteKGraph:
     # membership in every other part.
     member = [_edge_key_set(P.parts[i]) for i in range(r - 1)]
     out = []
-    for e in base.edges_arr:
+    for e in base.edges():
         for v in range(last.size):
             ok = True
             full = list(e) + [v]
@@ -340,7 +340,7 @@ def _polyad_classes(P: Polyad) -> VertexClassSet:
 
 
 def _edge_key_set(h: KPartiteKGraph) -> set:
-    return {tuple(int(x) for x in row) for row in h.edges_arr}
+    return {tuple(int(x) for x in row) for row in h.edges()}
 
 
 def compose(F: KPartiteKGraph, V: VertexClass) -> KPartiteKGraph:
@@ -349,12 +349,8 @@ def compose(F: KPartiteKGraph, V: VertexClass) -> KPartiteKGraph:
         if c.name == V.name:
             raise ValueError("new class overlaps a class of F")
     classes = VertexClassSet([(c.name, c.size) for c in F.classes.classes] + [(V.name, V.size)])
-    m = F.edge_count()
-    if m == 0 or V.size == 0:
-        return KPartiteKGraph(classes, np.empty((0, F.k + 1), dtype=np.int64))
-    left = np.repeat(F.edges_arr, V.size, axis=0)
-    right = np.tile(np.arange(V.size, dtype=np.int64), m)[:, None]
-    return KPartiteKGraph(classes, np.concatenate([left, right], axis=1))
+    # the code of (e, v) is code(e) * |V| + v, so the codes stay sorted
+    return KPartiteKGraph.from_codes(classes, F.encoded[:, None] * V.size + np.arange(V.size))
 
 
 class KPartition:

@@ -571,8 +571,7 @@ def check_uniform_refinement(P: KPartition, family: VertexPartition, delta, cap:
     # realize the chosen family member as a (k-1)-graph and check the
     # restricted partition against it at 3*delta
     member_idx = family.cells[fi]
-    tuples = prod.decode_array(member_idx)
-    F = KPartiteKGraph(VCS([(c.name, c.size) for c in prod.factors]), tuples)
+    F = KPartiteKGraph.from_codes(VCS([(c.name, c.size) for c in prod.factors]), member_idx)
     P_restricted = restrict_kpartition(P, list(range(k - 1)))
     rep2 = is_delta_regular_kpartition(F, P_restricted, 3 * delta, cap=cap)
     return {

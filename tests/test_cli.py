@@ -179,9 +179,9 @@ def _swap_edge_lines(d):
 
 
 def _rename_class(d):
-    """A class renamed in a window header: the same graph by
-    ``KPartiteKGraph.__eq__``, which ignores names, so the replay compares
-    names as well."""
+    """A class renamed in a window header: the same edges and class sizes,
+    but ``KPartiteKGraph.__eq__`` compares class names too, so the replay
+    names the window."""
     text = (d / "window-4.kgraph").read_text()
     (d / "window-4.kgraph").write_text(re.sub(r"^class V\d+ ", "class Z ", text, count=1, flags=re.M))
     return 1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-4.kgraph"
@@ -213,6 +213,23 @@ def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_p
     (d / "merged.kgraph").write_text(re.sub(r"^class (\S+) \d+$", r"class \1 3000000", text, flags=re.M))
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
     assert "2^63" in capsys.readouterr().err
+
+
+def test_hypergraph_k_outside_the_schedule_exits_2_before_reading_a_window(hypergraph_artifact, tmp_path, capsys, monkeypatch):
+    """A k the recorded schedule lacks is refused before any of the 2k
+    window files is named or read, however large k is."""
+    from deltareg import cli
+
+    def reads(*args):
+        raise AssertionError("a k-graph file was read")
+
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    meta = json.loads((d / "instance.json").read_text())
+    (d / "instance.json").write_text(json.dumps({**meta, "k": 1000000}))
+    monkeypatch.setattr(cli, "kgraph_from_text", reads)
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
 
 
 def _numpy_memory_error():

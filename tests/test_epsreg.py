@@ -26,7 +26,7 @@ def complete_tripartite_polyad(n):
 def test_relative_density_conventions():
     cs, poly = complete_tripartite_polyad(2)
     ks = clique_set(poly)
-    h = KPartiteKGraph(cs, ks.edges_arr)
+    h = KPartiteKGraph(cs, ks.edges())
     assert E.relative_density(h, poly) == 1
     empty_parts = {sp: np.empty((0, 2), dtype=np.int64) for sp in [(1, 2), (0, 2), (0, 1)]}
     _, empty_poly = tripartite_polyad(2, empty_parts)
@@ -37,7 +37,7 @@ def test_relative_density_conventions():
              for sp in [(1, 2), (0, 2), (0, 1)]}
     cs3, poly3 = tripartite_polyad(3, parts)
     tris = clique_set(poly3)
-    hedges = [t for t in tris.edges_arr if rng.random() < 0.5]
+    hedges = [t for t in tris.edges() if rng.random() < 0.5]
     h3 = KPartiteKGraph(cs3, np.array(hedges, dtype=np.int64).reshape(-1, 3))
     expected = Fraction(len(hedges), tris.edge_count()) if tris.edge_count() else Fraction(0)
     assert E.relative_density(h3, poly3) == expected
@@ -45,7 +45,7 @@ def test_relative_density_conventions():
 
 def test_eps_d_regular_trivial_cases():
     cs, poly = complete_tripartite_polyad(2)
-    h = KPartiteKGraph(cs, clique_set(poly).edges_arr)
+    h = KPartiteKGraph(cs, clique_set(poly).edges())
     for eps in (Fraction(1, 10), Fraction(1, 2)):
         assert E.is_eps_d_regular(h, poly, eps, d=1, per_part_cap=8, product_cap=1 << 16)["status"] == "regular"
     # empty clique set: vacuously regular
@@ -193,7 +193,7 @@ def test_complex_closure_validation():
     layers = {r: dict(v) for r, v in cx.layers.items()}
     span = frozenset({0, 1})
     g = layers[2][span]
-    layers[2][span] = KPartiteKGraph(g.classes, g.edges_arr[1:])
+    layers[2][span] = KPartiteKGraph(g.classes, g.edges()[1:])
     with pytest.raises(ValueError):
         E.RankedComplex(classes, layers)
 

@@ -118,7 +118,7 @@ def test_lift_round_trip_enumerated():
     lifted = G.lift_graph_to_kgraph(av.graph, av.product)
     assert lifted == h
     expected = {(0, 0, 0), (0, 1, 1), (1, 1, 0)}
-    got = {tuple(int(x) for x in row) for row in lifted.edges_arr}
+    got = {tuple(int(x) for x in row) for row in lifted.edges()}
     assert got == expected
 
 
@@ -210,7 +210,7 @@ def _reference_kgraph_text(h):
     for c in h.classes.classes:
         lines.append(f"class {c.name} {c.size}")
     lines.append(f"edges {h.edge_count()}")
-    for row in h.edges_arr:
+    for row in h.edges():
         lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -333,7 +333,7 @@ def test_lift_matches_per_row_reference(factor_sizes, nr, data):
     lifted = G.lift_graph_to_kgraph(g, product, right_class=right)
     ref = _reference_lift(g, product, right_class=right)
     assert lifted == ref
-    assert np.array_equal(lifted.edges_arr, ref.edges_arr)
+    assert np.array_equal(lifted.edges(), ref.edges())
     assert [c.name for c in lifted.classes.classes] == [c.name for c in ref.classes.classes]
     assert np.array_equal(G.aux_graph(lifted, lifted.k).graph.rows, g.rows)
 
@@ -374,9 +374,9 @@ def test_kgraph_constructor_matches_sort_then_unique(case):
         for v, s in zip(t, sizes):
             c = c * s + v
         codes.append(c)
-    assert h.edges_arr.tolist() == [list(t) for t in ref]
+    assert h.edges().tolist() == [list(t) for t in ref]
     assert h.encoded.tolist() == codes
-    assert h.edges_arr.dtype == h.encoded.dtype == np.int64
+    assert h.edges().dtype == h.encoded.dtype == np.int64
     for j, bad in ((k - 1, sizes[-1]), (0, -1)):
         out = np.concatenate([edges, np.zeros((1, k), dtype=np.int64)])
         out[-1, j] = bad
@@ -389,10 +389,57 @@ def test_kgraph_keeps_no_view_of_the_callers_edges(edges):
     cs = G.VertexClassSet([("V1", 2), ("V2", 3), ("V3", 3)])
     arr = np.array(edges, dtype=np.int64)
     h = G.KPartiteKGraph(cs, arr)
-    before = h.edges_arr.tolist(), h.encoded.tolist()
+    before = h.edges().tolist(), h.encoded.tolist()
     arr[:] = 0
-    assert (h.edges_arr.tolist(), h.encoded.tolist()) == before
-    assert not h.edges_arr.flags.writeable and not h.encoded.flags.writeable
+    assert (h.edges().tolist(), h.encoded.tolist()) == before
+    assert not h.encoded.flags.writeable
+    # edges() decodes a fresh array: writing to it leaves the graph as it was
+    out = h.edges()
+    out[:] = 0
+    assert (h.edges().tolist(), h.encoded.tolist()) == before
+    codes = np.array(before[1], dtype=np.int64)
+    g = G.KPartiteKGraph.from_codes(cs, codes)
+    codes[:] = 0
+    assert g == h and not g.encoded.flags.writeable
+
+
+@pytest.mark.parametrize("codes", [[3, 1], [1, 1], [-1, 2], [0, 18], [17, 18]], ids=["unsorted", "repeated", "negative", "product", "beyond"])
+def test_from_codes_refuses_codes_that_are_not_a_sorted_set_in_range(codes):
+    cs = G.VertexClassSet([("V1", 2), ("V2", 3), ("V3", 3)])
+    with pytest.raises(ValueError):
+        G.KPartiteKGraph.from_codes(cs, np.array(codes, dtype=np.int64))
+    assert G.KPartiteKGraph.from_codes(cs, [0, 17]).edges().tolist() == [[0, 0, 0], [1, 2, 2]]
+
+
+@pytest.mark.parametrize("sizes", [(2**31, 2**32), (4, 2**61), (10**7, 10**7, 10**5)])
+def test_from_codes_refuses_products_of_2_to_the_63(sizes):
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    for codes in ([], [0]):
+        with pytest.raises(ValueError, match="2\\^63"):
+            G.KPartiteKGraph.from_codes(cs, np.array(codes, dtype=np.int64))
+
+
+def _reference_aux_graph(h, axis):
+    """The per-edge axis view: drop the axis entry of each tuple, encode the
+    rest in the product of the other classes, and set that bit."""
+    i = axis - 1
+    others = [c for j, c in enumerate(h.classes.classes) if j != i]
+    product = G.ProductClass.of(others)
+    pairs = [(product.encode([v for j, v in enumerate(t) if j != i]), t[i]) for t in h.edges().tolist()]
+    return G.BipartiteGraph.from_edges(G.VertexClass(product.name, product.size), G.VertexClass(h.classes[i].name, h.classes[i].size), pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=5), st.data())
+def test_aux_graph_matches_per_edge_reference(sizes, data):
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    product = math.prod(sizes)
+    codes = sorted(data.draw(st.sets(st.integers(0, product - 1), max_size=min(product, 60))))
+    h = G.KPartiteKGraph.from_codes(cs, np.array(codes, dtype=np.int64))
+    for axis in range(1, len(sizes) + 1):
+        av = G.aux_graph(h, axis)
+        assert av.graph == _reference_aux_graph(h, axis)
+        assert av.graph.left.name == av.product.name and av.graph.right.name == f"V{axis - 1}"
 
 def _malformed(text: str, kind: str, at: int) -> str:
     """text with one defect of the given kind; ``at`` picks the edge line."""

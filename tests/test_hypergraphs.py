@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from deltareg import hypergraphs as H
 from deltareg import schedules as S
-from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, kgraph_to_text
+from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, kgraph_to_text, lift_graph_to_kgraph
 from deltareg.partitions import KPartition, VertexPartition
 
 CORE_KW = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
@@ -207,7 +207,7 @@ def test_beta_star_initial_refinement(pasted):
         H.beta_star_analysis(pasted, bad)
 
 
-# -- lift-free member codes against the lifting code they replaced -------------
+# -- the member pick and the member cells against the lifting code -------------
 
 
 def _lex_pick_by_lifting(fam, j):
@@ -225,7 +225,7 @@ def _lex_pick_by_lifting(fam, j):
 def _partition_by_lifting(fam, level, prod):
     """The member partition as it was: each lifted member's edges, encoded
     in the product of the family's classes, form one cell."""
-    return VertexPartition(prod.size, [prod.encode_array(fam.h_member(level, idx).edges_arr) for idx in range(fam.member_count(level))])
+    return VertexPartition(prod.size, [prod.encode_array(fam.h_member(level, idx).edges()) for idx in range(fam.member_count(level))])
 
 
 def _family(k, seed):
@@ -242,8 +242,6 @@ def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
     fam = _family(k, seed)
     prod = ProductClass.of(fam.classes.classes)
     for j in (1, 2):
-        for idx in range(fam.member_count(j)):
-            assert np.array_equal(fam.member_codes(j, idx), fam.h_member(j, idx).encoded)
         assert H._select_member(fam, j) == _lex_pick_by_lifting(fam, j)
         cells = H._edge_partition_as_vertex_partition(fam, j, prod).cells
         ref = _partition_by_lifting(fam, j, prod).cells
@@ -254,26 +252,35 @@ def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_pick_reads_one_least_code_per_member(seed, monkeypatch):
     """A chain level's members are disjoint and non-empty, so their least
-    codes differ: the pick returns the full-key winner without reading any
-    member's full codes."""
+    codes differ: the pick returns the full-key winner and lifts only the
+    member it keeps."""
     fam = _family(3, seed)
     winners = {j: _lex_pick_by_lifting(fam, j) for j in (1, 2)}
     for j in (1, 2):
         for idx in range(fam.member_count(j)):
-            assert fam.least_code(j, idx) == fam.member_codes(j, idx)[0]
+            assert fam.least_code(j, idx) == fam.h_member(j, idx).encoded[0]
+    lifts = []
 
-    def unpacks(*args):
-        raise AssertionError("member_codes called")
+    def counted(*args, **kwargs):
+        lifts.append(args)
+        return lift_graph_to_kgraph(*args, **kwargs)
 
-    monkeypatch.setattr(H.InductiveFamily, "member_codes", unpacks)
+    monkeypatch.setattr(H, "lift_graph_to_kgraph", counted)
     for j, winner in winners.items():
+        lifts.clear()
         pick = H._select_member(fam, j)
+        assert len(lifts) == 1
         assert pick == winner and [c.name for c in pick.classes.classes] == [c.name for c in winner.classes.classes]
+
+
+class _StubMember:
+    def __init__(self, idx, encoded):
+        self.idx, self.encoded = idx, encoded
 
 
 class _StubFamily:
     """A family whose level members hold the given codes, in a given byte
-    order; h_member returns the member's index."""
+    order; h_member returns the member's index and codes."""
 
     def __init__(self, codes, dtype):
         self.codes, self.dtype = codes, dtype
@@ -281,14 +288,11 @@ class _StubFamily:
     def member_count(self, j):
         return len(self.codes)
 
-    def member_codes(self, j, idx):
-        return np.array(self.codes[idx], dtype=self.dtype)
-
     def least_code(self, j, idx):
         return min(self.codes[idx], default=None)
 
     def h_member(self, j, idx):
-        return idx
+        return _StubMember(idx, np.array(self.codes[idx], dtype=self.dtype))
 
 
 @pytest.mark.parametrize("dtype", ["<i8", ">i8"])
@@ -298,9 +302,9 @@ def test_lex_pick_is_bytewise_on_little_endian_codes(dtype):
     are stored in.  They tie on their least code, so their full codes
     decide: 300 is 2C 01 and 301 is 2D 01.  An empty member's key is empty,
     and so least of all."""
-    assert H._select_member(_StubFamily([[1, 2], [256, 301], [257], [256, 300]], dtype), 2) == 3
-    assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2) == 1
-    assert H._select_member(_StubFamily([[256], [], [1], []], dtype), 2) == 1
+    assert H._select_member(_StubFamily([[1, 2], [256, 301], [257], [256, 300]], dtype), 2).idx == 3
+    assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2).idx == 1
+    assert H._select_member(_StubFamily([[256], [], [1], []], dtype), 2).idx == 1
 
 
 def _sha(graphs):

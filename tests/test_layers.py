@@ -9,10 +9,12 @@ format: no other module does digit-byte arithmetic or defines a decimal
 reader or writer.  The certificate re-check reaches none of the package's
 functions that the refuter or its witness engine reach, except an
 allow-list, and the brute-force pair oracle none that the exact pair
-checker reaches, except the two result types.
+checker reaches, except the two result types.  Every function the
+benchmark's tracer hooks by name exists under that name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "deltareg"
@@ -156,3 +158,30 @@ def test_the_oracle_shares_no_code_with_the_exact_checker():
     assert {"subset_min_edges", "DeltaWitness"} <= checker and "PairVerdict" in oracle  # the scan sees through both
     shared = (oracle & checker) - ORACLE_MAY_SHARE
     assert shared == set(), f"naive_all_sizes_oracle reaches {sorted(shared)}, which is_delta_regular_pair reaches too"
+
+
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+
+
+def _hook_targets() -> list:
+    """The target of every ``Hook("module.attr[.attr]", ...)`` in the
+    tracer's source; the tracer itself is not imported."""
+    calls = (node for node in ast.walk(ast.parse(TRACER.read_text())) if isinstance(node, ast.Call))
+    return [c.args[0].value for c in calls if getattr(c.func, "id", None) == "Hook" and c.args and isinstance(c.args[0], ast.Constant)]
+
+
+def test_every_benchmark_hook_names_a_function_of_the_package():
+    """A hook whose target is gone drops its layer from the benchmark
+    without failing it, so a rename must fail here."""
+    targets = _hook_targets()
+    assert {"graphs.lift_graph_to_kgraph", "graphs.aux_graph", "core.IrregularityCertificate.to_text"} <= set(targets)
+    missing = []
+    for target in targets:
+        module, *path = target.split(".")
+        owner = importlib.import_module(f"deltareg.{module}")
+        for part in path[:-1]:
+            owner = getattr(owner, part, None)
+        # the tracer wraps attributes defined on the owner itself, not inherited ones
+        if owner is None or not callable(vars(owner).get(path[-1])):
+            missing.append(target)
+    assert missing == [], f"perfbench/tracer.py hooks {missing}, which deltareg does not define"

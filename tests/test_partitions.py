@@ -196,6 +196,7 @@ def test_compose_counts():
     V = VertexClass("V3", 3)
     H = P.compose(F, V)
     assert H.edge_count() == 15
+    assert H == KPartiteKGraph(H.classes, [[*e, v] for e in F.edges().tolist() for v in range(3)])
     empty = KPartiteKGraph(cs, np.empty((0, 2), dtype=np.int64))
     assert P.compose(empty, V).edge_count() == 0
     with pytest.raises(ValueError):
