@@ -183,31 +183,76 @@ def xor_popcount_pairs(rows, pairs):
     return _op_popcount_pairs(np.bitwise_xor, rows, pairs)
 
 
+def _segments(seg_starts, seg_ends):
+    """int64 segment starts and widths, and whether the segments share one
+    width and tile a word range in order."""
+    seg_starts = np.asarray(seg_starts, dtype=np.int64)
+    widths = np.asarray(seg_ends, dtype=np.int64) - seg_starts
+    w = int(widths[0]) if len(seg_starts) else 0
+    tiled = w > 0 and np.array_equal(seg_starts, seg_starts[0] + w * np.arange(len(seg_starts))) and np.all(widths == w)
+    return seg_starts, widths, tiled
+
+
+def _segment_sums(pc, seg_starts, widths, tiled, out):
+    """Write the sums of the per-word popcounts pc over each word segment
+    into out, of shape (len(pc), segments).  Segments of one width that tile
+    a word range are summed by adding one strided column per word offset;
+    summing each narrow segment along its own axis is several times slower."""
+    if tiled:
+        ns, w = len(seg_starts), int(widths[0])
+        blocks = pc[:, seg_starts[0] : seg_starts[0] + ns * w].reshape(len(pc), ns, w)
+        out[...] = blocks[:, :, 0]
+        for t in range(1, w):
+            out += blocks[:, :, t]
+    else:
+        for s in range(len(seg_starts)):
+            out[:, s] = pc[:, seg_starts[s] : seg_starts[s] + widths[s]].sum(axis=1, dtype=out.dtype)
+
+
 def and_popcount_pairs_segmented(rows, pairs, seg_starts, seg_ends):
     """Popcount of row_i & row_j restricted to word segments.
 
     Returns an array of shape (len(pairs), len(seg_starts)); segment s covers
-    words [seg_starts[s], seg_ends[s]).  Used for per-cell codegree counts
-    when cells are word-aligned.  Segments of one width that tile a word
-    range are summed by adding one strided column per word offset; summing
-    each narrow segment along its own axis is several times slower.
+    words [seg_starts[s], seg_ends[s]).  Used for per-cell degree counts
+    when cells are word-aligned.
     """
-    seg_starts = np.asarray(seg_starts, dtype=np.int64)
-    widths = np.asarray(seg_ends, dtype=np.int64) - seg_starts
-    ns = len(seg_starts)
-    w = int(widths[0]) if ns else 0
-    tiled = w > 0 and np.array_equal(seg_starts, seg_starts[0] + w * np.arange(ns)) and np.all(widths == w)
-    out = np.empty((len(pairs), ns), dtype=np.int64)
+    seg_starts, widths, tiled = _segments(seg_starts, seg_ends)
+    out = np.empty((len(pairs), len(seg_starts)), dtype=np.int64)
     for sl in pair_chunks(len(pairs), rows.shape[1]):
         pc = np.bitwise_count(np.take(rows, pairs[sl, 0], axis=0) & np.take(rows, pairs[sl, 1], axis=0))
-        if tiled:
-            blocks = pc[:, seg_starts[0] : seg_starts[0] + ns * w].reshape(len(pc), ns, w)
-            out[sl] = blocks[:, :, 0]
-            for t in range(1, w):
-                out[sl] += blocks[:, :, t]
-        else:
-            for s in range(ns):
-                out[sl, s] = pc[:, seg_starts[s] : seg_starts[s] + widths[s]].sum(axis=1, dtype=np.int64)
+        _segment_sums(pc, seg_starts, widths, tiled, out[sl])
+    return out
+
+
+def and_popcount_segment_max(rows, seg_starts, seg_ends):
+    """For every pair i < j of rows, in ``np.triu_indices(len(rows), 1)``
+    order, the largest popcount of row_i & row_j over the word segments
+    (segment s covers words [seg_starts[s], seg_ends[s])); 0 without
+    segments.  Used for the per-cell codegree bound when cells are
+    word-aligned.
+
+    Each row is ANDed with the contiguous block of rows after it, at most
+    ``_CHUNK_WORDS`` words at a time, so no pair list is built and no row
+    is gathered.  A segment count is at most 64 times the widest segment,
+    so the counts are summed in the smallest unsigned dtype that holds
+    that, which is also the dtype of the result.
+    """
+    n, words = rows.shape
+    seg_starts, widths, tiled = _segments(seg_starts, seg_ends)
+    dtype = np.min_scalar_type(64 * int(widths.max(initial=0)))
+    out = np.zeros(n * (n - 1) // 2, dtype=dtype)
+    if not len(seg_starts):
+        return out
+    step = max(1, _CHUNK_WORDS // max(words, 1))
+    counts = np.empty((min(step, n), len(seg_starts)), dtype=dtype)
+    at = 0
+    for i in range(n - 1):
+        for lo in range(i + 1, n, step):
+            hi = min(lo + step, n)
+            part = counts[: hi - lo]
+            _segment_sums(np.bitwise_count(rows[lo:hi] & rows[i]), seg_starts, widths, tiled, part)
+            part.max(axis=1, out=out[at : at + hi - lo])
+            at += hi - lo
     return out
 
 

@@ -49,16 +49,7 @@ class BalanceSpec:
         self.m = sizes[0]
         if any(s % 2 for s in self.y_cells.cell_sizes()):
             raise ValueError("Y-cells must have even size")
-        self.family = [np.unique(np.asarray(F, dtype=np.int64)) for F in self.family]
-        ksizes = {len(F) for F in self.family}
-        if len(ksizes) > 1:
-            raise ValueError("family members must share one size")
-        self.k = ksizes.pop() if ksizes else 0
-        for F in self.family:
-            cells = {self.y_cells.cell_of(int(y)) for y in F}
-            covered = sorted(int(v) for c in cells for v in self.y_cells.cells[c])
-            if covered != F.tolist():
-                raise ValueError("family members must be unions of Y-cells")
+        self.family, self.k = _checked_family(self.family, self.y_cells)
 
     @property
     def nx(self):
@@ -67,6 +58,36 @@ class BalanceSpec:
     @property
     def ny(self):
         return self.y_cells.n
+
+
+def _checked_family(family, y_cells: VertexPartition) -> tuple:
+    """The members as sorted int64 arrays of distinct Y ids, rows of one
+    array, and their common size.  Raises ValueError unless the members
+    share one size and each is a union of Y-cells: every Y-cell a member
+    meets has all of its ids in the member.  The checks see all members at
+    once; only members that are not already sorted sets of one size are
+    sorted and deduplicated one by one, and (member, cell) keys already in
+    order skip their sort."""
+    members = [np.asarray(F, dtype=np.int64).ravel() for F in family]
+    if not members:
+        return [], 0
+    flat, k = np.concatenate(members), len(members[0])
+    rows = flat.reshape(len(members), k) if all(len(F) == k for F in members) else None
+    if rows is None or np.count_nonzero(rows[:, 1:] <= rows[:, :-1]):
+        members = [np.unique(F) for F in members]
+        k = len(members[0])
+        if any(len(F) != k for F in members):
+            raise ValueError("family members must share one size")
+        rows = np.concatenate(members).reshape(len(members), k)
+    if np.count_nonzero(rows.view(np.uint64) >= y_cells.n):  # a negative id reads as past 2^63
+        raise ValueError("family members must be unions of Y-cells")
+    cell = y_cells.owner[rows]
+    key = (cell + len(y_cells) * np.arange(len(members))[:, None]).ravel()  # (member, cell) of every id
+    keys = np.sort(key) if np.count_nonzero(key[1:] < key[:-1]) else key
+    met = keys.searchsorted(key, "right") - keys.searchsorted(key)  # ids of the member in the cell
+    if np.count_nonzero(met != np.bincount(y_cells.owner)[cell.ravel()]):
+        raise ValueError("family members must be unions of Y-cells")
+    return list(rows), k
 
 
 @dataclass
@@ -156,25 +177,41 @@ def _codegree_violation(yrows: np.ndarray, spec: BalanceSpec):
 
     Members overlap, so each distinct y-pair is counted once; the first
     violation is then reported in member order, then cell, then pair order.
+    When the X-cells are word-aligned, one row sweep
+    (``_kernels.and_popcount_segment_max``) gives every y-pair's largest
+    per-cell codegree, in the smallest unsigned dtype that holds a cell's
+    size, with no pair list and no row gather; the members' pair keys are
+    built only when some pair exceeds the bound, to find the first
+    violation, or to find that no member holds an exceeding pair.
+    Otherwise each member's distinct pairs are counted per cell.
     """
     starts, ends, aligned = _cell_segments(spec.x_cells)
     # codeg > (1+alpha)*m/4  <=>  4*codeg*ad > m*(ad + an), all integers
     an, ad = spec.alpha.numerator, spec.alpha.denominator
     lim = spec.m * (ad + an)
+    if aligned:
+        # an integer codegree c exceeds the bound iff c > lim // (4 * ad),
+        # compared in int64 since the bound may not fit the sweep's dtype
+        over = _kernels.and_popcount_segment_max(yrows, starts, ends) > np.int64(lim // (4 * ad))
+        if not over.any():
+            return None
+        n, iu = spec.ny, np.triu_indices(spec.k, k=1)  # members share one size
+        for fi, F in enumerate(spec.family):
+            y, y2 = F[iu[0]], F[iu[1]]
+            first = np.flatnonzero(over[y * (2 * n - y - 1) // 2 + y2 - y - 1])  # index of (y, y2) in triu order
+            if first.size:
+                return f"member={fi} y={int(y[first[0]])} y'={int(y2[first[0]])}"
+        return None
     member_keys = [_member_pair_keys(F, spec.ny) for F in spec.family]
     keys = np.concatenate(member_keys) if member_keys else np.empty(0, dtype=np.int64)
     if len(member_keys) > 1:
         keys = np.unique(keys)
-    cell_rows = None if aligned else [yrows & _kernels.pack_indices(cell, spec.nx)[None, :] for cell in spec.x_cells.cells]
-    bad = np.zeros((len(keys), 1 if aligned else len(cell_rows)), dtype=bool)
+    cell_rows = [yrows & _kernels.pack_indices(cell, spec.nx)[None, :] for cell in spec.x_cells.cells]
+    bad = np.zeros((len(keys), len(cell_rows)), dtype=bool)
     for sl in _kernels.pair_chunks(len(keys), yrows.shape[1]):
         pairs = np.stack([keys[sl] // spec.ny, keys[sl] % spec.ny], axis=1)
-        if aligned:
-            counts = _kernels.and_popcount_pairs_segmented(yrows, pairs, starts, ends)
-            bad[sl, 0] = 4 * counts.max(axis=1) * ad > lim
-        else:
-            for ci, rows in enumerate(cell_rows):
-                bad[sl, ci] = 4 * _kernels.and_popcount_pairs(rows, pairs) * ad > lim
+        for ci, rows in enumerate(cell_rows):
+            bad[sl, ci] = 4 * _kernels.and_popcount_pairs(rows, pairs) * ad > lim
     if not bad.any():
         return None
     for fi, mk in enumerate(member_keys):
@@ -183,8 +220,7 @@ def _codegree_violation(yrows: np.ndarray, spec: BalanceSpec):
             first = np.flatnonzero(hit[:, ci])
             if first.size:
                 y, y2 = divmod(int(mk[first[0]]), spec.ny)
-                where = "" if aligned else f" X-cell={ci}"
-                return f"member={fi}{where} y={y} y'={y2}"
+                return f"member={fi} X-cell={ci} y={y} y'={y2}"
     return None
 
 

@@ -1263,19 +1263,23 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         levels[lvl] = r_owner, ~(keep[q_owner] & (r_owner == (pair[first] % k)[q_owner]))
 
     def by_cluster(x, r_owner, dtype):
-        """The sums of the columns of x over each cluster of r_owner."""
+        """The sums of the columns of x over each cluster of r_owner.  Every
+        cluster size is a multiple of their gcd g, so the columns in cluster
+        order are summed in blocks of g by g strided adds; clusters of
+        unequal sizes then take one running sum over the blocks, differenced
+        at the cluster bounds."""
         size = np.bincount(r_owner)
-        w = int(size[0])
-        if np.any(size != w):
-            return np.add.reduceat(x[:, np.argsort(r_owner, kind="stable")], np.cumsum(size) - size, axis=1, dtype=dtype)
-        # clusters of w columns each: w strided adds over the columns in
-        # cluster order, which they already are when clusters are runs
-        if not np.array_equal(r_owner, np.arange(n_right) // w):
-            x = x[:, np.argsort(r_owner, kind="stable")]
-        parts = x.reshape(len(x), size.size, w)
-        out = parts[:, :, 0].astype(dtype, copy=w > 1)  # w = 1: the columns are the sums
-        for j in range(1, w):
+        g = int(np.gcd.reduce(size))
+        if np.any(r_owner[1:] < r_owner[:-1]):  # the clusters are not runs in order
+            x = np.take(x, np.argsort(r_owner, kind="stable"), axis=1)
+        parts = x.reshape(len(x), -1, g)
+        out = parts[:, :, 0].astype(dtype, copy=g > 1)  # g = 1: the columns are the blocks
+        for j in range(1, g):
             out += parts[:, :, j]
+        if np.any(size != g):
+            run = np.cumsum(out, axis=1, out=np.empty(out.shape, dtype=dtype))
+            out = np.take(run, np.cumsum(size // g) - 1, axis=1)
+            out[:, 1:] -= out[:, :-1]  # numpy buffers the overlap: each bound minus the one before
         return out
 
     # entry cells must be disjoint: an entry overlaps when an id of its P is

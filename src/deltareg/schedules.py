@@ -158,10 +158,10 @@ class DeskSchedule:
         return num // log_next
 
     def a(self, k: int, j: int) -> int:
-        return int(self.a_maps[k][j - 1])
+        return _desk_entry(self.a_maps[k], f"A_{k}", j)
 
     def a_star(self, k: int, j: int) -> int:
-        return int(self.a_star_maps[k][j - 1])
+        return _desk_entry(self.a_star_maps[k], f"A_{k}*", j)
 
     def m(self, k: int, s: int) -> int:
         """Chain depth the recursion actually consumes."""
@@ -193,6 +193,13 @@ class DeskSchedule:
             delta_overrides={int(k): Fraction(v) for k, v in d.get("delta_overrides", {}).items()},
             violations=tuple(d.get("violations", ())),
         )
+
+
+def _desk_entry(table, name: str, j: int) -> int:
+    """Entry j of a 1-indexed desk table, refused outside 1..len."""
+    if not (1 <= j <= len(table)):
+        raise ValueError(f"{name}({j}) outside the desk table")
+    return int(table[j - 1])
 
 
 def desk_schedule_k3(s: int = 2) -> DeskSchedule:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from deltareg import _kernels
 from deltareg import balanced as B
@@ -315,3 +316,86 @@ def test_deduplicated_codegree_check_reports_the_per_member_first_violation(alig
         assert got == _first_codegree_violation_per_member(bg.graph, spec, aligned)
         if alpha == 1:
             assert got is None  # degrees are m/2, so no codegree exceeds m/2
+
+
+def test_codegree_bound_ignores_an_over_bound_pair_outside_every_member():
+    """Aligned X-cells (two of 64), bound (1+0)/4 * 64 = 16.  Y-rows 4 and
+    5 are equal and half full, so their codegree 32 in each cell is over
+    the bound; rows 0..3 meet in no X-vertex.  The row sweep sees the pair
+    (4, 5), but no member holds it, so (iii) holds; with a member on
+    4..7 it is that member's first violation."""
+    yrows = _kernels.zero_rows(8, 128)
+    for y in range(4):
+        _kernels.set_bits(yrows, y, np.r_[8 * y : 8 * y + 8, 64 + 8 * y : 64 + 8 * y + 8])
+    _kernels.set_bits(yrows, 4, np.r_[0:32, 64:96])
+    yrows[5] = yrows[4]
+
+    def spec(family):
+        return B.BalanceSpec(VertexPartition.blocks(128, 2), VertexPartition.blocks(8, 4), family, Fraction(0), Fraction(1, 2))
+
+    lone = spec([np.arange(4)])
+    assert B._cell_segments(lone.x_cells)[2]
+    starts, ends, _ = B._cell_segments(lone.x_cells)
+    worst = _kernels.and_popcount_segment_max(yrows, starts, ends)
+    pairs = list(zip(*np.triu_indices(8, k=1)))
+    assert [pairs[i] for i in np.flatnonzero(worst > 16)] == [(4, 5)]
+    assert B._codegree_violation(yrows, lone) is None
+    assert B._codegree_violation(yrows, spec([np.arange(4), np.arange(4, 8)])) == "member=1 y=4 y'=5"
+
+
+def _reference_family(family, y_cells):
+    """The per-member family check: each member deduplicated by np.unique,
+    one size, and each a union of the Y-cells it meets; "size" or "union"
+    for the first check that fails."""
+    fam = [np.unique(np.asarray(F, dtype=np.int64)) for F in family]
+    if len({len(F) for F in fam}) > 1:
+        return "size"
+    for F in fam:
+        if F.size and (F[0] < 0 or F[-1] >= y_cells.n):
+            return "union"
+        cells = {y_cells.cell_of(int(y)) for y in F}
+        if sorted(v for c in cells for v in y_cells.cells[c].tolist()) != F.tolist():
+            return "union"
+    return [F.tolist() for F in fam]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scattered=st.booleans(),
+    members=st.integers(0, 5),
+    edit=st.sampled_from(["none", "shuffle", "repeat", "drop", "stray", "negative", "past-end", "unequal"]),
+)
+def test_family_check_matches_the_per_member_reference(seed, scattered, members, edit):
+    """Members drawn as unions of two Y-cells of 2 (blocks or scattered
+    cells), then one edit: shuffled or repeated ids keep the member valid;
+    a dropped id, a stray id of another cell, an id below 0 or past the end,
+    or one member of another size does not."""
+    rng = np.random.default_rng(seed)
+    ny = 12
+    order = rng.permutation(ny) if scattered else np.arange(ny)
+    y_cells = VertexPartition(ny, [np.sort(order[i : i + 2]) for i in range(0, ny, 2)])
+    family = [np.concatenate([y_cells.cells[c] for c in rng.choice(len(y_cells), 2, replace=False)]) for _ in range(members)]
+    if family and edit != "none":
+        F = family[rng.integers(len(family))]
+        others = np.setdiff1d(np.arange(ny), F)
+        F = {
+            "shuffle": rng.permutation(F),
+            "repeat": np.append(F, F[0]),
+            "drop": F[1:],
+            "stray": np.append(F[1:], others[0]),
+            "negative": np.append(F[1:], -1),
+            "past-end": np.append(F[1:], ny),
+            "unequal": np.concatenate([F, y_cells.cells[y_cells.cell_of(int(others[0]))]]),
+        }[edit]
+        family[0] = F
+    expected = _reference_family(family, y_cells)
+    spec = lambda: B.BalanceSpec(VertexPartition.blocks(4, 1), y_cells, family, 1, 1)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match="share one size" if expected == "size" else "unions of Y-cells"):
+            spec()
+    else:
+        got = spec()
+        assert [F.tolist() for F in got.family] == expected
+        assert all(F.dtype == np.int64 for F in got.family)
+        assert got.k == (len(expected[0]) if expected else 0)

@@ -232,6 +232,20 @@ def test_hypergraph_k_outside_the_schedule_exits_2_before_reading_a_window(hyper
     assert re.search(r"^error: ", capsys.readouterr().err, re.M)
 
 
+@pytest.mark.parametrize("s", [0, 5])
+def test_hypergraph_s_outside_the_schedule_exits_2(hypergraph_artifact, tmp_path, capsys, s):
+    """An s outside the recorded schedule's tables (A_3* holds s = 1 and 2)
+    is a usage error naming the entry: exit 2 with an error line, never an
+    IndexError, and never a wrapped read of the last entry."""
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    meta = json.loads((d / "instance.json").read_text())
+    (d / "instance.json").write_text(json.dumps({**meta, "s": s}))
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
+    assert re.search(rf"^error: .*A_3\*\({s}\) outside the desk table", capsys.readouterr().err, re.M)
+
+
 def _numpy_memory_error():
     from numpy._core._exceptions import _ArrayMemoryError
 

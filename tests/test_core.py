@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from deltareg import core as C
-from deltareg.graphs import BipartiteGraph, VertexClass, edges_between, unpack_row
+from deltareg.graphs import BipartiteGraph, VertexClass, bipartite_to_binary, edges_between, unpack_row
 from deltareg.partitions import VertexPartition
 
 
@@ -1096,6 +1096,53 @@ def desk_seq():
     return C.build_core_sequence(C.GrowthProfile.from_json(profile), seed=1)
 
 
+# SHA-256 of bipartite_to_binary of every quotient, keyed (level, member), and
+# of every balanced graph Gamma, keyed (level, parent member), of the desk
+# chain at seed 1, with each Gamma draw count and (ii)/(iii) rejections
+DESK_SEED_1_QUOTIENTS = {
+    (0, 0): "63889e9b2de106a21d60c291552c16efb887aefbe70edc2c2ba95999f90cee7f",
+    (1, 0): "d9c1138dd4638ae4292d7d19af962761ac328ec579ea0aafc520bdcdc7e8a8b9",
+    (1, 1): "51273c320d257885f2ba46c7513ff2c9da0137e74cd25e4a6e79f9b6afe241a8",
+    (2, 0): "d9e1f466066518dedfe5e444cb107461d77ca60c8b57d72a057e836c79df6c9f",
+    (2, 1): "ecfde6776eb021b1ff9786226799b4b84dcca04e65edb4321f8522958de03786",
+    (2, 2): "9e557aed3a822500f82500b6a4a467f25f5abdade698cd51b2e61a435266e1e0",
+    (2, 3): "f09046bba7f1ded470ab473dd78d7a576d10486481e075fda932c1437e0dbe8f",
+    (3, 0): "a825e826cd70ba242250819e4f71d9bc363562f5ffc332446e11b76ad80608b8",
+    (3, 1): "86e5e8f33d80aeaa33396d304067d409a301d120a0ab6a083fd21df9576a12f4",
+    (3, 2): "ded8a3543bc0a71b64681a5bb665ea55292d0cb99394b5bb41ad75362e3392ce",
+    (3, 3): "ea771a966495d8e2e281944982f1cede0d6cf487ca4b1ec24d6d31b7ec6740d1",
+    (3, 4): "1efc30a580e69d104ec5b60183cd4b5108b41e42799f1d46222fed9b783ed092",
+    (3, 5): "ee37a72d00fc57b0699112212281a4a18c548963aae7681b0746df58c2378ff2",
+    (3, 6): "fa5f0868cda2a75cfe43073d402b02be38bb7616e173e01d211ae1f1bab6cad7",
+    (3, 7): "f391914a6e40d9a665c91d5aa47f4d5257e49c92418c33eb3ab746f2d7fada72",
+}
+DESK_SEED_1_GAMMAS = {
+    (1, 0): ("5b07f55897094e474769903715d6df6ff36c47ae90939ac58454f3b695abcfd7", 1, {"ii": 0, "iii": 0}),
+    (2, 0): ("195cc3a3040c34de107a5cdae4a3aa3990e4deaa58af687bd491f2e22e31b424", 3, {"ii": 0, "iii": 2}),
+    (2, 1): ("acc678a38baa2f887cf492ccf5c17f450f733f0b0c1d0e443787c95dca09babe", 1, {"ii": 0, "iii": 0}),
+    (3, 0): ("43f40368751cc62019f3b478a15ca19f04a9ed7d1d11de7d61fcaf5b4387cd41", 1, {"ii": 0, "iii": 0}),
+    (3, 1): ("e66ecc3c999cee5f57235c0216be3b8bc7848b4371c7e35a599bfd7dc10a4782", 1, {"ii": 0, "iii": 0}),
+    (3, 2): ("db7b2130dca7df584eb4a52057db846865a96cff700a97a7c8f3db6a8ff32550", 1, {"ii": 0, "iii": 0}),
+    (3, 3): ("f376c7f44a57879da531d0f7afa26ae7b864bf09c65d868f7b894a834692cbe4", 1, {"ii": 0, "iii": 0}),
+}
+
+
+def test_desk_build_is_pinned_at_seed_1(desk_seq):
+    """Every quotient and every Gamma of the desk chain at seed 1, byte for
+    byte, and every Gamma's draws and rejections: a change to the seed
+    stream or to any accept or reject decision of the sampler shows here.
+    Level (2, 0) takes three draws, two of them rejected on (iii)."""
+    import hashlib
+
+    def sha(g):
+        return hashlib.sha256(bipartite_to_binary(g)).hexdigest()
+
+    quotients = {(i, m.index): sha(m.quotient) for i, level in enumerate(desk_seq.members) for m in level}
+    assert quotients == DESK_SEED_1_QUOTIENTS
+    gammas = {key: (sha(rec["balanced"].graph), rec["telemetry"]["draws"], rec["telemetry"]["failures"]) for key, rec in desk_seq.gamma_records.items()}
+    assert gammas == DESK_SEED_1_GAMMAS
+
+
 def _with_quotient(seq, level, member, rows):
     """A copy of the chain whose (level, member) quotient has these rows;
     the copy materializes its member graphs afresh."""
@@ -1222,6 +1269,39 @@ def test_codegree_check_counts_pairs_once_per_chunk(desk_seq, monkeypatch):
     monkeypatch.setattr(C, "_FAMILY_CHUNK", 1)
     assert C.verify_core_properties(seq, 3, member=2) == full
     assert len(calls) == 256 and set(calls) == {32 * 31 // 2}
+
+
+def test_recheck_of_a_desk_certificate_with_two_level_3_cells_merged(desk_seq):
+    """Clusters of unequal sizes at desk scale: the first two level-3
+    cells of a level-3 certificate merged into one cluster of 2 among
+    singletons, and the Q cells coarsened to the level-2 right cells, so
+    that no Q cell lies inside a cluster and every line's correction is its
+    e(P, R).  The lines on the first two clusters are resealed, so they
+    pass only if the re-check sums each cluster's columns exactly; the
+    lines on the last index, now past the last cell, fail, and so do the
+    other lines, whose corrections changed with Q.  The report is the
+    per-line reference's."""
+    g = desk_seq.member_graph(3, 0)
+    P, Q = desk_seq.left_parts(2), desk_seq.right_parts(3)
+    cert = C.refute_partition(desk_seq, 3, 0, P, Q, Fraction(1, 1 << 14), 3, gamma=Fraction(1, 4))
+    cert = C.IrregularityCertificate.from_text(cert.to_text())
+    assert C.reverify_certificate(cert, g)["ok"]
+    cells = cert.r_level_cells[3]
+    cert.r_level_cells[3] = [np.sort(np.concatenate(cells[:2])), *cells[2:]]
+    cert.q_cells = list(desk_seq.right_parts(2).cells)
+    resealed = []
+    for k, e in enumerate(cert.entries):
+        for j, ln in enumerate(e.lines):
+            if ln.cluster in (0, 1):
+                _reseal(cert, g, k, j)
+                resealed.append(("line", k, ln.cluster))
+    assert any(c == 0 for _, _, c in resealed) and any(c == 1 for _, _, c in resealed)
+    rep = C.reverify_certificate(cert, g)
+    assert rep == _reference_reverify(cert, g)
+    line_failures = [f for f in rep["failures"] if f[0] == "line"]
+    assert not set(resealed) & set(line_failures)
+    assert any(c == 127 for _, _, c in line_failures)
+    assert rep["lines_checked"] > len(line_failures) > 0
 
 
 def test_core_suites_do_not_call_neighbor_family(small_seq, tmp_path, monkeypatch):

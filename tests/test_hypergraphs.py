@@ -63,6 +63,14 @@ def test_schedule_eval_dispatch():
         S.schedule_eval(d, "nope", 1)
 
 
+@pytest.mark.parametrize("which, j", [("a", 0), ("a", 3), ("a*", 0), ("a*", 3)])
+def test_desk_index_maps_refuse_entries_outside_the_table(which, j):
+    """A_3 and A_3* hold j = 1 and 2: j = 0 must not wrap to the last entry,
+    and j = 3 must not raise IndexError."""
+    with pytest.raises(ValueError, match="outside the desk table"):
+        S.schedule_eval(S.desk_schedule_k3(), which, 3, j)
+
+
 @pytest.fixture(scope="module")
 def k3_family():
     sched = S.desk_schedule_k3()

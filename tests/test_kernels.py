@@ -5,6 +5,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deltareg import _kernels as K
 
@@ -70,6 +71,63 @@ def test_segmented_pairs_agree(rows):
     got = K.and_popcount_pairs_segmented(rows, pairs, starts, ends)
     # the segments tile the words, so they sum to the whole-row count
     assert got.sum(axis=1).tolist() == [_ones(rows[i] & rows[j]) for i, j in pairs]
+
+
+def _segment_max_reference(rows, starts, ends):
+    """Every pair's largest segment count, from the gathering pair kernel."""
+    iu = np.triu_indices(len(rows), k=1)
+    pairs = np.stack(iu, axis=1).astype(np.int64)
+    counts = K.and_popcount_pairs_segmented(rows, pairs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
+    return counts.max(axis=1, initial=0).tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_y=st.integers(1, 9),
+    words=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    tile=st.none() | st.tuples(st.integers(1, 6), st.integers(0, 5)),
+    segs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=4),
+    chunk_words=st.sampled_from([K._CHUNK_WORDS, 1, 5]),
+)
+@example(n_y=1, words=2, seed=0, density=0.5, tile=(1, 0), segs=[], chunk_words=K._CHUNK_WORDS)
+@example(n_y=2, words=2, seed=0, density=1.0, tile=(1, 0), segs=[], chunk_words=K._CHUNK_WORDS)
+@example(n_y=2, words=3, seed=1, density=0.5, tile=None, segs=[(0, 2), (1, 3)], chunk_words=1)
+def test_segment_max_matches_the_pair_kernel_on_every_pair(n_y, words, seed, density, tile, segs, chunk_words):
+    """The row sweep against the gathering kernel on the list of every
+    pair i < j: tiled segments (one width, from any start word), ragged or
+    overlapping ones, none, and partner blocks cut into chunks."""
+    if tile is not None and (words - tile[1]) // tile[0] >= 1:
+        w, s0 = tile
+        starts = [s0 + w * i for i in range((words - s0) // w)]
+        ends = [a + w for a in starts]
+    else:
+        starts = [min(a, b, words) for a, b in segs]
+        ends = [min(max(a, b), words) for a, b in segs]
+    bits = np.random.default_rng(seed).random((n_y, 64 * words)) < density
+    rows = K.pack_rows(bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "_CHUNK_WORDS", chunk_words)
+        got = K.and_popcount_segment_max(rows, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
+    widest = max([e - a for a, e in zip(starts, ends)], default=0)
+    assert got.dtype == np.min_scalar_type(64 * widest)
+    assert got.tolist() == _segment_max_reference(rows, starts, ends)
+
+
+@pytest.mark.parametrize(
+    "n_y, width, segments, dtype",
+    [(5, 4, 3, np.uint16), (3, 1024, 1, np.uint32)],
+    ids=["256-past-uint8", "65536-past-uint16"],
+)
+def test_segment_max_holds_full_segments_past_the_narrower_dtype(n_y, width, segments, dtype):
+    """All-ones rows: every pair's count is the full segment, 64 * width
+    bits, one past the largest value of the next narrower dtype."""
+    rows = K.complement_rows(K.zero_rows(n_y, 64 * width * segments), 64 * width * segments)
+    starts = width * np.arange(segments, dtype=np.int64)
+    got = K.and_popcount_segment_max(rows, starts, starts + width)
+    assert got.dtype == dtype
+    assert got.tolist() == [64 * width] * (n_y * (n_y - 1) // 2)
 
 
 def test_masked_degrees_agree(rows):
