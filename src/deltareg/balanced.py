@@ -64,30 +64,30 @@ def _checked_family(family, y_cells: VertexPartition) -> tuple:
     """The members as sorted int64 arrays of distinct Y ids, rows of one
     array, and their common size.  Raises ValueError unless the members
     share one size and each is a union of Y-cells: every Y-cell a member
-    meets has all of its ids in the member.  The checks see all members at
-    once; only members that are not already sorted sets of one size are
-    sorted and deduplicated one by one, and (member, cell) keys already in
-    order skip their sort."""
+    meets has all of its ids in the member.  All members are checked at
+    once: one sort orders the ids within each member and drops repeats,
+    and the union check counts every (member, cell) key against the cell's
+    size."""
     members = [np.asarray(F, dtype=np.int64).ravel() for F in family]
     if not members:
         return [], 0
-    flat, k = np.concatenate(members), len(members[0])
-    rows = flat.reshape(len(members), k) if all(len(F) == k for F in members) else None
-    if rows is None or np.count_nonzero(rows[:, 1:] <= rows[:, :-1]):
-        members = [np.unique(F) for F in members]
-        k = len(members[0])
-        if any(len(F) != k for F in members):
-            raise ValueError("family members must share one size")
-        rows = np.concatenate(members).reshape(len(members), k)
-    if np.count_nonzero(rows.view(np.uint64) >= y_cells.n):  # a negative id reads as past 2^63
+    member = np.repeat(np.arange(len(members)), [len(F) for F in members])  # member of every id
+    flat = np.concatenate(members)
+    order = np.lexsort((flat, member))
+    flat, member = flat[order], member[order]
+    fresh = np.ones(len(flat), dtype=bool)
+    fresh[1:] = (flat[1:] != flat[:-1]) | (member[1:] != member[:-1])
+    flat, member = flat[fresh], member[fresh]
+    sizes = np.bincount(member, minlength=len(members))
+    if np.count_nonzero(sizes != sizes[0]):
+        raise ValueError("family members must share one size")
+    if np.count_nonzero(flat.view(np.uint64) >= y_cells.n):  # a negative id reads as past 2^63
         raise ValueError("family members must be unions of Y-cells")
-    cell = y_cells.owner[rows]
-    key = (cell + len(y_cells) * np.arange(len(members))[:, None]).ravel()  # (member, cell) of every id
-    keys = np.sort(key) if np.count_nonzero(key[1:] < key[:-1]) else key
-    met = keys.searchsorted(key, "right") - keys.searchsorted(key)  # ids of the member in the cell
-    if np.count_nonzero(met != np.bincount(y_cells.owner)[cell.ravel()]):
+    cell = y_cells.owner[flat]
+    key = cell + len(y_cells) * member  # (member, cell) of every id
+    if np.count_nonzero(np.bincount(key)[key] != np.bincount(y_cells.owner)[cell]):
         raise ValueError("family members must be unions of Y-cells")
-    return list(rows), k
+    return list(flat.reshape(len(members), int(sizes[0]))), int(sizes[0])
 
 
 @dataclass

@@ -145,9 +145,7 @@ class DeskSchedule:
                 raise ValueError("part counts must be monotone")
 
     def t(self, i: int) -> int:
-        if not (1 <= i <= len(self.t_values)):
-            raise ValueError(f"t({i}) outside the desk table")
-        return self.t_values[i - 1]
+        return _desk_entry(self.t_values, "t", i)
 
     def e(self, i: int) -> int:
         """Divisor reproducing t(i+1) = 2^(t(i)/e(i)); needs both levels."""
