@@ -303,9 +303,10 @@ def sample_balanced(
             # per-cell rng.permutation loop
             picks = rng.permuted(np.broadcast_to(x_cells, (len(firsts),) + x_cells.shape), axis=-1)
             picks = picks[:, :, : x_cells.shape[1] // 2].reshape(len(firsts), -1)
-            bits = np.zeros((len(firsts), spec.nx), dtype=bool)
-            np.put_along_axis(bits, picks, True, axis=1)
-            yrows[firsts] = _kernels.pack_rows(bits)
+            # one flat-index assignment sets every picked bit of the half
+            bits = np.zeros(len(firsts) * spec.nx, dtype=bool)
+            bits[(picks + spec.nx * np.arange(len(firsts))[:, None]).ravel()] = True
+            yrows[firsts] = _kernels.pack_rows(bits.reshape(len(firsts), spec.nx))
             yrows[seconds] = _kernels.complement_rows(yrows[firsts], spec.nx)
         graph = _from_y_major(yrows, spec)
         forced = verify_balanced(graph, spec, conditions=("i", "iv"))

@@ -345,13 +345,23 @@ def _expand_quotient(q: BipartiteGraph, lparent, rparent, l_new, r_new) -> Bipar
 def verify_structure(seq: CoreSequence) -> dict:
     """Exact recount of the four structural invariants: dyadic densities,
     two-child chain splits, zero/one block densities, neighbor-family
-    cardinalities."""
+    cardinalities.
+
+    Density and the chain split are decided on the stored quotients.  A
+    level-j member's vertex graph is its quotient q blown up,
+    g[u, v] = q[c(u), c(v)] with c the level-j cluster of a vertex and every
+    cluster non-empty, so its edge count is the sum of q[a, b] |a| |b|, and
+    two children split their parent's vertex graph exactly when their
+    quotients are disjoint and their union is the parent's quotient expanded
+    to level j (the load checks that level j refines level j - 1).  Blocks
+    are recounted on the vertex graph, at the levels where a block holds
+    more than one vertex pair."""
     prof = seq.profile
     nl, nr = seq.n_left, seq.n_right
     report = {"density": True, "chain": True, "blocks": True, "families": True, "failures": []}
     for j in range(1, prof.s + 1):
         lp, rp = seq.left_parts(j), seq.right_parts(j)
-        lsz, rsz = np.bincount(lp.owner, minlength=len(lp)), np.bincount(rp.owner, minlength=len(rp))
+        lsz, rsz = _cluster_sizes(seq, j)
         # block sizes in a dtype that holds them, whatever the observed sums;
         # a block of one vertex pair is complete or empty, so only larger
         # blocks are recounted
@@ -360,23 +370,21 @@ def verify_structure(seq: CoreSequence) -> dict:
         full = lsz.astype(dtype)[:, None] * rsz.astype(dtype)
         area = nl * nr
         for m in seq.members[j]:
-            g = seq.member_graph(j, m.index)
-            if g.edge_count() * (1 << j) != area:
+            if int(lsz @ _cluster_degrees(m.quotient, rsz)) * (1 << j) != area:
                 report["density"] = False
                 report["failures"].append(("density", j, m.index))
             if largest < 2:
                 continue
-            D = _block_degree_matrix(g, lp, rp)
+            D = _block_degree_matrix(seq.member_graph(j, m.index), lp, rp)
             mixed = (D != 0) & (D != full)
             if mixed.any():
                 report["blocks"] = False
                 for a, b in np.argwhere(mixed)[:8]:
                     report["failures"].append(("block", j, m.index, int(a), int(b)))
-        for idx in range(len(seq.members[j - 1])):
-            gparent = seq.member_graph(j - 1, idx)
-            c1 = seq.member_graph(j, 2 * idx)
-            c2 = seq.member_graph(j, 2 * idx + 1)
-            if np.any(c1.rows & c2.rows) or not np.array_equal(c1.rows | c2.rows, gparent.rows):
+        for idx, parent in enumerate(seq.members[j - 1]):
+            expand = _expand_quotient(parent.quotient, seq.lparent[j - 1], seq.rparent[j - 1], prof.l_sizes[j - 1], prof.r_sizes[j - 1])
+            c1, c2 = seq.members[j][2 * idx].quotient.rows, seq.members[j][2 * idx + 1].quotient.rows
+            if np.any(c1 & c2) or not np.array_equal(c1 | c2, expand.rows):
                 report["chain"] = False
                 report["failures"].append(("chain", j, idx))
     for i in range(1, prof.s + 1):
@@ -387,6 +395,25 @@ def verify_structure(seq: CoreSequence) -> dict:
                 report["failures"].append(("family", i, idx, L))
     report["ok"] = all(report[k] for k in ("density", "chain", "blocks", "families"))
     return report
+
+
+def _cluster_sizes(seq: CoreSequence, i: int) -> tuple:
+    """Vertex counts of the level-i left and right clusters; level 0 has one
+    cluster per side."""
+    if i == 0:
+        return np.array([seq.n_left]), np.array([seq.n_right])
+    lp, rp = seq.left_parts(i), seq.right_parts(i)
+    return np.bincount(lp.owner, minlength=len(lp)), np.bincount(rp.owner, minlength=len(rp))
+
+
+def _cluster_degrees(q: BipartiteGraph, rsz: np.ndarray) -> np.ndarray:
+    """The vertex degree of every left cluster of q blown up to right
+    clusters of rsz vertices, the sum of q[a, b] |b| over b (int64): one
+    masked popcount per distinct right cluster size."""
+    degs = np.zeros(q.left.size, dtype=np.int64)
+    for s in np.flatnonzero(np.bincount(rsz)).tolist():
+        degs += s * _kernels.masked_degrees(q.rows, _kernels.pack_indices(np.flatnonzero(rsz == s), q.right.size))
+    return degs
 
 
 def _is_block_partition(p: VertexPartition) -> bool:
@@ -413,34 +440,50 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
        left cell stay at or below (1 + alpha_i)/4 of the cell.
 
     Item 2 covers every parent left cell, or only ``left_cluster``.
+
+    Both are decided on the level-i quotient q, so no vertex graph is built.
+    The vertex graph is q blown up, g[u, v] = q[c(u), c(v)], so every vertex
+    of a level-i left cluster a has the degree sum over r in R' of
+    q[a, r] |r| into a parent right cell R', and every vertex of a right
+    cluster b the degree sum over a in L' of q[a, b] |a| into a parent left
+    cell L': cluster-weighted sums over the clusters' parent cells give the
+    vertex degrees exactly.  A failing left cluster is reported once per
+    vertex, as a per-vertex check would.
     """
     parentq = seq.members[i - 1][member // 2].quotient
-    g = seq.member_graph(i, member)
-    lp_prev = seq.left_parts(i - 1) if i >= 2 else VertexPartition.blocks(seq.n_left, 1)
-    rp_prev = seq.right_parts(i - 1) if i >= 2 else VertexPartition.blocks(seq.n_right, 1)
+    q = seq.members[i][member].quotient
+    lsz, rsz = _cluster_sizes(seq, i)
+    lsz_prev, rsz_prev = _cluster_sizes(seq, i - 1)
+    lparent = seq.lparent[i - 1]
     report = {"item1": True, "item2": True, "failures": []}
-    # item 1: the degree of every vertex into every parent cell of the other
-    # side is half that cell where the parent block is present, 0 where it
-    # is absent; the expectations are made per parent block and gathered by
-    # owner
-    par_bits = _kernels.unpack_rows(parentq.rows, parentq.right.size).astype(np.int64)
-    bits = _kernels.unpack_rows(g.rows, seq.n_right)
+    # item 1: the degree of every cluster's vertices into every parent cell
+    # of the other side is half that cell where the parent block is
+    # present, 0 where it is absent; the expectations are made per parent
+    # block and gathered by parent.  The sums run over the transposed
+    # quotient (one row per right cluster, which item 2 reads too), where
+    # both groupings are cheaper than on the taller quotient
+    par_bits = _kernels.unpack_rows(parentq.transposed().rows, parentq.left.size).astype(np.int64)
+    tbits = _kernels.unpack_rows(q.transposed().rows, q.left.size)
     deg_into_R, expected = _with_expected(
-        _group_sum(bits, rp_prev, 1), par_bits * (np.bincount(rp_prev.owner, minlength=len(rp_prev)) // 2)
-    )  # (n_left, r_parent) and (l_parent, r_parent)
-    off = deg_into_R != np.take(expected, lp_prev.owner, axis=0)
+        _sized_group_sum(tbits, rsz, seq.y_cells(i), 0), par_bits * (rsz_prev // 2)[:, None]
+    )  # (r_parent, l_i) and (r_parent, l_parent)
+    xs = seq.x_cells(i)
+    if _is_block_partition(xs):  # each parent's clusters are a run: compare without a column gather
+        off = (deg_into_R.reshape(len(expected), len(xs), -1) != expected[:, :, None]).reshape(deg_into_R.shape)
+    else:
+        off = deg_into_R != expected[:, lparent]
     if off.any():
         report["item1"] = False
-        for v, b in np.argwhere(off)[:4]:
-            report["failures"].append(("item1-left", i, member, int(lp_prev.owner[v]), int(b)))
+        owner = seq.left_parts(i).owner
+        for v, b in np.argwhere(off.T[owner])[:4]:
+            report["failures"].append(("item1-left", i, member, int(lparent[owner[v]]), int(b)))
     deg_into_L, expected = _with_expected(
-        _group_sum(bits, lp_prev, 0), par_bits * (np.bincount(lp_prev.owner, minlength=len(lp_prev)) // 2)[:, None]
-    )  # (l_parent, n_right) and (l_parent, r_parent)
-    if not np.array_equal(deg_into_L, np.take(expected, rp_prev.owner, axis=1)):
+        _sized_group_sum(tbits, lsz, xs, 1), par_bits * (lsz_prev // 2)
+    )  # (r_i, l_parent) and (r_parent, l_parent)
+    if not np.array_equal(deg_into_L, expected[seq.rparent[i - 1]]):
         report["item1"] = False
         report["failures"].append(("item1-right", i, member))
-    degs = g.degrees()
-    if np.any(degs * (1 << i) != seq.n_right):
+    if np.any(_cluster_degrees(q, rsz) * (1 << i) != seq.n_right):
         report["item1"] = False
         report["failures"].append(("item1-global-left", i, member))
     for L in _codegree_failures(seq, i, member, left_cluster):
@@ -448,6 +491,15 @@ def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member:
         report["failures"].append(("item2", i, member, L))
     report["ok"] = report["item1"] and report["item2"]
     return report
+
+
+def _sized_group_sum(bits: np.ndarray, sizes: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
+    """``_group_sum`` of a 0/1 cluster matrix with each cluster along the
+    axis weighted by its vertex count."""
+    top = int(sizes.max())
+    if top > 1:
+        bits = bits * np.expand_dims(sizes.astype(np.min_scalar_type(top)), 1 - axis)
+    return _group_sum(bits, p, axis)
 
 
 def _with_expected(sums: np.ndarray, expected: np.ndarray) -> tuple:
@@ -1394,13 +1446,15 @@ def save_core_sequence(seq: CoreSequence, out_dir: str) -> dict:
         "gamma_seeds": {f"{i}/{idx}": rec["seed"] for (i, idx), rec in seq.gamma_records.items()},
         "gamma_telemetry": {f"{i}/{idx}": rec["telemetry"]["draws"] for (i, idx), rec in seq.gamma_records.items()},
         "member_hashes": {},
+        "partition_hashes": {},
     }
-    for i, lp in enumerate(seq.left_chain, start=1):
-        with open(os.path.join(out_dir, f"left-{i}.part"), "w") as f:
-            f.write(lp.to_text())
-    for i, rp in enumerate(seq.right_chain, start=1):
-        with open(os.path.join(out_dir, f"right-{i}.part"), "w") as f:
-            f.write(rp.to_text())
+    for side, chain in (("left", seq.left_chain), ("right", seq.right_chain)):
+        for i, p in enumerate(chain, start=1):
+            name = f"{side}-{i}.part"
+            blob = p.to_text().encode()
+            with open(os.path.join(out_dir, name), "wb") as f:
+                f.write(blob)
+            manifest["partition_hashes"][name] = hashlib.sha256(blob).hexdigest()
     for j in range(1, seq.profile.s + 1):
         for m in seq.members[j]:
             path = os.path.join(out_dir, f"quotient-{j}-{m.index}.bin")
@@ -1421,25 +1475,32 @@ class ArtifactMismatch(ValueError):
     """A file of a core artifact differs from the hash its manifest records."""
 
 
+def _check_hash(name: str, blob: bytes, recorded: str) -> None:
+    if hashlib.sha256(blob).hexdigest() != recorded:
+        raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
+
+
 def load_core_sequence(out_dir: str) -> CoreSequence:
-    """The chain saved in out_dir.  Every quotient file must have the
-    SHA-256 that ``manifest.json`` records for it (``member_hashes``),
-    else ArtifactMismatch naming the file; a file that does not parse
-    raises ValueError first, and so does a quotient whose shape is not the
-    profile's cluster counts at its level."""
+    """The chain saved in out_dir.  Every partition file and every quotient
+    file must have the SHA-256 that ``manifest.json`` records for it
+    (``partition_hashes``, ``member_hashes``), else ArtifactMismatch naming
+    the file; a file that does not parse raises ValueError first, and so
+    does a quotient whose shape is not the profile's cluster counts at its
+    level, or a partition chain in which a level does not refine the one
+    before it."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
     profile = GrowthProfile.from_json(manifest["profile"])
-    nl, nr = manifest["n_left"], manifest["n_right"]
-    left_chain = []
-    for i in range(1, profile.s + 1):
-        with open(os.path.join(out_dir, f"left-{i}.part"), newline="") as f:
-            left_chain.append(VertexPartition.from_text(nl, f.read()))
-    right_chain = []
-    for i in range(1, profile.s + 1):
-        with open(os.path.join(out_dir, f"right-{i}.part"), newline="") as f:
-            right_chain.append(VertexPartition.from_text(nr, f.read()))
-    seq = CoreSequence(profile, left_chain, right_chain, manifest["seed"])
+    chains = {}
+    for side, n in (("left", manifest["n_left"]), ("right", manifest["n_right"])):
+        chains[side] = []
+        for i in range(1, profile.s + 1):
+            name = f"{side}-{i}.part"
+            with open(os.path.join(out_dir, name), "rb") as f:
+                blob = f.read()
+            chains[side].append(VertexPartition.from_text(n, blob.decode()))
+            _check_hash(name, blob, manifest["partition_hashes"][name])
+    seq = CoreSequence(profile, chains["left"], chains["right"], manifest["seed"])
     for j in range(1, profile.s + 1):
         members = []
         for idx in range(1 << j):
@@ -1447,8 +1508,7 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
             with open(os.path.join(out_dir, name), "rb") as f:
                 blob = f.read()
             q = bipartite_from_binary(blob)
-            if hashlib.sha256(blob).hexdigest() != manifest["member_hashes"][f"{j}/{idx}"]:
-                raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
+            _check_hash(name, blob, manifest["member_hashes"][f"{j}/{idx}"])
             if (q.left.size, q.right.size) != (profile.l_sizes[j - 1], profile.r_sizes[j - 1]):
                 raise ValueError(f"{name} is a {q.left.size} x {q.right.size} quotient, not {profile.l_sizes[j - 1]} x {profile.r_sizes[j - 1]}")
             members.append(CoreMember(level=j, index=idx, quotient=q, parent=idx // 2))

@@ -452,6 +452,48 @@ def test_swapped_quotients_fail_the_core_suites_and_certify(certified_artifact, 
     assert not (tmp_path / "certificate.txt").exists()
 
 
+def test_a_different_refining_partition_fails_the_core_suites_and_certify(certified_artifact, tmp_path, capsys):
+    """left-2.part with two vertices of one level-1 cell swapped between
+    their level-2 clusters: well-formed and still refining left-1.part, so
+    it loads as a chain, but it is not the file the manifest hashed.  The
+    quotient-level claims take their cluster sizes from these files, so
+    both core suites and certify exit 1 and name the file."""
+    from deltareg import core as C
+    from deltareg.partitions import VertexPartition
+
+    art = tmp_path / "art"
+    shutil.copytree(certified_artifact, art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    assert sorted(manifest["partition_hashes"]) == ["left-1.part", "left-2.part", "right-1.part", "right-2.part"]
+    seq = C.load_core_sequence(str(art))
+    lp1, lp2 = seq.left_parts(1), seq.left_parts(2)
+    a, b = (int(k) for k in np.flatnonzero(seq.lparent[1] == 0)[:2])
+    cells = [c.copy() for c in lp2.cells]
+    cells[a][0], cells[b][0] = cells[b][0], cells[a][0]
+    swapped = VertexPartition(seq.n_left, cells)
+    assert not np.array_equal(swapped.owner, lp2.owner)
+    assert C._parent_map(swapped, lp1).size == len(lp2)  # still refines level 1
+    (art / "left-2.part").write_text(swapped.to_text())
+    with pytest.raises(C.ArtifactMismatch, match="left-2.part"):
+        C.load_core_sequence(str(art))
+    capsys.readouterr()
+    for suite in ("core-structural", "core-properties"):
+        assert main(["verify", "--artifact", str(art), "--suite", suite]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] member-hashes: left-2.part does not match its hash in manifest.json" in out
+        assert "suite FAIL" in out
+    parts = certified_artifact.parent
+    rc = main([
+        "certify", "--artifact", str(art),
+        "--left-partition", str(parts / "P.part"), "--right-partition", str(parts / "Q.part"),
+        "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+        "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+    ])
+    assert rc == 1
+    assert "left-2.part does not match its hash" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
 def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
     """A level-1 quotient with one left cluster too few, its hash recorded
     in the manifest: a malformed artifact (exit 2), not a traceback."""

@@ -1191,6 +1191,70 @@ def test_core_reports_match_the_per_cluster_reference_on_small_seq(small_seq):
     assert C.verify_structure(small_seq) == _reference_structure(small_seq)
 
 
+def _scattered_chain(counts, sizes, rng):
+    """A nested chain with counts[i] cells at level i + 1, whose last-level
+    cells have the given vertex counts: vertex ids are shuffled, so no cell
+    is a run of consecutive ids, and the children of each cell are a
+    shuffled choice of the next level's cells."""
+    n = int(sizes.sum())
+    owner = np.empty(n, dtype=np.int64)
+    owner[rng.permutation(n)] = np.repeat(np.arange(sizes.size), sizes)
+    chain = []
+    for i in range(len(counts) - 1, -1, -1):
+        chain.insert(0, VertexPartition(n, [np.flatnonzero(owner == c) for c in range(counts[i])]))
+        if i:
+            owner = (rng.permutation(counts[i]) % counts[i - 1])[owner]
+    return chain
+
+
+@pytest.fixture(scope="module", params=["equal", "unequal"])
+def scattered_seq(request):
+    """The small profile built on scattered chains, with clusters of two
+    vertices each, or of one to three vertices."""
+    prof = C.GrowthProfile(s=2, r_sizes=[8, 32], l_sizes=[16, 256], alpha=Fraction(3, 4), beta=Fraction(1, 2))
+    rng = np.random.default_rng(8)
+    sizes = {"equal": lambda k: np.full(k, 2), "unequal": lambda k: rng.integers(1, 4, size=k)}[request.param]
+    left = _scattered_chain(prof.l_sizes, sizes(prof.l_sizes[-1]), rng)
+    right = _scattered_chain(prof.r_sizes, sizes(prof.r_sizes[-1]), rng)
+    return request.param, C.build_core_sequence(prof, seed=3, left_chain=left, right_chain=right)
+
+
+def test_core_reports_match_the_reference_off_the_block_layout(scattered_seq):
+    """Shuffled, non-contiguous clusters: with equal sizes every claim
+    holds; with unequal sizes the halves of a block differ in vertex count,
+    so item 1 and the density fail, and every report, its per-vertex
+    item1-left lines included, is the vertex-level reference's."""
+    kind, seq = scattered_seq
+    assert not any(C._is_block_partition(p) for p in seq.left_chain + seq.right_chain)
+    assert not C._is_block_partition(seq.x_cells(2)) and not C._is_block_partition(seq.y_cells(2))
+    rep = C.verify_structure(seq)
+    assert rep == _reference_structure(seq)
+    _assert_core_reports_match(seq, left_clusters=(0, 5, 15))
+    props = [C.verify_core_properties(seq, i, member=m) for i in (1, 2) for m in range(1 << i)]
+    for j in (1, 2):
+        lsz, rsz = C._cluster_sizes(seq, j)
+        for m in seq.members[j]:
+            g = seq.member_graph(j, m.index)
+            degs = C._cluster_degrees(m.quotient, rsz)
+            assert np.array_equal(degs[seq.left_parts(j).owner], g.degrees()) and int(lsz @ degs) == g.edge_count()
+    if kind == "equal":
+        assert rep["ok"] and all(p["ok"] for p in props)
+    else:
+        assert not rep["density"] and rep["chain"] and rep["blocks"] and rep["families"]
+        assert any(f[0] == "item1-left" for p in props for f in p["failures"])
+
+
+@pytest.mark.parametrize("level,member,row,col", [(1, 1, 3, 2), (2, 2, 200, 30), (2, 0, 255, 31)])
+def test_flipped_bit_off_the_block_layout_reports_match_the_reference(scattered_seq, level, member, row, col):
+    _, seq = scattered_seq
+    seq = _flip(seq, level, member, row, col)
+    rep = C.verify_structure(seq)
+    assert not rep["chain"] and rep == _reference_structure(seq)
+    children = [(level + 1, 2 * member), (level + 1, 2 * member + 1)] if level < seq.profile.s else []
+    _assert_core_reports_match(seq, [(level, member)] + children, left_clusters=(0, row, int(seq.lparent[level - 1][row])))
+    assert not C.verify_core_properties(seq, level, member=member)["item1"]
+
+
 def test_core_reports_match_the_per_cluster_reference_on_families_of_two():
     """Level-2 families of two clusters: one pair per parent cell, and a
     planted codegree violation in one cell."""
@@ -1208,8 +1272,7 @@ def test_item1_expectations_beyond_the_sums_dtype():
     sums are all 0 (uint8), the expected 256 must not wrap to 0."""
     prof = C.GrowthProfile(s=1, r_sizes=[8], l_sizes=[16], blowup_right=64, alpha=Fraction(3, 4), beta=Fraction(1, 2))
     seq = C.build_core_sequence(prof, seed=0)
-    g = seq.member_graph(1, 0)
-    seq._materialized[(1, 0)] = BipartiteGraph(g.left, g.right, np.zeros_like(g.rows))
+    seq = _with_quotient(seq, 1, 0, np.zeros_like(seq.members[1][0].quotient.rows))
     rep = C.verify_core_properties(seq, 1, member=0)
     assert rep == _reference_core_properties(seq, 1, member=0)
     assert rep["failures"][0] == ("item1-left", 1, 0, 0, 0) and ("item1-right", 1, 0) in rep["failures"]
@@ -1315,6 +1378,32 @@ def test_core_suites_do_not_call_neighbor_family(small_seq, tmp_path, monkeypatc
     monkeypatch.setattr(C, "neighbor_family", refused)
     for suite in ("core-structural", "core-properties"):
         assert main(["verify", "--artifact", str(tmp_path), "--suite", suite]) == 0
+
+
+def test_core_suites_decide_on_quotients_without_level_3_vertex_graphs(desk_seq, monkeypatch):
+    """verify_core_properties builds no vertex graph at all, and
+    verify_structure builds only those of levels 1 and 2, whose blocks hold
+    more than one vertex pair; at level 3 every cluster is one vertex."""
+    seq = _with_quotient(desk_seq, 1, 0, desk_seq.members[1][0].quotient.rows)  # nothing materialized
+    materialize = C.CoreSequence.member_graph
+
+    def refused(self, level, index):
+        raise AssertionError(f"member_graph({level}, {index}) called")
+
+    monkeypatch.setattr(C.CoreSequence, "member_graph", refused)
+    for i in range(1, seq.profile.s + 1):
+        for m in range(1 << i):
+            assert C.verify_core_properties(seq, i, member=m)["ok"]
+    levels = []
+
+    def recorded(self, level, index):
+        levels.append(level)
+        return materialize(self, level, index)
+
+    monkeypatch.setattr(C.CoreSequence, "member_graph", recorded)
+    assert C.verify_structure(seq)["ok"]
+    assert sorted(set(levels)) == [1, 2]
+    assert not [key for key in seq._materialized if key[0] == 3]
 
 
 def test_block_check_holds_block_sizes_past_the_sums_dtype():
