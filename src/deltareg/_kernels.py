@@ -287,21 +287,6 @@ def triangle_list(rows_ab, rows_ac, rows_bc):
     return np.concatenate(tris)
 
 
-def edges_of_pairs(rows, n_right, S, T):
-    """e(S_i, T_i) for each row i of the index arrays S (left vertices) and
-    T (right vertices), as int64; one mask row per T_i, popcounted against
-    the rows of S_i a chunk of pairs at a time."""
-    S = np.asarray(S, dtype=np.int64)
-    T = np.asarray(T, dtype=np.int64)
-    masks = zero_rows(len(T), n_right)
-    set_bits(masks, np.repeat(np.arange(len(T)), T.shape[1]), T.ravel())
-    out = np.empty(len(S), dtype=np.int64)
-    for sl in pair_chunks(len(S), S.shape[1] * rows.shape[1]):
-        counts = np.bitwise_count(np.take(rows, S[sl], axis=0) & masks[sl, None, :])
-        out[sl] = counts.reshape(len(counts), -1).sum(axis=1, dtype=np.int64)
-    return out
-
-
 # -- the exact subset engine --------------------------------------------------
 
 

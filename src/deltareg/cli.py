@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(suites)}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = suites[args.suite](args.artifact, mode=args.mode)
+        report = suites[args.suite](args.artifact)
     except core_mod.ArtifactMismatch as e:
         # a file that is not the one its manifest hashed is a failed check
         report = {"ok": False, "claims": [{"id": "member-hashes", "ok": False, "detail": str(e)}]}
@@ -190,7 +190,7 @@ def _jsonable(x):
     return x
 
 
-def _suite_core_structural(artifact: str, mode: str = "exact") -> dict:
+def _suite_core_structural(artifact: str) -> dict:
     seq = core_mod.load_core_sequence(artifact)
     rep = core_mod.verify_structure(seq)
     claims = [
@@ -204,7 +204,7 @@ def _suite_core_structural(artifact: str, mode: str = "exact") -> dict:
     return {"ok": rep["ok"], "claims": claims}
 
 
-def _suite_core_properties(artifact: str, mode: str = "exact") -> dict:
+def _suite_core_properties(artifact: str) -> dict:
     seq = core_mod.load_core_sequence(artifact)
     ok1 = ok2 = True
     fails = []
@@ -223,7 +223,7 @@ def _suite_core_properties(artifact: str, mode: str = "exact") -> dict:
     return {"ok": ok1 and ok2, "claims": claims}
 
 
-def _suite_certificate(artifact: str, mode: str = "exact") -> dict:
+def _suite_certificate(artifact: str) -> dict:
     graph_path = os.path.join(artifact, "refuted-graph.bin")
     cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
     with open(graph_path, "rb") as f:
@@ -242,7 +242,7 @@ def _read_text(*path: str) -> str:
         return f.read()
 
 
-def _suite_hypergraph(artifact: str, mode: str = "exact") -> dict:
+def _suite_hypergraph(artifact: str) -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
     k, s, seed, blowup = (_json_int(meta, key) for key in ("k", "s", "seed", "blowup"))
@@ -292,15 +292,17 @@ def _json_int(meta: dict, key: str) -> int:
     return value
 
 
-def _suite_counterexample(artifact: str, mode: str = "exact") -> dict:
+def _suite_counterexample(artifact: str) -> dict:
     with open(os.path.join(artifact, "params.json")) as f:
         meta = json.load(f)
+    if type(meta["relaxed"]) is not bool:
+        raise ValueError(f"relaxed must be true or false, not {meta['relaxed']!r}")
     params = cx_mod.CounterexampleParams(
         delta=Fraction(meta["delta"]),
         q=Fraction(meta["q"]),
-        k=int(meta["k"]),
-        m=int(meta["m"]),
-        seed=meta["seed"],
+        k=_json_int(meta, "k"),
+        m=_json_int(meta, "m"),
+        seed=_json_int(meta, "seed"),
         relaxed=meta["relaxed"],
     )
     pairs = {}
@@ -317,15 +319,6 @@ def _suite_counterexample(artifact: str, mode: str = "exact") -> dict:
         {"id": "triangle-free", "ok": tri == 0, "detail": f"exhaustive count {tri}"},
         {"id": "pair-density-floor", "ok": dens_ok, "detail": f"every pair density at least {params.p}"},
     ]
-    if mode == "sampled":
-        prop = cx_mod._strengthened_pair_check(pairs["ab"], params.delta, mode="sampled")
-        claims.append(
-            {
-                "id": "pair-subset-floor-sampled",
-                "ok": bool(prop["ok"]),
-                "detail": f"min sampled subset density {prop['min_density']} vs bound {prop['bound']}",
-            }
-        )
     return {"ok": all(c["ok"] for c in claims), "claims": claims}
 
 
@@ -382,8 +375,8 @@ def cmd_counterexample(args) -> int:
         params = cx_mod.CounterexampleParams(
             delta=Fraction(meta["delta"]),
             q=Fraction(meta["q"]),
-            k=int(meta["k"]),
-            m=int(meta.get("m", 1)),
+            k=_json_int(meta, "k"),
+            m=_json_int({"m": 1, **meta}, "m"),
             seed=args.seed,
             relaxed=not args.strict,
         )
@@ -436,7 +429,10 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite on an artifact dir")
     v.add_argument("--artifact", required=True)
     v.add_argument("--suite", required=True)
-    v.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+    v.add_argument(
+        "--mode", choices=["exact", "sampled"], default="exact",
+        help="selects nothing: no suite reads it, and every claim a suite prints is decided exactly",
+    )
     v.add_argument("--json-out", default=None)
     v.set_defaults(func=cmd_verify)
 

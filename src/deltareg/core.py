@@ -558,14 +558,14 @@ def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None
         # every pair of each family: one triangle per family size, offset per cell
         first = np.cumsum(s) - s
         pairs, pair_cell = [], []
-        for t in np.unique(s).tolist():
+        for t in np.flatnonzero(np.bincount(s)).tolist():
             tri = np.stack(np.triu_indices(t, k=1), axis=1)
             at = np.flatnonzero(s == t)
             pairs.append((first[at][:, None, None] + tri).reshape(-1, 2))
             pair_cell.append(np.repeat(at, len(tri)))
         pair_cell = np.concatenate(pair_cell)
         over = _kernels.and_popcount_pairs(sub, np.concatenate(pairs)) > bound[part][pair_cell]
-        failing += part[np.unique(pair_cell[over])].tolist()
+        failing += part[np.flatnonzero(np.bincount(pair_cell[over], minlength=k))].tolist()
     return failing
 
 

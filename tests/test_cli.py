@@ -281,6 +281,39 @@ def test_counterexample_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_counterexample_suite_prints_the_same_claims_under_either_mode(cx_artifact, monkeypatch, capsys):
+    """--mode selects nothing: the suite claims only what it decides
+    exactly, and draws no random number under either mode."""
+    from deltareg import counterexample as cx_mod
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the counterexample suite must not draw")
+
+    monkeypatch.setattr(cx_mod.np.random, "default_rng", no_draws)
+    capsys.readouterr()
+    outs = []
+    for mode in ("exact", "sampled"):
+        assert main(["verify", "--artifact", str(cx_artifact), "--suite", "counterexample", "--mode", mode]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert [line.split(":")[0] for line in outs[0].splitlines()] == [
+        "[PASS] triangle-free", "[PASS] pair-density-floor", "suite PASS"
+    ]
+
+
+def test_core_properties_suite_runs_without_numpy_ma(core_artifact):
+    """The suite never imports numpy.ma (plain np.unique does, at a cost of
+    12-15 ms a process in numpy 2.4)."""
+    _, out = core_artifact
+    code = (
+        "import sys; sys.modules['numpy.ma'] = None; from deltareg.cli import main; "
+        "sys.exit(main(['verify', '--artifact', sys.argv[1], '--suite', 'core-properties']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "suite PASS"
+
+
 def test_json_report_output(core_artifact, tmp_path, capsys):
     _, out = core_artifact
     jpath = tmp_path / "report.json"
@@ -529,7 +562,8 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
     other certify options as in the certified artifact, or '<command> <file>
     <key> <value>' with one key of the build-core profile, the counterexample
     params or the params.json of a copy of the counterexample artifact
-    changed, or of the instance.json of a copy of the hypergraph artifact
+    changed (k, m, seed and relaxed to a JSON value, the others to a
+    string), or of the instance.json of a copy of the hypergraph artifact
     set to a JSON value."""
     command, *rest = case.split()
     if rest[0] == "hypergraph":
@@ -549,7 +583,7 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
             *(word for option in options.items() for word in option), "--out-cert", str(tmp_path / "certificate.txt"),
         ]
     key, value = rest[-2:]
-    value = int(value) if key in ("k", "m") else value
+    value = json.loads(value) if key in ("k", "m", "seed", "relaxed") else value
     if command == "build-core":
         (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, key: value}))
         return ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
@@ -596,6 +630,10 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
         "certify --level 0",
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("k", 0), ("m", 0), ("m", -1), ("q", 2), ("q", 0), ("delta", 0), ("delta", "3/2"))),
+        *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
+          for key, value in (("k", "30.7"), ("k", '"30"'), ("m", "true"), ("m", "2.0"))),
+        *(f"verify counterexample params.json {key} {value}"
+          for key, value in (("relaxed", '"no"'), ("relaxed", "1"), ("seed", '"5"'), ("seed", "5.0"))),
         *(f"verify hypergraph instance.json {key} {value}"
           for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
     ],
@@ -603,9 +641,11 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
 def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artifact, hypergraph_artifact, tmp_path, capsys, case):
     """A level, member or t outside the chain (1 <= t <= level <= s, 0 <=
     member < 2^level; the artifact has s = 2), a counterexample k or m
-    below 1 or q or delta outside (0, 1], and a hypergraph k, s, seed or
-    blowup that is not a JSON integer, are usage errors: exit 2 with an
-    error line, never a traceback or a run on a wrapped index."""
+    below 1 or q or delta outside (0, 1], a counterexample k, m or stored
+    seed that is not a JSON integer or a stored relaxed that is not true or
+    false, and a hypergraph k, s, seed or blowup that is not a JSON integer,
+    are usage errors: exit 2 with an error line, never a traceback, a
+    truncated size or a run on a wrapped index."""
     argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact)
     capsys.readouterr()
     assert main(argv) == 2

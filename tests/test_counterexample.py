@@ -195,32 +195,45 @@ def test_strengthened_check_min_density_is_the_exact_minimum():
         assert rep["min_density"] == Fraction(worst, a * b)
 
 
-def _sampled_reference(pair, delta):
-    """The sampled floor counted pair by pair: 400 draws of seed 1, S then T."""
-    import math
+def test_strengthened_check_past_the_cap_is_undecided_without_drawing(monkeypatch):
+    # C(30, 15) > 2^22: the desk base's pairs are past the default cap, so
+    # the claim is neither scanned nor sampled
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the pair check must not draw")
 
-    n_l, n_r = pair.left.size, pair.right.size
-    d = Fraction(pair.edge_count(), n_l * n_r)
-    a, b = max(1, math.ceil(delta * n_l)), max(1, math.ceil(delta * n_r))
-    rng = np.random.default_rng(1)
-    worst = None
-    for _ in range(400):
-        S = rng.choice(n_l, size=a, replace=False)
-        T = rng.choice(n_r, size=b, replace=False)
-        r = Fraction(edges_between(pair, S, T), a * b)
-        if worst is None or r < worst:
-            worst = r
-    return {"status": "sampled", "min_density": worst, "bound": (1 - delta) * d, "ok": worst >= (1 - delta) * d}
+    base = _desk_base()
+    monkeypatch.setattr(X.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(X._kernels, "subset_min_edges", no_draws)
+    for pair in (base.ab, base.ac, base.bc):
+        d = Fraction(pair.edge_count(), 30 * 30)
+        assert X._strengthened_pair_check(pair, Fraction(1, 2)) == {"status": "undecided", "bound": d / 2}
 
 
-def test_sampled_floor_counts_each_draw_as_edges_between_does():
-    from deltareg.graphs import BipartiteGraph, VertexClass
+def test_verify_counterexample_refuses_a_mode_other_than_exact():
+    base = _desk_base()
+    params = X.CounterexampleParams(**{**DESK, "m": 1}, seed=0)
+    for mode in ("sampled", "Exact", None):
+        with pytest.raises(ValueError):
+            X.verify_counterexample(base, params, mode=mode, base=base)
 
-    params = X.CounterexampleParams(**DESK, seed=2)
-    base, _ = X.build_triangle_free(params)
-    rng = np.random.default_rng(8)
-    skewed = BipartiteGraph.from_edges(VertexClass("L", 70), VertexClass("R", 9), np.argwhere(rng.random((70, 9)) < 0.3))
-    for pair, delta in ((base.ab, params.delta), (base.bc, Fraction(1, 3)), (skewed, Fraction(1, 7))):
-        rep = X._strengthened_pair_check(pair, delta, mode="sampled")
-        assert rep == _sampled_reference(pair, delta)
-        assert type(rep["min_density"]) is Fraction
+
+def test_descent_refutes_the_subset_floor_on_every_desk_pair():
+    """Why no subset floor is claimed at the desk profile: on each pair of
+    the seed-5 instance (k 30, m 3, q 1/10, delta 1/2) the witness search of
+    the half-density check finds |S|, |T| >= 45 with e(S, T), recounted by
+    edges_between, below (1 - delta) d |S||T|."""
+    from deltareg.regularity import is_delta_regular_pair
+
+    delta = Fraction(1, 2)
+    g, _ = X.build_triangle_free(X.CounterexampleParams(**DESK, seed=5))
+    for pair in (g.ab, g.ac, g.bc):
+        w = is_delta_regular_pair(pair, delta, mode="sampled").witness
+        assert w is not None
+        assert len(w.left) >= 45 and len(w.right) >= 45
+        d = Fraction(pair.edge_count(), pair.left.size * pair.right.size)
+        assert edges_between(pair, w.left, w.right) < (1 - delta) * d * len(w.left) * len(w.right)
+
+
+def _desk_base():
+    base, _ = X.build_triangle_free(X.CounterexampleParams(**{**DESK, "m": 1}, seed=5))
+    return base

@@ -224,18 +224,6 @@ def test_triangle_kernels_agree(monkeypatch):
                 assert tris.shape == (len(ref), 3)
 
 
-@pytest.mark.parametrize("chunk", [K._CHUNK_WORDS, 5])
-def test_edges_of_pairs_counts_each_pair(chunk, monkeypatch):
-    monkeypatch.setattr(K, "_CHUNK_WORDS", chunk)
-    rng = np.random.default_rng(4)
-    bits = rng.random((40, 130)) < 0.4
-    S = np.stack([rng.choice(40, size=7, replace=False) for _ in range(25)])
-    T = np.stack([rng.choice(130, size=9, replace=False) for _ in range(25)])
-    got = K.edges_of_pairs(K.pack_rows(bits), 130, S, T)
-    assert got.dtype == np.int64
-    assert got.tolist() == [int(bits[np.ix_(s, t)].sum()) for s, t in zip(S, T)]
-
-
 # -- the exact subset engine -------------------------------------------------
 
 
