@@ -10,7 +10,11 @@ cell, and (iv) each Y-cell is closed under complement via an involution.
 The sampler draws exact half neighborhoods per (X-cell, y) for one half of
 each Y-cell and mirrors the complement onto the other half, so (i) and (iv)
 hold on every draw; (ii) and (iii) are verified and the whole draw is
-retried on failure.
+retried on failure.  Each half is the m/2 smallest of m random uint32 keys
+(seed stream 2): a row whose keys tie at the cut is redrawn, and the keys
+of a row are exchangeable, so the half is a uniform m/2-subset of its
+X-cell.  Artifacts record the stream and are refused on load under any
+other (``check_sampler_stream``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ import numpy as np
 from . import _kernels
 from .graphs import BipartiteGraph, VertexClass
 from .partitions import VertexPartition
+
+# the seed stream of sample_balanced, recorded in every core and hypergraph
+# artifact: an artifact drawn by another stream is refused on load
+SAMPLER_STREAM = 2
 
 
 @dataclass
@@ -262,6 +270,14 @@ def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
     return phi
 
 
+def check_sampler_stream(meta: dict, name: str, command: str) -> None:
+    """Raise ValueError unless meta records the JSON integer SAMPLER_STREAM
+    as ``sampler_stream``."""
+    stream = meta.get("sampler_stream")
+    if type(stream) is not int or stream != SAMPLER_STREAM:
+        raise ValueError(f"{name} records sampler stream {stream!r}, not {SAMPLER_STREAM}: rebuild the artifact with {command}")
+
+
 class SamplerExhausted(Exception):
     def __init__(self, failures):
         self.failures = failures
@@ -282,11 +298,16 @@ def sample_balanced(
     (i) and (iv) are asserted on every draw (they are construction-forced);
     the retry loop rejects on the enforced subset of (ii)/(iii).  Returns
     the accepted graph plus telemetry (draws, per-condition failures).
+
+    The seed stream is ``SAMPLER_STREAM``: per Y-cell, one block of uint32
+    keys with a row per (y, X-cell), in that order, cut by
+    ``_exact_halves``.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
     failures = {"ii": 0, "iii": 0}
     telemetry = {"draws": 0, "failures": failures}
-    x_cells = np.stack(spec.x_cells.cells)  # X-cells share one size
+    x_order = np.concatenate(spec.x_cells.cells)  # the X id of every (X-cell, slot) column
+    x_slot = None if np.array_equal(x_order, np.arange(spec.nx)) else np.argsort(x_order)
     phi = np.full(spec.ny, -1, dtype=np.int64)
     halves = []
     for cell in spec.y_cells.cells:
@@ -299,14 +320,12 @@ def sample_balanced(
         telemetry["draws"] += 1
         yrows = _kernels.zero_rows(spec.ny, spec.nx)
         for firsts, seconds in halves:
-            # one shuffle per (y, X-cell), in that order: the stream of a
-            # per-cell rng.permutation loop
-            picks = rng.permuted(np.broadcast_to(x_cells, (len(firsts),) + x_cells.shape), axis=-1)
-            picks = picks[:, :, : x_cells.shape[1] // 2].reshape(len(firsts), -1)
-            # one flat-index assignment sets every picked bit of the half
-            bits = np.zeros(len(firsts) * spec.nx, dtype=bool)
-            bits[(picks + spec.nx * np.arange(len(firsts))[:, None]).ravel()] = True
-            yrows[firsts] = _kernels.pack_rows(bits.reshape(len(firsts), spec.nx))
+            # stream 2: one key row per (y, X-cell), in that order; a row's
+            # m/2 least keys are y's half of that X-cell
+            bits = _exact_halves(rng, len(firsts) * len(spec.x_cells), spec.m).reshape(len(firsts), spec.nx)
+            if x_slot is not None:  # each X id takes its slot's column
+                bits = bits[:, x_slot]
+            yrows[firsts] = _kernels.pack_rows(bits)
             yrows[seconds] = _kernels.complement_rows(yrows[firsts], spec.nx)
         graph = _from_y_major(yrows, spec)
         forced = verify_balanced(graph, spec, conditions=("i", "iv"))
@@ -321,6 +340,27 @@ def sample_balanced(
         if ok:
             return BalancedGraph(graph=graph, spec=spec, involution=phi), telemetry
     raise SamplerExhausted(failures)
+
+
+def _exact_halves(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
+    """A (rows, m) bool matrix with exactly m/2 set bits per row: the
+    positions of the m/2 smallest of m uint32 keys drawn per row.
+
+    One partition at m/2 gives each row's cut thr, the (m/2+1)-th smallest
+    key; a row ties when its m/2-th smallest key equals thr, and only the
+    tied rows are redrawn, in row order, until none ties.  The keys of a
+    row are exchangeable, and stay so given that the row does not tie, so
+    its m/2 smallest positions are a uniform m/2-subset."""
+    keys = rng.integers(1 << 32, size=(rows, m), dtype=np.uint32)
+    cut = np.partition(keys, m // 2, axis=1)
+    thr = cut[:, m // 2].copy()
+    tied = np.flatnonzero(cut[:, : m // 2].max(axis=1) == thr)
+    while tied.size:
+        keys[tied] = rng.integers(1 << 32, size=(tied.size, m), dtype=np.uint32)
+        cut = np.partition(keys[tied], m // 2, axis=1)
+        thr[tied] = cut[:, m // 2]
+        tied = tied[cut[:, : m // 2].max(axis=1) == cut[:, m // 2]]
+    return keys < thr[:, None]
 
 
 def _from_y_major(yrows: np.ndarray, spec: BalanceSpec) -> BipartiteGraph:

@@ -24,7 +24,7 @@ from . import core as core_mod
 from . import counterexample as cx_mod
 from . import hypergraphs as hg_mod
 from . import schedules as sched_mod
-from .balanced import SamplerExhausted
+from .balanced import SAMPLER_STREAM, SamplerExhausted, check_sampler_stream
 from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
@@ -133,6 +133,7 @@ def cmd_build_hypergraph(args) -> int:
                 "seed": args.seed,
                 "schedule": sched.to_json(),
                 "initial_cells": inst.initial_cells,
+                "sampler_stream": SAMPLER_STREAM,
             },
             f,
             indent=1,
@@ -245,6 +246,7 @@ def _read_text(*path: str) -> str:
 def _suite_hypergraph(artifact: str) -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
+    check_sampler_stream(meta, "instance.json", "build-hypergraph")
     k, s, seed, blowup = (_json_int(meta, key) for key in ("k", "s", "seed", "blowup"))
     # a k the recorded schedule lacks raises KeyError here, before any
     # window is named or read
@@ -292,14 +294,23 @@ def _json_int(meta: dict, key: str) -> int:
     return value
 
 
+def _json_fraction(meta: dict, key: str) -> Fraction:
+    """meta[key], which must be a JSON string that Fraction reads, such as
+    "1/2", or a JSON integer (true, false and floats are not)."""
+    value = meta[key]
+    if type(value) is not str and type(value) is not int:
+        raise ValueError(f"{key} must be a fraction string or an integer, not {value!r}")
+    return Fraction(value)
+
+
 def _suite_counterexample(artifact: str) -> dict:
     with open(os.path.join(artifact, "params.json")) as f:
         meta = json.load(f)
     if type(meta["relaxed"]) is not bool:
         raise ValueError(f"relaxed must be true or false, not {meta['relaxed']!r}")
     params = cx_mod.CounterexampleParams(
-        delta=Fraction(meta["delta"]),
-        q=Fraction(meta["q"]),
+        delta=_json_fraction(meta, "delta"),
+        q=_json_fraction(meta, "q"),
         k=_json_int(meta, "k"),
         m=_json_int(meta, "m"),
         seed=_json_int(meta, "seed"),
@@ -373,8 +384,8 @@ def cmd_counterexample(args) -> int:
         with open(args.params) as f:
             meta = json.load(f)
         params = cx_mod.CounterexampleParams(
-            delta=Fraction(meta["delta"]),
-            q=Fraction(meta["q"]),
+            delta=_json_fraction(meta, "delta"),
+            q=_json_fraction(meta, "q"),
             k=_json_int(meta, "k"),
             m=_json_int({"m": 1, **meta}, "m"),
             seed=args.seed,

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .balanced import BalanceSpec, check_one_twelve, sample_balanced
+from .balanced import SAMPLER_STREAM, BalanceSpec, check_one_twelve, check_sampler_stream, sample_balanced
 from .graphs import (
     _MAX_DIGITS,
     BipartiteGraph,
@@ -1447,6 +1447,7 @@ def save_core_sequence(seq: CoreSequence, out_dir: str) -> dict:
         "gamma_telemetry": {f"{i}/{idx}": rec["telemetry"]["draws"] for (i, idx), rec in seq.gamma_records.items()},
         "member_hashes": {},
         "partition_hashes": {},
+        "sampler_stream": SAMPLER_STREAM,
     }
     for side, chain in (("left", seq.left_chain), ("right", seq.right_chain)):
         for i, p in enumerate(chain, start=1):
@@ -1487,9 +1488,12 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
     the file; a file that does not parse raises ValueError first, and so
     does a quotient whose shape is not the profile's cluster counts at its
     level, or a partition chain in which a level does not refine the one
-    before it."""
+    before it.  An artifact whose manifest records no ``sampler_stream``, or
+    another one than ``SAMPLER_STREAM``, raises ValueError: its Gammas came
+    from another seed stream, and it must be rebuilt."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
+    check_sampler_stream(manifest, "manifest.json", "build-core")
     profile = GrowthProfile.from_json(manifest["profile"])
     chains = {}
     for side, n in (("left", manifest["n_left"]), ("right", manifest["n_right"])):

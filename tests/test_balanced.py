@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -259,22 +261,127 @@ def _interleaved_spec(alpha):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 5, 9])
-def test_batched_draw_matches_per_cell_permutation_loop(seed):
-    """One rng.permuted per Y-cell yields the rows of one rng.permutation per
-    (y, X-cell), so the seed stream is that of the per-cell loop."""
-    spec = _interleaved_spec(Fraction(3, 4))
-    bg, _ = B.sample_balanced(spec, seed=seed, max_retries=1, enforce=())
+def _reference_stream_2(spec, seed):
+    """Stream 2 drawn plainly: per Y-cell, one row of m uint32 keys per
+    (y, X-cell) in that order; rounds that redraw every row whose sorted
+    keys tie at m/2, in row order; then each row's m/2 least keys (a stable
+    argsort) name its half of the X-cell, and the second half of the Y-cell
+    is the complement.  Uses no partition, mask or column scatter."""
     rng = np.random.default_rng(np.random.PCG64(seed))
+    m = spec.m
     expected = np.zeros((spec.ny, spec.nx), dtype=bool)
     for cell in spec.y_cells.cells:
         half = len(cell) // 2
-        for y in cell[:half]:
-            for xc in spec.x_cells.cells:
-                expected[y, rng.permutation(xc)[: len(xc) // 2]] = True
+        slots = [(int(y), xc) for y in cell[:half] for xc in spec.x_cells.cells]
+        keys = [rng.integers(1 << 32, size=m, dtype=np.uint32) for _ in slots]
+        tied = [r for r in range(len(slots)) if np.sort(keys[r])[m // 2 - 1] == np.sort(keys[r])[m // 2]]
+        while tied:
+            for r in tied:
+                keys[r] = rng.integers(1 << 32, size=m, dtype=np.uint32)
+            tied = [r for r in tied if np.sort(keys[r])[m // 2 - 1] == np.sort(keys[r])[m // 2]]
+        for (y, xc), k in zip(slots, keys):
+            expected[y, xc[np.argsort(k, kind="stable")[: m // 2]]] = True
         expected[cell[half:]] = ~expected[cell[:half]]
-    got = np.unpackbits(bg.y_rows().view(np.uint8), axis=1, bitorder="little")[:, : spec.nx]
-    assert np.array_equal(got, expected)
+    return expected
+
+
+@pytest.mark.parametrize("seed", [0, 5, 9])
+def test_draw_on_scattered_x_cells_matches_the_plain_stream_2(seed):
+    """On X-cells that are not runs of X the sampler scatters its slot
+    columns to X ids; the draw equals the plain per-(y, X-cell) stream."""
+    spec = _interleaved_spec(Fraction(3, 4))
+    bg, _ = B.sample_balanced(spec, seed=seed, max_retries=1, enforce=())
+    got = _kernels.unpack_rows(bg.y_rows(), spec.nx).astype(bool)
+    assert np.array_equal(got, _reference_stream_2(spec, seed))
+
+
+def test_each_first_half_row_is_an_exact_half_and_its_mirror_the_complement():
+    spec = B.BalanceSpec(
+        x_cells=VertexPartition.blocks(256, 4),
+        y_cells=VertexPartition.blocks(24, 3),
+        family=[],
+        alpha=1,
+        beta=1,
+    )
+    bg, _ = B.sample_balanced(spec, seed=11, enforce=())
+    adj = _kernels.unpack_rows(bg.y_rows(), spec.nx).astype(bool)
+    assert np.array_equal(adj, _reference_stream_2(spec, 11))
+    for cell in spec.y_cells.cells:
+        firsts, seconds = cell[: len(cell) // 2], cell[len(cell) // 2 :]
+        for xc in spec.x_cells.cells:
+            assert np.all(adj[np.ix_(firsts, xc)].sum(axis=1) == spec.m // 2)
+        assert np.array_equal(adj[seconds], ~adj[firsts])
+        assert np.array_equal(bg.involution[firsts], seconds)
+
+
+def _binomial_bound(n, elements, inverse_p):
+    """The least c such that, for Bin(n, 1/2), a count below c or above
+    n - c has probability at most 1/(inverse_p * elements): summed exactly
+    in integers."""
+    tail, c = 0, 0
+    while 2 * (tail + math.comb(n, c)) * inverse_p * elements <= 1 << n:
+        tail += math.comb(n, c)
+        c += 1
+    return c
+
+
+def test_every_element_is_picked_about_half_the_time():
+    """Over 4096 first-half rows of one seed, each X id's pick count is a
+    Bin(4096, 1/2) count: all 64 lie within the two-sided exact binomial
+    bound of probability 1e-9 (union bound over the 64)."""
+    spec = B.BalanceSpec(
+        x_cells=VertexPartition.blocks(64, 4),
+        y_cells=VertexPartition.blocks(8192, 4096),
+        family=[],
+        alpha=1,
+        beta=1,
+    )
+    bg, _ = B.sample_balanced(spec, seed=3, enforce=())
+    firsts = np.concatenate([cell[: len(cell) // 2] for cell in spec.y_cells.cells])
+    counts = _kernels.unpack_rows(bg.y_rows()[firsts], spec.nx).sum(axis=0, dtype=np.int64)
+    n = len(firsts)
+    lo = _binomial_bound(n, spec.nx, 10**9)
+    assert 1800 < lo < n // 2  # the bound is not vacuous
+    assert counts.min() >= lo and counts.max() <= n - lo, (lo, counts.min(), counts.max())
+
+
+class _ScriptedKeys:
+    """A stand-in rng whose integers() hands out the given key blocks in
+    turn, recording the shape of each request."""
+
+    def __init__(self, blocks):
+        self.blocks, self.sizes = list(blocks), []
+
+    def integers(self, high, size, dtype):
+        assert (high, dtype) == (1 << 32, np.uint32)
+        self.sizes.append(size)
+        block = np.asarray(self.blocks.pop(0), dtype=np.uint32)
+        assert block.shape == size
+        return block
+
+
+def test_only_a_row_tied_at_the_cut_is_redrawn():
+    """Row 1's second and third least keys are equal, so its cut splits no
+    half: that row alone is redrawn (a (1, m) request), and the redrawn row
+    then names the half.  Row 0's equal keys lie on one side of the cut
+    each, which decides nothing."""
+    first = [[9, 3, 7, 3, 1, 7], [5, 2, 5, 8, 0, 9], [4, 6, 2, 0, 1, 3]]
+    rng = _ScriptedKeys([first, [[6, 1, 4, 2, 3, 5]]])
+    bits = B._exact_halves(rng, 3, 6)
+    assert rng.sizes == [(3, 6), (1, 6)]
+    assert bits.tolist() == [
+        [False, True, False, True, True, False],
+        [False, True, False, True, True, False],
+        [False, False, True, True, True, False],
+    ]
+    assert np.all(bits.sum(axis=1) == 3)
+
+
+def test_a_row_that_ties_again_is_redrawn_until_it_does_not():
+    rng = _ScriptedKeys([[[1, 1, 1, 1], [2, 0, 3, 1]], [[5, 5, 5, 0]], [[5, 5, 6, 0]], [[4, 3, 2, 1]]])
+    bits = B._exact_halves(rng, 2, 4)
+    assert rng.sizes == [(2, 4), (1, 4), (1, 4), (1, 4)]
+    assert bits.tolist() == [[False, False, True, True], [False, True, False, True]]
 
 
 def _first_codegree_violation_per_member(graph, spec, aligned):

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -562,7 +563,8 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
     other certify options as in the certified artifact, or '<command> <file>
     <key> <value>' with one key of the build-core profile, the counterexample
     params or the params.json of a copy of the counterexample artifact
-    changed (k, m, seed and relaxed to a JSON value, the others to a
+    changed (k, m, seed and relaxed to a JSON value, and the others to a
+    JSON value when it is true, false or has a decimal point, else to a
     string), or of the instance.json of a copy of the hypergraph artifact
     set to a JSON value."""
     command, *rest = case.split()
@@ -583,7 +585,7 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
             *(word for option in options.items() for word in option), "--out-cert", str(tmp_path / "certificate.txt"),
         ]
     key, value = rest[-2:]
-    value = json.loads(value) if key in ("k", "m", "seed", "relaxed") else value
+    value = json.loads(value) if key in ("k", "m", "seed", "relaxed") or value in ("true", "false") or "." in value else value
     if command == "build-core":
         (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, key: value}))
         return ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
@@ -634,6 +636,8 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
           for key, value in (("k", "30.7"), ("k", '"30"'), ("m", "true"), ("m", "2.0"))),
         *(f"verify counterexample params.json {key} {value}"
           for key, value in (("relaxed", '"no"'), ("relaxed", "1"), ("seed", '"5"'), ("seed", "5.0"))),
+        *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
+          for key, value in (("delta", "true"), ("delta", "0.5"), ("q", "0.1"), ("q", "false"))),
         *(f"verify hypergraph instance.json {key} {value}"
           for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
     ],
@@ -642,7 +646,8 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
     """A level, member or t outside the chain (1 <= t <= level <= s, 0 <=
     member < 2^level; the artifact has s = 2), a counterexample k or m
     below 1 or q or delta outside (0, 1], a counterexample k, m or stored
-    seed that is not a JSON integer or a stored relaxed that is not true or
+    seed that is not a JSON integer, a delta or q that is neither a fraction
+    string nor a JSON integer, or a stored relaxed that is not true or
     false, and a hypergraph k, s, seed or blowup that is not a JSON integer,
     are usage errors: exit 2 with an error line, never a traceback, a
     truncated size or a run on a wrapped index."""
@@ -654,3 +659,46 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
         assert not (tmp_path / "certificate.txt").exists()
     elif case.startswith("counterexample"):
         assert not (tmp_path / "cx").exists()
+
+
+def test_delta_and_q_are_fraction_strings_or_json_integers():
+    from deltareg.cli import _json_fraction
+
+    assert _json_fraction({"q": "1/10"}, "q") == Fraction(1, 10)
+    assert _json_fraction({"q": 1}, "q") == 1
+    for value in (True, False, 0.1, 1.0, None, [1, 2]):
+        with pytest.raises(ValueError, match="q must be a fraction string or an integer"):
+            _json_fraction({"q": value}, "q")
+
+
+@pytest.mark.parametrize("stream", [None, 1, "2", 2.0, True])
+def test_an_artifact_of_another_sampler_stream_exits_2(certified_artifact, hypergraph_artifact, tmp_path, capsys, stream):
+    """A core manifest.json or hypergraph instance.json without the JSON
+    integer sampler_stream 2 (None strips the field) was drawn by another
+    seed stream: both core suites, certify and the hypergraph suite exit 2
+    and ask for a rebuild, before any file is compared with a replay."""
+    core, hg = tmp_path / "core", tmp_path / "hg"
+    shutil.copytree(certified_artifact, core)
+    shutil.copytree(hypergraph_artifact, hg)
+    for path in (core / "manifest.json", hg / "instance.json"):
+        meta = json.loads(path.read_text())
+        assert meta.pop("sampler_stream") == 2
+        path.write_text(json.dumps(meta if stream is None else {**meta, "sampler_stream": stream}))
+    parts = certified_artifact.parent
+    runs = [
+        (["verify", "--artifact", str(core), "--suite", "core-structural"], "manifest.json", "build-core"),
+        (["verify", "--artifact", str(core), "--suite", "core-properties"], "manifest.json", "build-core"),
+        ([
+            "certify", "--artifact", str(core),
+            "--left-partition", str(parts / "P.part"), "--right-partition", str(parts / "Q.part"),
+            "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+            "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+        ], "manifest.json", "build-core"),
+        (["verify", "--artifact", str(hg), "--suite", "hypergraph"], "instance.json", "build-hypergraph"),
+    ]
+    capsys.readouterr()
+    for argv, name, command in runs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{name} records sampler stream {stream!r}, not 2: rebuild the artifact with {command}" in err
+    assert not (tmp_path / "certificate.txt").exists()

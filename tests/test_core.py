@@ -798,14 +798,14 @@ def _uneven_partition(seq):
 
 
 # (level, member, left partition, t) and the SHA-256 of certificate.txt: the
-# v2 text, which spelled each R out as a vertex set, with every 'R=<set>'
-# replaced by the index of that set among its level's r cells and 'v2'
-# changed to 'v3'
+# v1 text of the per-cell refuter and range codec on the chain drawn by
+# sampler stream 2, with every ' P1=<set>' removed, every 'R=<set>' replaced
+# by the index of that set among its level's r cells and 'v1' changed to 'v3'
 PINNED_CERTIFICATES = [
-    (2, 0, "L1", 2, "cb30c28d954fa1287a7c7f68ebc6d5314b5317cd73d7ee924b01fa6aadef04a5"),
-    (2, 3, "uneven", 2, "27990ec0e2cccac8003675329797098eabcce0ad6fe04646e3ee1e2cea360f8d"),
-    (2, 2, "all", 2, "9e54a14bba933621a5337695d33d2fb23514a611a46af7d4739d8a1fcd0ec514"),
-    (1, 1, "all", 1, "ea7c254471b6a1c5bc00a412faaec84b75cf82053d96a092f54a427f8856bfc9"),
+    (2, 0, "L1", 2, "185cf491ab512aba288b8f629f08bc62fa51b53072a61ad79deb306b3b281fd2"),
+    (2, 3, "uneven", 2, "28c2ddb9e3a1ef479a75a5f1f581df047fe5326aa1ef1f39f53062261e02e2fa"),
+    (2, 2, "all", 2, "03657efdcfd93d8ad4d3c02718f4ba954443b135597b3a1348c16060df156ad6"),
+    (1, 1, "all", 1, "a94cca9174616e9fd1a995decfb3406256d4488a7c8b57abb565ecc83d3192c3"),
 ]
 
 
@@ -1101,29 +1101,29 @@ def desk_seq():
 # chain at seed 1, with each Gamma draw count and (ii)/(iii) rejections
 DESK_SEED_1_QUOTIENTS = {
     (0, 0): "63889e9b2de106a21d60c291552c16efb887aefbe70edc2c2ba95999f90cee7f",
-    (1, 0): "d9c1138dd4638ae4292d7d19af962761ac328ec579ea0aafc520bdcdc7e8a8b9",
-    (1, 1): "51273c320d257885f2ba46c7513ff2c9da0137e74cd25e4a6e79f9b6afe241a8",
-    (2, 0): "d9e1f466066518dedfe5e444cb107461d77ca60c8b57d72a057e836c79df6c9f",
-    (2, 1): "ecfde6776eb021b1ff9786226799b4b84dcca04e65edb4321f8522958de03786",
-    (2, 2): "9e557aed3a822500f82500b6a4a467f25f5abdade698cd51b2e61a435266e1e0",
-    (2, 3): "f09046bba7f1ded470ab473dd78d7a576d10486481e075fda932c1437e0dbe8f",
-    (3, 0): "a825e826cd70ba242250819e4f71d9bc363562f5ffc332446e11b76ad80608b8",
-    (3, 1): "86e5e8f33d80aeaa33396d304067d409a301d120a0ab6a083fd21df9576a12f4",
-    (3, 2): "ded8a3543bc0a71b64681a5bb665ea55292d0cb99394b5bb41ad75362e3392ce",
-    (3, 3): "ea771a966495d8e2e281944982f1cede0d6cf487ca4b1ec24d6d31b7ec6740d1",
-    (3, 4): "1efc30a580e69d104ec5b60183cd4b5108b41e42799f1d46222fed9b783ed092",
-    (3, 5): "ee37a72d00fc57b0699112212281a4a18c548963aae7681b0746df58c2378ff2",
-    (3, 6): "fa5f0868cda2a75cfe43073d402b02be38bb7616e173e01d211ae1f1bab6cad7",
-    (3, 7): "f391914a6e40d9a665c91d5aa47f4d5257e49c92418c33eb3ab746f2d7fada72",
+    (1, 0): "d80d110eb9e88860e5b7426b9fe50ed5bc8d6781d871a26a266151ba2690b43e",
+    (1, 1): "ad1d6270a5e3c5886251323b8baef2d8a445bc3573e14400e0ab1a76465f44e6",
+    (2, 0): "ed1bf05925ed8cb75eafd8cd8573d4390cb7fbe6a03f6d06e8d60eb5c20ef87b",
+    (2, 1): "174a7fb951da1d3f6807723e66aa8e26f0e953dabc1681b48854830858b384f1",
+    (2, 2): "beeda671088d3ebb984f1e148327682226982403fc7ba36883b32173523e38ad",
+    (2, 3): "35a85f6916d91a61800d2ba6dda20402b642cb68433163167ac896b99d6f6e9b",
+    (3, 0): "cf382847f1b5cfacb22f0a41ac7f9e2b68ba8877e336aa0fb6d1c4669b08d494",
+    (3, 1): "e89b40e4dcb68f12db45170f4089833773f9c934c92aeca97b19d0f14819aea7",
+    (3, 2): "958cee412e7ee389144ff243bf5d486e06373c0b7a8289740a764c6037cc05fb",
+    (3, 3): "02b68886aeb78ed43c3c9319d99c3659752659530f001fbacd88634cf5bf81dc",
+    (3, 4): "a3bdb7f6a0806bfed2abfc27cd1d38dee8afda104fec8ad23a0c84515d42c72a",
+    (3, 5): "0d53757d8b872c99a2339c7cd8da0498ca16ec15a91fc3d3fb5fbfbbe9f8f7e0",
+    (3, 6): "05f149a7f842e622235fdc516fb1ba872e3642f4c3eb9f285276b63dd0ad65ac",
+    (3, 7): "e07a39da6604444367d5867c7bca0663e08723d27ba3fe7eabbfb3aa66840235",
 }
 DESK_SEED_1_GAMMAS = {
-    (1, 0): ("5b07f55897094e474769903715d6df6ff36c47ae90939ac58454f3b695abcfd7", 1, {"ii": 0, "iii": 0}),
-    (2, 0): ("195cc3a3040c34de107a5cdae4a3aa3990e4deaa58af687bd491f2e22e31b424", 3, {"ii": 0, "iii": 2}),
-    (2, 1): ("acc678a38baa2f887cf492ccf5c17f450f733f0b0c1d0e443787c95dca09babe", 1, {"ii": 0, "iii": 0}),
-    (3, 0): ("43f40368751cc62019f3b478a15ca19f04a9ed7d1d11de7d61fcaf5b4387cd41", 1, {"ii": 0, "iii": 0}),
-    (3, 1): ("e66ecc3c999cee5f57235c0216be3b8bc7848b4371c7e35a599bfd7dc10a4782", 1, {"ii": 0, "iii": 0}),
-    (3, 2): ("db7b2130dca7df584eb4a52057db846865a96cff700a97a7c8f3db6a8ff32550", 1, {"ii": 0, "iii": 0}),
-    (3, 3): ("f376c7f44a57879da531d0f7afa26ae7b864bf09c65d868f7b894a834692cbe4", 1, {"ii": 0, "iii": 0}),
+    (1, 0): ("d9be43975e9617dbe294dcc2ad3d1f35099a0316cadbcab1cc269f89f0eac181", 1, {"ii": 0, "iii": 0}),
+    (2, 0): ("6bd79531281daef0303088678efa1cc074e46724e7a823780f329ebe4d74078d", 1, {"ii": 0, "iii": 0}),
+    (2, 1): ("8e2c4b76a40a5720e9ea7ccef8136e89de284eac95298ed5bb9472d2a6becbb1", 1, {"ii": 0, "iii": 0}),
+    (3, 0): ("7c98555bb2d5991f28de4b0f31012259926791f6d8a32cf9939c9f8e80ad523b", 1, {"ii": 0, "iii": 0}),
+    (3, 1): ("297fb6622f8a3b1d87dd9c1eb7a3079bd1cdf7ae920b89f5a6eab2b9c08a0e86", 1, {"ii": 0, "iii": 0}),
+    (3, 2): ("8a9ab8836d55b8e974cc02c5f5f644caeb3b3e812844262eef4365fb2e6214e1", 1, {"ii": 0, "iii": 0}),
+    (3, 3): ("dce1bab11e95ef04fd189f7a177d94a9d9019eca8214f1a6fe028c4ff72f4241", 1, {"ii": 0, "iii": 0}),
 }
 
 
@@ -1131,7 +1131,7 @@ def test_desk_build_is_pinned_at_seed_1(desk_seq):
     """Every quotient and every Gamma of the desk chain at seed 1, byte for
     byte, and every Gamma's draws and rejections: a change to the seed
     stream or to any accept or reject decision of the sampler shows here.
-    Level (2, 0) takes three draws, two of them rejected on (iii)."""
+    At seed 1 every Gamma is accepted on its first draw."""
     import hashlib
 
     def sha(g):

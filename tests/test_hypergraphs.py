@@ -322,9 +322,9 @@ def _sha(graphs):
 def test_pasted_graphs_golden_sha256(pasted):
     """The pick, the lift and the merge, pinned: any change to which member
     a window keeps or how a k-graph is encoded changes these."""
-    assert _sha([pasted.merged]) == "0fd4882d5df325389e79b509f7a8905aacdbbcc06343e1d8b93488817a34e9e4"
-    assert _sha(pasted.edge_graphs) == "4079c40e6881f8df8573912a54c0bb27862fb5570471436479f5b20a62b5b520"
+    assert _sha([pasted.merged]) == "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f"
+    assert _sha(pasted.edge_graphs) == "5a9cff4dbc67b00ec9e47d75ca263790b771f05bfafaa4a190cb3adb67dbaa1b"
     sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
     inst2 = H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
-    assert _sha([inst2.merged]) == "97f1c7d8726aeb3e69fabbdd70858059f7ffd8e2ebdf59e26b8f98d18665349c"
-    assert _sha(inst2.edge_graphs) == "e13e2096101c93fcd6abcfc48ffa939ca441ea3ca4f49f2abae8d3df702c85c7"
+    assert _sha([inst2.merged]) == "c70fa6b962adc77cd58e3787c90a4da3e669fdefd827198a73cb2d8e88b31c0b"
+    assert _sha(inst2.edge_graphs) == "41298496215cd3f1c14c09d74d2a9551a0ecb7f5387a6eb2544cf7b4e8547dfe"
