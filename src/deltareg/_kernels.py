@@ -124,20 +124,29 @@ def transpose_bits(rows: np.ndarray, n_cols: int) -> np.ndarray:
     """Transpose of a packed (n_rows x n_cols) bit matrix, as packed rows.
 
     Bytes of eight consecutive rows form one uint64 holding an 8x8 bit
-    block, which three delta swaps transpose in place (Warren, Hacker's
-    Delight, 7-3); the blocks' bytes are then the output rows' bytes.
+    block, which three delta swaps transpose in place, through one scratch
+    array (Warren, Hacker's Delight, 7-3); the blocks' bytes are then the
+    output rows' bytes, copied once, into a zero-padded buffer only when
+    the rows do not fill whole words.
     """
     n_rows = rows.shape[0]
     b = np.ascontiguousarray(rows).view(np.uint8)
     if n_rows % 8:
         b = np.concatenate([b, np.zeros((-n_rows % 8, b.shape[1]), dtype=np.uint8)])
-    x = np.ascontiguousarray(b.reshape(-1, 8, b.shape[1]).transpose(0, 2, 1)).view(np.uint64)[..., 0]
+    x = np.ascontiguousarray(b.reshape(b.shape[0] // 8, 8, b.shape[1]).transpose(0, 2, 1)).view(np.uint64)[..., 0]
+    t = np.empty_like(x)
     for shift, mask in _TRANSPOSE8:
-        t = (x ^ (x >> np.uint64(shift))) & np.uint64(mask)
-        x = x ^ t ^ (t << np.uint64(shift))
-    out = x.view(np.uint8).reshape(*x.shape, 8).transpose(1, 2, 0).reshape(-1, x.shape[0])
+        np.right_shift(x, np.uint64(shift), out=t)
+        np.bitwise_xor(t, x, out=t)
+        np.bitwise_and(t, np.uint64(mask), out=t)
+        np.bitwise_xor(x, t, out=x)
+        np.left_shift(t, np.uint64(shift), out=t)
+        np.bitwise_xor(x, t, out=x)
+    out = x.view(np.uint8).reshape(x.shape[0], 8 * x.shape[1])[:, :n_cols].T  # output row 8c + k: bit k of byte column c
+    if n_rows % 64 == 0:
+        return np.ascontiguousarray(out).view(np.uint64)
     buf = np.zeros((n_cols, row_words(n_rows) * 8), dtype=np.uint8)
-    buf[:, : out.shape[1]] = out[:n_cols]
+    buf[:, : out.shape[1]] = out
     return buf.view(np.uint64)
 
 

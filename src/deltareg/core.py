@@ -249,7 +249,7 @@ class CoreSequence:
                 lp = self.left_parts(level)
                 rp = self.right_parts(level)
                 # columns expand as rows of the transpose: (l_j, n_right)
-                cluster_rows = _kernels.transpose_bits(m.quotient.transposed().rows[rp.owner], len(lp.cells))
+                cluster_rows = _kernels.transpose_bits(m.quotient.transposed().rows[rp.owner], len(lp))
                 rows = cluster_rows[lp.owner]
                 g = BipartiteGraph(VertexClass("L", self.n_left), VertexClass("R", self.n_right), rows)
             self._materialized[key] = g
@@ -347,49 +347,45 @@ def verify_structure(seq: CoreSequence) -> dict:
     two-child chain splits, zero/one block densities, neighbor-family
     cardinalities.
 
-    Density and the chain split are decided on the stored quotients.  A
-    level-j member's vertex graph is its quotient q blown up,
-    g[u, v] = q[c(u), c(v)] with c the level-j cluster of a vertex and every
-    cluster non-empty, so its edge count is the sum of q[a, b] |a| |b|, and
-    two children split their parent's vertex graph exactly when their
-    quotients are disjoint and their union is the parent's quotient expanded
-    to level j (the load checks that level j refines level j - 1).  Blocks
-    are recounted on the vertex graph, at the levels where a block holds
-    more than one vertex pair."""
+    All four are decided on the stored quotients.  A level-j member's vertex
+    graph is its quotient q blown up, g[u, v] = q[c(u), c(v)] with c the
+    level-j cluster of a vertex and every cluster non-empty: every block is
+    complete or empty exactly when q has one row per level-j left cluster
+    and one column per right cluster, its edge count is the sum of
+    q[a, b] |a| |b|, and two children split their parent's vertex graph
+    exactly when their quotients are disjoint and their union is the
+    parent's quotient expanded to level j (the load checks that level j
+    refines level j - 1).  A member of another shape fails the block claim
+    and every split it is part of, and its density and neighbor families are
+    not counted."""
     prof = seq.profile
-    nl, nr = seq.n_left, seq.n_right
     report = {"density": True, "chain": True, "blocks": True, "families": True, "failures": []}
+    misshapen = set()
     for j in range(1, prof.s + 1):
-        lp, rp = seq.left_parts(j), seq.right_parts(j)
         lsz, rsz = _cluster_sizes(seq, j)
-        # block sizes in a dtype that holds them, whatever the observed sums;
-        # a block of one vertex pair is complete or empty, so only larger
-        # blocks are recounted
-        largest = int(lsz.max(initial=0)) * int(rsz.max(initial=0))
-        dtype = np.min_scalar_type(largest)
-        full = lsz.astype(dtype)[:, None] * rsz.astype(dtype)
-        area = nl * nr
         for m in seq.members[j]:
-            if int(lsz @ _cluster_degrees(m.quotient, rsz)) * (1 << j) != area:
+            if (m.quotient.left.size, m.quotient.right.size) != (lsz.size, rsz.size):
+                misshapen.add((j, m.index))
+                report["blocks"] = False
+                report["failures"].append(("block", j, m.index))
+            elif int(lsz @ _cluster_degrees(m.quotient, rsz)) * (1 << j) != seq.n_left * seq.n_right:
                 report["density"] = False
                 report["failures"].append(("density", j, m.index))
-            if largest < 2:
-                continue
-            D = _block_degree_matrix(seq.member_graph(j, m.index), lp, rp)
-            mixed = (D != 0) & (D != full)
-            if mixed.any():
-                report["blocks"] = False
-                for a, b in np.argwhere(mixed)[:8]:
-                    report["failures"].append(("block", j, m.index, int(a), int(b)))
         for idx, parent in enumerate(seq.members[j - 1]):
-            expand = _expand_quotient(parent.quotient, seq.lparent[j - 1], seq.rparent[j - 1], prof.l_sizes[j - 1], prof.r_sizes[j - 1])
             c1, c2 = seq.members[j][2 * idx].quotient.rows, seq.members[j][2 * idx + 1].quotient.rows
-            if np.any(c1 & c2) or not np.array_equal(c1 | c2, expand.rows):
+            if misshapen & {(j - 1, idx), (j, 2 * idx), (j, 2 * idx + 1)}:
+                split = False
+            else:
+                expand = _expand_quotient(parent.quotient, seq.lparent[j - 1], seq.rparent[j - 1], prof.l_sizes[j - 1], prof.r_sizes[j - 1])
+                split = not np.any(c1 & c2) and np.array_equal(c1 | c2, expand.rows)
+            if not split:
                 report["chain"] = False
                 report["failures"].append(("chain", j, idx))
     for i in range(1, prof.s + 1):
         expected = prof.r_sizes[i - 1] >> (i - 1)
         for idx in range(len(seq.members[i - 1])):
+            if (i - 1, idx) in misshapen:
+                continue
             for L in np.flatnonzero(_family_table(seq, i, idx)[2] != expected).tolist():
                 report["families"] = False
                 report["failures"].append(("family", i, idx, L))
@@ -421,14 +417,7 @@ def _is_block_partition(p: VertexPartition) -> bool:
     return p.n % k == 0 and np.array_equal(p.owner, np.arange(p.n) // (p.n // k))
 
 
-def _block_degree_matrix(g: BipartiteGraph, lp: VertexPartition, rp: VertexPartition) -> np.ndarray:
-    """Edge counts of every (left cell, right cell) block, summed from a
-    uint8 unpack of the rows."""
-    bits = _kernels.unpack_rows(g.rows, g.right.size)
-    return _group_sum(_group_sum(bits, lp, 0), rp, 1)
-
-
-_FAMILY_CHUNK = 1 << 19  # words of family rows plus pair indices the codegree check holds at once
+_FAMILY_CHUNK = 1 << 19  # words of family rows, sweep scratch and masks the codegree check holds at once
 
 
 def verify_core_properties(seq: CoreSequence, i: int, left_cluster=None, member: int = 0) -> dict:
@@ -515,10 +504,11 @@ def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None
     level-i left clusters, in the member's quotient.
 
     Cells are taken in chunks of at most ``_FAMILY_CHUNK`` words.  In a
-    chunk every cell's word window of the transposed quotient is masked to
-    the cell (one ``set_bits``), the family rows of all cells are gathered
-    into one matrix, and one ``and_popcount_pairs`` call counts every pair
-    of each family.
+    chunk, the cells whose families have t clusters are taken together:
+    every cell's family rows are gathered from its word window of the
+    transposed quotient and masked to the cell, into one (cells, t, W)
+    block, and ``_family_codegree_max`` sweeps every pair of each family
+    with no pair list.
     """
     alpha = seq.profile.alpha_at(i)
     an, ad = alpha.numerator, alpha.denominator
@@ -541,38 +531,48 @@ def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None
     # codegree is at most |cell|, so the bound is clipped to [-1, |cell|]
     usz, inv = np.unique(csize, return_inverse=True)
     bound = np.array([max(-1, min(c, c * (ad + an) // (4 * ad))) for c in usz.tolist()], dtype=np.int64)[inv]
-    cost = fsize[Ls] * (W + fsize[Ls] - 1)  # family row words plus pair indices, per cell
+    # words per cell, rounded up: family rows t W, AND scratch and its
+    # popcounts under 2 t W, the window's cluster ids 64 W and mask 8 W
+    cost = (3 * fsize[Ls] + 72) * W
     chunk = (np.cumsum(cost) - cost) // _FAMILY_CHUNK
     failing = []
     for part in np.split(Ls, np.flatnonzero(np.diff(chunk)) + 1):
-        k, s = part.size, fsize[part]
-        # mask every cell's word window to the cell
-        words = np.minimum(lo[part][:, None] + np.arange(W), tq.rows.shape[1] - 1)
-        owner = np.repeat(np.arange(k), csize[part])
-        ids = cells[_ranges(cstart[part], csize[part])]
-        masks = np.zeros((k, W), dtype=np.uint64)
-        _kernels.set_bits(masks, owner, ids - 64 * lo[part][owner])
-        # the family rows of all cells, cell by cell
-        row_cell = np.repeat(np.arange(k), s)
-        sub = tq.rows[fam[_ranges(fstart[part], s)][:, None], words[row_cell]] & masks[row_cell]
-        # every pair of each family: one triangle per family size, offset per cell
-        first = np.cumsum(s) - s
-        pairs, pair_cell = [], []
-        for t in np.flatnonzero(np.bincount(s)).tolist():
-            tri = np.stack(np.triu_indices(t, k=1), axis=1)
-            at = np.flatnonzero(s == t)
-            pairs.append((first[at][:, None, None] + tri).reshape(-1, 2))
-            pair_cell.append(np.repeat(at, len(tri)))
-        pair_cell = np.concatenate(pair_cell)
-        over = _kernels.and_popcount_pairs(sub, np.concatenate(pairs)) > bound[part][pair_cell]
-        failing += part[np.flatnonzero(np.bincount(pair_cell[over], minlength=k))].tolist()
-    return failing
+        for t in np.flatnonzero(np.bincount(fsize[part])).tolist():
+            at = part[fsize[part] == t]
+            # every cell's word window, and its mask: the window's clusters
+            # whose parent is the cell's
+            words = np.minimum(lo[at][:, None] + np.arange(W), tq.rows.shape[1] - 1)
+            span = 64 * lo[at][:, None] + np.arange(64 * W)
+            inside = (span < lparent.size) & (np.take(lparent, np.minimum(span, lparent.size - 1)) == at[:, None])
+            rows = fam[fstart[at][:, None] + np.arange(t)]
+            block = tq.rows[rows[:, :, None], words[:, None, :]] & _kernels.pack_rows(inside)[:, None, :]
+            failing.append(at[_family_codegree_max(block) > bound[at]])
+    return np.sort(np.concatenate(failing)).tolist()
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated aranges [start, start + length), one per pair."""
-    total = int(lengths.sum())
-    return np.arange(total) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+def _family_codegree_max(block: np.ndarray) -> np.ndarray:
+    """The largest popcount of row_a & row_b over the pairs a < b of each
+    (t, W) family of a (cells, t, W) block, t >= 2.  Offset d pairs
+    every row a with row a + d: ``block[:, d:] & block[:, :-d]``, popcounted
+    and summed over the W words into one scratch array, with a running
+    elementwise maximum, so no pair list is built and no row gathered.  A
+    codegree is at most 64 W, and is counted in the smallest unsigned dtype
+    that holds that."""
+    n, t, W = block.shape
+    dtype = np.min_scalar_type(64 * W)
+    both = np.empty((n, t - 1, W), dtype=np.uint64)
+    counts = np.empty(both.shape, dtype=np.uint8)
+    sums = np.empty(both.shape[:2], dtype=dtype)
+    best = np.zeros(both.shape[:2], dtype=dtype)
+    for d in range(1, t):
+        m = t - d
+        np.bitwise_and(block[:, d:], block[:, :m], out=both[:, :m])
+        np.bitwise_count(both[:, :m], out=counts[:, :m])
+        np.copyto(sums[:, :m], counts[:, :m, 0])
+        for w in range(1, W):
+            sums[:, :m] += counts[:, :m, w]
+        np.maximum(best[:, :m], sums[:, :m], out=best[:, :m])
+    return best.max(axis=1)
 
 
 _SLICE_SUM_WIDTH = 8
@@ -1317,9 +1317,10 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     def by_cluster(x, r_owner, dtype):
         """The sums of the columns of x over each cluster of r_owner.  Every
         cluster size is a multiple of their gcd g, so the columns in cluster
-        order are summed in blocks of g by g strided adds; clusters of
-        unequal sizes then take one running sum over the blocks, differenced
-        at the cluster bounds."""
+        order are summed in blocks of g by g strided adds; when the clusters
+        differ in size, each cluster's first block is taken, and the e-th
+        blocks of the clusters that have more than e are added one column
+        take at a time."""
         size = np.bincount(r_owner)
         g = int(np.gcd.reduce(size))
         if np.any(r_owner[1:] < r_owner[:-1]):  # the clusters are not runs in order
@@ -1328,10 +1329,14 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
         out = parts[:, :, 0].astype(dtype, copy=g > 1)  # g = 1: the columns are the blocks
         for j in range(1, g):
             out += parts[:, :, j]
-        if np.any(size != g):
-            run = np.cumsum(out, axis=1, out=np.empty(out.shape, dtype=dtype))
-            out = np.take(run, np.cumsum(size // g) - 1, axis=1)
-            out[:, 1:] -= out[:, :-1]  # numpy buffers the overlap: each bound minus the one before
+        blocks = size // g
+        if np.any(blocks > 1):
+            first = np.cumsum(blocks) - blocks
+            sums = np.take(out, first, axis=1)
+            for e in range(1, int(blocks.max())):
+                more = np.flatnonzero(blocks > e)
+                sums[:, more] += np.take(out, first[more] + e, axis=1)
+            out = sums
         return out
 
     # entry cells must be disjoint: an entry overlaps when an id of its P is

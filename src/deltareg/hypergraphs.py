@@ -92,8 +92,8 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
         raise ValueError(f"chain depth {len(chain)} below the required {m_needed}")
     if k == 2:
         # base: left ground is the first class, right the second
-        r_sizes = [len(chain[i][1].cells) for i in range(s)]
-        l_sizes = [len(chain[i + 1][0].cells) for i in range(s)]
+        r_sizes = [len(chain[i][1]) for i in range(s)]
+        l_sizes = [len(chain[i + 1][0]) for i in range(s)]
         profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes, **core_kwargs)
         left_chain = [chain[i + 1][0] for i in range(s)]
         right_chain = [chain[i][1] for i in range(s)]
@@ -111,8 +111,8 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
         _edge_partition_as_vertex_partition(fam.sub_family, ell, prod) for ell in fam.f_selection
     ]
     right_chain = [chain[i - 1][k - 1] for i in fam.v_selection]
-    r_sizes = [len(p.cells) for p in right_chain]
-    l_sizes = [len(p.cells) for p in left_chain]
+    r_sizes = [len(p) for p in right_chain]
+    l_sizes = [len(p) for p in left_chain]
     profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes, **core_kwargs)
     fam.core_seq = build_core_sequence(profile, derive_seed(seed, "outer", k), left_chain=left_chain, right_chain=right_chain)
     return fam

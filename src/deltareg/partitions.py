@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,9 @@ from .graphs import KPartiteKGraph, VertexClass, VertexClassSet, _digit_runs, _w
 class VertexPartition:
     """Partition of {0..n-1} (or of an abstract index set) into cells.
 
-    Cells are canonically ordered by their smallest element.
+    Cells are canonically ordered by their smallest element.  A partition
+    keeps its ids as one flat array in canonical order plus the cell sizes;
+    ``cells`` splits them into one array per cell on first use.
     """
 
     def __init__(self, n: int, cells, name: str = ""):
@@ -72,9 +75,14 @@ class VertexPartition:
             flat, sizes = flat[np.argsort(erank, kind="stable")], sizes[canon]
         self.n = n
         self.name = name
-        self.cells = _split_flat(flat, sizes)
+        self._flat, self._sizes = flat, sizes
         self.owner = owner
         self.owner.setflags(write=False)
+
+    @cached_property
+    def cells(self) -> list:
+        """The cells as int64 arrays of increasing ids, views of the flat ids."""
+        return _split_flat(self._flat, self._sizes)
 
     @staticmethod
     def blocks(n: int, num_cells: int, name: str = "") -> "VertexPartition":
@@ -84,7 +92,7 @@ class VertexPartition:
         w = n // num_cells
         self = VertexPartition.__new__(VertexPartition)
         self.n = n
-        self.cells = list(np.arange(n, dtype=np.int64).reshape(num_cells, w))
+        self._flat, self._sizes = np.arange(n, dtype=np.int64), np.full(num_cells, w, dtype=np.int64)
         self.name = name
         self.owner = np.repeat(np.arange(num_cells, dtype=np.int64), w)
         self.owner.setflags(write=False)
@@ -95,10 +103,10 @@ class VertexPartition:
         return VertexPartition.blocks(n, n, name)
 
     def __len__(self):
-        return len(self.cells)
+        return self._sizes.size
 
     def cell_sizes(self):
-        return [int(c.size) for c in self.cells]
+        return self._sizes.tolist()
 
     def is_equitable(self) -> bool:
         sizes = self.cell_sizes()
@@ -108,20 +116,18 @@ class VertexPartition:
         return int(self.owner[v])
 
     def refines_exactly(self, other: "VertexPartition") -> bool:
-        return np.unique(self.owner * len(other.cells) + other.owner).size == len(self.cells)
+        return np.unique(self.owner * len(other) + other.owner).size == len(self)
 
     def __eq__(self, other):
         return isinstance(other, VertexPartition) and self.n == other.n and np.array_equal(self.owner, other.owner)
 
     def to_text(self) -> str:
         """One line per cell, its ids in decimal joined by single spaces."""
-        if not self.cells:
+        if not len(self):
             return "\n"
-        # every cell lists its ids in increasing order, so the ids sorted
-        # stably by owner are the cells, in order
-        seps = np.full(self.n, ord(" "), dtype=np.uint8)
-        seps[np.cumsum(np.bincount(self.owner)) - 1] = ord("\n")
-        return _write_tokens(np.argsort(self.owner, kind="stable"), seps).decode("ascii")
+        seps = np.full(self._flat.size, ord(" "), dtype=np.uint8)
+        seps[np.cumsum(self._sizes) - 1] = ord("\n")
+        return _write_tokens(self._flat, seps).decode("ascii")
 
     @staticmethod
     def from_text(n: int, text: str) -> "VertexPartition":
@@ -251,7 +257,7 @@ def cross_k(P: VertexPartition, r: int, cap: int = 2_000_000) -> np.ndarray:
     built."""
     if r < 2:
         raise ValueError("arity must be at least 2")
-    if r > len(P.cells):
+    if r > len(P):
         raise ValueError("arity exceeds the number of cells")
     # count[j]: the j-subsets meeting j distinct cells among the cells so far
     count = [1] + [0] * r
@@ -454,7 +460,7 @@ def check_refinement_size(Q: VertexPartition, P: VertexPartition) -> bool:
         raise ValueError("Q does not 1/2-refine P")
     if not P.is_equitable():
         raise ValueError("P must be equitable")
-    return 4 * len(Q.cells) >= len(P.cells)
+    return 4 * len(Q) >= len(P)
 
 
 def refinement_union(Q: VertexPartition, P: VertexPartition, delta) -> tuple[int, np.ndarray, int]:
@@ -471,7 +477,7 @@ def refinement_union(Q: VertexPartition, P: VertexPartition, delta) -> tuple[int
     # per vertex, the host of its Q-cell (-1 for none); the union for a
     # P-cell is where that host is the cell, and |U ^ p| = |U| + |p| - 2|U & p|
     host = np.asarray(rep.assignment, dtype=np.int64)[Q.owner]
-    k = len(P.cells)
+    k = len(P)
     diff = np.bincount(host[host >= 0], minlength=k) + np.bincount(P.owner, minlength=k)
     diff -= 2 * np.bincount(host[host == P.owner], minlength=k)
     best = int(np.argmin(diff))

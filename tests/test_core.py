@@ -1064,7 +1064,7 @@ def _reference_structure(seq):
             if g.edge_count() * (1 << j) != nl * nr:
                 report["density"] = False
                 report["failures"].append(("density", j, m.index))
-            D = C._block_degree_matrix(g, lp, rp)
+            D = C._group_sum(C._group_sum(C._kernels.unpack_rows(g.rows, g.right.size), lp, 0), rp, 1)
             mixed = (D != 0) & (D != np.outer(np.bincount(lp.owner), np.bincount(rp.owner)))
             if mixed.any():
                 report["blocks"] = False
@@ -1162,16 +1162,17 @@ def _flip(seq, level, member, row, col):
     return _with_quotient(seq, level, member, rows)
 
 
-def _equal_family_pair(seq, level, member, L):
-    """Inside the cell of parent left cluster L, make the second cluster of
-    L's neighbor family adjacent to exactly what the first is: their
-    codegree becomes the first one's degree into the cell."""
+def _equal_family_pair(seq, level, member, L, a=0, b=1):
+    """Inside the cell of parent left cluster L, make cluster b of L's
+    neighbor family (by position) adjacent to exactly what cluster a is:
+    their codegree becomes a's degree into the cell, and every other pair
+    keeps its codegree or takes one a already has."""
     q = seq.members[level][member].quotient
-    r1, r2 = C.neighbor_family(seq, level, L, member=member // 2).members[:2]
+    fam = C.neighbor_family(seq, level, L, member=member // 2).members
     cell = np.flatnonzero(seq.lparent[level - 1] == L)
     bits = C._kernels.unpack_rows(q.rows, q.right.size)
-    bits[cell, r2] = bits[cell, r1]
-    return _with_quotient(seq, level, member, C._kernels.pack_rows(bits))
+    bits[cell, fam[b]] = bits[cell, fam[a]]
+    return _with_quotient(seq, level, member, C._kernels.pack_rows(bits)), int(bits[cell, fam[a]].sum())
 
 
 def _assert_core_reports_match(seq, members=None, left_clusters=()):
@@ -1262,7 +1263,7 @@ def test_core_reports_match_the_per_cluster_reference_on_families_of_two():
     seq = C.build_core_sequence(prof, seed=5)
     assert set(C._family_table(seq, 2, 1)[2].tolist()) == {2}
     _assert_core_reports_match(seq, left_clusters=(0, 3))
-    planted = _equal_family_pair(seq, 2, 1, 2)
+    planted, _ = _equal_family_pair(seq, 2, 1, 2)
     assert ("item2", 2, 1, 2) in C.verify_core_properties(planted, 2, member=1)["failures"]
     _assert_core_reports_match(planted, [(2, 1)], left_clusters=(1, 2))
 
@@ -1303,7 +1304,7 @@ def test_flipped_quotient_bit_reports_match_the_reference(desk_seq, level, membe
 
 @pytest.mark.parametrize("level,member,L", [(2, 3, 7), (3, 6, 100), (3, 1, 0)])
 def test_planted_codegree_violation_is_reported_as_the_reference_does(desk_seq, level, member, L):
-    seq = _equal_family_pair(desk_seq, level, member, L)
+    seq, _ = _equal_family_pair(desk_seq, level, member, L)
     rep = C.verify_core_properties(seq, level, member=member)
     assert ("item2", level, member, L) in rep["failures"]
     assert rep == _reference_core_properties(seq, level, member=member)
@@ -1313,25 +1314,73 @@ def test_planted_codegree_violation_is_reported_as_the_reference_does(desk_seq, 
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_codegree_sweep_matches_the_per_pair_reference_off_the_word_grid(scattered_seq, data):
+    """Item 2 by offset sweeps against the per-pair reference on shuffled
+    clusters: level-1 bits flipped so that the level-2 families differ in
+    size, a pair planted over the bound at offset 1 or t - 1 of one family
+    of t clusters, every cell or one left cluster, and chunks of every
+    cell or of one cell each."""
+    _, seq = scattered_seq
+    member = data.draw(st.integers(0, 3), label="member")
+    rows = seq.members[1][member // 2].quotient.rows.copy()
+    for r, c in data.draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7)), max_size=4), label="flips"):
+        rows[r, 0] ^= np.uint64(1) << np.uint64(c)
+    seq = _with_quotient(seq, 1, member // 2, rows)
+    L = data.draw(st.integers(0, 15), label="L")
+    t = len(_reference_family(seq, 2, L, member // 2))
+    degree = 0
+    if t >= 2:
+        d = data.draw(st.sampled_from([1, t - 1]), label="offset")
+        a = data.draw(st.integers(0, t - 1 - d), label="first")
+        seq, degree = _equal_family_pair(seq, 2, member, L, a, a + d)
+    left_cluster = data.draw(st.sampled_from([None, L]), label="left_cluster")
+    chunk = data.draw(st.sampled_from([1, C._FAMILY_CHUNK]), label="chunk")
+    saved = C._FAMILY_CHUNK
+    C._FAMILY_CHUNK = chunk
+    try:
+        got = C.verify_core_properties(seq, 2, left_cluster=left_cluster, member=member)
+    finally:
+        C._FAMILY_CHUNK = saved
+    assert got == _reference_core_properties(seq, 2, left_cluster=left_cluster, member=member)
+    alpha = seq.profile.alpha_at(2)
+    if 4 * degree * alpha.denominator > np.count_nonzero(seq.lparent[1] == L) * (alpha.denominator + alpha.numerator):
+        assert ("item2", 2, member, L) in got["failures"]
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (0, 31), (30, 31)])
+def test_codegree_pair_planted_at_the_first_and_last_offset_on_the_desk(desk_seq, a, b):
+    """Word-aligned cells of 256 clusters and families of 32: one pair at
+    offset 1 or 31 over the bound is found, in its cell only."""
+    seq, degree = _equal_family_pair(desk_seq, 3, 5, 77, a, b)
+    assert 16 * degree > 7 * 256
+    rep = C.verify_core_properties(seq, 3, member=5)
+    assert [f for f in rep["failures"] if f[0] == "item2"] == [("item2", 3, 5, 77)]
+    assert rep == _reference_core_properties(seq, 3, member=5)
+
+
 def test_codegree_check_counts_pairs_once_per_chunk(desk_seq, monkeypatch):
-    """One ``and_popcount_pairs`` call per chunk of parent cells: one for a
-    desk member, and one per cell when each chunk holds a single cell; the
-    reports do not change with the chunk size."""
-    calls = []
-    kernel = C._kernels.and_popcount_pairs
+    """One sweep per chunk of parent cells and family size: one for a desk
+    member, whose 256 families all have 32 clusters, and one per cell when
+    each chunk holds a single cell; the reports do not change with the
+    chunk size."""
+    shapes = []
+    sweep = C._family_codegree_max
 
-    def counted(rows, pairs):
-        calls.append(len(pairs))
-        return kernel(rows, pairs)
+    def counted(block):
+        shapes.append(block.shape)
+        return sweep(block)
 
-    monkeypatch.setattr(C._kernels, "and_popcount_pairs", counted)
-    seq = _equal_family_pair(desk_seq, 3, 2, 9)
+    monkeypatch.setattr(C, "_family_codegree_max", counted)
+    seq, _ = _equal_family_pair(desk_seq, 3, 2, 9)
     full = C.verify_core_properties(seq, 3, member=2)
-    assert len(calls) == 1 and calls[0] == 256 * (32 * 31 // 2)
-    calls.clear()
+    assert ("item2", 3, 2, 9) in full["failures"]
+    assert shapes == [(256, 32, 4)]
+    shapes.clear()
     monkeypatch.setattr(C, "_FAMILY_CHUNK", 1)
     assert C.verify_core_properties(seq, 3, member=2) == full
-    assert len(calls) == 256 and set(calls) == {32 * 31 // 2}
+    assert shapes == [(1, 32, 4)] * 256
 
 
 def test_recheck_of_a_desk_certificate_with_two_level_3_cells_merged(desk_seq):
@@ -1380,41 +1429,57 @@ def test_core_suites_do_not_call_neighbor_family(small_seq, tmp_path, monkeypatc
         assert main(["verify", "--artifact", str(tmp_path), "--suite", suite]) == 0
 
 
-def test_core_suites_decide_on_quotients_without_level_3_vertex_graphs(desk_seq, monkeypatch):
-    """verify_core_properties builds no vertex graph at all, and
-    verify_structure builds only those of levels 1 and 2, whose blocks hold
-    more than one vertex pair; at level 3 every cluster is one vertex."""
+def test_core_suites_decide_on_quotients_without_vertex_graphs(desk_seq, monkeypatch):
+    """Neither verify_structure nor verify_core_properties builds a vertex
+    graph, at any level."""
     seq = _with_quotient(desk_seq, 1, 0, desk_seq.members[1][0].quotient.rows)  # nothing materialized
-    materialize = C.CoreSequence.member_graph
 
     def refused(self, level, index):
         raise AssertionError(f"member_graph({level}, {index}) called")
 
     monkeypatch.setattr(C.CoreSequence, "member_graph", refused)
+    assert C.verify_structure(seq)["ok"]
     for i in range(1, seq.profile.s + 1):
         for m in range(1 << i):
             assert C.verify_core_properties(seq, i, member=m)["ok"]
-    levels = []
+    assert not [key for key in seq._materialized if isinstance(key[0], int)]
 
-    def recorded(self, level, index):
-        levels.append(level)
-        return materialize(self, level, index)
 
-    monkeypatch.setattr(C.CoreSequence, "member_graph", recorded)
+def _with_shape(seq, level, member, left, right):
+    """A copy of the chain whose (level, member) quotient is the empty
+    left x right graph."""
+    out = _with_quotient(seq, level, member, seq.members[level][member].quotient.rows)
+    q = BipartiteGraph(VertexClass("L", left), VertexClass("R", right), C._kernels.zero_rows(left, right))
+    out.members[level][member] = C.CoreMember(level, member, q, member // 2)
+    return out
+
+
+def test_block_check_fails_a_quotient_of_the_wrong_shape(small_seq):
+    """The vertex graph is the quotient blown up, so its blocks are complete
+    or empty exactly when the quotient has one row per left cluster and one
+    column per right cluster of its level.  A member of another shape fails
+    the block claim and every split it is part of; its density and its
+    neighbor families are not counted, and nothing raises."""
+    assert C.verify_structure(small_seq)["ok"]
+    leaf = _with_shape(small_seq, 2, 3, 256, 31)  # one right cluster short, in the same row words
+    rep = C.verify_structure(leaf)
+    assert not rep["blocks"] and not rep["chain"] and rep["density"] and rep["families"]
+    assert rep["failures"] == [("block", 2, 3), ("chain", 2, 1)]
+    parent = _with_shape(small_seq, 1, 0, 17, 8)  # one left cluster too many
+    rep = C.verify_structure(parent)
+    assert not rep["blocks"] and not rep["chain"] and rep["density"] and rep["families"]
+    assert rep["failures"] == [("block", 1, 0), ("chain", 1, 0), ("chain", 2, 0)]
+
+
+def test_core_suites_leave_the_largest_partition_unsplit(desk_seq, tmp_path):
+    """Loading the desk artifact and running both core suites reads the
+    partitions' owners and sizes only: the 65536 one-cluster cells of the
+    level-3 left partition are never split out."""
+    C.save_core_sequence(desk_seq, str(tmp_path))
+    seq = C.load_core_sequence(str(tmp_path))
     assert C.verify_structure(seq)["ok"]
-    assert sorted(set(levels)) == [1, 2]
-    assert not [key for key in seq._materialized if key[0] == 3]
-
-
-def test_block_check_holds_block_sizes_past_the_sums_dtype():
-    """A 300 x 1 block holding 44 edges is mixed: every block sum fits
-    uint8, but the block size 300 does not, and must not wrap to 44."""
-    prof = C.GrowthProfile(s=1, r_sizes=[8], l_sizes=[16], blowup_left=300, alpha=Fraction(3, 4), beta=Fraction(1, 2))
-    seq = C.build_core_sequence(prof, seed=0)
-    g = seq.member_graph(1, 0)
-    bits = np.zeros((g.left.size, g.right.size), dtype=np.uint8)
-    bits[:44, 0] = 1
-    seq._materialized[(1, 0)] = BipartiteGraph(g.left, g.right, C._kernels.pack_rows(bits))
-    rep = C.verify_structure(seq)
-    assert not rep["blocks"]
-    assert ("block", 1, 0, 0, 0) in rep["failures"]
+    for i in range(1, seq.profile.s + 1):
+        for m in range(1 << i):
+            assert C.verify_core_properties(seq, i, member=m)["ok"]
+    assert "cells" not in vars(seq.left_chain[2])
+    assert len(seq.left_chain[2]) == 65536

@@ -38,14 +38,33 @@ def test_codegree_matches_neighborhood_intersection(seed):
         assert G.codegree(g, int(v), int(w)) == brute
 
 
-@pytest.mark.parametrize("nl, nr", [(1, 1), (7, 130), (64, 64), (129, 9), (200, 65)])
+@pytest.mark.parametrize("nl, nr", [(1, 1), (7, 130), (64, 64), (129, 9), (200, 65), (128, 7), (192, 65), (64, 1)])
 def test_transposed_swaps_every_edge(nl, nr):
+    """Row counts off and on whole words (multiples of 64, where no padded
+    buffer is made), column counts off whole bytes."""
     g = random_bipartite(nl, nr, 0.5, nl * 1000 + nr)
     t = g.transposed()
     swapped = G.BipartiteGraph.from_edges(g.right, g.left, [(v, u) for u, v in g.edges()])
     assert np.array_equal(t.rows, swapped.rows)
     back = G.BipartiteGraph(t.left, t.right, t.rows.copy()).transposed()  # uncached
     assert np.array_equal(back.rows, g.rows)
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(65536, 128), (128, 65536), (0, 5), (5, 0)])
+def test_transpose_bits_matches_unpack_transpose_pack(n_rows, n_cols):
+    """The desk quotient shapes and their transposes, against unpack, .T
+    and pack; the result is a fresh array, so writing it leaves the input
+    as it was."""
+    from deltareg import _kernels as K
+
+    bits = np.random.default_rng(n_rows + n_cols).integers(0, 2, (n_rows, n_cols), dtype=np.uint8)
+    rows = K.pack_rows(bits) if n_rows else K.zero_rows(0, n_cols)
+    kept = rows.copy()
+    out = K.transpose_bits(rows, n_cols)
+    assert out.dtype == np.uint64 and out.shape == (n_cols, K.row_words(n_rows))
+    assert np.array_equal(out, K.pack_rows(bits.T)) if n_cols else out.size == 0
+    out ^= ~np.uint64(0)
+    assert np.array_equal(rows, kept)
 
 
 def test_codegree_identity_and_zero():

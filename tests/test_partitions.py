@@ -448,6 +448,46 @@ def test_vertex_partition_text_round_trip(case):
     assert back.to_text() == vp.to_text()
 
 
+def _eager_cells(vp):
+    """The cells split out of the owner array, one array per cell."""
+    sizes = np.bincount(vp.owner, minlength=len(vp))
+    return np.split(np.argsort(vp.owner, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+def _assert_lazy_cells(vp):
+    """len, sizes, equality and the text form leave the cells unbuilt; the
+    cells, once built, are the eager split."""
+    text = vp.to_text()
+    assert len(vp) == len(vp.cell_sizes()) and vp == P.VertexPartition.from_text(vp.n, text)
+    vp.is_equitable()
+    assert "cells" not in vars(vp)
+    want = _eager_cells(vp) if vp.n else []
+    assert len(vp.cells) == len(want)
+    assert all(c.dtype == np.int64 and np.array_equal(c, w) for c, w in zip(vp.cells, want))
+    assert vp.cell_sizes() == [c.size for c in want] and vp.to_text() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cell_lists())
+def test_vertex_partition_cells_are_built_on_first_use(case):
+    n, cells = case
+    try:
+        vp = P.VertexPartition(n, cells)
+    except ValueError:
+        return
+    _assert_lazy_cells(vp)
+    _assert_lazy_cells(P.VertexPartition.from_text(n, vp.to_text()))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (12, 3), (12, 12), (65536, 65536), (65536, 256)])
+def test_block_partition_cells_are_built_on_first_use(n, k):
+    _assert_lazy_cells(P.VertexPartition.blocks(n, k))
+    _assert_lazy_cells(P.VertexPartition.from_text(n, P.VertexPartition.blocks(n, k).to_text()))
+    unequal = P.VertexPartition(n + 3, [range(n), range(n, n + 3)])  # sizes n and 3
+    _assert_lazy_cells(unequal)
+    _assert_lazy_cells(P.VertexPartition.from_text(n + 3, unequal.to_text()))
+
+
 def test_vertex_partition_text_tolerates_blank_lines_and_spacing():
     vp = P.VertexPartition.from_text(5, "\n3  1\n\n0\t2 \n4\n\n")
     assert [c.tolist() for c in vp.cells] == [[0, 2], [1, 3], [4]]
