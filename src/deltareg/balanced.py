@@ -52,10 +52,10 @@ class BalanceSpec:
         self.alpha = Fraction(self.alpha)
         self.beta = Fraction(self.beta)
         sizes = self.x_cells.cell_sizes()
-        if len(set(sizes)) != 1 or sizes[0] % 2:
+        if not self.x_cells.is_equitable() or sizes[0] % 2:
             raise ValueError("X-cells must share one even size")
-        self.m = sizes[0]
-        if any(s % 2 for s in self.y_cells.cell_sizes()):
+        self.m = int(sizes[0])
+        if np.any(self.y_cells.cell_sizes() % 2):
             raise ValueError("Y-cells must have even size")
         self.family, self.k = _checked_family(self.family, self.y_cells)
 

@@ -399,7 +399,7 @@ def _cluster_sizes(seq: CoreSequence, i: int) -> tuple:
     if i == 0:
         return np.array([seq.n_left]), np.array([seq.n_right])
     lp, rp = seq.left_parts(i), seq.right_parts(i)
-    return np.bincount(lp.owner, minlength=len(lp)), np.bincount(rp.owner, minlength=len(rp))
+    return lp.cell_sizes(), rp.cell_sizes()
 
 
 def _cluster_degrees(q: BipartiteGraph, rsz: np.ndarray) -> np.ndarray:
@@ -582,7 +582,7 @@ def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
     """Sums of a non-negative integer matrix over each cell of p along an
     axis, in the smallest unsigned dtype that holds them."""
     k = len(p)
-    sizes = np.bincount(p.owner, minlength=k)
+    sizes = p.cell_sizes()
     dtype = np.min_scalar_type(int(sizes.max()) * int(x.max(initial=0)))
     if _is_block_partition(p):
         w = p.n // k
@@ -597,63 +597,6 @@ def _group_sum(x: np.ndarray, p: VertexPartition, axis: int) -> np.ndarray:
         return out
     order = np.argsort(p.owner, kind="stable")
     return np.add.reduceat(np.take(x, order, axis=axis), np.cumsum(sizes) - sizes, axis=axis, dtype=dtype)
-
-
-def verify_degree_property(seq: CoreSequence, ell: int, i: int, L: int, R: int, member: int = 0) -> dict:
-    """With the level-i ancestor block (L, R) present, every vertex of the
-    level-i left cluster L has exactly 2^(i-ell) |R| neighbors in R."""
-    anc = seq.ancestor_index(ell, member, i)
-    qi = seq.members[i][anc].quotient
-    if not qi.has_edge(L, R):
-        raise ValueError("block (L, R) is not present at the ancestor level")
-    g = seq.member_graph(ell, member)
-    Lverts = seq.left_parts(i).cells[L]
-    Rverts = seq.right_parts(i).cells[R]
-    mask = _kernels.pack_indices(Rverts, seq.n_right)
-    degs = _kernels.masked_degrees(g.rows[Lverts], mask)
-    expected_num = len(Rverts)  # degree = |R| * 2^(i-ell): exact integer check
-    ok = bool(np.all(degs.astype(object) * (1 << (ell - i)) == expected_num))
-    return {"ok": ok, "degrees": degs, "expected_times_2tothe(ell-i)": expected_num}
-
-
-def verify_quasirandomness(seq: CoreSequence, ell: int, member: int = 0, subsample_cap: int = 20) -> dict:
-    """Exact codegree-excess accounting over the right side and the derived
-    deviation parameter; includes an exact small-subsample deviation check.
-    """
-    g = seq.member_graph(ell, member)
-    q = seq.members[ell][member].quotient
-    nl, nr = seq.n_left, seq.n_right
-    p = Fraction(1, 1 << ell)
-    rp = seq.right_parts(ell)
-    wl = nl // q.left.size  # left cluster width
-    tq = q.transposed()
-    rpairs = np.array([(a, b) for a in range(q.right.size) for b in range(q.right.size)], dtype=np.int64)
-    cod = _kernels.and_popcount_pairs(tq.rows, rpairs).reshape(q.right.size, q.right.size)
-    # vertex-level codegree between v in R_a, v' in R_b is cod[a,b] * wl
-    base = p * p * nl
-    cluster_sizes = np.array([len(c) for c in rp.cells], dtype=np.int64)
-    worst = Fraction(0)
-    for a in range(q.right.size):
-        excess = Fraction(0)
-        for b in range(q.right.size):
-            cd = Fraction(int(cod[a, b]) * wl)
-            if cd > base:
-                excess += (cd - base) * int(cluster_sizes[b])
-        if excess > worst:
-            worst = excess
-    alpha_hat = worst / (p * p * nl * nr)
-    eps = 2 * dyadic_root_ceil(alpha_hat, 6, 20)
-    out = {"alpha_hat": alpha_hat, "eps": eps, "eps_vacuous": eps >= 1}
-    if not out["eps_vacuous"]:
-        from .regularity import CapExceeded, _induced_pair, is_eps_regular_graph
-
-        sub = _induced_pair(g, np.arange(min(subsample_cap, nl)), np.arange(min(subsample_cap, nr)))
-        try:
-            out["subsample_exact"] = is_eps_regular_graph(sub, eps, mode="exact")
-        except CapExceeded:
-            out["subsample_exact"] = {"status": "cap-exceeded"}
-        out["sampled_scan"] = is_eps_regular_graph(g, eps, mode="sampled", seed=derive_seed(seq.seed, "qr", ell, member))
-    return out
 
 
 @dataclass
@@ -742,7 +685,7 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
     fam = _kernels.unpack_rows(parent_q.rows[host], parent_q.right.size)[:, seq.rparent[i - 1]].astype(bool)
     q_i = seq.members[i][seq.ancestor_index(ell, member, i)].quotient
     g = seq.member_graph(ell, member)
-    r_size = np.bincount(rp_i.owner, minlength=r_i)
+    r_size = rp_i.cell_sizes()
     # d(P, R) >= 2^i p / 4 (p = 2^-ell) is compared in int64: e(P, R) <= |P||R|
     shift = ell + 2 - i
     if (seq.n_left * seq.n_right) << abs(shift) >= 1 << 63:
@@ -1201,7 +1144,7 @@ def refute_partition(
         # a line needs |P1| >= delta |P|
         psize = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))[found["cell"]]
         keep = np.flatnonzero(found["p1_size"] >= ceil_share(psize, delta))
-        rsize = np.bincount(seq.right_parts(i).owner)[found["cluster"][keep]]
+        rsize = seq.right_parts(i).cell_sizes()[found["cluster"][keep]]
         # exact values, one per distinct (|P|, |R|, corr)
         key, inv = np.unique(np.stack([psize[keep], rsize, found["corr"][keep]]), axis=1, return_inverse=True)
         nums = [max(gn * ((a * b << i) - (cr * 4 << ell)), 0) for a, b, cr in key.T.tolist()]

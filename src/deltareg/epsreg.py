@@ -3,9 +3,9 @@
 These are the checkable forms of the partition-regularity definitions that
 operate through clique sets: the relative density of a k-graph in a polyad,
 (eps, d)-regularity against sub-polyads, partition-level regularity mass,
-f-equitable layered partitions, downward-closed complexes with the dense
-counting and slicing properties, and the reduction check that bridges these
-notions to the half-density pair regularity of the bipartite axis views.
+downward-closed complexes with the dense counting property, and the
+reduction check that bridges these notions to the half-density pair
+regularity of the bipartite axis views.
 """
 
 from __future__ import annotations
@@ -20,12 +20,6 @@ from .core import _iroot_floor, dyadic_root_ceil
 from .graphs import KPartiteKGraph, VertexClassSet
 from .partitions import KPartition, Polyad, clique_set
 from .regularity import CapExceeded, _induced_pair, is_delta_regular_pair
-
-
-def counting_tolerance(k: int, gamma: Fraction, x: Fraction) -> Fraction:
-    """(gamma^3 / 12) * (x/2)^(2^(k+1)), exact."""
-    gamma, x = Fraction(gamma), Fraction(x)
-    return gamma**3 / 12 * (x / 2) ** (1 << (k + 1))
 
 
 def relative_density(h: KPartiteKGraph, s: Polyad) -> Fraction:
@@ -244,77 +238,6 @@ def _localize_span(h: KPartiteKGraph, span_cells):
     return out
 
 
-@dataclass
-class EpsRegParams:
-    """Layer part counts with the derived base density floor."""
-
-    layer_counts: list  # a_1 .. a_{k-1}
-    f: object  # callable density -> tolerance
-    eps: Fraction = Fraction(1, 100)
-
-    @property
-    def d0(self) -> Fraction:
-        return min(Fraction(1, a) for a in self.layer_counts[1:]) if len(self.layer_counts) > 1 else Fraction(1)
-
-
-def is_f_equitable(P: KPartition, params: EpsRegParams, mode: str = "exact", **kw) -> dict:
-    """Vertex layer equitable; every layer cell two-sided regular at
-    tolerance f(d0) with target density 1/a_r inside its polyad."""
-    if not P.vertex.is_equitable():
-        return {"ok": False, "reason": "vertex layer not equitable"}
-    eps = Fraction(params.f(params.d0))
-    failures = []
-    for r in sorted(P.layers):
-        a_r = params.layer_counts[r - 1]
-        for ci, cell in enumerate(P.layers[r]):
-            poly = cell_polyad(P, r, ci)
-            h_local, poly_local = _cell_as_local(P, r, ci, poly)
-            verdict = is_eps_d_regular(h_local, poly_local, eps, d=Fraction(1, a_r), mode=mode, **kw)
-            if verdict["status"] == "irregular":
-                failures.append((r, ci))
-    return {"ok": not failures, "eps": eps, "failures": failures}
-
-
-def cell_polyad(P: KPartition, r: int, ci: int):
-    """The under-polyad of a layer cell as explicit data."""
-    prof = P.under(r, ci)
-    if r == 2:
-        return ("pair", prof)
-    return ("cells", prof)
-
-
-def _cell_as_local(P: KPartition, r: int, ci: int, poly):
-    """The cell's tuples and its polyad, relabelled to local vertex cells."""
-    cell = P.layers[r][ci]
-    if r == 2:
-        a_idx, b_idx = poly[1]
-        a, b = P.vertex.cells[a_idx], P.vertex.cells[b_idx]
-        polyad = Polyad.pair(np.arange(len(a)), np.arange(len(b)))
-        amap = {int(v): i for i, v in enumerate(a)}
-        bmap = {int(v): i for i, v in enumerate(b)}
-        cls = VertexClassSet([("C0", len(a)), ("C1", len(b))])
-        edges = []
-        for row in cell:
-            u = [int(x) for x in row]
-            edges.append((amap[u[0]], bmap[u[1]]) if u[0] in amap else (amap[u[1]], bmap[u[0]]))
-        return KPartiteKGraph(cls, np.array(edges, dtype=np.int64).reshape(-1, 2)), polyad
-    # arity >= 3: vertex cells from the cell's own span
-    span = sorted({P.vertex.cell_of(int(v)) for v in cell.ravel()})
-    vcells = [P.vertex.cells[c] for c in span]
-    maps = [{int(v): i for i, v in enumerate(vc)} for vc in vcells]
-    cls = VertexClassSet([(f"C{j}", len(vc)) for j, vc in enumerate(vcells)])
-    edges = []
-    for row in cell:
-        local = [None] * r
-        for v in (int(x) for x in row):
-            j = next(jj for jj, mp in enumerate(maps) if v in mp)
-            local[j] = maps[j][v]
-        edges.append(local)
-    h_local = KPartiteKGraph(cls, np.array(edges, dtype=np.int64).reshape(-1, r))
-    polyad = _polyad_from_cells(P, tuple(span), P.under(r, ci))
-    return h_local, polyad
-
-
 # -- complexes --------------------------------------------------------------
 
 
@@ -371,41 +294,6 @@ def complete_complex(classes: VertexClassSet) -> RankedComplex:
     return RankedComplex(classes, layers)
 
 
-def random_complex(classes: VertexClassSet, densities: dict, seed: int) -> RankedComplex:
-    """Random downward-closed complex: rank-2 layers are independent coin
-    flips, each higher rank keeps each closed candidate with its density."""
-    rng = np.random.default_rng(seed)
-    k = len(classes)
-    layers = {}
-    for r in range(2, k):
-        layers[r] = {}
-        for span in itertools.combinations(range(k), r):
-            cls = VertexClassSet([(classes.classes[j].name, classes.classes[j].size) for j in span])
-            if r == 2:
-                cand = np.array(list(itertools.product(*[range(classes.classes[j].size) for j in span])), dtype=np.int64)
-            else:
-                span_t = sorted(span)
-                cand_rows = []
-                base = layers[r - 1][frozenset(span_t[:-1])]
-                last_cls = classes.classes[span_t[-1]]
-                for row in base.edges():
-                    for v in range(last_cls.size):
-                        full = list(row) + [v]
-                        ok = True
-                        for drop in range(r - 1):
-                            sub_span = frozenset(span_t[:drop] + span_t[drop + 1 :])
-                            sub_row = [full[j] for j in range(r) if j != drop]
-                            if not layers[r - 1][sub_span].contains(sub_row):
-                                ok = False
-                                break
-                        if ok:
-                            cand_rows.append(full)
-                cand = np.array(cand_rows, dtype=np.int64).reshape(-1, r)
-            keep = rng.random(len(cand)) < float(densities[r])
-            layers[r][frozenset(span)] = KPartiteKGraph(cls, cand[keep])
-    return RankedComplex(classes, layers)
-
-
 def complex_clique_count(cx: RankedComplex) -> int:
     """Exact number of k-cliques (one vertex per class, all sub-edges
     present in every layer)."""
@@ -447,41 +335,6 @@ def complex_extension_counts(cx: RankedComplex, span) -> dict:
     return out
 
 
-def measured_layer_densities(cx: RankedComplex) -> dict:
-    """Per-rank relative densities (edges over closed candidates)."""
-    out = {}
-    for r in sorted(cx.layers):
-        fracs = []
-        for span, g in cx.layers[r].items():
-            denom = _closed_candidates(cx, r, span)
-            fracs.append(Fraction(g.edge_count(), denom) if denom else Fraction(0))
-        out[r] = fracs
-    return out
-
-
-def _closed_candidates(cx: RankedComplex, r: int, span) -> int:
-    span_t = sorted(span)
-    if r == 2:
-        a, b = (cx.classes.classes[j].size for j in span_t)
-        return a * b
-    count = 0
-    base = cx.layers[r - 1][frozenset(span_t[:-1])]
-    last = cx.classes.classes[span_t[-1]]
-    for row in base.edges():
-        for v in range(last.size):
-            full = list(row) + [v]
-            ok = True
-            for drop in range(r - 1):
-                sub_span = frozenset(span_t[:drop] + span_t[drop + 1 :])
-                sub_row = [full[j] for j in range(r) if j != drop]
-                if not cx.layers[r - 1][sub_span].contains(sub_row):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
-
-
 def dense_counting_check(cx: RankedComplex, gamma, densities: dict) -> dict:
     """Exact clique count against the (1 +- gamma) prediction
     prod d_r^(C(k,r)) * prod n_i, plus the per-edge extension band on the
@@ -518,98 +371,6 @@ def dense_counting_check(cx: RankedComplex, gamma, densities: dict) -> dict:
         "extension_band": (lo_e, hi_e),
         "exceptional_fraction": frac_exceptional,
         "exceptional_ok": frac_exceptional <= gamma,
-    }
-
-
-def induced_complex(cx: RankedComplex, last_subset) -> RankedComplex:
-    """Slice the last class to a subset (local indices)."""
-    k = cx.k
-    keep = np.unique(np.asarray(last_subset, dtype=np.int64))
-    remap = np.full(cx.classes.classes[k - 1].size, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-    new_classes = VertexClassSet(
-        [(c.name, c.size) for c in cx.classes.classes[:-1]] + [(cx.classes.classes[-1].name, len(keep))]
-    )
-    layers = {}
-    for r, spans in cx.layers.items():
-        layers[r] = {}
-        for span, g in spans.items():
-            span_t = sorted(span)
-            if (k - 1) not in span:
-                layers[r][span] = g
-                continue
-            pos = span_t.index(k - 1)
-            edges = g.edges()
-            mapped = remap[edges[:, pos]]
-            sel = mapped >= 0
-            edges = edges[sel]
-            edges[:, pos] = remap[edges[:, pos]]
-            cls = VertexClassSet(
-                [(cx.classes.classes[j].name, (len(keep) if j == k - 1 else cx.classes.classes[j].size)) for j in span_t]
-            )
-            layers[r][span] = KPartiteKGraph(cls, edges)
-    return RankedComplex(new_classes, layers)
-
-
-def measured_regularity(cx: RankedComplex, mode: str = "sampled", samples: int = 120, seed: int = 0) -> dict:
-    """Per-(rank, span) maximum observed density deviation of qualifying
-    random sub-polyads; a measurement, not a proof."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for r in sorted(cx.layers):
-        for span, g in cx.layers[r].items():
-            span_t = sorted(span)
-            if r == 2:
-                a, b = (cx.classes.classes[j].size for j in span_t)
-                poly = Polyad.pair(np.arange(a), np.arange(b))
-            else:
-                parts = []
-                for drop_pos in range(r):
-                    sub_span = frozenset(span_t[:drop_pos] + span_t[drop_pos + 1 :])
-                    parts.append(cx.layers[r - 1][sub_span])
-                cls = VertexClassSet([(cx.classes.classes[j].name, cx.classes.classes[j].size) for j in span_t])
-                poly = Polyad(r, cls, parts)
-            kc = clique_set(poly)
-            if kc.edge_count() == 0:
-                out[(r, tuple(span_t))] = None
-                continue
-            d = Fraction(len(np.intersect1d(kc.encoded, g.encoded)), kc.edge_count())
-            worst = Fraction(0)
-            for _ in range(samples):
-                s = _random_sub_polyad(poly, rng)
-                ks = clique_set(s)
-                if ks.edge_count() * 10 < kc.edge_count():
-                    continue
-                ds = Fraction(len(np.intersect1d(ks.encoded, g.encoded)), ks.edge_count()) if ks.edge_count() else Fraction(0)
-                worst = max(worst, abs(ds - d))
-            out[(r, tuple(span_t))] = {"density": d, "max_deviation": worst}
-    return out
-
-
-def slicing_check(cx: RankedComplex, last_subset, f, delta, samples: int = 120, seed: int = 0) -> dict:
-    """Measure regularity parameters of the induced complex against the
-    (2/delta) * f band; a property report, not a proof."""
-    delta = Fraction(delta)
-    if Fraction(len(np.unique(np.asarray(last_subset)))) < delta * cx.classes.classes[-1].size:
-        raise ValueError("slice is smaller than the declared fraction")
-    before = measured_regularity(cx, samples=samples, seed=seed)
-    sliced = induced_complex(cx, last_subset)
-    after = measured_regularity(sliced, samples=samples, seed=seed)
-    dens = measured_layer_densities(cx)
-    d0 = min((min(v) for v in dens.values() if v), default=Fraction(1))
-    budget = Fraction(f(d0)) if callable(f) else Fraction(f)
-    f_star = 2 * budget / delta
-    worst_after = max(
-        (v["max_deviation"] for v in after.values() if v is not None),
-        default=Fraction(0),
-    )
-    return {
-        "before": before,
-        "after": after,
-        "f": budget,
-        "f_star": f_star,
-        "worst_after": worst_after,
-        "within_band": worst_after <= f_star,
     }
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import KPartiteKGraph, VertexClass, VertexClassSet, _digit_runs, _write_tokens
+from .graphs import KPartiteKGraph, VertexClassSet, _digit_runs, _write_tokens
 
 
 class VertexPartition:
@@ -105,12 +105,16 @@ class VertexPartition:
     def __len__(self):
         return self._sizes.size
 
-    def cell_sizes(self):
-        return self._sizes.tolist()
+    def cell_sizes(self) -> np.ndarray:
+        """The cell sizes, int64 and read-only, indexed as ``owner`` numbers
+        the cells."""
+        sizes = self._sizes.view()
+        sizes.flags.writeable = False
+        return sizes
 
     def is_equitable(self) -> bool:
         sizes = self.cell_sizes()
-        return len(set(sizes)) == 1
+        return sizes.size > 0 and bool(sizes.min() == sizes.max())
 
     def cell_of(self, v: int) -> int:
         return int(self.owner[v])
@@ -246,7 +250,7 @@ def refines_beta(Q: VertexPartition, P: VertexPartition, beta) -> RefinementRepo
     if beta > Fraction(1, 2):
         raise ValueError("approximate refinement requires beta <= 1/2")
     host, _, inside = cell_hosts(Q.owner, P.owner, beta)
-    mass = int(np.bincount(Q.owner, minlength=len(Q))[~inside].sum())
+    mass = int(Q.cell_sizes()[~inside].sum())
     return RefinementReport(beta=beta, assignment=np.where(inside, host, -1).tolist(), mass_unassigned=mass, ground=Q.n)
 
 
@@ -349,16 +353,6 @@ def _edge_key_set(h: KPartiteKGraph) -> set:
     return {tuple(int(x) for x in row) for row in h.edges()}
 
 
-def compose(F: KPartiteKGraph, V: VertexClass) -> KPartiteKGraph:
-    """F o V: append every vertex of V to every edge of F."""
-    for c in F.classes.classes:
-        if c.name == V.name:
-            raise ValueError("new class overlaps a class of F")
-    classes = VertexClassSet([(c.name, c.size) for c in F.classes.classes] + [(V.name, V.size)])
-    # the code of (e, v) is code(e) * |V| + v, so the codes stay sorted
-    return KPartiteKGraph.from_codes(classes, F.encoded[:, None] * V.size + np.arange(V.size))
-
-
 class KPartition:
     """Layered partition: vertex cells plus partitions of each cross-arity
     edge universe, each layer-r cell under a unique layer-(r-1) polyad.
@@ -451,141 +445,6 @@ class KPartition:
 
     def under(self, r: int, ci: int):
         return self.under_map[r][ci]
-
-
-def check_refinement_size(Q: VertexPartition, P: VertexPartition) -> bool:
-    """With Q approximately refining P at 1/2 and P equitable, |Q| >= |P|/4."""
-    rep = refines_beta(Q, P, Fraction(1, 2))
-    if not rep.verdict:
-        raise ValueError("Q does not 1/2-refine P")
-    if not P.is_equitable():
-        raise ValueError("P must be equitable")
-    return 4 * len(Q) >= len(P)
-
-
-def refinement_union(Q: VertexPartition, P: VertexPartition, delta) -> tuple[int, np.ndarray, int]:
-    """Pick the P-cell best approximated by a union of Q-cells.
-
-    Returns (P-cell index, union of the Q-cells delta-inside it, exact
-    symmetric difference).  The symmetric difference is at most
-    3*delta*|P-cell| whenever Q delta-refines P; ties break on the lowest
-    cell index.
-    """
-    rep = refines_beta(Q, P, delta)
-    if not rep.verdict:
-        raise ValueError("Q does not delta-refine P")
-    # per vertex, the host of its Q-cell (-1 for none); the union for a
-    # P-cell is where that host is the cell, and |U ^ p| = |U| + |p| - 2|U & p|
-    host = np.asarray(rep.assignment, dtype=np.int64)[Q.owner]
-    k = len(P)
-    diff = np.bincount(host[host >= 0], minlength=k) + np.bincount(P.owner, minlength=k)
-    diff -= 2 * np.bincount(host[host == P.owner], minlength=k)
-    best = int(np.argmin(diff))
-    return best, np.flatnonzero(host == best), int(diff[best])
-
-
-def decompose_polyads(P: KPartition, F_cell_idx: int, V_cell_idx: int):
-    """Split the composed family (top-layer cell) o (last-class vertex cell)
-    into clique sets of polyads whose last part is the given cell.
-
-    P must be a (k-1)-layered partition over k classes whose vertex cells
-    refine the classes; F is a top-layer cell inside the product of the
-    first k-1 classes; V is a vertex cell inside the last class.
-    Returns a list of (polyad parts as cell references, tuples array);
-    verification that they tile F o V exactly is performed here.
-    """
-    k = len(P.classes)
-    r = k - 1
-    last = P.classes.classes[-1]
-    V = P.vertex.cells[V_cell_idx]
-    if not np.all((V >= last.offset) & (V < last.offset + last.size)):
-        raise ValueError("V must sit inside the last class")
-    if r == 1:
-        # base arity: F is a vertex cell of the first class
-        F = P.vertex.cells[F_cell_idx]
-        tuples = np.array([(u, v) for u in F for v in V], dtype=np.int64).reshape(-1, 2)
-        return [(("pair", F_cell_idx, V_cell_idx), tuples)]
-    F = P.layers[r][F_cell_idx]
-    first_classes = P.classes.classes[:-1]
-    for row in F:
-        for j, c in enumerate(first_classes):
-            v = int(row[j])
-            if not (c.offset <= v < c.offset + c.size):
-                raise ValueError("F must sit inside the product of the first classes")
-    groups = {}
-    for row in F:
-        for v in V:
-            full = [int(x) for x in row] + [int(v)]
-            prof = []
-            for drop in range(r):
-                sub = tuple(sorted(full[j] for j in range(r + 1) if j != drop))
-                if sub not in P._cell_lookup[r]:
-                    raise ValueError("sub-tuple missing from layer r; invalid layered partition")
-                prof.append(P._cell_lookup[r][sub])
-            key = tuple(prof)
-            groups.setdefault(key, []).append(tuple(full))
-    out = []
-    total = 0
-    for key in sorted(groups):
-        tuples = np.array(sorted(groups[key]), dtype=np.int64)
-        # exhaustive check: the group must be exactly the clique set of the
-        # polyad (parts key[0..r-1], F): every tuple whose sub-tuples land in
-        # those cells belongs to the group.
-        out.append(((key, F_cell_idx), tuples))
-        total += len(tuples)
-    if total != F.shape[0] * V.size:
-        raise AssertionError("decomposition does not tile the composed family")
-    _verify_decomposition_tiles(P, F, V, groups)
-    return out
-
-
-def _verify_decomposition_tiles(P, F, V, groups):
-    seen = set()
-    for key, tuples in groups.items():
-        for t in tuples:
-            if t in seen:
-                raise AssertionError("decomposition overlaps")
-            seen.add(t)
-    for row in F:
-        for v in V:
-            t = tuple([int(x) for x in row] + [int(v)])
-            if t not in seen:
-                raise AssertionError("decomposition misses a tuple")
-
-
-def restrict_kpartition(P: KPartition, keep_classes) -> KPartition:
-    """Restriction to a subset of classes (distinct, order-preserving)."""
-    keep_classes = sorted(set(keep_classes))
-    old = P.classes.classes
-    kept = [old[i] for i in keep_classes]
-    new_classes = VertexClassSet([(c.name, c.size) for c in kept])
-    # vertex re-indexing: old global -> new global
-    remap = {}
-    for newi, oldi in enumerate(keep_classes):
-        c = old[oldi]
-        nc = new_classes.classes[newi]
-        for j in range(c.size):
-            remap[c.offset + j] = nc.offset + j
-    keep_vertices = set(remap)
-    new_vcells = []
-    for cell in P.vertex.cells:
-        inside = [v for v in cell.tolist() if v in keep_vertices]
-        if 0 < len(inside) < len(cell):
-            raise ValueError("restriction cuts a vertex cell")
-        if inside:
-            new_vcells.append([remap[v] for v in inside])
-    new_layers = {}
-    for r in sorted(P.layers):
-        if r > len(keep_classes):
-            continue
-        cells = []
-        for cell in P.layers[r]:
-            rows = [tuple(sorted(remap[int(x)] for x in row)) for row in cell if all(int(x) in keep_vertices for x in row)]
-            if rows:
-                cells.append(np.array(sorted(rows), dtype=np.int64))
-        if cells:
-            new_layers[r] = cells
-    return KPartition(new_classes, VertexPartition(new_classes.total, new_vcells), new_layers)
 
 
 def complete_kpartition(classes: VertexClassSet, cells_per_class: int, depth: int) -> KPartition:

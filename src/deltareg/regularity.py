@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .graphs import BipartiteGraph, VertexClass, edges_between, pair_density
-from .partitions import KPartition, VertexPartition, refines_beta, refinement_union, restrict_kpartition
+from .partitions import KPartition, VertexPartition
 
 DEFAULT_CAP = 1 << 24
 
@@ -67,24 +67,6 @@ def _min_sizes(nl: int, nr: int, delta: Fraction):
     a = max(1, math.ceil(delta * nl))
     b = max(1, math.ceil(delta * nr))
     return a, b
-
-
-def minimal_subset_reduction(g: BipartiteGraph, delta) -> dict:
-    """Describe the reduced exact search space.
-
-    The exact decision only scans |A'| = ceil(delta |A|) by |B'| =
-    ceil(delta |B|): deleting a maximum-degree vertex of a larger A' never
-    increases the pair density, so minima over all qualifying sizes are
-    attained at the minimum sizes.
-    """
-    delta = Fraction(delta)
-    a, b = _min_sizes(g.left.size, g.right.size, delta)
-    return {
-        "left_size": a,
-        "right_size": b,
-        "num_left_subsets": math.comb(g.left.size, a),
-        "num_right_subsets": math.comb(g.right.size, b),
-    }
 
 
 def is_delta_regular_pair(
@@ -512,72 +494,3 @@ def is_eps_regular_graph(
         if d < (1 - eps) * p or d > (1 + eps) * p:
             return {"status": "irregular", "eps": eps, "witness_left": S.tolist(), "witness_right": T.tolist()}
     return {"status": "unknown", "eps": eps, "samples": samples}
-
-
-def check_star_union(gs: list[BipartiteGraph], delta, cap: int = DEFAULT_CAP) -> dict:
-    """Edge-disjoint union of pairwise regular graphs stays regular; checked
-    by running the exact checker on each part and on the union."""
-    if not gs:
-        raise ValueError("need at least one graph")
-    nl, nr = gs[0].left.size, gs[0].right.size
-    acc = np.zeros_like(gs[0].rows)
-    for g in gs:
-        if (g.left.size, g.right.size) != (nl, nr):
-            raise ValueError("mismatched classes")
-        if np.any(acc & g.rows):
-            raise ValueError("graphs are not edge-disjoint")
-        acc = acc | g.rows
-    union = BipartiteGraph(gs[0].left, gs[0].right, acc)
-    parts = [is_delta_regular_pair(g, delta, cap=cap).status for g in gs]
-    u = is_delta_regular_pair(union, delta, cap=cap).status
-    implied = all(s == "regular" for s in parts)
-    return {
-        "part_status": parts,
-        "union_status": u,
-        "implication_holds": (not implied) or (u == "regular"),
-    }
-
-
-def check_uniform_refinement(P: KPartition, family: VertexPartition, delta, cap: int = DEFAULT_CAP) -> dict:
-    """With the product-side top-layer cells approximately refining a given
-    partition of the full product, the restriction of a good layered
-    partition to the first k-1 classes must be a 3*delta-regular partition
-    of some member of the family.
-
-    ``family`` partitions the product index space of the first k-1 classes;
-    the top-layer cells are encoded the same way before comparison.
-    """
-    from .graphs import KPartiteKGraph, ProductClass, VertexClassSet as VCS
-
-    delta = Fraction(delta)
-    k = len(P.classes)
-    r = k - 1
-    other_idx = list(range(k - 1))
-    prod = ProductClass.of([VertexClass(c.name, c.size) for c in P.classes.classes[:-1]])
-    offs = [P.classes.classes[j].offset for j in other_idx]
-    cells = []
-    cell_ids = e_layer_cells(P, other_idx)
-    for ci in cell_ids:
-        local = P.layers[r][ci] - np.array(offs, dtype=np.int64)[None, :]
-        cells.append(prod.encode_array(local))
-    ek = VertexPartition(prod.size, cells)
-    good, failing = is_delta_good(P, delta, cap=cap)
-    if not good:
-        raise ValueError(f"layered partition is not delta-good: {failing}")
-    rep = refines_beta(ek, family, delta)
-    if not rep.verdict:
-        raise ValueError("top layer does not delta-refine the family")
-    fi, union, diff = refinement_union(ek, family, delta)
-    # realize the chosen family member as a (k-1)-graph and check the
-    # restricted partition against it at 3*delta
-    member_idx = family.cells[fi]
-    F = KPartiteKGraph.from_codes(VCS([(c.name, c.size) for c in prod.factors]), member_idx)
-    P_restricted = restrict_kpartition(P, list(range(k - 1)))
-    rep2 = is_delta_regular_kpartition(F, P_restricted, 3 * delta, cap=cap)
-    return {
-        "family_member": fi,
-        "symmetric_difference": diff,
-        "bound": 3 * delta * len(family.cells[fi]),
-        "restricted_verdict": rep2["verdict"],
-        "report": rep2,
-    }

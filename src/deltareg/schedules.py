@@ -9,10 +9,10 @@ descriptor beyond it.
 A schedule bundles the level functions used by the layered constructions:
 the part-count function t, its divisor function e, the index maps A_k and
 A_k*, the composed depth m_k, and the per-uniformity tolerance
-delta(k) = 2^(-8^k).  Strict schedules follow the full-scale recurrences
-(t(1) = 2^200, e(i) = 2^(i+10), A_k(1) = 2^(2^(3k+2))) and are essentially
-never materializable; desk schedules supply small explicit tables that keep
-the recurrence shapes and declare which strict identities they violate.
+delta(k) = 2^(-8^k).  The full-scale recurrences (t(1) = 2^200,
+e(i) = 2^(i+10), A_k(1) = 2^(2^(3k+2))) are never materializable; desk
+schedules supply small explicit tables that keep the recurrence shapes and
+declare which full-scale identities they violate.
 """
 
 from __future__ import annotations
@@ -65,67 +65,12 @@ def delta_level(k: int) -> Fraction:
     return Fraction(1, 1 << (8**k))
 
 
-class StrictSchedule:
-    """Full-scale recurrences; values saturate to descriptors quickly."""
-
-    def __init__(self, cutoff_bits: int = DEFAULT_CUTOFF_BITS):
-        self.cutoff_bits = cutoff_bits
-        self.kind = "strict"
-
-    def e(self, i: int) -> int:
-        return 1 << (i + 10)
-
-    def t(self, i: int):
-        if i < 1:
-            raise ValueError("t starts at level 1")
-        v = 1 << 200
-        for j in range(1, i):
-            if isinstance(v, TowerDescriptor):
-                return TowerDescriptor(f"2^(({v.expr})/2^{j + 10})")
-            exponent = v // self.e(j)
-            v = _exp2(exponent, self.cutoff_bits)
-        return v
-
-    def a(self, k: int, i: int):
-        if k == 2:
-            return i
-        if i == 1:
-            return _exp2(1 << (3 * k + 2), self.cutoff_bits)
-        prev = self.a_star(k, i - 1)
-        if isinstance(prev, TowerDescriptor):
-            return TowerDescriptor(f"a_{k-1}({prev.expr})")
-        return self.a(k - 1, prev)
-
-    def a_star(self, k: int, i: int):
-        ak = self.a(k, i)
-        if isinstance(ak, TowerDescriptor):
-            return TowerDescriptor(f"t({ak.expr})/2^{i + 10}")
-        tv = self.t(ak) if not isinstance(ak, TowerDescriptor) else ak
-        if isinstance(tv, TowerDescriptor):
-            return TowerDescriptor(f"({tv.expr})/2^{i + 10}")
-        q, r = divmod(tv, self.e(i))
-        if r:
-            raise ValueError("strict divisor must divide the part count")
-        return q
-
-    def m(self, k: int, s: int):
-        v = s
-        for kk in range(k, 2, -1):
-            v = self.a_star(kk, v) if not isinstance(v, TowerDescriptor) else TowerDescriptor(f"a*_{kk}({v.expr})")
-        if isinstance(v, TowerDescriptor):
-            return TowerDescriptor(f"a*_2({v.expr})")
-        return self.a_star(2, v)
-
-    def delta(self, k: int) -> Fraction:
-        return delta_level(k)
-
-
 @dataclass
 class DeskSchedule:
     """Small explicit tables preserving the recurrence shapes.
 
     t_values[i-1] = t(i); a_maps[k][j-1] = A_k(j); a_star_maps likewise.
-    ``violations`` declares which strict identities the tables break (for
+    ``violations`` declares which full-scale identities the tables break (for
     example "a-star-identity" when A_k*(j) != t(A_k(j))/e(j)).
     """
 
@@ -211,19 +156,3 @@ def desk_schedule_k3(s: int = 2) -> DeskSchedule:
         a_star_maps={3: (1, 2)},
         violations=("t-base", "e-schedule", "a-base", "a-star-identity"),
     )
-
-
-def schedule_eval(sched, which: str, *args):
-    """Uniform accessor: which in t, e, f*, a, a*, m, delta."""
-    table = {
-        "t": lambda: sched.t(*args),
-        "e": lambda: sched.e(*args),
-        "a": lambda: sched.a(*args),
-        "a*": lambda: sched.a_star(*args),
-        "f*": lambda: sched.a_star(*args),
-        "m": lambda: sched.m(*args),
-        "delta": lambda: sched.delta(*args),
-    }
-    if which not in table:
-        raise ValueError(f"unknown schedule function {which!r}")
-    return table[which]()

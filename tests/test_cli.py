@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import shutil
 import subprocess

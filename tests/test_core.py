@@ -141,49 +141,6 @@ def test_planted_corruption_located():
     assert rep["failures"]
 
 
-def test_degree_property(small_seq):
-    # every vertex of a level-i block cluster has degree 2^(i-ell) |R| into R
-    q1 = small_seq.members[1][0].quotient
-    L = 0
-    R = int(q1.neighbors(0)[0])
-    rep = C.verify_degree_property(small_seq, 2, 1, L, R, member=0)
-    assert rep["ok"]
-    # i = ell: full-degree within the block
-    q2 = small_seq.members[2][0].quotient
-    L2 = 0
-    nbrs = q2.neighbors(0)
-    rep2 = C.verify_degree_property(small_seq, 2, 2, L2, int(nbrs[0]), member=0)
-    assert rep2["ok"]
-    with pytest.raises(ValueError):
-        missing = next(r for r in range(q2.right.size) if not q2.has_edge(0, r))
-        C.verify_degree_property(small_seq, 2, 2, 0, missing, member=0)
-
-
-def test_quasirandomness_on_complete_block_blowup():
-    # a blowup of one complete block: codegrees all hit the forced values
-    prof = C.GrowthProfile(s=1, r_sizes=[8], l_sizes=[16], blowup_left=4, blowup_right=4, alpha=1, beta=Fraction(1, 2))
-    seq = C.build_core_sequence(prof, seed=3)
-    rep = C.verify_quasirandomness(seq, 1, member=0)
-    # level-1 member: quotient is balanced with exact half-degrees, so
-    # same-cluster codegree is deg = |L|/2 scaled; alpha_hat is exact
-    assert isinstance(rep["alpha_hat"], Fraction)
-    assert rep["alpha_hat"] >= 0
-    g = seq.member_graph(1, 0)
-    # recount the worst codegree excess directly at vertex level
-    t = g.transposed()
-    p = Fraction(1, 2)
-    base = p * p * seq.n_left
-    worst = Fraction(0)
-    for v in range(seq.n_right):
-        excess = Fraction(0)
-        for w in range(seq.n_right):
-            cd = len(set(t.neighbors(v).tolist()) & set(t.neighbors(w).tolist()))
-            if cd > base:
-                excess += cd - base
-        worst = max(worst, excess)
-    assert rep["alpha_hat"] == worst / (p * p * seq.n_left * seq.n_right)
-
-
 def test_witnesses_and_one_twelve_cross_check(small_seq):
     seq = small_seq
     # adversarial subset: union of two level-2 clusters inside one level-1 cluster

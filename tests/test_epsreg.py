@@ -101,51 +101,6 @@ def test_eps_regular_partition_all_regular_zero_mass():
     assert rep["irregular_mass"] == 0 and rep["ok"]
 
 
-def test_f_equitable_trivial_and_planted():
-    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
-    kp = complete_kpartition(cs, 1, 2)  # one cell per class, complete cells
-    params = E.EpsRegParams(layer_counts=[1, 1], f=lambda x: Fraction(1, 8))
-    rep = E.is_f_equitable(kp, params, mode="sampled", samples=30)
-    assert rep["ok"]
-    # non-equitable vertex layer fails fast
-    vp = VertexPartition(12, [range(0, 2), range(2, 4), range(4, 8), range(8, 12)])
-    kp2 = KPartition(cs, vp, {2: _profile_cells(vp)})
-    rep2 = E.is_f_equitable(kp2, params)
-    assert not rep2["ok"] and rep2["reason"] == "vertex layer not equitable"
-
-
-def test_f_equitable_seeded_matches_per_cell_checks():
-    # the verdict must equal running the two-sided check cell by cell
-    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
-    kp = complete_kpartition(cs, 2, 2)
-    params = E.EpsRegParams(layer_counts=[2, 1], f=lambda x: Fraction(1, 16))
-    rep = E.is_f_equitable(kp, params, mode="sampled", samples=40)
-    direct_failures = []
-    for ci in range(len(kp.layers[2])):
-        h_local, poly_local = E._cell_as_local(kp, 2, ci, E.cell_polyad(kp, 2, ci))
-        v = E.is_eps_d_regular(h_local, poly_local, Fraction(1, 16), d=Fraction(1, 1), mode="sampled", samples=40)
-        if v["status"] == "irregular":
-            direct_failures.append((2, ci))
-    assert rep["ok"] == (not direct_failures)
-
-
-def _profile_cells(vp):
-    from deltareg.partitions import cross_k
-
-    universe = cross_k(vp, 2)
-    groups = {}
-    for row in universe:
-        key = tuple(sorted(vp.cell_of(int(x)) for x in row))
-        groups.setdefault(key, []).append(tuple(int(x) for x in row))
-    return [np.array(sorted(g), dtype=np.int64) for _, g in sorted(groups.items())]
-
-
-def test_counting_tolerance_exact():
-    # (gamma^3/12) (x/2)^(2^(k+1)); k = 3 gives exponent 16
-    got = E.counting_tolerance(3, Fraction(1, 2), Fraction(1, 2))
-    assert got == Fraction(1, 8) / 12 * Fraction(1, 4) ** 16
-
-
 def test_dense_counting_complete_zero_slack():
     cx = E.complete_complex(VertexClassSet([("A", 3), ("B", 4), ("C", 2)]))
     rep = E.dense_counting_check(cx, Fraction(1, 100), {2: Fraction(1)})
@@ -154,10 +109,17 @@ def test_dense_counting_complete_zero_slack():
 
 
 def test_dense_counting_seeded_band_reported():
-    cx = E.random_complex(VertexClassSet([("A", 8), ("B", 8), ("C", 8)]), {2: Fraction(1, 2)}, seed=0)
+    # three independent rank-2 layers of density about 1/2 on classes of 8
+    rng = np.random.default_rng(0)
+    classes = VertexClassSet([("A", 8), ("B", 8), ("C", 8)])
+    pairs = np.array(list(itertools.product(range(8), range(8))), dtype=np.int64)
+    layers = {2: {}}
+    for span in itertools.combinations(range(3), 2):
+        cls = VertexClassSet([(classes.classes[j].name, 8) for j in span])
+        layers[2][frozenset(span)] = KPartiteKGraph(cls, pairs[rng.random(len(pairs)) < 0.5])
+    cx = E.RankedComplex(classes, layers)
     rep = E.dense_counting_check(cx, Fraction(1, 2), {2: Fraction(1, 2)})
-    # exact count agrees with exhaustive enumeration by construction of the checker;
-    # verify against an independent recount
+    # against an independent recount
     count = 0
     for a in range(8):
         for b in range(8):
@@ -166,7 +128,7 @@ def test_dense_counting_seeded_band_reported():
             for c in range(8):
                 if cx.layer((0, 2)).contains([a, c]) and cx.layer((1, 2)).contains([b, c]):
                     count += 1
-    assert rep["count"] == count
+    assert rep["count"] == count > 0
     assert isinstance(rep["in_band"], (bool, np.bool_))
 
 
@@ -196,22 +158,6 @@ def test_complex_closure_validation():
     layers[2][span] = KPartiteKGraph(g.classes, g.edges()[1:])
     with pytest.raises(ValueError):
         E.RankedComplex(classes, layers)
-
-
-def test_slicing_identity_unchanged():
-    cx = E.random_complex(VertexClassSet([("A", 6), ("B", 6), ("C", 6)]), {2: Fraction(1, 2)}, seed=2)
-    rep = E.slicing_check(cx, np.arange(6), lambda x: Fraction(1, 8), Fraction(1), samples=25)
-    assert rep["before"] == rep["after"]
-    assert rep["f_star"] == 2 * Fraction(1, 8)
-
-
-def test_slicing_half_report():
-    cx = E.random_complex(VertexClassSet([("A", 6), ("B", 6), ("C", 6)]), {2: Fraction(1, 2)}, seed=2)
-    rep = E.slicing_check(cx, np.arange(3), lambda x: Fraction(1, 8), Fraction(1, 2), samples=25)
-    assert rep["f_star"] == Fraction(1, 2)
-    assert "worst_after" in rep
-    with pytest.raises(ValueError):
-        E.slicing_check(cx, np.arange(1), lambda x: Fraction(1, 8), Fraction(1, 2))
 
 
 def test_reduction_check_k2_degenerate():

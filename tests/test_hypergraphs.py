@@ -29,17 +29,6 @@ def test_delta_levels_exact():
     assert S.delta_level(3) == Fraction(1, 1 << 512)
 
 
-def test_strict_schedule_saturates():
-    st = S.StrictSchedule()
-    assert st.t(1) == 1 << 200
-    assert isinstance(st.t(2), S.TowerDescriptor)
-    assert st.a(2, 5) == 5
-    a31 = st.a(3, 1)
-    assert a31 == 1 << 2048
-    assert a31 >= 2  # the hierarchy floor at argument 1
-    assert isinstance(st.a(3, 2), S.TowerDescriptor) or st.a(3, 2) > 0
-
-
 def test_desk_schedule_shapes():
     d = S.desk_schedule_k3()
     assert d.t_values == (2, 4, 16)
@@ -53,22 +42,13 @@ def test_desk_schedule_shapes():
     assert rt.t_values == d.t_values and rt.a_maps == d.a_maps
 
 
-def test_schedule_eval_dispatch():
-    d = S.desk_schedule_k3()
-    assert S.schedule_eval(d, "t", 2) == 4
-    assert S.schedule_eval(d, "a", 3, 2) == 2
-    assert S.schedule_eval(d, "a*", 3, 1) == 1
-    assert S.schedule_eval(d, "delta", 1) == Fraction(1, 256)
-    with pytest.raises(ValueError):
-        S.schedule_eval(d, "nope", 1)
-
-
 @pytest.mark.parametrize("which, j", [("a", 0), ("a", 3), ("a*", 0), ("a*", 3)])
 def test_desk_index_maps_refuse_entries_outside_the_table(which, j):
     """A_3 and A_3* hold j = 1 and 2: j = 0 must not wrap to the last entry,
     and j = 3 must not raise IndexError."""
+    sched = S.desk_schedule_k3()
     with pytest.raises(ValueError, match="outside the desk table"):
-        S.schedule_eval(S.desk_schedule_k3(), which, 3, j)
+        {"a": sched.a, "a*": sched.a_star}[which](3, j)
 
 
 @pytest.fixture(scope="module")

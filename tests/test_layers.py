@@ -10,7 +10,10 @@ reader or writer.  The certificate re-check reaches none of the package's
 functions that the refuter or its witness engine reach, except an
 allow-list, and the brute-force pair oracle none that the exact pair
 checker reaches, except the two result types.  Every function the
-benchmark's tracer hooks by name exists under that name.
+benchmark's tracer hooks by name exists under that name.  Every module-level
+function and class is reached from the CLI, the benchmark, the named
+oracles or a short list of entries kept for an acceptance criterion or a
+ROADMAP direction, and every module-level import is used.
 """
 
 import ast
@@ -23,12 +26,13 @@ ROOT_HELPER = ("core", "_iroot_floor")
 
 
 class _Scan(ast.NodeVisitor):
-    """Every call and every ``(x + 63) // 64`` of a module, with the
-    qualified name of the function around it ("" at module level)."""
+    """Every call, every bare name read and every ``(x + 63) // 64`` of a
+    module, with the qualified name of the function around it ("" at module
+    level)."""
 
     def __init__(self):
         self.scope, self.calls, self.word_counts, self.defs, self.numpy_calls = [], [], [], [], set()
-        self.digit_bytes = []
+        self.digit_bytes, self.refs = [], []
 
     def _enter(self, node):
         self.defs.append((node.name, ".".join(self.scope + [node.name])))
@@ -48,6 +52,10 @@ class _Scan(ast.NodeVisitor):
             self.digit_bytes.append((".".join(self.scope), node.lineno))
         self.generic_visit(node)
 
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.refs.append((".".join(self.scope), node.id, node.lineno))
+
     def visit_BinOp(self, node):
         left, right = node.left, node.right
         if (
@@ -60,16 +68,31 @@ class _Scan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _without_annotations(tree):
+    """The tree with every annotation dropped: a name that only annotates
+    a type is not a use of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    return tree
+
+
 def _scans():
     out = {}
     for path in sorted(SRC.glob("*.py")):
         scan = _Scan()
-        scan.visit(ast.parse(path.read_text(), filename=str(path)))
+        scan.visit(_without_annotations(ast.parse(path.read_text(), filename=str(path))))
         out[path.stem] = scan
     return out
 
 
 SCANS = _scans()
+# (module, name) of every module-level function and class
+TOP = {(mod, name) for mod, scan in SCANS.items() for name, qualified in scan.defs if name == qualified}
 
 
 def test_the_exceptions_name_existing_functions():
@@ -116,24 +139,43 @@ REFUTER = [("core", "refute_partition"), ("core", "_level_witnesses")]
 RECHECK_MAY_SHARE = {"graph_hash", "dyadic_root_ceil", "VertexPartition"}
 
 
-def _reach(roots, shared=RECHECK_MAY_SHARE) -> set:
-    """Names of the package's functions, methods and classes that the roots
-    call, directly or through one another (matched by name, so a method
-    stands for every method of that name).  The allowed shared names are
-    not followed."""
-    defined = {}
+def _uses():
+    """Where each function, method or class is defined, by name, and the
+    names of these that each scope calls or names."""
+    defined, uses = {}, {}
     for mod, scan in SCANS.items():
         for name, qualified in scan.defs:
             defined.setdefault(name, []).append((mod, qualified))
+    top = {name for _, name in TOP}
+    for mod, scan in SCANS.items():
+        uses[mod] = {}
+        for where, name, _ in set(scan.calls) - scan.numpy_calls:
+            if name in defined:
+                uses[mod].setdefault(where, set()).add(name)
+        for where, name, _ in scan.refs:
+            if name in top:
+                uses[mod].setdefault(where, set()).add(name)
+    return defined, uses
+
+
+DEFINED, USES = _uses()
+
+
+def _reach(roots, shared=RECHECK_MAY_SHARE) -> set:
+    """Names of the package's functions, methods and classes that the roots
+    call, directly or through one another (matched by name, so a method
+    stands for every method of that name), or name bare where a module
+    defines that name at top level (``map(LedgerLine, ...)``, a table of
+    suites).  The allowed shared names are not followed."""
     seen, todo = set(), list(roots)
     while todo:
         mod, fn = todo.pop()
-        for call in set(SCANS[mod].calls) - SCANS[mod].numpy_calls:
-            where, name, _ = call
-            if (where == fn or where.startswith(fn + ".")) and name in defined and name not in seen:
-                seen.add(name)
-                if name not in shared:
-                    todo += defined[name]
+        for where, names in USES[mod].items():
+            if where == fn or where.startswith(fn + "."):
+                for name in names - seen:
+                    seen.add(name)
+                    if name not in shared:
+                        todo += DEFINED[name]
     return seen
 
 
@@ -185,3 +227,74 @@ def test_every_benchmark_hook_names_a_function_of_the_package():
         if owner is None or not callable(vars(owner).get(path[-1])):
             missing.append(target)
     assert missing == [], f"perfbench/tracer.py hooks {missing}, which deltareg does not define"
+
+
+# what the README flows, the benchmark and the named oracles leave unreached,
+# each kept for an acceptance criterion or a ROADMAP direction
+KEPT = {
+    ("schedules", "ackermann"): "criterion 1",
+    ("balanced", "check_one_six"): "criterion 5c",
+    ("core", "find_irregularity_witnesses"): "criterion 6",
+    ("core", "one_twelve_context"): "criterion 6",
+    ("hypergraphs", "pasted_density_check"): "criterion 8",
+    ("epsreg", "complete_complex"): "criterion 10",
+    ("epsreg", "dense_counting_check"): "criterion 10",
+    ("epsreg", "is_eps_regular_partition"): "criterion 10",
+    ("partitions", "complete_kpartition"): "criterion 10",
+    ("hypergraphs", "beta_star_analysis"): "direction 5: the class and window where a partition stops refining the chain",
+    ("epsreg", "reduction_check"): "direction 5: polyad regularity against pair regularity on the axis views",
+    ("hypergraphs", "verify_onesided_property"): "direction 5: the paper's one-sided lemma, which it documents against",
+    ("graphs", "bipartite_from_text"): "reads back the ab.txt, ac.txt and bc.txt that counterexample writes",
+    ("graphs", "codegree"): "the reference codegree the unit tests compare against",
+}
+# the library calls of the exact-pairs workload, besides the CLI
+BENCHMARK_CALLS = [
+    ("regularity", "is_delta_regular_pair"),
+    ("regularity", "is_eps_regular_graph"),
+    ("regularity", "partition_edit_interval"),
+    ("counterexample", "build_triangle_free"),
+    ("counterexample", "verify_counterexample"),
+    ("partitions", "VertexPartition"),
+]
+
+
+def _roots() -> list:
+    hooks = [tuple(target.split(".", 1)) for target in _hook_targets()]
+    return [("cli", "main")] + hooks + BENCHMARK_CALLS + sorted(ORACLES) + list(KEPT)
+
+
+def _reached(roots) -> set:
+    """The roots' own top-level names and every name they reach."""
+    return _reach(roots, shared=set()) | {fn.split(".")[0] for _, fn in roots}
+
+
+def test_every_module_level_function_is_reached_or_kept():
+    """A function or class that no README flow, benchmark step, named
+    oracle or kept entry reaches is dead code: delete it, or call it."""
+    reached = _reached(_roots())
+    # the scan sees through the CLI's parser and suite tables and through map(LedgerLine, ...)
+    assert {"cmd_certify", "cmd_verify", "_suite_hypergraph", "LedgerLine"} <= reached
+    unreached = sorted(f"{mod}.{name}" for mod, name in TOP if name not in reached)
+    assert unreached == [], f"{unreached} run in no flow and are not kept"
+
+
+def test_every_kept_entry_exists_and_is_reached_by_nothing_else():
+    """Once something else reaches a kept entry, it leaves the list."""
+    assert set(KEPT) <= TOP, f"{sorted(set(KEPT) - TOP)} are kept but gone"
+    by_others = _reached([r for r in _roots() if r not in KEPT])
+    for entry in KEPT:
+        by_others |= _reach([entry], shared=set()) - {entry[1]}
+    redundant = [f"{mod}.{name}" for mod, name in KEPT if name in by_others]
+    assert redundant == [], f"{redundant} are reached without being kept"
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert unused == [], f"unused imports: {unused}"

@@ -89,12 +89,6 @@ def test_minimal_size_reduction_matches_full_enumeration():
             assert best_all == best_min, (trial, delta)
 
 
-def test_minimal_subset_reduction_description():
-    g = random_bipartite(8, 8, 0.5, 1)
-    d = R.minimal_subset_reduction(g, Fraction(1, 4))
-    assert d["left_size"] == 2 and d["num_left_subsets"] == math.comb(8, 2)
-
-
 def test_sampled_mode_witness_sound():
     edges = [(u, v) for u in range(12) for v in range(12) if not (u < 3 and v < 3)]
     g = BipartiteGraph.from_edges(VertexClass("A", 12), VertexClass("B", 12), edges)
@@ -210,54 +204,6 @@ def test_kpartition_regularity_reduces_to_pair_for_k2():
     h0 = KPartiteKGraph(cs, np.empty((0, 2), dtype=np.int64))
     rep0 = R.is_delta_regular_kpartition(h0, kp, Fraction(1, 4))
     assert rep0["verdict"] == "regular"
-
-
-def test_check_star_union():
-    a, b = VertexClass("A", 8), VertexClass("B", 8)
-    g1 = BipartiteGraph.from_edges(a, b, [(u, v) for u in range(8) for v in range(8) if (u + v) % 2 == 0])
-    g2 = BipartiteGraph.from_edges(a, b, [(u, v) for u in range(8) for v in range(8) if (u + v) % 2 == 1])
-    rep = R.check_star_union([g1, g2], Fraction(1, 4))
-    assert rep["implication_holds"]
-    assert rep["union_status"] == "regular"
-    single = R.check_star_union([g1], Fraction(1, 4))
-    assert single["part_status"][0] == single["union_status"]
-    with pytest.raises(ValueError):
-        R.check_star_union([g1, g1], Fraction(1, 4))
-
-
-def test_check_uniform_refinement_single_member_family():
-    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
-    kp = P.complete_kpartition(cs, 2, 2)
-    from deltareg.graphs import ProductClass
-
-    prod = ProductClass.of([VertexClass("V1", 4), VertexClass("V2", 4)])
-    family = P.VertexPartition(prod.size, [range(prod.size)])
-    rep = R.check_uniform_refinement(kp, family, Fraction(1, 8))
-    assert rep["symmetric_difference"] == 0
-    assert rep["restricted_verdict"] == "regular"
-
-
-def test_check_uniform_refinement_two_member_family():
-    # seeded 3-class instance: the chosen family member and the restricted
-    # verdict both match direct evaluation
-    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
-    kp = P.complete_kpartition(cs, 2, 2)
-    from deltareg.graphs import ProductClass
-
-    prod = ProductClass.of([VertexClass("V1", 4), VertexClass("V2", 4)])
-    # split the product space along the first class: two clean members
-    half = prod.size // 2
-    family = P.VertexPartition(prod.size, [range(half), range(half, prod.size)])
-    rep = R.check_uniform_refinement(kp, family, Fraction(1, 8))
-    # direct evaluation of the same member
-    fi = rep["family_member"]
-    member_idx = family.cells[fi]
-    tuples = prod.decode_array(member_idx)
-    F = KPartiteKGraph(VertexClassSet([("V1", 4), ("V2", 4)]), tuples)
-    restricted = P.restrict_kpartition(kp, [0, 1])
-    direct = R.is_delta_regular_kpartition(F, restricted, 3 * Fraction(1, 8))
-    assert rep["restricted_verdict"] == direct["verdict"]
-    assert Fraction(rep["symmetric_difference"]) <= 3 * Fraction(1, 8) * len(family.cells[fi])
 
 
 def test_restriction_scaling_property():
