@@ -116,6 +116,31 @@ def test_neighbor_family_level1_is_everything(small_seq):
     assert fam.cardinality() == small_seq.profile.r_sizes[0]
 
 
+def test_level_block_degrees_halve_per_level(small_seq):
+    """With the level-i block (L, R) present in the ancestor of a level-ell
+    member, every vertex of left cluster L has 2^(i-ell) |R| neighbours in
+    R; with the block absent it has none."""
+    seq = small_seq
+    for ell in (1, 2):
+        adj = C._kernels.unpack_rows(seq.member_graph(ell, 0).rows, seq.n_right).astype(np.int64)
+        for i in range(1, ell + 1):
+            q = seq.members[i][seq.ancestor_index(ell, 0, i)].quotient
+            lp, rp = seq.left_parts(i), seq.right_parts(i)
+            for L in range(len(lp)):
+                degs = adj[lp.cells[L]] @ (rp.owner[:, None] == np.arange(len(rp))).astype(np.int64)
+                want = [rp.cell_sizes()[R] >> (ell - i) if q.has_edge(L, R) else 0 for R in range(len(rp))]
+                assert (degs == np.array(want)).all(), (ell, i, L)
+
+
+def test_cluster_sizes_read_the_stored_partition_sizes(small_seq):
+    seq = small_seq
+    assert [s.tolist() for s in C._cluster_sizes(seq, 0)] == [[seq.n_left], [seq.n_right]]
+    for i in (1, 2):
+        lsz, rsz = C._cluster_sizes(seq, i)
+        for got, p, n in ((lsz, seq.left_parts(i), seq.n_left), (rsz, seq.right_parts(i), seq.n_right)):
+            assert np.array_equal(got, np.bincount(p.owner)) and int(got.sum()) == n and not got.flags.writeable
+
+
 def test_core_properties_all_members(small_seq):
     for i in (1, 2):
         for m in range(1 << i):

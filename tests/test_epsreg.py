@@ -193,3 +193,49 @@ def test_reduction_conclusion_agrees_with_pair_checker():
     view = aux_graph(h, 2)
     direct = is_delta_regular_pair(view.graph, Fraction(1, 2)).status
     assert rep["conclusion_ok"] == (direct == "regular")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_partition_polyads_tile_the_crossing_tuples(k):
+    """Over a complete layered partition the polyads' clique sets, mapped
+    back to global vertices, hold every k-tuple with one vertex per class
+    exactly once."""
+    cs = VertexClassSet([(f"V{j + 1}", 4) for j in range(k)])
+    kp = complete_kpartition(cs, 2, k - 1 if k > 2 else 2)
+    seen = []
+    for poly, span in E.partition_polyads(kp, k):
+        assert [cs.class_of(int(cell[0])) for cell in span] == list(range(k))
+        for row in clique_set(poly).edges().tolist():
+            seen.append(tuple(int(span[j][x]) for j, x in enumerate(row)))
+    want = [tuple(c.offset + x for c, x in zip(cs.classes, t)) for t in itertools.product(range(4), repeat=k)]
+    assert sorted(seen) == sorted(want) and len(set(seen)) == len(seen)
+
+
+def test_induced_subgraph_on_cells_keeps_exactly_the_edges_inside():
+    rng = np.random.default_rng(5)
+    cs = VertexClassSet([("A", 5), ("B", 6), ("C", 4)])
+    all_triples = np.array(list(itertools.product(range(5), range(6), range(4))), dtype=np.int64)
+    h = KPartiteKGraph(cs, all_triples[rng.random(len(all_triples)) < 0.4])
+    cells = [np.array([4, 1, 3]), np.array([0, 5]), np.array([2, 3, 1])]
+    got = E.induced_subgraph_on_cells(h, cells)
+    assert [c.size for c in got.classes.classes] == [3, 2, 3]
+    want = [[int(np.flatnonzero(cells[j] == e[j])[0]) for j in range(3)] for e in h.edges().tolist() if all(e[j] in cells[j] for j in range(3))]
+    assert got == KPartiteKGraph(got.classes, want) and got.edge_count() == len(want) > 0
+
+
+def test_extension_counts_sum_to_the_clique_count():
+    """Every clique extends exactly one edge of each rank-(k-1) layer."""
+    rng = np.random.default_rng(3)
+    classes = VertexClassSet([("A", 4), ("B", 4), ("C", 4)])
+    pairs = np.array(list(itertools.product(range(4), range(4))), dtype=np.int64)
+    layers = {2: {}}
+    for span in itertools.combinations(range(3), 2):
+        cls = VertexClassSet([(classes.classes[j].name, 4) for j in span])
+        layers[2][frozenset(span)] = KPartiteKGraph(cls, pairs[rng.random(len(pairs)) < 0.6])
+    cx = E.RankedComplex(classes, layers)
+    total = E.complex_clique_count(cx)
+    assert total > 0
+    for span in itertools.combinations(range(3), 2):
+        counts = E.complex_extension_counts(cx, span)
+        assert len(counts) == cx.layer(span).edge_count() and sum(counts.values()) == total
+    assert E.complex_clique_count(E.complete_complex(classes)) == 4 ** 3

@@ -308,3 +308,12 @@ def test_pasted_graphs_golden_sha256(pasted):
     inst2 = H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
     assert _sha([inst2.merged]) == "c70fa6b962adc77cd58e3787c90a4da3e669fdefd827198a73cb2d8e88b31c0b"
     assert _sha(inst2.edge_graphs) == "41298496215cd3f1c14c09d74d2a9551a0ecb7f5387a6eb2544cf7b4e8547dfe"
+
+
+def test_desk_schedule_index_maps_and_levels():
+    """The desk table's t, A_3, A_3* and delta entries, read through the
+    methods the builders call."""
+    d = S.desk_schedule_k3()
+    assert [d.t(i) for i in (1, 2, 3)] == [2, 4, 16]
+    assert d.a(3, 2) == 2 and d.a_star(3, 1) == 1
+    assert d.delta(1) == Fraction(1, 256) == S.delta_level(1)

@@ -468,3 +468,98 @@ def test_refines_exactly_and_equality():
     assert not P.VertexPartition(6, [[0, 3], [1, 2], [4, 5]]).refines_exactly(coarse)
     assert P.VertexPartition.singletons(4) == P.VertexPartition(4, [[3], [2], [1], [0]])
     assert fine != coarse
+
+
+@pytest.mark.parametrize("build", [
+    lambda: P.VertexPartition(10, [[7, 2], [0, 9, 4], [1, 3, 5, 6, 8]]),
+    lambda: P.VertexPartition.blocks(12, 4),
+    lambda: P.VertexPartition.singletons(5),
+    lambda: P.VertexPartition.from_text(9, "4 0\n8 1 2\n3 5 6 7\n"),
+], ids=["cells", "blocks", "singletons", "text"])
+def test_every_constructor_stores_read_only_sizes_in_owner_order(build):
+    """Callers read cell_sizes() in place of recounting np.bincount(owner),
+    so every way of building a partition must store that count."""
+    vp = build()
+    sizes = vp.cell_sizes()
+    assert sizes.dtype == np.int64 and sizes.tolist() == [c.size for c in vp.cells]
+    assert np.array_equal(sizes, np.bincount(vp.owner, minlength=len(vp))) and int(sizes.sum()) == vp.n
+    with pytest.raises(ValueError):
+        sizes[0] = 0
+    assert vp.cell_sizes().tolist() == [c.size for c in vp.cells]  # a second call sees the stored sizes unchanged
+
+
+def test_singletons_refine_everything_and_one_cell_refines_only_one_cell():
+    p = P.VertexPartition.blocks(32, 8)
+    fine = P.VertexPartition.singletons(32)
+    rep = P.refines_beta(fine, p, Fraction(1, 8))
+    assert rep.verdict and rep.mass_unassigned == 0
+    assert rep.assignment == (np.arange(32) // 4).tolist() and fine.refines_exactly(p)
+    whole = P.VertexPartition(32, [range(32)])
+    rep = P.refines_beta(whole, p, Fraction(1, 8))
+    assert not rep.verdict and rep.assignment == [-1] and rep.mass_unassigned == 32
+    # against one cell the whole set is its own host
+    assert P.refines_beta(whole, whole, 0).assignment == [0]
+
+
+def test_refines_beta_hosts_under_straddle_noise():
+    """A refinement of four blocks of 8 with one cell split 1:1 across a
+    boundary: at beta = 1/4 that cell is beta-inside no block, and the rest
+    keep their blocks as hosts."""
+    p = P.VertexPartition.blocks(32, 4)
+    cells = [range(0, 8), range(8, 15), [15, 16], range(17, 24), range(24, 32)]
+    q = P.VertexPartition(32, [list(c) for c in cells])
+    rep = P.refines_beta(q, p, Fraction(1, 4))
+    assert rep.assignment == [0, 1, -1, 2, 3] and rep.mass_unassigned == 2 and rep.verdict
+    assert [rep.host(qi) for qi in range(len(q))] == rep.assignment
+    # 2 unassigned vertices of 32 exceed beta n once beta < 1/16
+    assert not P.refines_beta(q, p, Fraction(1, 17)).verdict and P.refines_beta(q, p, Fraction(1, 16)).verdict
+
+
+def test_complete_kpartition_cells_are_whole_products_of_vertex_cells(layered_3):
+    kp = layered_3
+    assert len(kp.vertex) == 6 and kp.vertex.is_equitable() and kp.k == 2
+    # one cell per pair of vertex cells (the cross family meets distinct
+    # cells, not distinct classes), each cell their full product
+    assert len(kp.layers[2]) == 15
+    for ci, cell in enumerate(kp.layers[2]):
+        a, b = kp.under(2, ci)
+        want = sorted(tuple(sorted((int(u), int(v)))) for u in kp.vertex.cells[a] for v in kp.vertex.cells[b])
+        assert [tuple(row) for row in cell.tolist()] == want
+    depth3 = P.complete_kpartition(kp.classes, 2, 3)
+    assert len(depth3.layers[3]) == 20 and sum(c.shape[0] for c in depth3.layers[3]) == 20 * 2 ** 3
+    with pytest.raises(ValueError, match="split equally"):
+        P.complete_kpartition(kp.classes, 3, 2)
+
+
+def _pair_kpartition(layer2):
+    cs = VertexClassSet([("V1", 2), ("V2", 2)])
+    return P.KPartition(cs, P.VertexPartition(4, [[0, 1], [2, 3]]), layer2)
+
+
+FULL_PAIRS = [[0, 2], [0, 3], [1, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("layers, match", [
+    ({2: [np.array(FULL_PAIRS[:3]), np.empty((0, 2))]}, "empty layer cell"),
+    ({2: [np.array([[2, 0], [0, 3], [1, 2], [1, 3]])]}, "must be sorted"),
+    ({2: [np.array(FULL_PAIRS[:3])]}, "does not cover"),
+    ({3: [np.array([[0, 1, 2]])]}, "contiguous"),
+    ({1: [np.array([[0]])]}, "start at 2"),
+], ids=["empty-cell", "unsorted-tuple", "uncovered", "gap-below", "arity-1"])
+def test_kpartition_refuses_malformed_layers(layers, match):
+    assert len(_pair_kpartition({2: [np.array(FULL_PAIRS)]}).layers[2]) == 1
+    with pytest.raises(ValueError, match=match):
+        _pair_kpartition(layers)
+
+
+def test_kpartition_refuses_cells_across_polyads():
+    # a layer-2 cell over two vertex-cell pairs, and a class set of another size
+    cs = VertexClassSet([("V1", 2), ("V2", 2)])
+    singles = P.VertexPartition.singletons(4)
+    pairs = P.cross_k(singles, 2)
+    crossing = pairs[(pairs[:, 0] < 2) & (pairs[:, 1] >= 2)]
+    rest = pairs[~((pairs[:, 0] < 2) & (pairs[:, 1] >= 2))]
+    with pytest.raises(ValueError, match="spans several vertex-cell pairs"):
+        P.KPartition(cs, singles, {2: [crossing, rest]})
+    with pytest.raises(ValueError, match="does not match the class set"):
+        P.KPartition(cs, P.VertexPartition.singletons(5), {})

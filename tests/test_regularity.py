@@ -225,3 +225,48 @@ def test_restriction_scaling_property():
         Ps = P.VertexPartition(4, [range(0, 4)])
         iv_sub = R.partition_edit_interval(sub, Ps, Ps, delta / beta if delta / beta <= 1 else Fraction(1))
         assert iv_sub.verdict in ("regular", "undecided")
+
+
+@pytest.mark.parametrize("nl, nr, delta, want", [
+    (8, 8, Fraction(1, 4), (2, 2)),
+    (7, 5, Fraction(1, 3), (3, 2)),
+    (3, 100, Fraction(1, 256), (1, 1)),
+    (16, 9, Fraction(1, 2), (8, 5)),
+])
+def test_min_sizes_are_the_ceiling_of_delta_n_and_at_least_one(nl, nr, delta, want):
+    """The exact search only tries subsets of exactly these sizes; the
+    all-sizes oracle checks that this is enough."""
+    assert R._min_sizes(nl, nr, delta) == want
+
+
+def test_parity_halves_are_irregular_and_their_union_regular():
+    """Each parity half of K_{8,8} has 2 x 2 subsets with no edge between
+    them, so both are irregular at 1/4; their union is complete."""
+    a, b = VertexClass("A", 8), VertexClass("B", 8)
+    halves = [BipartiteGraph.from_edges(a, b, [(u, v) for u in range(8) for v in range(8) if (u + v) % 2 == par]) for par in (0, 1)]
+    for g in halves:
+        assert g.edge_count() == 32
+        w = R.is_delta_regular_pair(g, Fraction(1, 4)).witness
+        assert R.naive_all_sizes_oracle(g, Fraction(1, 4)).status == "irregular"
+        assert w is not None and w.is_valid() and w.e_st == 0 == edges_between(g, w.left, w.right) and w.ratio == 0
+        assert (len(w.left), len(w.right)) == R._min_sizes(8, 8, Fraction(1, 4))
+    union = BipartiteGraph(a, b, halves[0].rows | halves[1].rows)
+    assert union == BipartiteGraph.complete(a, b)
+    assert R.is_delta_regular_pair(union, Fraction(1, 4)).status == "regular"
+
+
+def test_e_layer_cells_and_axis_partitions_follow_the_classes():
+    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
+    kp = P.complete_kpartition(cs, 2, 2)
+    classes_of = lambda ci: {cs.class_of(int(v)) for v in kp.layers[2][ci][0]}
+    picked = {pair: R.e_layer_cells(kp, list(pair)) for pair in itertools.combinations(range(3), 2)}
+    for pair, cells in picked.items():
+        assert len(cells) == 4 and all(classes_of(ci) == set(pair) for ci in cells)
+    # the other three cells pair two vertex cells of one class
+    assert sorted(sum(picked.values(), [])) == [ci for ci in range(15) if len(classes_of(ci)) == 2]
+    h = KPartiteKGraph(cs, list(itertools.product(range(4), repeat=3)))
+    for axis in (1, 2, 3):
+        left, right = R.axis_partitions(h, kp, axis)
+        others = [j for j in range(3) if j != axis - 1]
+        assert len(left) == len(picked[tuple(others)]) and left.n == 16 and left.is_equitable()
+        assert right == P.VertexPartition.blocks(4, 2)
