@@ -28,7 +28,6 @@ from .balanced import SAMPLER_STREAM, SamplerExhausted, check_sampler_stream
 from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
-    bipartite_to_text,
     kgraph_from_text,
     kgraph_to_text,
 )
@@ -120,9 +119,6 @@ def cmd_build_hypergraph(args) -> int:
     for x, h in enumerate(inst.edge_graphs):
         with open(os.path.join(args.out, f"window-{x}.kgraph"), "w") as f:
             f.write(kgraph_to_text(h))
-    for i, part in enumerate(inst.chain_per_class, start=1):
-        with open(os.path.join(args.out, f"chain-{i}.part"), "w") as f:
-            f.write(part.to_text())
     with open(os.path.join(args.out, "instance.json"), "w") as f:
         json.dump(
             {
@@ -261,15 +257,12 @@ def _suite_hypergraph(artifact: str) -> dict:
     dens_ok = merged.density() == expected
     w_ok = all(h.density() == Fraction(1, 1 << s) for h in window_graphs)
     total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
-    # rebuild from the recorded seed; every graph and chain file must be the
-    # text its rebuild writes.  The k-graph reader is the strict inverse of
+    # rebuild from the recorded seed; every graph file must be the text its
+    # rebuild writes.  The k-graph reader is the strict inverse of
     # kgraph_to_text, so a file parses to its rebuild, class names included,
     # exactly when it is the rebuild's text: the rebuilt graphs need no text.
     inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup, core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
     differ = [name for name, h in zip(names, [inst.merged, *inst.edge_graphs]) if graphs[name] != h]
-    for i, part in enumerate(inst.chain_per_class, start=1):
-        if part.to_text() != _read_text(artifact, f"chain-{i}.part"):
-            differ.append(f"chain-{i}.part")
     fam_rep = hg_mod.verify_family(inst.families[0])
     claims = [
         {"id": "merged-density", "ok": dens_ok, "detail": f"{merged.density()} = (2k/2^k)2^-s = {expected}"},
@@ -279,7 +272,7 @@ def _suite_hypergraph(artifact: str) -> dict:
             "id": "replay-identical",
             "ok": not differ,
             "detail": f"rebuild from the manifest seed differs in {', '.join(differ)}" if differ
-            else "rebuild from the manifest seed is byte-identical in every graph and chain file",
+            else "rebuild from the manifest seed is byte-identical in every graph file",
         },
         {"id": "family-invariants", "ok": fam_rep["ok"], "detail": "dyadic densities, chain splits, lift round-trip"},
     ]
@@ -401,8 +394,6 @@ def cmd_counterexample(args) -> int:
     for name, pair in (("ab", g.ab), ("ac", g.ac), ("bc", g.bc)):
         with open(os.path.join(args.out, f"{name}.bin"), "wb") as f:
             f.write(bipartite_to_binary(pair))
-        with open(os.path.join(args.out, f"{name}.txt"), "w") as f:
-            f.write(bipartite_to_text(pair))
     with open(os.path.join(args.out, "audit.txt"), "w") as f:
         f.write(audit.to_text())
     with open(os.path.join(args.out, "params.json"), "w") as f:

@@ -188,9 +188,6 @@ class NeighborFamily:
     left_cluster: int
     members: np.ndarray  # level-i right clusters
 
-    def cardinality(self) -> int:
-        return len(self.members)
-
 
 class CoreSequence:
     """Built chain: cluster partitions, per-member quotients, sampler
@@ -1385,25 +1382,19 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
 
 
 def save_core_sequence(seq: CoreSequence, out_dir: str) -> dict:
+    """Write the manifest, every member's quotient and every Gamma.  The
+    chain is not stored: the loader rebuilds it as ``default_chains`` of the
+    recorded profile, so a sequence on any other chain raises ValueError."""
+    if (list(seq.left_chain), list(seq.right_chain)) != default_chains(seq.profile):
+        raise ValueError("a core artifact stores no chain: only a sequence on default_chains(profile) can be saved")
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "profile": seq.profile.to_json(),
         "seed": seq.seed,
-        "n_left": seq.n_left,
-        "n_right": seq.n_right,
-        "gamma_seeds": {f"{i}/{idx}": rec["seed"] for (i, idx), rec in seq.gamma_records.items()},
         "gamma_telemetry": {f"{i}/{idx}": rec["telemetry"]["draws"] for (i, idx), rec in seq.gamma_records.items()},
         "member_hashes": {},
-        "partition_hashes": {},
         "sampler_stream": SAMPLER_STREAM,
     }
-    for side, chain in (("left", seq.left_chain), ("right", seq.right_chain)):
-        for i, p in enumerate(chain, start=1):
-            name = f"{side}-{i}.part"
-            blob = p.to_text().encode()
-            with open(os.path.join(out_dir, name), "wb") as f:
-                f.write(blob)
-            manifest["partition_hashes"][name] = hashlib.sha256(blob).hexdigest()
     for j in range(1, seq.profile.s + 1):
         for m in seq.members[j]:
             path = os.path.join(out_dir, f"quotient-{j}-{m.index}.bin")
@@ -1424,35 +1415,22 @@ class ArtifactMismatch(ValueError):
     """A file of a core artifact differs from the hash its manifest records."""
 
 
-def _check_hash(name: str, blob: bytes, recorded: str) -> None:
-    if hashlib.sha256(blob).hexdigest() != recorded:
-        raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
-
-
 def load_core_sequence(out_dir: str) -> CoreSequence:
-    """The chain saved in out_dir.  Every partition file and every quotient
-    file must have the SHA-256 that ``manifest.json`` records for it
-    (``partition_hashes``, ``member_hashes``), else ArtifactMismatch naming
-    the file; a file that does not parse raises ValueError first, and so
-    does a quotient whose shape is not the profile's cluster counts at its
-    level, or a partition chain in which a level does not refine the one
-    before it.  An artifact whose manifest records no ``sampler_stream``, or
-    another one than ``SAMPLER_STREAM``, raises ValueError: its Gammas came
-    from another seed stream, and it must be rebuilt."""
+    """The chain saved in out_dir.  Only ``manifest.json`` and the
+    ``quotient-j-m.bin`` files are read: the cluster partitions are
+    ``default_chains`` of the recorded profile, the ones every saved
+    sequence was built on.  Every quotient file must have the SHA-256 that
+    ``member_hashes`` records for it, else ArtifactMismatch naming the file;
+    a file that does not parse raises ValueError first, and so does a
+    quotient whose shape is not the profile's cluster counts at its level.
+    An artifact whose manifest records no ``sampler_stream``, or another one
+    than ``SAMPLER_STREAM``, raises ValueError: its Gammas came from another
+    seed stream, and it must be rebuilt."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
     check_sampler_stream(manifest, "manifest.json", "build-core")
     profile = GrowthProfile.from_json(manifest["profile"])
-    chains = {}
-    for side, n in (("left", manifest["n_left"]), ("right", manifest["n_right"])):
-        chains[side] = []
-        for i in range(1, profile.s + 1):
-            name = f"{side}-{i}.part"
-            with open(os.path.join(out_dir, name), "rb") as f:
-                blob = f.read()
-            chains[side].append(VertexPartition.from_text(n, blob.decode()))
-            _check_hash(name, blob, manifest["partition_hashes"][name])
-    seq = CoreSequence(profile, chains["left"], chains["right"], manifest["seed"])
+    seq = CoreSequence(profile, *default_chains(profile), manifest["seed"])
     for j in range(1, profile.s + 1):
         members = []
         for idx in range(1 << j):
@@ -1460,7 +1438,8 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
             with open(os.path.join(out_dir, name), "rb") as f:
                 blob = f.read()
             q = bipartite_from_binary(blob)
-            _check_hash(name, blob, manifest["member_hashes"][f"{j}/{idx}"])
+            if hashlib.sha256(blob).hexdigest() != manifest["member_hashes"][f"{j}/{idx}"]:
+                raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
             if (q.left.size, q.right.size) != (profile.l_sizes[j - 1], profile.r_sizes[j - 1]):
                 raise ValueError(f"{name} is a {q.left.size} x {q.right.size} quotient, not {profile.l_sizes[j - 1]} x {profile.r_sizes[j - 1]}")
             members.append(CoreMember(level=j, index=idx, quotient=q, parent=idx // 2))

@@ -429,27 +429,6 @@ def bipartite_to_text(g: BipartiteGraph) -> str:
     return "\n".join(head) + "\n" + _write_decimal_rows(g.edges())
 
 
-def bipartite_from_text(text: str) -> BipartiteGraph:
-    """Strict inverse of ``bipartite_to_text``; raises ValueError on any
-    other text."""
-    data = text.encode("ascii")
-    line, pos = _text_line(data, 0)
-    if line != "bipartite v1":
-        raise ValueError("bad header")
-    line, pos = _text_line(data, pos)
-    lname, nl = _header_fields(line, "left", 2)
-    line, pos = _text_line(data, pos)
-    rname, nr = _header_fields(line, "right", 2)
-    line, pos = _text_line(data, pos)
-    m = _header_count(_header_fields(line, "edges", 1)[0])
-    edges = _read_decimal_rows(data, pos, m, 2)
-    g = BipartiteGraph.from_edges(VertexClass(lname, _header_count(nl)), VertexClass(rname, _header_count(nr)), edges)
-    # edges() lists each edge once, in increasing order: this also refuses repeats
-    if not np.array_equal(g.edges(), edges):
-        raise ValueError("edge lines not in strictly increasing order")
-    return g
-
-
 def kgraph_to_text(h: KPartiteKGraph) -> str:
     """The text of h; the tuples are decoded one block of codes at a time."""
     head = ["kgraph v1", f"k {h.k}"]

@@ -218,10 +218,6 @@ class PastedInstance:
     chain_per_class: list  # nested partitions shared by every class
     initial_cells: int
 
-    def cycle_windows(self):
-        two_k = 2 * self.k
-        return [tuple((x + j) % two_k for j in range(self.k)) for x in range(two_k)]
-
 
 def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup: int = 4, core_kwargs=None) -> PastedInstance:
     """One inductive family per tight-cycle window over 2k classes; one

@@ -119,9 +119,6 @@ class VertexPartition:
     def cell_of(self, v: int) -> int:
         return int(self.owner[v])
 
-    def refines_exactly(self, other: "VertexPartition") -> bool:
-        return np.unique(self.owner * len(other) + other.owner).size == len(self)
-
     def __eq__(self, other):
         return isinstance(other, VertexPartition) and self.n == other.n and np.array_equal(self.owner, other.owner)
 

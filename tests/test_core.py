@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -108,12 +109,12 @@ def test_neighbor_family_matches_adjacency_scan(small_seq):
                 for rc in np.flatnonzero(small_seq.rparent[i - 1] == int(R)):
                     expected.add(int(rc))
             assert set(fam.members.tolist()) == expected
-            assert fam.cardinality() == small_seq.profile.r_sizes[i - 1] >> (i - 1)
+            assert len(fam.members) == small_seq.profile.r_sizes[i - 1] >> (i - 1)
 
 
 def test_neighbor_family_level1_is_everything(small_seq):
     fam = C.neighbor_family(small_seq, 1, 0)
-    assert fam.cardinality() == small_seq.profile.r_sizes[0]
+    assert len(fam.members) == small_seq.profile.r_sizes[0]
 
 
 def test_level_block_degrees_halve_per_level(small_seq):
@@ -206,7 +207,7 @@ def test_full_cell_witness_count_deterministic(small_seq):
     P = seq.left_parts(1).cells[0]
     wits = C.find_irregularity_witnesses(seq, 2, 0, 2, P, Fraction(1, 4))
     fam = C.neighbor_family(seq, 2, 0, member=0)
-    assert len(wits) == fam.cardinality()
+    assert len(wits) == len(fam.members)
 
 
 def test_refutation_certificate_round_trip(small_seq):
@@ -285,6 +286,29 @@ def test_save_load_round_trip(tmp_path, small_seq):
                 seq2.members[j][idx].quotient.rows, small_seq.members[j][idx].quotient.rows
             )
     assert C.verify_structure(seq2)["ok"]
+
+
+def test_saved_artifact_holds_no_chain_and_the_loader_reads_only_manifest_and_quotients(tmp_path, small_seq, monkeypatch):
+    """The chain is a function of the profile: the writer stores none, and
+    the loader opens the manifest and the quotients only and rebuilds the
+    chain as default_chains(profile), owner for owner."""
+    d = tmp_path / "seq"
+    manifest = C.save_core_sequence(small_seq, str(d))
+    assert sorted(manifest) == ["gamma_telemetry", "member_hashes", "profile", "sampler_stream", "seed"]
+    assert not list(d.glob("*.part"))
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(C, "open", recording_open, raising=False)
+    seq = C.load_core_sequence(str(d))
+    assert opened == ["manifest.json"] + [f"quotient-{j}-{m}.bin" for j in (1, 2) for m in range(1 << j)]
+    left, right = C.default_chains(small_seq.profile)
+    for got, want in zip(seq.left_chain + seq.right_chain, left + right):
+        assert np.array_equal(got.owner, want.owner)
+    assert (seq.n_left, seq.n_right) == (small_seq.n_left, small_seq.n_right)
 
 
 def test_build_determinism():
@@ -1200,6 +1224,15 @@ def scattered_seq(request):
     left = _scattered_chain(prof.l_sizes, sizes(prof.l_sizes[-1]), rng)
     right = _scattered_chain(prof.r_sizes, sizes(prof.r_sizes[-1]), rng)
     return request.param, C.build_core_sequence(prof, seed=3, left_chain=left, right_chain=right)
+
+
+def test_a_sequence_off_the_default_chains_cannot_be_saved(scattered_seq, tmp_path):
+    """The artifact stores no chain, so the loader could not give back a
+    scattered one: the writer refuses it and writes nothing."""
+    _, seq = scattered_seq
+    with pytest.raises(ValueError, match="default_chains"):
+        C.save_core_sequence(seq, str(tmp_path / "seq"))
+    assert not (tmp_path / "seq").exists()
 
 
 def test_core_reports_match_the_reference_off_the_block_layout(scattered_seq):

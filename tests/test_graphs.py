@@ -170,7 +170,6 @@ def test_blowup_zero_rejected():
 def test_serialization_round_trips(seed):
     g = random_bipartite(10, 13, 0.37, seed)
     assert G.bipartite_from_binary(G.bipartite_to_binary(g)) == g
-    assert G.bipartite_from_text(G.bipartite_to_text(g)) == g
     assert G.graph_hash(g) == G.graph_hash(G.bipartite_from_binary(G.bipartite_to_binary(g)))
 
 
@@ -271,9 +270,9 @@ def _kgraph_or_refused(cs, edges):
 
 
 @st.composite
-def bipartites(draw, min_edges=0, max_side=150):
-    nl, nr = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    edges = draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), min_size=min_edges, max_size=200))
+def bipartites(draw):
+    nl, nr = draw(st.integers(1, 150)), draw(st.integers(1, 150))
+    edges = draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), max_size=200))
     return G.BipartiteGraph.from_edges(G.VertexClass("A", nl), G.VertexClass("B", nr), edges)
 
 
@@ -335,7 +334,6 @@ def test_kgraph_text_spans_several_row_chunks():
 def test_bipartite_text_matches_per_line_formatter(g):
     text = G.bipartite_to_text(g)
     assert text == _reference_bipartite_text(g)
-    assert G.bipartite_from_text(text) == g
     assert [tuple(e) for e in g.edges().tolist()] == [(u, int(v)) for u in range(g.left.size) for v in g.neighbors(u)]
 
 
@@ -496,7 +494,7 @@ def _malformed(text: str, kind: str, at: int) -> str:
         lines[i] = "0" + line
     elif kind == "leading-zero-count":
         lines[head - 1] = f"edges 0{m}"
-    elif kind == "leading-zero-size":  # 'left A 03', 'class V3 03'
+    elif kind == "leading-zero-size":  # 'class V3 03'
         name, size = lines[head - 2].rsplit(" ", 1)
         lines[head - 2] = f"{name} 0{size}"
     elif kind == "trailing-space":
@@ -535,21 +533,17 @@ def test_readers_reject_text_after_an_empty_edge_list():
     for bad in (empty + "0 0\n", empty + "\n", empty[:-1], empty.replace("k 2", "k 1")):
         with pytest.raises(ValueError):
             G.kgraph_from_text(bad)
-    bip = G.bipartite_to_text(G.BipartiteGraph.empty(G.VertexClass("A", 2), G.VertexClass("B", 2)))
-    with pytest.raises(ValueError):
-        G.bipartite_from_text(bip + "0 0\n")
 
 
 def test_readers_refuse_edge_lines_out_of_order():
-    """The readers are strict inverses: the same edges in another line
-    order are another text, which no writer produces, so it is refused."""
+    """The reader is a strict inverse: the same edges in another line order
+    are another text, which no writer produces, so it is refused."""
     h = G.KPartiteKGraph(G.VertexClassSet([("V1", 3), ("V2", 3), ("V3", 3)]), np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]]))
-    g = G.BipartiteGraph.from_edges(G.VertexClass("A", 3), G.VertexClass("B", 3), [(0, 2), (1, 0)])
-    for text, read, graph in ((G.kgraph_to_text(h), G.kgraph_from_text, h), (G.bipartite_to_text(g), G.bipartite_from_text, g)):
-        assert read(text) == graph
-        cut = text.index("\n", text.index("\nedges ") + 1) + 1
-        with pytest.raises(ValueError, match="increasing"):
-            read(text[:cut] + "".join(reversed(text[cut:].splitlines(keepends=True))))
+    text = G.kgraph_to_text(h)
+    assert G.kgraph_from_text(text) == h
+    cut = text.index("\n", text.index("\nedges ") + 1) + 1
+    with pytest.raises(ValueError, match="increasing"):
+        G.kgraph_from_text(text[:cut] + "".join(reversed(text[cut:].splitlines(keepends=True))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -561,9 +555,3 @@ def test_kgraph_reader_rejects_malformed_text(case, kind, at):
     with pytest.raises(ValueError):
         G.kgraph_from_text(_malformed(G.kgraph_to_text(h), kind, at))
 
-
-@settings(max_examples=300, deadline=None)
-@given(bipartites(min_edges=1, max_side=12), st.sampled_from(_DEFECTS), st.integers(0, 1000))
-def test_bipartite_reader_rejects_malformed_text(g, kind, at):
-    with pytest.raises(ValueError):
-        G.bipartite_from_text(_malformed(G.bipartite_to_text(g), kind, at))

@@ -147,16 +147,6 @@ def pasted():
     return H.build_pasted_instance(3, 2, sched, seed=9, blowup=4, core_kwargs=CORE_KW)
 
 
-def test_pasted_window_structure(pasted):
-    wins = pasted.cycle_windows()
-    assert len(wins) == 6
-    assert wins[0] == (0, 1, 2) and wins[5] == (5, 0, 1)
-    # for uniformity 2 the cycle has 4 windows on 4 classes
-    sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
-    inst2 = H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
-    assert inst2.cycle_windows() == [(0, 1), (1, 2), (2, 3), (3, 0)]
-
-
 def test_pasted_density_exact(pasted):
     rep = H.pasted_density_check(pasted)
     assert rep["ok"]

@@ -244,7 +244,6 @@ KEPT = {
     ("hypergraphs", "beta_star_analysis"): "direction 5: the class and window where a partition stops refining the chain",
     ("epsreg", "reduction_check"): "direction 5: polyad regularity against pair regularity on the axis views",
     ("hypergraphs", "verify_onesided_property"): "direction 5: the paper's one-sided lemma, which it documents against",
-    ("graphs", "bipartite_from_text"): "reads back the ab.txt, ac.txt and bc.txt that counterexample writes",
     ("graphs", "codegree"): "the reference codegree the unit tests compare against",
 }
 # the library calls of the exact-pairs workload, besides the CLI

@@ -460,12 +460,9 @@ def test_vertex_partition_from_text_matches_a_split_reference(n, text):
     assert _outcome(load) == _outcome(lambda: _reference_from_text(n, text))
 
 
-def test_refines_exactly_and_equality():
+def test_partition_equality():
     fine = P.VertexPartition(6, [[0, 1], [2], [3, 4, 5]])
     coarse = P.VertexPartition.blocks(6, 2)
-    assert fine.refines_exactly(coarse)
-    assert not coarse.refines_exactly(fine)
-    assert not P.VertexPartition(6, [[0, 3], [1, 2], [4, 5]]).refines_exactly(coarse)
     assert P.VertexPartition.singletons(4) == P.VertexPartition(4, [[3], [2], [1], [0]])
     assert fine != coarse
 
@@ -493,7 +490,7 @@ def test_singletons_refine_everything_and_one_cell_refines_only_one_cell():
     fine = P.VertexPartition.singletons(32)
     rep = P.refines_beta(fine, p, Fraction(1, 8))
     assert rep.verdict and rep.mass_unassigned == 0
-    assert rep.assignment == (np.arange(32) // 4).tolist() and fine.refines_exactly(p)
+    assert rep.assignment == (np.arange(32) // 4).tolist() and np.array_equal(np.asarray(rep.assignment)[fine.owner], p.owner)
     whole = P.VertexPartition(32, [range(32)])
     rep = P.refines_beta(whole, p, Fraction(1, 8))
     assert not rep.verdict and rep.assignment == [-1] and rep.mass_unassigned == 32
