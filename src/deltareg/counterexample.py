@@ -1,11 +1,19 @@
-"""Triangle-free tripartite instances that pass every half-density subset
+"""Triangle-free tripartite instances built to pass the half-density subset
 check on each class pair.
 
 Recipe: sample a tripartite random graph, audit its triangle count and its
-pairwise density concentration, delete one edge per triangle spreading the
-deletions evenly over the three class pairs, then blow up.  The blowup's
-subset bounds reduce to the base graph through convex decompositions of
-fractional indicator vectors into binary vectors of equal total.
+pairwise density concentration (AUDIT_SAMPLES random subset pairs per class
+pair; the audit gates a resample only outside relaxed mode), delete one
+edge per triangle spreading the deletions evenly over the three class
+pairs, then blow up.  The blowup's subset bounds reduce to the base graph
+through convex decompositions of fractional indicator vectors into binary
+vectors of equal total.
+
+Verification decides triangle-freeness exactly, and the strengthened pair
+property on the base by one exact scan when its C(n_left, a) left subsets
+fit PAIR_CHECK_CAP; past the cap the property is "undecided", never
+sampled.  It can fail: at the seed-5 desk profile
+``regularity.find_delta_witness`` finds a recounted witness on every pair.
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ import numpy as np
 
 from . import _kernels
 from .graphs import BipartiteGraph, VertexClass, blowup, edges_between
+
+# left subsets one exact strengthened-pair scan may enumerate
+PAIR_CHECK_CAP = 1 << 22
+# random subset pairs per class pair in the sampled density audit
+AUDIT_SAMPLES = 60
 
 
 def convex_decompose(x) -> list:
@@ -141,13 +154,13 @@ def _sample_tripartite(n: int, q: Fraction, rng) -> TripartiteGraph:
     return TripartiteGraph(n=n, ab=rand_pair("A", "B"), ac=rand_pair("A", "C"), bc=rand_pair("B", "C"))
 
 
-def _density_audit(g: TripartiteGraph, params: CounterexampleParams, rng, samples: int = 60) -> bool:
+def _density_audit(g: TripartiteGraph, params: CounterexampleParams, rng) -> bool:
     """Sampled audit of d(S, T) = (1 +- delta/3) q on threshold-size subsets."""
     delta, q = params.delta, params.q
     n = g.n
     size = max(1, -(-delta.numerator * n // delta.denominator))
     for pair in (g.ab, g.ac, g.bc):
-        for _ in range(samples):
+        for _ in range(AUDIT_SAMPLES):
             S = rng.choice(n, size=size, replace=False)
             T = rng.choice(n, size=size, replace=False)
             d = Fraction(edges_between(pair, S, T), size * size)
@@ -244,10 +257,10 @@ def verify_counterexample(
     return report
 
 
-def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction, cap: int = 1 << 22) -> dict:
+def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction) -> dict:
     """min over threshold-size subset pairs of e(S,T) vs (1-delta) d |S||T|,
-    by one exact scan when C(n_l, a) <= cap; past the cap the claim is
-    "undecided", with its bound and no verdict."""
+    by one exact scan when C(n_l, a) <= PAIR_CHECK_CAP; past the cap the
+    claim is "undecided", with its bound and no verdict."""
     import math
 
     n_l, n_r = pair.left.size, pair.right.size
@@ -257,7 +270,7 @@ def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction, cap: int = 1
     a = max(1, math.ceil(delta * n_l))
     b = max(1, math.ceil(delta * n_r))
     bound = (1 - delta) * d
-    if math.comb(n_l, a) > cap:
+    if math.comb(n_l, a) > PAIR_CHECK_CAP:
         return {"status": "undecided", "bound": bound}
     _, e_min, _ = _kernels.subset_min_edges(pair.rows, n_r, a, b)
     worst = Fraction(e_min, a * b)

@@ -379,17 +379,17 @@ def reduction_check(
     P: KPartition,
     delta,
     mode: str = "exact",
-    cap: int = 1 << 24,
     samples: int = 200,
-    seed: int = 0,
     per_part_cap: int = 16,
     product_cap: int = 1 << 20,
 ) -> dict:
     """Hypothesis: in every polyad, every qualifying sub-polyad keeps at
     least two thirds of the polyad's relative density.  Conclusion: the
     (top-layer, last-class-cells) partition of the axis-k view is perfectly
-    pairwise half-density regular at tolerance 2*sqrt(delta).  Both sides
-    are evaluated and reported separately."""
+    pairwise half-density regular at tolerance 2*sqrt(delta), each pair
+    decided exactly.  Both sides are evaluated and reported separately;
+    ``hypothesis_ok`` is None (undecided) when no violation was found but
+    some polyad's sub-polyad lattice passed the caps."""
     from .graphs import aux_graph
     from .regularity import axis_partitions
 
@@ -408,7 +408,7 @@ def reduction_check(
         checker = (
             _sub_polyads_exact(polyad, per_part_cap, product_cap)
             if mode == "exact"
-            else _sampled_polyads(polyad, samples, seed)
+            else _sampled_polyads(polyad, samples)
         )
         try:
             for s in checker:
@@ -422,6 +422,8 @@ def reduction_check(
                     break
         except CapExceeded:
             hyp_details.append({"cap": True})
+    if hyp_ok and {"cap": True} in hyp_details:
+        hyp_ok = None
     threshold = _two_sqrt(delta)
     view = aux_graph(h, k)
     left, right = axis_partitions(h, P, k, view)
@@ -430,7 +432,7 @@ def reduction_check(
     for li, lcell in enumerate(left.cells):
         for ri, rcell in enumerate(right.cells):
             sub = _induced_pair(view.graph, lcell, rcell)
-            v = is_delta_regular_pair(sub, threshold, mode="exact", cap=cap)
+            v = is_delta_regular_pair(sub, threshold)
             concl_pairs.append((li, ri, v.status))
             if v.status != "regular":
                 concl_ok = False
@@ -443,8 +445,8 @@ def reduction_check(
     }
 
 
-def _sampled_polyads(poly, samples, seed):
-    rng = np.random.default_rng(seed)
+def _sampled_polyads(poly, samples):
+    rng = np.random.default_rng(0)
     for _ in range(samples):
         yield _random_sub_polyad(poly, rng)
 

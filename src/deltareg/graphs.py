@@ -46,13 +46,12 @@ class ProductClass(VertexClass):
     factors: tuple = ()
 
     @staticmethod
-    def of(factors, name=None, offset=0):
+    def of(factors):
         factors = tuple(factors)
         size = 1
         for f in factors:
             size *= f.size
-        name = name or "x".join(f.name for f in factors)
-        return ProductClass(name=name, size=size, offset=offset, factors=factors)
+        return ProductClass(name="x".join(f.name for f in factors), size=size, factors=factors)
 
     def encode(self, tup) -> int:
         idx = 0
@@ -219,14 +218,9 @@ def density(g: BipartiteGraph) -> Fraction:
     return Fraction(g.edge_count(), g.left.size * g.right.size)
 
 
-def codegree(g: BipartiteGraph, v: int, w: int, side: str = "left") -> int:
-    """|N(v) & N(w)| for two vertices on the same side."""
-    if side == "left":
-        return int(_kernels.and_popcount_pairs(g.rows, np.array([[v, w]], dtype=np.int64))[0])
-    if side == "right":
-        t = g.transposed()
-        return int(_kernels.and_popcount_pairs(t.rows, np.array([[v, w]], dtype=np.int64))[0])
-    raise ValueError("side must be 'left' or 'right'")
+def codegree(g: BipartiteGraph, v: int, w: int) -> int:
+    """|N(v) & N(w)| for two left vertices."""
+    return int(_kernels.and_popcount_pairs(g.rows, np.array([[v, w]], dtype=np.int64))[0])
 
 
 def edges_between(g: BipartiteGraph, S, T) -> int:
@@ -241,15 +235,6 @@ def edges_between(g: BipartiteGraph, S, T) -> int:
         return 0
     mask = pack_indices(T, g.right.size)
     return int(_kernels.masked_degrees(g.rows[S], mask).sum())
-
-
-def pair_density(g: BipartiteGraph, S, T) -> Fraction:
-    """d(S,T); 0 by convention when either side is empty."""
-    S = np.asarray(S, dtype=np.int64)
-    T = np.asarray(T, dtype=np.int64)
-    if S.size == 0 or T.size == 0:
-        return Fraction(0)
-    return Fraction(edges_between(g, S, T), int(S.size) * int(T.size))
 
 
 class KPartiteKGraph:

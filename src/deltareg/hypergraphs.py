@@ -43,6 +43,9 @@ from .partitions import VertexPartition, refines_beta
 from .regularity import is_delta_regular_kpartition
 from .schedules import DeskSchedule
 
+# the approximate-refinement tolerance c = 2^-9 of the one-sided lemma
+REFINE_C = Fraction(1, 512)
+
 
 def nested_class_chain(class_size: int, t_values) -> list:
     """Per-class nested block partitions, one per level."""
@@ -168,30 +171,29 @@ def verify_family(fam: InductiveFamily) -> dict:
     return report
 
 
-def verify_onesided_property(fam: InductiveFamily, j: int, member: int, P, i: int, delta=None, mode: str = "sampled", cap: int = 1 << 24) -> dict:
+def verify_onesided_property(fam: InductiveFamily, j: int, member: int, P, i: int, delta=None) -> dict:
     """Evaluate the one-sided implication on an explicit layered partition:
     hypothesis = the partition's class-h vertex cells c-refine the level-i
-    chain on every class except the first (c = 2^-9), conclusion = the
-    first-class cells c-refine level i+1.  The partition's regularity status
-    for the member is evaluated separately and reported; nothing universal
-    is claimed."""
+    chain on every class except the first (c = REFINE_C), conclusion = the
+    first-class cells c-refine level i+1.  Given delta, the partition's
+    exact regularity status for the member is evaluated separately and
+    reported; nothing universal is claimed."""
     if not (1 <= i < len(fam.chain)):
         raise ValueError("level out of range for the chain")
     if i > fam.schedule.a(fam.k, j):
         raise ValueError("level exceeds the schedule's reach for this depth")
-    c = Fraction(1, 512)
     h = fam.h_member(j, member)
     hyp = []
     for cls in range(1, fam.k):
         cells = _class_cells(P, fam.classes, cls)
-        rep = refines_beta(cells, fam.chain[i - 1][cls], c)
+        rep = refines_beta(cells, fam.chain[i - 1][cls], REFINE_C)
         hyp.append(rep.verdict)
     cells0 = _class_cells(P, fam.classes, 0)
-    concl = refines_beta(cells0, fam.chain[i][0], c).verdict
+    concl = refines_beta(cells0, fam.chain[i][0], REFINE_C).verdict
     out = {"hypothesis": all(hyp), "per_class": hyp, "conclusion": concl}
     out["implication"] = (not out["hypothesis"]) or concl
     if delta is not None:
-        out["regularity"] = is_delta_regular_kpartition(h, P, delta, mode=mode, cap=cap)
+        out["regularity"] = is_delta_regular_kpartition(h, P, delta)
     return out
 
 
@@ -302,9 +304,9 @@ def pasted_density_check(inst: PastedInstance) -> dict:
     }
 
 
-def beta_star_analysis(inst: PastedInstance, class_partitions: list, c=Fraction(1, 512)) -> dict:
-    """Per-class deepest chain level approximately refined, its minimum, and
-    the cycle window starting at the minimizing class.
+def beta_star_analysis(inst: PastedInstance, class_partitions: list) -> dict:
+    """Per-class deepest chain level REFINE_C-refined, its minimum, and the
+    cycle window starting at the minimizing class.
 
     class_partitions[h] partitions class h (local indices) for each of the
     2k original classes.
@@ -315,12 +317,12 @@ def beta_star_analysis(inst: PastedInstance, class_partitions: list, c=Fraction(
     m = len(inst.chain_per_class)
     beta = []
     for h in range(two_k):
-        rep1 = refines_beta(class_partitions[h], inst.chain_per_class[0], c)
+        rep1 = refines_beta(class_partitions[h], inst.chain_per_class[0], REFINE_C)
         if not rep1.verdict:
             raise ValueError(f"class {h} does not refine the initial partition")
         best = 1
         for i in range(2, m + 1):
-            if refines_beta(class_partitions[h], inst.chain_per_class[i - 1], c).verdict:
+            if refines_beta(class_partitions[h], inst.chain_per_class[i - 1], REFINE_C).verdict:
                 best = i
             else:
                 break

@@ -31,13 +31,13 @@ class VertexPartition:
     ``cells`` splits them into one array per cell on first use.
     """
 
-    def __init__(self, n: int, cells, name: str = ""):
+    def __init__(self, n: int, cells):
         arrs = [np.asarray(c, dtype=np.int64).ravel() for c in cells]
         sizes = np.fromiter((a.size for a in arrs), dtype=np.int64, count=len(arrs))
         flat = np.concatenate(arrs) if arrs else np.empty(0, dtype=np.int64)
-        self._set_cells(n, flat, sizes, name)
+        self._set_cells(n, flat, sizes)
 
-    def _set_cells(self, n: int, flat: np.ndarray, sizes: np.ndarray, name: str):
+    def _set_cells(self, n: int, flat: np.ndarray, sizes: np.ndarray):
         """Normalise and check cells given as one flat array of ids plus the
         cell sizes.  The checks see every cell at once but report what a scan
         in canonical order reports first: out of range or overlapping an
@@ -74,7 +74,6 @@ class VertexPartition:
             owner[flat] = erank
             flat, sizes = flat[np.argsort(erank, kind="stable")], sizes[canon]
         self.n = n
-        self.name = name
         self._flat, self._sizes = flat, sizes
         self.owner = owner
         self.owner.setflags(write=False)
@@ -85,7 +84,7 @@ class VertexPartition:
         return _split_flat(self._flat, self._sizes)
 
     @staticmethod
-    def blocks(n: int, num_cells: int, name: str = "") -> "VertexPartition":
+    def blocks(n: int, num_cells: int) -> "VertexPartition":
         """Equitable partition into contiguous index blocks."""
         if n % num_cells:
             raise ValueError(f"{n} vertices cannot split into {num_cells} equal cells")
@@ -93,14 +92,13 @@ class VertexPartition:
         self = VertexPartition.__new__(VertexPartition)
         self.n = n
         self._flat, self._sizes = np.arange(n, dtype=np.int64), np.full(num_cells, w, dtype=np.int64)
-        self.name = name
         self.owner = np.repeat(np.arange(num_cells, dtype=np.int64), w)
         self.owner.setflags(write=False)
         return self
 
     @staticmethod
-    def singletons(n: int, name: str = "") -> "VertexPartition":
-        return VertexPartition.blocks(n, n, name)
+    def singletons(n: int) -> "VertexPartition":
+        return VertexPartition.blocks(n, n)
 
     def __len__(self):
         return self._sizes.size
@@ -150,7 +148,7 @@ class VertexPartition:
             raise ValueError("partition text: an id of more than 18 digits")
         sizes = np.bincount(np.searchsorted(np.flatnonzero(b == ord("\n")), starts))
         self = VertexPartition.__new__(VertexPartition)
-        self._set_cells(n, np.where(sign, -vals, vals), sizes[sizes > 0], "")
+        self._set_cells(n, np.where(sign, -vals, vals), sizes[sizes > 0])
         return self
 
 
@@ -359,7 +357,7 @@ class KPartition:
     partitions the cross family and computes the under-map.
     """
 
-    def __init__(self, classes: VertexClassSet, vertex_cells: VertexPartition, layers: dict | None = None, validate: bool = True):
+    def __init__(self, classes: VertexClassSet, vertex_cells: VertexPartition, layers: dict | None = None):
         self.classes = classes
         self.vertex = vertex_cells
         if vertex_cells.n != classes.total:
@@ -368,8 +366,7 @@ class KPartition:
         self.k = max(self.layers) if self.layers else 1
         self.under_map = {}
         self._cell_lookup = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         # vertex cells must respect class boundaries for the layered ops used here

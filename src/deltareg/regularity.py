@@ -1,5 +1,5 @@
 """Half-density subset regularity for bipartite graphs and its layered
-hypergraph extensions, with witness search and sound edit-distance intervals.
+hypergraph extensions, with sound edit-distance intervals.
 
 A bipartite graph on (A, B) is delta-regular (pair sense) when every subset
 pair (A', B') with |A'| >= delta|A| and |B'| >= delta|B| keeps at least half
@@ -7,9 +7,17 @@ the global density: d(A', B') >= d(A, B) / 2.  A vertex partition of the
 graph is delta-regular when at most delta * e(G) edge edits make every
 cross pair delta-regular.
 
-The exact pair checker only enumerates subsets of the minimal qualifying
-sizes: removing a maximum-degree vertex from A' never increases d(A', B'),
-so the minimum over all qualifying sizes is attained at the smallest.
+Every pair decision here ends one of three ways: an exact scan, a witness
+that edges_between recounts, or a refusal (``CapExceeded``) when the scan
+would pass the cap (``DEFAULT_CAP`` left subsets).  Nothing is sampled and
+no pair verdict reads "unknown"; a partition is "undecided" only when its
+sound edit interval straddles the budget.  The pair checker only enumerates subsets of the
+minimal qualifying sizes: removing a maximum-degree vertex from A' never
+increases d(A', B'), so the minimum over all qualifying sizes is attained
+at the smallest; for each left subset the engine takes the lowest-degree
+right vertices, so only the left subsets are enumerated.
+``find_delta_witness`` is a sound but incomplete refuter: a witness it
+returns is recounted, and None decides nothing.
 Convention: a pair of zero density is regular (the inequality is vacuous);
 reports carry a flag when this convention fires.
 """
@@ -24,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels
-from .graphs import BipartiteGraph, VertexClass, edges_between, pair_density
+from .graphs import BipartiteGraph, VertexClass, edges_between
 from .partitions import KPartition, VertexPartition
 
 DEFAULT_CAP = 1 << 24
@@ -54,7 +62,7 @@ class DeltaWitness:
 
 @dataclass
 class PairVerdict:
-    status: str  # "regular" | "irregular" | "unknown"
+    status: str  # "regular" | "irregular"
     witness: DeltaWitness | None = None
     vacuous_zero_density: bool = False
 
@@ -69,15 +77,15 @@ def _min_sizes(nl: int, nr: int, delta: Fraction):
     return a, b
 
 
-def is_delta_regular_pair(
-    g: BipartiteGraph,
-    delta,
-    mode: str = "exact",
-    cap: int = DEFAULT_CAP,
-    seed: int = 0,
-    restarts: int = 8,
-) -> PairVerdict:
-    """Decide (exact) or search for a witness (sampled)."""
+def _exact_only(mode: str):
+    if mode != "exact":
+        raise ValueError(f"mode {mode!r}: regularity is decided exactly or not at all")
+
+
+def is_delta_regular_pair(g: BipartiteGraph, delta, mode: str = "exact", cap: int = DEFAULT_CAP) -> PairVerdict:
+    """Decide by one exact scan of the C(n_left, a) minimal left subsets;
+    raise CapExceeded when that count passes the cap."""
+    _exact_only(mode)
     delta = Fraction(delta)
     e_total = g.edge_count()
     nl, nr = g.left.size, g.right.size
@@ -86,21 +94,14 @@ def is_delta_regular_pair(
     if e_total == nl * nr:
         return PairVerdict(status="regular")
     a, b = _min_sizes(nl, nr, delta)
-    if mode == "exact":
-        if math.comb(nl, a) > cap or math.comb(nr, b) > cap:
-            raise CapExceeded(f"C({nl},{a}) or C({nr},{b}) exceeds cap {cap}")
-        # e(S, T) |A||B| < e(A, B) |S||T| / 2, with e(S, T) an integer
-        lo = math.ceil(Fraction(e_total * a * b, 2 * nl * nr))
-        S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo)
-        if S is None:
-            return PairVerdict(status="regular")
-        return PairVerdict(status="irregular", witness=_finish_witness(g, S, b, e_total))
-    if mode == "sampled":
-        w = _descent_witness(g, a, b, e_total, seed=seed, restarts=restarts)
-        if w is not None:
-            return PairVerdict(status="irregular", witness=w)
-        return PairVerdict(status="unknown")
-    raise ValueError(f"unknown mode {mode!r}")
+    if math.comb(nl, a) > cap:
+        raise CapExceeded(f"C({nl},{a}) exceeds cap {cap}")
+    # e(S, T) |A||B| < e(A, B) |S||T| / 2, with e(S, T) an integer
+    lo = math.ceil(Fraction(e_total * a * b, 2 * nl * nr))
+    S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo)
+    if S is None:
+        return PairVerdict(status="regular")
+    return PairVerdict(status="irregular", witness=_finish_witness(g, S, b, e_total))
 
 
 def _finish_witness(g, S, b, e_total):
@@ -113,16 +114,23 @@ def _finish_witness(g, S, b, e_total):
     return DeltaWitness(left=np.sort(S), right=T, e_st=e_st, e_total=e_total, nl=g.left.size, nr=g.right.size)
 
 
-def _descent_witness(g, a, b, e_total, seed=0, restarts=8):
-    """Randomized local descent: start from low-degree subsets, swap single
-    vertices while the pair density drops; sound (any reported witness is
-    re-verified exactly) but incomplete."""
-    rng = np.random.default_rng(seed)
+def find_delta_witness(g: BipartiteGraph, delta) -> DeltaWitness | None:
+    """Search for a delta-irregularity witness without the cap: local
+    descent from the lowest-degree left subset and from seven seeded random
+    ones, swapping single vertices while the pair density drops.  Sound (a
+    witness it returns is recounted with edges_between) but incomplete:
+    None decides nothing."""
+    delta = Fraction(delta)
+    e_total = g.edge_count()
     nl, nr = g.left.size, g.right.size
+    if e_total in (0, nl * nr):
+        return None
+    a, b = _min_sizes(nl, nr, delta)
+    rng = np.random.default_rng(0)
     t = g.transposed()
     ldeg = g.degrees()
     best = None
-    for r in range(restarts):
+    for r in range(8):
         if r == 0:
             S = np.argsort(ldeg, kind="stable")[:a].astype(np.int64)
         else:
@@ -252,17 +260,17 @@ def partition_edit_interval(
     Q: VertexPartition,
     delta,
     mode: str = "exact",
-    cap: int = DEFAULT_CAP,
-    seed: int = 0,
 ) -> EditInterval:
     """Edit-distance interval for making every (P-cell, Q-cell) pair
     delta-regular.
 
     Lower bound: per-pair witness accounting (sound for any repair).  Upper
     bound: an explicit repair replacing each irregular pair with a density
-    matched spread block, re-verified exactly; None when any pair cannot be
-    decided within the cap.
+    matched spread block, re-verified exactly; None when no tried repair of
+    some irregular pair passes the check within the cap.  A pair past the
+    cap raises CapExceeded.
     """
+    _exact_only(mode)
     delta = Fraction(delta)
     budget = delta * g.edge_count()
     lower = 0
@@ -273,25 +281,18 @@ def partition_edit_interval(
         for qi, T_cell in enumerate(Q.cells):
             sub = _induced_pair(g, S_cell, T_cell)
             e_pair = sub.edge_count()
-            try:
-                verdict = is_delta_regular_pair(sub, delta, mode="exact", cap=cap)
-            except CapExceeded:
-                if mode == "exact":
-                    raise
-                verdict = is_delta_regular_pair(sub, delta, mode="sampled", seed=seed + 97 * pi + qi)
+            verdict = is_delta_regular_pair(sub, delta)
             entry = {"pair": (pi, qi), "status": verdict.status, "lower": 0, "edits": 0}
             if verdict.status == "irregular":
                 lb = _pair_lower_bound(sub.left.size, sub.right.size, e_pair, verdict.witness)
                 entry["lower"] = lb
                 lower += lb
-                repaired, edits = _repair_pair(sub, delta, cap)
+                repaired, edits = _repair_pair(sub, delta)
                 if repaired is None:
                     upper_known = False
                 else:
                     entry["edits"] = edits
                     upper_total += edits
-            elif verdict.status == "unknown":
-                upper_known = False
             reports.append(entry)
     return EditInterval(lower=lower, upper=upper_total if upper_known else None, budget=budget, pair_reports=reports)
 
@@ -303,7 +304,7 @@ def _induced_pair(g: BipartiteGraph, S_cell, T_cell) -> BipartiteGraph:
     return BipartiteGraph(VertexClass("S", len(S)), VertexClass("T", len(T)), rows)
 
 
-def _repair_pair(sub: BipartiteGraph, delta, cap):
+def _repair_pair(sub: BipartiteGraph, delta):
     """Try replacements with the same edge count until one passes the exact
     check; returns (graph, edits) or (None, None)."""
     m = sub.edge_count()
@@ -314,12 +315,11 @@ def _repair_pair(sub: BipartiteGraph, delta, cap):
         if cand.edge_count() != m:
             continue
         try:
-            if is_delta_regular_pair(cand, delta, mode="exact", cap=cap).status == "regular":
+            if is_delta_regular_pair(cand, delta).status == "regular":
                 edits = _symmetric_difference(sub, cand)
                 return cand, edits
         except CapExceeded:
             return None, None
-    # fall back to the complete or empty block when the density allows free edits
     return None, None
 
 
@@ -327,7 +327,7 @@ def _symmetric_difference(a: BipartiteGraph, b: BipartiteGraph) -> int:
     return int(_kernels.popcount_rows(a.rows ^ b.rows).sum())
 
 
-def is_delta_good(P: KPartition, delta, mode: str = "exact", cap: int = DEFAULT_CAP) -> tuple[bool, list]:
+def is_delta_good(P: KPartition, delta) -> tuple[bool, list]:
     """Every layer cell must induce a regular bipartite slice along every
     axis of its polyad.  Returns (verdict, failing (layer, cell, axis))."""
     delta = Fraction(delta)
@@ -336,7 +336,7 @@ def is_delta_good(P: KPartition, delta, mode: str = "exact", cap: int = DEFAULT_
         for ci in range(len(P.layers[r])):
             for axis in range(1, r + 1):
                 g = cell_axis_graph(P, r, ci, axis)
-                v = is_delta_regular_pair(g, delta, mode=mode, cap=cap)
+                v = is_delta_regular_pair(g, delta)
                 if v.status == "irregular":
                     failing.append((r, ci, axis))
     return (len(failing) == 0), failing
@@ -393,33 +393,24 @@ def e_layer_cells(P: KPartition, classes_idx: list[int]) -> list[int]:
     return out
 
 
-def is_delta_regular_kpartition(
-    h,
-    P: KPartition,
-    delta,
-    mode: str = "exact",
-    cap: int = DEFAULT_CAP,
-    require_good: bool = True,
-) -> dict:
+def is_delta_regular_kpartition(h, P: KPartition, delta) -> dict:
     """Axis-by-axis partition regularity of a k-graph relative to a layered
-    partition: along every axis, the (top-layer cells, axis vertex cells)
-    partition of the axis view graph must sit within the edit budget."""
+    partition that is delta-good: along every axis, the (top-layer cells,
+    axis vertex cells) partition of the axis view graph must sit within the
+    edit budget."""
     from .graphs import aux_graph
 
     delta = Fraction(delta)
     k = h.k
-    report = {"axes": [], "good": None, "verdict": "regular"}
-    if require_good:
-        good, failing = is_delta_good(P, delta, mode=mode, cap=cap)
-        report["good"] = good
-        report["good_failures"] = failing
-        if not good:
-            report["verdict"] = "not-good"
-            return report
+    good, failing = is_delta_good(P, delta)
+    report = {"axes": [], "good": good, "good_failures": failing, "verdict": "regular"}
+    if not good:
+        report["verdict"] = "not-good"
+        return report
     for axis in range(1, k + 1):
         view = aux_graph(h, axis)
         left_part, right_part = axis_partitions(h, P, axis, view)
-        interval = partition_edit_interval(view.graph, left_part, right_part, delta, mode=mode, cap=cap)
+        interval = partition_edit_interval(view.graph, left_part, right_part, delta)
         report["axes"].append(interval)
         if interval.verdict == "irregular":
             report["verdict"] = "irregular"
@@ -458,39 +449,26 @@ def axis_partitions(h, P: KPartition, axis: int, view=None):
     return left, right
 
 
-def is_eps_regular_graph(
-    g: BipartiteGraph, eps, mode: str = "exact", cap: int = DEFAULT_CAP, seed: int = 0, samples: int = 2000
-) -> dict:
+def is_eps_regular_graph(g: BipartiteGraph, eps, mode: str = "exact") -> dict:
     """Two-sided density deviation |d(S,T) - p| <= eps * p over qualifying
-    subsets.  Exact mode scans minimal sizes for the lower side and uses the
-    complement trick for the upper side via the bit complement graph."""
+    subsets, decided by one exact scan of the C(n_left, a) minimal left
+    subsets; raises CapExceeded when that count passes DEFAULT_CAP."""
+    _exact_only(mode)
     eps = Fraction(eps)
     p = Fraction(g.edge_count(), g.left.size * g.right.size)
     nl, nr = g.left.size, g.right.size
     if p == 0 or p == 1:
         return {"status": "regular", "eps": eps}
     a, b = _min_sizes(nl, nr, eps)
-    if mode == "exact":
-        if math.comb(nl, a) > cap or math.comb(nr, b) > cap:
-            raise CapExceeded("exact eps-regularity scan exceeds cap")
-        # both deviation directions reduce to the minimal sizes: removing a
-        # minimum-degree vertex never decreases the density, removing a
-        # maximum-degree vertex never increases it, so violations survive
-        # shrinking each side to its minimal qualifying size.
-        # |e/ab - p| <= eps p  <=>  (1-eps) p ab <= e <= (1+eps) p ab, e an integer
-        lo, hi = math.ceil((1 - eps) * p * a * b), math.floor((1 + eps) * p * a * b)
-        S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo, hi=hi)
-        if S is not None:
-            return {"status": "irregular", "eps": eps, "witness_left": S.tolist()}
-        return {"status": "regular", "eps": eps}
-    # sampled
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        sa = rng.integers(a, nl + 1)
-        sb = rng.integers(b, nr + 1)
-        S = rng.choice(nl, size=sa, replace=False)
-        T = rng.choice(nr, size=sb, replace=False)
-        d = pair_density(g, S, T)
-        if d < (1 - eps) * p or d > (1 + eps) * p:
-            return {"status": "irregular", "eps": eps, "witness_left": S.tolist(), "witness_right": T.tolist()}
-    return {"status": "unknown", "eps": eps, "samples": samples}
+    if math.comb(nl, a) > DEFAULT_CAP:
+        raise CapExceeded(f"C({nl},{a}) exceeds cap {DEFAULT_CAP}")
+    # both deviation directions reduce to the minimal sizes: removing a
+    # minimum-degree vertex never decreases the density, removing a
+    # maximum-degree vertex never increases it, so violations survive
+    # shrinking each side to its minimal qualifying size.
+    # |e/ab - p| <= eps p  <=>  (1-eps) p ab <= e <= (1+eps) p ab, e an integer
+    lo, hi = math.ceil((1 - eps) * p * a * b), math.floor((1 + eps) * p * a * b)
+    S, _, _ = _kernels.subset_min_edges(g.rows, nr, a, b, lo=lo, hi=hi)
+    if S is not None:
+        return {"status": "irregular", "eps": eps, "witness_left": S.tolist()}
+    return {"status": "regular", "eps": eps}

@@ -217,17 +217,34 @@ def test_verify_counterexample_refuses_a_mode_other_than_exact():
             X.verify_counterexample(base, params, mode=mode, base=base)
 
 
+def test_the_regularity_deciders_refuse_a_mode_other_than_exact():
+    from deltareg import regularity as R
+    from deltareg.partitions import VertexPartition
+
+    g = _desk_base().ab
+    halves = VertexPartition.blocks(30, 2)
+    calls = [
+        lambda mode: R.is_delta_regular_pair(g, Fraction(1, 2), mode=mode),
+        lambda mode: R.is_eps_regular_graph(g, Fraction(1, 2), mode=mode),
+        lambda mode: R.partition_edit_interval(g, halves, halves, Fraction(1, 2), mode=mode),
+    ]
+    for call in calls:
+        for mode in ("sampled", "Exact"):
+            with pytest.raises(ValueError):
+                call(mode)
+
+
 def test_descent_refutes_the_subset_floor_on_every_desk_pair():
     """Why no subset floor is claimed at the desk profile: on each pair of
     the seed-5 instance (k 30, m 3, q 1/10, delta 1/2) the witness search of
     the half-density check finds |S|, |T| >= 45 with e(S, T), recounted by
     edges_between, below (1 - delta) d |S||T|."""
-    from deltareg.regularity import is_delta_regular_pair
+    from deltareg.regularity import find_delta_witness
 
     delta = Fraction(1, 2)
     g, _ = X.build_triangle_free(X.CounterexampleParams(**DESK, seed=5))
     for pair in (g.ab, g.ac, g.bc):
-        w = is_delta_regular_pair(pair, delta, mode="sampled").witness
+        w = find_delta_witness(pair, delta)
         assert w is not None
         assert len(w.left) >= 45 and len(w.right) >= 45
         d = Fraction(pair.edge_count(), pair.left.size * pair.right.size)

@@ -182,6 +182,18 @@ def test_reduction_check_planted_hypothesis_violation():
     assert rep["hypothesis_details"]
 
 
+def test_reduction_check_capped_hypothesis_is_undecided():
+    """The planted violation is found when the lattice fits the per-part
+    cap; past the cap the hypothesis is undecided (None), not proven."""
+    cs = VertexClassSet([("V1", 4), ("V2", 4)])
+    h = KPartiteKGraph(cs, [[u, v] for u in range(4) for v in range(4) if u < 2])
+    kp = KPartition(cs, VertexPartition(8, [range(0, 4), range(4, 8)]), {})
+    assert E.reduction_check(h, kp, Fraction(1, 16), per_part_cap=8)["hypothesis_ok"] is False
+    capped = E.reduction_check(h, kp, Fraction(1, 16), per_part_cap=2)
+    assert capped["hypothesis_ok"] is None
+    assert capped["hypothesis_details"] == [{"cap": True}]
+
+
 def test_reduction_conclusion_agrees_with_pair_checker():
     from deltareg.regularity import is_delta_regular_pair
     from deltareg.graphs import aux_graph

@@ -141,6 +141,20 @@ def test_onesided_adversarial_scrambled_first_class(k3_family):
     assert not rep["implication"]
 
 
+def test_onesided_property_reports_the_kpartition_regularity():
+    """Given delta, the report carries the member's exact partition
+    regularity, as a direct is_delta_regular_kpartition call gives it."""
+    from deltareg.partitions import complete_kpartition
+    from deltareg.regularity import is_delta_regular_kpartition
+
+    fam = _family(3, 0)
+    P = complete_kpartition(fam.classes, 8, 2)
+    delta = Fraction(1, 4)
+    rep = H.verify_onesided_property(fam, 2, 0, P, 1, delta)
+    assert rep["regularity"] == is_delta_regular_kpartition(fam.h_member(2, 0), P, delta)
+    assert rep["regularity"]["good"] and len(rep["regularity"]["axes"]) == 3
+
+
 @pytest.fixture(scope="module")
 def pasted():
     sched = S.desk_schedule_k3()

@@ -13,7 +13,8 @@ checker reaches, except the two result types.  Every function the
 benchmark's tracer hooks by name exists under that name.  Every module-level
 function and class is reached from the CLI, the benchmark, the named
 oracles or a short list of entries kept for an acceptance criterion or a
-ROADMAP direction, and every module-level import is used.
+ROADMAP direction, and every module-level import is used.  Every defaulted
+parameter is set by some call, or kept with its reason.
 """
 
 import ast
@@ -245,6 +246,7 @@ KEPT = {
     ("epsreg", "reduction_check"): "direction 5: polyad regularity against pair regularity on the axis views",
     ("hypergraphs", "verify_onesided_property"): "direction 5: the paper's one-sided lemma, which it documents against",
     ("graphs", "codegree"): "the reference codegree the unit tests compare against",
+    ("regularity", "find_delta_witness"): "direction 2: a sound refuter where the exact scan passes the cap",
 }
 # the library calls of the exact-pairs workload, besides the CLI
 BENCHMARK_CALLS = [
@@ -297,3 +299,102 @@ def test_every_module_level_import_is_used():
                 bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
     assert unused == [], f"unused imports: {unused}"
+
+
+# defaulted parameters that no call sets, each kept with its reason
+OPTIONS_KEPT = {}
+CALLER_DIRS = [SRC, SRC.parent.parent / "tests", SRC.parent.parent / "perfbench"]
+
+
+def _defaulted(fn, method: bool) -> list:
+    """(name, position) of each parameter of fn that has a default, the
+    position as a call counts it (``self`` and ``cls`` bound), or None
+    for a keyword-only parameter."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    bound = int(method and bool(pos) and pos[0].arg in ("self", "cls"))
+    first = len(pos) - len(a.defaults)
+    out = [(arg.arg, i - bound) for i, arg in enumerate(pos) if i >= first]
+    return out + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _options() -> dict:
+    """(module, qualified name, parameter) -> (called name, position) for
+    every defaulted parameter of a module-level function or of a method of
+    a module-level class; a class is called by its own name for __init__."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(node, node.name, node.name, False)]
+            elif isinstance(node, ast.ClassDef):
+                members = [
+                    (f, f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name,
+                     not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list))
+                    for f in node.body if isinstance(f, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for fn, qualified, called, method in members:
+                for param, position in _defaulted(fn, method):
+                    out[(path.stem, qualified, param)] = (called, position)
+    return out
+
+
+class _Calls(ast.NodeVisitor):
+    """Each call by the name it calls, with the function around it."""
+
+    def __init__(self):
+        self.scope, self.calls = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        self.calls.append((name, node, self.scope[-1]))
+        self.generic_visit(node)
+
+
+def _setters() -> dict:
+    """Called name -> what its calls set: positions (a ``*args`` sets every
+    position from its own on) and keywords.  A ``**kw`` that forwards the
+    enclosing function's own ``**kw`` sets the keywords that calls of that
+    function pass; any other ``**`` mapping may set every keyword."""
+    scan = _Calls()
+    for d in CALLER_DIRS:
+        for path in sorted(d.glob("*.py")):
+            scan.visit(ast.parse(path.read_text(), filename=str(path)))
+    keywords = {}
+    for name, call, _ in scan.calls:
+        keywords.setdefault(name, set()).update(k.arg for k in call.keywords if k.arg)
+    setters = {}
+    for name, call, around in scan.calls:
+        starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+        positions = range(starred[0], 1 << 30) if starred else range(len(call.args))
+        names = {k.arg for k in call.keywords if k.arg}
+        for k in call.keywords:
+            if k.arg is None:
+                forwards = around is not None and around.args.kwarg and getattr(k.value, "id", None) == around.args.kwarg.arg
+                names |= keywords.get(around.name, set()) if forwards else {"*"}
+        setters.setdefault(name, []).append((positions, names))
+    return setters
+
+
+def test_every_option_is_set_by_some_caller():
+    """A default that no call in src/, tests/ or perfbench/ overrides is a
+    constant: write it as one, or keep it in OPTIONS_KEPT with a reason."""
+    setters = _setters()
+    unset = sorted(
+        f"{mod}.{qualified}({param})"
+        for (mod, qualified, param), (called, position) in _options().items()
+        if (mod, qualified, param) not in OPTIONS_KEPT
+        and not any(position in positions or param in names or "*" in names for positions, names in setters.get(called, []))
+    )
+    assert unset == [], f"{unset} are set by no call"
+    assert set(OPTIONS_KEPT) <= set(_options()), "OPTIONS_KEPT names a parameter that is gone"

@@ -92,13 +92,10 @@ def test_minimal_size_reduction_matches_full_enumeration():
 def test_sampled_mode_witness_sound():
     edges = [(u, v) for u in range(12) for v in range(12) if not (u < 3 and v < 3)]
     g = BipartiteGraph.from_edges(VertexClass("A", 12), VertexClass("B", 12), edges)
-    v = R.is_delta_regular_pair(g, Fraction(1, 4), mode="sampled", seed=2)
-    if v.status == "irregular":
-        w = v.witness
+    w = R.find_delta_witness(g, Fraction(1, 4))
+    if w is not None:
         assert edges_between(g, w.left, w.right) == w.e_st
         assert w.ratio < Fraction(1, 2)
-    else:
-        assert v.status == "unknown"
 
 
 def naive_eps_oracle(g, eps):
@@ -132,6 +129,34 @@ def test_cap_exceeded():
     g = random_bipartite(30, 30, 0.5, 9)
     with pytest.raises(R.CapExceeded):
         R.is_delta_regular_pair(g, Fraction(1, 2), cap=100)
+
+
+def test_wide_pair_is_decided_though_its_right_binomial_passes_the_cap():
+    """The scan enumerates the C(12, 3) = 220 left subsets only, so the
+    C(200, 50) right subsets must not refuse the pair."""
+    g = random_bipartite(12, 200, 0.5, 11)
+    assert math.comb(200, 50) > R.DEFAULT_CAP
+    v = R.is_delta_regular_pair(g, Fraction(1, 4))
+    assert v.status == R.naive_all_sizes_oracle(g, Fraction(1, 4)).status
+    if v.witness is not None:
+        assert v.witness.is_valid() and edges_between(g, v.witness.left, v.witness.right) == v.witness.e_st
+
+
+def test_eps_cap_counts_left_subsets_only(monkeypatch):
+    """At eps 1/2 a 4 x 7 pair scans C(4, 2) = 6 left subsets, below a cap
+    of 10, though C(7, 4) = 35 is above it; its 7 x 4 transpose is refused."""
+    monkeypatch.setattr(R, "DEFAULT_CAP", 10)
+    eps = Fraction(1, 2)
+    seen = set()
+    for seed in range(8):
+        g = random_bipartite(4, 7, 0.8, 4200 + seed)
+        status = R.is_eps_regular_graph(g, eps)["status"]
+        assert status == naive_eps_oracle(g, eps), seed
+        seen.add(status)
+        if 0 < g.edge_count() < 28:
+            with pytest.raises(R.CapExceeded):
+                R.is_eps_regular_graph(g.transposed(), eps)
+    assert seen == {"regular", "irregular"}
 
 
 def test_edit_interval_regular_graph():
