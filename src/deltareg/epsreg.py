@@ -6,6 +6,11 @@ operate through clique sets: the relative density of a k-graph in a polyad,
 downward-closed complexes with the dense counting property, and the
 reduction check that bridges these notions to the half-density pair
 regularity of the bipartite axis views.
+
+(eps, d)-regularity is decided by one exact count: a sub-polyad is one
+keep-mask per part, and every mask tuple of the lattice is counted against
+the polyad's clique table.  A lattice of more than LATTICE_CAP mask tuples
+is refused with CapExceeded; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -34,92 +39,95 @@ def relative_density(h: KPartiteKGraph, s: Polyad) -> Fraction:
     return Fraction(len(inter), denom)
 
 
-def _sub_polyads_exact(p: Polyad, per_part_cap: int = 16, product_cap: int = 1 << 20):
-    """All sub-polyads obtained by taking a subset of each part's edges
-    (vertex subsets for arity 2)."""
-    if p.r == 2:
+# A lattice of more sub-polyads is refused; read at call time.
+LATTICE_CAP = 1 << 20
+# (mask tuple, clique) cells compared per enumeration block
+_BLOCK_CELLS = 1 << 18
+
+
+def _clique_table(h: KPartiteKGraph, p: Polyad):
+    """The cliques of p, listed once: an (C, r) array giving, for each
+    clique, the index of its element in each part (the two vertex sets for
+    r = 2, each part's edges otherwise), and whether each clique is an edge
+    of h."""
+    r = p.r
+    if r == 2:
         a, b = p.vertex_sets
-        sizes = tuple(c.size for c in p.classes.classes)
-        if len(a) > per_part_cap or len(b) > per_part_cap:
-            raise CapExceeded("vertex sides exceed the per-part cap")
-        subs_a = list(itertools.chain.from_iterable(itertools.combinations(a.tolist(), s) for s in range(len(a) + 1)))
-        subs_b = list(itertools.chain.from_iterable(itertools.combinations(b.tolist(), s) for s in range(len(b) + 1)))
-        if len(subs_a) * len(subs_b) > product_cap:
-            raise CapExceeded("sub-polyad lattice exceeds the product cap")
-        for sa in subs_a:
-            for sb in subs_b:
-                yield Polyad.pair(np.array(sa, dtype=np.int64), np.array(sb, dtype=np.int64), sizes=sizes)
-        return
-    part_subsets = []
-    total = 1
-    for part in p.parts:
-        m = part.edge_count()
-        if m > per_part_cap:
-            raise CapExceeded(f"part with {m} edges exceeds the per-part cap")
-        subs = list(itertools.chain.from_iterable(itertools.combinations(range(m), s) for s in range(m + 1)))
-        total *= len(subs)
-        if total > product_cap:
-            raise CapExceeded("sub-polyad lattice exceeds the product cap")
-        part_subsets.append(subs)
-    for combo in itertools.product(*part_subsets):
-        parts = []
-        for part, chosen in zip(p.parts, combo):
-            parts.append(KPartiteKGraph.from_codes(part.classes, part.encoded[list(chosen)]))
-        yield Polyad(p.r, p.classes, parts)
+        elements = np.stack(np.meshgrid(np.arange(len(a)), np.arange(len(b)), indexing="ij"), axis=-1).reshape(-1, 2)
+        tuples = np.stack([a[elements[:, 0]], b[elements[:, 1]]], axis=1)
+        sizes = p.classes.sizes()
+    else:
+        # part r-1 spans classes 0..r-2 and part 0 classes 1..r-1: join them
+        # on the classes they share, then look every face up in its part
+        first, last = p.parts[r - 1].edges(), p.parts[0].edges()
+        i, j = np.nonzero((first[:, None, 1:] == last[None, :, :-1]).all(axis=2))
+        tuples = np.concatenate([first[i], last[j, -1:]], axis=1)
+        columns, keep = [], np.ones(len(tuples), dtype=bool)
+        for q, part in enumerate(p.parts):
+            faces = part.product.encode_array(np.delete(tuples, q, axis=1))
+            columns.append(np.searchsorted(part.encoded, faces))
+            keep &= np.isin(faces, part.encoded)
+        elements, tuples = np.stack(columns, axis=1)[keep], tuples[keep]
+        sizes = p.parts[r - 1].classes.sizes() + p.parts[0].classes.sizes()[-1:]
+    if list(sizes) != h.classes.sizes():
+        raise ValueError("polyad classes do not match the hypergraph")
+    return elements, np.isin(h.product.encode_array(tuples), h.encoded)
 
 
-def _random_sub_polyad(p: Polyad, rng) -> Polyad:
+def _first_deviation(h: KPartiteKGraph, p: Polyad, share: Fraction, lo: Fraction, hi):
+    """The first sub-polyad S, as one keep-mask per part, that qualifies,
+    |K(S)| >= share |K(P)|, and deviates: |H n K(S)| / |K(S)| (0 when K(S)
+    is empty) is below lo, or above hi when hi is not None.  None when no
+    sub-polyad does.  Every mask tuple is counted, in blocks; a lattice of
+    more than LATTICE_CAP tuples raises CapExceeded."""
+    widths = [len(s) for s in p.vertex_sets] if p.r == 2 else [part.edge_count() for part in p.parts]
+    bits = sum(widths)
+    if 1 << bits > LATTICE_CAP:
+        raise CapExceeded(f"2^{bits} sub-polyads exceed the lattice cap {LATTICE_CAP}")
+    elements, in_h = _clique_table(h, p)
+    total = len(elements)
+    offsets = np.cumsum([0] + widths[:-1]).astype(np.int64)
+    clique_bits = np.bitwise_or.reduce(np.int64(1) << (elements + offsets), axis=1)
+    # hit[c, j]: c cliques kept, j of them edges of h; cross-multiplied integers
+    hit = np.zeros((total + 1, total + 1), dtype=bool)
+    for c in range(total + 1):
+        if c * share.denominator < share.numerator * total:
+            continue
+        den = max(c, 1)
+        for j in range(c + 1):
+            hit[c, j] = j * lo.denominator < lo.numerator * den or (hi is not None and j * hi.denominator > hi.numerator * den)
+    step = max(1, _BLOCK_CELLS // max(total, 1))
+    for start in range(0, 1 << bits, step):
+        masks = np.arange(start, min(start + step, 1 << bits), dtype=np.int64)
+        kept = (masks[:, None] & clique_bits) == clique_bits
+        found = np.flatnonzero(hit[kept.sum(axis=1), kept[:, in_h].sum(axis=1)])
+        if found.size:
+            t = int(masks[found[0]])
+            return tuple(((t >> (off + np.arange(w))) & 1).astype(bool) for off, w in zip(offsets.tolist(), widths))
+    return None
+
+
+def _sub_polyad(p: Polyad, masks) -> Polyad:
+    """The sub-polyad that keeps, in each part, the elements its mask keeps."""
     if p.r == 2:
-        a, b = p.vertex_sets
-        sizes = tuple(c.size for c in p.classes.classes)
-        sa = a[np.flatnonzero(rng.integers(0, 2, size=len(a)))]
-        sb = b[np.flatnonzero(rng.integers(0, 2, size=len(b)))]
-        return Polyad.pair(sa, sb, sizes=sizes)
-    parts = []
-    for part in p.parts:
-        keep = np.flatnonzero(rng.integers(0, 2, size=part.edge_count()))
-        parts.append(KPartiteKGraph.from_codes(part.classes, part.encoded[keep]))
-    return Polyad(p.r, p.classes, parts)
+        return Polyad.pair(p.vertex_sets[0][masks[0]], p.vertex_sets[1][masks[1]], sizes=p.classes.sizes())
+    return Polyad(p.r, p.classes, [KPartiteKGraph.from_codes(part.classes, part.encoded[keep]) for part, keep in zip(p.parts, masks)])
 
 
-def is_eps_d_regular(
-    h: KPartiteKGraph,
-    p: Polyad,
-    eps,
-    d=None,
-    mode: str = "exact",
-    per_part_cap: int = 16,
-    product_cap: int = 1 << 20,
-    samples: int = 300,
-    seed: int = 0,
-) -> dict:
+def is_eps_d_regular(h: KPartiteKGraph, p: Polyad, eps, d=None) -> dict:
     """Every sub-polyad S with |K(S)| >= eps |K(P)| must have relative
-    density within eps of d (default: the density in the whole polyad)."""
+    density within eps of d (default: the density in the whole polyad);
+    decided by one exact count over the sub-polyad lattice, or refused
+    with CapExceeded past LATTICE_CAP."""
     eps = Fraction(eps)
-    kp = clique_set(p)
-    total = kp.edge_count()
-    if total == 0:
+    if clique_set(p).edge_count() == 0:
         return {"status": "regular", "vacuous": True}
     d = Fraction(d) if d is not None else relative_density(h, p)
-    if mode == "exact":
-        for s in _sub_polyads_exact(p, per_part_cap, product_cap):
-            ks = clique_set(s)
-            if Fraction(ks.edge_count()) < eps * total:
-                continue
-            ds = relative_density(h, s)
-            if abs(ds - d) > eps:
-                return {"status": "irregular", "witness": s, "density": ds, "d": d}
+    masks = _first_deviation(h, p, eps, d - eps, d + eps)
+    if masks is None:
         return {"status": "regular", "d": d}
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        s = _random_sub_polyad(p, rng)
-        ks = clique_set(s)
-        if Fraction(ks.edge_count()) < eps * total:
-            continue
-        ds = relative_density(h, s)
-        if abs(ds - d) > eps:
-            return {"status": "irregular", "witness": s, "density": ds, "d": d}
-    return {"status": "unknown", "d": d, "samples": samples}
+    s = _sub_polyad(p, masks)
+    return {"status": "irregular", "witness": s, "density": relative_density(h, s), "d": d}
 
 
 def partition_polyads(P: KPartition, k: int):
@@ -141,7 +149,7 @@ def partition_polyads(P: KPartition, k: int):
     r = k - 1
     # group top-layer cells by the ordered tuple of vertex cells they span
     by_span = {}
-    for ci, cell in enumerate(P.layers[r]):
+    for ci, cell in enumerate(P.layer(r)):
         span = tuple(sorted(P.vertex.cell_of(int(v)) for v in cell[0]))
         by_span.setdefault(span, []).append(ci)
     vcells = P.vertex.cells
@@ -203,7 +211,7 @@ def induced_subgraph_on_cells(h: KPartiteKGraph, vcells) -> KPartiteKGraph:
     return KPartiteKGraph(cls, out[keep])
 
 
-def is_eps_regular_partition(h: KPartiteKGraph, P: KPartition, eps, mode: str = "exact", **kw) -> dict:
+def is_eps_regular_partition(h: KPartiteKGraph, P: KPartition, eps) -> dict:
     """Sum of |K(P)| over polyads whose induced piece fails the two-sided
     check, compared against eps * |V(H)|^k."""
     eps = Fraction(eps)
@@ -211,13 +219,10 @@ def is_eps_regular_partition(h: KPartiteKGraph, P: KPartition, eps, mode: str = 
     irregular_mass = 0
     details = []
     for polyad, span_cells in partition_polyads(P, k):
-        kc = clique_set(polyad)
-        mass = kc.edge_count()
+        mass = clique_set(polyad).edge_count()
         if mass == 0:
             continue
-        vcells = _localize_span(h, span_cells)
-        h_local = induced_subgraph_on_cells(h, vcells)
-        verdict = is_eps_d_regular(h_local, polyad, eps, mode=mode, **kw)
+        verdict = is_eps_d_regular(induced_subgraph_on_cells(h, _localize_span(h, span_cells)), polyad, eps)
         if verdict["status"] == "irregular":
             irregular_mass += mass
             details.append(verdict)
@@ -374,22 +379,14 @@ def dense_counting_check(cx: RankedComplex, gamma, densities: dict) -> dict:
     }
 
 
-def reduction_check(
-    h: KPartiteKGraph,
-    P: KPartition,
-    delta,
-    mode: str = "exact",
-    samples: int = 200,
-    per_part_cap: int = 16,
-    product_cap: int = 1 << 20,
-) -> dict:
+def reduction_check(h: KPartiteKGraph, P: KPartition, delta) -> dict:
     """Hypothesis: in every polyad, every qualifying sub-polyad keeps at
     least two thirds of the polyad's relative density.  Conclusion: the
     (top-layer, last-class-cells) partition of the axis-k view is perfectly
     pairwise half-density regular at tolerance 2*sqrt(delta), each pair
     decided exactly.  Both sides are evaluated and reported separately;
     ``hypothesis_ok`` is None (undecided) when no violation was found but
-    some polyad's sub-polyad lattice passed the caps."""
+    some polyad's sub-polyad lattice passed LATTICE_CAP."""
     from .graphs import aux_graph
     from .regularity import axis_partitions
 
@@ -398,30 +395,20 @@ def reduction_check(
     hyp_ok = True
     hyp_details = []
     for polyad, span_cells in partition_polyads(P, k):
-        kc = clique_set(polyad)
-        if kc.edge_count() == 0:
+        if clique_set(polyad).edge_count() == 0:
             continue
         h_local = induced_subgraph_on_cells(h, _localize_span(h, span_cells))
         d_p = relative_density(h_local, polyad)
         if d_p == 0:
             continue
-        checker = (
-            _sub_polyads_exact(polyad, per_part_cap, product_cap)
-            if mode == "exact"
-            else _sampled_polyads(polyad, samples)
-        )
         try:
-            for s in checker:
-                ks = clique_set(s)
-                if Fraction(ks.edge_count()) < delta * kc.edge_count():
-                    continue
-                ds = relative_density(h_local, s)
-                if ds < Fraction(2, 3) * d_p:
-                    hyp_ok = False
-                    hyp_details.append({"polyad_density": d_p, "sub_density": ds})
-                    break
+            masks = _first_deviation(h_local, polyad, delta, Fraction(2, 3) * d_p, None)
         except CapExceeded:
             hyp_details.append({"cap": True})
+            continue
+        if masks is not None:
+            hyp_ok = False
+            hyp_details.append({"polyad_density": d_p, "sub_density": relative_density(h_local, _sub_polyad(polyad, masks))})
     if hyp_ok and {"cap": True} in hyp_details:
         hyp_ok = None
     threshold = _two_sqrt(delta)
@@ -443,12 +430,6 @@ def reduction_check(
         "conclusion_ok": concl_ok,
         "pairs": concl_pairs,
     }
-
-
-def _sampled_polyads(poly, samples):
-    rng = np.random.default_rng(0)
-    for _ in range(samples):
-        yield _random_sub_polyad(poly, rng)
 
 
 def _two_sqrt(delta: Fraction) -> Fraction:

@@ -440,6 +440,13 @@ class KPartition:
     def under(self, r: int, ci: int):
         return self.under_map[r][ci]
 
+    def layer(self, r: int) -> list:
+        """The cells of layer r, refused with ValueError when the partition
+        has no such layer."""
+        if r not in self.layers:
+            raise ValueError(f"the layered partition has no layer {r}")
+        return self.layers[r]
+
 
 def complete_kpartition(classes: VertexClassSet, cells_per_class: int, depth: int) -> KPartition:
     """Layered partition whose layer cells are whole clique sets (complete

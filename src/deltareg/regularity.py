@@ -430,19 +430,15 @@ def axis_partitions(h, P: KPartition, axis: int, view=None):
     other_idx = [j for j in range(k) if j != i]
     prod = view.product
     offs = [h.classes.classes[j].offset for j in other_idx]
-    if P.k >= 2 and (k - 1) in P.layers and k - 1 >= 2:
-        cells = []
-        for ci in e_layer_cells(P, other_idx):
-            cell = P.layers[k - 1][ci]
-            local = cell - np.array(offs, dtype=np.int64)[None, :]
-            cells.append(prod.encode_array(local))
-        left = VertexPartition(prod.size, cells)
-    else:
-        # k = 2: the product side is the single other class; use its vertex cells
+    if k == 2:
+        # the product side is the single other class; use its vertex cells
         j = other_idx[0]
         c = h.classes.classes[j]
-        cells = [cell - c.offset for ci, cell in enumerate(P.vertex.cells) if c.offset <= int(cell[0]) < c.offset + c.size]
-        left = VertexPartition(prod.size, cells)
+        cells = [cell - c.offset for cell in P.vertex.cells if c.offset <= int(cell[0]) < c.offset + c.size]
+    else:
+        layer = P.layer(k - 1)
+        cells = [prod.encode_array(layer[ci] - np.array(offs, dtype=np.int64)[None, :]) for ci in e_layer_cells(P, other_idx)]
+    left = VertexPartition(prod.size, cells)
     ci_class = h.classes.classes[i]
     right_cells = [cell - ci_class.offset for cell in P.vertex.cells if ci_class.offset <= int(cell[0]) < ci_class.offset + ci_class.size]
     right = VertexPartition(ci_class.size, right_cells)

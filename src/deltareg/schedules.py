@@ -101,10 +101,10 @@ class DeskSchedule:
         return num // log_next
 
     def a(self, k: int, j: int) -> int:
-        return _desk_entry(self.a_maps[k], f"A_{k}", j)
+        return _desk_entry(_uniformity(self.a_maps, "A", k), f"A_{k}", j)
 
     def a_star(self, k: int, j: int) -> int:
-        return _desk_entry(self.a_star_maps[k], f"A_{k}*", j)
+        return _desk_entry(_uniformity(self.a_star_maps, "A*", k), f"A_{k}*", j)
 
     def m(self, k: int, s: int) -> int:
         """Chain depth the recursion actually consumes."""
@@ -136,6 +136,13 @@ class DeskSchedule:
             delta_overrides={int(k): Fraction(v) for k, v in d.get("delta_overrides", {}).items()},
             violations=tuple(d.get("violations", ())),
         )
+
+
+def _uniformity(maps: dict, name: str, k: int):
+    """The desk table of uniformity k, refused when k is not tabulated."""
+    if k not in maps:
+        raise ValueError(f"{name} is tabulated for uniformities {sorted(maps)}, not {k}")
+    return maps[k]
 
 
 def _desk_entry(table, name: str, j: int) -> int:

@@ -416,7 +416,7 @@ def test_criterion_10_polyad_density_suite():
     kp = complete_kpartition(cs3, 2, 2)
     masses = []
     for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        masses.append(E.is_eps_regular_partition(h3, kp, eps, mode="sampled", samples=50, seed=9)["irregular_mass"])
+        masses.append(E.is_eps_regular_partition(h3, kp, eps)["irregular_mass"])
     ok = ok and all(a >= b for a, b in zip(masses, masses[1:]))
     elapsed = time.time() - t0
     _line(10, ok and elapsed < 60, f"density conventions, exact counting, mass sweep {masses}", elapsed)

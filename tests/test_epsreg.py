@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from deltareg import epsreg as E
 from deltareg.graphs import KPartiteKGraph, VertexClassSet
 from deltareg.partitions import KPartition, Polyad, VertexPartition, clique_set, complete_kpartition
+from deltareg.regularity import CapExceeded
 
 
 def tripartite_polyad(n, edges_by_span):
@@ -47,7 +49,7 @@ def test_eps_d_regular_trivial_cases():
     cs, poly = complete_tripartite_polyad(2)
     h = KPartiteKGraph(cs, clique_set(poly).edges())
     for eps in (Fraction(1, 10), Fraction(1, 2)):
-        assert E.is_eps_d_regular(h, poly, eps, d=1, per_part_cap=8, product_cap=1 << 16)["status"] == "regular"
+        assert E.is_eps_d_regular(h, poly, eps, d=1)["status"] == "regular"
     # empty clique set: vacuously regular
     empty_parts = {sp: np.empty((0, 2), dtype=np.int64) for sp in [(1, 2), (0, 2), (0, 1)]}
     _, empty_poly = tripartite_polyad(2, empty_parts)
@@ -57,7 +59,7 @@ def test_eps_d_regular_trivial_cases():
 def test_eps_d_regular_planted_witness_reverifies():
     cs, poly = complete_tripartite_polyad(2)
     h = KPartiteKGraph(cs, np.empty((0, 3), dtype=np.int64))
-    rep = E.is_eps_d_regular(h, poly, Fraction(1, 4), d=1, per_part_cap=8, product_cap=1 << 16)
+    rep = E.is_eps_d_regular(h, poly, Fraction(1, 4), d=1)
     assert rep["status"] == "irregular"
     # recompute the witness density from scratch
     assert E.relative_density(h, rep["witness"]) == rep["density"]
@@ -72,24 +74,32 @@ def test_eps_regular_partition_monotone_mass():
     kp = complete_kpartition(cs, 2, 2)
     masses = []
     for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        rep = E.is_eps_regular_partition(h, kp, eps, mode="sampled", samples=40, seed=3)
+        rep = E.is_eps_regular_partition(h, kp, eps)
         masses.append(rep["irregular_mass"])
     assert all(a >= b for a, b in zip(masses, masses[1:]))
+    assert masses == [64, 64, 0, 0]
     # eps = 1 is always regular
-    rep1 = E.is_eps_regular_partition(h, kp, Fraction(1), mode="sampled", samples=20, seed=3)
+    rep1 = E.is_eps_regular_partition(h, kp, Fraction(1))
     assert rep1["ok"]
+
+
+def _skewed_single_polyad(n):
+    cs = VertexClassSet([("V1", n), ("V2", n), ("V3", n)])
+    edges = [t for t in itertools.product(range(n), repeat=3) if t[0] < n // 2]
+    return KPartiteKGraph(cs, np.array(edges, dtype=np.int64)), complete_kpartition(cs, 1, 2)
 
 
 def test_eps_regular_partition_single_irregular_polyad_mass():
     # one polyad total; planting a skewed piece makes the failing mass equal
     # that polyad's clique count exactly
-    cs = VertexClassSet([("V1", 4), ("V2", 4), ("V3", 4)])
-    kp = complete_kpartition(cs, 1, 2)
-    edges = [t for t in itertools.product(range(4), repeat=3) if t[0] < 2]
-    h = KPartiteKGraph(cs, np.array(edges, dtype=np.int64))
-    rep = E.is_eps_regular_partition(h, kp, Fraction(1, 8), mode="sampled", samples=80, seed=1)
-    assert rep["irregular_mass"] == 64  # |K(P)| of the single complete polyad
+    h, kp = _skewed_single_polyad(2)
+    rep = E.is_eps_regular_partition(h, kp, Fraction(1, 8))
+    assert rep["irregular_mass"] == 8  # |K(P)| of the single complete polyad
     assert len(rep["details"]) == 1
+    # on classes of 4 the polyad's parts hold 3 x 16 edges: its 2^48
+    # sub-polyads pass LATTICE_CAP, and the partition is refused
+    with pytest.raises(CapExceeded):
+        E.is_eps_regular_partition(*_skewed_single_polyad(4), Fraction(1, 8))
 
 
 def test_eps_regular_partition_all_regular_zero_mass():
@@ -97,7 +107,7 @@ def test_eps_regular_partition_all_regular_zero_mass():
     edges = np.array(list(itertools.product(range(2), repeat=3)), dtype=np.int64)
     h = KPartiteKGraph(cs, edges)  # complete
     kp = complete_kpartition(cs, 1, 2)
-    rep = E.is_eps_regular_partition(h, kp, Fraction(1, 4), mode="exact", per_part_cap=8, product_cap=1 << 16)
+    rep = E.is_eps_regular_partition(h, kp, Fraction(1, 4))
     assert rep["irregular_mass"] == 0 and rep["ok"]
 
 
@@ -165,7 +175,7 @@ def test_reduction_check_k2_degenerate():
     cs = VertexClassSet([("V1", 4), ("V2", 4)])
     h = KPartiteKGraph(cs, [[u, v] for u in range(4) for v in range(4)])
     kp = KPartition(cs, VertexPartition(8, [range(0, 4), range(4, 8)]), {})
-    rep = E.reduction_check(h, kp, Fraction(1, 16), mode="sampled", samples=40)
+    rep = E.reduction_check(h, kp, Fraction(1, 16))
     assert rep["threshold"] == Fraction(1, 2)
     assert rep["hypothesis_ok"] and rep["conclusion_ok"]
 
@@ -177,19 +187,21 @@ def test_reduction_check_planted_hypothesis_violation():
     edges = [[u, v] for u in range(4) for v in range(4) if u < 2]
     h = KPartiteKGraph(cs, edges)
     kp = KPartition(cs, VertexPartition(8, [range(0, 4), range(4, 8)]), {})
-    rep = E.reduction_check(h, kp, Fraction(1, 16), mode="exact", per_part_cap=8, product_cap=1 << 16)
+    rep = E.reduction_check(h, kp, Fraction(1, 16))
     assert not rep["hypothesis_ok"]
     assert rep["hypothesis_details"]
 
 
-def test_reduction_check_capped_hypothesis_is_undecided():
-    """The planted violation is found when the lattice fits the per-part
-    cap; past the cap the hypothesis is undecided (None), not proven."""
+def test_reduction_check_capped_hypothesis_is_undecided(monkeypatch):
+    """The planted violation is found when the 2^8 sub-polyads of the one
+    4 x 4 polyad fit LATTICE_CAP; past the cap the hypothesis is undecided
+    (None), not proven."""
     cs = VertexClassSet([("V1", 4), ("V2", 4)])
     h = KPartiteKGraph(cs, [[u, v] for u in range(4) for v in range(4) if u < 2])
     kp = KPartition(cs, VertexPartition(8, [range(0, 4), range(4, 8)]), {})
-    assert E.reduction_check(h, kp, Fraction(1, 16), per_part_cap=8)["hypothesis_ok"] is False
-    capped = E.reduction_check(h, kp, Fraction(1, 16), per_part_cap=2)
+    assert E.reduction_check(h, kp, Fraction(1, 16))["hypothesis_ok"] is False
+    monkeypatch.setattr(E, "LATTICE_CAP", 255)
+    capped = E.reduction_check(h, kp, Fraction(1, 16))
     assert capped["hypothesis_ok"] is None
     assert capped["hypothesis_details"] == [{"cap": True}]
 
@@ -201,7 +213,7 @@ def test_reduction_conclusion_agrees_with_pair_checker():
     cs = VertexClassSet([("V1", 4), ("V2", 4)])
     h = KPartiteKGraph(cs, [[u, v] for u in range(4) for v in range(4) if (u + v) % 2 == 0])
     kp = KPartition(cs, VertexPartition(8, [range(0, 4), range(4, 8)]), {})
-    rep = E.reduction_check(h, kp, Fraction(1, 16), mode="sampled", samples=10)
+    rep = E.reduction_check(h, kp, Fraction(1, 16))
     view = aux_graph(h, 2)
     direct = is_delta_regular_pair(view.graph, Fraction(1, 2)).status
     assert rep["conclusion_ok"] == (direct == "regular")
@@ -251,3 +263,94 @@ def test_extension_counts_sum_to_the_clique_count():
         counts = E.complex_extension_counts(cx, span)
         assert len(counts) == cx.layer(span).edge_count() and sum(counts.values()) == total
     assert E.complex_clique_count(E.complete_complex(classes)) == 4 ** 3
+
+
+def test_reduction_check_refuses_a_partition_without_the_top_layer():
+    """A 3-graph's polyads live on layer 2; a partition with vertex cells
+    only is refused by name, not with a bare KeyError."""
+    cs = VertexClassSet([("V1", 2), ("V2", 2), ("V3", 2)])
+    h = KPartiteKGraph(cs, list(itertools.product(range(2), repeat=3)))
+    kp = KPartition(cs, VertexPartition(6, [range(0, 2), range(2, 4), range(4, 6)]), {})
+    with pytest.raises(ValueError, match="no layer 2"):
+        E.reduction_check(h, kp, Fraction(1, 16))
+
+
+# -- the counting engine against a brute-force reference --------------------
+
+
+def _subsets(items):
+    return list(itertools.chain.from_iterable(itertools.combinations(items, s) for s in range(len(items) + 1)))
+
+
+def _reference_first_deviation(h, p, share, lo, hi):
+    """Every sub-polyad, built as a Polyad and counted through clique_set
+    and relative_density; the first one that qualifies and deviates, or
+    None.  Shares no code with the engine."""
+    total = clique_set(p).edge_count()
+    if p.r == 2:
+        sizes = p.classes.sizes()
+        choices = [_subsets(v.tolist()) for v in p.vertex_sets]
+
+        def build(sa, sb):
+            return Polyad.pair(np.array(sa, dtype=np.int64), np.array(sb, dtype=np.int64), sizes=sizes)
+    else:
+        choices = [_subsets(part.encoded.tolist()) for part in p.parts]
+
+        def build(*codes):
+            return Polyad(p.r, p.classes, [KPartiteKGraph.from_codes(part.classes, c) for part, c in zip(p.parts, codes)])
+
+    for combo in itertools.product(*choices):
+        s = build(*combo)
+        if clique_set(s).edge_count() < share * total:
+            continue
+        ds = E.relative_density(h, s)
+        if ds < lo or (hi is not None and ds > hi):
+            return s
+    return None
+
+
+@st.composite
+def _polyad_cases(draw):
+    """A random r = 2 or r = 3 polyad with at most 9 elements, a random
+    hypergraph on its classes, and a random (share, lo, hi)."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 4 if r == 2 else 3))
+    cs = VertexClassSet([(f"V{j}", n) for j in range(r)])
+    if r == 2:
+        a, b = (np.array(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)), dtype=np.int64) for _ in range(2))
+        p = Polyad.pair(a, b, sizes=(n, n))
+    else:
+        # the faces of up to two triangles, and up to one more edge per part
+        triangles = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=2))
+        pairs = list(itertools.product(range(n), repeat=2))
+        parts = []
+        for span in [(1, 2), (0, 2), (0, 1)]:
+            edges = {tuple(t[j] for j in span) for t in triangles} | set(draw(st.lists(st.sampled_from(pairs), max_size=1)))
+            parts.append(KPartiteKGraph(VertexClassSet([(f"V{j}", n) for j in span]), np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)))
+        p = Polyad(3, cs, parts)
+    tuples = list(itertools.product(range(n), repeat=r))
+    h = KPartiteKGraph(cs, np.array(draw(st.lists(st.sampled_from(tuples), unique=True)), dtype=np.int64).reshape(-1, r))
+    d, eps = Fraction(draw(st.integers(0, 6)), 6), Fraction(draw(st.integers(0, 8)), 8)
+    two_sided = draw(st.booleans())
+    return h, p, eps, d - eps, (d + eps) if two_sided else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polyad_cases())
+def test_engine_agrees_with_the_reference_and_its_witness_recounts(case):
+    h, p, share, lo, hi = case
+    masks = E._first_deviation(h, p, share, lo, hi)
+    assert (masks is None) == (_reference_first_deviation(h, p, share, lo, hi) is None)
+    total = clique_set(p).edge_count()
+    if masks is not None:
+        s = E._sub_polyad(p, masks)
+        assert clique_set(s).edge_count() >= share * total
+        ds = E.relative_density(h, s)
+        assert ds < lo or (hi is not None and ds > hi)
+    if hi is not None and total:
+        # the (eps, d) band of is_eps_d_regular is this (share, lo, hi)
+        eps, d = share, (lo + hi) / 2
+        rep = E.is_eps_d_regular(h, p, eps, d)
+        assert rep["status"] == ("regular" if masks is None else "irregular")
+        if masks is not None:
+            assert E.relative_density(h, rep["witness"]) == rep["density"] and abs(rep["density"] - d) > eps

@@ -155,6 +155,29 @@ def test_onesided_property_reports_the_kpartition_regularity():
     assert rep["regularity"]["good"] and len(rep["regularity"]["axes"]) == 3
 
 
+def _vertex_cells_only(fam):
+    """The family's classes cut by its level-1 chain, with no layer above."""
+    n = fam.classes.classes[0].size
+    cells = [cell + cls * n for cls in range(fam.k) for cell in fam.chain[0][cls].cells]
+    return KPartition(fam.classes, VertexPartition(fam.k * n, cells), {})
+
+
+def test_onesided_property_refuses_a_partition_without_layer_k_minus_1():
+    """A 3-graph's axis views need layer 2: its absence is named, not
+    mistaken for a k = 2 partition whose cells miss the ground set."""
+    fam = _family(3, 0)
+    with pytest.raises(ValueError, match="no layer 2"):
+        H.verify_onesided_property(fam, 2, 0, _vertex_cells_only(fam), 1, Fraction(1, 4))
+
+
+def test_onesided_property_refuses_an_untabulated_uniformity():
+    """The desk schedule tabulates A_k for k = 3 only; a k = 2 family is
+    refused with the tabulated uniformities, not a bare KeyError."""
+    fam = _family(2, 0)
+    with pytest.raises(ValueError, match=r"tabulated for uniformities \[3\], not 2"):
+        H.verify_onesided_property(fam, 2, 0, _vertex_cells_only(fam), 1)
+
+
 @pytest.fixture(scope="module")
 def pasted():
     sched = S.desk_schedule_k3()

@@ -14,7 +14,9 @@ benchmark's tracer hooks by name exists under that name.  Every module-level
 function and class is reached from the CLI, the benchmark, the named
 oracles or a short list of entries kept for an acceptance criterion or a
 ROADMAP direction, and every module-level import is used.  Every defaulted
-parameter is set by some call, or kept with its reason.
+parameter is set by some call, or kept with its reason.  No string constant
+reads "unknown", and the polyad-regularity engine reaches neither
+``clique_set`` nor ``relative_density``, through which its reference counts.
 """
 
 import ast
@@ -201,6 +203,26 @@ def test_the_oracle_shares_no_code_with_the_exact_checker():
     assert {"subset_min_edges", "DeltaWitness"} <= checker and "PairVerdict" in oracle  # the scan sees through both
     shared = (oracle & checker) - ORACLE_MAY_SHARE
     assert shared == set(), f"naive_all_sizes_oracle reaches {sorted(shared)}, which is_delta_regular_pair reaches too"
+
+
+def test_the_polyad_engine_counts_without_clique_sets():
+    """The keep-mask engine lists its cliques itself: its tests' brute-force
+    reference counts through clique_set and relative_density, which the
+    engine must not reach."""
+    engine = _reach([("epsreg", "_first_deviation")], set())
+    assert "_clique_table" in engine  # the scan sees through the engine
+    assert not {"clique_set", "relative_density"} & engine
+
+
+def test_no_verdict_reads_unknown():
+    """A decider returns a verdict or refuses; none reports "unknown"."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "unknown"
+    ]
+    assert offenders == [], f"string constants equal to 'unknown': {offenders}"
 
 
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
