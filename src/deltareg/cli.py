@@ -244,7 +244,7 @@ def _suite_hypergraph(artifact: str) -> dict:
         meta = json.load(f)
     check_sampler_stream(meta, "instance.json", "build-hypergraph")
     k, s, seed, blowup = (_json_int(meta, key) for key in ("k", "s", "seed", "blowup"))
-    # a k the recorded schedule lacks raises KeyError here, before any
+    # a k the recorded schedule lacks raises ValueError here, before any
     # window is named or read
     sched = sched_mod.DeskSchedule.from_json(meta["schedule"])
     sched.m(k, s)
@@ -296,19 +296,24 @@ def _json_fraction(meta: dict, key: str) -> Fraction:
     return Fraction(value)
 
 
-def _suite_counterexample(artifact: str) -> dict:
-    with open(os.path.join(artifact, "params.json")) as f:
-        meta = json.load(f)
-    if type(meta["relaxed"]) is not bool:
-        raise ValueError(f"relaxed must be true or false, not {meta['relaxed']!r}")
-    params = cx_mod.CounterexampleParams(
+def _counterexample_params(meta: dict, seed: int) -> cx_mod.CounterexampleParams:
+    """Counterexample params from a params file or a stored params.json:
+    delta and q as fractions, k and m (1 when absent) as JSON integers.
+    Other keys are ignored, such as the ``relaxed`` flag that earlier
+    builds stored."""
+    return cx_mod.CounterexampleParams(
         delta=_json_fraction(meta, "delta"),
         q=_json_fraction(meta, "q"),
         k=_json_int(meta, "k"),
-        m=_json_int(meta, "m"),
-        seed=_json_int(meta, "seed"),
-        relaxed=meta["relaxed"],
+        m=_json_int({"m": 1, **meta}, "m"),
+        seed=seed,
     )
+
+
+def _suite_counterexample(artifact: str) -> dict:
+    with open(os.path.join(artifact, "params.json")) as f:
+        meta = json.load(f)
+    params = _counterexample_params(meta, _json_int(meta, "seed"))
     pairs = {}
     for name in ("ab", "ac", "bc"):
         with open(os.path.join(artifact, f"{name}.bin"), "rb") as f:
@@ -376,15 +381,8 @@ def cmd_counterexample(args) -> int:
     try:
         with open(args.params) as f:
             meta = json.load(f)
-        params = cx_mod.CounterexampleParams(
-            delta=_json_fraction(meta, "delta"),
-            q=_json_fraction(meta, "q"),
-            k=_json_int(meta, "k"),
-            m=_json_int({"m": 1, **meta}, "m"),
-            seed=args.seed,
-            relaxed=not args.strict,
-        )
-        if not params.relaxed:
+        params = _counterexample_params(meta, args.seed)
+        if args.strict:
             params.validate_strict()
     except BAD_INPUT as e:
         print(f"error: bad params: {e}", file=sys.stderr)
@@ -398,7 +396,7 @@ def cmd_counterexample(args) -> int:
         f.write(audit.to_text())
     with open(os.path.join(args.out, "params.json"), "w") as f:
         json.dump(
-            {"delta": str(params.delta), "q": str(params.q), "k": params.k, "m": params.m, "seed": params.seed, "relaxed": params.relaxed},
+            {"delta": str(params.delta), "q": str(params.q), "k": params.k, "m": params.m, "seed": params.seed},
             f,
             indent=1,
             sort_keys=True,
@@ -453,7 +451,7 @@ def make_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("counterexample", help="build a triangle-free regular instance")
     x.add_argument("--params", required=True)
     x.add_argument("--seed", type=int, default=0)
-    x.add_argument("--strict", action="store_true")
+    x.add_argument("--strict", action="store_true", help="refuse params outside the full-scale window (exit 2); the build is the same")
     x.add_argument("--out", required=True)
     x.set_defaults(func=cmd_counterexample)
     return ap

@@ -1,19 +1,20 @@
 """Triangle-free tripartite instances built to pass the half-density subset
 check on each class pair.
 
-Recipe: sample a tripartite random graph, audit its triangle count and its
-pairwise density concentration (AUDIT_SAMPLES random subset pairs per class
-pair; the audit gates a resample only outside relaxed mode), delete one
-edge per triangle spreading the deletions evenly over the three class
-pairs, then blow up.  The blowup's subset bounds reduce to the base graph
-through convex decompositions of fractional indicator vectors into binary
-vectors of equal total.
+Recipe: sample a tripartite random graph once from the seed, record its
+triangle count against the gate delta^3 k^2 q, delete one edge per
+triangle spreading the deletions evenly over the three class pairs, then
+blow up.  One build path: the full-scale window of ``validate_strict`` is
+a check on the params, not a different build.
 
-Verification decides triangle-freeness exactly, and the strengthened pair
-property on the base by one exact scan when its C(n_left, a) left subsets
-fit PAIR_CHECK_CAP; past the cap the property is "undecided", never
-sampled.  It can fail: at the seed-5 desk profile
+Verification is exact and draws nothing.  It decides triangle-freeness,
+and the strengthened pair property on the base by one exact scan when its
+C(n_left, a) left subsets fit PAIR_CHECK_CAP; past the cap the property is
+"undecided", never sampled.  It can fail: at the seed-5 desk profile
 ``regularity.find_delta_witness`` finds a recounted witness on every pair.
+A blowup is checked bit for bit against ``blowup`` of its base; the
+blowup's subset counts then reduce to the base through the convex
+decompositions of ``convex_decompose``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .graphs import BipartiteGraph, VertexClass, blowup, edges_between
+from .graphs import BipartiteGraph, VertexClass, blowup
 
 # left subsets one exact strengthened-pair scan may enumerate
 PAIR_CHECK_CAP = 1 << 22
-# random subset pairs per class pair in the sampled density audit
-AUDIT_SAMPLES = 60
 
 
 def convex_decompose(x) -> list:
@@ -79,8 +78,6 @@ class CounterexampleParams:
     k: int
     m: int
     seed: int
-    relaxed: bool = True
-    max_resamples: int = 50
 
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
@@ -126,21 +123,18 @@ class TripartiteGraph:
 
 @dataclass
 class BuildAudit:
-    resamples: int = 0
-    triangle_history: list = field(default_factory=list)
+    triangles: int = 0
     deletions: dict = field(default_factory=dict)
     densities: dict = field(default_factory=dict)
-    density_audit_ok: bool = True
     triangle_gate_ok: bool = True
 
     def to_text(self) -> str:
-        lines = ["counterexample-audit v1", f"resamples {self.resamples}"]
-        lines.append("triangle-history " + ",".join(str(t) for t in self.triangle_history))
+        # one draw: its triangle history is its one count
+        lines = ["counterexample-audit v1", f"triangle-history {self.triangles}"]
         for k in sorted(self.deletions):
             lines.append(f"deletions {k} {self.deletions[k]}")
         for k in sorted(self.densities):
             lines.append(f"density {k} {self.densities[k]}")
-        lines.append(f"density-audit-ok {self.density_audit_ok}")
         lines.append(f"triangle-gate-ok {self.triangle_gate_ok}")
         return "\n".join(lines) + "\n"
 
@@ -154,49 +148,14 @@ def _sample_tripartite(n: int, q: Fraction, rng) -> TripartiteGraph:
     return TripartiteGraph(n=n, ab=rand_pair("A", "B"), ac=rand_pair("A", "C"), bc=rand_pair("B", "C"))
 
 
-def _density_audit(g: TripartiteGraph, params: CounterexampleParams, rng) -> bool:
-    """Sampled audit of d(S, T) = (1 +- delta/3) q on threshold-size subsets."""
-    delta, q = params.delta, params.q
-    n = g.n
-    size = max(1, -(-delta.numerator * n // delta.denominator))
-    for pair in (g.ab, g.ac, g.bc):
-        for _ in range(AUDIT_SAMPLES):
-            S = rng.choice(n, size=size, replace=False)
-            T = rng.choice(n, size=size, replace=False)
-            d = Fraction(edges_between(pair, S, T), size * size)
-            if abs(d - q) > delta * q / 3:
-                return False
-    return True
-
-
 def build_triangle_free(params: CounterexampleParams) -> tuple[TripartiteGraph, BuildAudit]:
-    """Sample, audit, delete one edge per triangle (balanced across the
-    three pairs, lexicographic triangle order, ties to the lowest pair
-    index), then blow up."""
+    """Sample once, record the triangle gate, delete one edge per triangle
+    (balanced across the three pairs, lexicographic triangle order, ties to
+    the lowest pair index), then blow up."""
     rng = np.random.default_rng(np.random.PCG64(params.seed))
-    if not params.relaxed:
-        params.validate_strict()
-    audit = BuildAudit()
-    gate = Fraction(params.delta) ** 3 * params.k**2 * Fraction(params.q)
-    base = None
-    for attempt in range(params.max_resamples):
-        g = _sample_tripartite(params.k, params.q, rng)
-        tri = g.triangle_count()
-        audit.triangle_history.append(tri)
-        gate_ok = tri <= gate
-        dens_ok = _density_audit(g, params, rng)
-        if params.relaxed:
-            audit.triangle_gate_ok = gate_ok
-            audit.density_audit_ok = dens_ok
-            base = g
-            audit.resamples = attempt
-            break
-        if gate_ok and dens_ok:
-            base = g
-            audit.resamples = attempt
-            break
-    if base is None:
-        raise RuntimeError("resample budget exhausted")
+    base = _sample_tripartite(params.k, params.q, rng)
+    tri = base.triangle_count()
+    audit = BuildAudit(triangles=tri, triangle_gate_ok=tri <= Fraction(params.delta) ** 3 * params.k**2 * Fraction(params.q))
     graphs = {(0, 1): base.ab, (0, 2): base.ac, (1, 2): base.bc}
     deleted = {p: 0 for p in graphs}
     adj = {p: _kernels.unpack_rows(g.rows, g.right.size).astype(bool) for p, g in graphs.items()}
@@ -214,12 +173,8 @@ def build_triangle_free(params: CounterexampleParams) -> tuple[TripartiteGraph, 
     audit.deletions = {f"{a}{b}": deleted[(a, b)] for (a, b) in deleted}
     for name, pair in (("ab", cleaned.ab), ("ac", cleaned.ac), ("bc", cleaned.bc)):
         audit.densities[name] = Fraction(pair.edge_count(), params.k**2)
-    final = TripartiteGraph(
-        n=cleaned.n * params.m,
-        ab=blowup(cleaned.ab, params.m),
-        ac=blowup(cleaned.ac, params.m),
-        bc=blowup(cleaned.bc, params.m),
-    ) if params.m > 1 else cleaned
+    m = params.m
+    final = TripartiteGraph(n=cleaned.n * m, ab=blowup(cleaned.ab, m), ac=blowup(cleaned.ac, m), bc=blowup(cleaned.bc, m))
     return final, audit
 
 
@@ -228,16 +183,16 @@ def verify_counterexample(
     params: CounterexampleParams,
     mode: str = "exact",
     base: TripartiteGraph | None = None,
-    subset_checks: int = 50,
-    seed: int = 0,
 ) -> dict:
     """Triangle-freeness exactly; the strengthened pair property
     e(S, T) >= (1 - delta) d(pair) |S||T| on the base graph, decided by one
     exact scan at the minimal qualifying size when it fits the cap and
-    reported "undecided" otherwise; and, for a blowup, agreement of e(S, T)
-    computed directly with the bilinear form through convex decompositions
-    on random subset pairs.  Only ``mode="exact"`` is accepted: the pair
-    property is never sampled."""
+    reported "undecided" otherwise; and, for a blowup, ``blowup_exact``:
+    each pair equals ``blowup(base pair, m)`` bit for bit.  With the exact
+    recombination of ``convex_decompose``, that equality gives the bilinear
+    identity e(S, T) = m^2 sum_ij a_i b_j (s_i^T A t_j) for every S and T;
+    singleton S and T give the converse.  Only ``mode="exact"`` is
+    accepted: nothing is sampled."""
     if mode != "exact":
         raise ValueError(f"mode {mode!r}: the pair property is decided exactly or not at all")
     report = {"triangles": g.triangle_count()}
@@ -248,12 +203,9 @@ def verify_counterexample(
         for name, pair in (("ab", base.ab), ("ac", base.ac), ("bc", base.bc)):
             report["base_pair_property"][name] = _strengthened_pair_check(pair, delta)
     if params.m > 1 and base is not None:
-        rng = np.random.default_rng(seed)
-        agree = True
-        for _ in range(subset_checks):
-            ok = _blowup_bilinear_check(g, base, params.m, delta, rng)
-            agree = agree and ok
-        report["blowup_decomposition_agrees"] = agree
+        report["blowup_exact"] = all(
+            big == blowup(small, params.m) for big, small in ((g.ab, base.ab), (g.ac, base.ac), (g.bc, base.bc))
+        )
     return report
 
 
@@ -275,35 +227,3 @@ def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction) -> dict:
     _, e_min, _ = _kernels.subset_min_edges(pair.rows, n_r, a, b)
     worst = Fraction(e_min, a * b)
     return {"status": "checked", "min_density": worst, "bound": bound, "ok": worst >= bound}
-
-
-def _blowup_bilinear_check(g: TripartiteGraph, base: TripartiteGraph, m: int, delta: Fraction, rng) -> bool:
-    """e(S, T) in the blowup equals m^2 * sum_ij a_i b_j (s_i^T A t_j) for
-    the convex decompositions of the per-vertex occupancy vectors."""
-    k = base.n
-    pair_big, pair_base = {0: (g.ab, base.ab), 1: (g.ac, base.ac), 2: (g.bc, base.bc)}[int(rng.integers(3))]
-    # subset sizes must be multiples of m for integral occupancy totals
-    target = int(rng.integers(1, k)) * m
-    S = _random_subset_with_occupancy(k, m, target, rng)
-    T = _random_subset_with_occupancy(k, m, target, rng)
-    direct = edges_between(pair_big, S, T)
-    s = _occupancy(S, k, m)
-    t = _occupancy(T, k, m)
-    sd = convex_decompose(s)
-    td = convex_decompose(t)
-    A = _kernels.unpack_rows(pair_base.rows, k).astype(np.int64)
-    total = Fraction(0)
-    for w1, y1 in sd:
-        for w2, y2 in td:
-            total += w1 * w2 * int(y1 @ A @ y2)
-    return direct == m * m * total
-
-
-def _occupancy(S: np.ndarray, k: int, m: int):
-    counts = np.bincount(np.asarray(S, dtype=np.int64) // m, minlength=k)
-    return [Fraction(int(c), m) for c in counts]
-
-
-def _random_subset_with_occupancy(k: int, m: int, target: int, rng) -> np.ndarray:
-    perm = rng.permutation(k * m)
-    return np.sort(perm[:target]).astype(np.int64)

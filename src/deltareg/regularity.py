@@ -383,10 +383,10 @@ def _polyad_axis_cell(P: KPartition, r: int, ci: int, i: int) -> np.ndarray:
 
 
 def e_layer_cells(P: KPartition, classes_idx: list[int]) -> list[int]:
-    """Indices of top-layer cells supported exactly on the given classes."""
-    r = P.k
+    """Indices of the layer-r cells, r = len(classes_idx), supported exactly
+    on the given classes."""
     out = []
-    for ci, cell in enumerate(P.layers[r]):
+    for ci, cell in enumerate(P.layer(len(classes_idx))):
         cls = sorted(P.classes.class_of(int(v)) for v in cell[0])
         if cls == sorted(classes_idx):
             out.append(ci)

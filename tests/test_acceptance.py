@@ -365,25 +365,22 @@ def test_criterion_8_hypergraph_pipeline():
 def test_criterion_9_counterexample_20_seeds():
     t0 = time.time()
     ok = True
-    decomposition_checks = 0
     for seed in range(20):
-        params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=3, seed=seed, relaxed=True)
+        params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=3, seed=seed)
         g, audit = X.build_triangle_free(params)
         ok = ok and g.triangle_count() == 0
         ok = ok and all(d >= params.p for d in audit.densities.values())
         if seed == 0:
-            base, _ = X.build_triangle_free(
-                X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=1, seed=seed, relaxed=True)
-            )
-            rep = X.verify_counterexample(g, params, base=base, subset_checks=50, seed=77)
-            ok = ok and rep["blowup_decomposition_agrees"]
-            decomposition_checks = 50
-    # recombination exactness is part of every decomposition call; spot-check
+            base, _ = X.build_triangle_free(X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=1, seed=seed))
+            # each blown-up pair is blowup(base pair, 3) bit for bit, which
+            # with the exact recombination below gives the bilinear identity
+            # for every subset pair
+            ok = ok and X.verify_counterexample(g, params, base=base)["blowup_exact"] is True
     terms = X.convex_decompose([Fraction(3, 4), Fraction(1, 2), Fraction(3, 4)])
     recon = [sum(w * int(y[i]) for w, y in terms) for i in range(3)]
     ok = ok and recon == [Fraction(3, 4), Fraction(1, 2), Fraction(3, 4)]
     elapsed = time.time() - t0
-    _line(9, ok and elapsed < 120, f"20 builds triangle-free with density floor; {decomposition_checks} bilinear checks", elapsed)
+    _line(9, ok and elapsed < 120, "20 builds triangle-free with density floor; blowup exact bit for bit", elapsed)
     assert ok
     assert elapsed < 120
 

@@ -276,6 +276,31 @@ def test_counterexample_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_strict_refuses_the_desk_params_and_writes_nothing(tmp_path, capsys):
+    """The desk params (k 30, q 1/10, delta 1/2, m 3) lie outside the
+    full-scale window, whose p <= delta^5/1000 they break: --strict exits 2
+    before any file is written."""
+    params = tmp_path / "desk.json"
+    params.write_text(json.dumps({"delta": "1/2", "q": "1/10", "k": 30, "m": 3}))
+    out = tmp_path / "cx"
+    assert main(["counterexample", "--params", str(params), "--seed", "5", "--strict", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert re.search(r"^error: bad params: edge probability too large", capsys.readouterr().err, re.M)
+
+
+def test_a_params_json_with_relaxed_still_verifies(cx_artifact, tmp_path, capsys):
+    """Earlier builds stored "relaxed": true in params.json; the suite reads
+    such an artifact as before and passes it."""
+    art = tmp_path / "cx"
+    shutil.copytree(cx_artifact, art)
+    meta = json.loads((art / "params.json").read_text())
+    assert "relaxed" not in meta
+    (art / "params.json").write_text(json.dumps({**meta, "relaxed": True}, indent=1, sort_keys=True))
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(art), "--suite", "counterexample"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "suite PASS"
+
+
 def test_counterexample_suite_prints_the_same_claims_under_either_mode(cx_artifact, monkeypatch, capsys):
     """--mode selects nothing: the suite claims only what it decides
     exactly, and draws no random number under either mode."""
@@ -609,7 +634,7 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
     other certify options as in the certified artifact, or '<command> <file>
     <key> <value>' with one key of the build-core profile, the counterexample
     params or the params.json of a copy of the counterexample artifact
-    changed (k, m, seed and relaxed to a JSON value, and the others to a
+    changed (k, m and seed to a JSON value, and the others to a
     JSON value when it is true, false or has a decimal point, else to a
     string), or of the instance.json of a copy of the hypergraph artifact
     set to a JSON value."""
@@ -631,7 +656,7 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
             *(word for option in options.items() for word in option), "--out-cert", str(tmp_path / "certificate.txt"),
         ]
     key, value = rest[-2:]
-    value = json.loads(value) if key in ("k", "m", "seed", "relaxed") or value in ("true", "false") or "." in value else value
+    value = json.loads(value) if key in ("k", "m", "seed") or value in ("true", "false") or "." in value else value
     if command == "build-core":
         (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, key: value}))
         return ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
@@ -681,7 +706,7 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("k", "30.7"), ("k", '"30"'), ("m", "true"), ("m", "2.0"))),
         *(f"verify counterexample params.json {key} {value}"
-          for key, value in (("relaxed", '"no"'), ("relaxed", "1"), ("seed", '"5"'), ("seed", "5.0"))),
+          for key, value in (("seed", '"5"'), ("seed", "5.0"))),
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("delta", "true"), ("delta", "0.5"), ("q", "0.1"), ("q", "false"))),
         *(f"verify hypergraph instance.json {key} {value}"
@@ -693,8 +718,8 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
     member < 2^level; the artifact has s = 2), a counterexample k or m
     below 1 or q or delta outside (0, 1], a counterexample k, m or stored
     seed that is not a JSON integer, a delta or q that is neither a fraction
-    string nor a JSON integer, or a stored relaxed that is not true or
-    false, and a hypergraph k, s, seed or blowup that is not a JSON integer,
+    string nor a JSON integer, and a hypergraph k, s, seed or blowup that is
+    not a JSON integer,
     are usage errors: exit 2 with an error line, never a traceback, a
     truncated size or a run on a wrapped index."""
     argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact)

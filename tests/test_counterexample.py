@@ -65,9 +65,9 @@ def test_convex_decompose_property(nums, den):
 
 @pytest.fixture(scope="module")
 def built():
-    params = X.CounterexampleParams(seed=4, relaxed=True, **DESK)
+    params = X.CounterexampleParams(seed=4, **DESK)
     g, audit = X.build_triangle_free(params)
-    base_params = X.CounterexampleParams(seed=4, relaxed=True, **{**DESK, "m": 1})
+    base_params = X.CounterexampleParams(seed=4, **{**DESK, "m": 1})
     base, _ = X.build_triangle_free(base_params)
     return params, g, audit, base
 
@@ -89,7 +89,7 @@ def test_deletion_ledger_balanced(built):
     params, _, audit, _ = built
     counts = list(audit.deletions.values())
     total = sum(counts)
-    assert total <= audit.triangle_history[-1] if audit.triangle_history else True
+    assert total <= audit.triangles
     assert max(counts) - min(counts) <= 1
     for c in counts:
         assert abs(c - total / 3) <= 1
@@ -102,10 +102,35 @@ def test_blowup_preserves_density_and_freeness(built):
     assert g.triangle_count() == 0
 
 
-def test_blowup_bilinear_equality_on_random_subsets(built):
-    params, g, audit, base = built
-    rep = X.verify_counterexample(g, params, base=base, subset_checks=25, seed=11)
-    assert rep["blowup_decomposition_agrees"]
+def test_blowup_exact_holds_and_one_flipped_bit_breaks_it(built):
+    """An honest m = 3 build is its base's blowup bit for bit; one flipped
+    bit in any pair, an added or a removed edge, is caught."""
+    from deltareg.graphs import BipartiteGraph
+
+    params, g, _, base = built
+    assert X.verify_counterexample(g, params, base=base)["blowup_exact"] is True
+    for name in ("ab", "ac", "bc"):
+        for row in (0, 44):
+            pair = getattr(g, name)
+            rows = pair.rows.copy()
+            rows[row, 0] ^= np.uint64(1)
+            tampered = X.TripartiteGraph(**{**vars(g), name: BipartiteGraph(pair.left, pair.right, rows)})
+            assert X.verify_counterexample(tampered, params, base=base)["blowup_exact"] is False
+
+
+def test_bilinear_identity_on_the_exact_blowup(built):
+    """What the exact claim stands for: on a blowup that equals blowup(base,
+    m), e(S, T) = m^2 sum_ij a_i b_j (s_i^T A t_j) for the convex
+    decompositions of the per-vertex occupancies of S and T."""
+    params, g, _, base = built
+    m, k = params.m, base.n
+    rng = np.random.default_rng(11)
+    A = np.array([[base.ab.has_edge(u, v) for v in range(k)] for u in range(k)], dtype=np.int64)
+    for _ in range(10):
+        S, T = (np.sort(rng.choice(k * m, size=int(rng.integers(1, k)) * m, replace=False)) for _ in range(2))
+        s, t = ([Fraction(int(c), m) for c in np.bincount(U // m, minlength=k)] for U in (S, T))
+        total = sum(w1 * w2 * int(y1 @ A @ y2) for w1, y1 in X.convex_decompose(s) for w2, y2 in X.convex_decompose(t))
+        assert edges_between(g.ab, S, T) == m * m * total
 
 
 def test_strengthened_property_implies_pair_regularity():
@@ -113,7 +138,7 @@ def test_strengthened_property_implies_pair_regularity():
     # the half-density pair check also passes (cross-validation, tiny sizes)
     from deltareg.regularity import is_delta_regular_pair
 
-    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 4), k=10, m=1, seed=2, relaxed=True)
+    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 4), k=10, m=1, seed=2)
     base, _ = X.build_triangle_free(params)
     rep = X.verify_counterexample(base, params, base=base)
     for name, pair in (("ab", base.ab), ("ac", base.ac), ("bc", base.bc)):
@@ -123,7 +148,7 @@ def test_strengthened_property_implies_pair_regularity():
 
 
 def test_strict_window_validation():
-    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=1, seed=0, relaxed=False)
+    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 10), k=30, m=1, seed=0)
     with pytest.raises(ValueError):
         params.validate_strict()
     # a window that does exist: delta = 1/2, p <= delta^5/1000 = 1/32000
@@ -132,17 +157,17 @@ def test_strict_window_validation():
     lo = 64 / (delta**2 * q)
     hi = delta**3 / (4 * q * q)
     assert lo <= hi  # the stated window is non-empty under the probability bound
-    ok = X.CounterexampleParams(delta=delta, q=q, k=int(lo) + 1, m=1, seed=0, relaxed=False)
+    ok = X.CounterexampleParams(delta=delta, q=q, k=int(lo) + 1, m=1, seed=0)
     ok.validate_strict()
 
 
 def test_degenerate_all_edges_removed():
     # force a q=1 tiny instance: everything is one big triangle pile; after
     # deletion the graph is triangle free and the audit stays consistent
-    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1), k=4, m=1, seed=1, relaxed=True)
+    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1), k=4, m=1, seed=1)
     g, audit = X.build_triangle_free(params)
     assert g.triangle_count() == 0
-    assert sum(audit.deletions.values()) <= audit.triangle_history[-1]
+    assert sum(audit.deletions.values()) <= audit.triangles
 
 
 def test_triangle_gate_is_exact(monkeypatch):
@@ -156,19 +181,42 @@ def test_triangle_gate_is_exact(monkeypatch):
         return X.TripartiteGraph(n=n, ab=pair("A", "B"), ac=pair("A", "C"), bc=pair("B", "C"))
 
     monkeypatch.setattr(X, "_sample_tripartite", one_triangle)
-    params = X.CounterexampleParams(delta=Fraction(1, 3), q=Fraction(1, 3), k=9, m=1, seed=0, relaxed=True)
+    params = X.CounterexampleParams(delta=Fraction(1, 3), q=Fraction(1, 3), k=9, m=1, seed=0)
     g, audit = X.build_triangle_free(params)
-    assert audit.triangle_history == [1] and g.triangle_count() == 0
+    assert audit.triangles == 1 and g.triangle_count() == 0
     assert "triangle-gate-ok True" in audit.to_text()
 
 
-def test_occupancy_and_subset_helper():
-    rng = np.random.default_rng(0)
-    S = X._random_subset_with_occupancy(6, 3, 9, rng)
-    assert len(S) == 9
-    occ = X._occupancy(S, 6, 3)
-    assert sum(occ) == 3
-    assert all(0 <= v <= 1 for v in occ)
+# SHA-256 of ab.bin, ac.bin and bc.bin at the desk params, seed 5
+DESK_SEED_5_PAIRS = {
+    "ab": "8e2ebb6bd8615488466afa18ee4a957c467f49a882376eac2eee158fb30a1df9",
+    "ac": "60a3ab959ea0882ca7025381ea45fc25b167c8d9bc0bbbcba3c7ced3b15e7211",
+    "bc": "28cad7961cd30b6fb9ddb57bc8639532bb6c5a58ac30d5ce0b9737914b450d63",
+}
+DESK_SEED_5_AUDIT = """counterexample-audit v1
+triangle-history 39
+deletions 01 11
+deletions 02 11
+deletions 12 11
+density ab 91/900
+density ac 9/100
+density bc 9/100
+triangle-gate-ok False
+"""
+
+
+def test_desk_build_is_pinned_at_seed_5():
+    """Every pair of the desk instance at seed 5, byte for byte, and its
+    audit text: a change to the draw, the deletion order or the blowup
+    shows here."""
+    import hashlib
+
+    from deltareg.graphs import bipartite_to_binary
+
+    g, audit = X.build_triangle_free(X.CounterexampleParams(**DESK, seed=5))
+    pairs = {name: hashlib.sha256(bipartite_to_binary(getattr(g, name))).hexdigest() for name in DESK_SEED_5_PAIRS}
+    assert pairs == DESK_SEED_5_PAIRS
+    assert audit.to_text() == DESK_SEED_5_AUDIT
 
 
 def test_audit_serialization(built):
@@ -183,7 +231,7 @@ def test_strengthened_check_min_density_is_the_exact_minimum():
     # b-subsets T at the minimal sizes; recount it over every pair (S, T)
     from itertools import combinations
 
-    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 4), k=8, m=1, seed=3, relaxed=True)
+    params = X.CounterexampleParams(delta=Fraction(1, 2), q=Fraction(1, 4), k=8, m=1, seed=3)
     base, _ = X.build_triangle_free(params)
     a = b = 4
     for pair in (base.ab, base.ac, base.bc):

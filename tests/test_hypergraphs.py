@@ -76,6 +76,30 @@ def test_family_invariants_exact(k3_family):
     assert rep["ok"], rep["failures"][:4]
 
 
+def test_family_with_copied_subtrees_fails_the_level_1_split(k3_family):
+    """Both level-1 members the same graph, each level's second half a copy
+    of its first: every density, lift and split from level 2 on still
+    holds, and only the level-1 split of the complete graph fails."""
+    import copy
+
+    from deltareg.core import CoreMember
+
+    seq = copy.copy(k3_family.core_seq)
+    seq.members = [list(level) for level in seq.members]
+    for j in range(1, k3_family.s + 1):
+        half = 1 << (j - 1)
+        for idx in range(half):
+            m = seq.members[j][idx]
+            seq.members[j][idx + half] = CoreMember(j, idx + half, m.quotient, (idx + half) // 2)
+    seq._materialized = {}
+    tampered = copy.copy(k3_family)
+    tampered.core_seq = seq
+    assert seq.member_graph(1, 0) == seq.member_graph(1, 1)
+    rep = H.verify_family(tampered)
+    assert not rep["ok"]
+    assert rep["failures"] == [("chain", 1, 0)]
+
+
 def test_family_densities_dyadic(k3_family):
     for j in (1, 2):
         for idx in range(1 << j):

@@ -17,11 +17,14 @@ ROADMAP direction, and every module-level import is used.  Every defaulted
 parameter is set by some call, or kept with its reason.  No string constant
 reads "unknown", and the polyad-regularity engine reaches neither
 ``clique_set`` nor ``relative_density``, through which its reference counts.
+Only the seeded builders and the named refuter draw random numbers.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "deltareg"
 ORACLES = {("regularity", "naive_all_sizes_oracle"), ("core", "reverify_certificate")}
@@ -214,6 +217,41 @@ def test_the_polyad_engine_counts_without_clique_sets():
     assert not {"clique_set", "relative_density"} & engine
 
 
+# the seeded builders and the named refuter: the only code that draws
+DRAWS = {
+    ("balanced", "sample_balanced"), ("balanced", "_exact_halves"),
+    ("counterexample", "build_triangle_free"), ("counterexample", "_sample_tripartite"),
+    ("regularity", "find_delta_witness"),
+}
+# numpy Generator methods, each a draw (or the stream itself)
+GENERATOR_METHODS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+
+
+def _draws() -> list:
+    """(module, top-level function or "" at module level, line) of every
+    use of ``np.random`` and every call of a Generator method by name."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in _without_annotations(ast.parse(path.read_text(), filename=str(path))).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+            for node in ast.walk(top):
+                np_random = isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) == "np"
+                method = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in GENERATOR_METHODS
+                if np_random or method:
+                    out.append((path.stem, where, node.lineno))
+    return out
+
+
+def test_only_the_builders_and_the_refuter_draw():
+    """A verdict is decided or refused, never sampled: nothing but the
+    seeded builders and find_delta_witness, whose witnesses are recounted,
+    draws a random number."""
+    draws = _draws()
+    offenders = [f"{mod}.py:{line} in {where or '<module>'}" for mod, where, line in draws if (mod, where) not in DRAWS]
+    assert offenders == [], f"random draws outside the builders and the refuter: {offenders}"
+    assert {(mod, where) for mod, where, _ in draws} == DRAWS  # the scan sees every allowed draw
+
+
 def test_no_verdict_reads_unknown():
     """A decider returns a verdict or refuses; none reports "unknown"."""
     offenders = [
@@ -269,6 +307,7 @@ KEPT = {
     ("hypergraphs", "verify_onesided_property"): "direction 5: the paper's one-sided lemma, which it documents against",
     ("graphs", "codegree"): "the reference codegree the unit tests compare against",
     ("regularity", "find_delta_witness"): "direction 2: a sound refuter where the exact scan passes the cap",
+    ("counterexample", "convex_decompose"): "criterion 9: the exact recombination behind the blowup's bilinear identity",
 }
 # the library calls of the exact-pairs workload, besides the CLI
 BENCHMARK_CALLS = [

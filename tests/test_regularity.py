@@ -295,3 +295,23 @@ def test_e_layer_cells_and_axis_partitions_follow_the_classes():
         others = [j for j in range(3) if j != axis - 1]
         assert len(left) == len(picked[tuple(others)]) and left.n == 16 and left.is_equitable()
         assert right == P.VertexPartition.blocks(4, 2)
+
+
+@pytest.mark.parametrize(
+    "keep", [lambda t: True, lambda t: t[0] == 0, lambda t: sum(t) % 2 == 0], ids=["complete", "half", "parity"]
+)
+def test_a_partition_with_layer_k_gives_the_verdicts_without_it(keep):
+    """The axis views of a 3-graph read layer 2; a partition that also
+    carries layer 3 gives the depth-2 verdicts, not a failed cover."""
+    from deltareg import epsreg as E
+
+    cs = VertexClassSet([("V1", 2), ("V2", 2), ("V3", 2)])
+    h = KPartiteKGraph(cs, [t for t in itertools.product(range(2), repeat=3) if keep(t)])
+    delta = Fraction(1, 16)
+    verdicts = []
+    for depth in (2, 3):
+        kp = P.complete_kpartition(cs, 1, depth)
+        assert kp.k == depth
+        verdicts.append((R.is_delta_regular_kpartition(h, kp, delta), E.reduction_check(h, kp, delta)))
+    assert verdicts[0] == verdicts[1]
+    assert [len(R.e_layer_cells(P.complete_kpartition(cs, 1, 3), list(pair))) for pair in itertools.combinations(range(3), 2)] == [1, 1, 1]
