@@ -28,7 +28,9 @@ from .balanced import SAMPLER_STREAM, SamplerExhausted, check_sampler_stream
 from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
+    kgraph_from_binary,
     kgraph_from_text,
+    kgraph_to_binary,
     kgraph_to_text,
 )
 from .partitions import VertexPartition
@@ -117,8 +119,8 @@ def cmd_build_hypergraph(args) -> int:
     with open(os.path.join(args.out, "merged.kgraph"), "w") as f:
         f.write(kgraph_to_text(inst.merged))
     for x, h in enumerate(inst.edge_graphs):
-        with open(os.path.join(args.out, f"window-{x}.kgraph"), "w") as f:
-            f.write(kgraph_to_text(h))
+        with open(os.path.join(args.out, f"window-{x}.bin"), "wb") as f:
+            f.write(kgraph_to_binary(h))
     with open(os.path.join(args.out, "instance.json"), "w") as f:
         json.dump(
             {
@@ -221,10 +223,8 @@ def _suite_core_properties(artifact: str) -> dict:
 
 
 def _suite_certificate(artifact: str) -> dict:
-    graph_path = os.path.join(artifact, "refuted-graph.bin")
     cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
-    with open(graph_path, "rb") as f:
-        g = bipartite_from_binary(f.read())
+    g = bipartite_from_binary(_read_bytes(artifact, "refuted-graph.bin"))
     rep = core_mod.reverify_certificate(cert, g)
     claims = [
         {"id": "ledger-reverify", "ok": rep["ok"], "detail": f"{rep['lines_checked']} lines recomputed from the graph"},
@@ -239,6 +239,11 @@ def _read_text(*path: str) -> str:
         return f.read()
 
 
+def _read_bytes(*path: str) -> bytes:
+    with open(os.path.join(*path), "rb") as f:
+        return f.read()
+
+
 def _suite_hypergraph(artifact: str) -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
@@ -248,21 +253,22 @@ def _suite_hypergraph(artifact: str) -> dict:
     # window is named or read
     sched = sched_mod.DeskSchedule.from_json(meta["schedule"])
     sched.m(k, s)
-    windows = [f"window-{x}.kgraph" for x in range(2 * k)]
+    windows = [f"window-{x}.bin" for x in range(2 * k)]
     names = ["merged.kgraph", *windows]
-    graphs = {name: kgraph_from_text(_read_text(artifact, name)) for name in names}
-    merged = graphs["merged.kgraph"]
-    window_graphs = [graphs[name] for name in windows]
+    merged = kgraph_from_text(_read_text(artifact, "merged.kgraph"))
+    window_graphs = [kgraph_from_binary(_read_bytes(artifact, name)) for name in windows]
     expected = Fraction(2 * k, 1 << k) * Fraction(1, 1 << s)
     dens_ok = merged.density() == expected
     w_ok = all(h.density() == Fraction(1, 1 << s) for h in window_graphs)
     total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
-    # rebuild from the recorded seed; every graph file must be the text its
-    # rebuild writes.  The k-graph reader is the strict inverse of
-    # kgraph_to_text, so a file parses to its rebuild, class names included,
-    # exactly when it is the rebuild's text: the rebuilt graphs need no text.
+    # rebuild from the recorded seed; every graph file must be the bytes its
+    # rebuild writes.  Both k-graph readers are strict inverses of their
+    # writers, so a file reads as its rebuild, class names included,
+    # exactly when it holds the rebuild's bytes: the rebuilt graphs are
+    # never written out.
     inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup, core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
-    differ = [name for name, h in zip(names, [inst.merged, *inst.edge_graphs]) if graphs[name] != h]
+    rebuilt = [inst.merged, *inst.edge_graphs]
+    differ = [name for name, h, r in zip(names, [merged, *window_graphs], rebuilt) if h != r]
     fam_rep = hg_mod.verify_family(inst.families[0])
     claims = [
         {"id": "merged-density", "ok": dens_ok, "detail": f"{merged.density()} = (2k/2^k)2^-s = {expected}"},
@@ -314,17 +320,23 @@ def _suite_counterexample(artifact: str) -> dict:
     with open(os.path.join(artifact, "params.json")) as f:
         meta = json.load(f)
     params = _counterexample_params(meta, _json_int(meta, "seed"))
-    pairs = {}
-    for name in ("ab", "ac", "bc"):
-        with open(os.path.join(artifact, f"{name}.bin"), "rb") as f:
-            pairs[name] = bipartite_from_binary(f.read())
-    g = cx_mod.TripartiteGraph(n=pairs["ab"].left.size, ab=pairs["ab"], ac=pairs["ac"], bc=pairs["bc"])
+    pairs = {name: bipartite_from_binary(_read_bytes(artifact, f"{name}.bin")) for name in ("ab", "ac", "bc")}
+    # every class has k * m vertices; decided first, since the triangle
+    # count indexes one pair's rows by another's columns
+    n = params.k * params.m
+    wrong = [f"{name} is {p.left.size} x {p.right.size}" for name, p in pairs.items() if (p.left.size, p.right.size) != (n, n)]
+    detail = f"{'; '.join(wrong)}; params.json gives k m = {n}" if wrong else f"every pair is k m x k m = {n} x {n}"
+    shapes = {"id": "pair-shapes", "ok": not wrong, "detail": detail}
+    if wrong:
+        return {"ok": False, "claims": [shapes]}
+    g = cx_mod.TripartiteGraph(n=n, ab=pairs["ab"], ac=pairs["ac"], bc=pairs["bc"])
     tri = g.triangle_count()
     dens_ok = all(
         Fraction(pairs[name].edge_count(), pairs[name].left.size * pairs[name].right.size) >= params.p
         for name in pairs
     )
     claims = [
+        shapes,
         {"id": "triangle-free", "ok": tri == 0, "detail": f"exhaustive count {tri}"},
         {"id": "pair-density-floor", "ok": dens_ok, "detail": f"every pair density at least {params.p}"},
     ]

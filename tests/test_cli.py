@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -121,6 +123,40 @@ def test_hypergraph_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
+# SHA-256 of the files of build-hypergraph --k 3 --s 2 --blowup 4: merged.kgraph
+# and instance.json as they were when the windows were still text files, and
+# each window-x.bin at seed 9
+HYPERGRAPH_SHA256 = {
+    9: {
+        "merged.kgraph": "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f",
+        "instance.json": "0bdceb0289da33eb4b514171c9f286418f6c604c52e56cb5d5dde4d64cfd2e90",
+        "window-0.bin": "8648c61ab3a37d545ba06aa35a553952cdf49613d95bcf30adc297971620cc40",
+        "window-1.bin": "1ce5e3b76bc26da7d8e474934d8c246f2a3df61d6cb9e51e533801dabaffc5db",
+        "window-2.bin": "ae36fb0bd7dc8bc03eebaddd2c780f8836bda2f666d9e904d91ff5407e060584",
+        "window-3.bin": "9b525b7ea627f4530e72b69d53d96b414fc245d7bfd5c03186d5407f6a754f33",
+        "window-4.bin": "7831b24c0f0d12462f139d86ebdbcbcd5cd82d9fd3078621b870716e88225ee9",
+        "window-5.bin": "9b0882c1829c60fa8a751c944ed10e78deb7ba102e69378b2d5a7bc02a792493",
+    },
+    7: {
+        "merged.kgraph": "dde494c1110ed02b1127fbe15e1d6718f3794ddc312c391e9a6bbf780d3bb3fd",
+        "instance.json": "3b008dbb46ad0436c5b75ffa645036d428d7659de44fe9f1d38a37c2b48b32d2",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HYPERGRAPH_SHA256))
+def test_hypergraph_bytes_and_claims_are_pinned(tmp_path, capsys, seed):
+    out = tmp_path / "hg"
+    assert main(["build-hypergraph", "--k", "3", "--s", "2", "--seed", str(seed), "--blowup", "4", "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in HYPERGRAPH_SHA256[seed]} == HYPERGRAPH_SHA256[seed]
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(out), "--suite", "hypergraph"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "[PASS] merged-density", "[PASS] window-densities", "[PASS] edge-disjoint-union", "[PASS] replay-identical",
+        "[PASS] family-invariants", "suite PASS",
+    ]
+
+
 def test_build_hypergraph_schedule_errors_exit_2(tmp_path, capsys):
     # the standing k=3 table has no A_4 entry
     assert main(["build-hypergraph", "--k", "4", "--s", "2", "--seed", "0", "--out", str(tmp_path / "k4")]) == 2
@@ -145,12 +181,6 @@ def _append_line(d):
         f.write("5 5 5\nfoo bar\n")
 
 
-def _swap_windows(d):
-    a, b = (d / "window-0.kgraph").read_text(), (d / "window-1.kgraph").read_text()
-    (d / "window-0.kgraph").write_text(b)
-    (d / "window-1.kgraph").write_text(a)
-
-
 def _ragged_line(d):
     lines = (d / "merged.kgraph").read_text().split("\n")
     lines[10] += " 7"
@@ -163,26 +193,93 @@ def _edit_edge_count(d):
     (d / "merged.kgraph").write_text(text.replace(f"edges {m}\n", f"edges {m - 1}\n"))
 
 
-def _swap_edge_lines(d):
-    """Two edge lines trade places: the same graph, but not the text any
-    writer makes, so the strict reader refuses it."""
-    lines = (d / "window-2.kgraph").read_text().split("\n")
-    first = next(j for j, ln in enumerate(lines) if ln.startswith("edges ")) + 1
-    lines[first], lines[first + 1] = lines[first + 1], lines[first]
-    (d / "window-2.kgraph").write_text("\n".join(lines))
-    return 2, "increasing"
+# window-x.bin: magic, version, k, the three class sizes and the byte length
+# of the class names, then the names and one packed row of the edge codes
+WINDOW_HEAD = struct.Struct("<4sHI3QI")
 
 
-def _rename_class(d):
-    """A class renamed in a window header: the same edges and class sizes,
-    but ``KPartiteKGraph.__eq__`` compares class names too, so the replay
-    names the window."""
-    text = (d / "window-4.kgraph").read_text()
-    (d / "window-4.kgraph").write_text(re.sub(r"^class V\d+ ", "class Z ", text, count=1, flags=re.M))
-    return 1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-4.kgraph"
+def _read_window(d, x):
+    """([magic, version, k, sizes...], names block, body) of window-x.bin."""
+    data = (d / f"window-{x}.bin").read_bytes()
+    *head, nlen = WINDOW_HEAD.unpack_from(data)
+    return head, data[WINDOW_HEAD.size : WINDOW_HEAD.size + nlen], bytearray(data[WINDOW_HEAD.size + nlen :])
 
 
-@pytest.mark.parametrize("tamper", [_append_line, _swap_windows, _ragged_line, _edit_edge_count, _swap_edge_lines, _rename_class])
+def _write_window(d, x, head, names, body):
+    (d / f"window-{x}.bin").write_bytes(WINDOW_HEAD.pack(*head, len(names)) + names + bytes(body))
+
+
+def _swap_windows(d):
+    a, b = (d / "window-0.bin").read_bytes(), (d / "window-1.bin").read_bytes()
+    (d / "window-0.bin").write_bytes(b)
+    (d / "window-1.bin").write_bytes(a)
+    return 1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-0.bin, window-1.bin"
+
+
+def _edit_window(x, edit, expect):
+    """A tamper that edits the fields of window-x.bin in place."""
+
+    def tamper(d):
+        head, names, body = _read_window(d, x)
+        names, body = edit(head, names, body)
+        _write_window(d, x, head, names, body)
+        return expect
+
+    tamper.__name__ = edit.__name__
+    return tamper
+
+
+def _flip_body_bit(head, names, body):
+    body[0] ^= 1
+    return names, body
+
+
+def _truncate_body(head, names, body):
+    return names, body[:-8]
+
+
+def _trailing_byte(head, names, body):
+    return names, body + b"\0"
+
+
+def _stray_bit(head, names, body):
+    """Sizes 17 x 15 x 16 (4080 bits) keep the 64 words of the 16 x 16 x 16
+    window, so the top bit lies past N but inside the body."""
+    assert head[3:] == [16, 16, 16]
+    head[3:] = [17, 15, 16]
+    body[-1] |= 0x80
+    return names, body
+
+
+def _rename_class(head, names, body):
+    """The same edges and class sizes, but ``KPartiteKGraph.__eq__``
+    compares class names too, so the replay names the window."""
+    return b"Z" + names[1:], body
+
+
+def _sizes_past_2_63(head, names, body):
+    head[3:] = [3000000] * 3
+    return names, body
+
+
+def _bad_magic(head, names, body):
+    head[0] = b"DRBG"
+    return names, body
+
+
+WINDOW_TAMPERS = [
+    _swap_windows,
+    _edit_window(2, _flip_body_bit, (1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-2.bin")),
+    _edit_window(3, _truncate_body, (2, "body of 504 bytes, 512 expected for 4096 bits")),
+    _edit_window(1, _trailing_byte, (2, "body of 513 bytes, 512 expected for 4096 bits")),
+    _edit_window(5, _stray_bit, (2, "stray bits at or past bit 4080")),
+    _edit_window(4, _rename_class, (1, "[FAIL] replay-identical: rebuild from the manifest seed differs in window-4.bin")),
+    _edit_window(0, _sizes_past_2_63, (2, "2^63")),
+    _edit_window(2, _bad_magic, (2, "not a v1 k-graph container")),
+]
+
+
+@pytest.mark.parametrize("tamper", [_append_line, _ragged_line, _edit_edge_count, *WINDOW_TAMPERS])
 def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, tamper):
     """Every tamper fails; where a tamper names its exit code and a line of
     the report, those are checked too."""
@@ -212,7 +309,8 @@ def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_p
 
 def test_hypergraph_k_outside_the_schedule_exits_2_before_reading_a_window(hypergraph_artifact, tmp_path, capsys, monkeypatch):
     """A k the recorded schedule lacks is refused before any of the 2k
-    window files is named or read, however large k is."""
+    window files is named or read, however large k is; neither k-graph
+    reader is called."""
     from deltareg import cli
 
     def reads(*args):
@@ -223,6 +321,7 @@ def test_hypergraph_k_outside_the_schedule_exits_2_before_reading_a_window(hyper
     meta = json.loads((d / "instance.json").read_text())
     (d / "instance.json").write_text(json.dumps({**meta, "k": 1000000}))
     monkeypatch.setattr(cli, "kgraph_from_text", reads)
+    monkeypatch.setattr(cli, "kgraph_from_binary", reads)
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
     assert re.search(r"^error: ", capsys.readouterr().err, re.M)
 
@@ -317,8 +416,41 @@ def test_counterexample_suite_prints_the_same_claims_under_either_mode(cx_artifa
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert [line.split(":")[0] for line in outs[0].splitlines()] == [
-        "[PASS] triangle-free", "[PASS] pair-density-floor", "suite PASS"
+        "[PASS] pair-shapes", "[PASS] triangle-free", "[PASS] pair-density-floor", "suite PASS"
     ]
+
+
+def _params_k_7(art, tmp_path):
+    meta = json.loads((art / "params.json").read_text())
+    (art / "params.json").write_text(json.dumps({**meta, "k": 7}, indent=1, sort_keys=True))
+    return "ab is 48 x 48; ac is 48 x 48; bc is 48 x 48; params.json gives k m = 14"
+
+
+def _ac_of_a_k_20_build(art, tmp_path):
+    (tmp_path / "k20.json").write_text(json.dumps({**CX_PARAMS, "k": 20}))
+    assert main(["counterexample", "--params", str(tmp_path / "k20.json"), "--seed", "5", "--out", str(tmp_path / "k20")]) == 0
+    shutil.copy(tmp_path / "k20" / "ac.bin", art / "ac.bin")
+    return "ac is 40 x 40; params.json gives k m = 48"
+
+
+def _bc_of_another_width(art, tmp_path):
+    from deltareg.graphs import BipartiteGraph, VertexClass, bipartite_to_binary
+
+    (art / "bc.bin").write_bytes(bipartite_to_binary(BipartiteGraph.empty(VertexClass("B", 48), VertexClass("C", 40))))
+    return "bc is 48 x 40; params.json gives k m = 48"
+
+
+@pytest.mark.parametrize("tamper", [_params_k_7, _ac_of_a_k_20_build, _bc_of_another_width])
+def test_counterexample_pairs_of_another_shape_fail_by_name(cx_artifact, tmp_path, capsys, tamper):
+    """Each pair must be k m x k m as params.json says; a pair of another
+    shape fails the pair-shapes claim, which names it, before the triangle
+    count could index one pair by another's size."""
+    art = tmp_path / "cx"
+    shutil.copytree(cx_artifact, art)
+    says = tamper(art, tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(art), "--suite", "counterexample"]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"[FAIL] pair-shapes: {says}", "suite FAIL"]
 
 
 def test_core_properties_suite_runs_without_numpy_ma(core_artifact):
@@ -588,7 +720,7 @@ ARTIFACT_FILES = {
     "build-hypergraph": {
         "instance.json": "the hypergraph suite, which rebuilds the instance from it",
         "merged.kgraph": "the hypergraph suite",
-        "window-N.kgraph": "the hypergraph suite",
+        "window-N.bin": "the hypergraph suite",
         "run-manifest.json": "provenance: the command, its arguments and every artifact's SHA-256",
     },
     "counterexample": {

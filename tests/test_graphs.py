@@ -1,5 +1,7 @@
 import itertools
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +192,112 @@ def test_kgraph_text_round_trip():
     assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
 
 
+def _kcontainer(sizes, names, body, magic=b"DRKG", version=1, k=None):
+    """A k-graph container laid out by hand: the header, the names block
+    and the body as given."""
+    k = len(sizes) if k is None else k
+    return struct.pack(f"<4sHI{len(sizes)}QI", magic, version, k, *sizes, len(names)) + names + body
+
+
+def _random_kgraph(sizes, p, seed):
+    rng = np.random.default_rng(seed)
+    cs = G.VertexClassSet([(f"V{j}", size) for j, size in enumerate(sizes)])
+    return G.KPartiteKGraph.from_codes(cs, np.flatnonzero(rng.random(math.prod(sizes)) < p))
+
+
+KGRAPH_BINARY_CASES = [
+    ((3, 4), 0.5, 1),
+    ((2, 3), 1.0, 2),  # complete, 6 bits
+    ((5, 6, 7), 0.0, 3),  # empty, 210 bits
+    ((3, 5, 7), 0.3, 4),  # 105 bits
+    ((4, 4, 4), 0.25, 5),  # 64 bits, one whole word
+    ((8, 8, 8), 1.0, 6),  # complete, 8 whole words
+    ((2, 3, 4, 5), 0.5, 7),
+    ((1, 1, 1, 1), 1.0, 8),
+    ((9, 7, 5, 3), 0.1, 9),
+]
+
+
+@pytest.mark.parametrize("sizes, p, seed", KGRAPH_BINARY_CASES)
+def test_kgraph_binary_round_trips_with_bit_c_for_code_c(sizes, p, seed):
+    h = _random_kgraph(sizes, p, seed)
+    blob = G.kgraph_to_binary(h)
+    names = "".join(f"V{j}\n" for j in range(len(sizes))).encode()
+    n = math.prod(sizes)
+    body = blob[len(_kcontainer(sizes, names, b"")):]
+    assert blob == _kcontainer(sizes, names, body) and len(body) == 8 * ((n + 63) // 64)
+    # bit c of the little-endian body is set exactly for the edge codes c
+    bits = int.from_bytes(body, "little")
+    assert [c for c in range(len(body) * 8) if bits >> c & 1] == h.encoded.tolist()
+    back = G.kgraph_from_binary(blob)
+    assert back == h and G.kgraph_to_binary(back) == blob
+
+
+@pytest.mark.parametrize("sizes, p, seed", KGRAPH_BINARY_CASES)
+def test_kgraph_binary_reader_refuses_every_proper_prefix(sizes, p, seed):
+    blob = G.kgraph_to_binary(_random_kgraph(sizes, p, seed))
+    for size in range(len(blob)):
+        with pytest.raises(ValueError):
+            G.kgraph_from_binary(blob[:size])
+
+
+NAMES_3 = b"A\nB\nC\n"
+
+
+@pytest.mark.parametrize(
+    "blob, says",
+    [
+        pytest.param(_kcontainer((3, 5, 7), NAMES_3, bytes(16), magic=b"DRBG"), "not a v1 k-graph container", id="magic"),
+        pytest.param(_kcontainer((3, 5, 7), NAMES_3, bytes(16), version=2), "not a v1 k-graph container", id="version"),
+        # refused before the names and the body are read
+        pytest.param(_kcontainer((3,), b"A\n", b""), "uniformity must be at least 2", id="k-1"),
+        pytest.param(_kcontainer((), b"", b""), "uniformity must be at least 2", id="k-0"),
+        pytest.param(_kcontainer((3000000, 3000000, 3000000), NAMES_3, b""), "2\\^63", id="sizes-past-2^63"),
+        pytest.param(_kcontainer((2**31, 2**32), b"A\nB\n", b""), "2\\^63", id="sizes-at-2^63"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\nB\n", bytes(16)), "names block", id="two-names"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\nB\nC", bytes(16)), "names block", id="no-last-newline"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\nB\nC\nD\n", bytes(16)), "names block", id="four-names"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\n\nC\n", bytes(16)), "names block", id="empty-name"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\nA\nC\n", bytes(16)), "distinct", id="repeated-name"),
+        pytest.param(_kcontainer((3, 5, 7), b"A\n\xff\nC\n", bytes(16)), "utf-8", id="not-utf-8"),
+        pytest.param(_kcontainer((3, 0, 7), NAMES_3, b""), "non-empty", id="empty-class"),
+        pytest.param(_kcontainer((3, 5, 7), NAMES_3, bytes(8)), "body of 8 bytes, 16 expected for 105 bits", id="short-body"),
+        pytest.param(_kcontainer((3, 5, 7), NAMES_3, bytes(17)), "body of 17 bytes, 16 expected", id="trailing-byte"),
+        pytest.param(_kcontainer((3, 5, 7), NAMES_3, bytes(15) + b"\x02"), "stray bits at or past bit 105", id="stray-bit"),
+        pytest.param(_kcontainer((4, 4, 4), NAMES_3, bytes(16)), "body of 16 bytes, 8 expected", id="long-body"),
+        # 2^62 bits: the body length is refused before anything is allocated
+        pytest.param(_kcontainer((2**31, 2**31), b"A\nB\n", bytes(8)), "body of 8 bytes", id="2^62-bits"),
+        # a header claiming 2^32 - 1 classes is cut short, not unpacked
+        pytest.param(_kcontainer((3, 5), b"A\nB\n", b"", k=2**32 - 1), "truncated", id="k-2^32-1"),
+    ],
+)
+def test_kgraph_binary_reader_refuses_malformed_containers(blob, says):
+    with pytest.raises(ValueError, match=says):
+        G.kgraph_from_binary(blob)
+
+
+def test_kgraph_binary_tampers_read_as_other_graphs():
+    """A flipped body bit, a renamed class or another graph's container in
+    its place reads as a graph, but never as the one written."""
+    h = _random_kgraph((3, 5, 7), 0.3, 4)
+    blob = bytearray(G.kgraph_to_binary(h))
+    flipped = bytearray(blob)
+    flipped[-16] ^= 1
+    g = G.kgraph_from_binary(bytes(flipped))
+    assert g != h and set(g.encoded.tolist()) ^ set(h.encoded.tolist()) == {0}
+    renamed = G.kgraph_from_binary(bytes(blob).replace(b"V1\n", b"Z1\n", 1))
+    assert renamed != h and np.array_equal(renamed.encoded, h.encoded)
+    other = _random_kgraph((3, 5, 7), 0.3, 5)
+    assert G.kgraph_from_binary(G.kgraph_to_binary(other)) == other != h
+
+
+def test_kgraph_binary_writer_refuses_names_it_cannot_read_back():
+    for name in ("", "a\nb"):
+        h = G.KPartiteKGraph(G.VertexClassSet([(name, 2), ("B", 2)]), [[0, 1]])
+        with pytest.raises(ValueError, match="class names"):
+            G.kgraph_to_binary(h)
+
+
 def test_product_class_codec():
     prod = G.ProductClass.of([G.VertexClass("A", 3), G.VertexClass("B", 4), G.VertexClass("C", 2)])
     assert prod.size == 24
@@ -327,6 +435,26 @@ def test_kgraph_text_spans_several_row_chunks():
     assert h.edge_count() > 2 * G._CHUNK_ROWS
     assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
     assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
+
+
+def test_kgraph_text_reader_holds_no_tuple_array():
+    """Each block of rows is encoded as it is parsed, so the reader's peak
+    grows by the text's bytes and at most three int64 words per edge (line
+    ends, codes, and the stored copy), not by a whole (m, k) tuple array on
+    top (k more words per edge)."""
+    cs = G.VertexClassSet([("V1", 100), ("V2", 1000), ("V3", 1001)])
+
+    def peak(m):
+        text = G.kgraph_to_text(G.KPartiteKGraph.from_codes(cs, np.arange(m, dtype=np.int64) * 250))
+        tracemalloc.start()
+        try:
+            G.kgraph_from_text(text)
+            return tracemalloc.get_traced_memory()[1], len(text)
+        finally:
+            tracemalloc.stop()
+
+    (p1, t1), (p2, t2) = peak(200_000), peak(400_000)
+    assert (p2 - p1) / 200_000 <= (t2 - t1) / 200_000 + 3 * 8
 
 
 @settings(max_examples=200, deadline=None)
