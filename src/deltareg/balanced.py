@@ -7,6 +7,13 @@ non-neighbors) on at most a (1/2 + beta) fraction, (iii) codegrees of
 distinct family Y-vertices inside each X-cell stay below (1+alpha)/4 of the
 cell, and (iv) each Y-cell is closed under complement via an involution.
 
+Conditions (i) and (iii) are decided on one X-cell layout, which the spec
+owns (``BalanceSpec.cell_rows``): Y-major rows in which X-cell c fills the
+first m bits of words [c w, (c + 1) w), w = row_words(m).  (i) sums each
+row's popcounts per cell, and (iii) is one row sweep of every Y-pair's
+largest per-cell codegree.  Word-aligned cells that are runs of X in order
+are that layout already; other cells are gathered into it once per check.
+
 The sampler draws exact half neighborhoods per (X-cell, y) for one half of
 each Y-cell and mirrors the complement onto the other half, so (i) and (iv)
 hold on every draw; (ii) and (iii) are verified and the whole draw is
@@ -58,6 +65,23 @@ class BalanceSpec:
         if np.any(self.y_cells.cell_sizes() % 2):
             raise ValueError("Y-cells must have even size")
         self.family, self.k = _checked_family(self.family, self.y_cells)
+        x_order = np.concatenate(self.x_cells.cells)  # the X id of every (X-cell, slot) column
+        in_order = np.array_equal(x_order, np.arange(self.nx))
+        self.x_slot = None if in_order else np.argsort(x_order)  # the slot column of every X id
+        # the column order of cell_rows' gather; None when the Y-major rows are the layout already
+        self.x_order = None if in_order and self.m % 64 == 0 else x_order
+        self.cell_words = _kernels.row_words(self.m)
+
+    def cell_rows(self, yrows: np.ndarray) -> np.ndarray:
+        """Y-major rows in the X-cell layout: X-cell c fills the first m
+        bits of words [c w, (c + 1) w), w = ``cell_words``, in slot order,
+        and the rest of those words is zero.  Cells that are word-aligned
+        runs of X in order are that layout already, so their rows are
+        returned as they are; otherwise the bits are gathered once."""
+        if self.x_order is None:
+            return yrows
+        bits = _kernels.unpack_rows(yrows, self.nx)[:, self.x_order]
+        return _kernels.pack_rows(bits.reshape(len(yrows), -1, self.m)).reshape(len(yrows), -1)
 
     @property
     def nx(self):
@@ -116,25 +140,17 @@ class VerifyReport:
     involution: np.ndarray | None = None
 
 
-def _y_major(graph: BipartiteGraph) -> np.ndarray:
-    return graph.transposed().rows
-
-
 def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i", "ii", "iii", "iv")) -> VerifyReport:
-    """Exact check of the four conditions; reports the first violated one."""
+    """Exact check of the four conditions; reports the first violated one.
+    Conditions (i) and (iii) are decided on the spec's X-cell layout."""
     if candidate.left.size != spec.nx or candidate.right.size != spec.ny:
         raise ValueError("graph does not match the spec's index spaces")
-    yrows = _y_major(candidate)  # per-y bits over X
+    yrows = candidate.transposed().rows  # per-y bits over X
+    cells = spec.cell_rows(yrows) if "i" in conditions or "iii" in conditions else None
     checked = {}
-    # (i) exact half degrees per X-cell
+    # (i) exact half degrees per X-cell: each row's popcount in each cell's words
     if "i" in conditions:
-        starts, ends, aligned = _cell_segments(spec.x_cells)
-        if aligned:  # a row's codegree with itself is its degree
-            selves = np.repeat(np.arange(spec.ny), 2).reshape(-1, 2)
-            degs = _kernels.and_popcount_pairs_segmented(yrows, selves, starts, ends)
-        else:
-            degs = np.stack([_kernels.masked_degrees(yrows, _kernels.pack_indices(cell, spec.nx)) for cell in spec.x_cells.cells], axis=1)
-        bad = degs * 2 != spec.m
+        bad = _kernels.popcount_rows(cells.reshape(-1, spec.cell_words)).reshape(spec.ny, len(spec.x_cells)) * 2 != spec.m
         if bad.any():
             ci = int(np.flatnonzero(bad.any(axis=0))[0])
             y = int(np.flatnonzero(bad[:, ci])[0])
@@ -161,7 +177,7 @@ def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i
             checked["ii"] = True
     # (iii) codegree bound per (X-cell, member, y pair)
     if "iii" in conditions:
-        viol = _codegree_violation(yrows, spec)
+        viol = _codegree_violation(cells, spec)
         if viol is not None:
             return VerifyReport(False, f"codegree: {viol}", checked)
         checked["iii"] = True
@@ -180,75 +196,32 @@ def _all_pairs(n: int) -> np.ndarray:
     return np.stack([iu[0], iu[1]], axis=1).astype(np.int64)
 
 
-def _codegree_violation(yrows: np.ndarray, spec: BalanceSpec):
+def _codegree_violation(cells: np.ndarray, spec: BalanceSpec):
     """(1+alpha)/4 codegree bound inside every X-cell, per family member.
 
-    Members overlap, so each distinct y-pair is counted once; the first
-    violation is then reported in member order, then cell, then pair order.
-    When the X-cells are word-aligned, one row sweep
-    (``_kernels.and_popcount_segment_max``) gives every y-pair's largest
-    per-cell codegree, in the smallest unsigned dtype that holds a cell's
-    size, with no pair list and no row gather; the members' pair keys are
-    built only when some pair exceeds the bound, to find the first
-    violation, or to find that no member holds an exceeding pair.
-    Otherwise each member's distinct pairs are counted per cell.
+    One row sweep of the X-cell layout (``_kernels.and_popcount_segment_max``)
+    gives every y-pair's largest per-cell codegree, in the smallest unsigned
+    dtype that holds a cell's size, with no pair list and no row gather.
+    Members overlap, so each y-pair is counted once; the members' pairs are
+    looked up only when some pair exceeds the bound, to report the first
+    violation in member order, then pair order, or to find that no member
+    holds an exceeding pair.
     """
-    starts, ends, aligned = _cell_segments(spec.x_cells)
-    # codeg > (1+alpha)*m/4  <=>  4*codeg*ad > m*(ad + an), all integers
+    w = spec.cell_words
+    starts = w * np.arange(len(spec.x_cells), dtype=np.int64)
+    # codeg > (1+alpha)*m/4  <=>  codeg > m*(ad + an) // (4*ad) for an integer
+    # codeg, compared in int64 since the bound may not fit the sweep's dtype
     an, ad = spec.alpha.numerator, spec.alpha.denominator
-    lim = spec.m * (ad + an)
-    if aligned:
-        # an integer codegree c exceeds the bound iff c > lim // (4 * ad),
-        # compared in int64 since the bound may not fit the sweep's dtype
-        over = _kernels.and_popcount_segment_max(yrows, starts, ends) > np.int64(lim // (4 * ad))
-        if not over.any():
-            return None
-        n, iu = spec.ny, np.triu_indices(spec.k, k=1)  # members share one size
-        for fi, F in enumerate(spec.family):
-            y, y2 = F[iu[0]], F[iu[1]]
-            first = np.flatnonzero(over[y * (2 * n - y - 1) // 2 + y2 - y - 1])  # index of (y, y2) in triu order
-            if first.size:
-                return f"member={fi} y={int(y[first[0]])} y'={int(y2[first[0]])}"
+    over = _kernels.and_popcount_segment_max(cells, starts, starts + w) > np.int64(spec.m * (ad + an) // (4 * ad))
+    if not over.any():
         return None
-    member_keys = [_member_pair_keys(F, spec.ny) for F in spec.family]
-    keys = np.concatenate(member_keys) if member_keys else np.empty(0, dtype=np.int64)
-    if len(member_keys) > 1:
-        keys = np.unique(keys)
-    cell_rows = [yrows & _kernels.pack_indices(cell, spec.nx)[None, :] for cell in spec.x_cells.cells]
-    bad = np.zeros((len(keys), len(cell_rows)), dtype=bool)
-    for sl in _kernels.pair_chunks(len(keys), yrows.shape[1]):
-        pairs = np.stack([keys[sl] // spec.ny, keys[sl] % spec.ny], axis=1)
-        for ci, rows in enumerate(cell_rows):
-            bad[sl, ci] = 4 * _kernels.and_popcount_pairs(rows, pairs) * ad > lim
-    if not bad.any():
-        return None
-    for fi, mk in enumerate(member_keys):
-        hit = bad[np.searchsorted(keys, mk)]
-        for ci in range(hit.shape[1]):
-            first = np.flatnonzero(hit[:, ci])
-            if first.size:
-                y, y2 = divmod(int(mk[first[0]]), spec.ny)
-                return f"member={fi} X-cell={ci} y={y} y'={y2}"
+    n, iu = spec.ny, np.triu_indices(spec.k, k=1)  # members share one size
+    for fi, F in enumerate(spec.family):
+        y, y2 = F[iu[0]], F[iu[1]]
+        first = np.flatnonzero(over[y * (2 * n - y - 1) // 2 + y2 - y - 1])  # index of (y, y2) in triu order
+        if first.size:
+            return f"member={fi} y={int(y[first[0]])} y'={int(y2[first[0]])}"
     return None
-
-
-def _member_pair_keys(F: np.ndarray, ny: int) -> np.ndarray:
-    """Pairs y < y' of a sorted member as keys y*ny + y', in pair order."""
-    iu = np.triu_indices(len(F), k=1)
-    return F[iu[0]] * ny + F[iu[1]]
-
-
-def _cell_segments(cells: VertexPartition):
-    """Word-aligned segment bounds when every cell is a contiguous 64-aligned
-    block; enables the segmented kernel."""
-    starts, ends = [], []
-    for cell in cells.cells:
-        lo, hi = int(cell[0]), int(cell[-1]) + 1
-        if hi - lo != len(cell) or lo % 64 or hi % 64:
-            return None, None, False
-        starts.append(lo // 64)
-        ends.append(hi // 64)
-    return np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64), True
 
 
 def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
@@ -306,8 +279,6 @@ def sample_balanced(
     rng = np.random.default_rng(np.random.PCG64(seed))
     failures = {"ii": 0, "iii": 0}
     telemetry = {"draws": 0, "failures": failures}
-    x_order = np.concatenate(spec.x_cells.cells)  # the X id of every (X-cell, slot) column
-    x_slot = None if np.array_equal(x_order, np.arange(spec.nx)) else np.argsort(x_order)
     phi = np.full(spec.ny, -1, dtype=np.int64)
     halves = []
     for cell in spec.y_cells.cells:
@@ -323,11 +294,11 @@ def sample_balanced(
             # stream 2: one key row per (y, X-cell), in that order; a row's
             # m/2 least keys are y's half of that X-cell
             bits = _exact_halves(rng, len(firsts) * len(spec.x_cells), spec.m).reshape(len(firsts), spec.nx)
-            if x_slot is not None:  # each X id takes its slot's column
-                bits = bits[:, x_slot]
+            if spec.x_slot is not None:  # each X id takes its slot's column
+                bits = bits[:, spec.x_slot]
             yrows[firsts] = _kernels.pack_rows(bits)
             yrows[seconds] = _kernels.complement_rows(yrows[firsts], spec.nx)
-        graph = _from_y_major(yrows, spec)
+        graph = BipartiteGraph(VertexClass("Y", spec.ny), VertexClass("X", spec.nx), yrows).transposed()
         forced = verify_balanced(graph, spec, conditions=("i", "iv"))
         assert forced.ok, "construction-forced conditions must hold on every draw"
         ok = True
@@ -361,11 +332,6 @@ def _exact_halves(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
         thr[tied] = cut[:, m // 2]
         tied = tied[cut[:, : m // 2].max(axis=1) == cut[:, m // 2]]
     return keys < thr[:, None]
-
-
-def _from_y_major(yrows: np.ndarray, spec: BalanceSpec) -> BipartiteGraph:
-    g_t = BipartiteGraph(VertexClass("Y", spec.ny), VertexClass("X", spec.nx), yrows)
-    return g_t.transposed()
 
 
 def is_beta_balanced(graph: BipartiteGraph, beta) -> bool:

@@ -25,6 +25,7 @@ from . import counterexample as cx_mod
 from . import hypergraphs as hg_mod
 from . import schedules as sched_mod
 from .balanced import SAMPLER_STREAM, SamplerExhausted, check_sampler_stream
+from .core import _json_fraction, _json_int
 from .graphs import (
     bipartite_from_binary,
     bipartite_to_binary,
@@ -283,23 +284,6 @@ def _suite_hypergraph(artifact: str) -> dict:
         {"id": "family-invariants", "ok": fam_rep["ok"], "detail": "dyadic densities, chain splits, lift round-trip"},
     ]
     return {"ok": all(c["ok"] for c in claims), "claims": claims}
-
-
-def _json_int(meta: dict, key: str) -> int:
-    """meta[key], which must be a JSON integer (true and false are not)."""
-    value = meta[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
-def _json_fraction(meta: dict, key: str) -> Fraction:
-    """meta[key], which must be a JSON string that Fraction reads, such as
-    "1/2", or a JSON integer (true, false and floats are not)."""
-    value = meta[key]
-    if type(value) is not str and type(value) is not int:
-        raise ValueError(f"{key} must be a fraction string or an integer, not {value!r}")
-    return Fraction(value)
 
 
 def _counterexample_params(meta: dict, seed: int) -> cx_mod.CounterexampleParams:

@@ -125,23 +125,62 @@ class GrowthProfile:
 
     @staticmethod
     def from_json(d: dict) -> "GrowthProfile":
-        alpha = d.get("alpha", "3/4")
-        if isinstance(alpha, list):
-            alpha = [Fraction(a) for a in alpha]
+        """The profile of a JSON object, read by type: s, the sizes, the
+        blowups and max_retries JSON integers, alpha "paper", a fraction or
+        a list of fractions, beta a fraction (as ``_json_fraction`` reads
+        them), enforce a list of distinct names from "ii" and "iii", and
+        strict_mode a JSON bool.  Anything else raises ValueError."""
+        if type(d) is not dict:
+            raise ValueError(f"a profile is a JSON object, not {d!r}")
+        d = {"blowup_left": 1, "blowup_right": 1, "alpha": "3/4", "beta": "1/2", "enforce": ["ii", "iii"],
+             "strict_mode": False, "max_retries": 50, **d}
+        alpha = d["alpha"]
+        if type(alpha) is list:
+            alpha = [_json_fraction(dict(alpha=a), "alpha") for a in alpha]
         elif alpha != "paper":
-            alpha = Fraction(alpha)
+            alpha = _json_fraction(d, "alpha")
+        enforce = d["enforce"]
+        if type(enforce) is not list or any(c not in ("ii", "iii") for c in enforce) or len(set(enforce)) < len(enforce):
+            raise ValueError(f"enforce must list distinct names from ii and iii, not {enforce!r}")
+        if type(d["strict_mode"]) is not bool:
+            raise ValueError(f"strict_mode must be true or false, not {d['strict_mode']!r}")
         return GrowthProfile(
-            s=d["s"],
-            r_sizes=d["r_sizes"],
-            l_sizes=d["l_sizes"],
-            blowup_left=d.get("blowup_left", 1),
-            blowup_right=d.get("blowup_right", 1),
+            s=_json_int(d, "s"),
+            r_sizes=_json_ints(d, "r_sizes"),
+            l_sizes=_json_ints(d, "l_sizes"),
+            blowup_left=_json_int(d, "blowup_left"),
+            blowup_right=_json_int(d, "blowup_right"),
             alpha=alpha,
-            beta=Fraction(d.get("beta", "1/2")),
-            enforce=tuple(d.get("enforce", ["ii", "iii"])),
-            strict_mode=d.get("strict_mode", False),
-            max_retries=d.get("max_retries", 50),
+            beta=_json_fraction(d, "beta"),
+            enforce=tuple(enforce),
+            strict_mode=d["strict_mode"],
+            max_retries=_json_int(d, "max_retries"),
         )
+
+
+def _json_int(meta: dict, key: str) -> int:
+    """meta[key], which must be a JSON integer (true and false are not)."""
+    value = meta[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
+def _json_ints(meta: dict, key: str) -> list:
+    """meta[key], which must be a JSON list of JSON integers."""
+    value = meta[key]
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ValueError(f"{key} must be a list of integers, not {value!r}")
+    return value
+
+
+def _json_fraction(meta: dict, key: str) -> Fraction:
+    """meta[key], which must be a JSON string that Fraction reads, such as
+    "1/2", or a JSON integer (true, false and floats are not)."""
+    value = meta[key]
+    if type(value) is not str and type(value) is not int:
+        raise ValueError(f"{key} must be a fraction string or an integer, not {value!r}")
+    return Fraction(value)
 
 
 def _iroot_floor(n: int, r: int) -> int:

@@ -74,6 +74,13 @@ def _clique_table(h: KPartiteKGraph, p: Polyad):
     return elements, np.isin(h.product.encode_array(tuples), h.encoded)
 
 
+def _polyad_density(h: KPartiteKGraph, p: Polyad) -> tuple:
+    """|K(P)| and the relative density of h in p (0 when K(P) is empty),
+    from one clique table."""
+    elements, in_h = _clique_table(h, p)
+    return len(elements), Fraction(int(in_h.sum()), max(len(elements), 1))
+
+
 def _first_deviation(h: KPartiteKGraph, p: Polyad, share: Fraction, lo: Fraction, hi):
     """The first sub-polyad S, as one keep-mask per part, that qualifies,
     |K(S)| >= share |K(P)|, and deviates: |H n K(S)| / |K(S)| (0 when K(S)
@@ -118,16 +125,18 @@ def is_eps_d_regular(h: KPartiteKGraph, p: Polyad, eps, d=None) -> dict:
     """Every sub-polyad S with |K(S)| >= eps |K(P)| must have relative
     density within eps of d (default: the density in the whole polyad);
     decided by one exact count over the sub-polyad lattice, or refused
-    with CapExceeded past LATTICE_CAP."""
+    with CapExceeded past LATTICE_CAP.  An irregular verdict records
+    |K(P)| as ``cliques``."""
     eps = Fraction(eps)
-    if clique_set(p).edge_count() == 0:
+    total, d_p = _polyad_density(h, p)
+    if total == 0:
         return {"status": "regular", "vacuous": True}
-    d = Fraction(d) if d is not None else relative_density(h, p)
+    d = Fraction(d) if d is not None else d_p
     masks = _first_deviation(h, p, eps, d - eps, d + eps)
     if masks is None:
         return {"status": "regular", "d": d}
     s = _sub_polyad(p, masks)
-    return {"status": "irregular", "witness": s, "density": relative_density(h, s), "d": d}
+    return {"status": "irregular", "witness": s, "density": relative_density(h, s), "d": d, "cliques": total}
 
 
 def partition_polyads(P: KPartition, k: int):
@@ -219,12 +228,9 @@ def is_eps_regular_partition(h: KPartiteKGraph, P: KPartition, eps) -> dict:
     irregular_mass = 0
     details = []
     for polyad, span_cells in partition_polyads(P, k):
-        mass = clique_set(polyad).edge_count()
-        if mass == 0:
-            continue
         verdict = is_eps_d_regular(induced_subgraph_on_cells(h, _localize_span(h, span_cells)), polyad, eps)
         if verdict["status"] == "irregular":
-            irregular_mass += mass
+            irregular_mass += verdict["cliques"]
             details.append(verdict)
     bound = eps * Fraction(P.classes.total) ** k
     return {
@@ -395,11 +401,9 @@ def reduction_check(h: KPartiteKGraph, P: KPartition, delta) -> dict:
     hyp_ok = True
     hyp_details = []
     for polyad, span_cells in partition_polyads(P, k):
-        if clique_set(polyad).edge_count() == 0:
-            continue
         h_local = induced_subgraph_on_cells(h, _localize_span(h, span_cells))
-        d_p = relative_density(h_local, polyad)
-        if d_p == 0:
+        d_p = _polyad_density(h_local, polyad)[1]
+        if d_p == 0:  # no clique, or no edge among them
             continue
         try:
             masks = _first_deviation(h_local, polyad, delta, Fraction(2, 3) * d_p, None)

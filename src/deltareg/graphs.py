@@ -196,9 +196,14 @@ class BipartiteGraph:
         return np.stack(_kernels.nonzero_bits(self.rows), axis=1)
 
     def transposed(self) -> "BipartiteGraph":
-        if self._transposed is None:
-            t = BipartiteGraph(self.right, self.left, transpose_bits(self.rows, self.right.size))
-            t._transposed = self
+        """The transpose, computed once.  It keeps this graph's rows, not
+        this graph, so the two make no reference cycle and each is freed as
+        soon as nothing holds it; its own transpose is a new graph on those
+        rows."""
+        if not isinstance(self._transposed, BipartiteGraph):
+            rows = transpose_bits(self.rows, self.right.size) if self._transposed is None else self._transposed
+            t = BipartiteGraph(self.right, self.left, rows)
+            t._transposed = self.rows
             self._transposed = t
         return self._transposed
 

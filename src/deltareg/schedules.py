@@ -79,7 +79,6 @@ class DeskSchedule:
     a_star_maps: dict
     delta_overrides: dict = field(default_factory=dict)
     violations: tuple = ()
-    kind: str = "desk"
 
     def __post_init__(self):
         self.t_values = tuple(int(x) for x in self.t_values)

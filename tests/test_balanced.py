@@ -384,22 +384,37 @@ def test_a_row_that_ties_again_is_redrawn_until_it_does_not():
     assert bits.tolist() == [[False, False, True, True], [False, True, False, True]]
 
 
-def _first_codegree_violation_per_member(graph, spec, aligned):
-    """Plain recount of (iii) in the order members, cells, pairs."""
-    adj = np.unpackbits(graph.transposed().rows.view(np.uint8), axis=1, bitorder="little")[:, : spec.nx].astype(bool)
-    limit = (1 + spec.alpha) * spec.m / 4
-    for fi, F in enumerate(spec.family):
-        pairs = [(int(a), int(b)) for i, a in enumerate(F) for b in F[i + 1 :]]
-        if aligned:
-            for a, b in pairs:
-                if any((adj[a, cell] & adj[b, cell]).sum() > limit for cell in spec.x_cells.cells):
-                    return f"member={fi} y={a} y'={b}"
-        else:
-            for ci, cell in enumerate(spec.x_cells.cells):
-                for a, b in pairs:
-                    if (adj[a, cell] & adj[b, cell]).sum() > limit:
-                        return f"member={fi} X-cell={ci} y={a} y'={b}"
+def _recount(adj, spec, conditions):
+    """The report of verify_balanced on conditions (i), (iii) and (iv),
+    recounted plainly per (y, X-cell) from the Y-major bool matrix adj: the
+    first violation in the order (i) by X-cell then y, (iii) by member then
+    pair, (iv); None when all hold.  (iv) holds when every row of a Y-cell
+    is as frequent in it as its complement."""
+    cells = spec.x_cells.cells
+    if "i" in conditions:
+        for ci, cell in enumerate(cells):
+            for y in range(spec.ny):
+                if 2 * int(adj[y, cell].sum()) != spec.m:
+                    return f"equitable-degrees: y={y} X-cell={ci}"
+    if "iii" in conditions:
+        limit = (1 + spec.alpha) * spec.m / 4
+        for fi, F in enumerate(spec.family):
+            for i, a in enumerate(F):
+                for b in F[i + 1 :]:
+                    if any(int((adj[a, cell] & adj[b, cell]).sum()) > limit for cell in cells):
+                        return f"codegree: member={fi} y={a} y'={b}"
+    if "iv" in conditions:
+        for cell in spec.y_cells.cells:
+            rows = [adj[int(y)].tobytes() for y in cell]
+            if any(rows.count(r) != rows.count((~adj[int(y)]).tobytes()) for r, y in zip(rows, cell)):
+                return "complement-closure"
     return None
+
+
+def _graph(adj):
+    """The bipartite graph on (X, Y) whose Y-major bool matrix is adj."""
+    ny, nx = adj.shape
+    return BipartiteGraph(VertexClass("Y", ny), VertexClass("X", nx), _kernels.pack_rows(adj)).transposed()
 
 
 @pytest.mark.parametrize("aligned", [True, False])
@@ -415,14 +430,16 @@ def test_deduplicated_codegree_check_reports_the_per_member_first_violation(alig
         )
     else:
         spec = _interleaved_spec(alpha)
-    assert B._cell_segments(spec.x_cells)[2] == aligned
-    # at alpha 1/4 and 3/8 some draws fail first in a later member or cell
+    assert (spec.x_order is None) == aligned  # the rows are their own layout
+    # at alpha 1/4 and 3/8 some draws fail first in a later member
     for seed in range(8):
         bg, _ = B.sample_balanced(spec, seed=seed, max_retries=1, enforce=())
-        got = B._codegree_violation(bg.y_rows(), spec)
-        assert got == _first_codegree_violation_per_member(bg.graph, spec, aligned)
+        rep = B.verify_balanced(bg.graph, spec, ("iii",))
+        adj = _kernels.unpack_rows(bg.y_rows(), spec.nx).astype(bool)
+        assert rep.first_violation == _recount(adj, spec, ("iii",))
+        assert rep.ok == (rep.first_violation is None)
         if alpha == 1:
-            assert got is None  # degrees are m/2, so no codegree exceeds m/2
+            assert rep.ok  # degrees are m/2, so no codegree exceeds m/2
 
 
 def test_codegree_bound_ignores_an_over_bound_pair_outside_every_member():
@@ -436,18 +453,68 @@ def test_codegree_bound_ignores_an_over_bound_pair_outside_every_member():
         _kernels.set_bits(yrows, y, np.r_[8 * y : 8 * y + 8, 64 + 8 * y : 64 + 8 * y + 8])
     _kernels.set_bits(yrows, 4, np.r_[0:32, 64:96])
     yrows[5] = yrows[4]
+    graph = BipartiteGraph(VertexClass("Y", 8), VertexClass("X", 128), yrows).transposed()
 
     def spec(family):
         return B.BalanceSpec(VertexPartition.blocks(128, 2), VertexPartition.blocks(8, 4), family, Fraction(0), Fraction(1, 2))
 
     lone = spec([np.arange(4)])
-    assert B._cell_segments(lone.x_cells)[2]
-    starts, ends, _ = B._cell_segments(lone.x_cells)
-    worst = _kernels.and_popcount_segment_max(yrows, starts, ends)
+    assert lone.cell_rows(yrows) is yrows  # word-aligned runs in order are their own layout
+    worst = _kernels.and_popcount_segment_max(yrows, np.array([0, 1]), np.array([1, 2]))
     pairs = list(zip(*np.triu_indices(8, k=1)))
     assert [pairs[i] for i in np.flatnonzero(worst > 16)] == [(4, 5)]
-    assert B._codegree_violation(yrows, lone) is None
-    assert B._codegree_violation(yrows, spec([np.arange(4), np.arange(4, 8)])) == "member=1 y=4 y'=5"
+    assert B.verify_balanced(graph, lone, ("iii",)).ok
+    rep = B.verify_balanced(graph, spec([np.arange(4), np.arange(4, 8)]), ("iii",))
+    assert not rep.ok and rep.first_violation == "codegree: member=1 y=4 y'=5"
+
+
+# (m, X-cells, scattered): word-aligned runs of one and two words, runs of
+# fewer than 64 bits or of a word and a half, and cells {x : x % c == r}
+LAYOUTS = [(64, 2, False), (128, 2, False), (2, 6, False), (4, 5, False), (16, 4, False), (96, 2, False), (16, 3, True), (64, 2, True)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    alpha=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(1)]),
+    seed=st.integers(0, 2**16),
+    plant=st.sampled_from([None, "i", "iii", "iv"]),
+    where=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16)),
+)
+def test_conditions_i_iii_iv_match_a_per_cell_recount_on_every_layout(layout, alpha, seed, plant, where):
+    """verify_balanced on (i), (iii) and (iv) reports what a plain recount
+    per (y, X-cell) reports, on a sampled graph and on one with a planted
+    failure: (i) one flipped bit; (iii) one member's y' given y's row, a
+    codegree of m/2 in every cell, over the bound when alpha < 1; (iv) a
+    first-half y given its mate's row, so that row outnumbers its
+    complement in the Y-cell while every degree stays m/2."""
+    m, c, scattered = layout
+    nx = m * c
+    x_cells = VertexPartition(nx, [np.arange(r, nx, c) for r in range(c)]) if scattered else VertexPartition.blocks(nx, c)
+    spec = B.BalanceSpec(x_cells, VertexPartition.blocks(16, 4), _interleaved_spec(alpha).family, alpha, Fraction(1, 2))
+    assert (spec.x_order is None) == (m % 64 == 0 and not scattered)
+    bg, _ = B.sample_balanced(spec, seed=seed, max_retries=1, enforce=())
+    adj = _kernels.unpack_rows(bg.y_rows(), nx).astype(bool)
+    F = spec.family[where[0] % len(spec.family)]
+    y, y2 = sorted(np.random.default_rng(where[1]).choice(F, 2, replace=False))
+    if plant == "i":
+        adj[y, where[2] % nx] ^= True
+    elif plant == "iii":
+        adj[y2] = adj[y]
+    elif plant == "iv":
+        first = int(spec.y_cells.cells[where[2] % 4][where[1] % 2])  # a first-half y of a Y-cell of 4
+        adj[first] = adj[int(bg.involution[first])]
+    graph = _graph(adj)
+    for conditions in [("i", "iii", "iv")] + [(cond,) for cond in ("i", "iii", "iv")]:
+        rep = B.verify_balanced(graph, spec, conditions)
+        expected = _recount(adj, spec, conditions)
+        assert rep.first_violation == expected and rep.ok == (expected is None)
+        if conditions == ("iv",) and rep.ok:
+            phi = rep.involution
+            assert np.all(phi[phi] == np.arange(spec.ny)) and np.all(phi != np.arange(spec.ny))
+            assert np.array_equal(adj[phi], ~adj)
+    if plant is not None and (plant != "iii" or alpha < 1):
+        assert not B.verify_balanced(graph, spec, (plant,)).ok
 
 
 def _reference_family(family, y_cells):

@@ -767,8 +767,8 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
     <key> <value>' with one key of the build-core profile, the counterexample
     params or the params.json of a copy of the counterexample artifact
     changed (k, m and seed to a JSON value, and the others to a
-    JSON value when it is true, false or has a decimal point, else to a
-    string), or of the instance.json of a copy of the hypergraph artifact
+    JSON value when it is true, false, has a decimal point or opens a list
+    or a string, else to a string), or of the instance.json of a copy of the hypergraph artifact
     set to a JSON value."""
     command, *rest = case.split()
     if rest[0] == "hypergraph":
@@ -788,7 +788,7 @@ def _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_art
             *(word for option in options.items() for word in option), "--out-cert", str(tmp_path / "certificate.txt"),
         ]
     key, value = rest[-2:]
-    value = json.loads(value) if key in ("k", "m", "seed") or value in ("true", "false") or "." in value else value
+    value = json.loads(value) if key in ("k", "m", "seed") or value in ("true", "false") or "." in value or value[0] in '["' else value
     if command == "build-core":
         (tmp_path / "profile.json").write_text(json.dumps({**PROFILE, key: value}))
         return ["build-core", "--profile", str(tmp_path / "profile.json"), "--seed", "3", "--out", str(tmp_path / "core")]
@@ -843,6 +843,12 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
           for key, value in (("delta", "true"), ("delta", "0.5"), ("q", "0.1"), ("q", "false"))),
         *(f"verify hypergraph instance.json {key} {value}"
           for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
+        *(f"build-core profile {key} {value}"
+          for key, value in (
+              ("s", "2.0"), ("r_sizes", "[8,32.0]"), ("l_sizes", "[16,256.0]"), ("blowup_left", "2.0"),
+              ("max_retries", '"5"'), ("strict_mode", '""'), ("enforce", '["v"]'), ("enforce", '"ii"'),
+              ("enforce", '["ii","ii"]'), ("alpha", "true"), ("alpha", '[0.5,"3/4"]'), ("beta", "0.5"),
+          )),
     ],
 )
 def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artifact, hypergraph_artifact, tmp_path, capsys, case):
@@ -850,8 +856,11 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
     member < 2^level; the artifact has s = 2), a counterexample k or m
     below 1 or q or delta outside (0, 1], a counterexample k, m or stored
     seed that is not a JSON integer, a delta or q that is neither a fraction
-    string nor a JSON integer, and a hypergraph k, s, seed or blowup that is
-    not a JSON integer,
+    string nor a JSON integer, a hypergraph k, s, seed or blowup that is
+    not a JSON integer, and a build-core profile whose s, sizes, blowups or
+    max_retries are not JSON integers, whose strict_mode is not a JSON bool,
+    whose enforce is not a list of distinct names from ii and iii, or whose
+    alpha or beta is not a fraction string or a JSON integer,
     are usage errors: exit 2 with an error line, never a traceback, a
     truncated size or a run on a wrapped index."""
     argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact)

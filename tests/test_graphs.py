@@ -52,6 +52,26 @@ def test_transposed_swaps_every_edge(nl, nr):
     assert np.array_equal(back.rows, g.rows)
 
 
+def test_a_graph_and_its_transpose_are_freed_without_the_cycle_collector():
+    """The transpose is cached both ways, on the rows, not the graphs: the
+    transpose of the transpose is a graph on the same rows, cached too, and
+    dropping the graphs frees them with the cycle collector off."""
+    import gc
+    import weakref
+
+    g = random_bipartite(70, 9, 0.5, 3)
+    t = g.transposed()
+    assert t is g.transposed() and t.transposed() is t.transposed()
+    assert t.transposed() == g and t.transposed().rows is g.rows
+    gone = [weakref.ref(x) for x in (g, t, t.transposed())]
+    gc.disable()
+    try:
+        del g, t
+        assert [ref() for ref in gone] == [None, None, None]
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("n_rows, n_cols", [(65536, 128), (128, 65536), (0, 5), (5, 0)])
 def test_transpose_bits_matches_unpack_transpose_pack(n_rows, n_cols):
     """The desk quotient shapes and their transposes, against unpack, .T

@@ -17,6 +17,8 @@ ROADMAP direction, and every module-level import is used.  Every defaulted
 parameter is set by some call, or kept with its reason.  No string constant
 reads "unknown", and the polyad-regularity engine reaches neither
 ``clique_set`` nor ``relative_density``, through which its reference counts.
+The balanced checker decides conditions (i) and (iii) through one row sweep
+of one X-cell layout, with no pair list or per-cell mask.
 Only the seeded builders and the named refuter draw random numbers.
 """
 
@@ -215,6 +217,17 @@ def test_the_polyad_engine_counts_without_clique_sets():
     engine = _reach([("epsreg", "_first_deviation")], set())
     assert "_clique_table" in engine  # the scan sees through the engine
     assert not {"clique_set", "relative_density"} & engine
+
+
+def test_the_balanced_checker_has_one_x_cell_layout():
+    """Conditions (i) and (iii) are decided on the spec's one X-cell layout,
+    through the row sweep: no per-cell masked degrees and no pair list, so
+    no fork on X-cell alignment.  Condition (ii)'s agreement kernel works
+    through pair chunks of its own, so the scan stops at it."""
+    checker = _reach([("balanced", "verify_balanced")], {"xor_popcount_pairs"})
+    assert {"cell_rows", "and_popcount_segment_max", "xor_popcount_pairs"} <= checker  # the scan sees through the checker
+    forks = {"and_popcount_pairs", "and_popcount_pairs_segmented", "masked_degrees", "pair_chunks"} & checker
+    assert forks == set(), f"verify_balanced reaches {sorted(forks)}"
 
 
 # the seeded builders and the named refuter: the only code that draws
