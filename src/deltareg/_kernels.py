@@ -175,21 +175,12 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
     return _row_sums(np.bitwise_count(rows))
 
 
-def _op_popcount_pairs(op, rows, pairs):
+def and_popcount_pairs(rows, pairs):
     out = np.empty(len(pairs), dtype=np.int64)
     for sl in pair_chunks(len(pairs), rows.shape[1]):
         # np.take gathers whole rows several times faster than fancy indexing
-        both = op(np.take(rows, pairs[sl, 0], axis=0), np.take(rows, pairs[sl, 1], axis=0))
-        out[sl] = _row_sums(np.bitwise_count(both))
+        out[sl] = _row_sums(np.bitwise_count(np.take(rows, pairs[sl, 0], axis=0) & np.take(rows, pairs[sl, 1], axis=0)))
     return out
-
-
-def and_popcount_pairs(rows, pairs):
-    return _op_popcount_pairs(np.bitwise_and, rows, pairs)
-
-
-def xor_popcount_pairs(rows, pairs):
-    return _op_popcount_pairs(np.bitwise_xor, rows, pairs)
 
 
 def _segments(seg_starts, seg_ends):
@@ -205,11 +196,14 @@ def _segments(seg_starts, seg_ends):
 def _segment_sums(pc, seg_starts, widths, tiled, out):
     """Write the sums of the per-word popcounts pc over each word segment
     into out, of shape (len(pc), segments).  Segments of one width that tile
-    a word range are summed by adding one strided column per word offset;
-    summing each narrow segment along its own axis is several times slower."""
+    a word range are summed as ``_row_sums`` sums rows: up to 8 words wide
+    by adding one strided column per word offset, wider by one reduction."""
     if tiled:
         ns, w = len(seg_starts), int(widths[0])
         blocks = pc[:, seg_starts[0] : seg_starts[0] + ns * w].reshape(len(pc), ns, w)
+        if w > 8:
+            blocks.sum(axis=2, dtype=out.dtype, out=out)
+            return
         out[...] = blocks[:, :, 0]
         for t in range(1, w):
             out += blocks[:, :, t]
@@ -223,8 +217,8 @@ def and_popcount_pairs_segmented(rows, pairs, seg_starts, seg_ends):
 
     Returns an array of shape (len(pairs), len(seg_starts)); segment s covers
     words [seg_starts[s], seg_ends[s]).  No code of the package calls it:
-    it is the reference the kernel tests hold ``and_popcount_segment_max``
-    to, and a function the benchmark's tracer hooks.
+    it is the reference the kernel tests hold ``and_popcount_over`` to, and
+    a function the benchmark's tracer hooks.
     """
     seg_starts, widths, tiled = _segments(seg_starts, seg_ends)
     out = np.empty((len(pairs), len(seg_starts)), dtype=np.int64)
@@ -234,36 +228,41 @@ def and_popcount_pairs_segmented(rows, pairs, seg_starts, seg_ends):
     return out
 
 
-def and_popcount_segment_max(rows, seg_starts, seg_ends):
-    """For every pair i < j of rows, in ``np.triu_indices(len(rows), 1)``
-    order, the largest popcount of row_i & row_j over the word segments
-    (segment s covers words [seg_starts[s], seg_ends[s])); 0 without
-    segments.  It decides the per-cell codegree bound of every balanced
-    spec, on the spec's X-cell layout, whatever the cells' sizes and order.
+def and_popcount_over(rows, seg_starts, seg_ends, bounds):
+    """Every pair i < j of rows, numbered in ``np.triu_indices(len(rows),
+    1)`` order, and word segment s where the popcount of row_i & row_j over
+    words [seg_starts[s], seg_ends[s]) is above bounds[s] (one bound
+    broadcasts), yielded as two non-empty int64 arrays per block of one
+    row's pairs, in pair, then segment order, so a caller may stop early.
 
     Each row is ANDed with the contiguous block of rows after it, at most
-    ``_CHUNK_WORDS`` words at a time, so no pair list is built and no row
-    is gathered.  A segment count is at most 64 times the widest segment,
-    so the counts are summed in the smallest unsigned dtype that holds
-    that, which is also the dtype of the result.
+    ``_CHUNK_WORDS`` words at a time, into reused scratch: only one block's
+    hits have an entry per pair.  A block's counts, summed in the smallest
+    unsigned dtype that holds 64 times the widest segment, are compared per
+    segment only when their largest is above the smallest bound.
     """
     n, words = rows.shape
     seg_starts, widths, tiled = _segments(seg_starts, seg_ends)
-    dtype = np.min_scalar_type(64 * int(widths.max(initial=0)))
-    out = np.zeros(n * (n - 1) // 2, dtype=dtype)
-    if not len(seg_starts):
-        return out
-    step = max(1, _CHUNK_WORDS // max(words, 1))
-    counts = np.empty((min(step, n), len(seg_starts)), dtype=dtype)
-    at = 0
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), seg_starts.shape)
+    if n < 2 or not len(seg_starts):
+        return
+    lowest = int(bounds.min())
+    step = min(n - 1, max(1, _CHUNK_WORDS // max(words, 1)))
+    both = np.empty((step, words), dtype=np.uint64)
+    pc = np.empty((step, words), dtype=np.uint8)
+    counts = np.empty((step, len(seg_starts)), dtype=np.min_scalar_type(64 * int(widths.max())))
+    at = 0  # the number of the pair (i, lo)
     for i in range(n - 1):
         for lo in range(i + 1, n, step):
-            hi = min(lo + step, n)
-            part = counts[: hi - lo]
-            _segment_sums(np.bitwise_count(rows[lo:hi] & rows[i]), seg_starts, widths, tiled, part)
-            part.max(axis=1, out=out[at : at + hi - lo])
-            at += hi - lo
-    return out
+            h = min(step, n - lo)
+            np.bitwise_and(rows[lo : lo + h], rows[i], out=both[:h])
+            np.bitwise_count(both[:h], out=pc[:h])
+            _segment_sums(pc[:h], seg_starts, widths, tiled, counts[:h])
+            if counts[:h].max() > lowest:
+                r, s = np.nonzero(counts[:h] > bounds)
+                if r.size:
+                    yield at + r, s
+            at += h
 
 
 def masked_degrees(rows, mask):

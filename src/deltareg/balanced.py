@@ -10,9 +10,11 @@ cell, and (iv) each Y-cell is closed under complement via an involution.
 Conditions (i) and (iii) are decided on one X-cell layout, which the spec
 owns (``BalanceSpec.cell_rows``): Y-major rows in which X-cell c fills the
 first m bits of words [c w, (c + 1) w), w = row_words(m).  (i) sums each
-row's popcounts per cell, and (iii) is one row sweep of every Y-pair's
-largest per-cell codegree.  Word-aligned cells that are runs of X in order
+row's popcounts per cell.  Word-aligned cells that are runs of X in order
 are that layout already; other cells are gathered into it once per check.
+(iii) on that layout, and (ii) and ``is_beta_balanced`` on one row per x of
+its bits on a member and their complement, are pair sweeps of
+``_kernels.and_popcount_over``, with no pair list.
 
 The sampler draws exact half neighborhoods per (X-cell, y) for one half of
 each Y-cell and mirrors the complement onto the other half, so (i) and (iv)
@@ -156,24 +158,15 @@ def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i
             y = int(np.flatnonzero(bad[:, ci])[0])
             return VerifyReport(False, f"equitable-degrees: y={y} X-cell={ci}", checked)
         checked["i"] = True
-    # (ii) agreement bound per family member
+    # (ii) agreement bound per family member, one member at a time
     if "ii" in conditions:
         if spec.beta >= Fraction(1, 2):
             checked["ii"] = "vacuous"  # bound >= |F| always holds
         else:
-            xrows = candidate.rows  # per-x bits over Y
-            bn, bd = spec.beta.numerator, spec.beta.denominator
-            pairs = _all_pairs(spec.nx)
             for fi, F in enumerate(spec.family):
-                fm = _kernels.pack_indices(F, spec.ny)
-                sub = xrows & fm[None, :]
-                ham = _kernels.xor_popcount_pairs(sub, pairs)
-                agree = len(F) - ham
-                # agree > (1/2 + beta)|F|  <=>  2*agree*bd > |F|*(bd + 2*bn)
-                bad = np.flatnonzero(2 * agree * bd > len(F) * (bd + 2 * bn))
-                if bad.size:
-                    i, j = pairs[int(bad[0])]
-                    return VerifyReport(False, f"agreement: member={fi} x={int(i)} x'={int(j)}", checked)
+                pair = _agreement_violation(yrows[F], spec.nx, spec.beta)
+                if pair is not None:
+                    return VerifyReport(False, f"agreement: member={fi} x={pair[0]} x'={pair[1]}", checked)
             checked["ii"] = True
     # (iii) codegree bound per (X-cell, member, y pair)
     if "iii" in conditions:
@@ -191,37 +184,49 @@ def verify_balanced(candidate: BipartiteGraph, spec: BalanceSpec, conditions=("i
     return VerifyReport(True, None, checked, involution=phi)
 
 
-def _all_pairs(n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    return np.stack([iu[0], iu[1]], axis=1).astype(np.int64)
+def _agreement_violation(member_rows: np.ndarray, nx: int, beta: Fraction):
+    """The first X-pair (x, x') in ``np.triu_indices`` order that agrees
+    on more than (1/2 + beta)|F| of a member F, given F's Y-major rows, or
+    None.  Each x gets one row of its bits on F, then their complement, so
+    the AND popcount of two rows is their agreement on F, which is over
+    (1/2 + beta)|F| exactly when it is over |F| (bd + 2 bn) // (2 bd)."""
+    k, (bn, bd) = len(member_rows), (beta.numerator, beta.denominator)
+    rows = _kernels.transpose_bits(np.concatenate([member_rows, _kernels.complement_rows(member_rows, nx)]), nx)
+    hits = next(_kernels.and_popcount_over(rows, [0], [rows.shape[1]], k * (bd + 2 * bn) // (2 * bd)), None)
+    if hits is None:
+        return None
+    p = int(hits[0][0])
+    x = int(np.searchsorted(np.cumsum(np.arange(nx - 1, 0, -1)), p, side="right"))  # rows whose pairs all precede p
+    return x, p - x * (2 * nx - x - 1) // 2 + x + 1
 
 
 def _codegree_violation(cells: np.ndarray, spec: BalanceSpec):
-    """(1+alpha)/4 codegree bound inside every X-cell, per family member.
-
-    One row sweep of the X-cell layout (``_kernels.and_popcount_segment_max``)
-    gives every y-pair's largest per-cell codegree, in the smallest unsigned
-    dtype that holds a cell's size, with no pair list and no row gather.
-    Members overlap, so each y-pair is counted once; the members' pairs are
-    looked up only when some pair exceeds the bound, to report the first
-    violation in member order, then pair order, or to find that no member
-    holds an exceeding pair.
-    """
+    """The first violation of the (1+alpha)/4 codegree bound inside an
+    X-cell, in member, then pair order.  The sweep of the X-cell layout
+    (``_kernels.and_popcount_over``, a segment per cell) yields each y-pair
+    over the bound once, row by row in pair order; it is matched against
+    the members below the first one with a violation so far that hold both
+    its ends, and a violation of member 0 ends the sweep."""
     w = spec.cell_words
     starts = w * np.arange(len(spec.x_cells), dtype=np.int64)
-    # codeg > (1+alpha)*m/4  <=>  codeg > m*(ad + an) // (4*ad) for an integer
-    # codeg, compared in int64 since the bound may not fit the sweep's dtype
+    # codeg > (1+alpha)*m/4  <=>  codeg > m*(ad + an) // (4*ad) for an integer codeg
     an, ad = spec.alpha.numerator, spec.alpha.denominator
-    over = _kernels.and_popcount_segment_max(cells, starts, starts + w) > np.int64(spec.m * (ad + an) // (4 * ad))
-    if not over.any():
-        return None
-    n, iu = spec.ny, np.triu_indices(spec.k, k=1)  # members share one size
-    for fi, F in enumerate(spec.family):
-        y, y2 = F[iu[0]], F[iu[1]]
-        first = np.flatnonzero(over[y * (2 * n - y - 1) // 2 + y2 - y - 1])  # index of (y, y2) in triu order
-        if first.size:
-            return f"member={fi} y={int(y[first[0]])} y'={int(y2[first[0]])}"
-    return None
+    n = spec.ny
+    holds = np.zeros((len(spec.family), n), dtype=bool)  # holds[f, y]: member f holds y
+    holds[np.arange(len(spec.family))[:, None], np.array(spec.family, dtype=np.int64).reshape(len(spec.family), spec.k)] = True
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # the number of the first pair of each next row
+    first = None
+    for pairs, _ in _kernels.and_popcount_over(cells, starts, starts + w, spec.m * (ad + an) // (4 * ad)):
+        y = int(np.searchsorted(ends, pairs[0], side="right"))  # the row of the block
+        y2 = pairs - y * (2 * n - y - 1) // 2 + y + 1
+        below = holds[: len(holds) if first is None else first[0]]
+        both = below[:, y, None] & below[:, y2]
+        members = np.flatnonzero(both.any(axis=1))
+        if members.size:
+            first = int(members[0]), y, int(y2[np.argmax(both[members[0]])])
+            if first[0] == 0:
+                break
+    return None if first is None else f"member={first[0]} y={first[1]} y'={first[2]}"
 
 
 def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
@@ -336,12 +341,7 @@ def _exact_halves(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
 
 def is_beta_balanced(graph: BipartiteGraph, beta) -> bool:
     """Standalone pairwise agreement bound over the whole right side."""
-    beta = Fraction(beta)
-    n_y = graph.right.size
-    pairs = _all_pairs(graph.left.size)
-    ham = _kernels.xor_popcount_pairs(graph.rows, pairs)
-    limit = (Fraction(1, 2) + beta) * n_y
-    return all(Fraction(n_y - int(h)) <= limit for h in ham)
+    return _agreement_violation(graph.transposed().rows, graph.left.size, Fraction(beta)) is None
 
 
 def _integer_mass(lam: list) -> tuple:

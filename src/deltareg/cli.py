@@ -258,22 +258,21 @@ def _suite_hypergraph(artifact: str) -> dict:
     names = ["merged.kgraph", *windows]
     merged = kgraph_from_text(_read_text(artifact, "merged.kgraph"))
     window_graphs = [kgraph_from_binary(_read_bytes(artifact, name)) for name in windows]
-    expected = Fraction(2 * k, 1 << k) * Fraction(1, 1 << s)
-    dens_ok = merged.density() == expected
-    w_ok = all(h.density() == Fraction(1, 1 << s) for h in window_graphs)
     total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
     # rebuild from the recorded seed; every graph file must be the bytes its
     # rebuild writes.  Both k-graph readers are strict inverses of their
     # writers, so a file reads as its rebuild, class names included,
     # exactly when it holds the rebuild's bytes: the rebuilt graphs are
-    # never written out.
+    # never written out, and the densities are claimed of the rebuild
     inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup, core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
     rebuilt = [inst.merged, *inst.edge_graphs]
     differ = [name for name, h, r in zip(names, [merged, *window_graphs], rebuilt) if h != r]
+    dens = hg_mod.pasted_density_check(inst)
+    got, expected = dens["merged_density"], dens["expected"]
     fam_rep = hg_mod.verify_family(inst.families[0])
     claims = [
-        {"id": "merged-density", "ok": dens_ok, "detail": f"{merged.density()} = (2k/2^k)2^-s = {expected}"},
-        {"id": "window-densities", "ok": w_ok, "detail": "each window graph has density 2^-s"},
+        {"id": "merged-density", "ok": got == expected, "detail": f"{got} = (2k/2^k)2^-s = {expected}"},
+        {"id": "window-densities", "ok": all(dens["per_window"]), "detail": "each window graph has density 2^-s"},
         {"id": "edge-disjoint-union", "ok": total_ok, "detail": "window edge counts sum to the union"},
         {
             "id": "replay-identical",

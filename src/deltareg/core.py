@@ -542,9 +542,10 @@ def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None
     Cells are taken in chunks of at most ``_FAMILY_CHUNK`` words.  In a
     chunk, the cells whose families have t clusters are taken together:
     every cell's family rows are gathered from its word window of the
-    transposed quotient and masked to the cell, into one (cells, t, W)
-    block, and ``_family_codegree_max`` sweeps every pair of each family
-    with no pair list.
+    transposed quotient and masked to the cell, into one (t, cells, W)
+    block, and ``_kernels.and_popcount_over`` sweeps the t rows of
+    cells W words, one segment and one bound per cell, with no pair list:
+    the cells it reports are the failing ones.
     """
     alpha = seq.profile.alpha_at(i)
     an, ad = alpha.numerator, alpha.denominator
@@ -580,35 +581,14 @@ def _codegree_failures(seq: CoreSequence, i: int, member: int, left_cluster=None
             words = np.minimum(lo[at][:, None] + np.arange(W), tq.rows.shape[1] - 1)
             span = 64 * lo[at][:, None] + np.arange(64 * W)
             inside = (span < lparent.size) & (np.take(lparent, np.minimum(span, lparent.size - 1)) == at[:, None])
-            rows = fam[fstart[at][:, None] + np.arange(t)]
-            block = tq.rows[rows[:, :, None], words[:, None, :]] & _kernels.pack_rows(inside)[:, None, :]
-            failing.append(at[_family_codegree_max(block) > bound[at]])
+            rows = fam[fstart[at] + np.arange(t)[:, None]]  # (t, cells)
+            block = tq.rows[rows[:, :, None], words[None]] & _kernels.pack_rows(inside)[None]
+            starts = W * np.arange(len(at), dtype=np.int64)
+            failed = np.zeros(len(at), dtype=bool)
+            for _, segs in _kernels.and_popcount_over(block.reshape(t, -1), starts, starts + W, bound[at]):
+                failed[segs] = True
+            failing.append(at[failed])
     return np.sort(np.concatenate(failing)).tolist()
-
-
-def _family_codegree_max(block: np.ndarray) -> np.ndarray:
-    """The largest popcount of row_a & row_b over the pairs a < b of each
-    (t, W) family of a (cells, t, W) block, t >= 2.  Offset d pairs
-    every row a with row a + d: ``block[:, d:] & block[:, :-d]``, popcounted
-    and summed over the W words into one scratch array, with a running
-    elementwise maximum, so no pair list is built and no row gathered.  A
-    codegree is at most 64 W, and is counted in the smallest unsigned dtype
-    that holds that."""
-    n, t, W = block.shape
-    dtype = np.min_scalar_type(64 * W)
-    both = np.empty((n, t - 1, W), dtype=np.uint64)
-    counts = np.empty(both.shape, dtype=np.uint8)
-    sums = np.empty(both.shape[:2], dtype=dtype)
-    best = np.zeros(both.shape[:2], dtype=dtype)
-    for d in range(1, t):
-        m = t - d
-        np.bitwise_and(block[:, d:], block[:, :m], out=both[:, :m])
-        np.bitwise_count(both[:, :m], out=counts[:, :m])
-        np.copyto(sums[:, :m], counts[:, :m, 0])
-        for w in range(1, W):
-            sums[:, :m] += counts[:, :m, w]
-        np.maximum(best[:, :m], sums[:, :m], out=best[:, :m])
-    return best.max(axis=1)
 
 
 _SLICE_SUM_WIDTH = 8

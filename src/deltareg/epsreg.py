@@ -75,23 +75,24 @@ def _clique_table(h: KPartiteKGraph, p: Polyad):
 
 
 def _polyad_density(h: KPartiteKGraph, p: Polyad) -> tuple:
-    """|K(P)| and the relative density of h in p (0 when K(P) is empty),
-    from one clique table."""
-    elements, in_h = _clique_table(h, p)
-    return len(elements), Fraction(int(in_h.sum()), max(len(elements), 1))
+    """The clique table of p, which ``_first_deviation`` then searches, |K(P)|
+    and the relative density of h in p (0 when K(P) is empty)."""
+    elements, in_h = table = _clique_table(h, p)
+    return table, len(elements), Fraction(int(in_h.sum()), max(len(elements), 1))
 
 
-def _first_deviation(h: KPartiteKGraph, p: Polyad, share: Fraction, lo: Fraction, hi):
+def _first_deviation(p: Polyad, table: tuple, share: Fraction, lo: Fraction, hi):
     """The first sub-polyad S, as one keep-mask per part, that qualifies,
     |K(S)| >= share |K(P)|, and deviates: |H n K(S)| / |K(S)| (0 when K(S)
     is empty) is below lo, or above hi when hi is not None.  None when no
-    sub-polyad does.  Every mask tuple is counted, in blocks; a lattice of
-    more than LATTICE_CAP tuples raises CapExceeded."""
+    sub-polyad does, on the clique table of p and H.  Every mask tuple is
+    counted, in blocks; a lattice of more than LATTICE_CAP tuples raises
+    CapExceeded."""
     widths = [len(s) for s in p.vertex_sets] if p.r == 2 else [part.edge_count() for part in p.parts]
     bits = sum(widths)
     if 1 << bits > LATTICE_CAP:
         raise CapExceeded(f"2^{bits} sub-polyads exceed the lattice cap {LATTICE_CAP}")
-    elements, in_h = _clique_table(h, p)
+    elements, in_h = table
     total = len(elements)
     offsets = np.cumsum([0] + widths[:-1]).astype(np.int64)
     clique_bits = np.bitwise_or.reduce(np.int64(1) << (elements + offsets), axis=1)
@@ -128,11 +129,11 @@ def is_eps_d_regular(h: KPartiteKGraph, p: Polyad, eps, d=None) -> dict:
     with CapExceeded past LATTICE_CAP.  An irregular verdict records
     |K(P)| as ``cliques``."""
     eps = Fraction(eps)
-    total, d_p = _polyad_density(h, p)
+    table, total, d_p = _polyad_density(h, p)
     if total == 0:
         return {"status": "regular", "vacuous": True}
     d = Fraction(d) if d is not None else d_p
-    masks = _first_deviation(h, p, eps, d - eps, d + eps)
+    masks = _first_deviation(p, table, eps, d - eps, d + eps)
     if masks is None:
         return {"status": "regular", "d": d}
     s = _sub_polyad(p, masks)
@@ -402,11 +403,11 @@ def reduction_check(h: KPartiteKGraph, P: KPartition, delta) -> dict:
     hyp_details = []
     for polyad, span_cells in partition_polyads(P, k):
         h_local = induced_subgraph_on_cells(h, _localize_span(h, span_cells))
-        d_p = _polyad_density(h_local, polyad)[1]
+        table, _, d_p = _polyad_density(h_local, polyad)
         if d_p == 0:  # no clique, or no edge among them
             continue
         try:
-            masks = _first_deviation(h_local, polyad, delta, Fraction(2, 3) * d_p, None)
+            masks = _first_deviation(polyad, table, delta, Fraction(2, 3) * d_p, None)
         except CapExceeded:
             hyp_details.append({"cap": True})
             continue

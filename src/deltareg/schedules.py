@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .core import _json_fraction, _json_ints
+
 DEFAULT_CUTOFF_BITS = 1 << 20
 
 
@@ -83,7 +85,7 @@ class DeskSchedule:
     def __post_init__(self):
         self.t_values = tuple(int(x) for x in self.t_values)
         for i, tv in enumerate(self.t_values):
-            if tv & (tv - 1):
+            if tv < 1 or tv & (tv - 1):
                 raise ValueError("part counts must be powers of 2")
             if i and tv < self.t_values[i - 1]:
                 raise ValueError("part counts must be monotone")
@@ -128,13 +130,30 @@ class DeskSchedule:
 
     @staticmethod
     def from_json(d: dict) -> "DeskSchedule":
+        """The schedule of a JSON object, read by type as a profile is, with
+        uniformity keys that are canonical decimals ("3", not "03") and
+        violations a list of strings.  Anything else raises ValueError."""
+        if type(d) is not dict:
+            raise ValueError(f"a schedule is a JSON object, not {d!r}")
+        d = {"delta_overrides": {}, "violations": [], **d}
+        if type(d["violations"]) is not list or any(type(v) is not str for v in d["violations"]):
+            raise ValueError(f"violations must be a list of strings, not {d['violations']!r}")
         return DeskSchedule(
-            t_values=tuple(d["t_values"]),
-            a_maps={int(k): tuple(v) for k, v in d["a_maps"].items()},
-            a_star_maps={int(k): tuple(v) for k, v in d["a_star_maps"].items()},
-            delta_overrides={int(k): Fraction(v) for k, v in d.get("delta_overrides", {}).items()},
-            violations=tuple(d.get("violations", ())),
+            t_values=tuple(_json_ints(d, "t_values")),
+            a_maps={k: tuple(v) for k, v in _by_uniformity(d, "a_maps", _json_ints).items()},
+            a_star_maps={k: tuple(v) for k, v in _by_uniformity(d, "a_star_maps", _json_ints).items()},
+            delta_overrides=_by_uniformity(d, "delta_overrides", _json_fraction),
+            violations=tuple(d["violations"]),
         )
+
+
+def _by_uniformity(meta: dict, key: str, read) -> dict:
+    """meta[key], a JSON object keyed by canonical decimals, as a dict from
+    each key's integer to its value as ``read`` reads it, named key[k]."""
+    value = meta[key]
+    if type(value) is not dict or not all(k.isascii() and k.isdigit() and str(int(k)) == k for k in value):
+        raise ValueError(f"{key} must be an object keyed by canonical decimals, not {value!r}")
+    return {int(k): read({f"{key}[{k}]": v}, f"{key}[{k}]") for k, v in value.items()}
 
 
 def _uniformity(maps: dict, name: str, k: int):

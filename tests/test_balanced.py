@@ -460,12 +460,31 @@ def test_codegree_bound_ignores_an_over_bound_pair_outside_every_member():
 
     lone = spec([np.arange(4)])
     assert lone.cell_rows(yrows) is yrows  # word-aligned runs in order are their own layout
-    worst = _kernels.and_popcount_segment_max(yrows, np.array([0, 1]), np.array([1, 2]))
+    (over, cells), = _kernels.and_popcount_over(yrows, [0, 1], [1, 2], 16)
     pairs = list(zip(*np.triu_indices(8, k=1)))
-    assert [pairs[i] for i in np.flatnonzero(worst > 16)] == [(4, 5)]
+    assert [pairs[i] for i in over] == [(4, 5), (4, 5)] and cells.tolist() == [0, 1]
     assert B.verify_balanced(graph, lone, ("iii",)).ok
     rep = B.verify_balanced(graph, spec([np.arange(4), np.arange(4, 8)]), ("iii",))
     assert not rep.ok and rep.first_violation == "codegree: member=1 y=4 y'=5"
+
+
+@pytest.mark.parametrize(
+    "over, expected",
+    [([(0, 2), (0, 4)], "member=0 y=0 y'=4"), ([(1, 3), (4, 5)], "member=0 y=4 y'=5")],
+    ids=["first-hit-of-the-row-in-member-1-only", "member-1-before-member-0"],
+)
+def test_codegree_violation_is_the_first_member_s_first_pair(over, expected):
+    """Two members, {0, 1, 4, 5} and {0, 1, 2, 3}, and two y-pairs over the
+    bound 16 of (1+0)/4 * 64, each sharing 20 bits of the first X-cell:
+    member 0's first over pair is reported even when a pair of member 1
+    alone comes first in its row, or in an earlier row."""
+    yrows = _kernels.zero_rows(8, 128)
+    for j, (a, b) in enumerate(over):
+        _kernels.set_bits(yrows, np.repeat([a, b], 20), np.tile(np.arange(20 * j, 20 * j + 20), 2))
+    graph = BipartiteGraph(VertexClass("Y", 8), VertexClass("X", 128), yrows).transposed()
+    members = [[0, 1, 4, 5], [0, 1, 2, 3]]
+    spec = B.BalanceSpec(VertexPartition.blocks(128, 2), VertexPartition.blocks(8, 4), members, Fraction(0), Fraction(1, 2))
+    assert B.verify_balanced(graph, spec, ("iii",)).first_violation == f"codegree: {expected}"
 
 
 # (m, X-cells, scattered): word-aligned runs of one and two words, runs of
@@ -573,3 +592,81 @@ def test_family_check_matches_the_per_member_reference(seed, scattered, members,
         assert [F.tolist() for F in got.family] == expected
         assert all(F.dtype == np.int64 for F in got.family)
         assert got.k == (len(expected[0]) if expected else 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nx=st.sampled_from([2, 3, 8, 63, 65, 70]),
+    y_pairs=st.integers(1, 40),
+    members=st.integers(1, 3),
+    beta=st.sampled_from([Fraction(-1, 8), Fraction(0), Fraction(1, 16), Fraction(1, 4), Fraction(3, 8)]),
+    density=st.sampled_from([0.1, 0.5, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+def test_agreement_bound_matches_the_per_pair_recount(nx, y_pairs, members, beta, density, seed):
+    """Condition (ii) and is_beta_balanced against a per-pair recount on
+    random graphs: Y-cells of two, members that are random unions of them,
+    rows of one word, more than a word or of many words, so that each
+    member's rows of 2|F| bits end inside a word or on a word boundary.
+    (ii) reports the first pair over the bound in member order, then pair
+    order."""
+    rng = np.random.default_rng(seed)
+    ny = 2 * y_pairs
+    adj = rng.random((nx, ny)) < density
+    g = BipartiteGraph(VertexClass("X", nx), VertexClass("Y", ny), _kernels.pack_rows(adj))
+    size = int(rng.integers(1, y_pairs + 1))
+    family = [np.sort(np.concatenate([[2 * c, 2 * c + 1] for c in rng.choice(y_pairs, size, replace=False)])) for _ in range(members)]
+    spec = None  # X-cells must have an even size
+    if nx % 2 == 0:
+        spec = B.BalanceSpec(VertexPartition.blocks(nx, 1), VertexPartition.blocks(ny, y_pairs), family, Fraction(1), beta)
+
+    def first_over(F):
+        limit = (Fraction(1, 2) + beta) * len(F)
+        for x1 in range(nx):
+            for x2 in range(x1 + 1, nx):
+                if np.count_nonzero(adj[x1, F] == adj[x2, F]) > limit:
+                    return x1, x2
+        return None
+
+    assert B.is_beta_balanced(g, beta) == (first_over(np.arange(ny)) is None)
+    if spec is None:
+        return
+    expected = next((f"agreement: member={fi} x={p[0]} x'={p[1]}" for fi, F in enumerate(family) if (p := first_over(F))), None)
+    rep = B.verify_balanced(g, spec, ("ii",))
+    assert rep.first_violation == expected and rep.ok == (expected is None)
+
+
+@pytest.mark.parametrize("beta, planted", [(Fraction(1, 4), False), (Fraction(1, 4), True), (Fraction(0), False)])
+def test_agreement_checks_hold_no_pair_list(beta, planted):
+    """At nx = 4096 the list of every X-pair alone is 134 MB of int64;
+    condition (ii) on two members of 256 Y-vertices and is_beta_balanced
+    over all 512 decide with a peak under 32 MB.  Random rows agree on
+    about half of a member: far below the bound 192 of 256 at beta 1/4,
+    where a planted copy of row 1 in row 4095 is the first violation, and
+    over the bound 128 for about half of the pairs at beta 0, where the
+    first violation is row 0's first partner over it."""
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    bits = rng.random((4096, 512)) < 0.5
+    if planted:
+        bits[4095] = bits[1]
+    g = BipartiteGraph(VertexClass("X", 4096), VertexClass("Y", 512), _kernels.pack_rows(bits))
+    spec = B.BalanceSpec(
+        VertexPartition.blocks(4096, 64), VertexPartition.blocks(512, 256), [np.arange(256), np.arange(256, 512)], Fraction(0), beta
+    )
+    g.transposed()
+    tracemalloc.start()
+    try:
+        rep = B.verify_balanced(g, spec, ("ii",))
+        balanced = B.is_beta_balanced(g, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, f"peak {peak / 2**20:.1f} MB"
+    if beta:
+        assert rep.first_violation == ("agreement: member=0 x=1 x'=4095" if planted else None)
+        assert balanced is not planted
+    else:
+        partner = 1 + int(np.flatnonzero((bits[1:, :256] == bits[0, :256]).sum(axis=1) > 128)[0])
+        assert rep.first_violation == f"agreement: member=0 x=0 x'={partner}" and not balanced

@@ -169,6 +169,41 @@ def test_build_hypergraph_schedule_errors_exit_2(tmp_path, capsys):
     assert "error: bad schedule" in capsys.readouterr().err
 
 
+# each a field of the standing k = 3 desk schedule set to a value that is
+# not of its JSON type, or a uniformity key that is not a canonical decimal
+SCHEDULE_TAMPERS = [
+    ("t_values", "24"), ("t_values", [2.9, 4, 16]), ("t_values", [True, 4, 16]), ("t_values", [0, 4, 16]),
+    ("a_maps", {"3": [1.5, 2]}), ("a_maps", {"03": [1, 2]}), ("a_maps", [[1, 2]]), ("a_star_maps", {"3": "12"}),
+    ("a_star_maps", {" 3": [1, 2]}), ("delta_overrides", {"3": 0.5}), ("delta_overrides", {"+3": "1/2"}),
+    ("violations", "t-base"), ("violations", [1]),
+]
+
+
+@pytest.mark.parametrize("key, value", SCHEDULE_TAMPERS)
+def test_a_schedule_value_of_the_wrong_json_type_exits_2(hypergraph_artifact, tmp_path, capsys, key, value):
+    """A schedule is read by JSON type, never coerced: a --schedule file or
+    the schedule in instance.json with a string, float or bool where
+    integers belong, a non-canonical uniformity key, or violations that are
+    not a list of strings is a usage error (exit 2 with an error line), so a
+    tampered instance cannot replay to a suite PASS."""
+    from deltareg.schedules import desk_schedule_k3
+
+    tampered = {**desk_schedule_k3().to_json(), key: value}
+    (tmp_path / "schedule.json").write_text(json.dumps(tampered))
+    argv = ["build-hypergraph", "--k", "3", "--s", "2", "--schedule", str(tmp_path / "schedule.json"), "--seed", "0"]
+    argv += ["--out", str(tmp_path / "built")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "error: bad schedule" in capsys.readouterr().err
+    assert not (tmp_path / "built").exists()
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    meta = json.loads((d / "instance.json").read_text())
+    (d / "instance.json").write_text(json.dumps({**meta, "schedule": tampered}))
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+
+
 @pytest.fixture(scope="module")
 def hypergraph_artifact(tmp_path_factory):
     out = tmp_path_factory.mktemp("hg") / "hg"

@@ -1375,27 +1375,37 @@ def test_codegree_pair_planted_at_the_first_and_last_offset_on_the_desk(desk_seq
     assert rep == _reference_core_properties(seq, 3, member=5)
 
 
+def test_codegree_pair_planted_in_two_cells_reports_both(desk_seq):
+    """The same family pair over the bound in two cells is one pair of the
+    sweep, over in two segments of one block: both cells are reported."""
+    seq, degree = _equal_family_pair(desk_seq, 3, 5, 77)
+    seq, degree2 = _equal_family_pair(seq, 3, 5, 200)
+    assert 16 * min(degree, degree2) > 7 * 256
+    rep = C.verify_core_properties(seq, 3, member=5)
+    assert [f for f in rep["failures"] if f[0] == "item2"] == [("item2", 3, 5, 77), ("item2", 3, 5, 200)]
+
+
 def test_codegree_check_counts_pairs_once_per_chunk(desk_seq, monkeypatch):
-    """One sweep per chunk of parent cells and family size: one for a desk
-    member, whose 256 families all have 32 clusters, and one per cell when
-    each chunk holds a single cell; the reports do not change with the
-    chunk size."""
+    """One kernel sweep per chunk of parent cells and family size: one for
+    a desk member, whose 256 families all have 32 clusters of 4 words, and
+    one per cell when each chunk holds a single cell; the reports do not
+    change with the chunk size."""
     shapes = []
-    sweep = C._family_codegree_max
+    sweep = C._kernels.and_popcount_over
 
-    def counted(block):
-        shapes.append(block.shape)
-        return sweep(block)
+    def counted(rows, *args):
+        shapes.append(rows.shape)
+        return sweep(rows, *args)
 
-    monkeypatch.setattr(C, "_family_codegree_max", counted)
+    monkeypatch.setattr(C._kernels, "and_popcount_over", counted)
     seq, _ = _equal_family_pair(desk_seq, 3, 2, 9)
     full = C.verify_core_properties(seq, 3, member=2)
     assert ("item2", 3, 2, 9) in full["failures"]
-    assert shapes == [(256, 32, 4)]
+    assert shapes == [(32, 256 * 4)]
     shapes.clear()
     monkeypatch.setattr(C, "_FAMILY_CHUNK", 1)
     assert C.verify_core_properties(seq, 3, member=2) == full
-    assert shapes == [(1, 32, 4)] * 256
+    assert shapes == [(32, 4)] * 256
 
 
 def test_recheck_of_a_desk_certificate_with_two_level_3_cells_merged(desk_seq):

@@ -339,7 +339,7 @@ def _polyad_cases(draw):
 @given(_polyad_cases())
 def test_engine_agrees_with_the_reference_and_its_witness_recounts(case):
     h, p, share, lo, hi = case
-    masks = E._first_deviation(h, p, share, lo, hi)
+    masks = E._first_deviation(p, E._clique_table(h, p), share, lo, hi)
     assert (masks is None) == (_reference_first_deviation(h, p, share, lo, hi) is None)
     total = clique_set(p).edge_count()
     if masks is not None:

@@ -31,10 +31,9 @@ def test_popcount_rows_agree(rows):
 
 
 def test_pair_kernels_agree(rows):
-    # a row paired with itself: AND is the row, XOR is empty
+    # a row paired with itself: AND is the row
     pairs = np.repeat(np.arange(rows.shape[0], dtype=np.int64)[:, None], 2, axis=1)
     assert K.and_popcount_pairs(rows, pairs).tolist() == [_ones(r) for r in rows]
-    assert K.xor_popcount_pairs(rows, pairs).tolist() == [0] * rows.shape[0]
 
 
 @pytest.mark.parametrize("chunk_words", [K._CHUNK_WORDS, 16])
@@ -43,7 +42,6 @@ def test_pair_kernels_match_python_popcount(rows, chunk_words, monkeypatch):
     rng = np.random.default_rng(17)
     pairs = rng.integers(0, rows.shape[0], size=(50, 2)).astype(np.int64)
     assert K.and_popcount_pairs(rows, pairs).tolist() == [_ones(rows[i] & rows[j]) for i, j in pairs]
-    assert K.xor_popcount_pairs(rows, pairs).tolist() == [_ones(rows[i] ^ rows[j]) for i, j in pairs]
 
 
 @pytest.mark.parametrize(
@@ -73,31 +71,44 @@ def test_segmented_pairs_agree(rows):
     assert got.sum(axis=1).tolist() == [_ones(rows[i] & rows[j]) for i, j in pairs]
 
 
-def _segment_max_reference(rows, starts, ends):
-    """Every pair's largest segment count, from the gathering pair kernel."""
-    iu = np.triu_indices(len(rows), k=1)
-    pairs = np.stack(iu, axis=1).astype(np.int64)
+def _over(rows, starts, ends, bounds):
+    """The kernel's hits, every block's joined, as lists; each block has some."""
+    blocks = list(K.and_popcount_over(rows, starts, ends, bounds))
+    assert all(p.size and p.dtype == s.dtype == np.int64 for p, s in blocks)
+    return [np.concatenate(x).tolist() for x in zip(*blocks)] if blocks else [[], []]
+
+
+def _over_reference(rows, starts, ends, bounds):
+    """Every (pair, segment) over its bound, from the gathering pair kernel
+    on the list of every pair i < j."""
+    pairs = np.stack(np.triu_indices(len(rows), k=1), axis=1).astype(np.int64)
     counts = K.and_popcount_pairs_segmented(rows, pairs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
-    return counts.max(axis=1, initial=0).tolist()
+    return [x.tolist() for x in np.nonzero(counts > np.array(bounds, dtype=np.int64))]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     n_y=st.integers(1, 9),
-    words=st.integers(1, 6),
+    words=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     density=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-    tile=st.none() | st.tuples(st.integers(1, 6), st.integers(0, 5)),
-    segs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=4),
+    tile=st.none() | st.tuples(st.integers(1, 12), st.integers(0, 5)),
+    segs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=4),
+    bound=st.integers(-1, 64 * 12),
+    spread=st.booleans(),
     chunk_words=st.sampled_from([K._CHUNK_WORDS, 1, 5]),
 )
-@example(n_y=1, words=2, seed=0, density=0.5, tile=(1, 0), segs=[], chunk_words=K._CHUNK_WORDS)
-@example(n_y=2, words=2, seed=0, density=1.0, tile=(1, 0), segs=[], chunk_words=K._CHUNK_WORDS)
-@example(n_y=2, words=3, seed=1, density=0.5, tile=None, segs=[(0, 2), (1, 3)], chunk_words=1)
-def test_segment_max_matches_the_pair_kernel_on_every_pair(n_y, words, seed, density, tile, segs, chunk_words):
+@example(n_y=1, words=2, seed=0, density=0.5, tile=(1, 0), segs=[], bound=0, spread=False, chunk_words=K._CHUNK_WORDS)
+@example(n_y=2, words=2, seed=0, density=1.0, tile=(1, 0), segs=[], bound=63, spread=False, chunk_words=K._CHUNK_WORDS)
+@example(n_y=4, words=3, seed=1, density=0.5, tile=None, segs=[(0, 2), (1, 3)], bound=10, spread=True, chunk_words=1)
+@example(n_y=5, words=12, seed=2, density=0.5, tile=(10, 1), segs=[], bound=300, spread=False, chunk_words=1)
+@example(n_y=6, words=12, seed=3, density=0.3, tile=(12, 0), segs=[], bound=64 * 12, spread=False, chunk_words=5)
+def test_over_bound_kernel_matches_the_pair_kernel_on_every_pair(n_y, words, seed, density, tile, segs, bound, spread, chunk_words):
     """The row sweep against the gathering kernel on the list of every
-    pair i < j: tiled segments (one width, from any start word), ragged or
-    overlapping ones, none, and partner blocks cut into chunks."""
+    pair i < j: tiled segments (one width, from any start word; wider than
+    eight words they are reduced, not added by columns), ragged, unaligned
+    or overlapping ones, none, one bound or one per segment, bounds no
+    count passes, and partner blocks cut into chunks down to one word."""
     if tile is not None and (words - tile[1]) // tile[0] >= 1:
         w, s0 = tile
         starts = [s0 + w * i for i in range((words - s0) // w)]
@@ -107,27 +118,34 @@ def test_segment_max_matches_the_pair_kernel_on_every_pair(n_y, words, seed, den
         ends = [min(max(a, b), words) for a, b in segs]
     bits = np.random.default_rng(seed).random((n_y, 64 * words)) < density
     rows = K.pack_rows(bits)
+    bounds = [bound - 7 * s for s in range(len(starts))] if spread else [bound] * len(starts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(K, "_CHUNK_WORDS", chunk_words)
-        got = K.and_popcount_segment_max(rows, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64))
-    widest = max([e - a for a, e in zip(starts, ends)], default=0)
-    assert got.dtype == np.min_scalar_type(64 * widest)
-    assert got.tolist() == _segment_max_reference(rows, starts, ends)
+        got = _over(rows, starts, ends, bounds if spread else bound)
+    assert got == _over_reference(rows, starts, ends, bounds)
 
 
 @pytest.mark.parametrize(
-    "n_y, width, segments, dtype",
-    [(5, 4, 3, np.uint16), (3, 1024, 1, np.uint32)],
+    "n_y, width, segments",
+    [(5, 4, 3), (3, 1024, 1)],
     ids=["256-past-uint8", "65536-past-uint16"],
 )
-def test_segment_max_holds_full_segments_past_the_narrower_dtype(n_y, width, segments, dtype):
+def test_over_bound_kernel_holds_full_segments_past_the_narrower_dtype(n_y, width, segments):
     """All-ones rows: every pair's count is the full segment, 64 * width
-    bits, one past the largest value of the next narrower dtype."""
+    bits, one past the largest value of the next narrower dtype, so every
+    (pair, segment) is one above 64 * width - 1 and none above 64 * width;
+    with that bound on every segment but the last, only the last is over,
+    though no count is over the largest bound."""
     rows = K.complement_rows(K.zero_rows(n_y, 64 * width * segments), 64 * width * segments)
     starts = width * np.arange(segments, dtype=np.int64)
-    got = K.and_popcount_segment_max(rows, starts, starts + width)
-    assert got.dtype == dtype
-    assert got.tolist() == [64 * width] * (n_y * (n_y - 1) // 2)
+    pairs, segs = _over(rows, starts, starts + width, 64 * width - 1)
+    n_pairs = n_y * (n_y - 1) // 2
+    assert pairs == np.repeat(np.arange(n_pairs), segments).tolist()
+    assert segs == np.tile(np.arange(segments), n_pairs).tolist()
+    assert _over(rows, starts, starts + width, 64 * width) == [[], []]
+    bounds = np.full(segments, 64 * width)
+    bounds[-1] -= 1
+    assert _over(rows, starts, starts + width, bounds) == [list(range(n_pairs)), [segments - 1] * n_pairs]
 
 
 def test_masked_degrees_agree(rows):

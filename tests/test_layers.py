@@ -17,8 +17,10 @@ ROADMAP direction, and every module-level import is used.  Every defaulted
 parameter is set by some call, or kept with its reason.  No string constant
 reads "unknown", and the polyad-regularity engine reaches neither
 ``clique_set`` nor ``relative_density``, through which its reference counts.
-The balanced checker decides conditions (i) and (iii) through one row sweep
-of one X-cell layout, with no pair list or per-cell mask.
+The balanced checker decides conditions (i) and (iii) on one X-cell layout,
+and every pair bound, (ii) and (iii) of the checker, the standalone
+agreement bound and core item 2, goes through one pair sweep with no pair
+list or per-cell mask; only ``_kernels`` and the oracles count bits.
 Only the seeded builders and the named refuter draw random numbers.
 """
 
@@ -211,23 +213,43 @@ def test_the_oracle_shares_no_code_with_the_exact_checker():
 
 
 def test_the_polyad_engine_counts_without_clique_sets():
-    """The keep-mask engine lists its cliques itself: its tests' brute-force
-    reference counts through clique_set and relative_density, which the
-    engine must not reach."""
-    engine = _reach([("epsreg", "_first_deviation")], set())
+    """The keep-mask engine lists its cliques itself, once per polyad, in
+    the table that _polyad_density builds and _first_deviation searches:
+    its tests' brute-force reference counts through clique_set and
+    relative_density, which the engine must not reach."""
+    engine = _reach([("epsreg", "_polyad_density"), ("epsreg", "_first_deviation")], set())
     assert "_clique_table" in engine  # the scan sees through the engine
     assert not {"clique_set", "relative_density"} & engine
 
 
 def test_the_balanced_checker_has_one_x_cell_layout():
     """Conditions (i) and (iii) are decided on the spec's one X-cell layout,
-    through the row sweep: no per-cell masked degrees and no pair list, so
-    no fork on X-cell alignment.  Condition (ii)'s agreement kernel works
-    through pair chunks of its own, so the scan stops at it."""
-    checker = _reach([("balanced", "verify_balanced")], {"xor_popcount_pairs"})
-    assert {"cell_rows", "and_popcount_segment_max", "xor_popcount_pairs"} <= checker  # the scan sees through the checker
+    and (ii) on one row per X-vertex over each member, (iii) and (ii)
+    through the one pair sweep: no per-cell masked degrees, no pair list
+    and no pair chunks, so no fork on X-cell alignment."""
+    checker = _reach([("balanced", "verify_balanced")], set())
+    assert {"cell_rows", "and_popcount_over", "_agreement_violation", "_codegree_violation"} <= checker  # the scan sees through the checker
     forks = {"and_popcount_pairs", "and_popcount_pairs_segmented", "masked_degrees", "pair_chunks"} & checker
     assert forks == set(), f"verify_balanced reaches {sorted(forks)}"
+
+
+def test_every_pair_bound_goes_through_one_kernel():
+    """Conditions (ii) and (iii), the standalone agreement bound and core
+    item 2 each decide through the one pair sweep, and only the kernels and
+    the two oracles call np.bitwise_count."""
+    for root in [("balanced", "is_beta_balanced"), ("core", "verify_core_properties")]:
+        reached = _reach([root], set())
+        assert "and_popcount_over" in reached, f"{root} does not reach the pair sweep"
+        forks = {"and_popcount_pairs", "and_popcount_pairs_segmented", "pair_chunks"} & reached
+        assert forks == set(), f"{root} reaches {sorted(forks)}"
+    offenders = [
+        f"{mod}.py:{line} in {where or '<module>'}"
+        for mod, scan in SCANS.items()
+        for where, name, line in scan.calls
+        if name == "bitwise_count" and mod != "_kernels" and (mod, where) not in ORACLES
+    ]
+    assert offenders == [], "count bits through deltareg._kernels"
+    assert any(name == "bitwise_count" for _, name, _ in SCANS["_kernels"].calls)  # the scan sees the calls
 
 
 # the seeded builders and the named refuter: the only code that draws
@@ -310,7 +332,6 @@ KEPT = {
     ("balanced", "check_one_six"): "criterion 5c",
     ("core", "find_irregularity_witnesses"): "criterion 6",
     ("core", "one_twelve_context"): "criterion 6",
-    ("hypergraphs", "pasted_density_check"): "criterion 8",
     ("epsreg", "complete_complex"): "criterion 10",
     ("epsreg", "dense_counting_check"): "criterion 10",
     ("epsreg", "is_eps_regular_partition"): "criterion 10",
