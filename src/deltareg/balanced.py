@@ -257,9 +257,9 @@ def check_sampler_stream(meta: dict, name: str, command: str) -> None:
 
 
 class SamplerExhausted(Exception):
-    def __init__(self, failures):
+    def __init__(self, failures, where=""):
         self.failures = failures
-        super().__init__(f"sampler retries exhausted; failure counts {failures}")
+        super().__init__(f"{where}sampler retries exhausted; failure counts {failures}")
 
 
 def sample_balanced(

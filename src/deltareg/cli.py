@@ -85,7 +85,7 @@ def cmd_build_core(args) -> int:
         return EXIT_USAGE
     try:
         seq = core_mod.build_core_sequence(profile, args.seed)
-    except (SamplerExhausted, ValueError) as e:
+    except ValueError as e:
         print(f"error: build failed: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     os.makedirs(args.out, exist_ok=True)
@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
         report = suites[args.suite](args.artifact)
     except core_mod.ArtifactMismatch as e:
         # a file that is not the one its manifest hashed is a failed check
-        report = {"ok": False, "claims": [{"id": "member-hashes", "ok": False, "detail": str(e)}]}
+        report = {"ok": False, "claims": [{"id": "gamma-hashes", "ok": False, "detail": str(e)}]}
     except BAD_INPUT as e:
         print(f"error: invalid artifact dir: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -459,6 +459,9 @@ def main(argv=None) -> int:
     except MemoryError as e:  # numpy's _ArrayMemoryError included
         print(f"error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
         return EXIT_OUT_OF_MEMORY
+    except SamplerExhausted as e:  # a build, or the hypergraph suite's rebuild, drew no accepted Gamma
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

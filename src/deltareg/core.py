@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .balanced import SAMPLER_STREAM, BalanceSpec, check_one_twelve, check_sampler_stream, sample_balanced
+from .balanced import SAMPLER_STREAM, BalanceSpec, SamplerExhausted, check_one_twelve, check_sampler_stream, sample_balanced
 from .graphs import (
     _MAX_DIGITS,
     BipartiteGraph,
@@ -218,7 +218,6 @@ class CoreMember:
     level: int
     index: int
     quotient: BipartiteGraph  # abstract (l_j x r_j) cluster adjacency
-    parent: int | None
 
 
 @dataclass
@@ -241,7 +240,7 @@ class CoreSequence:
         self.n_right = right_chain[0].n
         self.lparent = [_parent_map(left_chain[i], left_chain[i - 1]) if i else np.zeros(len(left_chain[0]), dtype=np.int64) for i in range(len(left_chain))]
         self.rparent = [_parent_map(right_chain[i], right_chain[i - 1]) if i else np.zeros(len(right_chain[0]), dtype=np.int64) for i in range(len(right_chain))]
-        root = CoreMember(level=0, index=0, quotient=BipartiteGraph.complete(VertexClass("L", 1), VertexClass("R", 1)), parent=None)
+        root = CoreMember(level=0, index=0, quotient=BipartiteGraph.complete(VertexClass("L", 1), VertexClass("R", 1)))
         self.members = [[root]]
         self.gamma_records = {}
         self._materialized = {}
@@ -253,9 +252,6 @@ class CoreSequence:
 
     def right_parts(self, i: int) -> VertexPartition:
         return self.right_chain[i - 1]
-
-    def member(self, level: int, index: int) -> CoreMember:
-        return self.members[level][index]
 
     def ancestor_index(self, level: int, index: int, at_level: int) -> int:
         return index >> (level - at_level)
@@ -348,26 +344,28 @@ def build_core_sequence(profile: GrowthProfile, seed: int, left_chain=None, righ
         left_chain, right_chain = default_chains(profile)
     seq = CoreSequence(profile, left_chain, right_chain, seed)
     for i in range(1, profile.s + 1):
-        xs = seq.x_cells(i)
-        ys = seq.y_cells(i)
         level_members = []
         for idx, parent in enumerate(seq.members[i - 1]):
             fam = [neighbor_family(seq, i, L, member=idx).members for L in range(parent.quotient.left.size)]
-            spec = BalanceSpec(x_cells=xs, y_cells=ys, family=fam, alpha=profile.alpha_at(i), beta=profile.beta)
-            gseed = derive_seed(seed, "gamma", i, idx)
-            bg, telemetry = sample_balanced(spec, gseed, max_retries=profile.max_retries, enforce=profile.enforce)
-            seq.gamma_records[(i, idx)] = {"seed": gseed, "telemetry": telemetry, "balanced": bg}
-            expand = _expand_quotient(parent.quotient, seq.lparent[i - 1], seq.rparent[i - 1], profile.l_sizes[i - 1], profile.r_sizes[i - 1])
-            inter = expand.rows & bg.graph.rows
-            rest = expand.rows & ~bg.graph.rows
-            lcls = VertexClass("L", profile.l_sizes[i - 1])
-            rcls = VertexClass("R", profile.r_sizes[i - 1])
-            child1 = BipartiteGraph(lcls, rcls, inter)
-            child2 = BipartiteGraph(lcls, rcls, rest)
-            level_members.append(CoreMember(level=i, index=2 * idx, quotient=child1, parent=idx))
-            level_members.append(CoreMember(level=i, index=2 * idx + 1, quotient=child2, parent=idx))
+            spec = BalanceSpec(x_cells=seq.x_cells(i), y_cells=seq.y_cells(i), family=fam, alpha=profile.alpha_at(i), beta=profile.beta)
+            try:
+                bg, telemetry = sample_balanced(spec, derive_seed(seed, "gamma", i, idx), max_retries=profile.max_retries, enforce=profile.enforce)
+            except SamplerExhausted as e:
+                raise SamplerExhausted(e.failures, f"level {i}, member {idx}: ") from None
+            seq.gamma_records[(i, idx)] = {"telemetry": telemetry, "balanced": bg}
+            level_members += _split_by_gamma(seq, i, idx, bg.graph)
         seq.members.append(level_members)
     return seq
+
+
+def _split_by_gamma(seq: CoreSequence, i: int, idx: int, gamma: BipartiteGraph) -> list:
+    """The two level-i children of member idx of level i - 1, split by the
+    balanced graph gamma on the level-i clusters: the parent's quotient
+    expanded to level i AND gamma is child 2 idx, AND NOT gamma child
+    2 idx + 1."""
+    expand = _expand_quotient(seq.members[i - 1][idx].quotient, seq.lparent[i - 1], seq.rparent[i - 1], gamma.left.size, gamma.right.size)
+    halves = (expand.rows & gamma.rows, expand.rows & ~gamma.rows)
+    return [CoreMember(i, 2 * idx + k, BipartiteGraph(expand.left, expand.right, rows)) for k, rows in enumerate(halves)]
 
 
 def _expand_quotient(q: BipartiteGraph, lparent, rparent, l_new, r_new) -> BipartiteGraph:
@@ -383,17 +381,19 @@ def verify_structure(seq: CoreSequence) -> dict:
     two-child chain splits, zero/one block densities, neighbor-family
     cardinalities.
 
-    All four are decided on the stored quotients.  A level-j member's vertex
+    All four are decided on the quotients.  A level-j member's vertex
     graph is its quotient q blown up, g[u, v] = q[c(u), c(v)] with c the
     level-j cluster of a vertex and every cluster non-empty: every block is
     complete or empty exactly when q has one row per level-j left cluster
     and one column per right cluster, its edge count is the sum of
     q[a, b] |a| |b|, and two children split their parent's vertex graph
     exactly when their quotients are disjoint and their union is the
-    parent's quotient expanded to level j (the load checks that level j
-    refines level j - 1).  A member of another shape fails the block claim
-    and every split it is part of, and its density and neighbor families are
-    not counted."""
+    parent's quotient expanded to level j.  The split is recounted apart
+    from ``_split_by_gamma``, which derives the members of a build and of a
+    load, so it guards that derivation as well as sequences changed in
+    memory.  A member of another shape fails the block claim and every
+    split it is part of, and its density and neighbor families are not
+    counted."""
     prof = seq.profile
     report = {"density": True, "chain": True, "blocks": True, "families": True, "failures": []}
     misshapen = set()
@@ -1401,30 +1401,26 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
 
 
 def save_core_sequence(seq: CoreSequence, out_dir: str) -> dict:
-    """Write the manifest, every member's quotient and every Gamma.  The
-    chain is not stored: the loader rebuilds it as ``default_chains`` of the
-    recorded profile, so a sequence on any other chain raises ValueError."""
-    if (list(seq.left_chain), list(seq.right_chain)) != default_chains(seq.profile):
-        raise ValueError("a core artifact stores no chain: only a sequence on default_chains(profile) can be saved")
+    """Write the manifest and, as ``gamma-i-m.bin``, the Gamma that split
+    member m of level i - 1, its SHA-256 in ``gamma_hashes``.  Neither the
+    members nor the chain are stored: the loader derives them from the
+    Gammas and the profile, so a sequence on a chain other than
+    ``default_chains(profile)``, or one not built, raises ValueError."""
+    if (list(seq.left_chain), list(seq.right_chain)) != default_chains(seq.profile) or len(seq.gamma_records) < (1 << seq.profile.s) - 1:
+        raise ValueError("a core artifact stores its Gammas and no chain: only a sequence built on default_chains(profile) can be saved")
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "profile": seq.profile.to_json(),
         "seed": seq.seed,
         "gamma_telemetry": {f"{i}/{idx}": rec["telemetry"]["draws"] for (i, idx), rec in seq.gamma_records.items()},
-        "member_hashes": {},
+        "gamma_hashes": {},
         "sampler_stream": SAMPLER_STREAM,
     }
-    for j in range(1, seq.profile.s + 1):
-        for m in seq.members[j]:
-            path = os.path.join(out_dir, f"quotient-{j}-{m.index}.bin")
-            blob = bipartite_to_binary(m.quotient)
-            with open(path, "wb") as f:
-                f.write(blob)
-            manifest["member_hashes"][f"{j}/{m.index}"] = hashlib.sha256(blob).hexdigest()
     for (i, idx), rec in seq.gamma_records.items():
-        path = os.path.join(out_dir, f"gamma-{i}-{idx}.bin")
-        with open(path, "wb") as f:
-            f.write(bipartite_to_binary(rec["balanced"].graph))
+        blob = bipartite_to_binary(rec["balanced"].graph)
+        with open(os.path.join(out_dir, f"gamma-{i}-{idx}.bin"), "wb") as f:
+            f.write(blob)
+        manifest["gamma_hashes"][f"{i}/{idx}"] = hashlib.sha256(blob).hexdigest()
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
     return manifest
@@ -1435,32 +1431,33 @@ class ArtifactMismatch(ValueError):
 
 
 def load_core_sequence(out_dir: str) -> CoreSequence:
-    """The chain saved in out_dir.  Only ``manifest.json`` and the
-    ``quotient-j-m.bin`` files are read: the cluster partitions are
-    ``default_chains`` of the recorded profile, the ones every saved
-    sequence was built on.  Every quotient file must have the SHA-256 that
-    ``member_hashes`` records for it, else ArtifactMismatch naming the file;
-    a file that does not parse raises ValueError first, and so does a
-    quotient whose shape is not the profile's cluster counts at its level.
-    An artifact whose manifest records no ``sampler_stream``, or another one
-    than ``SAMPLER_STREAM``, raises ValueError: its Gammas came from another
-    seed stream, and it must be rebuilt."""
+    """The chain saved in out_dir, from ``manifest.json`` and the
+    ``gamma-i-m.bin`` files alone: the partitions are ``default_chains`` of
+    the recorded profile, and each parent's children are split by its Gamma
+    as the build split them.  A Gamma file must have the SHA-256 that
+    ``gamma_hashes`` records, else ArtifactMismatch naming the file, before
+    it is parsed; one that does not parse raises ValueError, and so does one
+    that is not l_i x r_i.  A manifest without a ``gamma_hashes`` object (an
+    older artifact of quotient files) or ``SAMPLER_STREAM`` raises
+    ValueError: the artifact must be rebuilt."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
     check_sampler_stream(manifest, "manifest.json", "build-core")
+    if type(manifest.get("gamma_hashes")) is not dict:
+        raise ValueError("manifest.json records no gamma_hashes object: the artifact stores no Gammas; rebuild it with build-core")
     profile = GrowthProfile.from_json(manifest["profile"])
     seq = CoreSequence(profile, *default_chains(profile), manifest["seed"])
-    for j in range(1, profile.s + 1):
-        members = []
-        for idx in range(1 << j):
-            name = f"quotient-{j}-{idx}.bin"
+    for i in range(1, profile.s + 1):
+        shape, level_members = (profile.l_sizes[i - 1], profile.r_sizes[i - 1]), []
+        for idx in range(1 << (i - 1)):
+            name = f"gamma-{i}-{idx}.bin"
             with open(os.path.join(out_dir, name), "rb") as f:
                 blob = f.read()
-            q = bipartite_from_binary(blob)
-            if hashlib.sha256(blob).hexdigest() != manifest["member_hashes"][f"{j}/{idx}"]:
+            if hashlib.sha256(blob).hexdigest() != manifest["gamma_hashes"][f"{i}/{idx}"]:
                 raise ArtifactMismatch(f"{name} does not match its hash in manifest.json")
-            if (q.left.size, q.right.size) != (profile.l_sizes[j - 1], profile.r_sizes[j - 1]):
-                raise ValueError(f"{name} is a {q.left.size} x {q.right.size} quotient, not {profile.l_sizes[j - 1]} x {profile.r_sizes[j - 1]}")
-            members.append(CoreMember(level=j, index=idx, quotient=q, parent=idx // 2))
-        seq.members.append(members)
+            gamma = bipartite_from_binary(blob)
+            if (gamma.left.size, gamma.right.size) != shape:
+                raise ValueError(f"{name} is a {gamma.left.size} x {gamma.right.size} graph, not {shape[0]} x {shape[1]}")
+            level_members += _split_by_gamma(seq, i, idx, gamma)
+        seq.members.append(level_members)
     return seq

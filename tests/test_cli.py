@@ -66,20 +66,35 @@ def test_unknown_suite_usage_error(core_artifact):
 
 
 def test_planted_corruption_fails_with_located_claim(core_artifact, tmp_path, capsys):
-    import shutil
+    """One bit of the Gamma that splits member 1 of level 1, flipped where
+    that parent's expanded quotient has an edge, with the manifest rehashed:
+    the loader splits the parent by the flipped Gamma, so one child gains a
+    cluster block and the other loses it.  The density claim fails naming
+    both children; the split itself still holds."""
+    from deltareg import core as C
+    from deltareg.graphs import BipartiteGraph, bipartite_from_binary, bipartite_to_binary
 
     _, out = core_artifact
     broken = tmp_path / "broken"
     shutil.copytree(out, broken)
-    # flip one low bit in a level-2 quotient (keeping the container valid)
-    path = broken / "quotient-2-1.bin"
-    blob = bytearray(path.read_bytes())
-    blob[-8] ^= 1
+    seq = C.load_core_sequence(str(broken))
+    support = seq.members[2][2].quotient.rows | seq.members[2][3].quotient.rows  # the parent, expanded
+    row, col = (int(x) for x in np.argwhere(C._kernels.unpack_rows(support, PROFILE["r_sizes"][1]))[0])
+    path = broken / "gamma-2-1.bin"
+    gamma = bipartite_from_binary(path.read_bytes())
+    rows = gamma.rows.copy()
+    rows[row, col >> 6] ^= np.uint64(1) << np.uint64(col & 63)
+    blob = bipartite_to_binary(BipartiteGraph(gamma.left, gamma.right, rows))
     path.write_bytes(blob)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    manifest["gamma_hashes"]["2/1"] = hashlib.sha256(blob).hexdigest()
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
     rc = main(["verify", "--artifact", str(broken), "--suite", "core-structural"])
     text = capsys.readouterr().out
     assert rc == 1
-    assert "[FAIL]" in text
+    assert "[FAIL] density-dyadic" in text and "[PASS] chain-two-child-split" in text
+    assert "[FAIL] failures: [('density', 2, 2), ('density', 2, 3)]" in text
 
 
 def test_certify_flow_and_tamper(core_artifact, capsys):
@@ -604,12 +619,17 @@ def test_short_refuted_graph_exits_2(certified_artifact, tmp_path, capsys, size)
     assert "truncated binary container" in capsys.readouterr().err
 
 
-def test_short_quotient_exits_2(core_artifact, tmp_path, capsys):
+def test_short_gamma_exits_2(core_artifact, tmp_path, capsys):
+    """A Gamma cut short inside its header, its hash recorded in the
+    manifest, is refused by the parser: exit 2, not a traceback."""
     _, out = core_artifact
     art = tmp_path / "art"
     shutil.copytree(out, art)
-    blob = (art / "quotient-2-1.bin").read_bytes()
-    (art / "quotient-2-1.bin").write_bytes(blob[:10])
+    blob = (art / "gamma-2-1.bin").read_bytes()[:10]
+    (art / "gamma-2-1.bin").write_bytes(blob)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["gamma_hashes"]["2/1"] = hashlib.sha256(blob).hexdigest()
+    (art / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", "--artifact", str(art), "--suite", "core-structural"]) == 2
     assert "truncated binary container" in capsys.readouterr().err
 
@@ -641,24 +661,53 @@ def test_sampler_exhaustion_exits_1(tmp_path, capsys):
     profile = tmp_path / "harsh.json"
     profile.write_text(json.dumps({"s": 1, "r_sizes": [8], "l_sizes": [16], "alpha": "0", "beta": "0", "max_retries": 2}))
     assert main(["build-core", "--profile", str(profile), "--seed", "0", "--out", str(tmp_path / "out")]) == 1
-    assert "retries exhausted" in capsys.readouterr().err
+    assert "error: level 1, member 0: sampler retries exhausted" in capsys.readouterr().err
 
 
-def test_swapped_quotients_fail_the_core_suites_and_certify(certified_artifact, tmp_path, capsys):
-    """Two sibling quotients swapped on disk are well-formed files, but not
-    the ones the manifest hashed: both core suites and certify exit 1 and
-    name the file."""
+# at s 1 condition (iii) rejects every one of the 50 draws of the first Gamma
+EXHAUSTING_SCHEDULE = {"t_values": [4, 16, 256], "a_maps": {"3": [1, 2, 2]}, "a_star_maps": {"3": [1, 2, 2]}}
+
+
+def test_a_sampler_that_gives_up_in_a_hypergraph_build_exits_1(hypergraph_artifact, tmp_path, capsys):
+    """build-hypergraph, and the hypergraph suite's replay of an instance.json
+    edited to that schedule, exit 1 with an error line naming the level and
+    the member, not a traceback."""
+    (tmp_path / "schedule.json").write_text(json.dumps(EXHAUSTING_SCHEDULE))
+    capsys.readouterr()
+    out = tmp_path / "built"
+    argv = ["build-hypergraph", "--k", "3", "--s", "1", "--blowup", "1", "--seed", "0", "--schedule", str(tmp_path / "schedule.json")]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "error: level 1, member 0: sampler retries exhausted; failure counts {'ii': 0, 'iii': 50}" in capsys.readouterr().err
+    assert not out.exists()
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    meta = json.loads((d / "instance.json").read_text())
+    (d / "instance.json").write_text(json.dumps({**meta, "s": 1, "schedule": EXHAUSTING_SCHEDULE}))
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 1
+    assert re.search(r"^error: level 1, member 0: sampler retries exhausted", capsys.readouterr().err, re.M)
+
+
+@pytest.mark.parametrize("tamper", ["swap", "flip"])
+def test_a_tampered_gamma_fails_the_core_suites_and_certify(certified_artifact, tmp_path, capsys, tamper):
+    """Two sibling Gammas swapped on disk, or one byte of a Gamma's rows
+    flipped, leave well-formed files, but not the ones the manifest hashed:
+    both core suites and certify exit 1 and name the file."""
     art = tmp_path / "art"
     shutil.copytree(certified_artifact, art)
-    a, b = art / "quotient-2-0.bin", art / "quotient-2-1.bin"
+    a, b = art / "gamma-2-0.bin", art / "gamma-2-1.bin"
     blob_a, blob_b = a.read_bytes(), b.read_bytes()
-    a.write_bytes(blob_b)
-    b.write_bytes(blob_a)
+    if tamper == "swap":
+        a.write_bytes(blob_b)
+        b.write_bytes(blob_a)
+    else:
+        flipped = bytearray(blob_a)
+        flipped[len(flipped) // 2] ^= 1
+        a.write_bytes(flipped)
     capsys.readouterr()
     for suite in ("core-structural", "core-properties"):
         assert main(["verify", "--artifact", str(art), "--suite", suite]) == 1
         out = capsys.readouterr().out
-        assert "[FAIL] member-hashes: quotient-2-0.bin does not match its hash in manifest.json" in out
+        assert "[FAIL] gamma-hashes: gamma-2-0.bin does not match its hash in manifest.json" in out
         assert "suite FAIL" in out
     parts = certified_artifact.parent
     rc = main([
@@ -668,7 +717,34 @@ def test_swapped_quotients_fail_the_core_suites_and_certify(certified_artifact, 
         "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
     ])
     assert rc == 1
-    assert "quotient-2-0.bin does not match its hash" in capsys.readouterr().err
+    assert "gamma-2-0.bin does not match its hash" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.txt").exists()
+
+
+def test_an_artifact_of_quotient_files_exits_2(certified_artifact, tmp_path, capsys):
+    """A manifest that hashes member quotients (member_hashes) and no Gamma
+    is the format before the Gammas became the record of the chain: both
+    core suites and certify exit 2 and ask for a rebuild."""
+    art = tmp_path / "art"
+    shutil.copytree(certified_artifact, art)
+    manifest = json.loads((art / "manifest.json").read_text())
+    manifest["member_hashes"] = manifest.pop("gamma_hashes")
+    (art / "manifest.json").write_text(json.dumps(manifest))
+    parts = certified_artifact.parent
+    capsys.readouterr()
+    for argv in (
+        ["verify", "--artifact", str(art), "--suite", "core-structural"],
+        ["verify", "--artifact", str(art), "--suite", "core-properties"],
+        [
+            "certify", "--artifact", str(art),
+            "--left-partition", str(parts / "P.part"), "--right-partition", str(parts / "Q.part"),
+            "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+            "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+        ],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "manifest.json records no gamma_hashes" in err and "rebuild it with build-core" in err
     assert not (tmp_path / "certificate.txt").exists()
 
 
@@ -710,8 +786,8 @@ def test_a_planted_partition_file_changes_no_verdict_and_no_certificate(certifie
     assert (art / "certificate.txt").read_bytes() == (certified_artifact / "certificate.txt").read_bytes()
 
 
-def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
-    """A level-1 quotient with one left cluster too few, its hash recorded
+def test_gamma_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
+    """A level-1 Gamma with one left cluster too few, its hash recorded
     in the manifest: a malformed artifact (exit 2), not a traceback."""
     import hashlib
 
@@ -720,16 +796,16 @@ def test_quotient_of_the_wrong_shape_exits_2(core_artifact, tmp_path, capsys):
     _, out = core_artifact
     art = tmp_path / "art"
     shutil.copytree(out, art)
-    q = bipartite_from_binary((art / "quotient-1-0.bin").read_bytes())
-    blob = bipartite_to_binary(BipartiteGraph(VertexClass("L", q.left.size - 1), q.right, q.rows[:-1].copy()))
-    (art / "quotient-1-0.bin").write_bytes(blob)
+    q = bipartite_from_binary((art / "gamma-1-0.bin").read_bytes())
+    blob = bipartite_to_binary(BipartiteGraph(VertexClass("X", q.left.size - 1), q.right, q.rows[:-1].copy()))
+    (art / "gamma-1-0.bin").write_bytes(blob)
     manifest = json.loads((art / "manifest.json").read_text())
-    manifest["member_hashes"]["1/0"] = hashlib.sha256(blob).hexdigest()
+    manifest["gamma_hashes"]["1/0"] = hashlib.sha256(blob).hexdigest()
     (art / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     for suite in ("core-structural", "core-properties"):
         assert main(["verify", "--artifact", str(art), "--suite", suite]) == 2
-        assert "quotient-1-0.bin is a 15 x 8 quotient, not 16 x 8" in capsys.readouterr().err
+        assert "gamma-1-0.bin is a 15 x 8 graph, not 16 x 8" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -743,9 +819,8 @@ def cx_artifact(tmp_path_factory):
 # every file each command writes, with its digits as N, and what reads it
 ARTIFACT_FILES = {
     "build-core": {
-        "manifest.json": "every core load: profile, seed, sampler stream and quotient hashes",
-        "quotient-N-N.bin": "core-structural, core-properties and certify",
-        "gamma-N-N.bin": "unread: ROADMAP direction 3 hash-checks and reloads each Gamma",
+        "manifest.json": "every core load: profile, seed, sampler stream and Gamma hashes",
+        "gamma-N-N.bin": "every core load",
         "run-manifest.json": "provenance: the command, its arguments and every artifact's SHA-256",
     },
     "certify": {

@@ -288,14 +288,15 @@ def test_save_load_round_trip(tmp_path, small_seq):
     assert C.verify_structure(seq2)["ok"]
 
 
-def test_saved_artifact_holds_no_chain_and_the_loader_reads_only_manifest_and_quotients(tmp_path, small_seq, monkeypatch):
-    """The chain is a function of the profile: the writer stores none, and
-    the loader opens the manifest and the quotients only and rebuilds the
-    chain as default_chains(profile), owner for owner."""
+def test_saved_artifact_holds_no_chain_and_the_loader_reads_only_manifest_and_gammas(tmp_path, small_seq, monkeypatch):
+    """The chain is a function of the profile and the members follow from
+    the Gammas: the writer stores neither, and the loader opens the
+    manifest and the Gammas only and rebuilds the chain as
+    default_chains(profile), owner for owner."""
     d = tmp_path / "seq"
     manifest = C.save_core_sequence(small_seq, str(d))
-    assert sorted(manifest) == ["gamma_telemetry", "member_hashes", "profile", "sampler_stream", "seed"]
-    assert not list(d.glob("*.part"))
+    assert sorted(manifest) == ["gamma_hashes", "gamma_telemetry", "profile", "sampler_stream", "seed"]
+    assert sorted(p.name for p in d.iterdir()) == ["gamma-1-0.bin", "gamma-2-0.bin", "gamma-2-1.bin", "manifest.json"]
     opened = []
 
     def recording_open(path, *args, **kwargs):
@@ -304,7 +305,7 @@ def test_saved_artifact_holds_no_chain_and_the_loader_reads_only_manifest_and_qu
 
     monkeypatch.setattr(C, "open", recording_open, raising=False)
     seq = C.load_core_sequence(str(d))
-    assert opened == ["manifest.json"] + [f"quotient-{j}-{m}.bin" for j in (1, 2) for m in range(1 << j)]
+    assert opened == ["manifest.json", "gamma-1-0.bin", "gamma-2-0.bin", "gamma-2-1.bin"]
     left, right = C.default_chains(small_seq.profile)
     for got, want in zip(seq.left_chain + seq.right_chain, left + right):
         assert np.array_equal(got.owner, want.owner)
@@ -1149,6 +1150,18 @@ def test_desk_build_is_pinned_at_seed_1(desk_seq):
     assert gammas == DESK_SEED_1_GAMMAS
 
 
+def test_desk_artifact_loads_the_pinned_quotients(desk_seq, tmp_path):
+    """The desk artifact at seed 1 stores the seven Gammas and no quotient,
+    and the loader derives every quotient pinned above from them."""
+    import hashlib
+
+    C.save_core_sequence(desk_seq, str(tmp_path))
+    assert {p.name for p in tmp_path.iterdir()} == {"manifest.json"} | {f"gamma-{i}-{m}.bin" for i, m in DESK_SEED_1_GAMMAS}
+    seq = C.load_core_sequence(str(tmp_path))
+    quotients = {(i, m.index): hashlib.sha256(bipartite_to_binary(m.quotient)).hexdigest() for i, level in enumerate(seq.members) for m in level}
+    assert quotients == DESK_SEED_1_QUOTIENTS
+
+
 def _with_quotient(seq, level, member, rows):
     """A copy of the chain whose (level, member) quotient has these rows;
     the copy materializes its member graphs afresh."""
@@ -1157,7 +1170,7 @@ def _with_quotient(seq, level, member, rows):
     out = copy.copy(seq)
     out.members = [list(level_members) for level_members in seq.members]
     q = seq.members[level][member].quotient
-    out.members[level][member] = C.CoreMember(level, member, BipartiteGraph(q.left, q.right, rows), member // 2)
+    out.members[level][member] = C.CoreMember(level, member, BipartiteGraph(q.left, q.right, rows))
     out._materialized = {}
     return out
 
@@ -1475,7 +1488,7 @@ def _with_shape(seq, level, member, left, right):
     left x right graph."""
     out = _with_quotient(seq, level, member, seq.members[level][member].quotient.rows)
     q = BipartiteGraph(VertexClass("L", left), VertexClass("R", right), C._kernels.zero_rows(left, right))
-    out.members[level][member] = C.CoreMember(level, member, q, member // 2)
+    out.members[level][member] = C.CoreMember(level, member, q)
     return out
 
 

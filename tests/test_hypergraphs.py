@@ -90,7 +90,7 @@ def test_family_with_copied_subtrees_fails_the_level_1_split(k3_family):
         half = 1 << (j - 1)
         for idx in range(half):
             m = seq.members[j][idx]
-            seq.members[j][idx + half] = CoreMember(j, idx + half, m.quotient, (idx + half) // 2)
+            seq.members[j][idx + half] = CoreMember(j, idx + half, m.quotient)
     seq._materialized = {}
     tampered = copy.copy(k3_family)
     tampered.core_seq = seq

@@ -21,7 +21,9 @@ The balanced checker decides conditions (i) and (iii) on one X-cell layout,
 and every pair bound, (ii) and (iii) of the checker, the standalone
 agreement bound and core item 2, goes through one pair sweep with no pair
 list or per-cell mask; only ``_kernels`` and the oracles count bits.
-Only the seeded builders and the named refuter draw random numbers.
+Only the seeded builders and the named refuter draw random numbers.  A
+parent quotient is expanded to the next level by the one split that derives
+the members of a build and of a load, and by the structural recount only.
 """
 
 import ast
@@ -285,6 +287,15 @@ def test_only_the_builders_and_the_refuter_draw():
     offenders = [f"{mod}.py:{line} in {where or '<module>'}" for mod, where, line in draws if (mod, where) not in DRAWS]
     assert offenders == [], f"random draws outside the builders and the refuter: {offenders}"
     assert {(mod, where) for mod, where, _ in draws} == DRAWS  # the scan sees every allowed draw
+
+
+def test_only_the_split_and_the_structural_recount_expand_a_quotient():
+    """Build and load derive every member through ``_split_by_gamma``;
+    ``verify_structure`` recounts that split apart from it."""
+    callers = {(mod, where) for mod, scan in SCANS.items() for where, name, _ in scan.calls if name == "_expand_quotient"}
+    assert callers == {("core", "_split_by_gamma"), ("core", "verify_structure")}
+    split = {(mod, where) for mod, scan in SCANS.items() for where, name, _ in scan.calls if name == "_split_by_gamma"}
+    assert split == {("core", "build_core_sequence"), ("core", "load_core_sequence")}
 
 
 def test_no_verdict_reads_unknown():
