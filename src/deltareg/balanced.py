@@ -249,8 +249,10 @@ def _find_involution(yrows: np.ndarray, spec: BalanceSpec):
 
 
 def check_sampler_stream(meta: dict, name: str, command: str) -> None:
-    """Raise ValueError unless meta records the JSON integer SAMPLER_STREAM
-    as ``sampler_stream``."""
+    """Raise ValueError unless meta is a JSON object that records the JSON
+    integer SAMPLER_STREAM as ``sampler_stream``."""
+    if type(meta) is not dict:
+        raise ValueError(f"{name} holds {meta!r}, not a JSON object")
     stream = meta.get("sampler_stream")
     if type(stream) is not int or stream != SAMPLER_STREAM:
         raise ValueError(f"{name} records sampler stream {stream!r}, not {SAMPLER_STREAM}: rebuild the artifact with {command}")

@@ -100,6 +100,9 @@ def cmd_build_hypergraph(args) -> int:
     if args.k < 2:
         print("error: uniformity must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.blowup < 1:
+        print("error: blowup must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.schedule:
             with open(args.schedule) as f:
@@ -269,7 +272,14 @@ def _suite_hypergraph(artifact: str) -> dict:
     differ = [name for name, h, r in zip(names, [merged, *window_graphs], rebuilt) if h != r]
     dens = hg_mod.pasted_density_check(inst)
     got, expected = dens["merged_density"], dens["expected"]
-    fam_rep = hg_mod.verify_family(inst.families[0])
+    # every window's family chain, and every window as read bound to its picked member
+    fam_fail = None
+    for x, (fam, h) in enumerate(zip(inst.families, window_graphs)):
+        failures = hg_mod.verify_family(fam)["failures"]
+        if failures or not hg_mod.is_member_lift(h, fam, s, inst.picked[x]):
+            fam_fail = f"family of window-{x}.bin fails {failures[0]}" if failures else (
+                f"window-{x}.bin is not the axis-{k} lift of its family's level-{s} member {inst.picked[x]}")
+            break
     claims = [
         {"id": "merged-density", "ok": got == expected, "detail": f"{got} = (2k/2^k)2^-s = {expected}"},
         {"id": "window-densities", "ok": all(dens["per_window"]), "detail": "each window graph has density 2^-s"},
@@ -280,29 +290,31 @@ def _suite_hypergraph(artifact: str) -> dict:
             "detail": f"rebuild from the manifest seed differs in {', '.join(differ)}" if differ
             else "rebuild from the manifest seed is byte-identical in every graph file",
         },
-        {"id": "family-invariants", "ok": fam_rep["ok"], "detail": "dyadic densities, chain splits, lift round-trip"},
+        {"id": "family-invariants", "ok": fam_fail is None, "detail": fam_fail or f"all {2 * k} families pass; each window lifts its picked member"},
     ]
     return {"ok": all(c["ok"] for c in claims), "claims": claims}
 
 
-def _counterexample_params(meta: dict, seed: int) -> cx_mod.CounterexampleParams:
-    """Counterexample params from a params file or a stored params.json:
-    delta and q as fractions, k and m (1 when absent) as JSON integers.
-    Other keys are ignored, such as the ``relaxed`` flag that earlier
-    builds stored."""
+def _counterexample_params(meta: dict, seed=None) -> cx_mod.CounterexampleParams:
+    """Counterexample params from a params file or a stored params.json, a
+    JSON object: delta and q as fractions, k, m (1 when absent) and, unless
+    given, the seed as JSON integers.  Other keys are ignored, such as the
+    ``relaxed`` flag that earlier builds stored."""
+    if type(meta) is not dict:
+        raise ValueError(f"params hold {meta!r}, not a JSON object")
     return cx_mod.CounterexampleParams(
         delta=_json_fraction(meta, "delta"),
         q=_json_fraction(meta, "q"),
         k=_json_int(meta, "k"),
         m=_json_int({"m": 1, **meta}, "m"),
-        seed=seed,
+        seed=_json_int(meta, "seed") if seed is None else seed,
     )
 
 
 def _suite_counterexample(artifact: str) -> dict:
     with open(os.path.join(artifact, "params.json")) as f:
         meta = json.load(f)
-    params = _counterexample_params(meta, _json_int(meta, "seed"))
+    params = _counterexample_params(meta)
     pairs = {name: bipartite_from_binary(_read_bytes(artifact, f"{name}.bin")) for name in ("ab", "ac", "bc")}
     # every class has k * m vertices; decided first, since the triangle
     # count indexes one pair's rows by another's columns

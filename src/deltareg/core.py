@@ -1446,7 +1446,7 @@ def load_core_sequence(out_dir: str) -> CoreSequence:
     if type(manifest.get("gamma_hashes")) is not dict:
         raise ValueError("manifest.json records no gamma_hashes object: the artifact stores no Gammas; rebuild it with build-core")
     profile = GrowthProfile.from_json(manifest["profile"])
-    seq = CoreSequence(profile, *default_chains(profile), manifest["seed"])
+    seq = CoreSequence(profile, *default_chains(profile), _json_int(manifest, "seed"))
     for i in range(1, profile.s + 1):
         shape, level_members = (profile.l_sizes[i - 1], profile.r_sizes[i - 1]), []
         for idx in range(1 << (i - 1)):

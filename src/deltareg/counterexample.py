@@ -84,6 +84,8 @@ class CounterexampleParams:
             raise ValueError(f"class size k {self.k} and blowup m {self.m} must be at least 1")
         if not (0 < self.q <= 1 and 0 < self.delta <= 1):
             raise ValueError(f"q {self.q} and delta {self.delta} must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
 
     @property
     def p(self) -> Fraction:

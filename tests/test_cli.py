@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -344,6 +345,74 @@ def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, t
     if expect is not None:
         code, says = expect
         assert rc == code and says in (out if code == 1 else err)
+
+
+def _copied_subtrees(inst):
+    """Family 3 with each chain level's second half a copy of its first:
+    only its level-1 split fails."""
+    from deltareg.core import CoreMember
+
+    fam = copy.copy(inst.families[3])
+    fam.core_seq = seq = copy.copy(fam.core_seq)
+    seq.members = [list(level) for level in seq.members]
+    for j in range(1, fam.s + 1):
+        half = 1 << (j - 1)
+        for idx in range(half):
+            seq.members[j][idx + half] = CoreMember(j, idx + half, seq.members[j][idx].quotient)
+    seq._materialized = {}
+    inst.families[3] = fam
+
+
+def _another_pick(inst):
+    """Window 4 recorded as the lift of its family's other level-2 member
+    under the same parent."""
+    inst.picked[4] ^= 1
+
+
+@pytest.mark.parametrize("tamper, says", [
+    (_copied_subtrees, "family of window-3.bin fails ('chain', 1, 0)"),
+    (_another_pick, "window-4.bin is not the axis-3 lift of its family's level-2 member"),
+])
+def test_a_rebuild_with_a_bad_family_fails_family_invariants(hypergraph_artifact, monkeypatch, capsys, tamper, says):
+    """Every window's family is checked, not only family 0, and every window
+    is bound to its family's picked member: a rebuild whose graphs are
+    unchanged but whose family 3 has copied subtrees, or whose window 4
+    names another member, replays identically and fails family-invariants
+    naming the window."""
+    from deltareg import hypergraphs
+
+    build = hypergraphs.build_pasted_instance
+
+    def tampered(*args, **kwargs):
+        inst = build(*args, **kwargs)
+        tamper(inst)
+        return inst
+
+    monkeypatch.setattr(hypergraphs, "build_pasted_instance", tampered)
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(hypergraph_artifact), "--suite", "hypergraph"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] replay-identical" in out
+    assert f"[FAIL] family-invariants: {says}" in out
+
+
+def test_a_window_of_another_member_of_its_family_fails_the_binding(hypergraph_artifact, tmp_path, capsys):
+    """A window file that is the lift of another depth-s member of its own
+    family is not the picked member's lift."""
+    from deltareg import hypergraphs
+    from deltareg.graphs import kgraph_to_binary
+    from deltareg.schedules import DeskSchedule
+
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    meta = json.loads((d / "instance.json").read_text())
+    sched = DeskSchedule.from_json(meta["schedule"])
+    inst = hypergraphs.build_pasted_instance(3, 2, sched, meta["seed"], blowup=meta["blowup"], core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
+    (d / "window-2.bin").write_bytes(kgraph_to_binary(inst.families[2].h_member(2, inst.picked[2] ^ 1)))
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] family-invariants: window-2.bin is not the axis-3 lift of its family's level-2 member {inst.picked[2]}" in out
 
 
 def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_path, capsys):
@@ -948,7 +1017,7 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("k", "30.7"), ("k", '"30"'), ("m", "true"), ("m", "2.0"))),
         *(f"verify counterexample params.json {key} {value}"
-          for key, value in (("seed", '"5"'), ("seed", "5.0"))),
+          for key, value in (("seed", '"5"'), ("seed", "5.0"), ("seed", "-1"))),
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("delta", "true"), ("delta", "0.5"), ("q", "0.1"), ("q", "false"))),
         *(f"verify hypergraph instance.json {key} {value}"
@@ -981,6 +1050,63 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
         assert not (tmp_path / "certificate.txt").exists()
     elif case.startswith("counterexample"):
         assert not (tmp_path / "cx").exists()
+
+
+@pytest.mark.parametrize("where, value", [
+    *((where, value) for where in ("core-structural", "core-properties", "certify", "hypergraph", "counterexample", "--params")
+      for value in ([1], "x")),
+    ("core-structural seed", "one"),
+    ("certify seed", "one"),
+])
+def test_a_json_input_that_is_not_an_object_exits_2(certified_artifact, cx_artifact, hypergraph_artifact, tmp_path, capsys, where, value):
+    """A manifest.json (both core suites and certify), instance.json,
+    params.json or counterexample --params file that holds a JSON list or
+    string, and a manifest.json seed that is not a JSON integer, are usage
+    errors: exit 2 with an error line, never a traceback or a suite PASS,
+    and nothing written."""
+    command, _, key = where.partition(" ")
+    if command == "--params":
+        (tmp_path / "cx.json").write_text(json.dumps(value))
+        argv = ["counterexample", "--params", str(tmp_path / "cx.json"), "--seed", "5", "--out", str(tmp_path / "built")]
+    else:
+        source, name = {"hypergraph": (hypergraph_artifact, "instance.json"), "counterexample": (cx_artifact, "params.json")}.get(
+            command, (certified_artifact, "manifest.json")
+        )
+        art = tmp_path / "art"
+        shutil.copytree(source, art)
+        meta = json.loads((art / name).read_text())
+        (art / name).write_text(json.dumps({**meta, key: value} if key else value))
+        argv = ["verify", "--artifact", str(art), "--suite", command]
+        if command == "certify":
+            parts = certified_artifact.parent
+            argv = [
+                "certify", "--artifact", str(art),
+                "--left-partition", str(parts / "P.part"), "--right-partition", str(parts / "Q.part"),
+                "--delta", "1/16384", "--t", "2", "--level", "2", "--member", "0",
+                "--gamma", "1/4", "--out-cert", str(tmp_path / "certificate.txt"),
+            ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+    assert not (tmp_path / "built").exists() and not (tmp_path / "certificate.txt").exists()
+
+
+def test_counterexample_refuses_a_negative_seed_and_writes_nothing(tmp_path, capsys):
+    (tmp_path / "cx.json").write_text(json.dumps(CX_PARAMS))
+    out = tmp_path / "cx"
+    capsys.readouterr()
+    assert main(["counterexample", "--params", str(tmp_path / "cx.json"), "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: bad params: seed -1 must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blowup", ["0", "-2"])
+def test_build_hypergraph_refuses_a_blowup_below_1_by_name(tmp_path, capsys, blowup):
+    out = tmp_path / "hg"
+    capsys.readouterr()
+    assert main(["build-hypergraph", "--k", "3", "--s", "2", "--seed", "0", "--blowup", blowup, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: blowup must be at least 1\n"
+    assert not out.exists()
 
 
 def test_delta_and_q_are_fraction_strings_or_json_integers():

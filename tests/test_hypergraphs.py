@@ -227,6 +227,24 @@ def test_pasted_edge_disjoint(pasted):
     assert pasted.merged.edge_count() == sum(h.edge_count() for h in pasted.edge_graphs)
 
 
+def _k2_pasted():
+    sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
+    return H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
+
+
+@pytest.mark.parametrize("which", ["k3", "k2"])
+def test_every_window_family_passes_and_each_window_lifts_its_picked_member(pasted, which):
+    """All 2k families of a pasted instance pass the chain check, and
+    window x is the last-axis lift of member picked[x] at depth s of
+    family x."""
+    inst = pasted if which == "k3" else _k2_pasted()
+    assert len(inst.families) == len(inst.picked) == len(inst.edge_graphs) == 2 * inst.k
+    for fam, idx, h in zip(inst.families, inst.picked, inst.edge_graphs):
+        rep = H.verify_family(fam)
+        assert rep["ok"], rep["failures"][:4]
+        assert np.array_equal(aux_graph(h, inst.k).graph.rows, fam.core_seq.member_graph(inst.s, idx).rows)
+
+
 def test_beta_star_planted_lag(pasted):
     parts = [pasted.chain_per_class[2]] * 6
     parts = list(parts)
@@ -281,7 +299,7 @@ def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
     fam = _family(k, seed)
     prod = ProductClass.of(fam.classes.classes)
     for j in (1, 2):
-        assert H._select_member(fam, j) == _lex_pick_by_lifting(fam, j)
+        assert fam.h_member(j, H._select_member(fam, j)) == _lex_pick_by_lifting(fam, j)
         cells = H._edge_partition_as_vertex_partition(fam, j, prod).cells
         ref = _partition_by_lifting(fam, j, prod).cells
         assert len(cells) == len(ref) == fam.member_count(j)
@@ -291,8 +309,8 @@ def test_lift_free_pick_and_cells_match_the_lifting_code(k, seed):
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_pick_reads_one_least_code_per_member(seed, monkeypatch):
     """A chain level's members are disjoint and non-empty, so their least
-    codes differ: the pick returns the full-key winner and lifts only the
-    member it keeps."""
+    codes differ: the pick returns the full-key winner's index and lifts no
+    member."""
     fam = _family(3, seed)
     winners = {j: _lex_pick_by_lifting(fam, j) for j in (1, 2)}
     for j in (1, 2):
@@ -305,21 +323,21 @@ def test_pick_reads_one_least_code_per_member(seed, monkeypatch):
         return lift_graph_to_kgraph(*args, **kwargs)
 
     monkeypatch.setattr(H, "lift_graph_to_kgraph", counted)
+    picks = {j: H._select_member(fam, j) for j in winners}
+    assert lifts == []
     for j, winner in winners.items():
-        lifts.clear()
-        pick = H._select_member(fam, j)
-        assert len(lifts) == 1
+        pick = fam.h_member(j, picks[j])
         assert pick == winner and [c.name for c in pick.classes.classes] == [c.name for c in winner.classes.classes]
 
 
 class _StubMember:
-    def __init__(self, idx, encoded):
-        self.idx, self.encoded = idx, encoded
+    def __init__(self, encoded):
+        self.encoded = encoded
 
 
 class _StubFamily:
     """A family whose level members hold the given codes, in a given byte
-    order; h_member returns the member's index and codes."""
+    order; h_member returns the member's codes."""
 
     def __init__(self, codes, dtype):
         self.codes, self.dtype = codes, dtype
@@ -331,7 +349,7 @@ class _StubFamily:
         return min(self.codes[idx], default=None)
 
     def h_member(self, j, idx):
-        return _StubMember(idx, np.array(self.codes[idx], dtype=self.dtype))
+        return _StubMember(np.array(self.codes[idx], dtype=self.dtype))
 
 
 @pytest.mark.parametrize("dtype", ["<i8", ">i8"])
@@ -341,9 +359,9 @@ def test_lex_pick_is_bytewise_on_little_endian_codes(dtype):
     are stored in.  They tie on their least code, so their full codes
     decide: 300 is 2C 01 and 301 is 2D 01.  An empty member's key is empty,
     and so least of all."""
-    assert H._select_member(_StubFamily([[1, 2], [256, 301], [257], [256, 300]], dtype), 2).idx == 3
-    assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2).idx == 1
-    assert H._select_member(_StubFamily([[256], [], [1], []], dtype), 2).idx == 1
+    assert H._select_member(_StubFamily([[1, 2], [256, 301], [257], [256, 300]], dtype), 2) == 3
+    assert H._select_member(_StubFamily([[1, 2], [256, 300], [257], [256, 301]], dtype), 2) == 1
+    assert H._select_member(_StubFamily([[256], [], [1], []], dtype), 2) == 1
 
 
 def _sha(graphs):
@@ -355,8 +373,7 @@ def test_pasted_graphs_golden_sha256(pasted):
     a window keeps or how a k-graph is encoded changes these."""
     assert _sha([pasted.merged]) == "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f"
     assert _sha(pasted.edge_graphs) == "5a9cff4dbc67b00ec9e47d75ca263790b771f05bfafaa4a190cb3adb67dbaa1b"
-    sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
-    inst2 = H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
+    inst2 = _k2_pasted()
     assert _sha([inst2.merged]) == "c70fa6b962adc77cd58e3787c90a4da3e669fdefd827198a73cb2d8e88b31c0b"
     assert _sha(inst2.edge_graphs) == "41298496215cd3f1c14c09d74d2a9551a0ecb7f5387a6eb2544cf7b4e8547dfe"
 

@@ -23,7 +23,8 @@ agreement bound and core item 2, goes through one pair sweep with no pair
 list or per-cell mask; only ``_kernels`` and the oracles count bits.
 Only the seeded builders and the named refuter draw random numbers.  A
 parent quotient is expanded to the next level by the one split that derives
-the members of a build and of a load, and by the structural recount only.
+the members of a build and of a load, and by the structural recount only,
+which is also the one check of an inductive family's chain.
 """
 
 import ast
@@ -296,6 +297,16 @@ def test_only_the_split_and_the_structural_recount_expand_a_quotient():
     assert callers == {("core", "_split_by_gamma"), ("core", "verify_structure")}
     split = {(mod, where) for mod, scan in SCANS.items() for where, name, _ in scan.calls if name == "_split_by_gamma"}
     assert split == {("core", "build_core_sequence"), ("core", "load_core_sequence")}
+
+
+def test_the_family_check_is_the_structural_recount():
+    """An inductive family's chain is decided by ``core.verify_structure``
+    on its quotients; the family check recounts no member graph, vertex or
+    lifted, beside it."""
+    reached = _reach([("hypergraphs", "verify_family")], set())
+    assert "verify_structure" in reached
+    recounts = {"member_graph", "h_member"} & reached
+    assert recounts == set(), f"verify_family reaches {sorted(recounts)}"
 
 
 def test_no_verdict_reads_unknown():
