@@ -112,9 +112,8 @@ def cmd_build_hypergraph(args) -> int:
     except BAD_INPUT as e:
         print(f"error: bad schedule: {e}", file=sys.stderr)
         return EXIT_USAGE
-    core_kwargs = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
     try:
-        inst = hg_mod.build_pasted_instance(args.k, args.s, sched, args.seed, blowup=args.blowup, core_kwargs=core_kwargs)
+        inst = hg_mod.build_pasted_instance(args.k, args.s, sched, args.seed, blowup=args.blowup)
     except (KeyError, IndexError, ValueError) as e:
         # a table without an entry the recursion needs, or sizes the chain rejects
         print(f"error: bad schedule for k={args.k}, s={args.s}: {e!r}", file=sys.stderr)
@@ -227,14 +226,36 @@ def _suite_core_properties(artifact: str) -> dict:
 
 
 def _suite_certificate(artifact: str) -> dict:
+    """The certificate re-checked against the member it names, derived from
+    the core artifact: its level and member must be one of the chain's, with
+    1 <= t <= level, and its r-level cells the chain's right clusters of
+    their levels."""
+    seq = core_mod.load_core_sequence(artifact)
     cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
-    g = bipartite_from_binary(_read_bytes(artifact, "refuted-graph.bin"))
-    rep = core_mod.reverify_certificate(cert, g)
-    claims = [
-        {"id": "ledger-reverify", "ok": rep["ok"], "detail": f"{rep['lines_checked']} lines recomputed from the graph"},
-        {"id": "refutation-total", "ok": bool(rep.get("refutes")), "detail": f"total {cert.total} vs budget {cert.budget}"},
+    s = seq.profile.s
+    if not (1 <= cert.t <= cert.ell <= s and 0 <= cert.member < 1 << cert.ell):
+        raise ValueError(f"certificate names member {cert.member} of level {cert.ell} at t {cert.t}, not one of the chain's (1 <= t <= level <= {s})")
+    wrong = [
+        lvl for lvl, cells in cert.r_level_cells.items()
+        if not (1 <= lvl <= s and len(cells) == len(seq.right_parts(lvl)) and all(map(np.array_equal, cells, seq.right_parts(lvl).cells)))
     ]
-    return {"ok": rep["ok"] and bool(rep.get("refutes")), "claims": claims}
+    clusters = {
+        "id": "r-level-clusters",
+        "ok": not wrong,
+        "detail": f"the r-level {wrong[0]} cells are not the chain's level-{wrong[0]} right clusters" if wrong
+        else "every r-level block lists the chain's right clusters of its level, in order",
+    }
+    if wrong:
+        return {"ok": False, "claims": [clusters]}
+    rep = core_mod.reverify_certificate(cert, seq.member_graph(cert.ell, cert.member))
+    claims = [
+        clusters,
+        {"id": "ledger-reverify", "ok": rep["ok"], "detail": f"{rep['lines_checked']} lines of member ({cert.ell}, {cert.member}) recomputed from the chain"},
+        {"id": "refutation-total", "ok": rep["refutes"], "detail": f"total {cert.total} vs budget {rep['budget']}"},
+    ]
+    if rep["failures"]:
+        claims.append({"id": "failures", "ok": False, "detail": str(rep["failures"][:8])})
+    return {"ok": rep["refutes"], "claims": claims}
 
 
 def _read_text(*path: str) -> str:
@@ -267,7 +288,7 @@ def _suite_hypergraph(artifact: str) -> dict:
     # writers, so a file reads as its rebuild, class names included,
     # exactly when it holds the rebuild's bytes: the rebuilt graphs are
     # never written out, and the densities are claimed of the rebuild
-    inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup, core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
+    inst = hg_mod.build_pasted_instance(k, s, sched, seed, blowup=blowup)
     rebuilt = [inst.merged, *inst.edge_graphs]
     differ = [name for name, h, r in zip(names, [merged, *window_graphs], rebuilt) if h != r]
     dens = hg_mod.pasted_density_check(inst)
@@ -365,21 +386,18 @@ def cmd_certify(args) -> int:
     os.makedirs(os.path.dirname(os.path.abspath(args.out_cert)) or ".", exist_ok=True)
     with open(args.out_cert, "w") as f:
         f.write(cert.to_text())
-    with open(os.path.join(os.path.dirname(os.path.abspath(args.out_cert)), "refuted-graph.bin"), "wb") as f:
-        f.write(bipartite_to_binary(g))
     # fresh re-verification from serialized state before reporting success
-    reread = core_mod.IrregularityCertificate.from_text(_read_text(args.out_cert))
-    rep = core_mod.reverify_certificate(reread, g)
+    rep = core_mod.reverify_certificate(core_mod.IrregularityCertificate.from_text(_read_text(args.out_cert)), g)
     if not rep["ok"]:
         print("error: certificate failed re-verification", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    if not cert.refutes:
+    if not rep["refutes"]:
         print(
-            f"certificate total {cert.total} within budget {cert.budget}: refutation not established "
+            f"certificate total {cert.total} within budget {rep['budget']}: refutation not established "
             "(small-scale constants); see the per-line ledger",
         )
         return EXIT_VERIFY_FAIL
-    print(f"certificate refutes: total {cert.total} > budget {cert.budget}; lines {rep['lines_checked']}")
+    print(f"certificate refutes: total {cert.total} > budget {rep['budget']}; lines {rep['lines_checked']}")
     return EXIT_OK
 
 

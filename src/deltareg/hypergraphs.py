@@ -83,12 +83,11 @@ class InductiveFamily:
         return None if first is None else first[0] * g.right.size + first[1]
 
 
-def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched: DeskSchedule, seed: int, core_kwargs=None) -> InductiveFamily:
+def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched: DeskSchedule, seed: int) -> InductiveFamily:
     """Recursive build; ``chain`` holds one partition list per level, each a
     list with one local partition per class."""
     if k < 2:
         raise ValueError("uniformity must be at least 2")
-    core_kwargs = core_kwargs or {}
     fam = InductiveFamily(k=k, s=s, classes=classes, chain=chain, schedule=sched, seed=seed)
     m_needed = sched.m(k, s)
     if len(chain) < m_needed:
@@ -97,7 +96,7 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
         # base: left ground is the first class, right the second
         r_sizes = [len(chain[i][1]) for i in range(s)]
         l_sizes = [len(chain[i + 1][0]) for i in range(s)]
-        profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes, **core_kwargs)
+        profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes)
         left_chain = [chain[i + 1][0] for i in range(s)]
         right_chain = [chain[i][1] for i in range(s)]
         fam.core_seq = build_core_sequence(profile, derive_seed(seed, "base"), left_chain=left_chain, right_chain=right_chain)
@@ -105,7 +104,7 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
     s_prime = sched.a_star(k, s)
     sub_classes = VertexClassSet([(c.name, c.size) for c in classes.classes[: k - 1]])
     sub_chain = [levels[: k - 1] for levels in chain]
-    fam.sub_family = build_inductive_family(k - 1, s_prime, sub_classes, sub_chain, sched, derive_seed(seed, "sub", k), core_kwargs)
+    fam.sub_family = build_inductive_family(k - 1, s_prime, sub_classes, sub_chain, sched, derive_seed(seed, "sub", k))
     prod = ProductClass.of([VertexClass(c.name, c.size) for c in classes.classes[: k - 1]])
     # selected subsequences
     fam.f_selection = [sched.a_star(k, j) for j in range(1, s + 1)]
@@ -116,7 +115,7 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
     right_chain = [chain[i - 1][k - 1] for i in fam.v_selection]
     r_sizes = [len(p) for p in right_chain]
     l_sizes = [len(p) for p in left_chain]
-    profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes, **core_kwargs)
+    profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes)
     fam.core_seq = build_core_sequence(profile, derive_seed(seed, "outer", k), left_chain=left_chain, right_chain=right_chain)
     return fam
 
@@ -202,11 +201,13 @@ class PastedInstance:
     initial_cells: int
 
 
-def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup: int = 4, core_kwargs=None) -> PastedInstance:
+def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup: int = 4) -> PastedInstance:
     """One inductive family per tight-cycle window over 2k classes; one
     depth-s member from each, unioned on the doubled classes."""
     if k < 2:
         raise ValueError("uniformity must be at least 2")
+    if blowup < 1:
+        raise ValueError(f"blowup must be at least 1, not {blowup}")
     m = sched.m(k, s)
     n = sched.t(m) * blowup
     chain = nested_class_chain(n, [sched.t(i) for i in range(1, m + 1)])
@@ -216,7 +217,7 @@ def build_pasted_instance(k: int, s: int, sched: DeskSchedule, seed: int, blowup
         names = [f"V{(x + j) % two_k}" for j in range(k)]
         classes = VertexClassSet([(nm, n) for nm in names])
         fam_chain = [[chain[i] for _ in range(k)] for i in range(m)]
-        fam = build_inductive_family(k, s, classes, fam_chain, sched, derive_seed(seed, "edge", x), core_kwargs)
+        fam = build_inductive_family(k, s, classes, fam_chain, sched, derive_seed(seed, "edge", x))
         families.append(fam)
         picked.append(_select_member(fam, s))
         edge_graphs.append(fam.h_member(s, picked[-1]))

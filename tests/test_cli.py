@@ -125,7 +125,8 @@ def test_certify_flow_and_tamper(core_artifact, capsys):
     assert rc2 == 2
     # tampered certificate fails re-verification
     text = cert.read_text()
-    tampered = re.sub(r"corr=0", "corr=7", text, count=1)
+    tampered = re.sub(r"\ntotal ([0-9/]+)\n", lambda m: f"\ntotal {Fraction(m.group(1)) + 1}\n", text)
+    assert tampered != text
     cert.write_text(tampered)
     assert main(["verify", "--artifact", str(out), "--suite", "certificate"]) == 1
     capsys.readouterr()
@@ -407,7 +408,7 @@ def test_a_window_of_another_member_of_its_family_fails_the_binding(hypergraph_a
     shutil.copytree(hypergraph_artifact, d)
     meta = json.loads((d / "instance.json").read_text())
     sched = DeskSchedule.from_json(meta["schedule"])
-    inst = hypergraphs.build_pasted_instance(3, 2, sched, meta["seed"], blowup=meta["blowup"], core_kwargs=dict(alpha=Fraction(3, 4), beta=Fraction(1, 2)))
+    inst = hypergraphs.build_pasted_instance(3, 2, sched, meta["seed"], blowup=meta["blowup"])
     (d / "window-2.bin").write_bytes(kgraph_to_binary(inst.families[2].h_member(2, inst.picked[2] ^ 1)))
     capsys.readouterr()
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 1
@@ -641,11 +642,11 @@ def test_malformed_certificate_exits_2(core_artifact, tmp_path, capsys):
     ]) == 0
     text = (good / "certificate.txt").read_text()
     lines = text.split("\n")
-    li = next(i for i, ln in enumerate(lines) if ln.startswith("line "))
+    li = next(i for i, ln in enumerate(lines) if ln.startswith("lines "))
     for name, bad in {
         "truncated": "\n".join(lines[:li]) + "\n",
         "prefix": text.replace("\nq ", "\nx ", 1),
-        "right id": text.replace(lines[li].split()[1], "R=99999", 1),
+        "right id": text.replace(lines[li], "lines 99999", 1),
     }.items():
         art = tmp_path / name
         shutil.copytree(good, art)
@@ -675,17 +676,126 @@ def certified_artifact(core_artifact, tmp_path_factory):
     return art
 
 
-@pytest.mark.parametrize("size", [0, 10])
-def test_short_refuted_graph_exits_2(certified_artifact, tmp_path, capsys, size):
-    """A graph container shorter than its header is refused with a
-    ValueError (exit 2), not a struct.error traceback."""
+def _as_v3(text):
+    """The v3 layout of a v4 certificate text: the header without the
+    member and with gamma-prime, host-c and budget, and each entry's lines
+    as 'lines <n>' and n records 'line R=<index> corr=<count>
+    value=<fraction>' (placeholder corrections and values)."""
+    from deltareg import core as C
+
+    out = []
+    for ln in text.split("\n"):
+        key, _, rest = ln.partition(" ")
+        if key == "irregularity-certificate":
+            out.append("irregularity-certificate v3")
+        elif key == "member":
+            continue
+        elif key == "gamma":
+            out += [ln, "gamma-prime 1/128", "host-c 1/512"]
+        elif key == "t":
+            out += [ln, "budget 1/2"]
+        elif key == "lines":
+            (ids,) = C._ranges_decode_many([rest])
+            out += [f"lines {ids.size}", *(f"line R={r} corr=0 value=1/8" for r in ids.tolist())]
+        else:
+            out.append(ln)
+    return "\n".join(out)
+
+
+def _first_lines(text):
+    """The first 'lines' line of a certificate text, its cluster ids and
+    the cell count of their level."""
+    from deltareg import core as C
+
+    line = next(ln for ln in text.split("\n") if ln.startswith("lines "))
+    (ids,) = C._ranges_decode_many([line[6:]])
+    return line, ids, int(re.search(r"\nr-level 2 ([0-9]+)\n", text).group(1))
+
+
+def _changed_index(text):
+    from deltareg import core as C
+
+    line, ids, cells = _first_lines(text)
+    moved = np.sort(np.append(ids[1:], next(c for c in range(cells) if c not in ids)))
+    return text.replace(f"\n{line}\n", f"\nlines {C._ranges_encode_many([moved])[0]}\n", 1)
+
+
+def _overlapping_p(text):
+    p0, p1 = [ln for ln in text.split("\n") if ln.startswith("p ")][:2]
+    return text.replace(f"\n{p1}\n", f"\n{p0}\n", 1)
+
+
+def _swapped_r_cells(text):
+    r0, r1 = [ln for ln in text.split("\n") if ln.startswith("r ")][:2]
+    return text.replace(f"\n{r0}\n{r1}\n", f"\n{r1}\n{r0}\n", 1)
+
+
+def _flipped_gamma_byte(art):
+    blob = bytearray((art / "gamma-2-0.bin").read_bytes())
+    blob[len(blob) // 2] ^= 1
+    (art / "gamma-2-0.bin").write_bytes(blob)
+
+
+# name: (edit of certificate.txt, or of the artifact, exit code, the claim
+# that fails (exit 1) or what the error line says (exit 2))
+CERTIFICATE_TAMPERS = {
+    "changed cluster index": (_changed_index, 1, "[FAIL] ledger-reverify"),
+    "cluster index at its level's cell count": (lambda t: t.replace(f"\n{_first_lines(t)[0]}\n", f"\nlines {_first_lines(t)[2]}\n", 1), 2, "out of range"),
+    "cluster range forged past the cell count": (lambda t: t.replace(f"\n{_first_lines(t)[0]}\n", "\nlines 0-999999999999\n", 1), 2, "more than"),
+    "overlapping P cells": (_overlapping_p, 1, "'entry-overlap'"),
+    "edited total": (lambda t: re.sub(r"\ntotal ([0-9/]+)\n", lambda m: f"\ntotal {Fraction(m.group(1)) + 1}\n", t), 1, "('total', None)"),
+    "edited level": (lambda t: t.replace("\nlevel 2\n", "\nlevel 1\n", 1).replace("\nt 2\n", "\nt 1\n", 1), 1, "('graph-hash', None)"),
+    "v3 file": (_as_v3, 2, "irregularity-certificate v4"),
+    "v3 ledger under a v4 header": (lambda t: _as_v3(t).replace(" v3\n", " v4\n", 1), 2, "error: invalid artifact dir"),
+    "member set to a sibling": (lambda t: t.replace("\nmember 0\n", "\nmember 1\n", 1), 1, "('graph-hash', None)"),
+    "member out of range": (lambda t: t.replace("\nmember 0\n", "\nmember 4\n", 1), 2, "not one of the chain's"),
+    "t past the level": (lambda t: t.replace("\nt 2\n", "\nt 3\n", 1), 2, "not one of the chain's"),
+    "swapped r-level cells": (_swapped_r_cells, 1, "[FAIL] r-level-clusters"),
+    "one flipped Gamma byte": (_flipped_gamma_byte, 1, "[FAIL] gamma-hashes: gamma-2-0.bin"),
+}
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_TAMPERS))
+def test_every_certificate_tamper_exits_1_or_2(certified_artifact, tmp_path, capsys, name):
+    """Each tamper of certificate.txt, or of a Gamma it is re-checked
+    against, fails the certificate suite: a well-formed certificate that
+    does not re-check against the member it names exits 1 with the failing
+    claim, a malformed one or one naming no member of the chain exits 2
+    with an error line; none passes and none ends in a traceback."""
+    edit, code, shown = CERTIFICATE_TAMPERS[name]
     art = tmp_path / "art"
     shutil.copytree(certified_artifact, art)
+    text = (art / "certificate.txt").read_text()
+    if edit is _flipped_gamma_byte:
+        edit(art)
+    else:
+        assert edit(text) != text
+        (art / "certificate.txt").write_text(edit(text))
     capsys.readouterr()
-    blob = (art / "refuted-graph.bin").read_bytes()
-    (art / "refuted-graph.bin").write_bytes(blob[:size])
-    assert main(["verify", "--artifact", str(art), "--suite", "certificate"]) == 2
-    assert "truncated binary container" in capsys.readouterr().err
+    assert main(["verify", "--artifact", str(art), "--suite", "certificate"]) == code
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert out.splitlines()[-1] == "suite FAIL" and shown in out, out
+    else:
+        assert re.search(r"^error: ", err, re.M) and shown in err, err
+
+
+def test_the_certificate_suite_derives_the_member_it_names(certified_artifact, capsys):
+    """The suite re-checks the certificate against member (level, member)
+    of the chain, derived from the Gammas, and prints one claim per step."""
+    from deltareg import core as C
+
+    cert = C.IrregularityCertificate.from_text((certified_artifact / "certificate.txt").read_text())
+    g = C.load_core_sequence(str(certified_artifact)).member_graph(2, 0)
+    assert (cert.ell, cert.member, cert.graph_sha256) == (2, 0, C.graph_hash(g))
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(certified_artifact), "--suite", "certificate"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] r-level-clusters: every r-level block lists the chain's right clusters of its level, in order",
+        f"[PASS] ledger-reverify: {sum(len(e.lines) for e in cert.entries)} lines of member (2, 0) recomputed from the chain",
+        f"[PASS] refutation-total: total {cert.total} vs budget {cert.delta * g.edge_count()}",
+        "suite PASS",
+    ]
 
 
 def test_short_gamma_exits_2(core_artifact, tmp_path, capsys):
@@ -893,8 +1003,7 @@ ARTIFACT_FILES = {
         "run-manifest.json": "provenance: the command, its arguments and every artifact's SHA-256",
     },
     "certify": {
-        "certificate.txt": "the certificate suite",
-        "refuted-graph.bin": "the certificate suite",
+        "certificate.txt": "the certificate suite, which re-checks it against the member it names, derived from the core artifact",
     },
     "build-hypergraph": {
         "instance.json": "the hypergraph suite, which rebuilds the instance from it",
@@ -1021,7 +1130,7 @@ def test_a_bad_fraction_in_any_input_exits_2(certified_artifact, cx_artifact, tm
         *(f"{where} {key} {value}" for where in ("counterexample params", "verify counterexample params.json")
           for key, value in (("delta", "true"), ("delta", "0.5"), ("q", "0.1"), ("q", "false"))),
         *(f"verify hypergraph instance.json {key} {value}"
-          for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
+          for key, value in (("blowup", '"4"'), ("blowup", "4.5"), ("blowup", "0"), ("k", '"3"'), ("s", "2.0"), ("seed", '"9"'), ("seed", "true"))),
         *(f"build-core profile {key} {value}"
           for key, value in (
               ("s", "2.0"), ("r_sizes", "[8,32.0]"), ("l_sizes", "[16,256.0]"), ("blowup_left", "2.0"),
@@ -1036,7 +1145,7 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
     below 1 or q or delta outside (0, 1], a counterexample k, m or stored
     seed that is not a JSON integer, a delta or q that is neither a fraction
     string nor a JSON integer, a hypergraph k, s, seed or blowup that is
-    not a JSON integer, and a build-core profile whose s, sizes, blowups or
+    not a JSON integer or a blowup below 1, and a build-core profile whose s, sizes, blowups or
     max_retries are not JSON integers, whose strict_mode is not a JSON bool,
     whose enforce is not a list of distinct names from ii and iii, or whose
     alpha or beta is not a fraction string or a JSON integer,
@@ -1045,7 +1154,10 @@ def test_an_out_of_range_value_in_any_input_exits_2(certified_artifact, cx_artif
     argv = _exit_2_argv(certified_artifact, cx_artifact, tmp_path, case, hypergraph_artifact)
     capsys.readouterr()
     assert main(argv) == 2
-    assert re.search(r"^error: ", capsys.readouterr().err, re.M)
+    err = capsys.readouterr().err
+    assert re.search(r"^error: ", err, re.M)
+    if case == "verify hypergraph instance.json blowup 0":
+        assert "blowup must be at least 1, not 0" in err
     if case.startswith("certify"):
         assert not (tmp_path / "certificate.txt").exists()
     elif case.startswith("counterexample"):

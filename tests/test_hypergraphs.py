@@ -9,7 +9,6 @@ from deltareg import schedules as S
 from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, kgraph_to_text, lift_graph_to_kgraph
 from deltareg.partitions import KPartition, VertexPartition
 
-CORE_KW = dict(alpha=Fraction(3, 4), beta=Fraction(1, 2))
 
 
 def test_tower_hierarchy_values():
@@ -58,7 +57,7 @@ def k3_family():
     classes = VertexClassSet([("V0", n), ("V1", n), ("V2", n)])
     levels = H.nested_class_chain(n, [sched.t(i) for i in (1, 2, 3)])
     chain = [[levels[i]] * 3 for i in range(3)]
-    return H.build_inductive_family(3, 2, classes, chain, sched, seed=5, core_kwargs=CORE_KW)
+    return H.build_inductive_family(3, 2, classes, chain, sched, seed=5)
 
 
 def test_family_k2_delegates_to_chain(k3_family):
@@ -129,7 +128,7 @@ def test_family_chain_depth_consistency():
     levels = H.nested_class_chain(n, [2, 4])
     chain = [[levels[i]] * 3 for i in range(2)]
     with pytest.raises(ValueError):
-        H.build_inductive_family(3, 2, classes, chain, sched, seed=1, core_kwargs=CORE_KW)
+        H.build_inductive_family(3, 2, classes, chain, sched, seed=1)
 
 
 def test_onesided_property_trivial_and_error(k3_family):
@@ -205,7 +204,13 @@ def test_onesided_property_refuses_an_untabulated_uniformity():
 @pytest.fixture(scope="module")
 def pasted():
     sched = S.desk_schedule_k3()
-    return H.build_pasted_instance(3, 2, sched, seed=9, blowup=4, core_kwargs=CORE_KW)
+    return H.build_pasted_instance(3, 2, sched, seed=9, blowup=4)
+
+
+@pytest.mark.parametrize("blowup", [0, -2])
+def test_pasted_instance_refuses_a_blowup_below_1_by_name(blowup):
+    with pytest.raises(ValueError, match=f"blowup must be at least 1, not {blowup}"):
+        H.build_pasted_instance(3, 2, S.desk_schedule_k3(), seed=9, blowup=blowup)
 
 
 def test_pasted_density_exact(pasted):
@@ -229,7 +234,7 @@ def test_pasted_edge_disjoint(pasted):
 
 def _k2_pasted():
     sched = S.DeskSchedule(t_values=(2, 4, 16), a_maps={}, a_star_maps={})
-    return H.build_pasted_instance(2, 2, sched, seed=1, blowup=4, core_kwargs=CORE_KW)
+    return H.build_pasted_instance(2, 2, sched, seed=1, blowup=4)
 
 
 @pytest.mark.parametrize("which", ["k3", "k2"])
@@ -290,7 +295,7 @@ def _family(k, seed):
     n = 32
     classes = VertexClassSet([(f"V{j}", n) for j in range(k)])
     levels = H.nested_class_chain(n, [sched.t(i) for i in (1, 2, 3)])
-    return H.build_inductive_family(k, 2, classes, [[levels[i]] * k for i in range(3)], sched, seed=seed, core_kwargs=CORE_KW)
+    return H.build_inductive_family(k, 2, classes, [[levels[i]] * k for i in range(3)], sched, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8])

@@ -178,7 +178,7 @@ def _reach(roots, shared=RECHECK_MAY_SHARE) -> set:
     """Names of the package's functions, methods and classes that the roots
     call, directly or through one another (matched by name, so a method
     stands for every method of that name), or name bare where a module
-    defines that name at top level (``map(LedgerLine, ...)``, a table of
+    defines that name at top level (``map(CertEntry, ...)``, a table of
     suites).  The allowed shared names are not followed."""
     seen, todo = set(), list(roots)
     while todo:
@@ -195,11 +195,19 @@ def _reach(roots, shared=RECHECK_MAY_SHARE) -> set:
 def test_the_recheck_shares_no_code_with_the_refuter():
     recheck, refuter = _reach([RECHECK]), _reach(REFUTER)
     assert {"graph_hash", "VertexPartition"} <= recheck and "_level_witnesses" in _reach([("core", "refute_partition")])
-    assert "unpack_rows" in refuter and "edge_count" in refuter  # the scan sees through the refuter
+    assert "unpack_rows" in refuter and "member_graph" in refuter  # the scan sees through the refuter
     # the refuter's host and beta-inside decisions, R* included, go through one primitive
     assert {"cell_hosts", "ceil_share", "refines_beta", "_rstar_mask"} <= refuter
     shared = (recheck & refuter) - RECHECK_MAY_SHARE
     assert shared == set(), f"reverify_certificate reaches {sorted(shared)}, which the refuter reaches too"
+
+
+def test_the_certificate_suite_derives_the_member_from_the_core_artifact():
+    """``verify --suite certificate`` re-checks against the member it
+    derives from the hashed Gammas; it reads no stored graph container."""
+    assert "load_core_sequence" in _reach([("cli", "_suite_certificate")], set())
+    direct = {name for where, name, _ in SCANS["cli"].calls if where == "_suite_certificate"}
+    assert "member_graph" in direct and "bipartite_from_binary" not in direct
 
 
 # the brute-force oracle and the exact pair checker it is the reference for
@@ -390,8 +398,8 @@ def test_every_module_level_function_is_reached_or_kept():
     """A function or class that no README flow, benchmark step, named
     oracle or kept entry reaches is dead code: delete it, or call it."""
     reached = _reached(_roots())
-    # the scan sees through the CLI's parser and suite tables and through map(LedgerLine, ...)
-    assert {"cmd_certify", "cmd_verify", "_suite_hypergraph", "LedgerLine"} <= reached
+    # the scan sees through the CLI's parser and suite tables
+    assert {"cmd_certify", "cmd_verify", "_suite_hypergraph"} <= reached
     unreached = sorted(f"{mod}.{name}" for mod, name in TOP if name not in reached)
     assert unreached == [], f"{unreached} run in no flow and are not kept"
 
