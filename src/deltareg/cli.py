@@ -227,29 +227,16 @@ def _suite_core_properties(artifact: str) -> dict:
 
 def _suite_certificate(artifact: str) -> dict:
     """The certificate re-checked against the member it names, derived from
-    the core artifact: its level and member must be one of the chain's, with
-    1 <= t <= level, and its r-level cells the chain's right clusters of
-    their levels."""
+    the core artifact, with each line's R taken from the chain's right
+    clusters of its entry's level: its level and member must be one of the
+    chain's, with 1 <= t <= level."""
     seq = core_mod.load_core_sequence(artifact)
     cert = core_mod.IrregularityCertificate.from_text(_read_text(artifact, "certificate.txt"))
     s = seq.profile.s
     if not (1 <= cert.t <= cert.ell <= s and 0 <= cert.member < 1 << cert.ell):
         raise ValueError(f"certificate names member {cert.member} of level {cert.ell} at t {cert.t}, not one of the chain's (1 <= t <= level <= {s})")
-    wrong = [
-        lvl for lvl, cells in cert.r_level_cells.items()
-        if not (1 <= lvl <= s and len(cells) == len(seq.right_parts(lvl)) and all(map(np.array_equal, cells, seq.right_parts(lvl).cells)))
-    ]
-    clusters = {
-        "id": "r-level-clusters",
-        "ok": not wrong,
-        "detail": f"the r-level {wrong[0]} cells are not the chain's level-{wrong[0]} right clusters" if wrong
-        else "every r-level block lists the chain's right clusters of its level, in order",
-    }
-    if wrong:
-        return {"ok": False, "claims": [clusters]}
-    rep = core_mod.reverify_certificate(cert, seq.member_graph(cert.ell, cert.member))
+    rep = core_mod.reverify_certificate(cert, seq.member_graph(cert.ell, cert.member), seq.right_chain)
     claims = [
-        clusters,
         {"id": "ledger-reverify", "ok": rep["ok"], "detail": f"{rep['lines_checked']} lines of member ({cert.ell}, {cert.member}) recomputed from the chain"},
         {"id": "refutation-total", "ok": rep["refutes"], "detail": f"total {cert.total} vs budget {rep['budget']}"},
     ]
@@ -387,7 +374,7 @@ def cmd_certify(args) -> int:
     with open(args.out_cert, "w") as f:
         f.write(cert.to_text())
     # fresh re-verification from serialized state before reporting success
-    rep = core_mod.reverify_certificate(core_mod.IrregularityCertificate.from_text(_read_text(args.out_cert)), g)
+    rep = core_mod.reverify_certificate(core_mod.IrregularityCertificate.from_text(_read_text(args.out_cert)), g, seq.right_chain)
     if not rep["ok"]:
         print("error: certificate failed re-verification", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -777,7 +777,7 @@ def one_twelve_context(seq: CoreSequence, ell: int, member: int, i: int, host: i
 class CertEntry:
     p_vertices: np.ndarray
     level: int
-    lines: np.ndarray  # one ledger line per R, named by its index among the level's r-level cells, ascending
+    lines: np.ndarray  # one ledger line per R, named by its index among the level's right clusters, ascending
 
 
 HOST_C = Fraction(1, 512)  # the c with which the refuter's Q must c-refine the level-t right clusters
@@ -786,10 +786,12 @@ HOST_C = Fraction(1, 512)  # the c with which the refuter's Q must c-refine the 
 @dataclass
 class IrregularityCertificate:
     """What the refuter chose and the inputs it chose from: the refuted
-    member, the parameters, Q, the right clusters of each level its entries
-    use, each deficient cell P with the clusters R of its lines, and the
-    claimed total.  Everything else, the lines' corrections and values and
-    the edit budget, the re-check derives from these and the graph."""
+    member, the parameters, Q, each deficient cell P with its level and the
+    clusters R of its lines, and the claimed total.  A line names its R by
+    index among the chain's right clusters of its entry's level, which the
+    re-check takes from the chain.  Everything else, the clusters
+    themselves, the lines' corrections and values and the edit budget, the
+    re-check derives from these, the chain and the graph."""
 
     graph_sha256: str
     n_left: int
@@ -800,21 +802,17 @@ class IrregularityCertificate:
     gamma: Fraction
     t: int
     q_cells: list
-    r_level_cells: dict  # level -> list of cluster vertex arrays
     entries: list
     total: Fraction
 
     def to_text(self) -> str:
-        """The v4 text.  An entry with no line adds nothing to the total
+        """The v5 text.  An entry with no line adds nothing to the total
         and is not written."""
-        levels = sorted(self.r_level_cells)
         entries = [e for e in self.entries if len(e.lines)]
         # every id set in one pass, taken in text order below
-        sets = [*self.q_cells, *(c for lvl in levels for c in self.r_level_cells[lvl])]
-        sets += [s for e in entries for s in (e.p_vertices, e.lines)]
-        texts = iter(_ranges_encode_many(sets))
+        texts = iter(_ranges_encode_many([*self.q_cells, *(s for e in entries for s in (e.p_vertices, e.lines))]))
         out = [
-            "irregularity-certificate v4",
+            "irregularity-certificate v5",
             f"graph-sha256 {self.graph_sha256}",
             f"n-left {self.n_left}",
             f"n-right {self.n_right}",
@@ -826,9 +824,6 @@ class IrregularityCertificate:
             f"q-cells {len(self.q_cells)}",
         ]
         out += [f"q {next(texts)}" for _ in self.q_cells]
-        for lvl in levels:
-            out.append(f"r-level {lvl} {len(self.r_level_cells[lvl])}")
-            out += [f"r {next(texts)}" for _ in self.r_level_cells[lvl]]
         out.append(f"entries {len(entries)}")
         for k, e in enumerate(entries):
             out += [f"entry {k} level {e.level}", f"p {next(texts)}", f"lines {next(texts)}"]
@@ -840,9 +835,9 @@ class IrregularityCertificate:
         """Parse the text form exactly as ``to_text`` writes it: the header
         fields in their order, each once, and numbers in ASCII digits
         without leading zeros.  One pass reads the lines; one call then
-        decodes every id set.  Truncated or malformed text, vertex ids
-        outside the sides, and a line's cluster index at or above its
-        level's r-level cell count raise ValueError."""
+        decodes every id set.  Truncated or malformed text, an entry level
+        outside 1..t, and vertex ids or cluster indices outside the sides
+        raise ValueError."""
         if not text.isascii():
             raise ValueError("certificate text is not ASCII")
         if not text.endswith("\n"):
@@ -862,19 +857,11 @@ class IrregularityCertificate:
                 raise ValueError(f"certificate line {at}: expected {key!r} and {n} field(s)")
             return words[1:]
 
-        if fields("irregularity-certificate") != ["v4"]:
-            raise ValueError("certificate line 1: expected 'irregularity-certificate v4'")
+        if fields("irregularity-certificate") != ["v5"]:
+            raise ValueError("certificate line 1: expected 'irregularity-certificate v5'")
         head = {key: fields(key)[0] for key in _CERT_HEAD}
-        n_left, n_right = _header_count(head["n-left"]), _header_count(head["n-right"])
+        n_left, n_right, t = _header_count(head["n-left"]), _header_count(head["n-right"]), _header_count(head["t"])
         q_sets = [fields("q")[0] for _ in range(_header_count(head["q-cells"]))]
-        r_levels, r_sets, r_blocks = [], [], [0]
-        while at < len(lines) and lines[at].startswith("r-level "):
-            lvl, count = map(_header_count, fields("r-level", 2))
-            if r_levels and lvl <= r_levels[-1]:
-                raise ValueError(f"certificate line {at}: r-level blocks must list each level once, in increasing order")
-            r_levels.append(lvl)
-            r_sets += [fields("r")[0] for _ in range(count)]
-            r_blocks.append(len(r_sets))
         # per entry 'entry k level L', 'p <set>' and 'lines <set>'
         p_sets, levels, line_sets = [], [], []
         for k in range(_header_count(fields("entries")[0])):
@@ -882,43 +869,38 @@ class IrregularityCertificate:
             if word != "level" or _header_count(number) != k:
                 raise ValueError(f"certificate line {at}: expected 'entry {k} level <level>'")
             levels.append(_header_count(lvl))
+            if not 1 <= levels[-1] <= t:
+                raise ValueError(f"certificate line {at}: entry level {lvl} outside 1..t ({t})")
             p_sets.append(fields("p")[0])
             line_sets.append(fields("lines")[0])
         total = _fraction(fields("total")[0])
         if at < len(lines):
             raise ValueError(f"certificate line {at + 1}: text after the total")
         del lines  # only the set texts are kept through the decode
-        cells_at = dict(zip(r_levels, np.diff(r_blocks).tolist()))
-        missing = set(levels) - set(cells_at)
-        if missing:
-            raise ValueError(f"certificate: no r-level cells for level {min(missing)}")
-        entry_cells = np.array([cells_at[lvl] for lvl in levels], dtype=np.int64)
-        bounds = np.cumsum([0, len(q_sets), len(r_sets), len(p_sets), len(line_sets)]).tolist()
+        bounds = np.cumsum([0, len(q_sets), len(p_sets), len(line_sets)]).tolist()
 
         def sizes_fit(count):
             # each bound follows from a check of reverify_certificate (Q and
-            # every r-level partition the right side, entries are disjoint)
-            # or from the ids increasing within a set, so an honest
+            # every level's clusters partition the right side, entries are
+            # disjoint) or from the ids increasing within a set, so an honest
             # certificate meets it; made before any set is expanded, so
             # that a forged set costs no memory
-            q, r, p, ln = (count[a:z] for a, z in zip(bounds, bounds[1:]))
+            q, p, ln = (count[a:z] for a, z in zip(bounds, bounds[1:]))
             if q.sum() > n_right:
                 raise ValueError("the q cells of the certificate have more than n-right ids")
-            if any(r[a:z].sum() > n_right for a, z in zip(r_blocks, r_blocks[1:])):
-                raise ValueError("one level's r cells in the certificate have more than n-right ids")
             if p.sum() > n_left:
                 raise ValueError("the p sets of the certificate have more than n-left ids")
-            if np.any(ln > entry_cells):
-                raise ValueError("an entry's lines name more clusters than its level's r-level block has cells")
+            if np.any(ln > n_right):
+                raise ValueError("an entry's lines name more clusters than n-right")
 
-        sets = _ranges_decode_many(q_sets + r_sets + p_sets + line_sets, max(n_left, n_right), check=sizes_fit)
+        sets = _ranges_decode_many(q_sets + p_sets + line_sets, max(n_left, n_right), check=sizes_fit)
         # ids increase within a set, so the last of each set is its largest
-        side = np.concatenate((np.repeat([n_right, n_right, n_left], np.diff(bounds[:4])), entry_cells))
+        side = np.repeat([n_right, n_left, n_right], np.diff(bounds))
         top = np.fromiter(map(operator.itemgetter(-1), sets), dtype=np.int64, count=side.size)
         bad = np.flatnonzero(top >= side)
         if bad.size:
             raise ValueError(f"id {top[bad[0]]} out of range 0..{side[bad[0]] - 1} in the certificate")
-        q_cells, r_cells, p_sets, line_sets = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
+        q_cells, p_sets, line_sets = (sets[a:z] for a, z in zip(bounds, bounds[1:]))
         return IrregularityCertificate(
             graph_sha256=head["graph-sha256"],
             n_left=n_left,
@@ -927,9 +909,8 @@ class IrregularityCertificate:
             member=_header_count(head["member"]),
             delta=_fraction(head["delta"]),
             gamma=_fraction(head["gamma"]),
-            t=_header_count(head["t"]),
+            t=t,
             q_cells=q_cells,
-            r_level_cells={lvl: r_cells[a:z] for lvl, a, z in zip(r_levels, r_blocks, r_blocks[1:])},
             entries=list(map(CertEntry, p_sets, levels, line_sets)),
             total=total,
         )
@@ -1113,14 +1094,13 @@ def refute_partition(
     # cells are searched in one pass
     deficient = np.flatnonzero(depth < t)
     level = depth[deficient] + 1
-    used_levels = sorted(set(level.tolist()))
     # line value gamma' (2^i p |P||R| / 4 - corr), gamma' = gamma/32 and
     # p = 2^-ell, summed over a common denominator
     gamma_prime = gamma / 32
     gn, den = gamma_prime.numerator, gamma_prime.denominator * 4 << ell
     clusters, line_entry = [], []
     total_num = 0
-    for i in used_levels:
+    for i in np.unique(level).tolist():
         at = np.flatnonzero(level == i)
         cells = [P.cells[k] for k in deficient[at].tolist()]
         found = _level_witnesses(seq, ell, member, i, cells, gamma, outside=~_rstar_mask(Q, seq.right_parts(i), c))
@@ -1148,7 +1128,6 @@ def refute_partition(
         gamma=gamma,
         t=t,
         q_cells=[np.asarray(cq) for cq in Q.cells],
-        r_level_cells={i: [np.asarray(cc) for cc in seq.right_parts(i).cells] for i in used_levels},
         entries=[CertEntry(P.cells[k], int(lv), lines) for k, lv, lines in zip(deficient.tolist(), level.tolist(), per_entry)],
         total=Fraction(total_num, den),
     )
@@ -1164,14 +1143,16 @@ def _rstar_mask(Q: VertexPartition, rparts: VertexPartition, c: Fraction) -> np.
 _RECHECK_CHUNK = 1 << 23  # P rows x n-right unpacked bytes the re-check holds at once
 
 
-def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> dict:
-    """Re-check every ledger line from the serialized certificate plus the
-    graph alone.  Returns per-line results, the edit budget delta * e(G)
-    and the final verdict.
+def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph, right_chain) -> dict:
+    """Re-check every ledger line from the serialized certificate, the
+    chain's right partitions (level L at ``right_chain[L - 1]``) and the
+    graph.  Returns per-line results, the edit budget delta * e(G) and the
+    final verdict.
 
-    A line names its R by index among the r-level cells of its entry's
-    level; an index outside those cells, or not above the index of the
-    entry's line before, fails the line, so no entry uses a cluster twice.
+    A line's R is ``right_chain[level - 1].cells[index]``; an index that is
+    not one of those cells, an entry level the chain does not hold, or an
+    index not above the index of the entry's line before fails the line, so
+    no entry uses a cluster twice.
     A line needs an edge-free part P1 of P with |P1| >= max(delta,
     gamma/8)|P|; the largest one is every vertex of P with no edge into R,
     so the line passes this check when that many vertices of P have none.
@@ -1202,18 +1183,18 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     report.update(failures=[], lines_checked=n_l)
     if cert.gamma > Fraction(1, 4) or 32 * dyadic_root_ceil(cert.delta, 2, 40) > cert.gamma:
         report["failures"].append(("parameters", None))
-    # each level's cluster of every right vertex, by index in text order, and
-    # the R* mask rebuilt from Q with no code shared with refute_partition: a
-    # Q-cell whose largest overlap with a cluster R (the first such R on
-    # ties) leaves fewer than c|Q| vertices outside contributes Q & R
+    # each entry's level, 0 where the chain holds none (its lines then fail),
+    # and each held level's R* mask, rebuilt from Q with no code shared with
+    # refute_partition: a Q-cell whose largest overlap with a cluster R (the
+    # first such R on ties) leaves fewer than c|Q| vertices outside
+    # contributes Q & R
+    level = np.array([e.level if 1 <= e.level <= len(right_chain) else 0 for e in entries], dtype=np.int64)
     q_owner = VertexPartition(cert.n_right, cert.q_cells).owner
     q_size = np.bincount(q_owner)
     cn, cd = HOST_C.numerator, HOST_C.denominator
     levels = {}
-    for lvl, cells in cert.r_level_cells.items():
-        owner = VertexPartition(cert.n_right, cells).owner
-        r_owner = np.argsort(owner[[c[0] for c in cells]])[owner]
-        k = len(cells)
+    for lvl in np.unique(level[level > 0]).tolist():
+        r_owner, k = right_chain[lvl - 1].owner, len(right_chain[lvl - 1])
         pair, count = np.unique(q_owner * k + r_owner, return_counts=True)
         q_of = pair // k
         first = np.lexsort((pair, -count, q_of))
@@ -1264,7 +1245,7 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     line_entry = np.repeat(np.arange(n_e), n_lines)
     given = np.concatenate([np.asarray(e.lines) for e in entries] + [np.empty(0, dtype=np.int64)])
     cluster = np.clip(given, -1, n_right).astype(np.int64)
-    cells_of = np.array([len(cert.r_level_cells.get(e.level, ())) for e in entries], dtype=np.int64)
+    cells_of = np.array([0] + [len(p) for p in right_chain], dtype=np.int64)[level]
     valid = (cluster >= 0) & (cluster < cells_of[line_entry])
     ok = valid.copy()
     ok[1:] &= (line_entry[1:] != line_entry[:-1]) | (cluster[1:] > cluster[:-1])
@@ -1276,7 +1257,7 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     counted[line_entry[valid]] = True
     counted &= psize > 0
     for lvl, (r_owner, outside) in levels.items():
-        mine = counted & np.fromiter((e.level == lvl for e in entries), dtype=bool, count=n_e)
+        mine = counted & (level == lvl)
         ents = np.flatnonzero(mine)
         ids = p_ids[np.repeat(mine, psize)]  # their rows of P, entry after entry
         ends = np.cumsum(psize[ents])
@@ -1314,10 +1295,10 @@ def reverify_certificate(cert: IrregularityCertificate, g: BipartiteGraph) -> di
     # and p = 2^-ell, summed as numerators over one denominator
     gamma_prime = cert.gamma / 32
     gn, den = gamma_prime.numerator, gamma_prime.denominator * 4 << cert.ell
-    shift = max([e.level for e in entries] + [cert.ell + 2])
+    shift = max(level.tolist() + [cert.ell + 2])
     bits_needed = (n_left * n_right).bit_length() + shift + gn.bit_length() + n_l.bit_length()
     dt = np.int64 if bits_needed <= 62 else object
-    area = (psize_l * r_size).astype(dt) * np.array([1 << e.level for e in entries], dtype=dt)[line_entry]  # |P||R| 2^level
+    area = (psize_l * r_size).astype(dt) * np.array([1 << lv for lv in level.tolist()], dtype=dt)[line_entry]  # |P||R| 2^level
     num = gn * (area - corr.astype(dt) * (4 << cert.ell))
     num = np.where(num > 0, num, 0)
     ok &= e_pr.astype(dt) * (4 << cert.ell) >= area  # d(P, R) >= 2^level p / 4

@@ -24,7 +24,7 @@ codes, moves every column to its doubled class, and encodes once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,8 +62,6 @@ class InductiveFamily:
     seed: int
     core_seq: CoreSequence = None
     sub_family: "InductiveFamily" = None
-    f_selection: list = field(default_factory=list)  # per level j: index into the sub chain
-    v_selection: list = field(default_factory=list)
 
     def h_member(self, j: int, idx: int) -> KPartiteKGraph:
         """Member idx of the level-j partition, lifted to a k-graph."""
@@ -106,13 +104,10 @@ def build_inductive_family(k: int, s: int, classes: VertexClassSet, chain, sched
     sub_chain = [levels[: k - 1] for levels in chain]
     fam.sub_family = build_inductive_family(k - 1, s_prime, sub_classes, sub_chain, sched, derive_seed(seed, "sub", k))
     prod = ProductClass.of([VertexClass(c.name, c.size) for c in classes.classes[: k - 1]])
-    # selected subsequences
-    fam.f_selection = [sched.a_star(k, j) for j in range(1, s + 1)]
-    fam.v_selection = [sched.a(k, j) for j in range(1, s + 1)]
-    left_chain = [
-        _edge_partition_as_vertex_partition(fam.sub_family, ell, prod) for ell in fam.f_selection
-    ]
-    right_chain = [chain[i - 1][k - 1] for i in fam.v_selection]
+    # the selected subsequences: level j takes sub-family level a*(k, j)
+    # and chain level a(k, j)
+    left_chain = [_edge_partition_as_vertex_partition(fam.sub_family, sched.a_star(k, j), prod) for j in range(1, s + 1)]
+    right_chain = [chain[sched.a(k, j) - 1][k - 1] for j in range(1, s + 1)]
     r_sizes = [len(p) for p in right_chain]
     l_sizes = [len(p) for p in left_chain]
     profile = GrowthProfile(s=s, r_sizes=r_sizes, l_sizes=l_sizes)

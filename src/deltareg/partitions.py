@@ -193,9 +193,6 @@ class RefinementReport:
     def verdict(self) -> bool:
         return self.mass_unassigned * 1 <= self.beta * self.ground
 
-    def host(self, qi: int) -> int:
-        return self.assignment[qi]
-
 
 def ceil_share(sizes: np.ndarray, beta) -> np.ndarray:
     """ceil(beta * s) for every size s, clipped to s + 1, in Python integers

@@ -315,9 +315,12 @@ def test_criterion_7_certificate_round_trip(desk_seq, tmp_path):
         text=True,
     )
     fresh_ok = proc.returncode == 0
-    # dropping one line of an entry fails re-verification
+    # the v5 text holds no right cluster: the suite takes them from the chain
     text = (art / "certificate.txt").read_text()
     lines = text.split("\n")
+    assert lines[0] == "irregularity-certificate v5" and not any(ln.startswith(("r-level ", "r ")) for ln in lines)
+    assert "r-level-clusters" not in proc.stdout and proc.stdout.splitlines()[-1] == "suite PASS", proc.stdout
+    # dropping one line of an entry fails re-verification
     li = next(i for i, ln in enumerate(lines) if ln.startswith("lines "))
     (ids,) = C._ranges_decode_many([lines[li][6:]])
     lines[li] = "lines " + C._ranges_encode_many([ids[1:]])[0]

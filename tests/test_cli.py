@@ -677,7 +677,7 @@ def certified_artifact(core_artifact, tmp_path_factory):
 
 
 def _as_v3(text):
-    """The v3 layout of a v4 certificate text: the header without the
+    """The v3 layout of a v5 certificate text: the header without the
     member and with gamma-prime, host-c and budget, and each entry's lines
     as 'lines <n>' and n records 'line R=<index> corr=<count>
     value=<fraction>' (placeholder corrections and values)."""
@@ -702,21 +702,32 @@ def _as_v3(text):
     return "\n".join(out)
 
 
+def _as_v4(text):
+    """The v4 layout of a v5 certificate text of the fixture, whose Q is
+    the level-2 right clusters: an 'r-level 2' block of those clusters
+    after the q lines."""
+    q = [ln for ln in text.split("\n") if ln.startswith("q ")]
+    block = "".join(f"{ln}\n" for ln in [f"r-level 2 {len(q)}", *(f"r {ln[2:]}" for ln in q)])
+    return text.replace(" v5\n", " v4\n", 1).replace("\nentries ", f"\n{block}entries ", 1)
+
+
 def _first_lines(text):
-    """The first 'lines' line of a certificate text, its cluster ids and
-    the cell count of their level."""
+    """The first 'lines' line of a certificate text and its cluster ids."""
     from deltareg import core as C
 
     line = next(ln for ln in text.split("\n") if ln.startswith("lines "))
     (ids,) = C._ranges_decode_many([line[6:]])
-    return line, ids, int(re.search(r"\nr-level 2 ([0-9]+)\n", text).group(1))
+    return line, ids
+
+
+LEVEL_2_CLUSTERS = PROFILE["r_sizes"][1]  # the fixture's entries are all of level 2
 
 
 def _changed_index(text):
     from deltareg import core as C
 
-    line, ids, cells = _first_lines(text)
-    moved = np.sort(np.append(ids[1:], next(c for c in range(cells) if c not in ids)))
+    line, ids = _first_lines(text)
+    moved = np.sort(np.append(ids[1:], next(c for c in range(LEVEL_2_CLUSTERS) if c not in ids)))
     return text.replace(f"\n{line}\n", f"\nlines {C._ranges_encode_many([moved])[0]}\n", 1)
 
 
@@ -725,9 +736,11 @@ def _overlapping_p(text):
     return text.replace(f"\n{p1}\n", f"\n{p0}\n", 1)
 
 
-def _swapped_r_cells(text):
-    r0, r1 = [ln for ln in text.split("\n") if ln.startswith("r ")][:2]
-    return text.replace(f"\n{r0}\n{r1}\n", f"\n{r1}\n{r0}\n", 1)
+def _edited_level(text):
+    """The certificate moved to level 1, with t and every entry's level 1
+    too, so that it loads and names member 0 of level 1."""
+    text = text.replace("\nlevel 2\n", "\nlevel 1\n", 1).replace("\nt 2\n", "\nt 1\n", 1)
+    return re.sub(r"\nentry ([0-9]+) level 2\n", r"\nentry \1 level 1\n", text)
 
 
 def _flipped_gamma_byte(art):
@@ -740,17 +753,18 @@ def _flipped_gamma_byte(art):
 # that fails (exit 1) or what the error line says (exit 2))
 CERTIFICATE_TAMPERS = {
     "changed cluster index": (_changed_index, 1, "[FAIL] ledger-reverify"),
-    "cluster index at its level's cell count": (lambda t: t.replace(f"\n{_first_lines(t)[0]}\n", f"\nlines {_first_lines(t)[2]}\n", 1), 2, "out of range"),
+    "cluster index at its level's cell count": (lambda t: t.replace(f"\n{_first_lines(t)[0]}\n", f"\nlines {LEVEL_2_CLUSTERS}\n", 1), 1, "[FAIL] ledger-reverify"),
     "cluster range forged past the cell count": (lambda t: t.replace(f"\n{_first_lines(t)[0]}\n", "\nlines 0-999999999999\n", 1), 2, "more than"),
     "overlapping P cells": (_overlapping_p, 1, "'entry-overlap'"),
     "edited total": (lambda t: re.sub(r"\ntotal ([0-9/]+)\n", lambda m: f"\ntotal {Fraction(m.group(1)) + 1}\n", t), 1, "('total', None)"),
-    "edited level": (lambda t: t.replace("\nlevel 2\n", "\nlevel 1\n", 1).replace("\nt 2\n", "\nt 1\n", 1), 1, "('graph-hash', None)"),
-    "v3 file": (_as_v3, 2, "irregularity-certificate v4"),
-    "v3 ledger under a v4 header": (lambda t: _as_v3(t).replace(" v3\n", " v4\n", 1), 2, "error: invalid artifact dir"),
+    "edited level": (_edited_level, 1, "('graph-hash', None)"),
+    "v3 file": (_as_v3, 2, "irregularity-certificate v5"),
+    "v3 ledger under a v5 header": (lambda t: _as_v3(t).replace(" v3\n", " v5\n", 1), 2, "error: invalid artifact dir"),
+    "v4 file with its r-level block": (_as_v4, 2, "irregularity-certificate v5"),
+    "entry level past t": (lambda t: t.replace("\nentry 0 level 2\n", "\nentry 0 level 3\n", 1), 2, "outside 1..t"),
     "member set to a sibling": (lambda t: t.replace("\nmember 0\n", "\nmember 1\n", 1), 1, "('graph-hash', None)"),
     "member out of range": (lambda t: t.replace("\nmember 0\n", "\nmember 4\n", 1), 2, "not one of the chain's"),
     "t past the level": (lambda t: t.replace("\nt 2\n", "\nt 3\n", 1), 2, "not one of the chain's"),
-    "swapped r-level cells": (_swapped_r_cells, 1, "[FAIL] r-level-clusters"),
     "one flipped Gamma byte": (_flipped_gamma_byte, 1, "[FAIL] gamma-hashes: gamma-2-0.bin"),
 }
 
@@ -791,7 +805,6 @@ def test_the_certificate_suite_derives_the_member_it_names(certified_artifact, c
     capsys.readouterr()
     assert main(["verify", "--artifact", str(certified_artifact), "--suite", "certificate"]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "[PASS] r-level-clusters: every r-level block lists the chain's right clusters of its level, in order",
         f"[PASS] ledger-reverify: {sum(len(e.lines) for e in cert.entries)} lines of member (2, 0) recomputed from the chain",
         f"[PASS] refutation-total: total {cert.total} vs budget {cert.delta * g.edge_count()}",
         "suite PASS",

@@ -219,7 +219,7 @@ def test_refutation_certificate_round_trip(small_seq):
     g = seq.member_graph(2, 0)
     text = cert.to_text()
     cert2 = C.IrregularityCertificate.from_text(text)
-    rep = C.reverify_certificate(cert2, g)
+    rep = C.reverify_certificate(cert2, g, seq.right_chain)
     assert rep["ok"] and rep["refutes"]
     assert rep["budget"] == delta * g.edge_count()
     assert rep["lines_checked"] == sum(len(e.lines) for e in cert.entries)
@@ -242,7 +242,7 @@ def test_refutation_precondition_failures(small_seq):
 def test_refutation_zero_delta_degenerate(small_seq):
     seq = small_seq
     cert = C.refute_partition(seq, 2, 0, seq.left_parts(1), seq.right_parts(2), Fraction(0), 2, gamma=Fraction(1, 4))
-    rep = C.reverify_certificate(cert, seq.member_graph(2, 0))
+    rep = C.reverify_certificate(cert, seq.member_graph(2, 0), seq.right_chain)
     assert rep["budget"] == 0
     assert rep["refutes"]  # any nonzero total refutes a zero budget
 
@@ -254,8 +254,8 @@ def test_refutation_honest_failure_report(small_seq):
     g = seq.member_graph(2, 0)
     cert = _small_cert(seq)
     cert.entries = [C.CertEntry(cert.entries[0].p_vertices, cert.entries[0].level, cert.entries[0].lines[:1])]
-    _reseal(cert, g)
-    rep = C.reverify_certificate(cert, g)
+    _reseal(cert, g, seq.right_chain)
+    rep = C.reverify_certificate(cert, g, seq.right_chain)
     assert rep["ok"] and 0 < cert.total <= rep["budget"]
     assert not rep["refutes"]
 
@@ -267,11 +267,11 @@ def test_tampered_certificate_fails(small_seq):
     text = cert.to_text()
     # tamper the claimed total
     bad = C.IrregularityCertificate.from_text(text.replace(f"\ntotal {cert.total}\n", f"\ntotal {cert.total + 1}\n"))
-    rep = C.reverify_certificate(bad, g)
+    rep = C.reverify_certificate(bad, g, seq.right_chain)
     assert not rep["ok"] and rep["failures"] == [("total", None)]
     # graph mismatch is detected
     other = BipartiteGraph.complete(VertexClass("L", seq.n_left), VertexClass("R", seq.n_right))
-    rep2 = C.reverify_certificate(cert, other)
+    rep2 = C.reverify_certificate(cert, other, seq.right_chain)
     assert not rep2["ok"] and rep2["failures"][0][0] == "graph-hash"
 
 
@@ -450,83 +450,85 @@ def _cert_artifact(seq, d, text):
     return ["verify", "--artifact", str(d), "--suite", "certificate"]
 
 
-def _reseal(cert, g):
+def _reseal(cert, g, chain):
     """Set the total to the sum of the line values, each recounted with
-    edges_between on the refuter's R* (``_rstar_mask``), so that a tamper
-    of the sets breaks only the check it aims at.  A line whose index is
-    not one of its level's cells is worth 0."""
+    edges_between on the refuter's R* (``_rstar_mask``) of the right
+    clusters in ``chain``, so that a tamper of the sets breaks only the
+    check it aims at.  A line whose index is not one of its level's cells
+    is worth 0."""
     q = VertexPartition(cert.n_right, cert.q_cells)
-    rstar = {lvl: C._rstar_mask(q, VertexPartition(cert.n_right, cells), C.HOST_C) for lvl, cells in cert.r_level_cells.items()}
+    rstar = [C._rstar_mask(q, rparts, C.HOST_C) for rparts in chain]
     p = Fraction(1, 1 << cert.ell)
     total = Fraction(0)
     for e in cert.entries:
-        cells = cert.r_level_cells.get(e.level, [])
+        cells = chain[e.level - 1].cells
         for c in e.lines:
             if 0 <= c < len(cells):
                 R = cells[c]
-                corr = edges_between(g, e.p_vertices, R[~rstar[e.level][R]])
+                corr = edges_between(g, e.p_vertices, R[~rstar[e.level - 1][R]])
                 total += max(Fraction(0), cert.gamma / 32 * (Fraction(1, 4) * (1 << e.level) * p * e.p_vertices.size * R.size - corr))
     cert.total = total
 
 
-# each tamper edits a certificate for one failure kind and returns that
-# failure and the graph to re-check against
+# each tamper edits a certificate, re-checked against the right clusters
+# of chain, for one failure kind and returns that failure and the graph to
+# re-check against
 
 
-def _tamper_entry_overlap(cert, g):
+def _tamper_entry_overlap(cert, g, chain):
     e = cert.entries[0]
     cert.entries.append(C.CertEntry(p_vertices=e.p_vertices, level=e.level, lines=np.empty(0, dtype=np.int64)))
     return ("entry-overlap", len(cert.entries) - 1), g
 
 
-def _tamper_r_reused(cert, g):
+def _tamper_r_reused(cert, g, chain):
     e = cert.entries[0]
     e.lines = np.insert(e.lines, 1, e.lines[0])
-    _reseal(cert, g)
+    _reseal(cert, g, chain)
     return ("line", 0, int(e.lines[0])), g
 
 
-def _tamper_p1_too_small(cert, g):
+def _tamper_p1_too_small(cert, g, chain):
     # all but need - 1 vertices of P get an edge into R, in a graph the
     # certificate is resealed to: the edge-free part of P is one too small
     e = cert.entries[0]
-    R = cert.r_level_cells[e.level][e.lines[0]]
+    R = chain[e.level - 1].cells[e.lines[0]]
     floor = max(cert.delta, cert.gamma / 8)
     need = -(-floor.numerator * e.p_vertices.size // floor.denominator)
     free = [int(v) for v in e.p_vertices if edges_between(g, [v], R) == 0]
     added = [(v, int(R[0])) for v in free[need - 1 :]]
     g = BipartiteGraph.from_edges(g.left, g.right, np.concatenate([g.edges(), np.array(added).reshape(-1, 2)]))
     cert.graph_sha256 = C.graph_hash(g)
-    _reseal(cert, g)
+    _reseal(cert, g, chain)
     return ("line", 0, int(e.lines[0])), g
 
 
-def _tamper_density_floor(cert, g):
+def _tamper_density_floor(cert, g, chain):
     # a cluster P sends no edges to: every vertex of P is edge-free there;
     # the entry's lines are then put back in cluster order
     e = cert.entries[0]
-    cells = cert.r_level_cells[e.level]
+    cells = chain[e.level - 1].cells
     c = next(c for c in range(len(cells)) if c not in e.lines and edges_between(g, e.p_vertices, cells[c]) == 0)
     e.lines = np.sort(np.append(e.lines[1:], c))
-    _reseal(cert, g)
+    _reseal(cert, g, chain)
     return ("line", 0, c), g
 
 
-def _tamper_cluster_out_of_range(cert, g):
+def _tamper_cluster_out_of_range(cert, g, chain):
     # the last line of entry 0 names a cluster past its level's cells; the
     # total drops the line's value, which the re-check counts as 0
     e = cert.entries[0]
-    e.lines = np.append(e.lines[:-1], len(cert.r_level_cells[e.level]))
-    _reseal(cert, g)
+    e.lines = np.append(e.lines[:-1], len(chain[e.level - 1]))
+    _reseal(cert, g, chain)
     return ("line", 0, int(e.lines[-1])), g
 
 
-def _tamper_total(cert, g):
+def _tamper_total(cert, g, chain):
     cert.total += Fraction(1, 3)
     return ("total", None), g
 
 
-def _tamper_parameters(cert, g):
+def _tamper_parameters(cert, g, chain):
     # delta above (gamma/32)^2
     cert.delta = Fraction(1, 64)
     return ("parameters", None), g
@@ -547,9 +549,10 @@ TAMPERS = [
 def test_reverify_reports_each_tamper(small_seq, tamper):
     g = small_seq.member_graph(2, 0)
     cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
-    assert C.reverify_certificate(cert, g)["ok"]
-    expected, g = tamper(cert, g)
-    rep = C.reverify_certificate(cert, g)
+    chain = small_seq.right_chain
+    assert C.reverify_certificate(cert, g, chain)["ok"]
+    expected, g = tamper(cert, g, chain)
+    rep = C.reverify_certificate(cert, g, chain)
     assert not rep["ok"]
     assert rep["failures"] == [expected]
 
@@ -568,7 +571,7 @@ def test_reverify_does_not_repeat_a_faulty_rstar_mask(small_seq, monkeypatch):
     monkeypatch.setattr(C, "_rstar_mask", drops_one_cell)
     g = small_seq.member_graph(2, 0)
     cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
-    rep = C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(cert, g, small_seq.right_chain)
     assert not rep["ok"]
     assert ("total", None) in rep["failures"]
 
@@ -587,9 +590,9 @@ def test_reverify_rstar_agrees_with_the_refuter_on_partly_outside_cells(small_se
     cert.q_cells = [cell for cell in cells if cell.size]
     monkeypatch.setattr(C, "HOST_C", c)
     before = cert.total
-    _reseal(cert, g)
+    _reseal(cert, g, small_seq.right_chain)
     assert cert.total != before
-    rep = C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(cert, g, small_seq.right_chain)
     assert [f for f in rep["failures"] if f[0] in ("line", "total")] == []
 
 
@@ -637,7 +640,7 @@ def _rewrite(text, prefix, new, every=True):
 
 def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, tmp_path):
     """Each bound follows from a re-check (disjoint entries, Q and each
-    r-level a partition) or from ids increasing within a set, so the honest
+    level's clusters a partition) or from ids increasing within a set, so the honest
     certificate loads, and a forged one is refused with ValueError, before
     any set is expanded, and ``verify --suite certificate`` exits 2."""
     from deltareg.cli import main
@@ -650,8 +653,7 @@ def test_certificate_loader_refuses_oversized_sets_before_expanding(small_seq, t
     forged = {
         "the p sets": _rewrite(text, "p ", lambda ln: f"p 0-{nl - 1}"),
         "the q cells": _rewrite(text, "q ", lambda ln: f"q 0-{nr - 1}", every=False),
-        "one level's r cells": _rewrite(text, "r ", lambda ln: f"r 0-{nr - 1}", every=False),
-        "its level's r-level block": _rewrite(text, "lines ", lambda ln: f"lines 0-{len(cert.r_level_cells[2])}", every=False),
+        "more clusters than n-right": _rewrite(text, "lines ", lambda ln: f"lines 0-{nr}", every=False),
     }
     for what, t in forged.items():
         with pytest.raises(ValueError, match=what):
@@ -682,17 +684,17 @@ def test_an_entry_with_no_line_is_omitted_by_the_writer(small_seq):
     assert [e.p_vertices.tolist() for e in reread.entries] == [e.p_vertices.tolist() for e in cert.entries if len(e.lines)]
     assert reread.to_text() == text
     g = seq.member_graph(2, 0)
-    rep = C.reverify_certificate(reread, g)
-    assert rep["ok"] and rep == C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(reread, g, seq.right_chain)
+    assert rep["ok"] and rep == C.reverify_certificate(cert, g, seq.right_chain)
 
 
 # -- whole-array certificate path against the per-entry reference --------------
 
 
-def _reference_reverify(cert, g):
+def _reference_reverify(cert, g, chain):
     """The per-line re-check, kept as the reference for the reports of the
-    whole-array one: it takes each line's R as a vertex set and counts the
-    edge-free part of P itself."""
+    whole-array one: it takes each line's R as a vertex set of the right
+    clusters in ``chain`` and counts the edge-free part of P itself."""
     edges = g.edge_count()
     report = {"ok": True, "refutes": False, "budget": cert.delta * edges, "failures": [], "lines_checked": 0}
     if C.graph_hash(g) != cert.graph_sha256:
@@ -704,15 +706,15 @@ def _reference_reverify(cert, g):
     q_size = np.bincount(q_owner).astype(object)
     cn, cd = C.HOST_C.numerator, C.HOST_C.denominator
     rstar = {}
-    for lvl, cells in cert.r_level_cells.items():
-        r_owner = VertexPartition(cert.n_right, cells).owner
-        pair, count = np.unique(q_owner * len(cells) + r_owner, return_counts=True)
-        q_of = pair // len(cells)
+    for lvl, rparts in enumerate(chain, start=1):
+        r_owner, k = rparts.owner, len(rparts)
+        pair, count = np.unique(q_owner * k + r_owner, return_counts=True)
+        q_of = pair // k
         first = np.lexsort((pair, -count, q_of))
         first = first[np.r_[True, q_of[first[1:]] != q_of[first[:-1]]]]
         outside = q_size - count[first]
         keep = ((outside == 0) | (outside * cd < cn * q_size)).astype(bool)
-        rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % len(cells))[q_owner])
+        rstar[lvl] = keep[q_owner] & (r_owner == (pair[first] % k)[q_owner])
     floor = max(cert.delta, cert.gamma / 8)
     gamma_prime = cert.gamma / 32
     gn, den = gamma_prime.numerator, gamma_prime.denominator * 4 << cert.ell
@@ -725,7 +727,7 @@ def _reference_reverify(cert, g):
         seen[e.p_vertices] = True
         P = e.p_vertices
         psize = int(P.size)
-        cells = cert.r_level_cells.get(e.level, [])
+        cells = chain[e.level - 1].cells if 1 <= e.level <= len(chain) else []
         dense = np.unpackbits(g.rows[P].view(np.uint8), axis=1, count=cert.n_right, bitorder="little").astype(np.int64)
         for j, c in enumerate(int(x) for x in e.lines):
             report["lines_checked"] += 1
@@ -775,15 +777,16 @@ def _uneven_partition(seq):
 # v3 text of these certificates (itself the v1 text of the per-cell refuter
 # and range codec, with every ' P1=<set>' dropped and each 'R=<set>' replaced
 # by its index among its level's r cells), on the chain drawn by sampler
-# stream 2, with 'v3' changed to 'v4', 'member <member>' added after the
-# level, the gamma-prime, host-c and budget lines dropped, and each entry's
+# stream 2, with 'v3' changed to 'v5', 'member <member>' added after the
+# level, the gamma-prime, host-c and budget lines dropped, each entry's
 # 'lines <n>' and n records 'line R=<index> corr=<count> value=<fraction>'
-# replaced by 'lines <the indices, as a range set>'
+# replaced by 'lines <the indices, as a range set>', and the 'r-level' and
+# 'r' lines dropped
 PINNED_CERTIFICATES = [
-    (2, 0, "L1", 2, "ff3a0b2c71311cd6532bd3b049613dee0e2ce30ce093dfd4f590f6819246df8e"),
-    (2, 3, "uneven", 2, "fc2cc21701720e7e66b41876b3597c73bb3f9fb1763cf1769faa1a4f7a5d560a"),
-    (2, 2, "all", 2, "5fd9a22918069dc99fc428e0fc520ae25fe004f4bc5a6d258f50b27ca05bccc6"),
-    (1, 1, "all", 1, "fac2e95174a98a1aafdae51a82f8740eef18d01ad46ecf255b8f210ad574bb41"),
+    (2, 0, "L1", 2, "90f4c6f93805fa3c9ddbf90169b240e6a147cee1bd96082f5624802ce2632610"),
+    (2, 3, "uneven", 2, "11b020563ce08becd11d9f494188c34cfe4c0272c9423ccfe0c74ad58ec37c7c"),
+    (2, 2, "all", 2, "cbc8c4bf3c3af90d1102c17b58abad8f4702ded777486660488a9fcf614044b1"),
+    (1, 1, "all", 1, "708f9a934a46526ed356e9961940849cd36a5d7e308cd9fb9c157cac6e59a664"),
 ]
 
 
@@ -800,9 +803,9 @@ def test_certificate_text_is_byte_identical_to_the_per_cell_refuter(small_seq, e
     text = cert.to_text()
     assert hashlib.sha256(text.encode()).hexdigest() == sha
     assert C.IrregularityCertificate.from_text(text).to_text() == text
-    g = small_seq.member_graph(ell, member)
-    rep = C.reverify_certificate(C.IrregularityCertificate.from_text(text), g)
-    assert rep == _reference_reverify(C.IrregularityCertificate.from_text(text), g)
+    g, chain = small_seq.member_graph(ell, member), small_seq.right_chain
+    rep = C.reverify_certificate(C.IrregularityCertificate.from_text(text), g, chain)
+    assert rep == _reference_reverify(C.IrregularityCertificate.from_text(text), g, chain)
     assert rep["ok"] and rep["lines_checked"] == sum(len(e.lines) for e in cert.entries)
 
 
@@ -810,12 +813,12 @@ def test_certificate_text_is_byte_identical_to_the_per_cell_refuter(small_seq, e
 @pytest.mark.parametrize("pname", ["L1", "uneven"])
 def test_recheck_reports_match_the_per_entry_reference(small_seq, pname, tamper):
     ell, member, t = 2, 3, 2
-    g = small_seq.member_graph(ell, member)
+    g, chain = small_seq.member_graph(ell, member), small_seq.right_chain
     text = _pinned_cert(small_seq, ell, member, pname, t).to_text()
     mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
-    (expected, g_mine), (expected_ref, g_ref) = tamper(mine, g), tamper(ref, g)
+    (expected, g_mine), (expected_ref, g_ref) = tamper(mine, g, chain), tamper(ref, g, chain)
     assert expected == expected_ref
-    assert C.reverify_certificate(mine, g_mine) == _reference_reverify(ref, g_ref)
+    assert C.reverify_certificate(mine, g_mine, chain) == _reference_reverify(ref, g_ref, chain)
 
 
 def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
@@ -831,30 +834,45 @@ def test_small_chunks_change_no_byte_and_no_report(small_seq, monkeypatch):
     for ell, member, pname, t, sha in PINNED_CERTIFICATES:
         text = _pinned_cert(small_seq, ell, member, pname, t).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == sha
-        g = small_seq.member_graph(ell, member)
+        g, chain = small_seq.member_graph(ell, member), small_seq.right_chain
         several = pname != "all"  # the tampers need two entries
-        for tamper in (lambda c, g: (None, g),) + (_tamper_p1_too_small, _tamper_entry_overlap, _tamper_r_reused) * several:
+        for tamper in (lambda c, g, chain: (None, g),) + (_tamper_p1_too_small, _tamper_entry_overlap, _tamper_r_reused) * several:
             mine, ref = (C.IrregularityCertificate.from_text(text) for _ in range(2))
-            (_, g_mine), (_, g_ref) = tamper(mine, g), tamper(ref, g)
-            assert C.reverify_certificate(mine, g_mine) == _reference_reverify(ref, g_ref)
+            (_, g_mine), (_, g_ref) = tamper(mine, g, chain), tamper(ref, g, chain)
+            assert C.reverify_certificate(mine, g_mine, chain) == _reference_reverify(ref, g_ref, chain)
 
 
 @pytest.mark.parametrize("index", [-1, 10**30])
 def test_recheck_fails_a_line_whose_cluster_is_not_a_cell(small_seq, index):
     """An in-memory line whose R index is negative, or past int64, is a
     failing line, never an IndexError or OverflowError."""
-    g = small_seq.member_graph(2, 0)
+    g, chain = small_seq.member_graph(2, 0), small_seq.right_chain
     cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
     cert.entries[0].lines = [*cert.entries[0].lines[:-1].tolist(), index]
-    rep = C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(cert, g, chain)
     assert not rep["ok"] and ("line", 0, index) in rep["failures"]
-    assert rep == _reference_reverify(cert, g)
+    assert rep == _reference_reverify(cert, g, chain)
+
+
+@pytest.mark.parametrize("level", [0, 3, 10**30])
+def test_recheck_fails_the_lines_of_a_level_the_chain_does_not_hold(small_seq, level):
+    """An in-memory entry whose level is not one of the chain's: each of its
+    lines fails, and it adds nothing to the recounted total; never an
+    IndexError or a shift of 10^30 bits."""
+    g, chain = small_seq.member_graph(2, 0), small_seq.right_chain
+    cert = C.IrregularityCertificate.from_text(_small_cert(small_seq).to_text())
+    cert.entries[0].level = level
+    rep = C.reverify_certificate(cert, g, chain)
+    assert rep["failures"] == [("line", 0, int(c)) for c in cert.entries[0].lines] + [("total", None)]
+    assert rep == _reference_reverify(cert, g, chain)
 
 
 def test_recheck_reads_cluster_indices_in_text_order_on_scattered_clusters(small_seq):
     """The right side relabelled by a permutation: the clusters are no longer
-    runs of consecutive ids, and their text order is not the order of their
-    least ids.  The certificate, carried over, still re-checks, through its
+    runs of consecutive ids, and each cluster's index among the relabelled
+    chain's clusters, ordered by least id, is not its index before.  The
+    certificate, carried over with each line's index moved to its cluster's
+    new index, still re-checks against the relabelled chain, through its
     text and against the per-line reference."""
     ell, member, t = 2, 3, 2
     g = small_seq.member_graph(ell, member)
@@ -862,26 +880,27 @@ def test_recheck_reads_cluster_indices_in_text_order_on_scattered_clusters(small
     perm = np.random.default_rng(5).permutation(g.right.size)
     edges = g.edges()
     g = BipartiteGraph.from_edges(g.left, g.right, np.stack([edges[:, 0], perm[edges[:, 1]]], axis=1))
+    chain = [VertexPartition(g.right.size, [perm[c] for c in rparts.cells]) for rparts in small_seq.right_chain]
+    index = [new.owner[perm[[c[0] for c in old.cells]]] for old, new in zip(small_seq.right_chain, chain)]
+    assert all(np.any(new.owner[1:] < new.owner[:-1]) for new in chain)
+    assert all(not np.array_equal(ix, np.arange(ix.size)) for ix in index)
+    assert {e.level for e in cert.entries} == {1, 2}
     cert.graph_sha256 = C.graph_hash(g)
     cert.q_cells = [np.sort(perm[c]) for c in cert.q_cells]
-    cert.r_level_cells = {lvl: [np.sort(perm[c]) for c in cells] for lvl, cells in cert.r_level_cells.items()}
-    assert len(cert.r_level_cells) == 2
-    for cells in cert.r_level_cells.values():
-        least = [int(c[0]) for c in cells]
-        assert least != sorted(least)
+    for e in cert.entries:
+        e.lines = np.sort(index[e.level - 1][e.lines])
     cert = C.IrregularityCertificate.from_text(cert.to_text())
-    rep = C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(cert, g, chain)
     assert rep["ok"] and rep["refutes"]
-    assert rep == _reference_reverify(cert, g)
-    _tamper_r_reused(cert, g)
-    assert C.reverify_certificate(cert, g) == _reference_reverify(cert, g)
+    assert rep == _reference_reverify(cert, g, chain)
+    _tamper_r_reused(cert, g, chain)
+    assert C.reverify_certificate(cert, g, chain) == _reference_reverify(cert, g, chain)
     # clusters of unequal sizes: the first two cells of each level merged,
     # the total resealed; lines past the last cell now fail
-    for lvl, cells in cert.r_level_cells.items():
-        cert.r_level_cells[lvl] = [np.sort(np.concatenate(cells[:2])), *cells[2:]]
-    _reseal(cert, g)
-    rep = C.reverify_certificate(cert, g)
-    assert rep == _reference_reverify(cert, g)
+    chain = [VertexPartition(rparts.n, [np.concatenate(rparts.cells[:2]), *rparts.cells[2:]]) for rparts in chain]
+    _reseal(cert, g, chain)
+    rep = C.reverify_certificate(cert, g, chain)
+    assert rep == _reference_reverify(cert, g, chain)
     assert rep["lines_checked"] > len([f for f in rep["failures"] if f[0] == "line"]) > 0
 
 
@@ -915,7 +934,7 @@ def test_recheck_fails_a_certificate_whose_sides_do_not_fit_the_graph(small_seq,
     text = _rewrite(text, "p ", lambda ln: f"p 0-{2 * nl - 1}", every=False)
     cert = C.IrregularityCertificate.from_text(text)
     assert cert.entries[0].p_vertices.size == 2 * nl
-    rep = C.reverify_certificate(cert, g)
+    rep = C.reverify_certificate(cert, g, small_seq.right_chain)
     assert rep == {"ok": False, "refutes": False, "budget": cert.delta * g.edge_count(), "failures": [("sides", None)], "lines_checked": 0}
     assert main(_cert_artifact(small_seq, tmp_path, text)) == 1
 
@@ -930,8 +949,11 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
     text = cert.to_text()
     C.IrregularityCertificate.from_text(text)
     line = next(ln for ln in text.split("\n") if ln.startswith("lines "))
-    assert list(cert.r_level_cells) == [2]
-    cells = len(cert.r_level_cells[2])
+    assert {e.level for e in cert.entries} == {2}
+    # the level-2 right clusters as a v4 'r-level' block, after the q lines
+    clusters = small_seq.right_parts(2).cells
+    r_block = "".join(f"{ln}\n" for ln in [f"r-level 2 {len(clusters)}", *(f"r {r}" for r in C._ranges_encode_many(clusters))])
+    with_r_block = text.replace("\nentries ", f"\n{r_block}entries ", 1)
     variants = {
         "repeated field": text.replace(line, f"{line} {line[6:]}", 1),
         "underscore in a count": text.replace(f"\nq-cells {len(cert.q_cells)}\n", "\nq-cells 3_2\n", 1),
@@ -943,8 +965,13 @@ def test_certificate_grammar_is_strict(small_seq, tmp_path):
         "CRLF line ends": text.replace("\n", "\r\n"),
         "cut after the entry count": text[: text.index("\n", text.index("\nentries ") + 1) + 1],
         "cut inside a lines set": text[: text.index(",", text.index("\nlines ")) + 1] + "\n",
-        "v3 version line": text.replace(" v4\n", " v3\n", 1),
-        "a line past the level's cells": text.replace(line, f"lines {cells}", 1),
+        "v3 version line": text.replace(" v5\n", " v3\n", 1),
+        "v4 version line": text.replace(" v5\n", " v4\n", 1),
+        "v4 text with its r-level block": with_r_block.replace(" v5\n", " v4\n", 1),
+        "r-level block under a v5 header": with_r_block,
+        "entry level past t": text.replace("\nentry 0 level 2\n", "\nentry 0 level 3\n", 1),
+        "entry level 0": text.replace("\nentry 0 level 2\n", "\nentry 0 level 0\n", 1),
+        "a line past n-right": text.replace(line, f"lines {cert.n_right}", 1),
     }
     assert "\nt 2\n" in text and len(cert.q_cells) == 32 and "," in line
     args = _cert_artifact(small_seq, tmp_path, text)
@@ -1381,27 +1408,28 @@ def test_codegree_check_counts_pairs_once_per_chunk(desk_seq, monkeypatch):
 
 
 def test_recheck_of_a_desk_certificate_with_two_level_3_cells_merged(desk_seq):
-    """Clusters of unequal sizes at desk scale: the first two level-3
-    cells of a level-3 certificate merged into one cluster of 2 among
-    singletons, and the Q cells coarsened to the level-2 right cells, so
-    that no Q cell lies inside a cluster and every line's correction is its
-    e(P, R).  The total is resealed, so it matches only if the re-check sums
-    each cluster's columns exactly; the lines on the last index, now past
-    the last cell, fail.  The report is the per-line reference's."""
+    """Clusters of unequal sizes at desk scale: a level-3 certificate
+    re-checked against a chain whose first two level-3 cells are merged
+    into one cluster of 2 among singletons, and the Q cells coarsened to
+    the level-2 right cells, so that no Q cell lies inside a cluster and
+    every line's correction is its e(P, R).  The total is resealed, so it
+    matches only if the re-check sums each cluster's columns exactly; the
+    lines on the last index, now past the last cell, fail.  The report is
+    the per-line reference's."""
     g = desk_seq.member_graph(3, 0)
     P, Q = desk_seq.left_parts(2), desk_seq.right_parts(3)
     cert = C.refute_partition(desk_seq, 3, 0, P, Q, Fraction(1, 1 << 14), 3, gamma=Fraction(1, 4))
     cert = C.IrregularityCertificate.from_text(cert.to_text())
-    assert C.reverify_certificate(cert, g)["ok"]
-    cells = cert.r_level_cells[3]
-    cert.r_level_cells[3] = [np.sort(np.concatenate(cells[:2])), *cells[2:]]
+    assert C.reverify_certificate(cert, g, desk_seq.right_chain)["ok"]
+    cells = Q.cells
+    chain = [*desk_seq.right_chain[:2], VertexPartition(Q.n, [np.concatenate(cells[:2]), *cells[2:]])]
     cert.q_cells = list(desk_seq.right_parts(2).cells)
     before = cert.total
-    _reseal(cert, g)
+    _reseal(cert, g, chain)
     assert cert.total != before
     assert any(0 in e.lines for e in cert.entries)
-    rep = C.reverify_certificate(cert, g)
-    assert rep == _reference_reverify(cert, g)
+    rep = C.reverify_certificate(cert, g, chain)
+    assert rep == _reference_reverify(cert, g, chain)
     line_failures = [f for f in rep["failures"] if f[0] == "line"]
     assert ("total", None) not in rep["failures"]
     assert any(c == 127 for _, _, c in line_failures)

@@ -113,12 +113,10 @@ def test_family_lift_round_trip(k3_family):
 
 def test_family_subsequence_bookkeeping(k3_family):
     sched = k3_family.schedule
-    for j, ell in enumerate(k3_family.f_selection, start=1):
-        assert ell == sched.a_star(3, j)
-        # the selected chain partition has 2^ell parts
-        assert len(k3_family.core_seq.left_chain[j - 1].cells) == 1 << ell
-    for j, i in enumerate(k3_family.v_selection, start=1):
-        assert len(k3_family.core_seq.right_chain[j - 1].cells) == sched.t(i)
+    for j in range(1, k3_family.s + 1):
+        # level j's left partition is sub-family level a*(3, j), with 2^a* parts
+        assert len(k3_family.core_seq.left_chain[j - 1].cells) == 1 << sched.a_star(3, j)
+        assert len(k3_family.core_seq.right_chain[j - 1].cells) == sched.t(sched.a(3, j))
 
 
 def test_family_chain_depth_consistency():

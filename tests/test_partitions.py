@@ -507,7 +507,6 @@ def test_refines_beta_hosts_under_straddle_noise():
     q = P.VertexPartition(32, [list(c) for c in cells])
     rep = P.refines_beta(q, p, Fraction(1, 4))
     assert rep.assignment == [0, 1, -1, 2, 3] and rep.mass_unassigned == 2 and rep.verdict
-    assert [rep.host(qi) for qi in range(len(q))] == rep.assignment
     # 2 unassigned vertices of 32 exceed beta n once beta < 1/16
     assert not P.refines_beta(q, p, Fraction(1, 17)).verdict and P.refines_beta(q, p, Fraction(1, 16)).verdict
 
