@@ -12,7 +12,13 @@ The pair kernels work through the pairs in chunks of at most
 whatever the number of pairs.  ``subset_min_edges`` is the one exact
 subset-extremum search; it scans left subsets in lexicographic
 (combinations) order, unranking each block of subsets with numpy
-(``lex_subsets``), in chunks of at most ``_SUBSET_CHUNK`` column sums.
+(``lex_subsets``), in blocks of at most ``_SUBSET_CHUNK`` gathered row
+words (subsets times row words).  It works on the packed rows: a block's
+column sums are a.bit_length() bit planes, added with word-parallel ripple
+carries, and the sums of the b smallest and largest are read off one
+popcount per value of a comparator mask (the bit-sliced adders and
+popcounts of Warren, *Hacker's Delight*, 2nd ed., 2012).  Its counts are
+int64, and it refuses C(n_left, a) >= 2^63, since subset ranks are int64.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 HAVE_NUMBA = False  # numpy is the only backend; run reports print this flag
 
 _CHUNK_WORDS = 1 << 18
-_SUBSET_CHUNK = 1 << 14
+_SUBSET_CHUNK = 1 << 12
 
 
 # -- the packed-row format ----------------------------------------------------
@@ -338,6 +344,47 @@ def lex_subsets(table: np.ndarray, start: int, count: int) -> np.ndarray:
     return out.T
 
 
+def _column_sum_planes(rows: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
+    """(B, count, words) bit planes of the column sums of the a-subsets in
+    the rows of ``idx``, B = a.bit_length(): bit j of plane i is bit i of
+    the sum of column j.  Each gathered row is added in with a ripple carry
+    (an AND and an XOR per plane, in place); after j + 1 rows the sums fit
+    in (j + 1).bit_length() planes, so no carry leaves the top one."""
+    count, words = idx.shape[0], rows.shape[1]
+    planes = np.zeros((a.bit_length(), count, words), dtype=np.uint64)
+    x, carry = np.empty((2, count, words), dtype=np.uint64)
+    rows.take(idx[:, 0], axis=0, out=planes[0])
+    for j in range(1, a):
+        rows.take(idx[:, j], axis=0, out=x)
+        top = (j + 1).bit_length() - 1
+        for i in range(top):
+            np.bitwise_and(planes[i], x, out=carry)
+            np.bitwise_xor(planes[i], x, out=planes[i])
+            x, carry = carry, x
+        np.bitwise_xor(planes[top], x, out=planes[top])
+    return planes
+
+
+def _columns_above(planes: np.ndarray, a: int) -> np.ndarray:
+    """(a, count) int64 array G: G[v, s] is the number of columns whose sum
+    in subset s is above v.  The mask of such columns is the borrow out of
+    v - sum, taken bit by bit from the lowest 0 bit of v (below it the
+    borrow is 0): a 0 bit of v ORs in that plane, a 1 bit ANDs it.  Every
+    v < a < 2^B has a 0 bit among the B planes.  Padding columns have sum
+    0 and never pass v >= 0."""
+    above = np.empty((a,) + planes.shape[1:], dtype=np.uint64)
+    for v in range(a):
+        low = (~v & (v + 1)).bit_length() - 1
+        out = above[v]
+        np.copyto(out, planes[low])
+        for i in range(low + 1, len(planes)):
+            if v >> i & 1:
+                np.bitwise_and(out, planes[i], out=out)
+            else:
+                np.bitwise_or(out, planes[i], out=out)
+    return np.bitwise_count(above).sum(axis=-1, dtype=np.int64)
+
+
 def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
     """Exact extremes of e(S, T) over a-subsets S of the left side and
     b-subsets T of the right side.
@@ -350,11 +397,19 @@ def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
     of its b largest.  Returns ``(S, e_min(S), e_max(S))`` for the first S
     with e_min(S) < lo or e_max(S) > hi, else ``(None, min e_min, max
     e_max)`` over all S (both None when there is no a-subset).  ``lo`` and
-    ``hi`` are exact integers, None leaves that side unchecked.  Column sums
-    are at most a, so they are kept in the smallest unsigned dtype that
-    holds a, and their low and high b are added in int64, which holds every
-    e(S, T) <= a * b.  Chunks start at 64 subsets, so an early exit stays
-    cheap, and double up to _SUBSET_CHUNK column sums.
+    ``hi`` are exact integers, None leaves that side unchecked.
+
+    The packed rows are never unpacked.  A block's column sums are kept as
+    B = a.bit_length() uint64 bit planes per row word (``_column_sum_planes``),
+    which hold every sum up to a.  A sum s is the number of v < a below
+    it, so with G_v(S) the number of columns whose sum is above v
+    (``_columns_above``, one popcount per v), e_min(S) = sum_v max(0, G_v -
+    (n_right - b)), since the n_right - G_v sums at most v come first in
+    sorted order, and e_max(S) = sum_v min(b, G_v).  No column sum is
+    selected or sorted.  Counts are int64, which holds every e(S, T) <=
+    a * b.  Blocks start at 64 subsets, so an early exit stays cheap, and
+    double up to _SUBSET_CHUNK gathered row words (subsets times row
+    words), so the planes of a block take at most B * _SUBSET_CHUNK words.
     """
     n = rows.shape[0]
     total = math.comb(n, a)
@@ -362,19 +417,15 @@ def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
         raise ValueError(f"C({n}, {a}) is not below 2^63")
     if not total:
         return None, None, None
-    deg = unpack_rows(rows, n_right).astype(np.min_scalar_type(a), copy=False)
     table = lex_table(n, a)
-    most = max(1, _SUBSET_CHUNK // max(n_right, 1))
+    most = max(1, _SUBSET_CHUNK // max(rows.shape[1], 1))
     e_min = e_max = None
     start, size = 0, min(64, most)
     while start < total:
         idx = lex_subsets(table, start, min(size, total - start))
-        sums = np.take(deg, idx[:, 0], axis=0)
-        for j in range(1, a):
-            sums += np.take(deg, idx[:, j], axis=0)
-        part = np.partition(sums, [b - 1, n_right - b], axis=1)
-        lows = part[:, :b].sum(axis=1, dtype=np.int64)
-        highs = part[:, n_right - b :].sum(axis=1, dtype=np.int64)
+        above = _columns_above(_column_sum_planes(rows, idx, a), a)
+        lows = np.maximum(above - (n_right - b), 0).sum(axis=0)
+        highs = np.minimum(above, b).sum(axis=0)
         bad = np.zeros(len(idx), dtype=bool)
         if lo is not None:
             bad |= lows < lo

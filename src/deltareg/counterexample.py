@@ -19,6 +19,7 @@ decompositions of ``convex_decompose``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -215,8 +216,6 @@ def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction) -> dict:
     """min over threshold-size subset pairs of e(S,T) vs (1-delta) d |S||T|,
     by one exact scan when C(n_l, a) <= PAIR_CHECK_CAP; past the cap the
     claim is "undecided", with its bound and no verdict."""
-    import math
-
     n_l, n_r = pair.left.size, pair.right.size
     d = Fraction(pair.edge_count(), n_l * n_r)
     if d == 0:

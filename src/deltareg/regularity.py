@@ -155,9 +155,10 @@ def find_delta_witness(g: BipartiteGraph, delta) -> DeltaWitness | None:
                 break
         w = _finish_witness(g, S, b, e_total)
         if w.is_valid():
-            # re-verify from scratch before reporting
+            # recount from scratch before reporting; an explicit check, which python -O keeps
             e_check = edges_between(g, w.left, w.right)
-            assert e_check == w.e_st
+            if e_check != w.e_st:
+                raise AssertionError(f"witness recount {e_check} != e(S, T) {w.e_st}")
             if best is None or w.ratio < best.ratio:
                 best = w
     return best

@@ -272,12 +272,13 @@ def _engine(bits, a, b, lo=None, hi=None):
     return (None if S is None else S.tolist()), e_min, e_max
 
 
-@pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 24])
-def test_subset_engine_matches_per_subset_scan(chunk, monkeypatch):
-    monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)  # 24 column sums: a scan spans many chunks
+@pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 24, 1])
+@pytest.mark.parametrize("widths", [(1, 9), (65, 131)])  # one row word; two or three
+def test_subset_engine_matches_per_subset_scan(chunk, widths, monkeypatch):
+    monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)  # 24 or 1 row words: a scan spans many blocks
     rng = np.random.default_rng(9)
     for trial in range(60):
-        nl, nr = (int(x) for x in rng.integers(1, 9, size=2))
+        nl, nr = int(rng.integers(1, 9)), int(rng.integers(*widths))
         bits = rng.random((nl, nr)) < rng.uniform(0.1, 0.9)
         a, b = int(rng.integers(1, nl + 1)), int(rng.integers(1, nr + 1))
         full = _scan(bits, a, b)
@@ -289,12 +290,18 @@ def test_subset_engine_matches_per_subset_scan(chunk, monkeypatch):
             assert _engine(bits, a, b, *bounds) == _scan(bits, a, b, *bounds), (trial, bounds)
 
 
-@pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 30])
-def test_subset_engine_edge_shapes(chunk, monkeypatch):
+@pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 30, 1])
+@pytest.mark.parametrize("nl, nr", [(8, 7), (10, 65), (9, 130)])
+def test_subset_engine_edge_shapes(chunk, nl, nr, monkeypatch):
+    def unpacked(*args):
+        raise AssertionError("the engine unpacked its rows")
+
+    monkeypatch.setattr(K, "unpack_rows", unpacked)  # the engine reads the packed rows
     monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)
     rng = np.random.default_rng(3)
-    bits = rng.random((8, 7)) < 0.6
-    for a, b in ((8, 3), (3, 1), (3, 7), (8, 7), (1, 1)):  # a = nl, b = 1, b = nr
+    bits = rng.random((nl, nr)) < 0.6
+    # a = nl, b = 1, b = nr, a = 1 with b = nr; a >= 8 takes four bit planes
+    for a, b in ((nl, 3), (3, 1), (3, nr), (nl, nr), (1, 1), (1, nr), (8, nr // 2)):
         full = _scan(bits, a, b)
         assert _engine(bits, a, b) == full, (a, b)
         assert _engine(bits, a, b, lo=full[1] + 1) == _scan(bits, a, b, lo=full[1] + 1), (a, b)
@@ -346,7 +353,7 @@ def test_subset_engine_refuses_counts_past_int64_before_scanning(monkeypatch):
         raise AssertionError("scanned")
 
     monkeypatch.setattr(K, "lex_table", boom)
-    monkeypatch.setattr(K, "unpack_rows", boom)
+    monkeypatch.setattr(K, "_column_sum_planes", boom)
     with pytest.raises(ValueError, match="2\\^63"):
         K.subset_min_edges(K.zero_rows(200, 8), 8, 100, 4)
     with pytest.raises(ValueError):
@@ -355,6 +362,21 @@ def test_subset_engine_refuses_counts_past_int64_before_scanning(monkeypatch):
     # C(66, 33) is below 2^63: the first subset already violates lo
     S, e_min, e_max = K.subset_min_edges(K.zero_rows(66, 8), 8, 33, 4, lo=1)
     assert S.tolist() == list(range(33)) and (e_min, e_max) == (0, 0)
+
+
+def test_subset_engine_blocks_hold_at_most_the_chunk_in_row_words(monkeypatch):
+    blocks = []
+    unrank = K.lex_subsets
+
+    def recorded(table, start, count):
+        blocks.append(count)
+        return unrank(table, start, count)
+
+    monkeypatch.setattr(K, "lex_subsets", recorded)
+    monkeypatch.setattr(K, "_SUBSET_CHUNK", 30)
+    bits = np.random.default_rng(6).random((10, 130)) < 0.5  # three row words
+    assert _engine(bits, 4, 20) == _scan(bits, 4, 20)
+    assert sum(blocks) == math.comb(10, 4) and max(blocks) == 30 // 3
 
 
 def test_subset_engine_column_sums_past_255():

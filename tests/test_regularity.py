@@ -98,6 +98,15 @@ def test_sampled_mode_witness_sound():
         assert w.ratio < Fraction(1, 2)
 
 
+def test_sampled_witness_with_a_disagreeing_recount_is_never_returned(monkeypatch):
+    edges = [(u, v) for u in range(12) for v in range(12) if not (u < 3 and v < 3)]
+    g = BipartiteGraph.from_edges(VertexClass("A", 12), VertexClass("B", 12), edges)
+    assert R.find_delta_witness(g, Fraction(1, 4)) is not None
+    monkeypatch.setattr(R, "edges_between", lambda *args: edges_between(*args) + 1)
+    with pytest.raises(AssertionError, match="recount"):
+        R.find_delta_witness(g, Fraction(1, 4))
+
+
 def naive_eps_oracle(g, eps):
     """All-subset-pairs two-sided deviation scan."""
     p = Fraction(g.edge_count(), g.left.size * g.right.size)
