@@ -307,7 +307,8 @@ def sample_balanced(
             yrows[seconds] = _kernels.complement_rows(yrows[firsts], spec.nx)
         graph = BipartiteGraph(VertexClass("Y", spec.ny), VertexClass("X", spec.nx), yrows).transposed()
         forced = verify_balanced(graph, spec, conditions=("i", "iv"))
-        assert forced.ok, "construction-forced conditions must hold on every draw"
+        if not forced.ok:
+            raise AssertionError("construction-forced conditions must hold on every draw")
         ok = True
         for cond in enforce:
             rep = verify_balanced(graph, spec, conditions=(cond,))

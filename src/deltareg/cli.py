@@ -256,6 +256,15 @@ def _read_bytes(*path: str) -> bytes:
         return f.read()
 
 
+def _read_kgraph(parse, read, artifact: str, name: str):
+    """The k-graph in a file of build-hypergraph; a file that its reader
+    refuses is named in the error."""
+    try:
+        return parse(read(artifact, name))
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
 def _suite_hypergraph(artifact: str) -> dict:
     with open(os.path.join(artifact, "instance.json")) as f:
         meta = json.load(f)
@@ -267,8 +276,8 @@ def _suite_hypergraph(artifact: str) -> dict:
     sched.m(k, s)
     windows = [f"window-{x}.bin" for x in range(2 * k)]
     names = ["merged.kgraph", *windows]
-    merged = kgraph_from_text(_read_text(artifact, "merged.kgraph"))
-    window_graphs = [kgraph_from_binary(_read_bytes(artifact, name)) for name in windows]
+    merged = _read_kgraph(kgraph_from_text, _read_text, artifact, "merged.kgraph")
+    window_graphs = [_read_kgraph(kgraph_from_binary, _read_bytes, artifact, name) for name in windows]
     total_ok = merged.edge_count() == sum(h.edge_count() for h in window_graphs)
     # rebuild from the recorded seed; every graph file must be the bytes its
     # rebuild writes.  Both k-graph readers are strict inverses of their

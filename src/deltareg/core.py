@@ -733,11 +733,14 @@ def _level_witnesses(seq: CoreSequence, ell: int, member: int, i: int, cells: li
             e_pr = deg.sum(axis=1, dtype=np.min_scalar_type(s * int(r_size.max()))).astype(np.int64)
             wc, wr = np.nonzero(qualifies)
             # e(P1, R) = 0: no edge from a vertex whose cluster is not adjacent to R
-            assert not np.any(np.maximum.reduce(deg * (1 - nb), axis=1)[wc, wr]), "witness construction must be edge-free"
+            if np.any(np.maximum.reduce(deg * (1 - nb), axis=1)[wc, wr]):
+                raise AssertionError("witness construction must be edge-free")
             lhs, rhs = e_pr[wc, wr] << max(shift, 0), (s * r_size[wr]) << max(-shift, 0)
-            assert np.all(lhs >= rhs)  # d(P, R) >= 2^i p / 4, with p = 2^-ell
+            if not np.all(lhs >= rhs):  # d(P, R) >= 2^i p / 4, with p = 2^-ell
+                raise AssertionError("a witness has d(P, R) below 2^i p / 4")
             p1_size = s - in_nb[wc, wr]
-            assert 8 * int(p1_size.min(initial=s)) * gamma.denominator >= gamma.numerator * s
+            if 8 * int(p1_size.min(initial=s)) * gamma.denominator < gamma.numerator * s:
+                raise AssertionError("a witness has |P1| below gamma |P| / 8")
             found["p1_size"].append(p1_size)
             found["cell"].append(cs[wc])
             found["cluster"].append(wr)

@@ -172,7 +172,8 @@ def build_triangle_free(params: CounterexampleParams) -> tuple[TripartiteGraph, 
         deleted[pair] += 1
     ab, ac, bc = (BipartiteGraph(g.left, g.right, _kernels.pack_rows(adj[p])) for p, g in graphs.items())
     cleaned = TripartiteGraph(n=base.n, ab=ab, ac=ac, bc=bc)
-    assert cleaned.triangle_count() == 0, "deletion pass must leave no triangles"
+    if cleaned.triangle_count():
+        raise AssertionError("deletion pass must leave no triangles")
     audit.deletions = {f"{a}{b}": deleted[(a, b)] for (a, b) in deleted}
     for name, pair in (("ab", cleaned.ab), ("ac", cleaned.ac), ("bc", cleaned.bc)):
         audit.densities[name] = Fraction(pair.edge_count(), params.k**2)

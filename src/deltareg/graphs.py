@@ -2,13 +2,16 @@
 
 Bipartite adjacency is one packed row per left vertex, in the format that
 ``deltareg._kernels`` defines and owns.  A k-graph's edges are kept once, as
-the sorted mixed-radix codes of their tuples.  All densities are exact
-``fractions.Fraction`` values; no verdict in this package ever goes through
-floating point.
+the sorted mixed-radix codes of their tuples, and stored as one packed row
+with bit c set for each code c: the binary container and the text format
+share that body, the text one in hex after its header lines.  All densities
+are exact ``fractions.Fraction`` values; no verdict in this package ever
+goes through floating point.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import math
 import struct
@@ -417,24 +420,27 @@ def bipartite_to_text(g: BipartiteGraph) -> str:
         f"right {g.right.name} {g.right.size}",
         f"edges {g.edge_count()}",
     ]
-    return "\n".join(head) + "\n" + _write_decimal_rows(g.edges())
+    seps = np.array([ord(" "), ord("\n")], dtype=np.uint8)
+    return "\n".join(head) + "\n" + _write_tokens(g.edges(), seps).decode("ascii")
 
 
 def kgraph_to_text(h: KPartiteKGraph) -> str:
-    """The text of h; the tuples are decoded one block of codes at a time."""
-    head = ["kgraph v1", f"k {h.k}"]
+    """The text of h: the header lines, then the body of
+    ``kgraph_to_binary`` in lowercase hex on one line."""
+    head = ["kgraph v2", f"k {h.k}"]
     head += [f"class {c.name} {c.size}" for c in h.classes.classes]
     head.append(f"edges {h.edge_count()}")
-    blocks = (h.product.decode_array(h.encoded[r0 : r0 + _CHUNK_ROWS]) for r0 in range(0, h.edge_count(), _CHUNK_ROWS))
-    return "\n".join(head) + "\n" + "".join(map(_write_decimal_rows, blocks))
+    return "\n".join(head) + "\n" + _packed_row(h).hex() + "\n"
 
 
 def kgraph_from_text(text: str) -> KPartiteKGraph:
     """Strict inverse of ``kgraph_to_text``; raises ValueError on any other
-    text."""
+    text.  The body length is checked before anything is allocated."""
     data = text.encode("ascii")
     line, pos = _text_line(data, 0)
-    if line != "kgraph v1":
+    if line == "kgraph v1":
+        raise ValueError("kgraph v1 is the old decimal text format; rebuild the artifact with build-hypergraph")
+    if line != "kgraph v2":
         raise ValueError("bad header")
     line, pos = _text_line(data, pos)
     k = _header_count(_header_fields(line, "k", 1)[0])
@@ -447,26 +453,57 @@ def kgraph_from_text(text: str) -> KPartiteKGraph:
         classes.append((name, _header_count(size)))
     line, pos = _text_line(data, pos)
     m = _header_count(_header_fields(line, "edges", 1)[0])
-    classes = VertexClassSet(classes)
-    codes = _read_decimal_rows(data, pos, m, ProductClass.of(classes.classes))
-    return KPartiteKGraph.from_codes(classes, codes)
+    sizes = [size for _, size in classes]
+    _check_code_range(sizes)
+    n = math.prod(sizes)
+    expected = 16 * _kernels.row_words(n) + 1
+    if len(data) - pos != expected:
+        raise ValueError(f"body line of {len(data) - pos} bytes, {expected} expected for {n} bits")
+    if data[-1:] != b"\n":
+        raise ValueError("no newline after the body")
+    digits = data[pos:-1]
+    body = binascii.unhexlify(digits)
+    if body.hex().encode("ascii") != digits:
+        raise ValueError("body is not lowercase hex")
+    h = _kgraph_from_row(VertexClassSet(classes), body, 0)
+    if h.edge_count() != m:
+        raise ValueError(f"body holds {h.edge_count()} edges, header says {m}")
+    return h
 
 
 _KMAGIC = b"DRKG"
 _KHEAD = "<4sHI"  # magic, version, k; then k uint64 class sizes and the uint32 names length
 
 
+def _packed_row(h: KPartiteKGraph) -> bytes:
+    """The one k-graph body: N = product of the sizes bits, bit c set for
+    each edge code c, as little-endian uint64 words."""
+    return pack_indices(h.encoded, h.product.size).astype("<u8").tobytes()
+
+
+def _kgraph_from_row(classes: VertexClassSet, data: bytes, off: int) -> KPartiteKGraph:
+    """The k-graph on classes whose ``_packed_row`` is data[off:]; raises
+    ValueError on a body of another length or with a bit set past N."""
+    n = math.prod(classes.sizes())
+    words = _kernels.row_words(n)
+    if len(data) - off != 8 * words:
+        raise ValueError(f"body of {len(data) - off} bytes, {8 * words} expected for {n} bits")
+    row = np.frombuffer(data, dtype="<u8", count=words, offset=off).astype(np.uint64)
+    if _kernels.stray_bits(row, n):
+        raise ValueError(f"stray bits at or past bit {n}")
+    return KPartiteKGraph.from_codes(classes, unpack_row(row, n))
+
+
 def kgraph_to_binary(h: KPartiteKGraph) -> bytes:
     """The binary container of h: a little-endian header (magic, version 1,
     k, the k class sizes), the class names, one per line, after their byte
-    length, and one packed row of N = product of the sizes bits, bit c set
-    for each edge code c, as little-endian uint64 words."""
+    length, and the ``_packed_row`` of h."""
     names = [c.name for c in h.classes.classes]
     if not all(names) or any("\n" in name for name in names):
         raise ValueError("class names must be non-empty and hold no newline")
     block = "".join(f"{name}\n" for name in names).encode()
     head = struct.pack(f"{_KHEAD}{h.k}QI", _KMAGIC, 1, h.k, *h.classes.sizes(), len(block))
-    return head + block + pack_indices(h.encoded, h.product.size).astype("<u8").tobytes()
+    return head + block + _packed_row(h)
 
 
 def kgraph_from_binary(data: bytes) -> KPartiteKGraph:
@@ -487,44 +524,20 @@ def kgraph_from_binary(data: bytes) -> KPartiteKGraph:
     names = block.decode().split("\n")
     if len(block) != nlen or len(names) != k + 1 or names[-1] or not all(names[:-1]):
         raise ValueError(f"bad class names block: {k} names expected")
-    classes = VertexClassSet(zip(names, sizes))
-    off += nlen
-    n = math.prod(sizes)
-    words = _kernels.row_words(n)
-    if len(data) - off != 8 * words:
-        raise ValueError(f"body of {len(data) - off} bytes, {8 * words} expected for {n} bits")
-    row = np.frombuffer(data, dtype="<u8", count=words, offset=off).astype(np.uint64)
-    if _kernels.stray_bits(row, n):
-        raise ValueError(f"stray bits at or past bit {n}")
-    return KPartiteKGraph.from_codes(classes, unpack_row(row, n))
+    return _kgraph_from_row(VertexClassSet(zip(names, sizes)), data, off + nlen)
 
 
 # -- decimal text: the one reader and writer of the package -----------------
 #
-# Every text artifact writes its numbers through ``_write_tokens``.  Free-form
-# text (partition files, certificates) is read through ``_digit_runs``; rows of
-# exactly k fields (the graph codecs) through ``_parse_rows``.  Both directions
-# work on fixed blocks, so the digit buffers stay a few MB however long the
-# text is.
+# Every text artifact writes its numbers through ``_write_tokens`` and reads
+# them through ``_digit_runs``: partition files and certificates.  A k-graph
+# file holds no decimal body; its edges are the hex of its packed row.  The
+# writer works on fixed blocks, so its digit buffers stay a few MB however
+# long the text is.
 
 _CHUNK_ROWS = 1 << 16
-# the row reader holds about ten int64 arrays of one entry per field; at
-# 2^14 rows they stay in the cache and are reused by the allocator, not
-# returned to the OS and faulted in again: the 393,216 lines of a pasted
-# 3-graph parsed in 35 ms, against 65 ms at 2^16 rows (repeated calls in one
-# process; 42 against 74 ms for the first; 2-core x86 box, numpy 2.4)
-_PARSE_ROWS = 1 << 14
 _MAX_DIGITS = 18  # 10^18 - 1 < 2^63: a field never wraps in int64
-_POW10 = 10 ** np.arange(_MAX_DIGITS + 1, dtype=np.int64)
 _SWAR_SHIFT = np.array([64 - 8 * w if w <= 8 else 0 for w in range(_MAX_DIGITS + 1)], dtype=np.uint64)
-
-
-def _write_decimal_rows(rows: np.ndarray) -> str:
-    """Non-negative integer rows as text: fields in decimal without leading
-    zeros, one space between fields, a newline after each row."""
-    seps = np.full(rows.shape[1], ord(" "), dtype=np.uint8)
-    seps[-1] = ord("\n")
-    return _write_tokens(rows, seps).decode("ascii")
 
 
 def _write_tokens(vals: np.ndarray, seps: np.ndarray) -> bytes:
@@ -586,64 +599,6 @@ def _digit_runs(b: np.ndarray, canonical: bool = False) -> tuple:
     if canonical:
         vals[(width > 1) & (b[starts] == ord("0"))] = -1
     return starts, ends, vals
-
-
-def _read_decimal_rows(data: bytes, pos: int, m: int, product: ProductClass) -> np.ndarray:
-    """The codes in ``product`` of the rows of ``_write_decimal_rows`` on
-    data[pos:], which must be exactly m rows of one field per factor;
-    raises ValueError on any other bytes or on a vertex outside its factor.
-    Each block of ``_PARSE_ROWS`` rows is encoded as it is parsed, so only
-    the codes of the whole text are held."""
-    k = len(product.factors)
-    buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    newlines = np.flatnonzero(buf == ord("\n"))
-    if len(newlines) < m:
-        raise ValueError(f"{len(newlines)} edge lines, header says {m}")
-    if len(buf) != (int(newlines[m - 1]) + 1 if m else 0):
-        raise ValueError(f"text after the {m} edge lines")
-    out = np.empty(m, dtype=np.int64)
-    start = 0
-    for r0 in range(0, m, _PARSE_ROWS):
-        r1 = min(r0 + _PARSE_ROWS, m)
-        stop = int(newlines[r1 - 1]) + 1
-        out[r0:r1] = product.encode_array(_parse_rows(buf[start:stop], k).reshape(r1 - r0, k))
-        start = stop
-    return out
-
-
-def _parse_rows(chunk: np.ndarray, k: int) -> np.ndarray:
-    """Fields of whole lines of k decimal fields each, flat in text order.
-    Kept apart from ``_digit_runs``: with the field count fixed, the digits
-    are read one place at a time for all fields, and the row checks need no
-    run table.  On a 65,536-row window chunk of a pasted 3-graph this took
-    about 10 ms, against 13 ms for the same checks on ``_digit_runs``
-    (2-core x86 box, numpy 2.4)."""
-    digit = (chunk >= ord("0")) & (chunk <= ord("9"))
-    ends = np.flatnonzero(~digit)
-    seps = chunk[ends]
-    if np.any((seps != ord(" ")) & (seps != ord("\n"))):
-        raise ValueError("non-digit byte in an edge line")
-    lines = np.count_nonzero(seps == ord("\n"))
-    if len(ends) != lines * k or np.any(seps.reshape(lines, k)[:, :-1] != ord(" ")):
-        raise ValueError(f"an edge line without exactly {k} fields")
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    lens = ends - starts
-    if lens.min() == 0:
-        raise ValueError("empty field in an edge line")
-    if np.any((lens > 1) & (chunk[starts] == ord("0"))):
-        raise ValueError("leading zero in an edge line")
-    width = int(lens.max())
-    if width > _MAX_DIGITS:
-        raise ValueError("field too long in an edge line")
-    val = np.zeros(len(ends), dtype=np.int64)
-    place, d = ends - 1, np.empty(len(ends), dtype=np.int64)
-    for j in range(width):
-        # the digit j places before each field's end, 0 before its start
-        np.multiply(chunk[place] - ord("0"), lens > j, out=d)
-        d *= _POW10[j]
-        val += d
-        place -= 1
-    return val
 
 
 def _text_line(data: bytes, pos: int) -> tuple[str, int]:

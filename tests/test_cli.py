@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from deltareg.cli import main
+from deltareg.graphs import kgraph_from_text
+from test_graphs import _reference_kgraph_text
 
 PROFILE = {
     "s": 2,
@@ -140,12 +142,12 @@ def test_hypergraph_flow(tmp_path, capsys):
     capsys.readouterr()
 
 
-# SHA-256 of the files of build-hypergraph --k 3 --s 2 --blowup 4: merged.kgraph
-# and instance.json as they were when the windows were still text files, and
-# each window-x.bin at seed 9
+# SHA-256 of the files of build-hypergraph --k 3 --s 2 --blowup 4: instance.json
+# as it was when the windows were still text files, merged.kgraph in the v2
+# format (its packed row in hex), and each window-x.bin at seed 9
 HYPERGRAPH_SHA256 = {
     9: {
-        "merged.kgraph": "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f",
+        "merged.kgraph": "090417fcbe67d961e942a26ba308dcd3f36acd84f0303fbdc40a5c793ce224a8",
         "instance.json": "0bdceb0289da33eb4b514171c9f286418f6c604c52e56cb5d5dde4d64cfd2e90",
         "window-0.bin": "8648c61ab3a37d545ba06aa35a553952cdf49613d95bcf30adc297971620cc40",
         "window-1.bin": "1ce5e3b76bc26da7d8e474934d8c246f2a3df61d6cb9e51e533801dabaffc5db",
@@ -155,9 +157,15 @@ HYPERGRAPH_SHA256 = {
         "window-5.bin": "9b0882c1829c60fa8a751c944ed10e78deb7ba102e69378b2d5a7bc02a792493",
     },
     7: {
-        "merged.kgraph": "dde494c1110ed02b1127fbe15e1d6718f3794ddc312c391e9a6bbf780d3bb3fd",
+        "merged.kgraph": "5f4f914bf1170538c0b71e0744ba5810d308693cdc7e69f739691a8d6ffc1385",
         "instance.json": "3b008dbb46ad0436c5b75ffa645036d428d7659de44fe9f1d38a37c2b48b32d2",
     },
+}
+# SHA-256 of the v1 text (one decimal line per edge) of the merged graph: the
+# pins of merged.kgraph before its body was the packed row
+MERGED_V1_SHA256 = {
+    9: "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f",
+    7: "dde494c1110ed02b1127fbe15e1d6718f3794ddc312c391e9a6bbf780d3bb3fd",
 }
 
 
@@ -166,6 +174,8 @@ def test_hypergraph_bytes_and_claims_are_pinned(tmp_path, capsys, seed):
     out = tmp_path / "hg"
     assert main(["build-hypergraph", "--k", "3", "--s", "2", "--seed", str(seed), "--blowup", "4", "--out", str(out)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in HYPERGRAPH_SHA256[seed]} == HYPERGRAPH_SHA256[seed]
+    merged = kgraph_from_text((out / "merged.kgraph").read_text())
+    assert hashlib.sha256(_reference_kgraph_text(merged).encode()).hexdigest() == MERGED_V1_SHA256[seed]
     capsys.readouterr()
     assert main(["verify", "--artifact", str(out), "--suite", "hypergraph"]) == 0
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
@@ -228,21 +238,49 @@ def hypergraph_artifact(tmp_path_factory):
     return out
 
 
+def _merged_body(d):
+    """(header lines, body line) of merged.kgraph."""
+    head, body, _ = (d / "merged.kgraph").read_text().rsplit("\n", 2)
+    return head, body
+
+
 def _append_line(d):
     with open(d / "merged.kgraph", "a") as f:
-        f.write("5 5 5\nfoo bar\n")
+        f.write("00\n")
+    return 2, "merged.kgraph: body line of"
 
 
-def _ragged_line(d):
-    lines = (d / "merged.kgraph").read_text().split("\n")
-    lines[10] += " 7"
-    (d / "merged.kgraph").write_text("\n".join(lines))
+def _flip_merged_bit(d):
+    """Another graph with as many edges: one edge moved by one code."""
+    head, body = _merged_body(d)
+    row = bytearray.fromhex(body)
+    at = next(i for i in range(8 * len(row) - 1) if row[i // 8] >> i % 8 & 1 and not row[(i + 1) // 8] >> (i + 1) % 8 & 1)
+    row[at // 8] ^= 1 << at % 8
+    row[(at + 1) // 8] ^= 1 << (at + 1) % 8
+    (d / "merged.kgraph").write_text(f"{head}\n{row.hex()}\n")
+    return 1, "[FAIL] replay-identical: rebuild from the manifest seed differs in merged.kgraph"
+
+
+def _uppercase_body(d):
+    head, body = _merged_body(d)
+    (d / "merged.kgraph").write_text(f"{head}\n{body.upper()}\n")
+    return 2, "merged.kgraph: body is not lowercase hex"
+
+
+def _short_body(d):
+    head, body = _merged_body(d)
+    (d / "merged.kgraph").write_text(f"{head}\n{body[:-2]}\n")
+    return 2, "merged.kgraph: body line of"
 
 
 def _edit_edge_count(d):
     text = (d / "merged.kgraph").read_text()
     m = int(re.search(r"^edges (\d+)$", text, re.M).group(1))
     (d / "merged.kgraph").write_text(text.replace(f"edges {m}\n", f"edges {m - 1}\n"))
+    return 2, f"merged.kgraph: body holds {m} edges, header says {m - 1}"
+
+
+MERGED_TAMPERS = [_append_line, _flip_merged_bit, _uppercase_body, _short_body, _edit_edge_count]
 
 
 # window-x.bin: magic, version, k, the three class sizes and the byte length
@@ -331,7 +369,7 @@ WINDOW_TAMPERS = [
 ]
 
 
-@pytest.mark.parametrize("tamper", [_append_line, _ragged_line, _edit_edge_count, *WINDOW_TAMPERS])
+@pytest.mark.parametrize("tamper", [*MERGED_TAMPERS, *WINDOW_TAMPERS])
 def test_hypergraph_tamper_never_passes(hypergraph_artifact, tmp_path, capsys, tamper):
     """Every tamper fails; where a tamper names its exit code and a line of
     the report, those are checked too."""
@@ -425,6 +463,21 @@ def test_hypergraph_header_beyond_int64_codes_exits_2(hypergraph_artifact, tmp_p
     (d / "merged.kgraph").write_text(re.sub(r"^class (\S+) \d+$", r"class \1 3000000", text, flags=re.M))
     assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
     assert "2^63" in capsys.readouterr().err
+
+
+def test_a_v1_merged_kgraph_exits_2_naming_the_old_format(hypergraph_artifact, tmp_path, capsys):
+    """An artifact built before the hex body is refused with one error line
+    that names merged.kgraph as the old format and how to rebuild it."""
+    d = tmp_path / "hg"
+    shutil.copytree(hypergraph_artifact, d)
+    merged = kgraph_from_text((d / "merged.kgraph").read_text())
+    (d / "merged.kgraph").write_text(_reference_kgraph_text(merged))
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(d), "--suite", "hypergraph"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: invalid artifact dir: merged.kgraph: kgraph v1 is the old decimal text format; rebuild the artifact with build-hypergraph"
+    ]
 
 
 def test_hypergraph_k_outside_the_schedule_exits_2_before_reading_a_window(hypergraph_artifact, tmp_path, capsys, monkeypatch):

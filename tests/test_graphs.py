@@ -344,20 +344,21 @@ def test_aux_graph_empty_source():
         assert G.aux_graph(h, axis).edge_count() == 0
 
 
-# -- whole-array text codec and lift against per-line / per-row references ----
+# -- text codec, lift and constructor against per-line / per-row references --
 
 # class sizes whose largest id has 1 to 7 digits
 _SIZES = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 1000, 10**4 + 1, 10**5, 10**6, 10**7 - 1])
 
 
 def _reference_kgraph_text(h):
-    """The per-line formatter the codec replaced."""
+    """The v1 text of h, one decimal line per edge: the format that the
+    hex body replaced, which the pinned hashes of built graphs render."""
     lines = ["kgraph v1", f"k {h.k}"]
     for c in h.classes.classes:
         lines.append(f"class {c.name} {c.size}")
     lines.append(f"edges {h.edge_count()}")
-    for row in h.edges():
-        lines.append(" ".join(str(int(x)) for x in row))
+    for row in h.edges().tolist():
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -377,59 +378,10 @@ def _reference_lift(g, product, right_class):
 
 
 @st.composite
-def kgraphs(draw, min_edges=0, max_edges=40):
-    """Classes and edges of a k-graph; the product of the class sizes may
-    reach 2^63, where the constructor must refuse them."""
-    k = draw(st.sampled_from([2, 3, 4]))
-    sizes = draw(st.lists(_SIZES, min_size=k, max_size=k))
-    tuples = draw(st.lists(st.tuples(*[st.integers(0, s - 1) for s in sizes]), min_size=min_edges, max_size=max_edges, unique=True))
-    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
-    return cs, np.array(tuples, dtype=np.int64).reshape(-1, k)
-
-
-def _kgraph_or_refused(cs, edges):
-    """The k-graph, or None once sizes whose product reaches 2^63 (int64
-    codes would wrap) are checked to be refused with ValueError."""
-    if math.prod(cs.sizes()) >= 1 << 63:
-        with pytest.raises(ValueError, match="2\\^63"):
-            G.KPartiteKGraph(cs, edges)
-        return None
-    return G.KPartiteKGraph(cs, edges)
-
-
-@st.composite
 def bipartites(draw):
     nl, nr = draw(st.integers(1, 150)), draw(st.integers(1, 150))
     edges = draw(st.lists(st.tuples(st.integers(0, nl - 1), st.integers(0, nr - 1)), max_size=200))
     return G.BipartiteGraph.from_edges(G.VertexClass("A", nl), G.VertexClass("B", nr), edges)
-
-
-@settings(max_examples=300, deadline=None)
-@given(kgraphs())
-def test_kgraph_text_matches_per_line_formatter(case):
-    h = _kgraph_or_refused(*case)
-    if h is None:
-        return
-    text = G.kgraph_to_text(h)
-    assert text == _reference_kgraph_text(h)
-    back = G.kgraph_from_text(text)
-    assert back == h
-    assert [c.name for c in back.classes.classes] == [c.name for c in h.classes.classes]
-
-
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_kgraph_text_empty_and_single_edge(k):
-    cs = G.VertexClassSet([(f"V{j}", 10**7 - 1) for j in range(k)])
-    for edges in ([], [[10**7 - 2] * k], [[0] * k]):
-        h = _kgraph_or_refused(cs, np.array(edges, dtype=np.int64).reshape(-1, k))
-        if h is None:  # k >= 3: (10^7 - 1)^k tuples do not fit int64 codes
-            assert k >= 3
-            header = "\n".join(["kgraph v1", f"k {k}"] + [f"class V{j} {10**7 - 1}" for j in range(k)])
-            with pytest.raises(ValueError, match="2\\^63"):
-                G.kgraph_from_text(header + f"\nedges {len(edges)}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges))
-            continue
-        assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
-        assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
 
 
 @pytest.mark.parametrize("sizes", [(2**31, 2**32), (4, 2**61), (10**7, 10**7, 10**5)])
@@ -445,36 +397,6 @@ def test_codes_refuse_products_of_2_to_the_63(sizes):
     below = G.VertexClassSet([("A", 2**31 - 1), ("B", 2**32)])
     top = np.array([[2**31 - 2, 2**32 - 1]], dtype=np.int64)
     assert G.KPartiteKGraph(below, top).encoded.tolist() == [(2**31 - 2) * 2**32 + 2**32 - 1]
-
-
-def test_kgraph_text_spans_several_row_chunks():
-    rng = np.random.default_rng(4)
-    cs = G.VertexClassSet([("V1", 100), ("V2", 1000), ("V3", 1001)])
-    edges = np.unique(np.stack([rng.integers(0, c.size, 150_000) for c in cs.classes], axis=1), axis=0)
-    h = G.KPartiteKGraph(cs, edges)
-    assert h.edge_count() > 2 * G._CHUNK_ROWS
-    assert G.kgraph_to_text(h) == _reference_kgraph_text(h)
-    assert G.kgraph_from_text(G.kgraph_to_text(h)) == h
-
-
-def test_kgraph_text_reader_holds_no_tuple_array():
-    """Each block of rows is encoded as it is parsed, so the reader's peak
-    grows by the text's bytes and at most three int64 words per edge (line
-    ends, codes, and the stored copy), not by a whole (m, k) tuple array on
-    top (k more words per edge)."""
-    cs = G.VertexClassSet([("V1", 100), ("V2", 1000), ("V3", 1001)])
-
-    def peak(m):
-        text = G.kgraph_to_text(G.KPartiteKGraph.from_codes(cs, np.arange(m, dtype=np.int64) * 250))
-        tracemalloc.start()
-        try:
-            G.kgraph_from_text(text)
-            return tracemalloc.get_traced_memory()[1], len(text)
-        finally:
-            tracemalloc.stop()
-
-    (p1, t1), (p2, t2) = peak(200_000), peak(400_000)
-    assert (p2 - p1) / 200_000 <= (t2 - t1) / 200_000 + 3 * 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,100 +528,111 @@ def test_aux_graph_matches_per_edge_reference(sizes, data):
         assert av.graph == _reference_aux_graph(h, axis)
         assert av.graph.left.name == av.product.name and av.graph.right.name == f"V{axis - 1}"
 
-def _malformed(text: str, kind: str, at: int) -> str:
-    """text with one defect of the given kind; ``at`` picks the edge line."""
-    lines = text.split("\n")[:-1]
-    head = next(j for j, ln in enumerate(lines) if ln.startswith("edges ")) + 1
-    m = int(lines[head - 1].split()[1])
-    i = head + at % m
-    line = lines[i]
-    if kind == "header":
-        lines[0] = lines[0].replace("v1", "v2")
-    elif kind == "count-up":
-        lines[head - 1] = f"edges {m + 1}"
-    elif kind == "count-down":
-        lines[head - 1] = f"edges {m - 1}"
-    elif kind == "extra-field":
-        lines[i] = line + " 0"
-    elif kind == "missing-field":
-        lines[i] = line.rsplit(" ", 1)[0]
-    elif kind == "non-digit":
-        lines[i] = "x-+\t\ré"[at % 6] + line[1:]
-    elif kind == "moved-field":  # one line loses a field and another gains it
-        j = i + 1 if i + 1 < head + m else i - 1
-        if j < head:
-            lines[i] = line + " 0"
-        else:
-            lines[i], last = line.rsplit(" ", 1)
-            lines[j] += " " + last
-    elif kind == "double-space":
-        lines[i] = line.replace(" ", "  ", 1)
-    elif kind == "empty-field":  # k separators, the first field empty
-        lines[i] = line[line.index(" ") :]
-    elif kind == "leading-space":
-        lines[i] = " " + line
-    elif kind == "leading-zero":  # '01 002' is not '1 2'
-        lines[i] = "0" + line
-    elif kind == "leading-zero-count":
-        lines[head - 1] = f"edges 0{m}"
-    elif kind == "leading-zero-size":  # 'class V3 03'
-        name, size = lines[head - 2].rsplit(" ", 1)
-        lines[head - 2] = f"{name} 0{size}"
-    elif kind == "trailing-space":
-        lines[i] = line + " "
-    elif kind == "out-of-range":
-        lines[i] = line.rsplit(" ", 1)[0] + " 10000000"
-    elif kind == "duplicate":
-        lines[head - 1] = f"edges {m + 1}"
-        lines.insert(i, line)
-    elif kind in ("swapped", "reversed"):  # edge lines out of order; one edge line trades places with the header
-        if m == 1:
-            lines[i - 1], lines[i] = lines[i], lines[i - 1]
-        elif kind == "reversed":
-            lines[head : head + m] = lines[head : head + m][::-1]
-        else:
-            j = i + 1 if i + 1 < head + m else i - 1
-            lines[i], lines[j] = lines[j], lines[i]
-    elif kind == "trailing-line":
-        lines.append("5 5 5\nfoo bar")
-    elif kind == "trailing-text":
-        return text + "1"
-    elif kind == "no-final-newline":
-        return text[:-1]
-    return "\n".join(lines) + "\n"
+
+# -- the k-graph text format: header lines, then the binary body in hex -----
 
 
-_DEFECTS = ["header", "count-up", "count-down", "extra-field", "missing-field", "moved-field", "non-digit", "double-space", "empty-field", "leading-space",
-            "leading-zero", "leading-zero-count", "leading-zero-size", "trailing-space", "out-of-range", "duplicate", "swapped", "reversed", "trailing-line",
-            "trailing-text", "no-final-newline"]
+@st.composite
+def small_kgraphs(draw):
+    """k-graphs whose product of class sizes is at most 2^16 bits."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    sizes = draw(st.lists(st.integers(1, 300), min_size=k, max_size=k).filter(lambda s: math.prod(s) <= 1 << 16))
+    n = math.prod(sizes)
+    codes = draw(st.one_of(st.sets(st.integers(0, n - 1), max_size=200), st.just(set(range(n)) if n <= 4096 else set())))
+    cs = G.VertexClassSet([(f"V{j}", s) for j, s in enumerate(sizes)])
+    return G.KPartiteKGraph.from_codes(cs, sorted(codes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_kgraphs())
+def test_kgraph_text_is_the_header_and_the_binary_body_in_hex(h):
+    text = G.kgraph_to_text(h)
+    lines = text.split("\n")
+    sizes = h.classes.sizes()
+    assert lines[: h.k + 3] == ["kgraph v2", f"k {h.k}", *(f"class V{j} {s}" for j, s in enumerate(sizes)), f"edges {h.edge_count()}"]
+    assert len(lines) == h.k + 5 and lines[-1] == ""
+    blob = G.kgraph_to_binary(h)
+    names = "".join(f"V{j}\n" for j in range(h.k)).encode()
+    assert lines[-2] == blob[len(_kcontainer(sizes, names, b"")) :].hex()
+    back = G.kgraph_from_text(text)
+    assert back == h and G.kgraph_to_text(back) == text
+
+
+# (3, 5, 7): 105 bits, so the last of the two words holds padding bits
+TAMPER_GRAPH = G.KPartiteKGraph.from_codes(G.VertexClassSet([("V1", 3), ("V2", 5), ("V3", 7)]), [0, 11, 12, 13, 14, 15, 40, 77, 104])
+
+
+def _body_at(text: str, i: int, char: str) -> str:
+    """text with the i-th character of its body line replaced by char."""
+    at = text.rindex("\n", 0, -1) + 1 + i
+    return text[:at] + char + text[at + 1 :]
+
+
+def _set_padding_bit(text: str) -> str:
+    """Bit 105, the first past N, is bit 1 of body byte 13."""
+    line = text.rsplit("\n", 2)[1]
+    body = bytearray.fromhex(line)
+    body[13] |= 2
+    return text.replace(line, body.hex())
+
+
+KGRAPH_TEXT_TAMPERS = [
+    pytest.param(lambda t: _reference_kgraph_text(TAMPER_GRAPH), "kgraph v1 is the old decimal text format", id="v1"),
+    pytest.param(lambda t: t.replace("kgraph v2", "kgraph v3"), "bad header", id="v3"),
+    pytest.param(lambda t: t.replace("edges 9\n", "edges 10\n"), "body holds 9 edges, header says 10", id="edges+1"),
+    pytest.param(lambda t: t.replace("edges 9\n", "edges 8\n"), "body holds 9 edges, header says 8", id="edges-1"),
+    pytest.param(lambda t: _body_at(t, t.rsplit("\n", 2)[1].index("f"), "F"), "not lowercase hex", id="uppercase"),
+    pytest.param(lambda t: _body_at(t, 5, " "), "Non-hexadecimal", id="space"),
+    pytest.param(lambda t: _body_at(t, 5, "g"), "Non-hexadecimal", id="non-hex"),
+    pytest.param(lambda t: _body_at(t, 5, "\xe9"), "ascii", id="non-ascii"),
+    pytest.param(lambda t: t[:-3] + "\n", "body line of 31 bytes, 33 expected for 105 bits", id="byte-short"),
+    pytest.param(lambda t: t[:-1] + "00\n", "body line of 35 bytes, 33 expected", id="byte-long"),
+    pytest.param(lambda t: t[:-1], "body line of 32 bytes, 33 expected", id="no-final-newline"),
+    pytest.param(lambda t: t[:-1] + "0", "no newline after the body", id="digit-for-final-newline"),
+    pytest.param(lambda t: t[:-1] + "\r\n", "body line of 34 bytes", id="crlf"),
+    pytest.param(lambda t: t + "0 0 0\n", "body line of 39 bytes", id="trailing-line"),
+    pytest.param(_set_padding_bit, "stray bits at or past bit 105", id="padding-bit"),
+    pytest.param(lambda t: t.replace("edges 9\n", "edges 09\n"), "bad count '09'", id="zero-edges-count"),
+    pytest.param(lambda t: t.replace("class V3 7\n", "class V3 07\n"), "bad count '07'", id="zero-class-size"),
+    pytest.param(lambda t: t.replace("k 3\n", "k 03\n"), "bad count '03'", id="zero-k"),
+    pytest.param(lambda t: t.replace("class V3 7\n", "class V3 7\nclass V4 2\n"), "bad edges line", id="extra-class"),
+    pytest.param(lambda t: t.replace("k 3\n", "k 1\n"), "uniformity must be at least 2", id="k-1"),
+    pytest.param(lambda t: t[: t.index("edges")], "truncated header", id="no-edges-line"),
+]
+
+
+@pytest.mark.parametrize("tamper, says", KGRAPH_TEXT_TAMPERS)
+def test_kgraph_text_reader_refuses_every_tamper(tamper, says):
+    text = G.kgraph_to_text(TAMPER_GRAPH)
+    assert G.kgraph_from_text(text) == TAMPER_GRAPH
+    with pytest.raises(ValueError, match=says):
+        G.kgraph_from_text(tamper(text))
 
 
 def test_readers_reject_text_after_an_empty_edge_list():
     cs = G.VertexClassSet([("V1", 3), ("V2", 3)])
     empty = G.kgraph_to_text(G.KPartiteKGraph(cs, np.empty((0, 2), dtype=np.int64)))
-    assert empty.endswith("edges 0\n")
+    assert empty.endswith("edges 0\n" + "0" * 16 + "\n")
     for bad in (empty + "0 0\n", empty + "\n", empty[:-1], empty.replace("k 2", "k 1")):
         with pytest.raises(ValueError):
             G.kgraph_from_text(bad)
 
 
-def test_readers_refuse_edge_lines_out_of_order():
-    """The reader is a strict inverse: the same edges in another line order
-    are another text, which no writer produces, so it is refused."""
-    h = G.KPartiteKGraph(G.VertexClassSet([("V1", 3), ("V2", 3), ("V3", 3)]), np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]]))
-    text = G.kgraph_to_text(h)
-    assert G.kgraph_from_text(text) == h
-    cut = text.index("\n", text.index("\nedges ") + 1) + 1
-    with pytest.raises(ValueError, match="increasing"):
-        G.kgraph_from_text(text[:cut] + "".join(reversed(text[cut:].splitlines(keepends=True))))
+def test_kgraph_text_reader_refuses_sizes_of_2_to_the_63():
+    text = "kgraph v2\nk 2\nclass A 2147483648\nclass B 4294967296\nedges 0\n00\n"
+    with pytest.raises(ValueError, match="2\\^63"):
+        G.kgraph_from_text(text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(kgraphs(min_edges=1, max_edges=12), st.sampled_from(_DEFECTS), st.integers(0, 1000))
-def test_kgraph_reader_rejects_malformed_text(case, kind, at):
-    h = _kgraph_or_refused(*case)
-    if h is None:
-        return
-    with pytest.raises(ValueError):
-        G.kgraph_from_text(_malformed(G.kgraph_to_text(h), kind, at))
-
+def test_kgraph_text_reader_checks_the_body_length_before_allocating():
+    """A header of 2^40 bits with a two-digit body is refused from its
+    length, with nothing of the 128 GiB row allocated."""
+    text = "kgraph v2\nk 2\nclass A 1048576\nclass B 1048576\nedges 0\n00\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"body line of 3 bytes, {16 * 2**34 + 1} expected for {2**40} bits"):
+            G.kgraph_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from deltareg import hypergraphs as H
 from deltareg import schedules as S
-from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, kgraph_to_text, lift_graph_to_kgraph
+from deltareg.graphs import ProductClass, VertexClassSet, aux_graph, lift_graph_to_kgraph
 from deltareg.partitions import KPartition, VertexPartition
+from test_graphs import _reference_kgraph_text
 
 
 
@@ -368,12 +369,14 @@ def test_lex_pick_is_bytewise_on_little_endian_codes(dtype):
 
 
 def _sha(graphs):
-    return hashlib.sha256("".join(kgraph_to_text(h) for h in graphs).encode()).hexdigest()
+    """SHA-256 of the graphs' v1 texts, one decimal line per edge: the pins
+    name the graphs built, not how a file stores them."""
+    return hashlib.sha256("".join(_reference_kgraph_text(h) for h in graphs).encode()).hexdigest()
 
 
 def test_pasted_graphs_golden_sha256(pasted):
     """The pick, the lift and the merge, pinned: any change to which member
-    a window keeps or how a k-graph is encoded changes these."""
+    a window keeps or to the codes of its edges changes these."""
     assert _sha([pasted.merged]) == "a478ee9b329a9083a7ed89356b4e28070a4e247c52ac7db58f4bf981be84237f"
     assert _sha(pasted.edge_graphs) == "5a9cff4dbc67b00ec9e47d75ca263790b771f05bfafaa4a190cb3adb67dbaa1b"
     inst2 = _k2_pasted()

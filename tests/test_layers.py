@@ -6,7 +6,9 @@ independent oracles are the exception, since an oracle must share no code
 with the path it checks.  ``math.isqrt`` is called by the one exact
 integer-root helper only.  ``deltareg.graphs`` owns the decimal text
 format: no other module does digit-byte arithmetic or defines a decimal
-reader or writer.  The certificate re-check reaches none of the package's
+reader or writer, and ``_digit_runs`` is its one reader.  Both k-graph
+readers decode their body through one helper, and the text one reaches no
+decimal reader.  The certificate re-check reaches none of the package's
 functions that the refuter or its witness engine reach, except an
 allow-list, and the brute-force pair oracle none that the exact pair
 checker reaches, except the two result types.  Every function the
@@ -24,7 +26,8 @@ list or per-cell mask; only ``_kernels`` and the oracles count bits.
 Only the seeded builders and the named refuter draw random numbers.  A
 parent quotient is expanded to the next level by the one split that derives
 the members of a build and of a load, and by the structural recount only,
-which is also the one check of an inductive family's chain.
+which is also the one check of an inductive family's chain.  No guard
+under ``src/`` is an ``assert`` statement, which ``python -O`` strips.
 """
 
 import ast
@@ -140,10 +143,23 @@ def test_only_the_root_helper_calls_isqrt():
 
 def test_only_graphs_knows_the_decimal_format():
     offenders = [f"{mod}.py:{line} in {where or '<module>'}" for mod, scan in SCANS.items() if mod != "graphs" for where, line in scan.digit_bytes]
-    assert offenders == [], "read and write decimal text through deltareg.graphs (_digit_runs, _parse_rows, _write_tokens)"
+    assert offenders == [], "read and write decimal text through deltareg.graphs (_digit_runs, _write_tokens)"
     assert SCANS["graphs"].digit_bytes, "the scan sees digit-byte arithmetic"
     owners = {mod for mod, scan in SCANS.items() for name, _ in scan.defs if name in ("_digit_runs", "_write_tokens")}
     assert owners == {"graphs"}
+
+
+def test_both_kgraph_readers_share_one_body_decoder():
+    """The text and binary k-graph formats have one body, the packed row:
+    both readers decode it through ``_kgraph_from_row``, which unpacks it,
+    and the text reader reaches no decimal reader.  The only digit-byte
+    arithmetic of the package is in ``_digit_runs`` and ``_write_tokens``."""
+    text, binary = _reach([("graphs", "kgraph_from_text")], set()), _reach([("graphs", "kgraph_from_binary")], set())
+    assert {"_kgraph_from_row", "unpack_row", "from_codes"} <= text & binary
+    where = {where for where, _ in SCANS["graphs"].digit_bytes}
+    assert where <= {"_digit_runs", "_write_tokens"}, f"digit-byte arithmetic in graphs.{sorted(where)}"
+    readers = {"_digit_runs", "_write_tokens"} & text
+    assert readers == set(), f"kgraph_from_text reaches {sorted(readers)}"
 
 
 # the certificate re-check and the path that writes certificates
@@ -315,6 +331,18 @@ def test_the_family_check_is_the_structural_recount():
     assert "verify_structure" in reached
     recounts = {"member_graph", "h_member"} & reached
     assert recounts == set(), f"verify_family reaches {sorted(recounts)}"
+
+
+def test_no_guard_is_an_assert_statement():
+    """``python -O`` strips assert statements, so a guard under src/ that
+    must hold raises AssertionError explicitly."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == [], f"assert statements under src/: {offenders}"
 
 
 def test_no_verdict_reads_unknown():
