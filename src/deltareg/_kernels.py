@@ -10,20 +10,23 @@ addresses bits through the functions below.
 The pair kernels work through the pairs in chunks of at most
 ``_CHUNK_WORDS`` words per operand, so their temporaries stay a few MB
 whatever the number of pairs.  ``subset_min_edges`` is the one exact
-subset-extremum search; it scans left subsets in lexicographic
-(combinations) order, unranking each block of subsets with numpy
-(``lex_subsets``), in blocks of at most ``_SUBSET_CHUNK`` gathered row
-words (subsets times row words).  It works on the packed rows: a block's
-column sums are a.bit_length() bit planes, added with word-parallel ripple
-carries, and the sums of the b smallest and largest are read off one
-popcount per value of a comparator mask (the bit-sliced adders and
-popcounts of Warren, *Hacker's Delight*, 2nd ed., 2012).  Its counts are
-int64, and it refuses C(n_left, a) >= 2^63, since subset ranks are int64.
+subset-extremum search: depth first over left-subset prefixes in
+lexicographic (combinations) order, it skips each subtree that a monotone
+row-degree bound clears and scans the rest in blocks of at most
+``_SUBSET_CHUNK`` gathered row words (subsets times row words), sliced from
+one table of combinations per subtree shape (``_completions``).  It works on
+the packed rows: a block's column sums are a.bit_length() bit planes, added
+with word-parallel ripple carries, and the sums of the b smallest and
+largest are read off one popcount per value of a comparator mask (the
+bit-sliced adders and popcounts of Warren, *Hacker's Delight*, 2nd ed.,
+2012).  Its counts are int64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -305,58 +308,32 @@ def triangle_list(rows_ab, rows_ac, rows_bc):
 # -- the exact subset engine --------------------------------------------------
 
 
-def lex_table(n: int, a: int) -> np.ndarray:
-    """(a, n - a + 1) int64 table whose row j holds C(x, a - j) for
-    a - 1 - j <= x <= n - 1 - j, the values position j of an a-subset of
-    range(n) can take in ``lex_subsets``; computed in Python integers.  Each
-    entry is at most C(n - 1, a), so int64 holds the table whenever it holds
-    C(n, a).
-    """
-    table = np.empty((a, n - a + 1), dtype=np.int64)
-    for j in range(a):
-        k, c, row = a - j, 1, [0]
-        for x in range(k, n - j):  # c = C(x, k)
-            row.append(c)
-            c = c * (x + 1) // (x + 1 - k)
-        table[j] = row
-    return table
+@functools.lru_cache(maxsize=64)
+def _completions(m: int, k: int, cap: int) -> np.ndarray:
+    """The first min(C(m, k), cap) k-subsets of range(m) in lexicographic
+    (combinations) order, as a read-only array of rows in the smallest
+    unsigned dtype that holds m: built once per shape, it serves every block
+    of every search that scans that shape."""
+    count, dtype = min(math.comb(m, k), cap), np.min_scalar_type(m)
+    out = np.fromiter(chain.from_iterable(islice(combinations(range(m), k), count)), dtype=dtype, count=count * k)
+    out.flags.writeable = False
+    return out.reshape(count, k)
 
 
-def lex_subsets(table: np.ndarray, start: int, count: int) -> np.ndarray:
-    """The a-subsets of range(n) of lexicographic ranks start .. start +
-    count - 1 (``combinations`` order), as a (count, a) int64 array;
-    ``table`` is ``lex_table(n, a)`` and C(n, a) must be below 2^63.
-
-    In the combinatorial number system the subset c_0 < ... < c_{a-1} of
-    rank r has C(n, a) - 1 - r = sum_j C(n - 1 - c_j, a - j), and each
-    n - 1 - c_j is the largest x with C(x, a - j) at most what is left of
-    that sum: one ``searchsorted`` per position for the whole block.
-    """
-    a, width = table.shape
-    n = a + width - 1
-    top = math.comb(n, a) - 1 - start
-    rest = np.arange(top, top - count, -1, dtype=np.int64)
-    out = np.empty((a, count), dtype=np.int64)  # transposed, so each position's column is contiguous
-    for j in range(a):
-        i = np.searchsorted(table[j], rest, side="right") - 1  # x = a - 1 - j + i
-        rest -= np.take(table[j], i)
-        np.subtract(n - a + j, i, out=out[j])
-    return out.T
-
-
-def _column_sum_planes(rows: np.ndarray, idx: np.ndarray, a: int) -> np.ndarray:
-    """(B, count, words) bit planes of the column sums of the a-subsets in
-    the rows of ``idx``, B = a.bit_length(): bit j of plane i is bit i of
-    the sum of column j.  Each gathered row is added in with a ripple carry
-    (an AND and an XOR per plane, in place); after j + 1 rows the sums fit
-    in (j + 1).bit_length() planes, so no carry leaves the top one."""
+def _column_sum_planes(rows: np.ndarray, idx: np.ndarray, a: int, base: np.ndarray, depth: int) -> np.ndarray:
+    """(B, count, words) bit planes of the column sums of a prefix of
+    ``depth`` rows, whose (B, words) planes are ``base``, extended by the
+    rows each row of ``idx`` names, B = a.bit_length(): bit j of plane i is
+    bit i of the sum of column j.  Each gathered row is added in with a
+    ripple carry (an AND and an XOR per plane, in place); after j rows the
+    sums fit in j.bit_length() planes, so no carry leaves the top one."""
     count, words = idx.shape[0], rows.shape[1]
-    planes = np.zeros((a.bit_length(), count, words), dtype=np.uint64)
+    planes = np.empty((a.bit_length(), count, words), dtype=np.uint64)
+    planes[...] = base[:, None, :]
     x, carry = np.empty((2, count, words), dtype=np.uint64)
-    rows.take(idx[:, 0], axis=0, out=planes[0])
-    for j in range(1, a):
-        rows.take(idx[:, j], axis=0, out=x)
-        top = (j + 1).bit_length() - 1
+    for t in range(idx.shape[1]):
+        rows.take(idx[:, t], axis=0, out=x)
+        top = (depth + t + 1).bit_length() - 1
         for i in range(top):
             np.bitwise_and(planes[i], x, out=carry)
             np.bitwise_xor(planes[i], x, out=planes[i])
@@ -389,54 +366,99 @@ def subset_min_edges(rows, n_right, a, b, lo=None, hi=None):
     """Exact extremes of e(S, T) over a-subsets S of the left side and
     b-subsets T of the right side.
 
-    The a-subsets S are scanned in lexicographic (combinations) order,
-    unranked a block at a time by ``lex_subsets``; C(n_left, a) must be
-    below 2^63 (else ``ValueError``, before any scan), since ranks are
-    int64.  For each S, e_min(S) is the sum of its b smallest column sums
-    (the fewest edges any b-subset T receives from S) and e_max(S) the sum
-    of its b largest.  Returns ``(S, e_min(S), e_max(S))`` for the first S
-    with e_min(S) < lo or e_max(S) > hi, else ``(None, min e_min, max
-    e_max)`` over all S (both None when there is no a-subset).  ``lo`` and
-    ``hi`` are exact integers, None leaves that side unchecked.
+    e_min(S) is the sum of S's b smallest column sums (the fewest edges any
+    b-subset T receives from S) and e_max(S) the sum of its b largest.
+    With ``lo`` or ``hi`` (exact integers; None leaves that side unchecked)
+    it returns ``(S, e_min(S), e_max(S))`` for the first S in lexicographic
+    (combinations) order with e_min(S) < lo or e_max(S) > hi, else ``(None,
+    None, None)``; with neither, ``(None, min e_min, max e_max)``.
 
-    The packed rows are never unpacked.  A block's column sums are kept as
-    B = a.bit_length() uint64 bit planes per row word (``_column_sum_planes``),
-    which hold every sum up to a.  A sum s is the number of v < a below
-    it, so with G_v(S) the number of columns whose sum is above v
-    (``_columns_above``, one popcount per v), e_min(S) = sum_v max(0, G_v -
-    (n_right - b)), since the n_right - G_v sums at most v come first in
-    sorted order, and e_max(S) = sum_v min(b, G_v).  No column sum is
-    selected or sorted.  Counts are int64, which holds every e(S, T) <=
-    a * b.  Blocks start at 64 subsets, so an early exit stays cheap, and
-    double up to _SUBSET_CHUNK gathered row words (subsets times row
-    words), so the planes of a block take at most B * _SUBSET_CHUNK words.
+    The search runs depth first over prefixes P in that order and skips
+    each subtree in which no S can violate (branch and bound: Land and Doig,
+    Econometrica 1960; without lo and hi the sides are the incumbents).
+    Column sums only grow as rows join S, and a row j adds at least its
+    floor max(0, deg_j - (n_right - b)) to e_min and at most its ceiling
+    min(b, deg_j) to e_max, so every S extending P has e_min(S) >= e_min(P)
+    plus the a - |P| smallest floors of the rows after P's last row, and
+    e_max(S) <= e_max(P) plus the a - |P| largest ceilings (one suffix
+    table).  A skipped subtree holds no violation, so the first violating S
+    is the one a full scan finds.
+
+    A subtree of at most ``_SUBSET_CHUNK`` gathered row words (subsets
+    times row words) is scanned in blocks sliced from ``_completions``,
+    which start at 64 subsets when a violation ends the search, double, and
+    may run on into the next siblings; a larger one has its children's sums
+    and bounds computed as one block.  The packed rows are never unpacked.
+    Column sums are kept as B = a.bit_length() uint64 bit planes per row
+    word (``_column_sum_planes``, from the prefix's planes).  A sum s is the
+    number of v < a below it, so with G_v(S) the number of columns whose sum
+    is above v (``_columns_above``, one popcount per v), e_min(S) = sum_v
+    max(0, G_v - (n_right - b)), since the n_right - G_v sums at most v come
+    first in sorted order, and e_max(S) = sum_v min(b, G_v).  No column sum
+    is selected or sorted.  Counts are int64, which holds every e(S, T) <=
+    a * b.
     """
-    n = rows.shape[0]
-    total = math.comb(n, a)
-    if total >= 1 << 63:
-        raise ValueError(f"C({n}, {a}) is not below 2^63")
-    if not total:
+    n, words = rows.shape
+    if not 0 < a <= n:
         return None, None, None
-    table = lex_table(n, a)
-    most = max(1, _SUBSET_CHUNK // max(rows.shape[1], 1))
-    e_min = e_max = None
-    start, size = 0, min(64, most)
-    while start < total:
-        idx = lex_subsets(table, start, min(size, total - start))
-        above = _columns_above(_column_sum_planes(rows, idx, a), a)
-        lows = np.maximum(above - (n_right - b), 0).sum(axis=0)
-        highs = np.minimum(above, b).sum(axis=0)
-        bad = np.zeros(len(idx), dtype=bool)
-        if lo is not None:
-            bad |= lows < lo
-        if hi is not None:
-            bad |= highs > hi
-        if bad.any():
-            k = int(np.argmax(bad))
-            return idx[k].copy(), int(lows[k]), int(highs[k])
-        low, high = int(lows.min()), int(highs.max())
-        e_min = low if e_min is None else min(e_min, low)
-        e_max = high if e_max is None else max(e_max, high)
-        start += len(idx)
-        size = min(2 * size, most)
-    return None, e_min, e_max
+    degs = popcount_rows(rows)
+    floors, ceils = np.maximum(degs - (n_right - b), 0), np.minimum(degs, b)
+    most = max(1, _SUBSET_CHUNK // max(words, 1))
+    search = lo is not None or hi is not None
+    # e_min below side[0] or e_max above side[1] violates (e_min >= 0 and
+    # e_max <= a * b); without lo and hi the sides are the incumbents
+    side = [0 if lo is None else lo, a * b if hi is None else hi] if search else [a * b + 1, -1]
+    size = min(64, most) if search else most
+    table = None  # [0 (1), j, k]: the k smallest floors (minus the k largest ceilings) of rows j..
+    # pending prefixes, lexicographically next on top: (P, its planes, its
+    # bounds, its number of completions, its parent and the parent's planes)
+    root = ([], np.zeros((a.bit_length(), words), dtype=np.uint64))
+    stack = [([], root[1], np.sort(floors)[:a].sum(), -np.sort(-ceils)[:a].sum(), math.comb(n, a), root)]
+    while stack:
+        prefix, base, low, high, count, up = stack.pop()
+        if low >= side[0] and high <= side[1]:
+            continue
+        if count > most:
+            if table is None:
+                after = np.arange(n)[None, :] >= np.arange(n + 1)[:, None]
+                rank = np.where(after, np.stack([floors, -ceils])[:, None], b + 1)  # rows before j sort last
+                table = np.cumsum(np.sort(rank, axis=-1)[..., :a], axis=-1)
+                table = np.concatenate([np.zeros((2, n + 1, 1), dtype=np.int64), table], axis=-1)
+            d, me = len(prefix), (prefix, base)
+            kids = np.arange(prefix[-1] + 1 if prefix else 0, n - (a - d) + 1)
+            planes, lows, highs = _extremes(rows, n_right, a, b, base, d, kids[:, None])
+            lows += table[0, kids + 1, a - d - 1]
+            highs -= table[1, kids + 1, a - d - 1]
+            for i in range(len(kids) - 1, -1, -1):
+                j = int(kids[i])
+                stack.append((prefix + [j], planes[:, i], lows[i], highs[i], math.comb(n - j - 1, a - d - 1), me))
+            continue
+        # P's completions, and those of the siblings after it, are the first
+        # subsets of rows first.. that extend P's parent
+        (owner, obase), first = up, prefix[-1] if prefix else 0
+        subsets, r0, r1 = _completions(n - first, a - len(owner), most), 0, count
+        while r0 < r1:
+            # a block may run on into the next siblings that are not skipped
+            while r1 - r0 < size and stack and stack[-1][5] is up:
+                _, _, low, high, more, _ = stack[-1]
+                if r1 + more > most or (low >= side[0] and high <= side[1]):
+                    break
+                r1 += stack.pop()[4]
+            idx = np.add(subsets[r0 : min(r0 + size, r1)], first, dtype=np.int64)
+            r0, size = r0 + len(idx), min(2 * size, most)
+            _, lows, highs = _extremes(rows, n_right, a, b, obase, len(owner), idx)
+            if not search:
+                side = [min(side[0], int(lows.min())), max(side[1], int(highs.max()))]
+                continue
+            bad = (lows < side[0]) | (highs > side[1])
+            if bad.any():
+                k = int(np.argmax(bad))
+                return np.array(owner + idx[k].tolist(), dtype=np.int64), int(lows[k]), int(highs[k])
+    return (None, None, None) if search else (None, side[0], side[1])
+
+
+def _extremes(rows, n_right, a, b, base, depth, idx):
+    """Planes, e_min and e_max of the prefix with planes ``base`` extended by each row of ``idx``."""
+    planes = _column_sum_planes(rows, idx, a, base, depth)
+    above = _columns_above(planes, depth + idx.shape[1])
+    return planes, np.maximum(above - (n_right - b), 0).sum(axis=0), np.minimum(above, b).sum(axis=0)

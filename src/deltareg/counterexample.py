@@ -8,13 +8,13 @@ blow up.  One build path: the full-scale window of ``validate_strict`` is
 a check on the params, not a different build.
 
 Verification is exact and draws nothing.  It decides triangle-freeness,
-and the strengthened pair property on the base by one exact scan when its
-C(n_left, a) left subsets fit PAIR_CHECK_CAP; past the cap the property is
-"undecided", never sampled.  It can fail: at the seed-5 desk profile
-``regularity.find_delta_witness`` finds a recounted witness on every pair.
-A blowup is checked bit for bit against ``blowup`` of its base; the
-blowup's subset counts then reduce to the base through the convex
-decompositions of ``convex_decompose``.
+and the strengthened pair property on the base by one exact branch and
+bound search when its C(n_left, a) left subsets fit PAIR_CHECK_CAP; past
+the cap the property is "undecided", never sampled.  It can fail: at the
+seed-5 desk profile ``regularity.find_delta_witness`` finds a recounted
+witness on every pair.  A blowup is checked bit for bit against ``blowup``
+of its base; the blowup's subset counts then reduce to the base through
+the convex decompositions of ``convex_decompose``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .graphs import BipartiteGraph, VertexClass, blowup
 
-# left subsets one exact strengthened-pair scan may enumerate
+# left subsets one exact strengthened-pair search may range over
 PAIR_CHECK_CAP = 1 << 22
 
 
@@ -190,7 +190,7 @@ def verify_counterexample(
 ) -> dict:
     """Triangle-freeness exactly; the strengthened pair property
     e(S, T) >= (1 - delta) d(pair) |S||T| on the base graph, decided by one
-    exact scan at the minimal qualifying size when it fits the cap and
+    exact search at the minimal qualifying size when it fits the cap and
     reported "undecided" otherwise; and, for a blowup, ``blowup_exact``:
     each pair equals ``blowup(base pair, m)`` bit for bit.  With the exact
     recombination of ``convex_decompose``, that equality gives the bilinear
@@ -215,7 +215,8 @@ def verify_counterexample(
 
 def _strengthened_pair_check(pair: BipartiteGraph, delta: Fraction) -> dict:
     """min over threshold-size subset pairs of e(S,T) vs (1-delta) d |S||T|,
-    by one exact scan when C(n_l, a) <= PAIR_CHECK_CAP; past the cap the
+    by one exact branch and bound search, whose minimum is the minimum
+    over every a-subset, when C(n_l, a) <= PAIR_CHECK_CAP; past the cap the
     claim is "undecided", with its bound and no verdict."""
     n_l, n_r = pair.left.size, pair.right.size
     d = Fraction(pair.edge_count(), n_l * n_r)

@@ -7,15 +7,17 @@ the global density: d(A', B') >= d(A, B) / 2.  A vertex partition of the
 graph is delta-regular when at most delta * e(G) edge edits make every
 cross pair delta-regular.
 
-Every pair decision here ends one of three ways: an exact scan, a witness
-that edges_between recounts, or a refusal (``CapExceeded``) when the scan
-would pass the cap (``DEFAULT_CAP`` left subsets).  Nothing is sampled and
-no pair verdict reads "unknown"; a partition is "undecided" only when its
-sound edit interval straddles the budget.  The pair checker only enumerates subsets of the
-minimal qualifying sizes: removing a maximum-degree vertex from A' never
-increases d(A', B'), so the minimum over all qualifying sizes is attained
-at the smallest; for each left subset the engine takes the lowest-degree
-right vertices, so only the left subsets are enumerated.
+Every pair decision here ends one of three ways: an exact search pruned by
+a row-degree bound, a witness that edges_between recounts, or a refusal
+(``CapExceeded``) when the C(n_left, a) left subsets pass the cap
+(``DEFAULT_CAP``), however few the search would visit.  Nothing is sampled
+and no pair verdict reads "unknown"; a partition is "undecided" only when
+its sound edit interval straddles the budget.  The pair checker only
+enumerates subsets of the minimal qualifying sizes: removing a
+maximum-degree vertex from A' never increases d(A', B'), so the minimum
+over all qualifying sizes is attained at the smallest; for each left
+subset the engine takes the lowest-degree right vertices, so only the left
+subsets are enumerated.
 ``find_delta_witness`` is a sound but incomplete refuter: a witness it
 returns is recounted, and None decides nothing.
 Convention: a pair of zero density is regular (the inequality is vacuous);
@@ -83,8 +85,9 @@ def _exact_only(mode: str):
 
 
 def is_delta_regular_pair(g: BipartiteGraph, delta, mode: str = "exact", cap: int = DEFAULT_CAP) -> PairVerdict:
-    """Decide by one exact scan of the C(n_left, a) minimal left subsets;
-    raise CapExceeded when that count passes the cap."""
+    """Decide by one exact search over the C(n_left, a) minimal left
+    subsets, pruned by the row-degree bound; raise CapExceeded when that
+    count passes the cap."""
     _exact_only(mode)
     delta = Fraction(delta)
     e_total = g.edge_count()
@@ -448,8 +451,9 @@ def axis_partitions(h, P: KPartition, axis: int, view=None):
 
 def is_eps_regular_graph(g: BipartiteGraph, eps, mode: str = "exact") -> dict:
     """Two-sided density deviation |d(S,T) - p| <= eps * p over qualifying
-    subsets, decided by one exact scan of the C(n_left, a) minimal left
-    subsets; raises CapExceeded when that count passes DEFAULT_CAP."""
+    subsets, decided by one exact search over the C(n_left, a) minimal left
+    subsets, pruned on both sides; raises CapExceeded when that count
+    passes DEFAULT_CAP."""
     _exact_only(mode)
     eps = Fraction(eps)
     p = Fraction(g.edge_count(), g.left.size * g.right.size)

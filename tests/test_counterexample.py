@@ -243,6 +243,27 @@ def test_strengthened_check_min_density_is_the_exact_minimum():
         assert rep["min_density"] == Fraction(worst, a * b)
 
 
+@pytest.mark.parametrize("chunk", [None, 24, 1])
+@pytest.mark.parametrize("seed", [1373164102, 1224931870])  # the exact-pairs bases at its seed 5
+def test_strengthened_check_branch_and_bound_reports_the_scanned_minimum(seed, chunk, monkeypatch):
+    # k 14, m 1: the check takes the minimum over all C(14, 7) left
+    # subsets by branch and bound; a 24- or 1-word chunk makes it expand
+    # prefixes and skip them on the incumbent.  Reference: the b smallest
+    # column sums of every 7-subset, one sort per subset
+    from itertools import combinations
+
+    if chunk is not None:
+        monkeypatch.setattr(X._kernels, "_SUBSET_CHUNK", chunk)
+    params = X.CounterexampleParams(seed=seed, delta=Fraction(1, 2), q=Fraction(1, 2), k=14, m=1)
+    base, _ = X.build_triangle_free(params)
+    S = np.array(list(combinations(range(14), 7)))
+    for pair in (base.ab, base.ac, base.bc):
+        bits = X._kernels.unpack_rows(pair.rows, 14).astype(np.int64)
+        worst = int(np.sort(bits[S].sum(axis=1), axis=1)[:, :7].sum(axis=1).min())
+        rep = X._strengthened_pair_check(pair, params.delta)
+        assert rep["status"] == "checked" and rep["min_density"] == Fraction(worst, 49)
+
+
 def test_strengthened_check_past_the_cap_is_undecided_without_drawing(monkeypatch):
     # C(30, 15) > 2^22: the desk base's pairs are past the default cap, so
     # the claim is neither scanned nor sampled

@@ -1,6 +1,7 @@
 """The kernels against brute-force Python references kept here."""
 
 import math
+from fractions import Fraction
 from itertools import combinations, islice, product
 
 import numpy as np
@@ -253,18 +254,33 @@ def _pack(bits):
     return rows
 
 
+_EXTREMES = {}
+
+
+def _extremes(bits, a, b):
+    """(S, e_min(S), e_max(S)) for every a-subset S in lexicographic order,
+    from one sort of S's column sums each; kept per input, which is checked
+    at several thresholds and chunk sizes."""
+    key = (bits.tobytes(), bits.shape, a, b)
+    if key not in _EXTREMES:
+        _EXTREMES[key] = []
+        for S in combinations(range(bits.shape[0]), a):
+            cols = sorted(int(x) for x in bits[list(S)].sum(axis=0))
+            _EXTREMES[key].append((list(S), sum(cols[:b]), sum(cols[len(cols) - b :])))
+    return _EXTREMES[key]
+
+
 def _scan(bits, a, b, lo=None, hi=None):
-    """Per-subset reference: the first violating S with its extremes, else
-    the extremes over all a-subsets."""
-    e_min = e_max = None
-    for S in combinations(range(bits.shape[0]), a):
-        cols = sorted(int(x) for x in bits[list(S)].sum(axis=0))
-        low, high = sum(cols[:b]), sum(cols[len(cols) - b :])
+    """Per-subset reference: with lo or hi, the first violating S with its
+    extremes, else (None, None, None); with neither, the extremes over all
+    a-subsets (None when there is none)."""
+    every = _extremes(bits, a, b)
+    if lo is None and hi is None:
+        return None, min((e[1] for e in every), default=None), max((e[2] for e in every), default=None)
+    for S, low, high in every:
         if (lo is not None and low < lo) or (hi is not None and high > hi):
-            return list(S), low, high
-        e_min = low if e_min is None else min(e_min, low)
-        e_max = high if e_max is None else max(e_max, high)
-    return None, e_min, e_max
+            return S, low, high
+    return None, None, None
 
 
 def _engine(bits, a, b, lo=None, hi=None):
@@ -272,21 +288,48 @@ def _engine(bits, a, b, lo=None, hi=None):
     return (None if S is None else S.tolist()), e_min, e_max
 
 
+def _dense(rng, nl, nr, r, plant=None):
+    """Rows missing r random columns each; with plant = (a, b) the last a
+    rows miss the same b columns instead, an empty block in the lex-last
+    a-subset (the benchmark's exact-pairs shapes)."""
+    bits = np.ones((nl, nr), dtype=bool)
+    rest = nl - plant[0] if plant else nl
+    if plant:
+        bits[rest:, rng.choice(nr, plant[1], replace=False)] = False
+    for u in range(rest):
+        bits[u, rng.choice(nr, r, replace=False)] = False
+    return bits
+
+
+def _engine_inputs(widths):
+    """(bits, a, b, extra lo thresholds): random pairs with n_left up to 8,
+    then dense pairs with n_left 10 to 14 at the delta-regularity threshold
+    lo = ceil(e a b / (2 n_left n_right)) and one below it."""
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        nl, nr = int(rng.integers(1, 9)), int(rng.integers(*widths))
+        bits = rng.random((nl, nr)) < rng.uniform(0.1, 0.9)
+        yield bits, int(rng.integers(1, nl + 1)), int(rng.integers(1, nr + 1)), ()
+    for nl, delta in ((10, 4), (12, 3), (14, 2)):
+        nr = int(rng.integers(max(widths[0], 4), widths[1]))
+        a, b = -(-nl // delta), -(-nr // delta)
+        for bits in (_dense(rng, nl, nr, b // 2), _dense(rng, nl, nr, b // 2, plant=(a, b))):
+            lo = -(-int(bits.sum()) * a * b // (2 * nl * nr))
+            yield bits, a, b, (lo, lo - 1)
+
+
 @pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 24, 1])
 @pytest.mark.parametrize("widths", [(1, 9), (65, 131)])  # one row word; two or three
 def test_subset_engine_matches_per_subset_scan(chunk, widths, monkeypatch):
-    monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)  # 24 or 1 row words: a scan spans many blocks
-    rng = np.random.default_rng(9)
-    for trial in range(60):
-        nl, nr = int(rng.integers(1, 9)), int(rng.integers(*widths))
-        bits = rng.random((nl, nr)) < rng.uniform(0.1, 0.9)
-        a, b = int(rng.integers(1, nl + 1)), int(rng.integers(1, nr + 1))
+    monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)  # 24 or 1 row words: a search spans many blocks
+    rng = np.random.default_rng(10)
+    for trial, (bits, a, b, los) in enumerate(_engine_inputs(widths)):
         full = _scan(bits, a, b)
         assert _engine(bits, a, b) == full, trial
         # thresholds inside the range of the extremes make some S violate
         lo = int(rng.integers(full[1], full[2] + 2))
         hi = int(rng.integers(full[1] - 1, full[2] + 1))
-        for bounds in ((lo, None), (None, hi), (lo, hi)):
+        for bounds in ((lo, None), (None, hi), (lo, hi), *((x, None) for x in los)):
             assert _engine(bits, a, b, *bounds) == _scan(bits, a, b, *bounds), (trial, bounds)
 
 
@@ -313,70 +356,83 @@ def test_subset_engine_edge_shapes(chunk, nl, nr, monkeypatch):
     assert _engine(last, 3, 1) == (None, 0, 3)
 
 
-def test_lex_subsets_unrank_combinations_order():
-    for n, a in [(1, 1), (5, 1), (5, 5), (7, 3), (9, 4), (12, 6), (13, 12), (20, 3)]:
-        table = K.lex_table(n, a)
-        total = math.comb(n, a)
-        assert K.lex_subsets(table, 0, total).tolist() == [list(c) for c in combinations(range(n), a)], (n, a)
-        for start in {total // 3, total // 2, max(total - 2, 0)}:  # blocks that start mid-sequence
-            count = min(5, total - start)
-            want = [list(c) for c in islice(combinations(range(n), a), start, start + count)]
-            assert K.lex_subsets(table, start, count).tolist() == want, (n, a, start)
-    # C(x, 50) for x < 100 passes 2^63; the table keeps to the values each
-    # position can take, all at most C(99, 99) here
-    assert math.comb(99, 50) >= 1 << 63
-    table = K.lex_table(100, 99)
-    assert table.shape == (99, 2) and int(table.max()) <= math.comb(99, 99)
-    assert K.lex_subsets(table, 0, 100).tolist() == [list(c) for c in combinations(range(100), 99)]
-    assert K.lex_subsets(table, 50, 3).tolist() == [list(c) for c in islice(combinations(range(100), 99), 50, 53)]
-    # the largest middle binomial below 2^63: its last subset and the one
-    # after rank C(66, 33) // 2, whose tail is fixed by the sum identity
-    table = K.lex_table(66, 33)
-    assert int(table.max()) <= math.comb(65, 33) < math.comb(66, 33) < 1 << 63
-    assert K.lex_subsets(table, math.comb(66, 33) - 1, 1).tolist() == [list(range(33, 66))]
-    S = K.lex_subsets(table, math.comb(66, 33) // 2, 1)[0].tolist()
-    assert S == sorted(set(S)) and _lex_rank(S, 66) == math.comb(66, 33) // 2
+def test_completions_are_the_first_subsets_in_combinations_order():
+    for m, k, cap in [(1, 1, 4), (5, 1, 4), (5, 5, 4), (7, 3, 35), (9, 4, 20), (12, 6, 4096), (13, 12, 1), (20, 3, 64)]:
+        got = K._completions(m, k, cap)
+        assert got.dtype.kind == "u" and got.dtype.itemsize == 1 and not got.flags.writeable, (m, k, cap)
+        assert got.tolist() == [list(c) for c in islice(combinations(range(m), k), cap)], (m, k, cap)
+    # only the first cap subsets are built, however many there are
+    assert math.comb(100, 50) >= 1 << 63
+    assert K._completions(100, 50, 3).tolist() == [list(c) for c in islice(combinations(range(100), 50), 3)]
 
 
-def _lex_rank(S, n):
-    """Lexicographic rank of the sorted subset S of range(n): the subsets
-    before it branch off at some position j to a smaller element."""
-    a, rank, prev = len(S), 0, -1
-    for j, c in enumerate(S):
-        rank += sum(math.comb(n - 1 - x, a - 1 - j) for x in range(prev + 1, c))
-        prev = c
-    return rank
+def _count_plane_builds(monkeypatch):
+    """Record the row words of every block the engine builds planes for."""
+    blocks, build = [], K._column_sum_planes
+
+    def recorded(rows, idx, *args):
+        blocks.append(idx.shape[0] * rows.shape[1])
+        return build(rows, idx, *args)
+
+    monkeypatch.setattr(K, "_column_sum_planes", recorded)
+    return blocks
 
 
-def test_subset_engine_refuses_counts_past_int64_before_scanning(monkeypatch):
-    def boom(*args):
-        raise AssertionError("scanned")
-
-    monkeypatch.setattr(K, "lex_table", boom)
-    monkeypatch.setattr(K, "_column_sum_planes", boom)
-    with pytest.raises(ValueError, match="2\\^63"):
-        K.subset_min_edges(K.zero_rows(200, 8), 8, 100, 4)
-    with pytest.raises(ValueError):
-        K.subset_min_edges(K.zero_rows(67, 8), 8, 33, 4)  # C(67, 33) is just past 2^63
-    monkeypatch.undo()
-    # C(66, 33) is below 2^63: the first subset already violates lo
-    S, e_min, e_max = K.subset_min_edges(K.zero_rows(66, 8), 8, 33, 4, lo=1)
-    assert S.tolist() == list(range(33)) and (e_min, e_max) == (0, 0)
+def test_subset_engine_searches_past_int64_ranks(monkeypatch):
+    # the search forms no rank of the whole subset order, so C(n_left, a)
+    # may pass 2^63: complete rows are decided at the root with no block;
+    # on empty rows the lex-first subset violates, and the branch and bound
+    # stops at its first block, whose extremes no other subset can beat
+    assert math.comb(200, 100) >= 1 << 63
+    blocks = _count_plane_builds(monkeypatch)
+    full = K.complement_rows(K.zero_rows(200, 8), 8)
+    assert K.subset_min_edges(full, 8, 100, 4, lo=400, hi=400) == (None, None, None) and not blocks
+    S, e_min, e_max = K.subset_min_edges(K.zero_rows(200, 8), 8, 100, 4, lo=1)
+    assert S.tolist() == list(range(100)) and (e_min, e_max) == (0, 0)
+    assert K.subset_min_edges(K.zero_rows(200, 8), 8, 100, 4) == (None, 0, 0)
 
 
 def test_subset_engine_blocks_hold_at_most_the_chunk_in_row_words(monkeypatch):
-    blocks = []
-    unrank = K.lex_subsets
-
-    def recorded(table, start, count):
-        blocks.append(count)
-        return unrank(table, start, count)
-
-    monkeypatch.setattr(K, "lex_subsets", recorded)
+    blocks = _count_plane_builds(monkeypatch)
     monkeypatch.setattr(K, "_SUBSET_CHUNK", 30)
     bits = np.random.default_rng(6).random((10, 130)) < 0.5  # three row words
-    assert _engine(bits, 4, 20) == _scan(bits, 4, 20)
-    assert sum(blocks) == math.comb(10, 4) and max(blocks) == 30 // 3
+    full = _scan(bits, 4, 20)
+    for bounds in ((None, None), (full[1] + 1, None), (None, full[2] - 1), (full[1], full[2])):
+        assert _engine(bits, 4, 20, *bounds) == _scan(bits, 4, 20, *bounds), bounds
+    assert max(blocks) == 30
+
+
+def test_subset_engine_decides_a_regular_pair_with_no_block(monkeypatch):
+    # each row misses b // 2 columns, so every minimal pair keeps density
+    # >= 1/2 >= d/2: the floors' bound at the root decides the pair
+    from deltareg import regularity as R
+    from deltareg.graphs import BipartiteGraph, VertexClass
+
+    blocks = _count_plane_builds(monkeypatch)
+    rng = np.random.default_rng(4)
+    a = b = 5  # delta 1/4 of 20
+    bits = _dense(rng, 20, 20, b // 2)
+    lo = -(-int(bits.sum()) * a * b // (2 * 20 * 20))
+    assert _engine(bits, a, b, lo=lo) == (None, None, None)
+    g = BipartiteGraph(VertexClass("A", 20), VertexClass("B", 20), _pack(bits))
+    assert R.is_delta_regular_pair(g, Fraction(1, 4)).status == "regular"
+    assert not blocks and _scan(bits, a, b, lo=lo) == (None, None, None)
+
+
+@pytest.mark.parametrize("chunk", [K._SUBSET_CHUNK, 1])
+def test_subset_engine_bound_is_tight_at_the_only_violation(chunk, monkeypatch):
+    # rows 6 and 7 miss column 0, the rest are complete: S = {6, 7} alone
+    # has e_min(S) = 2 = lo - 1, and the bound along its path (the root,
+    # prefix {6}) is e_min(P) plus the smallest floors after P, also 2; a
+    # bound one higher would skip it.  The complement is the same test for
+    # e_max and the ceilings.
+    monkeypatch.setattr(K, "_SUBSET_CHUNK", chunk)  # 1: every prefix on the path is bounded
+    bits = np.ones((8, 8), dtype=bool)
+    bits[6:, 0] = False
+    assert _engine(bits, 2, 2, lo=3) == ([6, 7], 2, 4) == _scan(bits, 2, 2, lo=3)
+    assert sum(e_min < 3 for _, e_min, _ in _extremes(bits, 2, 2)) == 1
+    assert _engine(~bits, 2, 2, hi=1) == ([6, 7], 0, 2) == _scan(~bits, 2, 2, hi=1)
+    assert sum(e_max > 1 for _, _, e_max in _extremes(~bits, 2, 2)) == 1
 
 
 def test_subset_engine_column_sums_past_255():
